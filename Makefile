@@ -1,17 +1,22 @@
 GO ?= go
 
-# Tier-3 knobs: iterations of the seeded crash-consistency torture
-# harness and the per-target budget for the native fuzz targets.
+# Tier-3 knobs: seeds per cell of the torture matrix and the per-target
+# budget for the native fuzz targets.
 TORTURE_ITERS ?= 50
 FUZZTIME ?= 10s
 
-.PHONY: all tier1 tier2 tier3 bench-observability bench-smoke bench-sharded-smoke bench-compaction-smoke obs-smoke
+.PHONY: all tier1 tier2 tier3 bench-test bench-observability bench-smoke bench-sharded-smoke bench-compaction-smoke obs-smoke
 
 all: tier1
 
 # Tier-1: the acceptance gate every change must keep green.
 tier1:
 	$(GO) build ./... && $(GO) test ./...
+
+# The benchmark driver's own tests (bench/ is a separate module that
+# `go test ./...` at the root does not reach).
+bench-test:
+	$(GO) -C bench test ./...
 
 # Tier-2: vet plus the full suite under the race detector. Exercises
 # the concurrent metrics/snapshot/event paths (see
@@ -20,27 +25,15 @@ tier2:
 	$(GO) vet ./... && $(GO) test -race ./...
 
 # Tier-3: crash-consistency and robustness. Runs the seeded torture
-# harness in all four modes — crash (random workload + fault
-# injection + crash at a random fs-op boundary + reopen +
-# durability-contract verification), transient (faults heal; the
-# engine must auto-recover on the same handle with zero acked-write
-# loss), bitrot (silent bit flips on SST reads; every corruption
-# must be detected and repaired or reported, never served), and
-# enospc (the disk-space quota squeezes below usage and releases;
-# wait-for-space recovery must heal the same handle with zero acked
-# loss, reads serving throughout, and a bounded honest giveup when
-# space never frees). Failing seeds are printed and reproducible with
-# `go run ./cmd/torture -seed N [-transient|-bitrot|-enospc]`. Also
+# matrix — every nemesis (crash, transient, bitrot, enospc) against
+# every store (engine, sharded), TORTURE_ITERS seeds per cell; the
+# matrix and each nemesis's contract are documented once, in the
+# internal/torture package comment. A failing seed prints its repro
+# command (`go run ./cmd/torture -seed N -nemesis M -shards S`). Also
 # runs a bounded pass of every native fuzz target over the committed
 # corpora (regenerate with `go run ./cmd/genfuzzcorpus`).
-# The sharded run adds the cross-shard atomic-batch (2PC) contract on
-# top: no crash point may expose a torn cross-shard batch, and every
-# acknowledged one must survive in full. Repro failing seeds with
-# `go run ./cmd/torture -seed N -shards S`.
 tier3:
-	$(GO) test ./internal/engine -run 'TestTorture(CrashRecovery|TransientRecovery|BitrotRecovery|EnospcRecovery)' -count=1 \
-		-args -torture.iters=$(TORTURE_ITERS)
-	$(GO) test ./internal/shardeddb -run TestTortureSharded -count=1 \
+	$(GO) test ./internal/torture -run TestTorture -count=1 -timeout 30m \
 		-args -torture.iters=$(TORTURE_ITERS)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWriterReaderRoundTrip$$' -fuzztime $(FUZZTIME)

@@ -1,12 +1,14 @@
-// Command torture runs the crash-consistency torture harness from the
-// command line — the same seeded iterations as `make tier3`, for
-// reproducing a failing seed exactly or soaking many iterations:
+// Command torture runs the seeded robustness harness from the command
+// line — the same iterations as `make tier3`, for reproducing a failing
+// seed exactly or soaking many iterations of one nemesis × store cell
+// (internal/torture documents the matrix and every contract):
 //
-//	go run ./cmd/torture -seed 1234            # reproduce one seed
-//	go run ./cmd/torture -iters 500 -v         # long soak
+//	go run ./cmd/torture -seed 1234                        # reproduce one crash seed
+//	go run ./cmd/torture -nemesis enospc -shards 3 -seed 7 # one full-disk seed, 3 shards
+//	go run ./cmd/torture -nemesis bitrot -iters 500 -v     # long soak
 //
-// Exit status is non-zero if any iteration violates the durability
-// contract; the failing seed is printed for repro.
+// Exit status is non-zero if any iteration violates its contract; the
+// failing seed's repro command is printed.
 package main
 
 import (
@@ -20,18 +22,12 @@ import (
 
 func main() {
 	var (
-		seed      = flag.Int64("seed", 1, "base seed; iteration i runs with seed+i")
-		iters     = flag.Int("iters", 1, "number of seeded iterations")
-		ops       = flag.Int("ops", 0, "workload ops per iteration (0 = default)")
-		keys      = flag.Int("keys", 0, "key-universe size (0 = default)")
-		transient = flag.Bool("transient", false,
-			"transient-fault mode: faults heal and the engine must auto-recover on the same handle (no crash/reopen)")
-		bitrot = flag.Bool("bitrot", false,
-			"silent-corruption mode: bit flips on SST reads; every corruption must be detected and repaired or reported, never served")
-		enospc = flag.Bool("enospc", false,
-			"full-disk mode: the disk-space quota squeezes below usage and releases; wait-for-space recovery must heal the same handle with zero acked loss")
-		shards = flag.Int("shards", 0,
-			"sharded mode: run the workload against a range-sharded store with this many shards and check the cross-shard atomic-batch contract")
+		seed    = flag.Int64("seed", 1, "base seed; iteration i runs with seed+i")
+		iters   = flag.Int("iters", 1, "number of seeded iterations")
+		ops     = flag.Int("ops", 0, "workload ops per iteration (0 = default)")
+		keys    = flag.Int("keys", 0, "key-universe size (0 = default)")
+		nemesis = flag.String("nemesis", "crash", "fault regime: crash, transient, bitrot or enospc")
+		shards  = flag.Int("shards", 0, "run against a range-sharded store with this many shards (0 or 1 = bare engine)")
 		verbose = flag.Bool("v", false, "log per-iteration progress")
 	)
 	flag.Parse()
@@ -39,32 +35,17 @@ func main() {
 	log.SetFlags(0)
 	failed := 0
 	for i := 0; i < *iters; i++ {
-		s := *seed + int64(i)
-		cfg := torture.Config{Seed: s, Ops: *ops, Keys: *keys, Transient: *transient, Bitrot: *bitrot, Enospc: *enospc, Shards: *shards}
+		cfg := torture.Config{Seed: *seed + int64(i), Ops: *ops, Keys: *keys, Nemesis: *nemesis, Shards: *shards}
 		if *verbose {
 			cfg.Logf = func(format string, args ...interface{}) {
-				log.Printf("  seed %d: "+format, append([]interface{}{s}, args...)...)
+				log.Printf("  seed %d: "+format, append([]interface{}{cfg.Seed}, args...)...)
 			}
 		}
 		if err := torture.Run(cfg); err != nil {
 			failed++
-			fmt.Fprintf(os.Stderr, "FAIL: %v\n", err)
-			repro := fmt.Sprintf("go run ./cmd/torture -seed %d", s)
-			if *transient {
-				repro += " -transient"
-			}
-			if *bitrot {
-				repro += " -bitrot"
-			}
-			if *enospc {
-				repro += " -enospc"
-			}
-			if *shards > 1 {
-				repro += fmt.Sprintf(" -shards %d", *shards)
-			}
-			fmt.Fprintf(os.Stderr, "reproduce with: %s\n", repro)
+			fmt.Fprintf(os.Stderr, "FAIL: %v\nreproduce with: %s\n", err, cfg.Repro())
 		} else if *verbose {
-			log.Printf("seed %d: ok", s)
+			log.Printf("seed %d: ok", cfg.Seed)
 		}
 	}
 	fmt.Printf("torture: %d iterations, %d failures\n", *iters, failed)

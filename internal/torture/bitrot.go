@@ -2,328 +2,147 @@ package torture
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
-	"strconv"
 	"strings"
-	"time"
 
-	"xpointdb/internal/batch"
-	"xpointdb/internal/clock"
 	"xpointdb/internal/engine"
 	"xpointdb/internal/events"
 	"xpointdb/internal/faultfs"
 	"xpointdb/internal/sstable"
-	"xpointdb/internal/storage"
-	"xpointdb/internal/vfs"
 )
 
-// runBitrot is the silent-corruption torture mode: a seeded clean
-// workload builds an LSM tree, then bitrot arms on SST reads — either
-// transient (a few bitrotted device reads, then clean: the disk is
-// fine, a bus/firmware hiccup flipped bits in flight) or persistent
-// (every read of one chosen file flips a bit: the media is dying).
-// The workload continues under rot, and the integrity machinery must
-// uphold one absolute and one conditional contract:
-//
-//  1. NO SILENT WRONG READS, ever. Every Get either returns the
-//     oracle's value, a checksum/background error, or — only for keys
-//     inside a range a data_loss event has explicitly declared lost —
-//     an honest miss. A read returning fabricated bytes outside a
-//     declared-lost range fails the run instantly.
-//  2. Detection obliges resolution. If any corruption latched a
-//     quarantine, recovery must end in a repair or an explicit
-//     data_loss declaration — never a giveup — and the DB must return
-//     to Healthy on the same handle and accept writes again.
-func runBitrot(cfg Config) error {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// bitrot is the silent-corruption regime; contract clauses 1–2 in the
+// package comment.
+type bitrot struct {
+	sameHandle
+	paranoid bool
+	armed    bool
+	mode     string
+	cursor   int // events already absorbed into r.loose
+}
 
-	dev := storage.New(clock.Real{}, storage.Null())
-	ffs, err := faultfs.New(vfs.NewMem(dev), rng.Int63())
-	if err != nil {
-		return fmt.Errorf("torture seed %d: faultfs: %w", cfg.Seed, err)
-	}
-	geo := pickGeometry(rng)
-	buf := &events.Buffer{}
-	opts := engine.DefaultOptions(ffs)
-	geo.apply(&opts)
-	opts.EventListener = buf
-	// Synchronous event delivery: the oracles below assert on the
-	// buffer mid-run and must observe each event before the next op.
-	opts.EventSinkQueue = -1
-	opts.RecoveryBaseBackoff = time.Millisecond
-	opts.RecoveryMaxBackoff = 10 * time.Millisecond
-	opts.MaxRecoveryAttempts = 100
-	opts.ParanoidFileChecks = rng.Intn(2) == 0
-	opts.ScrubBytesPerSec = 1 << 30 // unpaced: let the scrubber race the reads
-	db, err := engine.Open(opts)
-	if err != nil {
-		return fmt.Errorf("torture seed %d: open: %w", cfg.Seed, err)
-	}
-	defer db.Close()
+func (b *bitrot) tune(o *engine.Options) {
+	b.sameHandle.tune(o)
+	o.ParanoidFileChecks = b.paranoid
+	o.ScrubBytesPerSec = 1 << 30 // unpaced: let the scrubber race the reads
+}
 
-	// ----------------------------------------------------------------
-	// Phase 1: clean seeded workload; flushes guarantee live SSTs.
+func (b *bitrot) start(*run) {}
 
-	key := func() string { return fmt.Sprintf("k%03d", rng.Intn(cfg.Keys)) }
-	live := map[string]string{}
-	applyOp := func(i int) error {
-		var b batch.Batch
-		sync := rng.Float64() < 0.25
-		b.Put([]byte(cutKey), []byte(strconv.Itoa(i)))
-		muts := make([]mut, 0, 4)
-		for m, n := 0, 1+rng.Intn(4); m < n; m++ {
-			k := key()
-			if rng.Float64() < 0.2 {
-				b.Delete([]byte(k))
-				muts = append(muts, mut{key: k, del: true})
-			} else {
-				v := fmt.Sprintf("v%06d-%s-%04d", i, k, rng.Intn(10000))
-				b.Put([]byte(k), []byte(v))
-				muts = append(muts, mut{key: k, val: v})
-			}
-		}
-		if err := db.Apply(&b, sync); err != nil {
-			return err
-		}
-		live[cutKey] = strconv.Itoa(i)
-		for _, m := range muts {
-			if m.del {
-				delete(live, m.key)
-			} else {
-				live[m.key] = m.val
-			}
-		}
-		return nil
-	}
-
-	cleanOps := cfg.Ops / 2
-	for i := 0; i < cleanOps; i++ {
-		if err := applyOp(i); err != nil {
-			return violation(cfg, "bitrot", "clean-phase Apply(op %d) failed: %v", i, err)
-		}
-		if i == cleanOps/2 || i == cleanOps-1 {
-			if err := db.Flush(); err != nil {
-				return violation(cfg, "bitrot", "clean-phase flush failed: %v", err)
-			}
+// before keeps the first half of the workload clean — two flushes
+// guarantee live SSTs — arms the rot at the midpoint, and from then on
+// absorbs declared losses so the spot read in front of every op judges
+// against what the engine has admitted to.
+func (b *bitrot) before(r *run, i int) error {
+	clean := r.cfg.Ops / 2
+	if i == clean/2 || i == clean {
+		if err := r.st.Flush(); err != nil {
+			return r.violation("clean-phase flush failed: %v", err)
 		}
 	}
+	if i == clean {
+		b.arm(r)
+	}
+	if b.armed {
+		b.absorbLoss(r)
+	}
+	return nil
+}
 
-	// ----------------------------------------------------------------
-	// Phase 2: arm rot.
-
-	mode := "transient"
-	if rng.Float64() < 0.3 {
+func (b *bitrot) arm(r *run) {
+	b.armed, b.mode = true, "transient"
+	if r.rng.Float64() < 0.3 {
 		// Persistent: one file's media is dying — every read of it
 		// flips a bit until the file is repaired away or declared lost.
-		names, lerr := ffs.List()
+		names, err := r.ffs.List()
 		var ssts []string
 		for _, n := range names {
 			if strings.HasSuffix(n, ".sst") {
 				ssts = append(ssts, n)
 			}
 		}
-		if lerr == nil && len(ssts) > 0 {
-			victim := ssts[rng.Intn(len(ssts))]
-			ffs.AddRule(faultfs.Rule{
+		if err == nil && len(ssts) > 0 {
+			victim := ssts[r.rng.Intn(len(ssts))]
+			r.ffs.AddRule(faultfs.Rule{
 				Ops: []faultfs.Op{faultfs.OpReadAt}, Path: victim,
 				Fault: faultfs.Fault{Bitrot: true},
 			})
-			mode = "persistent"
-			cfg.Logf("bitrot: persistent rot armed on %s", victim)
+			b.mode = "persistent"
+			r.cfg.Logf("bitrot: persistent rot armed on %s", victim)
+			return
 		}
 	}
-	if mode == "transient" {
-		k := 1 + rng.Int63n(3)
-		ffs.AddRule(faultfs.Rule{
-			Ops: []faultfs.Op{faultfs.OpReadAt}, Path: "*.sst", FailNTimes: k,
-			Fault: faultfs.Fault{Bitrot: true},
-		})
-		cfg.Logf("bitrot: transient rot armed (FailNTimes=%d)", k)
-	}
-
-	// lost tracks keys inside a declared data_loss range: the one case
-	// where a non-oracle read result is honest. A later successful
-	// write to a lost key makes it strict again.
-	lost := map[string]bool{}
-	evCursor := 0
-	absorbLoss := func() {
-		evs := buf.Events()
-		for ; evCursor < len(evs); evCursor++ {
-			e := evs[evCursor]
-			if e.Kind != events.KindDataLoss || e.Integrity == nil {
-				continue
-			}
-			mark := func(k string) {
-				if k >= e.Integrity.Smallest && k <= e.Integrity.Largest {
-					lost[k] = true
-				}
-			}
-			mark(cutKey)
-			for i := 0; i < cfg.Keys; i++ {
-				mark(fmt.Sprintf("k%03d", i))
-			}
-		}
-	}
-	tolerable := func(err error) bool {
-		return sstable.IsCorruption(err) || errors.Is(err, faultfs.ErrInjected) ||
-			errors.Is(err, engine.ErrBackground)
-	}
-
-	// Continue the workload under rot, read-heavily.
-	for i := cleanOps; i < cfg.Ops; i++ {
-		if err := applyOp(i); err != nil {
-			if !tolerable(err) {
-				return violation(cfg, "bitrot", "Apply(op %d) failed with a foreign error: %v", i, err)
-			}
-			if err := waitTransientHealthy(cfg, db, 15*time.Second); err != nil {
-				return err
-			}
-			continue
-		}
-		// An acked write makes its keys strict again even if a
-		// data_loss range covered them.
-		absorbLoss()
-
-		if rng.Float64() < 0.30 {
-			k := key()
-			v, gerr := db.Get([]byte(k))
-			want, ok := live[k]
-			switch {
-			case gerr != nil && tolerable(gerr):
-				// Honest detection; recovery resolves it below.
-			case lost[k]:
-				// Declared lost: an honest miss or a resurfaced older
-				// version are both acceptable — a crash is not.
-			case !ok && !errors.Is(gerr, engine.ErrNotFound):
-				return violation(cfg, "bitrot", "Get(%q) = (%q, %v), want ErrNotFound", k, v, gerr)
-			case ok && gerr != nil:
-				return violation(cfg, "bitrot", "Get(%q) failed: %v", k, gerr)
-			case ok && string(v) != want:
-				return violation(cfg, "bitrot", "SILENT WRONG READ: Get(%q) = %q, want %q", k, v, want)
-			}
-		}
-		if rng.Float64() < 0.01 {
-			if ferr := db.Flush(); ferr != nil {
-				if !tolerable(ferr) {
-					return violation(cfg, "bitrot", "flush failed with a foreign error: %v", ferr)
-				}
-				if err := waitTransientHealthy(cfg, db, 15*time.Second); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	// ----------------------------------------------------------------
-	// Phase 3: settle, then verify the contract.
-
-	if err := waitTransientHealthy(cfg, db, 15*time.Second); err != nil {
-		return err
-	}
-	absorbLoss()
-	m := db.Metrics()
-	cfg.Logf("bitrot(%s): detected=%d quarantined=%d repaired=%d dataloss=%d lostkeys=%d",
-		mode, m.CorruptionsDetected.Load(), m.FilesQuarantined.Load(),
-		m.CorruptionsRepaired.Load(), m.DataLossEvents.Load(), len(lost))
-
-	if m.RecoveryGiveups.Load() > 0 {
-		return violation(cfg, "bitrot", "recovery gave up on corruption (%d giveups)", m.RecoveryGiveups.Load())
-	}
-	if q := m.FilesQuarantined.Load(); q > 0 {
-		if m.CorruptionsRepaired.Load()+m.DataLossEvents.Load() == 0 {
-			return violation(cfg, "bitrot",
-				"%d files quarantined but neither repaired nor declared lost", q)
-		}
-		if err := requireRecoveryEvents(cfg, buf); err != nil {
-			return err
-		}
-	}
-	if err := verifyBitrot(cfg, db, live, lost); err != nil {
-		return err
-	}
-
-	// The healed handle must still make durable, verifiable progress.
-	for i := 0; i < cfg.PostRecoveryOps; i++ {
-		k := key()
-		v := fmt.Sprintf("post-rot-%d-%d", cfg.Seed, i)
-		var b batch.Batch
-		b.Put([]byte(k), []byte(v))
-		if err := db.Apply(&b, true); err != nil {
-			return violation(cfg, "bitrot", "healed DB rejected write %d: %v", i, err)
-		}
-		live[k] = v
-		delete(lost, k)
-	}
-	if err := db.Flush(); err != nil {
-		return violation(cfg, "bitrot", "healed DB flush failed: %v", err)
-	}
-	if err := verifyBitrot(cfg, db, live, lost); err != nil {
-		return err
-	}
-	if err := db.Close(); err != nil {
-		return violation(cfg, "bitrot", "close failed: %v", err)
-	}
-	return nil
+	k := 1 + r.rng.Int63n(3)
+	r.ffs.AddRule(faultfs.Rule{
+		Ops: []faultfs.Op{faultfs.OpReadAt}, Path: r.st.glob("*.sst"), FailNTimes: k,
+		Fault: faultfs.Fault{Bitrot: true},
+	})
+	r.cfg.Logf("bitrot: transient rot armed (FailNTimes=%d)", k)
 }
 
-// verifyBitrot checks the full oracle like verify, but keys inside a
-// declared data_loss range (and not re-written since) tolerate honest
-// misses and resurfaced older versions — bounded, NAMED loss. Wrong
-// bytes for any strict key remain an instant violation.
-func verifyBitrot(cfg Config, db *engine.DB, model map[string]string, lost map[string]bool) error {
-	for k, want := range model {
-		if lost[k] {
+// absorbLoss moves every key inside a newly declared data_loss range
+// into the loose set: the one case where a non-oracle read result is
+// honest. A later acknowledged write to the key pins it down again.
+func (b *bitrot) absorbLoss(r *run) {
+	if b.buf.Len() == b.cursor {
+		return // nothing new; Events copies the whole buffer
+	}
+	evs := b.buf.Events()
+	for ; b.cursor < len(evs); b.cursor++ {
+		e := evs[b.cursor]
+		if e.Kind != events.KindDataLoss || e.Integrity == nil {
 			continue
 		}
-		v, err := db.Get([]byte(k))
-		if err != nil {
-			return violation(cfg, "bitrot", "Get(%q) = %v, want %q\n%s", k, err, want, db.DebugLayout())
+		mark := func(k string) {
+			// Events of a sharded store carry the 1-based shard whose
+			// file was lost.
+			if e.Shard > 0 && r.st.shardOf(k) != e.Shard-1 {
+				return
+			}
+			if k >= e.Integrity.Smallest && k <= e.Integrity.Largest {
+				r.loose[k] = true
+			}
 		}
-		if string(v) != want {
-			return violation(cfg, "bitrot", "SILENT WRONG READ: Get(%q) = %q, want %q", k, v, want)
+		for s := 0; s < r.st.shards(); s++ {
+			mark(r.st.marker(s))
 		}
-	}
-	// Absence checks: a key the oracle lacks may only exist if a
-	// data_loss range covers it (an older version resurfacing from a
-	// deeper level is honest once the loss is declared).
-	for i := 0; i < cfg.Keys; i++ {
-		k := fmt.Sprintf("k%03d", i)
-		if _, ok := model[k]; ok || lost[k] {
-			continue
-		}
-		if v, err := db.Get([]byte(k)); !errors.Is(err, engine.ErrNotFound) {
-			return violation(cfg, "bitrot", "phantom key %q = (%q, %v), want ErrNotFound", k, v, err)
+		for i := 0; i < r.cfg.Keys; i++ {
+			mark(keyName(i))
 		}
 	}
+}
 
-	it, err := db.NewIter()
-	if err != nil {
-		return violation(cfg, "bitrot", "NewIter: %v", err)
+func (b *bitrot) spotRate() float64 {
+	if b.armed {
+		return 0.30 // read-heavy under rot
 	}
-	defer it.Close()
-	seen := map[string]bool{}
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		k := string(it.Key())
-		seen[k] = true
-		if lost[k] {
-			continue
-		}
-		want, ok := model[k]
-		if !ok {
-			return violation(cfg, "bitrot", "scan found phantom key %q", k)
-		}
-		if string(it.Value()) != want {
-			return violation(cfg, "bitrot", "SILENT WRONG SCAN: %q = %q, want %q", k, it.Value(), want)
-		}
+	return 0.02
+}
+
+// Before the rot arms nothing may fail; under rot a checksum failure
+// (or the latch it sets) is the honest outcome, on reads too.
+func (b *bitrot) honest(err error, _ bool) bool {
+	return b.armed && (sstable.IsCorruption(err) || errors.Is(err, faultfs.ErrInjected) ||
+		errors.Is(err, engine.ErrBackground))
+}
+
+func (b *bitrot) failed(r *run) (bool, error) { return false, r.waitHealthy(false) }
+
+func (b *bitrot) settle(r *run) error {
+	if err := r.waitHealthy(false); err != nil {
+		return err
 	}
-	if err := it.Error(); err != nil {
-		return violation(cfg, "bitrot", "scan error: %v", err)
+	b.absorbLoss(r)
+	c := r.c()
+	r.cfg.Logf("bitrot(%s): detected=%d quarantined=%d repaired=%d dataloss=%d lostkeys=%d",
+		b.mode, c.detected, c.quarantined, c.repaired, c.dataLoss, len(r.loose))
+	if c.giveups > 0 {
+		return r.violation("recovery gave up on corruption (%d giveups)", c.giveups)
 	}
-	for k := range model {
-		if !seen[k] && !lost[k] {
-			return violation(cfg, "bitrot", "scan missed key %q", k)
+	if c.quarantined > 0 {
+		if c.repaired+c.dataLoss == 0 {
+			return r.violation("%d files quarantined but neither repaired nor declared lost", c.quarantined)
 		}
+		return b.requireRecoveryEvents(r)
 	}
 	return nil
 }

@@ -1,0 +1,271 @@
+package torture
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+
+	"xpointdb/internal/batch"
+	"xpointdb/internal/engine"
+	"xpointdb/internal/shardeddb"
+	"xpointdb/internal/throttle"
+	"xpointdb/internal/vfs"
+)
+
+// store is the system under test as the driver and the nemeses see it.
+// It is an interface — not two concrete calls — so the oracle self-test
+// can drive the real driver against fakes that lie.
+type store interface {
+	// open opens the store on fs with the run's seeded configuration.
+	// Calling it again after Close — on the same fs or on a crash
+	// image — is a recovery.
+	open(fs vfs.FS) error
+	Apply(b *batch.Batch, sync bool) error
+	Get(key []byte) ([]byte, error)
+	Flush() error
+	// scan visits every user-visible key in ascending order.
+	scan(visit func(key, value []byte)) error
+	Health() engine.Health
+	BackgroundError() error
+	// Resume is the operator's manual recovery, fanned out to every shard.
+	Resume() error
+	Close() error
+	// counters sums the recovery, integrity and space counters of
+	// every shard of the open handle.
+	counters() counters
+	shards() int
+	shardOf(key string) int
+	// marker is shard s's monotone cut-marker key.
+	marker(s int) string
+	// glob turns a per-engine file pattern ("*.log") into a
+	// fault-rule path glob over the store's directory layout.
+	glob(pattern string) string
+	// coordLog globs the cross-shard coordinator log; "" when the
+	// store has none.
+	coordLog() string
+	describe() string
+	// layout renders the LSM shape for violation reports.
+	layout() string
+}
+
+// counters is what the nemesis contracts read from engine.Metrics,
+// summed over shards, plus the open-time 2PC resolution counts.
+type counters struct {
+	soft, hard, attempts, successes, giveups            int64
+	detected, quarantined, repaired, dataLoss           int64
+	enospc, spaceWaits, spaceRecoveries, spaceDeferrals int64
+	rolledForward, abortedAtOpen                        int64
+}
+
+func (c *counters) add(m *engine.Metrics) {
+	c.soft += m.SoftErrors.Load()
+	c.hard += m.HardErrors.Load()
+	c.attempts += m.RecoveryAttempts.Load()
+	c.successes += m.RecoverySuccesses.Load()
+	c.giveups += m.RecoveryGiveups.Load()
+	c.detected += m.CorruptionsDetected.Load()
+	c.quarantined += m.FilesQuarantined.Load()
+	c.repaired += m.CorruptionsRepaired.Load()
+	c.dataLoss += m.DataLossEvents.Load()
+	c.enospc += m.EnospcErrors.Load()
+	c.spaceWaits += m.SpaceWaits.Load()
+	c.spaceRecoveries += m.SpaceRecoveries.Load()
+	c.spaceDeferrals += m.SpaceDeferrals.Load()
+}
+
+// geometry is the seeded engine configuration of one run.
+type geometry struct {
+	memtableSize   int64
+	targetFileSize int64
+	baseLevelBytes int64
+	l0Trigger      int
+	pipelined      bool
+	blockSize      int
+	maxSub         int
+}
+
+func pickGeometry(rng *rand.Rand) geometry {
+	return geometry{
+		// Small tables force frequent rotation, flush, and compaction,
+		// so faults land inside interesting machinery.
+		memtableSize:   int64(4<<10) + rng.Int63n(28<<10),
+		targetFileSize: int64(8<<10) + rng.Int63n(24<<10),
+		baseLevelBytes: int64(32<<10) + rng.Int63n(64<<10),
+		l0Trigger:      2 + rng.Intn(3),
+		pipelined:      rng.Intn(2) == 0,
+		blockSize:      1<<10 + rng.Intn(3)<<10,
+		// Crashes must land inside multi-range atomic installs too, so
+		// the sub-compaction fan-out varies across seeds.
+		maxSub: 1 + rng.Intn(4),
+	}
+}
+
+// engineOptions builds the engine options every open of one run uses:
+// defaults, the seeded geometry, then the nemesis's own knobs.
+func engineOptions(fs vfs.FS, g geometry, tune func(*engine.Options)) engine.Options {
+	o := engine.DefaultOptions(fs)
+	o.MemtableSize = g.memtableSize
+	o.TargetFileSize = g.targetFileSize
+	o.BaseLevelBytes = g.baseLevelBytes
+	o.L0CompactionTrigger = g.l0Trigger
+	o.L0SlowdownTrigger = g.l0Trigger + 6
+	o.L0StopTrigger = g.l0Trigger + 12
+	o.PipelinedWrites = g.pipelined
+	o.BlockSize = g.blockSize
+	o.MaxSubcompactions = g.maxSub
+	o.ThrottleMode = throttle.ModeNone
+	o.SyncWAL = false // per-op sync decided by the workload
+	tune(&o)
+	return o
+}
+
+// iterator is the method set engine.Iter and shardeddb.Iter share.
+type iterator interface {
+	SeekToFirst()
+	Valid() bool
+	Next()
+	Key() []byte
+	Value() []byte
+	Error() error
+	Close() error
+}
+
+func scanAll(it iterator, visit func(key, value []byte)) error {
+	defer it.Close()
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		visit(it.Key(), it.Value())
+	}
+	return it.Error()
+}
+
+// newStore picks the adapter for cfg.Shards and draws its seeded
+// parameters.
+func newStore(cfg Config, rng *rand.Rand, geo geometry, tune func(*engine.Options)) store {
+	if cfg.Shards <= 1 {
+		return &engineStore{geo: geo, tune: tune}
+	}
+	return &shardedStore{
+		geo: geo, tune: tune, n: cfg.Shards, keys: cfg.Keys,
+		slots: 2 + rng.Intn(cfg.Shards+1), // undersized pool stresses cross-shard scheduling
+	}
+}
+
+// engineStore is the one-shard store: a bare engine.DB. Every op has
+// participants {0} and the single cut marker is "@cut".
+type engineStore struct {
+	*engine.DB
+	geo  geometry
+	tune func(*engine.Options)
+}
+
+func (e *engineStore) open(fs vfs.FS) error {
+	db, err := engine.Open(engineOptions(fs, e.geo, e.tune))
+	if err == nil {
+		e.DB = db // a failed reopen keeps the old, closed handle
+	}
+	return err
+}
+
+func (e *engineStore) scan(visit func(key, value []byte)) error {
+	it, err := e.NewIter()
+	if err != nil {
+		return err
+	}
+	return scanAll(it, visit)
+}
+
+func (e *engineStore) counters() (c counters) {
+	c.add(e.Metrics())
+	return c
+}
+
+func (e *engineStore) shards() int                { return 1 }
+func (e *engineStore) shardOf(string) int         { return 0 }
+func (e *engineStore) marker(int) string          { return "@cut" }
+func (e *engineStore) glob(pattern string) string { return pattern }
+func (e *engineStore) coordLog() string           { return "" }
+func (e *engineStore) describe() string           { return "engine" }
+func (e *engineStore) layout() string             { return e.DebugLayout() }
+
+// shardedStore is the range-sharded store: n engines behind
+// shardeddb.DB, one crash image holding every shard directory and the
+// coordinator log. Each shard's cut marker sits just inside its key
+// range — the range start followed by a 0x01 byte sorts below every
+// user key sharing the boundary prefix and outside the reserved 0x00
+// namespace. Because each shard is an engine with its own WAL, the
+// surviving ops on one shard always form a prefix of the ops that
+// touched it, so the recovered marker identifies that prefix exactly.
+type shardedStore struct {
+	*shardeddb.DB
+	geo     geometry
+	tune    func(*engine.Options)
+	n, keys int
+	slots   int
+}
+
+func (s *shardedStore) open(fs vfs.FS) error {
+	opts := shardeddb.Options{
+		Shards:    s.n,
+		PoolSlots: s.slots,
+		Engine:    engineOptions(fs, s.geo, s.tune),
+	}
+	// Split the "k%03d" key universe evenly.
+	for i := 1; i < s.n; i++ {
+		opts.Boundaries = append(opts.Boundaries, []byte(keyName(s.keys*i/s.n)))
+	}
+	db, err := shardeddb.Open(opts)
+	if err == nil {
+		s.DB = db
+	}
+	return err
+}
+
+func (s *shardedStore) scan(visit func(key, value []byte)) error {
+	it, err := s.NewIter()
+	if err != nil {
+		return err
+	}
+	return scanAll(it, visit)
+}
+
+func (s *shardedStore) Resume() error {
+	for i := 0; i < s.n; i++ {
+		if err := s.Shard(i).Resume(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+func (s *shardedStore) counters() (c counters) {
+	for i := 0; i < s.n; i++ {
+		c.add(s.Shard(i).Metrics())
+	}
+	_, _, c.rolledForward, c.abortedAtOpen = s.TxnStats()
+	return c
+}
+
+func (s *shardedStore) shards() int            { return s.n }
+func (s *shardedStore) shardOf(key string) int { return s.ShardForKey([]byte(key)) }
+
+func (s *shardedStore) marker(shard int) string {
+	start, _ := s.ShardRange(shard)
+	return string(start) + "\x01@cut"
+}
+
+// Shard files live under "shard-NNN/" and the coordinator log under
+// "meta/"; path.Match wildcards do not cross '/'.
+func (s *shardedStore) glob(pattern string) string { return "*/" + pattern }
+func (s *shardedStore) coordLog() string           { return "*/TXN-*" }
+
+func (s *shardedStore) describe() string {
+	return fmt.Sprintf("sharded: %d shards, %d pool slots", s.n, s.slots)
+}
+
+func (s *shardedStore) layout() string {
+	var b strings.Builder
+	for i := 0; i < s.n; i++ {
+		fmt.Fprintf(&b, "shard %d:\n%s", i, s.Shard(i).DebugLayout())
+	}
+	return b.String()
+}

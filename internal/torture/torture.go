@@ -1,32 +1,147 @@
-// Package torture is the crash-consistency torture harness: it runs a
-// seeded random workload against the engine on a fault-injecting
-// filesystem (internal/faultfs), crashes the filesystem at a random
-// operation boundary — optionally keeping a partial or bit-flipped
-// unsynced tail — reopens the database from the crash image, and
-// verifies the durability contract against an in-memory oracle.
+// Package torture is the seeded robustness harness behind `make tier3`.
+// It is ONE driver — a seeded op generator, one oracle, one workload
+// loop and one settle / post-recovery / verify tail — parameterised by
+// two seams: the store under test and the nemesis that attacks it.
 //
-// The contract checked on every run:
+//	nemesis \ store    engine (engine.DB)    sharded (shardeddb.DB, 2–4 shards)
+//	crash              tier-3, 50 seeds      tier-3, 50 seeds
+//	transient          tier-3, 50 seeds      tier-3, 50 seeds
+//	bitrot             tier-3, 50 seeds      tier-3, 50 seeds
+//	enospc             tier-3, 50 seeds      tier-3, 50 seeds
 //
-//  1. Prefix durability. Every workload batch writes a monotone marker
-//     key ("@cut" = the op index), so the recovered marker identifies
-//     the exact surviving prefix c of the submitted op sequence. The
-//     recovered keyspace must equal the oracle's replay of ops[0..c] —
-//     no phantom, lost, or corrupted values.
-//  2. Sync floor. c must cover every operation whose WAL sync was
-//     acknowledged before the crash point (nothing acknowledged-synced
-//     may be lost).
-//  3. Crash ceiling. c must not exceed the last operation submitted
-//     before the crash snapshot froze (nothing from the future).
-//  4. Recovery must succeed — torn WAL/MANIFEST tails truncate
-//     cleanly — and the reopened DB must accept writes, survive a
-//     second reopen, and still verify (MANIFEST roll-forward works).
+// Every cell runs through the same code; `go test ./internal/torture`
+// runs the matrix (TestTorture, subtests <nemesis>/<store>) and
+// `go run ./cmd/torture -nemesis N -shards S -seed X` reproduces one
+// seed of one cell.
 //
-// Given the same seed, every workload, fault, and crash-materialization
-// decision is reproduced exactly. The crash point is an exact
-// filesystem-operation count; which engine state that op count lands
-// on can still vary with goroutine scheduling, so a failing seed is a
-// strong — not bit-perfect — reproducer. The contract above is
-// interleaving-independent, so any run that fails it is a real bug.
+// # The driver
+//
+// Every workload op is one batch of 1–4 Puts/Deletes over a small key
+// universe plus, for every shard it touches (in ascending shard order),
+// that shard's monotone cut marker set to the op index. On the engine
+// store there is one shard and one marker, "@cut". On the sharded store
+// ops routinely span shards and commit through two-phase commit. The
+// oracle is the map of acknowledged state: an op enters it iff its
+// Apply returned nil. In front of every op the driver spot-reads a
+// random key against the oracle. A key is "loose" — old or new value
+// accepted, until an acknowledged op rewrites it — in exactly two
+// cases: it lies in a range a data_loss event declared lost (bitrot),
+// or it belongs to an UNACKNOWLEDGED cross-shard batch on a live handle
+// (a 2PC batch whose phase 2 failed on one shard has passed its commit
+// point, stays visible on the shards that applied, and is only made
+// whole at the next open — see ROADMAP "Open items").
+//
+// After the workload the nemesis settles the store (crash: reopen on
+// the crash image; the others: heal the SAME handle), and the shared
+// tail runs: the store's keyspace must equal the oracle exactly (point
+// reads of every oracle key, absence of every other universe key and
+// of a never-written key, and one full ordered scan that must neither
+// miss an oracle key nor show a phantom — which also proves no 2PC
+// bookkeeping key leaks out of the reserved 0x00 namespace); it must
+// then accept synced writes, including fresh cross-shard batches,
+// flush, and verify again.
+//
+// # Nemesis contracts
+//
+// crash — the filesystem crashes at a random fs-op boundary under
+// seeded fault rules (failed WAL / MANIFEST / coordinator-log syncs,
+// failed SST creates, latency); any Apply or Flush error ends the
+// workload early. One of three crash images is materialised by seed
+// (clean: synced bytes only; partial-sync: a prefix of the unsynced
+// tail; torn: that prefix with bit damage) and the store reopens on it.
+//
+//  1. Prefix durability. The recovered marker c_s of shard s identifies
+//     the exact surviving prefix of the ops that touched s; the
+//     recovered keyspace must equal the oracle's replay of those
+//     prefixes — no phantom, lost, or corrupted values.
+//  2. Sync floor. Every op acknowledged durable before the crash
+//     snapshot froze must survive on all its participants. Durable at
+//     ack means an explicit WAL sync, or any cross-shard commit (2PC
+//     syncs its prepares and commit record regardless of the caller's
+//     flag).
+//  3. Crash ceiling. No c_s may exceed the last op submitted before
+//     the snapshot froze (nothing from the future).
+//  4. Cross-shard atomicity. A batch spanning shards survives on ALL
+//     of its participants or on NONE, at any crash point under any
+//     materialisation, however the crash interleaved with 2PC phases.
+//  5. Recovery must succeed — torn WAL/MANIFEST tails truncate cleanly,
+//     in-doubt transactions roll forward or abort — and the reopened
+//     store's post-recovery writes must survive a second reopen and
+//     still verify (MANIFEST roll-forward, a new coordinator epoch).
+//
+// At one shard clauses 2–4 reduce to "c ≥ last acked-synced op" and
+// "c ≤ last op possibly in the image".
+//
+// transient — no crash, no reopen: 2–5 fault episodes arm at random
+// ops, each a self-healing rule (FailNTimes / HealAfter) on WAL sync,
+// MANIFEST sync, WAL create or SST create. Every fault either stays
+// invisible (soft, retried in place) or fails the requesting write,
+// after which the recovery worker must heal the SAME handle.
+//
+//  1. Zero acked-write loss. Every mutation whose Apply returned nil
+//     reads back exactly, across any number of fault/recovery episodes.
+//  2. Self-healing. After a failed write, and at the end of the
+//     workload (leftover FailNTimes charges are cleared first: a rule
+//     armed late may never have fired and is not self-healing), the
+//     store must reach Healthy within a bounded wait and accept writes
+//     again — on the original handle.
+//  3. Honest failures. A failed Apply or Flush may only report the
+//     injected fault or the background-error latch; recovery must
+//     never give up on a transient fault; and if any hard error
+//     latched, at least one recovery success is counted and the event
+//     stream records a recovery begin before a recovery success.
+//
+// bitrot — the first half of the workload runs clean (with two forced
+// flushes so SSTs exist), then rot arms on SST reads: transient (1–3
+// bit-flipped reads of any SST, then clean — a bus hiccup) or, for 30 %
+// of seeds, persistent (every read of one chosen file flips a bit — the
+// media is dying). ParanoidFileChecks is drawn by seed and the scrubber
+// runs unpaced so it races the reads. Spot reads rise to 30 %.
+//
+//  1. NO SILENT WRONG READS, ever. Every Get and every scanned pair
+//     returns the oracle's value, a checksum / injected / background
+//     error (point reads under rot only), or — only for keys inside a
+//     range a data_loss event has explicitly declared lost — an honest
+//     miss or a resurfaced older version.
+//  2. Detection obliges resolution. If any file was quarantined,
+//     recovery must end in a repair or an explicit data_loss
+//     declaration — never a giveup — with a recovery begin before a
+//     recovery success in the event stream, and the store must return
+//     to Healthy on the same handle and accept writes again.
+//
+// enospc — 1–3 times the faultfs byte quota is squeezed below current
+// usage (every write, create and sync fails with vfs.ErrNoSpace) and
+// released on a TIMER, the out-of-band operator freeing space: a
+// squeeze can park the workload itself behind a full immutable queue,
+// so an op-counted release would deadlock the harness. Half the seeds
+// also run the space-budget accounting (MaxAllowedSpace, shared across
+// shards). Spot reads rise to 25 % while squeezed.
+//
+//  1. Zero acked-write loss across any number of squeeze episodes.
+//  2. Reads never block on a full disk: point lookups during a squeeze
+//     and after a giveup must serve the acked state.
+//  3. Self-healing. After a release the store returns to Healthy with
+//     no reopen; a giveup after an unluckily slow scrape is tolerated
+//     if a single Resume clears it. Whatever the quota rejected must
+//     have been counted as ENOSPC.
+//  4. Honest failures. A failed Apply may only report the quota error,
+//     the background-error latch or an injected fault. A final squeeze
+//     that is never released must end in a giveup within the bounded
+//     attempt budget — not a hang, not a lie — with Health ≠ Healthy
+//     and Apply failing honestly; once space returns one Resume must
+//     heal the handle, failed space probes and space recoveries must
+//     have been counted, and the rejected "@poison" write must be
+//     absent from the final scan.
+//
+// # Reproducibility
+//
+// Given the same seed, every workload, fault, and crash-materialisation
+// decision — down to the bytes of every submitted batch — is reproduced
+// exactly. The crash point is an exact filesystem-operation count;
+// which engine state that count lands on can still vary with goroutine
+// scheduling, so a failing seed is a strong — not bit-perfect —
+// reproducer. The contracts are interleaving-independent, so any run
+// that fails one is a real bug.
 package torture
 
 import (
@@ -41,12 +156,21 @@ import (
 	"xpointdb/internal/engine"
 	"xpointdb/internal/faultfs"
 	"xpointdb/internal/storage"
-	"xpointdb/internal/throttle"
 	"xpointdb/internal/vfs"
 )
 
-// cutKey is the monotone marker included in every workload batch.
-const cutKey = "@cut"
+const (
+	// postCrashOps continues the workload this many ops past the crash
+	// point, exercising the window where the live store has diverged
+	// from the frozen disk image.
+	postCrashOps = 60
+	// postRecoveryOps is the number of synced writes the settled store
+	// must accept (and, after a crash, keep across a second reopen).
+	postRecoveryOps = 20
+	// healTimeout bounds every wait for Healthy; every fault heals, so
+	// a store that stays unhealthy has a broken recovery path.
+	healTimeout = 15 * time.Second
+)
 
 // Config parameterizes one torture iteration.
 type Config struct {
@@ -57,59 +181,57 @@ type Config struct {
 	Ops int
 	// Keys is the key-universe size (default 240).
 	Keys int
-	// PostCrashOps continues the workload this many operations past
-	// the crash point (default 60), exercising the window where the
-	// live DB has diverged from the frozen disk image.
-	PostCrashOps int
-	// PostRecoveryOps writes after recovery to prove the reopened DB
-	// is healthy and its MANIFEST progress survives another reopen
-	// (default 20).
-	PostRecoveryOps int
-	// Transient switches Run to the transient-fault mode: instead of
-	// crashing and reopening, every fault heals (FailNTimes/HealAfter
-	// rules) and the engine's recovery worker must return the SAME
-	// handle to Healthy with zero acked-write loss. See runTransient.
-	Transient bool
-	// Shards, when > 1, switches Run to the sharded mode: the same
-	// crash/recovery machinery pointed at a range-sharded store, with
-	// per-shard cut markers and the cross-shard atomic-batch (2PC)
-	// contract checked on top. See runSharded in sharded.go.
+	// Nemesis is "crash" (the default), "transient", "bitrot" or
+	// "enospc"; see the package comment for each contract.
+	Nemesis string
+	// Shards > 1 runs against a range-sharded store with that many
+	// shards; 0 or 1 against a bare engine.
 	Shards int
-	// Bitrot switches Run to the silent-corruption mode: seeded bit
-	// flips on SST reads, and the integrity machinery (block checksums,
-	// scrub, quarantine & repair) must guarantee no silent wrong read
-	// ever — every corruption is detected and either repaired or
-	// declared as bounded data loss. See runBitrot.
-	Bitrot bool
-	// Enospc switches Run to the full-disk mode: the faultfs byte
-	// quota is squeezed below usage and later released while the
-	// workload runs, and the wait-for-space recovery must heal the
-	// SAME handle with zero acked-write loss — plus a never-released
-	// squeeze must end in a bounded honest giveup that a manual Resume
-	// clears once space returns. See runEnospc.
-	Enospc bool
 	// Logf, when set, receives verbose progress (e.g. t.Logf).
 	Logf func(format string, args ...interface{})
 }
 
-func (c Config) withDefaults() Config {
+// resolve fills defaults and rejects configurations that cannot run.
+func (c Config) resolve() (Config, error) {
 	if c.Ops <= 0 {
 		c.Ops = 1200
 	}
 	if c.Keys <= 0 {
 		c.Keys = 240
 	}
-	if c.PostCrashOps <= 0 {
-		c.PostCrashOps = 60
-	}
-	if c.PostRecoveryOps <= 0 {
-		c.PostRecoveryOps = 20
+	if c.Nemesis == "" {
+		c.Nemesis = "crash"
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...interface{}) {}
 	}
-	return c
+	if c.Shards < 0 || c.Shards > c.Keys {
+		return c, fmt.Errorf("torture: %d shards cannot split a universe of %d keys", c.Shards, c.Keys)
+	}
+	return c, nil
 }
+
+// Repro is the command line that reruns exactly this iteration.
+func (c Config) Repro() string {
+	s := fmt.Sprintf("go run ./cmd/torture -seed %d", c.Seed)
+	if c.Nemesis != "" && c.Nemesis != "crash" {
+		s += " -nemesis " + c.Nemesis
+	}
+	if c.Shards > 1 {
+		s += fmt.Sprintf(" -shards %d", c.Shards)
+	}
+	if c.Ops > 0 {
+		s += fmt.Sprintf(" -ops %d", c.Ops)
+	}
+	if c.Keys > 0 {
+		s += fmt.Sprintf(" -keys %d", c.Keys)
+	}
+	return s
+}
+
+// Run executes one seeded iteration and returns nil if the nemesis's
+// contract held, or a detailed violation error.
+func Run(cfg Config) error { return drive(cfg, newStore) }
 
 // mut is one key mutation inside a workload op.
 type mut struct {
@@ -117,372 +239,366 @@ type mut struct {
 	del      bool
 }
 
-// op is one submitted workload batch: its mutations plus the cut
-// marker value identifying it.
+// op is one submitted workload batch.
 type op struct {
-	muts []mut
-	sync bool
+	muts         []mut
+	participants []int // shards touched, ascending
+	sync         bool
+	// ackedDurable: Apply returned nil before the crash snapshot froze,
+	// through a path that guarantees durability at ack (crash clause 2).
+	ackedDurable bool
 }
 
-// geometry is the seeded engine configuration of one run.
-type geometry struct {
-	memtableSize   int64
-	targetFileSize int64
-	baseLevelBytes int64
-	l0Trigger      int
-	pipelined      bool
-	blockSize      int
-	maxSub         int
+// run is the state of one iteration, shared by the driver and its
+// nemesis.
+type run struct {
+	cfg   Config
+	rng   *rand.Rand
+	ffs   *faultfs.FS
+	st    store
+	nem   nemesis
+	phase string // labels violations: "live", then what the nemesis sets
+
+	ops   []op
+	live  map[string]string // the oracle: acknowledged state
+	loose map[string]bool   // keys whose value the oracle cannot pin down
+	// maxPossible is the last op submitted before the crash snapshot
+	// froze; failed counts unacknowledged ops.
+	maxPossible, failed int
 }
 
-func pickGeometry(rng *rand.Rand) geometry {
-	return geometry{
-		// Small tables force frequent rotation, flush, and compaction,
-		// so crashes land inside interesting machinery.
-		memtableSize:   int64(4<<10) + rng.Int63n(28<<10),
-		targetFileSize: int64(8<<10) + rng.Int63n(24<<10),
-		baseLevelBytes: int64(32<<10) + rng.Int63n(64<<10),
-		l0Trigger:      2 + rng.Intn(3),
-		pipelined:      rng.Intn(2) == 0,
-		blockSize:      1<<10 + rng.Intn(3)<<10,
-		// Crashes must land inside multi-range atomic installs too, so
-		// the sub-compaction fan-out varies across seeds.
-		maxSub: 1 + rng.Intn(4),
-	}
+func keyName(i int) string   { return fmt.Sprintf("k%03d", i) }
+func (r *run) key() string   { return keyName(r.rng.Intn(r.cfg.Keys)) }
+func (r *run) c() counters   { return r.st.counters() }
+func (r *run) healthy() bool { return r.st.Health() == engine.Healthy }
+
+// violation renders a contract failure with full repro context.
+func (r *run) violation(format string, args ...interface{}) error {
+	return fmt.Errorf("torture seed %d (%s on %s, %s): DURABILITY VIOLATION: %s",
+		r.cfg.Seed, r.cfg.Nemesis, r.st.describe(), r.phase, fmt.Sprintf(format, args...))
 }
 
-func (g geometry) apply(o *engine.Options) {
-	o.MemtableSize = g.memtableSize
-	o.TargetFileSize = g.targetFileSize
-	o.BaseLevelBytes = g.baseLevelBytes
-	o.L0CompactionTrigger = g.l0Trigger
-	o.L0SlowdownTrigger = g.l0Trigger + 6
-	o.L0StopTrigger = g.l0Trigger + 12
-	o.PipelinedWrites = g.pipelined
-	o.BlockSize = g.blockSize
-	o.MaxSubcompactions = g.maxSub
-	o.ThrottleMode = throttle.ModeNone
-	o.SyncWAL = false // per-op sync decided by the workload
-}
-
-// violation renders a durability-contract failure with full repro
-// context.
-func violation(cfg Config, mode string, format string, args ...interface{}) error {
-	return fmt.Errorf("torture seed %d (crash mode %s): DURABILITY VIOLATION: %s",
-		cfg.Seed, mode, fmt.Sprintf(format, args...))
-}
-
-// Run executes one seeded crash/recovery iteration and returns nil if
-// the durability contract held, or a detailed violation error.
-func Run(cfg Config) error {
-	cfg = cfg.withDefaults()
-	if cfg.Transient {
-		return runTransient(cfg)
-	}
-	if cfg.Bitrot {
-		return runBitrot(cfg)
-	}
-	if cfg.Enospc {
-		return runEnospc(cfg)
-	}
-	if cfg.Shards > 1 {
-		return runSharded(cfg)
+func drive(cfg Config, mkStore func(Config, *rand.Rand, geometry, func(*engine.Options)) store) error {
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	dev := storage.New(clock.Real{}, storage.Null())
-	ffs, err := faultfs.New(vfs.NewMem(dev), rng.Int63())
+	ffs, err := faultfs.New(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), rng.Int63())
 	if err != nil {
 		return fmt.Errorf("torture seed %d: faultfs: %w", cfg.Seed, err)
 	}
 	geo := pickGeometry(rng)
-	opts := engine.DefaultOptions(ffs)
-	geo.apply(&opts)
-	db, err := engine.Open(opts)
+	nem, err := newNemesis(cfg.Nemesis, rng)
 	if err != nil {
+		return err
+	}
+	r := &run{
+		cfg: cfg, rng: rng, ffs: ffs, nem: nem, phase: "live",
+		st:   mkStore(cfg, rng, geo, nem.tune),
+		live: map[string]string{}, loose: map[string]bool{}, maxPossible: -1,
+	}
+	if err := r.st.open(ffs); err != nil {
 		return fmt.Errorf("torture seed %d: initial open: %w", cfg.Seed, err)
 	}
-
-	// Seeded fault rules, armed only after the clean open. Errors they
-	// surface through Apply/Flush end the workload early; the
-	// background-error latch must then keep the engine honest.
-	if rng.Float64() < 0.25 {
-		ffs.AddRule(faultfs.Rule{
-			Ops: []faultfs.Op{faultfs.OpSync}, Path: "*.log",
-			After: rng.Int63n(40), Count: 1,
-		})
-		cfg.Logf("fault: one WAL sync failure armed")
-	}
-	if rng.Float64() < 0.15 {
-		ffs.AddRule(faultfs.Rule{
-			Ops: []faultfs.Op{faultfs.OpCreate}, Path: "*.sst",
-			Prob: 0.1, Count: 2,
-		})
-		cfg.Logf("fault: transient SST create failures armed")
-	}
-	if rng.Float64() < 0.10 {
-		ffs.AddRule(faultfs.Rule{
-			Ops: []faultfs.Op{faultfs.OpSync}, Path: "MANIFEST-*",
-			After: rng.Int63n(8), Count: 1,
-		})
-		cfg.Logf("fault: one MANIFEST sync failure armed")
-	}
-	if rng.Float64() < 0.15 {
-		ffs.AddRule(faultfs.Rule{
-			Ops:  []faultfs.Op{faultfs.OpWrite, faultfs.OpSync},
-			Prob: 0.05, Count: 20,
-			Fault: faultfs.Fault{Latency: 200 * time.Microsecond},
-		})
-		cfg.Logf("fault: write/sync latency armed")
-	}
-
-	// Crash at a random filesystem-operation boundary somewhere inside
-	// the workload.
-	ffs.ArmCrash(50 + rng.Int63n(3000))
+	defer func() { _ = r.st.Close() }() // early returns; the tail checks its own Close
+	cfg.Logf("store: %s", r.st.describe())
+	nem.start(r) // faults arm only after the clean open
 
 	// --------------------------------------------------------------
-	// Phase 1: seeded workload against the live oracle.
+	// The workload.
 
-	key := func() string { return fmt.Sprintf("k%03d", rng.Intn(cfg.Keys)) }
-	ops := make([]op, 0, cfg.Ops)
-	live := map[string]string{} // oracle of acknowledged state
-	lastAcked := -1             // highest op with an acked pre-crash sync
-	maxPossible := -1           // last op submitted before the crash froze
-	var stopErr error
 	postCrash := 0
-
 	for i := 0; i < cfg.Ops; i++ {
-		var b batch.Batch
-		o := op{sync: rng.Float64() < 0.25}
-		b.Put([]byte(cutKey), []byte(strconv.Itoa(i)))
-		nmut := 1 + rng.Intn(4)
-		for m := 0; m < nmut; m++ {
-			k := key()
-			if rng.Float64() < 0.2 {
-				b.Delete([]byte(k))
-				o.muts = append(o.muts, mut{key: k, del: true})
-			} else {
-				v := fmt.Sprintf("v%06d-%s-%04d", i, k, rng.Intn(10000))
-				b.Put([]byte(k), []byte(v))
-				o.muts = append(o.muts, mut{key: k, val: v})
+		if err := nem.before(r, i); err != nil {
+			return err
+		}
+		// Reads must serve the acked state at all times, fault in
+		// flight or not.
+		if err := r.spot(nem.spotRate()); err != nil {
+			return err
+		}
+		if rng.Float64() < 0.01 {
+			if ferr := r.st.Flush(); ferr != nil {
+				if stop, err := r.writeFailed(i, ferr); err != nil {
+					return err
+				} else if stop {
+					break
+				}
 			}
 		}
-		ops = append(ops, o)
-
+		o := r.genOp(i)
+		b := r.batch(i, &o)
+		r.ops = append(r.ops, o)
 		// An op can reach the crash image only if the snapshot was not
 		// yet frozen when its Apply began — even one whose Apply then
 		// fails (e.g. a failed sync after the record hit the file).
 		if !ffs.Crashed() {
-			maxPossible = i
+			r.maxPossible = i
 		}
-		err := db.Apply(&b, o.sync)
-		if err != nil {
-			// First engine-visible failure: stop submitting. The op's
-			// fate is resolved by the recovered cut marker.
-			stopErr = err
-			break
-		}
-		for _, m := range o.muts {
-			if m.del {
-				delete(live, m.key)
-			} else {
-				live[m.key] = m.val
-			}
-		}
-		if o.sync && !ffs.Crashed() {
-			// Conservative: only count the ack if the crash snapshot
-			// was not yet frozen when the sync returned.
-			lastAcked = i
-		}
-
-		// Live spot checks against the oracle.
-		if rng.Float64() < 0.02 {
-			k := key()
-			v, gerr := db.Get([]byte(k))
-			want, ok := live[k]
-			switch {
-			case !ok && !errors.Is(gerr, engine.ErrNotFound):
-				return violation(cfg, "live", "Get(%q) pre-crash = (%q, %v), want ErrNotFound", k, v, gerr)
-			case ok && gerr != nil:
-				return violation(cfg, "live", "Get(%q) pre-crash failed: %v", k, gerr)
-			case ok && string(v) != want:
-				return violation(cfg, "live", "Get(%q) pre-crash = %q, want %q", k, v, want)
-			}
-		}
-		if rng.Float64() < 0.01 {
-			if ferr := db.Flush(); ferr != nil {
-				stopErr = ferr
+		if werr := r.st.Apply(b, o.sync); werr != nil {
+			r.failed++
+			r.unacked(&o)
+			if stop, err := r.writeFailed(i, werr); err != nil {
+				return err
+			} else if stop {
 				break
 			}
+			continue
 		}
+		r.ack(i, &r.ops[i])
 		if ffs.Crashed() {
-			postCrash++
-			if postCrash > cfg.PostCrashOps {
+			if postCrash++; postCrash > postCrashOps {
 				break
 			}
 		}
 	}
 
-	// The crash may never have triggered (short runs, early faults):
-	// take the snapshot at the current boundary instead.
-	snap := ffs.ForceCrash()
-	submitted := len(ops)
-	if stopErr != nil {
-		cfg.Logf("workload stopped at op %d/%d: %v", submitted, cfg.Ops, stopErr)
-	}
-	_ = db.Close() // may fail under latched background errors; the disk image is the snapshot
-
 	// --------------------------------------------------------------
-	// Phase 2: materialize the crash image and recover.
+	// The tail: settle, verify, prove the store still makes durable
+	// progress, verify again.
 
-	modes := []struct {
-		name string
-		opts faultfs.CrashOpts
-	}{
-		{"clean", faultfs.CrashOpts{}},
-		{"partial-sync", faultfs.CrashOpts{KeepUnsynced: true}},
-		{"torn", faultfs.CrashOpts{KeepUnsynced: true, Torn: true}},
+	r.phase = "settled"
+	if err := nem.settle(r); err != nil {
+		return err
 	}
-	mode := modes[rng.Intn(len(modes))]
-	dev2 := storage.New(clock.Real{}, storage.Null())
-	img, err := snap.Materialize(dev2, rng, mode.opts)
-	if err != nil {
-		return fmt.Errorf("torture seed %d: materialize %s: %w", cfg.Seed, mode.name, err)
+	if err := r.verify(); err != nil {
+		return err
 	}
-
-	opts2 := engine.DefaultOptions(img)
-	geo.apply(&opts2)
-	db2, err := engine.Open(opts2)
-	if err != nil {
-		return violation(cfg, mode.name, "recovery failed: %v", err)
-	}
-
-	// --------------------------------------------------------------
-	// Phase 3: determine the surviving prefix and verify it exactly.
-
-	c := -1
-	if cutVal, gerr := db2.Get([]byte(cutKey)); gerr == nil {
-		c, err = strconv.Atoi(string(cutVal))
-		if err != nil {
-			return violation(cfg, mode.name, "cut marker corrupted: %q", cutVal)
+	for i := 0; i < postRecoveryOps; i++ {
+		o := op{sync: true}
+		for j, n := 0, 1+rng.Intn(3); j < n; j++ {
+			o.muts = append(o.muts, mut{key: r.key(), val: fmt.Sprintf("post-recovery-%d-%d-%d", cfg.Seed, i, j)})
 		}
-	} else if !errors.Is(gerr, engine.ErrNotFound) {
-		return violation(cfg, mode.name, "reading cut marker: %v", gerr)
+		idx := len(r.ops) + i
+		if err := r.st.Apply(r.batch(idx, &o), o.sync); err != nil {
+			return r.violation("settled store rejected write %d: %v", i, err)
+		}
+		r.ack(idx, &o)
 	}
-	cfg.Logf("mode=%s submitted=%d cut=%d lastAcked=%d maxPossible=%d",
-		mode.name, submitted, c, lastAcked, maxPossible)
+	if err := r.st.Flush(); err != nil {
+		return r.violation("settled store flush failed: %v", err)
+	}
+	if err := r.verify(); err != nil {
+		return err
+	}
+	if err := r.st.Close(); err != nil {
+		return r.violation("close failed: %v", err)
+	}
+	return nem.finish(r)
+}
 
-	if c < lastAcked {
-		return violation(cfg, mode.name,
-			"acknowledged-synced data lost: recovered prefix ends at op %d, op %d was synced and acked\n%s",
-			c, lastAcked, db2.DebugLayout())
+// writeFailed handles an Apply or Flush error in front of or at op i:
+// it must be one the nemesis may cause, and the nemesis decides whether
+// the workload stops or the store must first heal.
+func (r *run) writeFailed(i int, werr error) (stop bool, err error) {
+	if !r.nem.honest(werr, false) {
+		return false, r.violation("op %d failed with a foreign error: %v", i, werr)
 	}
-	if c > maxPossible {
-		return violation(cfg, mode.name,
-			"phantom future data: recovered prefix ends at op %d, last op possibly in the image is %d",
-			c, maxPossible)
+	if stop, err = r.nem.failed(r); stop {
+		r.cfg.Logf("workload stopped at op %d/%d: %v", i, r.cfg.Ops, werr)
 	}
+	return stop, err
+}
 
-	// Replay the oracle over the surviving prefix.
+// genOp draws workload op i: 1–4 mutations, 20 % deletes, 25 % synced.
+func (r *run) genOp(i int) op {
+	o := op{sync: r.rng.Float64() < 0.25}
+	for m, n := 0, 1+r.rng.Intn(4); m < n; m++ {
+		k := r.key()
+		if r.rng.Float64() < 0.2 {
+			o.muts = append(o.muts, mut{key: k, del: true})
+		} else {
+			o.muts = append(o.muts, mut{key: k, val: fmt.Sprintf("v%06d-%s-%04d", i, k, r.rng.Intn(10000))})
+		}
+	}
+	return o
+}
+
+// batch renders o as the batch submitted under index i — its mutations,
+// then the cut marker of every shard they touch, in ascending shard
+// order so the bytes are a function of the seed — and records the
+// participants.
+func (r *run) batch(i int, o *op) *batch.Batch {
+	b := &batch.Batch{}
+	touched := make([]bool, r.st.shards())
+	for _, m := range o.muts {
+		touched[r.st.shardOf(m.key)] = true
+		if m.del {
+			b.Delete([]byte(m.key))
+		} else {
+			b.Put([]byte(m.key), []byte(m.val))
+		}
+	}
+	for s, t := range touched {
+		if t {
+			o.participants = append(o.participants, s)
+			b.Put([]byte(r.st.marker(s)), []byte(strconv.Itoa(i)))
+		}
+	}
+	return b
+}
+
+// ack folds acknowledged op i into the oracle; its keys are pinned
+// down again.
+func (r *run) ack(i int, o *op) {
+	for _, m := range o.muts {
+		if m.del {
+			delete(r.live, m.key)
+		} else {
+			r.live[m.key] = m.val
+		}
+		delete(r.loose, m.key)
+	}
+	for _, s := range o.participants {
+		mk := r.st.marker(s)
+		r.live[mk] = strconv.Itoa(i)
+		delete(r.loose, mk)
+	}
+	// Conservative: only count the ack if the crash snapshot was not
+	// yet frozen when Apply returned.
+	o.ackedDurable = (o.sync || len(o.participants) > 1) && !r.ffs.Crashed()
+}
+
+// unacked records what a failed Apply leaves unknown. A single-shard
+// batch that failed is simply absent (the engine's contract). A
+// cross-shard one may be past its commit point and visible on some
+// participants only until the next open, so its keys and markers go
+// loose.
+func (r *run) unacked(o *op) {
+	if len(o.participants) < 2 {
+		return
+	}
+	for _, m := range o.muts {
+		r.loose[m.key] = true
+	}
+	for _, s := range o.participants {
+		r.loose[r.st.marker(s)] = true
+	}
+}
+
+// replay is the oracle's view of a crash image: each mutation of op i
+// survives iff i is within its shard's recovered prefix.
+func (r *run) replay(cut []int) map[string]string {
 	model := map[string]string{}
-	for i := 0; i <= c; i++ {
-		model[cutKey] = strconv.Itoa(i)
-		for _, m := range ops[i].muts {
-			if m.del {
+	for i, o := range r.ops {
+		for _, m := range o.muts {
+			switch {
+			case i > cut[r.st.shardOf(m.key)]:
+			case m.del:
 				delete(model, m.key)
-			} else {
+			default:
 				model[m.key] = m.val
 			}
 		}
-	}
-	if err := verify(cfg, mode.name, db2, model, rng, cfg.Keys); err != nil {
-		return err
-	}
-
-	// --------------------------------------------------------------
-	// Phase 4: the recovered DB must make durable progress that
-	// survives yet another reopen (MANIFEST roll-forward, WAL reuse).
-
-	for i := 0; i < cfg.PostRecoveryOps; i++ {
-		k := fmt.Sprintf("k%03d", rng.Intn(cfg.Keys))
-		v := fmt.Sprintf("post-recovery-%d-%d", cfg.Seed, i)
-		var b batch.Batch
-		b.Put([]byte(k), []byte(v))
-		if err := db2.Apply(&b, true); err != nil {
-			return violation(cfg, mode.name, "recovered DB rejected write %d: %v", i, err)
+		for _, s := range o.participants {
+			if i <= cut[s] {
+				model[r.st.marker(s)] = strconv.Itoa(i)
+			}
 		}
-		model[k] = v
 	}
-	if err := db2.Flush(); err != nil {
-		return violation(cfg, mode.name, "recovered DB flush failed: %v", err)
-	}
-	if err := verify(cfg, mode.name, db2, model, rng, cfg.Keys); err != nil {
-		return err
-	}
-	if err := db2.Close(); err != nil {
-		return violation(cfg, mode.name, "recovered DB close failed: %v", err)
-	}
+	return model
+}
 
-	db3, err := engine.Open(opts2)
-	if err != nil {
-		return violation(cfg, mode.name, "second recovery failed: %v", err)
-	}
-	if err := verify(cfg, mode.name, db3, model, rng, cfg.Keys); err != nil {
-		return fmt.Errorf("%w (after second reopen)", err)
-	}
-	if err := db3.Close(); err != nil {
-		return violation(cfg, mode.name, "final close failed: %v", err)
+// spot reads one random key with probability p and compares it with
+// the oracle.
+func (r *run) spot(p float64) error {
+	// Both draws happen regardless of p, which can depend on the clock
+	// (enospc's release timer): the workload must not.
+	if roll, k := r.rng.Float64(), r.key(); roll < p {
+		v, err := r.st.Get([]byte(k))
+		if err != nil && r.nem.honest(err, true) {
+			return nil // honest detection; the nemesis's settle resolves it
+		}
+		return r.compare("Get", k, string(v), err)
 	}
 	return nil
 }
 
-// verify checks the DB's keyspace equals the model exactly: point
-// reads, absent keys, and a full ordered scan.
-func verify(cfg Config, mode string, db *engine.DB, model map[string]string, rng *rand.Rand, keys int) error {
-	for k, want := range model {
-		v, err := db.Get([]byte(k))
-		if err != nil {
-			return violation(cfg, mode, "Get(%q) = %v, want %q\n%s", k, err, want, db.DebugLayout())
-		}
-		if string(v) != want {
-			return violation(cfg, mode, "Get(%q) = %q, want %q", k, v, want)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		k := fmt.Sprintf("k%03d", rng.Intn(keys))
-		if _, ok := model[k]; ok {
-			continue
-		}
-		if v, err := db.Get([]byte(k)); !errors.Is(err, engine.ErrNotFound) {
-			return violation(cfg, mode, "phantom key %q = (%q, %v), want ErrNotFound", k, v, err)
-		}
-	}
-	if v, err := db.Get([]byte("never-written")); !errors.Is(err, engine.ErrNotFound) {
-		return violation(cfg, mode, "phantom key %q = (%q, %v)", "never-written", v, err)
-	}
-
-	it, err := db.NewIter()
-	if err != nil {
-		return violation(cfg, mode, "NewIter: %v", err)
-	}
-	defer it.Close()
-	seen := 0
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		k := string(it.Key())
-		want, ok := model[k]
-		if !ok {
-			return violation(cfg, mode, "scan found phantom key %q", k)
-		}
-		if string(it.Value()) != want {
-			return violation(cfg, mode, "scan value for %q = %q, want %q", k, it.Value(), want)
-		}
-		seen++
-	}
-	if err := it.Error(); err != nil {
-		return violation(cfg, mode, "scan error: %v", err)
-	}
-	if seen != len(model) {
-		return violation(cfg, mode, "scan saw %d keys, model has %d", seen, len(model))
+// compare is the one comparison of a read result against the oracle.
+// err == nil means (key, got) was read; engine.ErrNotFound a miss.
+func (r *run) compare(how, key, got string, err error) error {
+	want, ok := r.live[key]
+	switch {
+	case r.loose[key]:
+		// An honest miss, the old value and the new one are all
+		// acceptable.
+	case err != nil && !errors.Is(err, engine.ErrNotFound):
+		return r.violation("%s(%q) failed: %v (oracle has %q, %v)\n%s", how, key, err, want, ok, r.st.layout())
+	case !ok && err == nil:
+		return r.violation("%s found phantom key %q = %q", how, key, got)
+	case ok && err != nil:
+		return r.violation("%s(%q) = ErrNotFound, want %q\n%s", how, key, want, r.st.layout())
+	case ok && got != want:
+		return r.violation("SILENT WRONG READ: %s(%q) = %q, want %q", how, key, got, want)
 	}
 	return nil
+}
+
+// verify checks the store's keyspace equals the oracle exactly, outside
+// the loose set: point reads, absent keys, and a full ordered scan.
+func (r *run) verify() error {
+	probe := func(k string) error {
+		v, err := r.st.Get([]byte(k))
+		return r.compare("Get", k, string(v), err)
+	}
+	for k := range r.live {
+		if err := probe(k); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < r.cfg.Keys; i++ {
+		if _, ok := r.live[keyName(i)]; !ok {
+			if err := probe(keyName(i)); err != nil {
+				return err
+			}
+		}
+	}
+	if err := probe("never-written"); err != nil {
+		return err
+	}
+
+	seen := map[string]bool{}
+	var bad error
+	err := r.st.scan(func(k, v []byte) {
+		seen[string(k)] = true
+		if bad == nil {
+			bad = r.compare("scan", string(k), string(v), nil)
+		}
+	})
+	if bad != nil {
+		return bad
+	}
+	if err != nil {
+		return r.violation("scan error: %v", err)
+	}
+	for k := range r.live {
+		if !seen[k] && !r.loose[k] {
+			return r.violation("scan missed key %q", k)
+		}
+	}
+	return nil
+}
+
+// waitHealthy polls until the store reports Healthy on every shard.
+// With resume set it tolerates automatic recovery having given up by
+// issuing a single manual Resume — the operator action a giveup exists
+// to hand control to; the fault is already lifted when this is called,
+// so either path must converge.
+func (r *run) waitHealthy(resume bool) error {
+	deadline := time.Now().Add(healTimeout)
+	for time.Now().Before(deadline) {
+		if r.healthy() {
+			return nil
+		}
+		if resume && r.c().giveups > 0 {
+			resume = false
+			if err := r.st.Resume(); err != nil {
+				return r.violation("Resume after the fault lifted failed: %v", err)
+			}
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	return r.violation("store did not return to Healthy within %v: health=%v bgErr=%v",
+		healTimeout, r.st.Health(), r.st.BackgroundError())
 }

@@ -2,282 +2,85 @@ package torture
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
-	"strconv"
 	"time"
 
-	"xpointdb/internal/batch"
-	"xpointdb/internal/clock"
 	"xpointdb/internal/engine"
-	"xpointdb/internal/events"
 	"xpointdb/internal/faultfs"
-	"xpointdb/internal/storage"
-	"xpointdb/internal/vfs"
 )
 
-// runTransient is the auto-recovery half of the robustness story: the
-// crash mode (Run) proves a reopen recovers; this mode proves the
-// engine heals transient storage faults on the SAME handle. A seeded
-// workload runs while transient fault rules (FailNTimes / HealAfter)
-// arm at random points; every fault either stays invisible (soft,
-// retried in place) or fails the requesting write, after which the
-// recovery worker must return the DB to Healthy — no reopen, ever.
-//
-// The contract checked on every run:
-//
-//  1. Zero acked-write loss. Every mutation whose Apply returned nil
-//     must read back exactly (point reads and a full scan against the
-//     oracle), across any number of fault/recovery episodes.
-//  2. Self-healing. After the workload ends (all rules transient, so
-//     all faults healed), the DB must reach Healthy within a bounded
-//     wait and accept writes again — on the original handle.
-//  3. Honest failures. A failed Apply may only report the injected
-//     fault or the background-error latch; and if any hard error
-//     latched, the event stream must record a recovery engagement and
-//     a recovery success.
-func runTransient(cfg Config) error {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// transient is the self-healing-fault regime; contract clauses 1–3 in
+// the package comment.
+type transient struct {
+	sameHandle
+	episodes map[int]faultfs.Rule // op index → the rule that arms there
+}
 
-	dev := storage.New(clock.Real{}, storage.Null())
-	ffs, err := faultfs.New(vfs.NewMem(dev), rng.Int63())
-	if err != nil {
-		return fmt.Errorf("torture seed %d: faultfs: %w", cfg.Seed, err)
-	}
-	geo := pickGeometry(rng)
-	buf := &events.Buffer{}
-	opts := engine.DefaultOptions(ffs)
-	geo.apply(&opts)
-	opts.EventListener = buf
-	opts.EventSinkQueue = -1 // oracles assert on the buffer mid-run
-	// Tight backoffs keep iterations fast; the generous attempt budget
-	// means a giveup can only be a real bug (every rule below heals
-	// within a few fires or a few milliseconds).
-	opts.RecoveryBaseBackoff = time.Millisecond
-	opts.RecoveryMaxBackoff = 10 * time.Millisecond
-	opts.MaxRecoveryAttempts = 100
-	db, err := engine.Open(opts)
-	if err != nil {
-		return fmt.Errorf("torture seed %d: open: %w", cfg.Seed, err)
-	}
-	defer db.Close()
-
-	// Schedule 2-5 fault episodes at random op indices. Each arms one
-	// transient rule; all heal on their own, so recovery must always
-	// win eventually.
-	episodes := map[int]func(){}
+// start schedules 2–5 fault episodes at random op indices. Each arms
+// one transient rule; all heal on their own, so recovery must always
+// win eventually.
+func (t *transient) start(r *run) {
+	rng := r.rng
+	t.episodes = map[int]faultfs.Rule{}
 	for n := 2 + rng.Intn(4); n > 0; n-- {
-		at := rng.Intn(cfg.Ops)
+		at := rng.Intn(r.cfg.Ops)
+		var rule faultfs.Rule
 		switch rng.Intn(5) {
 		case 0: // hard: WAL sync fails 1-2 times
-			k := 1 + rng.Int63n(2)
-			episodes[at] = func() {
-				ffs.AddRule(faultfs.Rule{
-					Ops: []faultfs.Op{faultfs.OpSync}, Path: "*.log", FailNTimes: k,
-				})
-				cfg.Logf("op %d: WAL sync FailNTimes=%d armed", at, k)
-			}
+			rule = faultfs.Rule{Ops: []faultfs.Op{faultfs.OpSync}, Path: r.st.glob("*.log"), FailNTimes: 1 + rng.Int63n(2)}
 		case 1: // hard: MANIFEST sync fails once (forces a manifest roll)
-			episodes[at] = func() {
-				ffs.AddRule(faultfs.Rule{
-					Ops: []faultfs.Op{faultfs.OpSync}, Path: "MANIFEST-*", FailNTimes: 1,
-				})
-				cfg.Logf("op %d: MANIFEST sync FailNTimes=1 armed", at)
-			}
-		case 2: // soft-or-probe: WAL create fails once (rotation retry,
-			// or a failed first recovery probe)
-			episodes[at] = func() {
-				ffs.AddRule(faultfs.Rule{
-					Ops: []faultfs.Op{faultfs.OpCreate}, Path: "*.log", FailNTimes: 1,
-				})
-				cfg.Logf("op %d: WAL create FailNTimes=1 armed", at)
-			}
+			rule = faultfs.Rule{Ops: []faultfs.Op{faultfs.OpSync}, Path: r.st.glob("MANIFEST-*"), FailNTimes: 1}
+		case 2: // soft-or-probe: WAL create fails once (rotation retry, or a failed first recovery probe)
+			rule = faultfs.Rule{Ops: []faultfs.Op{faultfs.OpCreate}, Path: r.st.glob("*.log"), FailNTimes: 1}
 		case 3: // soft: SST create fails 1-2 times (flush retries in place)
-			k := 1 + rng.Int63n(2)
-			episodes[at] = func() {
-				ffs.AddRule(faultfs.Rule{
-					Ops: []faultfs.Op{faultfs.OpCreate}, Path: "*.sst", FailNTimes: k,
-				})
-				cfg.Logf("op %d: SST create FailNTimes=%d armed", at, k)
-			}
+			rule = faultfs.Rule{Ops: []faultfs.Op{faultfs.OpCreate}, Path: r.st.glob("*.sst"), FailNTimes: 1 + rng.Int63n(2)}
 		case 4: // hard, time-bounded: every WAL sync fails for a short window
-			w := time.Duration(1+rng.Intn(8)) * time.Millisecond
-			episodes[at] = func() {
-				ffs.AddRule(faultfs.Rule{
-					Ops: []faultfs.Op{faultfs.OpSync}, Path: "*.log", HealAfter: w,
-				})
-				cfg.Logf("op %d: WAL sync HealAfter=%v armed", at, w)
-			}
+			rule = faultfs.Rule{Ops: []faultfs.Op{faultfs.OpSync}, Path: r.st.glob("*.log"),
+				HealAfter: time.Duration(1+rng.Intn(8)) * time.Millisecond}
 		}
+		t.episodes[at] = rule
 	}
+}
 
-	// --------------------------------------------------------------
-	// Seeded workload against the acked-state oracle. Unlike the crash
-	// mode there is no surviving-prefix ambiguity: an op is in the
-	// oracle iff its Apply returned nil.
-
-	key := func() string { return fmt.Sprintf("k%03d", rng.Intn(cfg.Keys)) }
-	live := map[string]string{}
-	failed := 0
-	for i := 0; i < cfg.Ops; i++ {
-		if arm, ok := episodes[i]; ok {
-			arm()
-		}
-		var b batch.Batch
-		sync := rng.Float64() < 0.25
-		b.Put([]byte(cutKey), []byte(strconv.Itoa(i)))
-		muts := make([]mut, 0, 4)
-		for m, n := 0, 1+rng.Intn(4); m < n; m++ {
-			k := key()
-			if rng.Float64() < 0.2 {
-				b.Delete([]byte(k))
-				muts = append(muts, mut{key: k, del: true})
-			} else {
-				v := fmt.Sprintf("v%06d-%s-%04d", i, k, rng.Intn(10000))
-				b.Put([]byte(k), []byte(v))
-				muts = append(muts, mut{key: k, val: v})
-			}
-		}
-		if err := db.Apply(&b, sync); err != nil {
-			if !errors.Is(err, faultfs.ErrInjected) && !errors.Is(err, engine.ErrBackground) {
-				return violation(cfg, "transient", "Apply(op %d) failed with a foreign error: %v", i, err)
-			}
-			failed++
-			// The write was not acknowledged; recovery must bring the
-			// DB back without a reopen before the workload continues.
-			if err := waitTransientHealthy(cfg, db, 15*time.Second); err != nil {
-				return err
-			}
-			continue
-		}
-		live[cutKey] = strconv.Itoa(i)
-		for _, m := range muts {
-			if m.del {
-				delete(live, m.key)
-			} else {
-				live[m.key] = m.val
-			}
-		}
-
-		// Live spot checks: reads must serve acked state even while a
-		// fault episode is in flight.
-		if rng.Float64() < 0.02 {
-			k := key()
-			v, gerr := db.Get([]byte(k))
-			want, ok := live[k]
-			switch {
-			case !ok && !errors.Is(gerr, engine.ErrNotFound):
-				return violation(cfg, "transient", "Get(%q) = (%q, %v), want ErrNotFound", k, v, gerr)
-			case ok && gerr != nil:
-				return violation(cfg, "transient", "Get(%q) failed: %v", k, gerr)
-			case ok && string(v) != want:
-				return violation(cfg, "transient", "Get(%q) = %q, want %q", k, v, want)
-			}
-		}
-		if rng.Float64() < 0.01 {
-			if ferr := db.Flush(); ferr != nil {
-				// A latched error can fail a manual flush; it must heal.
-				if err := waitTransientHealthy(cfg, db, 15*time.Second); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	// --------------------------------------------------------------
-	// Every rule has healed; the DB must settle to Healthy and verify
-	// the full acked state on the same handle. One wrinkle: a
-	// FailNTimes rule armed near the end of the workload may hold
-	// charges that never fired (a WAL-sync rule only fires on sync'd
-	// applies, ~25% of ops). Such a rule is not self-healing — left in
-	// place it would fault the post-heal phase below, which asserts on
-	// a clean device. The mode's contract covers faults injected while
-	// the workload runs, so drop the leftovers. (Seed 39 arms exactly
-	// this: WAL sync FailNTimes=2 with one sync'd apply remaining.)
-	ffs.ClearRules()
-
-	if err := waitTransientHealthy(cfg, db, 15*time.Second); err != nil {
-		return err
-	}
-	m := db.Metrics()
-	cfg.Logf("transient: %d/%d ops failed; %d soft, %d hard errors; recovery %d attempts %d successes %d giveups",
-		failed, cfg.Ops, m.SoftErrors.Load(), m.HardErrors.Load(),
-		m.RecoveryAttempts.Load(), m.RecoverySuccesses.Load(), m.RecoveryGiveups.Load())
-	if m.RecoveryGiveups.Load() > 0 {
-		return violation(cfg, "transient", "recovery gave up on a transient fault (%d giveups)", m.RecoveryGiveups.Load())
-	}
-	if m.HardErrors.Load() > 0 {
-		if m.RecoverySuccesses.Load() < 1 {
-			return violation(cfg, "transient", "%d hard errors latched but no recovery success recorded", m.HardErrors.Load())
-		}
-		if err := requireRecoveryEvents(cfg, buf); err != nil {
-			return err
-		}
-	}
-	if err := verify(cfg, "transient", db, live, rng, cfg.Keys); err != nil {
-		return err
-	}
-
-	// The healed handle must make durable progress that survives a
-	// flush — still without any reopen.
-	for i := 0; i < cfg.PostRecoveryOps; i++ {
-		k := key()
-		v := fmt.Sprintf("post-heal-%d-%d", cfg.Seed, i)
-		var b batch.Batch
-		b.Put([]byte(k), []byte(v))
-		if err := db.Apply(&b, true); err != nil {
-			return violation(cfg, "transient", "healed DB rejected write %d: %v", i, err)
-		}
-		live[k] = v
-	}
-	if err := db.Flush(); err != nil {
-		return violation(cfg, "transient", "healed DB flush failed: %v", err)
-	}
-	if err := verify(cfg, "transient", db, live, rng, cfg.Keys); err != nil {
-		return err
-	}
-	if err := db.Close(); err != nil {
-		return violation(cfg, "transient", "close failed: %v", err)
+func (t *transient) before(r *run, i int) error {
+	if rule, ok := t.episodes[i]; ok {
+		r.ffs.AddRule(rule)
+		r.cfg.Logf("op %d: %v %s armed (FailNTimes=%d HealAfter=%v)", i, rule.Ops, rule.Path, rule.FailNTimes, rule.HealAfter)
 	}
 	return nil
 }
 
-// waitTransientHealthy polls until the DB reports Healthy or the
-// deadline passes; every rule in this mode is transient, so a DB that
-// stays unhealthy has a broken recovery path.
-func waitTransientHealthy(cfg Config, db *engine.DB, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if db.Health() == engine.Healthy {
-			return nil
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return violation(cfg, "transient",
-		"DB did not return to Healthy within %v: health=%v bgErr=%v",
-		timeout, db.Health(), db.BackgroundError())
+func (t *transient) spotRate() float64 { return 0.02 }
+
+func (t *transient) honest(err error, read bool) bool {
+	return !read && (errors.Is(err, faultfs.ErrInjected) || errors.Is(err, engine.ErrBackground))
 }
 
-// requireRecoveryEvents asserts the event stream recorded at least one
-// recovery engagement and one success, in that order.
-func requireRecoveryEvents(cfg Config, buf *events.Buffer) error {
-	evs := buf.Events()
-	begin, success := -1, -1
-	for i, e := range evs {
-		if e.Kind == events.KindRecoveryBegin && begin < 0 {
-			begin = i
-		}
-		if e.Kind == events.KindRecoverySuccess && success < 0 {
-			success = i
-		}
+// The write was not acknowledged; recovery must bring the store back
+// without a reopen before the workload continues.
+func (t *transient) failed(r *run) (bool, error) { return false, r.waitHealthy(false) }
+
+func (t *transient) settle(r *run) error {
+	// A FailNTimes rule armed near the end of the workload may hold
+	// charges that never fired (a WAL-sync rule only fires on sync'd
+	// applies). Such a rule is not self-healing — left in place it would
+	// fault the tail, which asserts on a clean device. The contract
+	// covers faults injected while the workload runs, so drop the
+	// leftovers.
+	r.ffs.ClearRules()
+	if err := r.waitHealthy(false); err != nil {
+		return err
 	}
-	switch {
-	case begin < 0:
-		return violation(cfg, "transient", "hard error latched but no error_recovery_begin event")
-	case success < 0:
-		return violation(cfg, "transient", "hard error latched but no error_recovery_success event")
-	case success < begin:
-		return violation(cfg, "transient", "error_recovery_success (event %d) precedes error_recovery_begin (event %d)", success, begin)
+	c := r.c()
+	r.cfg.Logf("transient: %d/%d ops failed; %d soft, %d hard errors; recovery %d attempts %d successes %d giveups",
+		r.failed, r.cfg.Ops, c.soft, c.hard, c.attempts, c.successes, c.giveups)
+	if c.giveups > 0 {
+		return r.violation("recovery gave up on a transient fault (%d giveups)", c.giveups)
+	}
+	if c.hard > 0 {
+		if c.successes < 1 {
+			return r.violation("%d hard errors latched but no recovery success recorded", c.hard)
+		}
+		return t.requireRecoveryEvents(r)
 	}
 	return nil
 }
