@@ -71,7 +71,8 @@ bench-compaction-smoke:
 
 # Ops-plane smoke: run dbbench on a real directory with -serve and
 # curl every HTTP endpoint (/healthz, /metrics, /stats, /events SSE,
-# the dashboard page) while the benchmark is live.
+# the dashboard page) while the benchmark is live — once on the bare
+# engine, once with -shards 4, against the same metric families.
 obs-smoke:
 	bash scripts/obs_smoke.sh
 

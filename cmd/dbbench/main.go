@@ -182,8 +182,7 @@ func main() {
 
 	wall := time.Now()
 	var res *workload.Result
-	var m *engine.Metrics
-	var ssum *shardedSummary
+	var sum summary
 	var finalStats string
 	var health engine.Health
 	var cyc *quotaCycler
@@ -245,7 +244,6 @@ func main() {
 				}
 				return worst
 			}, opts.L0CompactionTrigger)
-			ssum = summarizeSharded(sdb)
 			health = sdb.Health()
 			if *stats {
 				finalStats = sdb.StatsReport()
@@ -253,6 +251,7 @@ func main() {
 			if err := sdb.Close(); err != nil {
 				log.Fatalf("close: %v", err)
 			}
+			sum = summarizeSharded(sdb)
 		} else {
 			db, err := engine.Open(opts)
 			if err != nil {
@@ -267,7 +266,6 @@ func main() {
 				settleSpace(k, db.Health, db.Resume)
 			}
 			l0Drain = drainL0(k, func() int { return db.NumLevelFiles(0) }, opts.L0CompactionTrigger)
-			m = db.Metrics()
 			health = db.Health()
 			if *stats {
 				finalStats = db.StatsReport()
@@ -275,6 +273,7 @@ func main() {
 			if err := db.Close(); err != nil {
 				log.Fatalf("close: %v", err)
 			}
+			sum = summarize(db)
 		}
 	})
 
@@ -283,11 +282,8 @@ func main() {
 		label = fmt.Sprintf("%s, %d shards", prof.Name, *shards)
 	}
 	fmt.Printf("benchmark      : %s on %s (simulated, virtual time)\n", *benchmarks, label)
-	if ssum != nil {
-		printShardedResult(res, ssum)
-	} else {
-		printResult(res, m)
-	}
+	printResult(res, sum)
+	total := sum.total()
 	fmt.Printf("l0 drain       : %v after the measured window (max_subcompactions %d, compaction_rate %d B/s)\n",
 		l0Drain.Round(time.Millisecond), *maxSub, *compRate)
 	if *faultProb > 0 {
@@ -295,26 +291,13 @@ func main() {
 			*faultProb, *faultHeal, ffs.InjectedCount(), health)
 	}
 	if *diskQuota > 0 {
-		var enospc, deferrals, waits, recoveries int64
-		if m != nil {
-			s := m.Snapshot()
-			enospc, deferrals = s.EnospcErrors, s.SpaceDeferrals
-			waits, recoveries = s.SpaceWaits, s.SpaceRecoveries
-		} else if ssum != nil {
-			for _, s := range ssum.snaps {
-				enospc += s.EnospcErrors
-				deferrals += s.SpaceDeferrals
-				waits += s.SpaceWaits
-				recoveries += s.SpaceRecoveries
-			}
-		}
 		squeezes := int64(0)
 		if cyc != nil {
 			squeezes = cyc.squeezes
 		}
 		fmt.Printf("space          : disk quota %d B cycle %v (%d squeezes); fs refused %d ops; engine: %d ENOSPC, %d deferred jobs, %d space waits, %d recoveries; final health %v\n",
 			*diskQuota, *quotaCycle, squeezes, ffs.EnospcCount(),
-			enospc, deferrals, waits, recoveries, health)
+			total.EnospcErrors, total.SpaceDeferrals, total.SpaceWaits, total.SpaceRecoveries, health)
 	}
 	if finalStats != "" {
 		fmt.Print(finalStats)
@@ -337,22 +320,15 @@ func main() {
 			Ops:                 res.Ops(),
 			ThroughputOpsPerSec: res.Throughput(),
 			L0DrainSeconds:      l0Drain.Seconds(),
-		}
-		var snaps []engine.MetricsSnapshot
-		if m != nil {
-			snaps = []engine.MetricsSnapshot{m.Snapshot()}
-		} else if ssum != nil {
-			snaps = ssum.snaps
-		}
-		for _, s := range snaps {
-			rec.StallDelaySeconds += s.StallDelayTotal.Seconds()
-			rec.StallStopSeconds += s.StallStopTotal.Seconds()
-			rec.StallStops += s.StallStops
-			rec.Compactions += s.Compactions
-			rec.TrivialMoves += s.TrivialMoves
-			rec.Subcompactions += s.Subcompactions
-			rec.CompactionReadBytes += s.CompactionBytesRead
-			rec.CompactionWrittenBytes += s.CompactionBytesWritten
+
+			StallDelaySeconds:      total.StallDelayTotal.Seconds(),
+			StallStopSeconds:       total.StallStopTotal.Seconds(),
+			StallStops:             total.StallStops,
+			Compactions:            total.Compactions,
+			TrivialMoves:           total.TrivialMoves,
+			Subcompactions:         total.Subcompactions,
+			CompactionReadBytes:    total.CompactionBytesRead,
+			CompactionWrittenBytes: total.CompactionBytesWritten,
 		}
 		if err := appendResultJSON(*resultJSON, rec); err != nil {
 			log.Fatalf("write -result_json: %v", err)
@@ -424,7 +400,6 @@ func runReal(path string, tweak func(*engine.Options), bench string, threads int
 			log.Printf("ops plane on http://%s", addr)
 		}
 		res := runBenchmark(clock.Real{}, sdb, bench, threads, duration, num, valueSize, writeRatio, seed, shards, hotSkew, func() {})
-		ssum := summarizeSharded(sdb)
 		var finalStats string
 		if stats {
 			finalStats = sdb.StatsReport()
@@ -433,7 +408,7 @@ func runReal(path string, tweak func(*engine.Options), bench string, threads int
 			log.Fatalf("close: %v", err)
 		}
 		fmt.Printf("benchmark      : %s on %s (real clock, %d shards)\n", bench, path, shards)
-		printShardedResult(res, ssum)
+		printResult(res, summarizeSharded(sdb))
 		if finalStats != "" {
 			fmt.Print(finalStats)
 		}
@@ -447,7 +422,6 @@ func runReal(path string, tweak func(*engine.Options), bench string, threads int
 		log.Printf("ops plane on http://%s", addr)
 	}
 	res := runBenchmark(clock.Real{}, db, bench, threads, duration, num, valueSize, writeRatio, seed, 0, 0, func() {})
-	m := db.Metrics()
 	var finalStats string
 	if stats {
 		finalStats = db.StatsReport()
@@ -456,7 +430,7 @@ func runReal(path string, tweak func(*engine.Options), bench string, threads int
 		log.Fatalf("close: %v", err)
 	}
 	fmt.Printf("benchmark      : %s on %s (real clock)\n", bench, path)
-	printResult(res, m)
+	printResult(res, summarize(db))
 	if finalStats != "" {
 		fmt.Print(finalStats)
 	}
@@ -518,7 +492,82 @@ func runBenchmark(clk clock.Clock, db workload.KV, bench string, threads int, du
 	return workload.Run(clk, db, cfg)
 }
 
-func printResult(res *workload.Result, m *engine.Metrics) {
+// summary is what a finished run reports about its store: one metrics
+// snapshot per engine (a single one for the bare engine) plus, for a
+// sharded store, the resources and transactions its shards share.
+type summary struct {
+	snaps   []engine.MetricsSnapshot
+	sharded *sharedSummary
+}
+
+type sharedSummary struct {
+	cacheUsed, cacheHits, cacheMisses  int64
+	poolGrants                         int64
+	cross, aborts, rolledFwd, abortedO int64
+}
+
+func summarize(db *engine.DB) summary {
+	return summary{snaps: []engine.MetricsSnapshot{db.Metrics().Snapshot()}}
+}
+
+func summarizeSharded(sdb *shardeddb.DB) summary {
+	sh := &sharedSummary{}
+	sh.cacheUsed, sh.cacheHits, sh.cacheMisses = sdb.CacheStats()
+	_, _, sh.poolGrants = sdb.Pool().Stats()
+	sh.cross, sh.aborts, sh.rolledFwd, sh.abortedO = sdb.TxnStats()
+	sum := summary{sharded: sh}
+	for i := 0; i < sdb.NumShards(); i++ {
+		sum.snaps = append(sum.snaps, sdb.Shard(i).Metrics().Snapshot())
+	}
+	return sum
+}
+
+// total folds the per-engine snapshots into store-wide figures: the
+// counters every printed line, the -disk_quota line and -result_json
+// read. Waiting-writer means add (the store's total queue depth); the
+// max is the deepest single queue.
+func (sum summary) total() engine.MetricsSnapshot {
+	var t engine.MetricsSnapshot
+	for _, s := range sum.snaps {
+		t.Flushes += s.Flushes
+		t.FlushBytes += s.FlushBytes
+		t.Compactions += s.Compactions
+		t.CompactionBytesRead += s.CompactionBytesRead
+		t.CompactionBytesWritten += s.CompactionBytesWritten
+		t.TrivialMoves += s.TrivialMoves
+		t.Subcompactions += s.Subcompactions
+		t.StallDelayTotal += s.StallDelayTotal
+		t.StallStopTotal += s.StallStopTotal
+		t.StallStops += s.StallStops
+		t.WaitingWritersMean += s.WaitingWritersMean
+		if s.WaitingWritersMax > t.WaitingWritersMax {
+			t.WaitingWritersMax = s.WaitingWritersMax
+		}
+		t.SoftErrors += s.SoftErrors
+		t.HardErrors += s.HardErrors
+		t.RecoveryAttempts += s.RecoveryAttempts
+		t.RecoverySuccesses += s.RecoverySuccesses
+		t.RecoveryGiveups += s.RecoveryGiveups
+		t.GetHitMemtable += s.GetHitMemtable
+		t.GetHitImmutable += s.GetHitImmutable
+		t.GetHitL0 += s.GetHitL0
+		t.GetHitDeep += s.GetHitDeep
+		t.GetMisses += s.GetMisses
+		t.L0TablesProbed += s.L0TablesProbed
+		t.BloomSkips += s.BloomSkips
+		t.ScrubPasses += s.ScrubPasses
+		t.ScrubbedBytes += s.ScrubbedBytes
+		t.CorruptionsDetected += s.CorruptionsDetected
+		t.EnospcErrors += s.EnospcErrors
+		t.SpaceDeferrals += s.SpaceDeferrals
+		t.SpaceWaits += s.SpaceWaits
+		t.SpaceRecoveries += s.SpaceRecoveries
+	}
+	return t
+}
+
+func printResult(res *workload.Result, sum summary) {
+	m := sum.total()
 	fmt.Printf("throughput     : %.1f kop/s (%d ops in %v)\n", res.Throughput()/1000, res.Ops(), res.Duration.Round(time.Millisecond))
 	if res.Reads > 0 {
 		fmt.Printf("read latency   : %s\n", res.ReadLat)
@@ -528,24 +577,34 @@ func printResult(res *workload.Result, m *engine.Metrics) {
 	}
 	fmt.Printf("read misses    : %d   errors: %d\n", res.ReadMisses, res.Errors)
 	fmt.Printf("flushes        : %d (%d B)   compactions: %d (read %d B, wrote %d B)\n",
-		m.Flushes.Load(), m.FlushBytes.Load(), m.Compactions.Load(),
-		m.CompactionBytesRead.Load(), m.CompactionBytesWritten.Load())
+		m.Flushes, m.FlushBytes, m.Compactions, m.CompactionBytesRead, m.CompactionBytesWritten)
 	fmt.Printf("stalls         : delay %v, stop %v in %d episodes\n",
-		time.Duration(m.StallDelayTotal.Load()).Round(time.Microsecond),
-		time.Duration(m.StallStopTotal.Load()).Round(time.Microsecond),
-		m.StallStops.Load())
-	fmt.Printf("waiting writers: mean %.2f, max %d\n", m.WaitingWriters.Mean(), m.WaitingWriters.Max())
-	if m.SoftErrors.Load()+m.HardErrors.Load()+m.RecoveryAttempts.Load() > 0 {
+		m.StallDelayTotal.Round(time.Microsecond), m.StallStopTotal.Round(time.Microsecond), m.StallStops)
+	fmt.Printf("waiting writers: mean %.2f, max %d\n", m.WaitingWritersMean, m.WaitingWritersMax)
+	if m.SoftErrors+m.HardErrors+m.RecoveryAttempts > 0 {
 		fmt.Printf("bg errors      : %d soft, %d hard; recovery %d attempts, %d recovered, %d gave up\n",
-			m.SoftErrors.Load(), m.HardErrors.Load(), m.RecoveryAttempts.Load(),
-			m.RecoverySuccesses.Load(), m.RecoveryGiveups.Load())
+			m.SoftErrors, m.HardErrors, m.RecoveryAttempts, m.RecoverySuccesses, m.RecoveryGiveups)
 	}
 	fmt.Printf("read path      : mem %d, imm %d, L0 %d, deep %d, miss %d; L0 probes %d, bloom skips %d\n",
-		m.GetHitMemtable.Load(), m.GetHitImmutable.Load(), m.GetHitL0.Load(),
-		m.GetHitDeep.Load(), m.GetMisses.Load(), m.L0TablesProbed.Load(), m.BloomSkips.Load())
-	if m.ScrubPasses.Load()+m.ScrubbedBytes.Load() > 0 {
+		m.GetHitMemtable, m.GetHitImmutable, m.GetHitL0, m.GetHitDeep, m.GetMisses, m.L0TablesProbed, m.BloomSkips)
+	if m.ScrubPasses+m.ScrubbedBytes > 0 {
 		fmt.Printf("scrub          : %d passes, %d B verified, %d corruptions detected\n",
-			m.ScrubPasses.Load(), m.ScrubbedBytes.Load(), m.CorruptionsDetected.Load())
+			m.ScrubPasses, m.ScrubbedBytes, m.CorruptionsDetected)
+	}
+	if s := sum.sharded; s != nil {
+		fmt.Printf("shared cache   : %d B used, %d hits, %d misses; pool grants: %d\n",
+			s.cacheUsed, s.cacheHits, s.cacheMisses, s.poolGrants)
+		if s.cross+s.aborts+s.rolledFwd+s.abortedO > 0 {
+			fmt.Printf("cross-shard txn: %d committed, %d aborted, %d rolled forward, %d aborted at open\n",
+				s.cross, s.aborts, s.rolledFwd, s.abortedO)
+		}
+	}
+	if len(sum.snaps) > 1 {
+		for i, m := range sum.snaps {
+			fmt.Printf("  shard %-3d    : %d writes, %d gets, %d flushes, %d compactions, stall %v, write p99 %v\n",
+				i, m.Writes, m.Gets, m.Flushes, m.Compactions,
+				(m.StallDelayTotal + m.StallStopTotal).Round(time.Microsecond), m.WriteP99)
+		}
 	}
 }
 
@@ -603,68 +662,5 @@ func settleSpace(clk clock.Clock, health func() engine.Health, resume func() err
 			_ = resume()
 		}
 		clk.Sleep(5 * time.Millisecond)
-	}
-}
-
-// shardedSummary captures everything printShardedResult needs before
-// the store is closed (the sim path prints outside k.Run).
-type shardedSummary struct {
-	snaps                              []engine.MetricsSnapshot
-	cacheUsed, cacheHits, cacheMisses  int64
-	poolGrants                         int64
-	cross, aborts, rolledFwd, abortedO int64
-}
-
-func summarizeSharded(sdb *shardeddb.DB) *shardedSummary {
-	s := &shardedSummary{}
-	for i := 0; i < sdb.NumShards(); i++ {
-		s.snaps = append(s.snaps, sdb.Shard(i).Metrics().Snapshot())
-	}
-	s.cacheUsed, s.cacheHits, s.cacheMisses = sdb.CacheStats()
-	_, _, s.poolGrants = sdb.Pool().Stats()
-	s.cross, s.aborts, s.rolledFwd, s.abortedO = sdb.TxnStats()
-	return s
-}
-
-func printShardedResult(res *workload.Result, s *shardedSummary) {
-	fmt.Printf("throughput     : %.1f kop/s (%d ops in %v)\n", res.Throughput()/1000, res.Ops(), res.Duration.Round(time.Millisecond))
-	if res.Reads > 0 {
-		fmt.Printf("read latency   : %s\n", res.ReadLat)
-	}
-	if res.Writes > 0 {
-		fmt.Printf("write latency  : %s\n", res.WriteLat)
-	}
-	fmt.Printf("read misses    : %d   errors: %d\n", res.ReadMisses, res.Errors)
-	var flushes, flushB, compactions, compR, compW, stops, soft, hard int64
-	var delay, stop time.Duration
-	for _, m := range s.snaps {
-		flushes += m.Flushes
-		flushB += m.FlushBytes
-		compactions += m.Compactions
-		compR += m.CompactionBytesRead
-		compW += m.CompactionBytesWritten
-		delay += m.StallDelayTotal
-		stop += m.StallStopTotal
-		stops += m.StallStops
-		soft += m.SoftErrors
-		hard += m.HardErrors
-	}
-	fmt.Printf("flushes        : %d (%d B)   compactions: %d (read %d B, wrote %d B)\n",
-		flushes, flushB, compactions, compR, compW)
-	fmt.Printf("stalls         : delay %v, stop %v in %d episodes (shared budget)\n",
-		delay.Round(time.Microsecond), stop.Round(time.Microsecond), stops)
-	fmt.Printf("shared cache   : %d B used, %d hits, %d misses; pool grants: %d\n",
-		s.cacheUsed, s.cacheHits, s.cacheMisses, s.poolGrants)
-	if s.cross+s.aborts+s.rolledFwd+s.abortedO > 0 {
-		fmt.Printf("cross-shard txn: %d committed, %d aborted, %d rolled forward, %d aborted at open\n",
-			s.cross, s.aborts, s.rolledFwd, s.abortedO)
-	}
-	if soft+hard > 0 {
-		fmt.Printf("bg errors      : %d soft, %d hard\n", soft, hard)
-	}
-	for i, m := range s.snaps {
-		fmt.Printf("  shard %-3d    : %d writes, %d gets, %d flushes, %d compactions, stall %v, write p99 %v\n",
-			i, m.Writes, m.Gets, m.Flushes, m.Compactions,
-			(m.StallDelayTotal + m.StallStopTotal).Round(time.Microsecond), m.WriteP99)
 	}
 }

@@ -67,8 +67,12 @@ func (c *Cache) Get(fileNum, offset uint64) ([]byte, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
 	el, ok := s.m[k]
+	var data []byte
 	if ok {
 		s.lru.MoveToFront(el)
+		// Read under the lock: a concurrent Insert of the same key
+		// reassigns entry.data.
+		data = el.Value.(*entry).data
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -76,7 +80,7 @@ func (c *Cache) Get(fileNum, offset uint64) ([]byte, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*entry).data, true
+	return data, true
 }
 
 // Insert adds (or replaces) a block, evicting LRU entries to fit. The

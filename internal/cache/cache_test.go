@@ -114,6 +114,30 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentGetInsertSameKey is two readers missing on one block:
+// both insert it while others read it. Under -race it fails if Get
+// reads entry.data outside the shard lock.
+func TestConcurrentGetInsertSameKey(t *testing.T) {
+	c := New(1 << 20)
+	c.Insert(7, 0, []byte("block"))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(insert bool) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if insert {
+					c.Insert(7, 0, []byte("block"))
+				} else if v, ok := c.Get(7, 0); !ok || string(v) != "block" {
+					t.Errorf("Get = %q, %v", v, ok)
+					return
+				}
+			}
+		}(w%2 == 0)
+	}
+	wg.Wait()
+}
+
 func TestUsedAccounting(t *testing.T) {
 	c := New(1 << 20)
 	c.Insert(1, 0, make([]byte, 100))

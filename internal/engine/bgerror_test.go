@@ -2,11 +2,13 @@ package engine
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"xpointdb/internal/clock"
 	"xpointdb/internal/events"
 	"xpointdb/internal/faultfs"
+	"xpointdb/internal/manifest"
 	"xpointdb/internal/storage"
 	"xpointdb/internal/throttle"
 	"xpointdb/internal/vfs"
@@ -160,6 +162,67 @@ func TestManifestAppendFailureLatches(t *testing.T) {
 	// Pre-failure data still reads.
 	if v, err := db.Get(testKey(0)); err != nil || string(v) != string(testValue(0)) {
 		t.Fatalf("Get(key0) after latch = (%q, %v)", v, err)
+	}
+}
+
+// TestManifestSyncFailureKeepsOutput: a flush whose MANIFEST sync
+// fails has already written its edit, and a crash can preserve those
+// bytes. The SST the edit names must therefore stay on disk: reopening
+// the image that kept the whole unsynced tail has to find it.
+func TestManifestSyncFailureKeepsOutput(t *testing.T) {
+	db, ffs := newFaultTestDB(t, nil)
+	defer db.Close()
+
+	const n = 50
+	for i := 0; i < n; i++ {
+		if err := db.Put(testKey(i), testValue(i)); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+	}
+	ffs.AddRule(faultfs.Rule{Ops: []faultfs.Op{faultfs.OpSync}, Path: "MANIFEST-*", Count: 1})
+	if err := db.Flush(); err == nil {
+		t.Fatal("Flush with faulted MANIFEST sync succeeded")
+	}
+
+	snap := ffs.Snapshot()
+	var manifestName string
+	for _, name := range snap.Files() {
+		if typ, _ := manifest.ParseName(name); typ == manifest.TypeManifest {
+			manifestName = name
+		}
+	}
+	if snap.TotalBytes(manifestName) == snap.SyncedBytes(manifestName) {
+		t.Fatalf("%s has no unsynced tail: the failed sync left no edit to survive", manifestName)
+	}
+	// Materialize keeps a seeded-random prefix of the tail; take the
+	// first seed that keeps all of it.
+	dev := storage.New(clock.Real{}, storage.Null())
+	var img *vfs.MemFS
+	for seed := int64(0); ; seed++ {
+		if seed == 10000 {
+			t.Fatal("no seed kept the whole MANIFEST tail")
+		}
+		var err error
+		img, err = snap.Materialize(dev, rand.New(rand.NewSource(seed)), faultfs.CrashOpts{KeepUnsynced: true})
+		if err != nil {
+			t.Fatalf("materialize: %v", err)
+		}
+		if size, _ := img.Size(manifestName); size == snap.TotalBytes(manifestName) {
+			break
+		}
+	}
+
+	opts := DefaultOptions(img)
+	opts.ThrottleMode = throttle.ModeNone
+	db2, err := Open(opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	for i := 0; i < n; i++ {
+		if v, err := db2.Get(testKey(i)); err != nil || string(v) != string(testValue(i)) {
+			t.Fatalf("Get(key %d) after reopen = (%q, %v)", i, v, err)
+		}
 	}
 }
 

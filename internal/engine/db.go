@@ -92,9 +92,8 @@ type DB struct {
 	controller *throttle.Controller
 	blocks     *cache.Cache
 	tables     *tableCache
-	ev         events.Listener // nil when event logging is off
-	hub        *obs.Hub        // event fan-out hub (nil without sink/ops plane)
-	obsSrv     *obs.Server     // HTTP ops plane (nil unless Options.ObsAddr)
+	ev         events.Listener // plane.Listener(), shard-tagged; nil when event logging is off
+	plane      *obs.Plane      // event path + HTTP ops plane (serve.go)
 
 	// space is the disk budget accountant (space.go); nil when no
 	// MaxAllowedSpace and no shared SpaceManager were configured.
@@ -203,7 +202,6 @@ func Open(opts Options) (*DB, error) {
 		walFS:     opts.WALFS,
 		cost:      opts.CostModel,
 		metrics:   newMetrics(clk),
-		ev:        opts.EventListener,
 		memBudget: opts.MemtableSize,
 		snapshots: make(map[*Snapshot]uint64),
 	}
@@ -216,7 +214,11 @@ func Open(opts Options) (*DB, error) {
 		db.blocks = cache.New(opts.BlockCacheSize)
 	}
 	db.tables = newTableCache(clk, db.fs, db.blocks, opts.CacheID)
-	db.wireEventHub() // may replace db.ev with the hub (serve.go)
+	// Built before openOrRecover so recovery-time events take the same
+	// path as every later one.
+	db.plane = obs.NewPlane(opts.EventListener, opts.EventSinkQueue, opts.ObsAddr,
+		func() { db.metrics.EventsDropped.Add(1) })
+	db.ev = db.plane.Listener()
 	if opts.ShardTag != 0 && db.ev != nil {
 		inner, tag := db.ev, opts.ShardTag
 		db.ev = events.Func(func(e events.Event) {
@@ -258,9 +260,7 @@ func Open(opts Options) (*DB, error) {
 	db.recoveryCond = clk.NewCond(db.mu)
 
 	if err := db.openOrRecover(); err != nil {
-		if db.hub != nil {
-			db.hub.Close()
-		}
+		db.plane.Close()
 		return nil, err
 	}
 
@@ -306,9 +306,11 @@ func Open(opts Options) (*DB, error) {
 	db.updateStallStateLocked()
 	db.mu.Unlock()
 
-	if err := db.startObsServer(); err != nil {
+	// Serve last, with the workers running, so no handler can observe
+	// a half-open DB.
+	if err := db.plane.Serve(db.WritePrometheus, db.StatsReport, db.healthz); err != nil {
 		_ = db.Close()
-		return nil, err
+		return nil, fmt.Errorf("engine: ops server: %w", err)
 	}
 	return db, nil
 }
@@ -524,7 +526,7 @@ func (db *DB) Close() error {
 	// Tear down the ops plane last: every background worker has exited,
 	// so the event stream is complete; closing the hub drains the sink
 	// fully before the HTTP server stops answering.
-	db.closeObs()
+	db.plane.Close()
 	return err
 }
 

@@ -174,49 +174,71 @@ func newMetrics(clk clock.Clock) *Metrics {
 // Start returns when metric collection began.
 func (m *Metrics) Start() time.Time { return m.start }
 
-// recordWritePerf folds one write operation's stage breakdown into the
-// stage histograms. Zero stages are skipped (see the field comments).
-func (m *Metrics) recordWritePerf(pc *PerfContext) {
-	m.PerfWriteOps.Add(1)
-	if pc.ThrottleDelay > 0 {
-		m.StageThrottleDelay.Record(pc.ThrottleDelay)
-	}
-	if pc.WriteQueueWait > 0 {
-		m.StageQueueWait.Record(pc.WriteQueueWait)
-	}
-	if pc.WriteStall > 0 {
-		m.StageWriteStall.Record(pc.WriteStall)
-	}
-	if pc.WALAppend > 0 {
-		m.StageWALAppend.Record(pc.WALAppend)
-	}
-	if pc.WALSync > 0 {
-		m.StageWALSync.Record(pc.WALSync)
-	}
-	if pc.MemtableInsert > 0 {
-		m.StageMemInsert.Record(pc.MemtableInsert)
+// stageDef declares one PerfContext stage: its stage label on
+// xpointdb_stage_seconds (the text report drops a "_probe" suffix),
+// where an operation's PerfContext carries it, and which histogram
+// aggregates it. Recording, the report's stage lines and sums, and the
+// exporter all range over writeStages and readStages — a new stage is
+// one PerfContext field, one Metrics histogram and one line here.
+type stageDef struct {
+	name string
+	dur  func(*PerfContext) time.Duration
+	hist func(*Metrics) *histogram.Histogram
+	// nested marks a sub-portion of other stages: recorded and
+	// exported, but left out of the stage sum and the report line.
+	nested bool
+}
+
+var writeStages = []stageDef{
+	{name: "throttle", dur: func(pc *PerfContext) time.Duration { return pc.ThrottleDelay }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageThrottleDelay }},
+	{name: "queue", dur: func(pc *PerfContext) time.Duration { return pc.WriteQueueWait }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageQueueWait }},
+	{name: "stall", dur: func(pc *PerfContext) time.Duration { return pc.WriteStall }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageWriteStall }},
+	{name: "wal_append", dur: func(pc *PerfContext) time.Duration { return pc.WALAppend }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageWALAppend }},
+	{name: "wal_sync", dur: func(pc *PerfContext) time.Duration { return pc.WALSync }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageWALSync }},
+	{name: "mem_insert", dur: func(pc *PerfContext) time.Duration { return pc.MemtableInsert }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageMemInsert }},
+}
+
+var readStages = []stageDef{
+	{name: "mem_probe", dur: func(pc *PerfContext) time.Duration { return pc.MemtableProbe }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageMemProbe }},
+	{name: "imm_probe", dur: func(pc *PerfContext) time.Duration { return pc.ImmutableProbe }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageImmProbe }},
+	{name: "l0_probe", dur: func(pc *PerfContext) time.Duration { return pc.L0ProbeTime }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageL0Probe }},
+	{name: "deep_probe", dur: func(pc *PerfContext) time.Duration { return pc.DeepProbeTime }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageDeepProbe }},
+	{name: "block_read", dur: func(pc *PerfContext) time.Duration { return pc.BlockReadTime }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageBlockRead }, nested: true},
+}
+
+// recordStages folds one operation's stage breakdown into the stage
+// histograms. Zero stages are skipped (see the field comments).
+func (m *Metrics) recordStages(stages []stageDef, pc *PerfContext) {
+	for i := range stages {
+		if d := stages[i].dur(pc); d > 0 {
+			stages[i].hist(m).Record(d)
+		}
 	}
 }
 
-// recordReadPerf folds one read operation's stage breakdown into the
+// stageSum is the total time attributed to the (non-nested) stages.
+func (m *Metrics) stageSum(stages []stageDef) time.Duration {
+	var sum time.Duration
+	for _, st := range stages {
+		if !st.nested {
+			sum += st.hist(m).Sum()
+		}
+	}
+	return sum
+}
+
+// recordWritePerf folds one write operation's stage breakdown into the
 // stage histograms.
+func (m *Metrics) recordWritePerf(pc *PerfContext) {
+	m.PerfWriteOps.Add(1)
+	m.recordStages(writeStages, pc)
+}
+
+// recordReadPerf folds one read operation's stage breakdown and cache
+// counters into the metrics.
 func (m *Metrics) recordReadPerf(pc *PerfContext) {
 	m.PerfReadOps.Add(1)
-	if pc.MemtableProbe > 0 {
-		m.StageMemProbe.Record(pc.MemtableProbe)
-	}
-	if pc.ImmutableProbe > 0 {
-		m.StageImmProbe.Record(pc.ImmutableProbe)
-	}
-	if pc.L0ProbeTime > 0 {
-		m.StageL0Probe.Record(pc.L0ProbeTime)
-	}
-	if pc.DeepProbeTime > 0 {
-		m.StageDeepProbe.Record(pc.DeepProbeTime)
-	}
-	if pc.BlockReadTime > 0 {
-		m.StageBlockRead.Record(pc.BlockReadTime)
-	}
+	m.recordStages(readStages, pc)
 	if pc.BlockCacheHits > 0 {
 		m.PerfBlockCacheHits.Add(int64(pc.BlockCacheHits))
 	}

@@ -286,8 +286,8 @@ func TestPerfStageCoverage(t *testing.T) {
 				name, stages, 100*ratio, e2e)
 		}
 	}
-	checkCoverage("write", m.WriteLatency.Sum(), m.writeStageSum())
-	checkCoverage("read", m.GetLatency.Sum(), m.readStageSum())
+	checkCoverage("write", m.WriteLatency.Sum(), m.stageSum(writeStages))
+	checkCoverage("read", m.GetLatency.Sum(), m.stageSum(readStages))
 }
 
 // TestPerfContextExplicit exercises the caller-supplied accumulating

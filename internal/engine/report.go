@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"xpointdb/internal/histogram"
 	"xpointdb/internal/manifest"
 )
 
@@ -215,24 +214,12 @@ func (m *Metrics) Report() string {
 	if s.PerfWriteOps > 0 {
 		e2e := m.WriteLatency.Sum()
 		fmt.Fprintf(&b, "write stages   : %s (%d ops, %.1f%% of end-to-end)\n",
-			stageLine(e2e, []stage{
-				{"throttle", &m.StageThrottleDelay},
-				{"queue", &m.StageQueueWait},
-				{"stall", &m.StageWriteStall},
-				{"wal_append", &m.StageWALAppend},
-				{"wal_sync", &m.StageWALSync},
-				{"mem_insert", &m.StageMemInsert},
-			}), s.PerfWriteOps, 100*coverage(e2e, m.writeStageSum()))
+			m.stageLine(e2e, writeStages), s.PerfWriteOps, 100*coverage(e2e, m.stageSum(writeStages)))
 	}
 	if s.PerfReadOps > 0 {
 		e2e := m.GetLatency.Sum()
 		fmt.Fprintf(&b, "read stages    : %s (%d ops, %.1f%% of end-to-end)\n",
-			stageLine(e2e, []stage{
-				{"mem", &m.StageMemProbe},
-				{"imm", &m.StageImmProbe},
-				{"l0", &m.StageL0Probe},
-				{"deep", &m.StageDeepProbe},
-			}), s.PerfReadOps, 100*coverage(e2e, m.readStageSum()))
+			m.stageLine(e2e, readStages), s.PerfReadOps, 100*coverage(e2e, m.stageSum(readStages)))
 		fmt.Fprintf(&b, "block reads    : %v on cache misses (%d hits, %d misses via perf)\n",
 			m.StageBlockRead.Sum(), m.PerfBlockCacheHits.Load(), m.PerfBlockCacheMisses.Load())
 	}
@@ -242,32 +229,16 @@ func (m *Metrics) Report() string {
 // String returns Report.
 func (m *Metrics) String() string { return m.Report() }
 
-// writeStageSum is the total time attributed to write stages.
-func (m *Metrics) writeStageSum() time.Duration {
-	return m.StageThrottleDelay.Sum() + m.StageQueueWait.Sum() + m.StageWriteStall.Sum() +
-		m.StageWALAppend.Sum() + m.StageWALSync.Sum() + m.StageMemInsert.Sum()
-}
-
-// readStageSum is the total time attributed to read stages.
-func (m *Metrics) readStageSum() time.Duration {
-	return m.StageMemProbe.Sum() + m.StageImmProbe.Sum() +
-		m.StageL0Probe.Sum() + m.StageDeepProbe.Sum()
-}
-
-type stage struct {
-	name string
-	h    *histogram.Histogram
-}
-
-// stageLine formats each stage as its share of the end-to-end total.
-func stageLine(e2e time.Duration, stages []stage) string {
+// stageLine formats each (non-nested) stage as its share of the
+// end-to-end total.
+func (m *Metrics) stageLine(e2e time.Duration, stages []stageDef) string {
 	var parts []string
 	for _, st := range stages {
-		sum := st.h.Sum()
-		if sum == 0 {
+		sum := st.hist(m).Sum()
+		if sum == 0 || st.nested {
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s %.1f%%", st.name, 100*coverage(e2e, sum)))
+		parts = append(parts, fmt.Sprintf("%s %.1f%%", strings.TrimSuffix(st.name, "_probe"), 100*coverage(e2e, sum)))
 	}
 	if len(parts) == 0 {
 		return "(all stages zero)"

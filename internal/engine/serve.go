@@ -1,104 +1,18 @@
 package engine
 
-import (
-	"fmt"
-
-	"xpointdb/internal/events"
-	"xpointdb/internal/obs"
-)
-
-// wireEventHub decides how emitted events reach the configured
-// listener and the ops plane, and installs the result as db.ev. Three
-// shapes:
-//
-//   - No listener, no ObsAddr: db.ev stays nil, emission is free.
-//   - Async sink (EventSinkQueue >= 0, the default): an obs.Hub sits
-//     between the engine and the listener. Emitters never block — the
-//     hub hands events to a dedicated drain goroutine through a
-//     bounded queue, dropping (and counting in Metrics.EventsDropped)
-//     under sustained backpressure. The same hub feeds /events SSE
-//     subscribers when the ops server is on.
-//   - Synchronous sink (EventSinkQueue < 0): the listener is invoked
-//     inline from the emitting goroutine, exactly as before the hub
-//     existed — for tests and oracles that assert on events mid-run.
-//     If ObsAddr is also set, a hub with no sink rides alongside via
-//     events.Tee so SSE still works.
-//
-// Called from Open before openOrRecover so recovery-time events flow
-// through the same path.
-func (db *DB) wireEventHub() {
-	listener := db.opts.EventListener
-	async := listener != nil && db.opts.EventSinkQueue >= 0
-	needHub := async || db.opts.ObsAddr != ""
-	if !needHub {
-		return // db.ev already holds the (possibly nil) raw listener
-	}
-	hcfg := obs.HubConfig{SinkQueue: db.opts.EventSinkQueue}
-	if async {
-		hcfg.Sink = listener
-		hcfg.OnSinkDrop = func() { db.metrics.EventsDropped.Add(1) }
-	}
-	db.hub = obs.NewHub(hcfg)
-	if listener != nil && !async {
-		db.ev = events.Tee(listener, db.hub)
-	} else {
-		db.ev = db.hub
-	}
-}
-
-// startObsServer binds and serves the HTTP ops plane when
-// Options.ObsAddr is set. Called at the tail of Open, after the
-// background workers are running, so no handler can observe a
-// half-open DB.
-func (db *DB) startObsServer() error {
-	if db.opts.ObsAddr == "" {
-		return nil
-	}
-	srv, err := obs.Serve(db.opts.ObsAddr, obs.Config{
-		MetricsText: db.WritePrometheus,
-		StatsText:   db.StatsReport,
-		Health: func() (bool, string) {
-			h := db.Health()
-			return h == Healthy, h.String()
-		},
-		Hub: db.hub,
-	})
-	if err != nil {
-		return fmt.Errorf("engine: ops server: %w", err)
-	}
-	db.obsSrv = srv
-	return nil
+// healthz is the /healthz answer: ok only when fully healthy.
+func (db *DB) healthz() (bool, string) {
+	h := db.Health()
+	return h == Healthy, h.String()
 }
 
 // ObsAddr returns the bound address of the HTTP ops server ("" when
 // Options.ObsAddr was empty). With ObsAddr ":0" this is how callers
 // discover the ephemeral port.
-func (db *DB) ObsAddr() string {
-	if db.obsSrv == nil {
-		return ""
-	}
-	return db.obsSrv.Addr()
-}
+func (db *DB) ObsAddr() string { return db.plane.Addr() }
 
 // SyncEvents blocks until every event emitted so far has been
 // delivered to the configured EventListener. Only meaningful with the
 // async sink (EventSinkQueue >= 0); a no-op otherwise. Tests that
 // assert on the listener's contents mid-run call this first.
-func (db *DB) SyncEvents() {
-	if db.hub != nil {
-		db.hub.Sync()
-	}
-}
-
-// closeObs tears down the ops plane at the tail of Close. Order
-// matters: closing the hub first closes every SSE subscriber channel,
-// which unblocks the /events handlers, so the server's graceful
-// shutdown completes immediately instead of waiting out its timeout.
-func (db *DB) closeObs() {
-	if db.hub != nil {
-		db.hub.Close()
-	}
-	if db.obsSrv != nil {
-		_ = db.obsSrv.Close()
-	}
-}
+func (db *DB) SyncEvents() { db.plane.Sync() }

@@ -146,15 +146,18 @@ func (db *DB) sweepZombies() {
 
 // canDeleteFailedOutputLocked reports whether the partial output of a
 // failed flush or compaction may be removed from disk. It may NOT be
-// when a manifest-install failure is latched: the edit naming the file
-// was durably appended before the in-memory install diverged, so the
-// next open's manifest replay will reference the file and must find
-// it. Every other failure mode (build error, append failure) leaves
-// the file unnamed by any durable manifest state. Callers hold db.mu.
+// when a manifest failure is latched. After manifest-install the edit
+// naming the file was durably appended before the in-memory install
+// diverged; after manifest-append — which includes a failed sync — the
+// edit's bytes are in the file and can survive a crash. Either way the
+// next open's manifest replay may reference the file and must find it;
+// when the bytes did not survive, the open-time orphan sweep reclaims
+// it. A build error leaves the file unnamed by any manifest state.
+// Callers hold db.mu.
 func (db *DB) canDeleteFailedOutputLocked() bool {
 	if db.bgErr == nil {
 		return true
 	}
 	be, ok := db.bgErr.(*BackgroundError)
-	return ok && be.Op != opManifestInstall
+	return ok && be.Op != opManifestInstall && be.Op != opManifestAppend
 }

@@ -178,14 +178,18 @@ func TestShardHammerWithLiveScraper(t *testing.T) {
 				fail(fmt.Errorf("scrape %d failed strict parse: %w", scrapes, perr))
 				return
 			}
-			found := false
+			// Every shard must be on every scrape: its label is how the
+			// engine families are told apart.
+			seen := map[string]bool{}
 			for _, f := range fams {
-				if f.Name == "xpointdb_shard_ops_total" {
-					found = len(f.Samples) == shards
+				for _, s := range f.Samples {
+					if shard, ok := s.Labels["shard"]; ok {
+						seen[shard] = true
+					}
 				}
 			}
-			if !found {
-				fail(fmt.Errorf("scrape %d missing per-shard family", scrapes))
+			if len(seen) != shards {
+				fail(fmt.Errorf("scrape %d carries shard labels %v, want %d shards", scrapes, seen, shards))
 				return
 			}
 			scrapes++

@@ -3,183 +3,60 @@ package shardeddb
 import (
 	"fmt"
 	"io"
-	"strconv"
 
 	"xpointdb/internal/engine"
+	"xpointdb/internal/obs"
 )
 
+// shardedFamily declares one fact only a sharded store has. Everything
+// an engine or a shared resource owns is declared in the engine's
+// table and exported by engine.WriteMetrics.
+type shardedFamily struct {
+	name, help, typ string
+	value           func(*DB) float64
+}
+
+var shardedFamilies = []shardedFamily{
+	{"xpointdb_sharded_shards", "Number of range shards in the store.", "gauge",
+		func(db *DB) float64 { return float64(len(db.shards)) }},
+	{"xpointdb_sharded_txn_committed_total", "Cross-shard atomic batches committed.", "counter",
+		func(db *DB) float64 { return float64(db.crossBatches.Load()) }},
+	{"xpointdb_sharded_txn_aborted_total", "Cross-shard batches aborted before the commit point.", "counter",
+		func(db *DB) float64 { return float64(db.txnAborts.Load()) }},
+	{"xpointdb_sharded_txn_phase2_failures_total", "Committed batches whose phase 2 hit an error (resolved at reopen).", "counter",
+		func(db *DB) float64 { return float64(db.txnP2Failures.Load()) }},
+	{"xpointdb_sharded_txn_rolled_forward_total", "Committed batches completed from prepare records at recovery.", "counter",
+		func(db *DB) float64 { return float64(db.rolledForward.Load()) }},
+	{"xpointdb_sharded_txn_aborted_at_open_total", "Uncommitted prepare records discarded at recovery.", "counter",
+		func(db *DB) float64 { return float64(db.abortedAtOpen.Load()) }},
+	{"xpointdb_sharded_txn_log_rotations_total", "Coordinator transaction-log rotations.", "counter",
+		func(db *DB) float64 { return float64(db.txnLogRotation.Load()) }},
+	{"xpointdb_sharded_txn_pending", "Committed batches whose phase 2 has not finished.", "gauge",
+		func(db *DB) float64 { return float64(db.pendingTxns()) }},
+}
+
 // WritePrometheus writes the sharded store's metrics in the Prometheus
-// text exposition format: shared-resource families first (block cache,
-// background pool, write controller, cross-shard transactions), then
-// per-shard families carrying a shard label. Each family's HELP/TYPE
-// header is emitted exactly once with every shard's sample grouped
-// under it, which is what the obs package's strict parser (and real
-// Prometheus servers) require.
+// text exposition format: the sharded-only families, then the engine's
+// own exporter over every shard — each engine family once, one sample
+// or histogram series per shard under a shard label and the bare
+// store's family name, and each shared resource (block cache, pool,
+// write controller, space budget, event hub) once, unlabelled.
 func (db *DB) WritePrometheus(w io.Writer) {
-	pw := shardPromWriter{w: w}
-
-	pw.gauge("xpointdb_sharded_shards", "Number of range shards in the store.",
-		float64(len(db.shards)))
-
-	health := db.Health()
-	healthy := 0.0
+	pw := obs.PromWriter{W: w}
+	for _, f := range shardedFamilies {
+		pw.Header(f.name, f.help, f.typ)
+		pw.Sample(f.name, "", f.value(db))
+	}
+	health, healthy := db.Health(), 0.0
 	if health == engine.Healthy {
 		healthy = 1
 	}
-	pw.gaugeL("xpointdb_sharded_health", "1 when every shard is healthy; state carries the worst shard's detail.",
-		fmt.Sprintf(`state="%s"`, health), healthy)
+	const healthFamily = "xpointdb_sharded_health"
+	pw.Header(healthFamily, "1 when every shard is healthy; state carries the worst shard's detail.", "gauge")
+	pw.Sample(healthFamily, fmt.Sprintf(`state="%s"`, health), healthy)
 
-	// Shared block cache.
-	used, hits, misses := db.CacheStats()
-	pw.gauge("xpointdb_sharded_block_cache_used_bytes", "Bytes resident in the shared block cache.",
-		float64(used))
-	pw.counter("xpointdb_sharded_block_cache_hits_total", "Shared block cache hits.", float64(hits))
-	pw.counter("xpointdb_sharded_block_cache_misses_total", "Shared block cache misses.", float64(misses))
-
-	// Shared background pool.
-	busy, waiting, grants := db.pool.Stats()
-	pw.gauge("xpointdb_sharded_bgpool_slots", "Background worker tokens shared by all shards.",
-		float64(db.pool.Size()))
-	pw.gauge("xpointdb_sharded_bgpool_busy", "Tokens currently held by flush/compaction jobs.",
-		float64(busy))
-	pw.gauge("xpointdb_sharded_bgpool_waiting", "Background jobs queued for a token.",
-		float64(waiting))
-	pw.counter("xpointdb_sharded_bgpool_grants_total", "Tokens granted since open.", float64(grants))
-
-	// Shared write controller (one Algorithm 1 instance, global budget).
-	delayTotal, delayedOps, adjustments := db.controller.Stats()
-	pw.gauge("xpointdb_sharded_write_rate_bytes_per_second", "Current shared delayed-write rate.",
-		db.controller.Rate())
-	pw.counter("xpointdb_sharded_stall_delay_seconds_total", "Foreground seconds spent in shared-controller delays.",
-		delayTotal.Seconds())
-	pw.counter("xpointdb_sharded_delayed_ops_total", "Writes delayed by the shared controller.",
-		float64(delayedOps))
-	pw.counter("xpointdb_sharded_rate_adjustments_total", "Algorithm 1 rate steps on the shared controller.",
-		float64(adjustments))
-
-	// Cross-shard transactions.
-	cross, aborts, rolledForward, abortedAtOpen := db.TxnStats()
-	pw.counter("xpointdb_sharded_txn_committed_total", "Cross-shard atomic batches committed.",
-		float64(cross))
-	pw.counter("xpointdb_sharded_txn_aborted_total", "Cross-shard batches aborted before the commit point.",
-		float64(aborts))
-	pw.counter("xpointdb_sharded_txn_phase2_failures_total", "Committed batches whose phase 2 hit an error (resolved at reopen).",
-		float64(db.txnP2Failures.Load()))
-	pw.counter("xpointdb_sharded_txn_rolled_forward_total", "Committed batches completed from prepare records at recovery.",
-		float64(rolledForward))
-	pw.counter("xpointdb_sharded_txn_aborted_at_open_total", "Uncommitted prepare records discarded at recovery.",
-		float64(abortedAtOpen))
-	pw.counter("xpointdb_sharded_txn_log_rotations_total", "Coordinator transaction-log rotations.",
-		float64(db.txnLogRotation.Load()))
-	pw.gauge("xpointdb_sharded_txn_pending", "Committed batches whose phase 2 has not finished.",
-		float64(db.pendingTxns()))
-
-	pw.counter("xpointdb_sharded_events_dropped_total", "Events dropped by the bounded sink queue.",
-		float64(db.eventsDropped.Load()))
-
-	// Per-shard families: one header per family, one sample per shard.
-	snaps := make([]engine.MetricsSnapshot, len(db.shards))
-	healths := make([]engine.Health, len(db.shards))
-	l0s := make([]int, len(db.shards))
-	bytesTotal := make([]int64, len(db.shards))
-	for i, s := range db.shards {
-		snaps[i] = s.Metrics().Snapshot()
-		healths[i] = s.Health()
-		ls := s.LevelStats()
-		l0s[i] = ls.Levels[0].Files
-		for _, l := range ls.Levels {
-			bytesTotal[i] += l.Bytes
-		}
-	}
-
-	each := func(name, help, typ string, v func(i int) float64) {
-		pw.header(name, help, typ)
-		for i := range db.shards {
-			pw.sampleL(name, shardLabel(i), v(i))
-		}
-	}
-	each("xpointdb_shard_health", "1 when the shard is healthy.", "gauge", func(i int) float64 {
-		if healths[i] == engine.Healthy {
-			return 1
-		}
-		return 0
+	engine.WriteMetrics(w, db.shards, true, engine.SharedMetrics{
+		Blocks: db.blocks, Pool: db.pool, Controller: db.controller,
+		Space: db.space, EventsDropped: &db.eventsDropped,
 	})
-	each("xpointdb_shard_ops_total", "Operations served by the shard (gets + writes).", "counter",
-		func(i int) float64 { return float64(snaps[i].Gets + snaps[i].Writes) })
-	each("xpointdb_shard_write_ops_total", "Write (Apply) calls committed by the shard.", "counter",
-		func(i int) float64 { return float64(snaps[i].Writes) })
-	each("xpointdb_shard_get_p99_seconds", "Shard Get latency p99.", "gauge",
-		func(i int) float64 { return snaps[i].GetP99.Seconds() })
-	each("xpointdb_shard_write_p99_seconds", "Shard Apply latency p99.", "gauge",
-		func(i int) float64 { return snaps[i].WriteP99.Seconds() })
-	each("xpointdb_shard_flushes_total", "Completed memtable flushes.", "counter",
-		func(i int) float64 { return float64(snaps[i].Flushes) })
-	each("xpointdb_shard_flush_bytes_total", "Bytes written to Level 0 by flushes.", "counter",
-		func(i int) float64 { return float64(snaps[i].FlushBytes) })
-	each("xpointdb_shard_compactions_total", "Completed compactions.", "counter",
-		func(i int) float64 { return float64(snaps[i].Compactions) })
-	each("xpointdb_shard_compaction_written_bytes_total", "Compaction output bytes written.", "counter",
-		func(i int) float64 { return float64(snaps[i].CompactionBytesWritten) })
-	each("xpointdb_shard_trivial_moves_total", "Input files moved down a level without data I/O.", "counter",
-		func(i int) float64 { return float64(snaps[i].TrivialMoves) })
-	each("xpointdb_shard_subcompactions_total", "Sub-compaction ranges executed by the shard.", "counter",
-		func(i int) float64 { return float64(snaps[i].Subcompactions) })
-	each("xpointdb_shard_bgpool_waiting", "Background jobs from the shard waiting for a pool token.", "gauge",
-		func(i int) float64 { w, _ := db.pool.TagStats(i); return float64(w) })
-	each("xpointdb_shard_bgpool_grants_total", "Pool tokens granted to the shard since open.", "counter",
-		func(i int) float64 { _, g := db.pool.TagStats(i); return float64(g) })
-	each("xpointdb_shard_l0_files", "Current Level-0 file count (stall pressure input).", "gauge",
-		func(i int) float64 { return float64(l0s[i]) })
-	each("xpointdb_shard_bytes", "Total SST bytes across the shard's levels.", "gauge",
-		func(i int) float64 { return float64(bytesTotal[i]) })
-	each("xpointdb_shard_stall_delay_seconds_total", "Foreground seconds the shard spent in controller delays.", "counter",
-		func(i int) float64 { return snaps[i].StallDelayTotal.Seconds() })
-	each("xpointdb_shard_stall_stop_seconds_total", "Foreground seconds the shard spent blocked on stops.", "counter",
-		func(i int) float64 { return snaps[i].StallStopTotal.Seconds() })
-	each("xpointdb_shard_stall_stops_total", "Stop-stall episodes on the shard.", "counter",
-		func(i int) float64 { return float64(snaps[i].StallStops) })
-	each("xpointdb_shard_wal_syncs_total", "WAL fsyncs on the shard.", "counter",
-		func(i int) float64 { return float64(snaps[i].WALSyncs) })
-	each("xpointdb_shard_wal_sync_bytes_total", "Bytes made durable by the shard's WAL fsyncs.", "counter",
-		func(i int) float64 { return float64(snaps[i].WALSyncBytes) })
-	each("xpointdb_shard_soft_errors_total", "Soft background-error episodes on the shard.", "counter",
-		func(i int) float64 { return float64(snaps[i].SoftErrors) })
-	each("xpointdb_shard_hard_errors_total", "Hard background-error latches on the shard.", "counter",
-		func(i int) float64 { return float64(snaps[i].HardErrors) })
-}
-
-func shardLabel(i int) string { return fmt.Sprintf(`shard="%d"`, i) }
-
-// shardPromWriter mirrors the engine's promWriter (which is
-// unexported): HELP/TYPE headers paired with samples, floats in
-// shortest-round-trip form.
-type shardPromWriter struct {
-	w io.Writer
-}
-
-func (p *shardPromWriter) header(name, help, typ string) {
-	fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func (p *shardPromWriter) counter(name, help string, v float64) {
-	p.header(name, help, "counter")
-	fmt.Fprintf(p.w, "%s %s\n", name, shardPromFloat(v))
-}
-
-func (p *shardPromWriter) gauge(name, help string, v float64) {
-	p.header(name, help, "gauge")
-	fmt.Fprintf(p.w, "%s %s\n", name, shardPromFloat(v))
-}
-
-func (p *shardPromWriter) gaugeL(name, help, labels string, v float64) {
-	p.header(name, help, "gauge")
-	p.sampleL(name, labels, v)
-}
-
-func (p *shardPromWriter) sampleL(name, labels string, v float64) {
-	fmt.Fprintf(p.w, "%s{%s} %s\n", name, labels, shardPromFloat(v))
-}
-
-func shardPromFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

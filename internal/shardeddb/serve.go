@@ -6,41 +6,8 @@ import (
 
 	"xpointdb/internal/engine"
 	"xpointdb/internal/events"
-	"xpointdb/internal/obs"
 	"xpointdb/internal/throttle"
 )
-
-// eventsSink is the shared tagged stream every shard forwards into.
-type eventsSink = events.Listener
-
-// wireEvents builds the single event stream for the whole store,
-// mirroring the engine's own hub wiring (engine/serve.go): the
-// caller's listener plus the ops plane hang off one obs.Hub, and each
-// shard emits synchronously into it through a tagging forwarder that
-// stamps the shard dimension. Called from Open before shards exist.
-func (db *DB) wireEvents() {
-	listener := db.opts.Engine.EventListener
-	async := listener != nil && db.opts.Engine.EventSinkQueue >= 0
-	needHub := async || db.opts.Engine.ObsAddr != ""
-	if needHub {
-		hcfg := obs.HubConfig{SinkQueue: db.opts.Engine.EventSinkQueue}
-		if async {
-			hcfg.Sink = listener
-			hcfg.OnSinkDrop = func() { db.eventsDropped.Add(1) }
-		}
-		db.hub = obs.NewHub(hcfg)
-	}
-	switch {
-	case async:
-		db.ev = db.hub
-	case listener != nil && db.hub != nil:
-		db.ev = events.Tee(listener, db.hub)
-	case listener != nil:
-		db.ev = listener
-	case db.hub != nil:
-		db.ev = db.hub
-	}
-}
 
 // shardListener returns the tagging forwarder installed as shard i's
 // EventListener: it stamps Shard (1-based) and forwards to the shared
@@ -73,43 +40,18 @@ func (db *DB) emitRateChange(oldRate, newRate float64, behind bool) {
 	})
 }
 
-// startObsServer binds the combined HTTP ops plane when
-// Options.Engine.ObsAddr is set.
-func (db *DB) startObsServer() error {
-	if db.opts.Engine.ObsAddr == "" {
-		return nil
-	}
-	srv, err := obs.Serve(db.opts.Engine.ObsAddr, obs.Config{
-		MetricsText: db.WritePrometheus,
-		StatsText:   db.StatsReport,
-		Health: func() (bool, string) {
-			h := db.Health()
-			return h == engine.Healthy, fmt.Sprintf("%v (%d shards)", h, len(db.shards))
-		},
-		Hub: db.hub,
-	})
-	if err != nil {
-		return fmt.Errorf("shardeddb: ops server: %w", err)
-	}
-	db.obsSrv = srv
-	return nil
+// healthz is the /healthz answer: ok only when every shard is healthy.
+func (db *DB) healthz() (bool, string) {
+	h := db.Health()
+	return h == engine.Healthy, fmt.Sprintf("%v (%d shards)", h, len(db.shards))
 }
 
 // ObsAddr returns the bound ops-server address ("" when disabled).
-func (db *DB) ObsAddr() string {
-	if db.obsSrv == nil {
-		return ""
-	}
-	return db.obsSrv.Addr()
-}
+func (db *DB) ObsAddr() string { return db.plane.Addr() }
 
 // SyncEvents blocks until every event emitted so far reached the
 // configured listener (async sink only; no-op otherwise).
-func (db *DB) SyncEvents() {
-	if db.hub != nil {
-		db.hub.Sync()
-	}
-}
+func (db *DB) SyncEvents() { db.plane.Sync() }
 
 // StatsReport renders the combined human-readable report: shared
 // resources first, then each shard's full engine report.

@@ -52,6 +52,7 @@ import (
 	"xpointdb/internal/clock"
 	"xpointdb/internal/costmodel"
 	"xpointdb/internal/engine"
+	"xpointdb/internal/events"
 	"xpointdb/internal/keys"
 	"xpointdb/internal/obs"
 	"xpointdb/internal/throttle"
@@ -129,9 +130,8 @@ type DB struct {
 	space      *engine.SpaceManager
 	pacer      *costmodel.Pacer // shared compaction I/O rate limit (nil = unlimited)
 
-	ev     eventsSink // shared tagged event stream (serve.go)
-	hub    *obs.Hub
-	obsSrv *obs.Server
+	ev    events.Listener // plane.Listener(): the shared stream every shard forwards into
+	plane *obs.Plane      // event path + HTTP ops plane (serve.go)
 
 	metaFS vfs.FS
 
@@ -225,7 +225,13 @@ func Open(opts Options) (*DB, error) {
 		// own stall computation.
 		db.space = engine.NewSpaceManager(opts.Engine.MaxAllowedSpace, opts.Engine.FreeSpaceThreshold)
 	}
-	db.wireEvents() // serve.go: hub + tagged sink
+	// One event stream for the whole store, built by the constructor the
+	// engine uses: the caller's listener plus the ops plane hang off it,
+	// and each shard emits synchronously into it through a tagging
+	// forwarder (serve.go). Built before any shard opens.
+	db.plane = obs.NewPlane(opts.Engine.EventListener, opts.Engine.EventSinkQueue, opts.Engine.ObsAddr,
+		func() { db.eventsDropped.Add(1) })
+	db.ev = db.plane.Listener()
 	tcfg := throttle.Config{
 		Mode:             opts.Engine.ThrottleMode,
 		DelayedWriteRate: opts.Engine.DelayedWriteRate,
@@ -260,7 +266,7 @@ func Open(opts Options) (*DB, error) {
 			for j := 0; j < i; j++ {
 				_ = db.shards[j].Close()
 			}
-			db.closeShared()
+			db.plane.Close()
 			return nil, fmt.Errorf("shardeddb: open shard %d: %w", i, err)
 		}
 	}
@@ -271,13 +277,13 @@ func Open(opts Options) (*DB, error) {
 		for _, s := range db.shards {
 			_ = s.Close()
 		}
-		db.closeShared()
+		db.plane.Close()
 		return nil, err
 	}
 
-	if err := db.startObsServer(); err != nil {
+	if err := db.plane.Serve(db.WritePrometheus, db.StatsReport, db.healthz); err != nil {
 		_ = db.Close()
-		return nil, err
+		return nil, fmt.Errorf("shardeddb: ops server: %w", err)
 	}
 	return db, nil
 }
@@ -312,16 +318,6 @@ func (db *DB) shardOptions(i int, fs vfs.FS) engine.Options {
 		o.WALFS = vfs.NewPrefix(o.WALFS, fmt.Sprintf("shard-%03d/", i))
 	}
 	return o
-}
-
-// closeShared tears down resources owned by the sharded layer.
-func (db *DB) closeShared() {
-	if db.hub != nil {
-		db.hub.Close()
-	}
-	if db.obsSrv != nil {
-		_ = db.obsSrv.Close()
-	}
 }
 
 // NumShards returns the shard count.
@@ -559,6 +555,6 @@ func (db *DB) Close() error {
 		db.txnFile = nil
 	}
 	db.txnMu.Unlock()
-	db.closeShared()
+	db.plane.Close()
 	return err
 }

@@ -397,30 +397,22 @@ func TestShardedPrometheusParses(t *testing.T) {
 	for _, f := range fams {
 		byName[f.Name] = f
 	}
-	for _, name := range []string{
-		"xpointdb_sharded_shards",
-		"xpointdb_sharded_block_cache_used_bytes",
-		"xpointdb_sharded_bgpool_slots",
-		"xpointdb_sharded_txn_committed_total",
-		"xpointdb_shard_ops_total",
-		"xpointdb_shard_l0_files",
-		"xpointdb_shard_wal_syncs_total",
-	} {
-		if byName[name] == nil {
-			t.Fatalf("family %s missing", name)
+	// Per-shard facts carry the bare store's family name and one sample
+	// per shard; which families exist is pinned by TestMetricsCatalogue
+	// and TestShardedFamiliesMatchBare.
+	ops := byName["xpointdb_ops_total"]
+	if ops == nil || len(ops.Samples) != 3 {
+		t.Fatalf("xpointdb_ops_total = %+v, want one sample per shard", ops)
+	}
+	var total float64
+	for i, s := range ops.Samples {
+		if s.Labels["shard"] != fmt.Sprint(i) {
+			t.Fatalf("sample %d has labels %v", i, s.Labels)
 		}
+		total += s.Value
 	}
-	// Per-shard families carry one sample per shard with distinct labels.
-	ops := byName["xpointdb_shard_ops_total"]
-	if len(ops.Samples) != 3 {
-		t.Fatalf("xpointdb_shard_ops_total has %d samples, want 3", len(ops.Samples))
-	}
-	shardsSeen := map[string]bool{}
-	for _, s := range ops.Samples {
-		shardsSeen[s.Labels["shard"]] = true
-	}
-	if len(shardsSeen) != 3 {
-		t.Fatalf("shard labels = %v", shardsSeen)
+	if total < 5 {
+		t.Fatalf("ops_total sums to %v across shards, want at least the 5 writes", total)
 	}
 	if v := byName["xpointdb_sharded_txn_committed_total"].Samples[0].Value; v != 1 {
 		t.Fatalf("txn_committed = %v, want 1", v)
