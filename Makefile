@@ -5,7 +5,7 @@ GO ?= go
 TORTURE_ITERS ?= 50
 FUZZTIME ?= 10s
 
-.PHONY: all tier1 tier2 tier3 bench-test bench-observability bench-smoke bench-sharded-smoke bench-compaction-smoke obs-smoke
+.PHONY: all tier1 tier2 tier3 bench-test bench-observability bench-smoke obs-smoke
 
 all: tier1
 
@@ -42,32 +42,25 @@ tier3:
 	$(GO) test ./internal/batch -run '^$$' -fuzz '^FuzzFromRepr$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/manifest -run '^$$' -fuzz '^FuzzDecodeEdit$$' -fuzztime $(FUZZTIME)
 
-# A quick mixed-workload sanity run on the simulated 3D XPoint device:
-# concurrent reader and writer pools against one store, the shape the
-# SuperVersion read path is optimized for. Short enough for CI; the
-# full before/after numbers live in BENCH_superversion.json.
+# Smoke runs of dbbench on the simulated 3D XPoint device, short enough
+# for CI. They catch hangs, leak-counter failures at Close and gross
+# regressions; numbers come from bench/ (`bash bench/run.sh`), not here.
+#   1. mixed: concurrent reader and writer pools on the bare engine,
+#      the shape the SuperVersion read path is built for.
+#   2. the same on 4 range shards (shared cache/pool/controller).
+#   3. a zipfian hot-shard run: skewed load lands on shard 0 while the
+#      shared stall budget leaves cold shards unthrottled.
+#   4. fillrandom at max_subcompactions 4, failing unless the stats
+#      report shows the fan-out actually split a compaction.
+# Real-clock and simulated dbbench runs share one code path, so `-path
+# DIR` in place of `-device xpoint` smokes the same body on the OS.
 bench-smoke:
 	$(GO) run ./cmd/dbbench -device xpoint -benchmarks mixed -threads 8 -duration 5s
-
-# Sharded smoke: the range-sharded store on the simulated device —
-# mixed workload across 4 shards (shared cache/pool/controller), then
-# a zipfian hot-shard run showing the skewed load landing on shard 0
-# while the shared stall budget leaves cold shards unthrottled. The
-# full shards 1/4/8 matrix and the bare-vs-shards=1 overhead numbers
-# live in BENCH_sharded.json.
-bench-sharded-smoke:
 	$(GO) run ./cmd/dbbench -device xpoint -shards 4 -benchmarks mixed -threads 8 -duration 3s
 	$(GO) run ./cmd/dbbench -device xpoint -shards 4 -hot_shard_skew 1.3 \
 		-benchmarks readrandomwriterandom -threads 8 -duration 2s -num 8000
-
-# Compaction smoke: fillrandom on the simulated device at
-# max_subcompactions 1 vs 4, printing the BENCH_compaction summary
-# line (throughput, write-stall delay, post-window L0 drain) and
-# failing if the fan-out run never split a compaction. The full
-# device x fan-out matrix behind BENCH_compaction.json is
-# scripts/bench_compaction.sh without --smoke.
-bench-compaction-smoke:
-	bash scripts/bench_compaction.sh --smoke
+	$(GO) run ./cmd/dbbench -device xpoint -benchmarks fillrandom -threads 8 -duration 2s -num 12000 \
+		-max_subcompactions 4 -stats | tee /dev/stderr | grep -E '^compaction mech: .* [1-9][0-9]* sub-compactions' >/dev/null
 
 # Ops-plane smoke: run dbbench on a real directory with -serve and
 # curl every HTTP endpoint (/healthz, /metrics, /stats, /events SSE,
@@ -77,7 +70,7 @@ obs-smoke:
 	bash scripts/obs_smoke.sh
 
 # Re-measure the write-path instrumentation overhead recorded in
-# BENCH_observability.json (fillrandom on the simulated device, bare
+# docs/history/BENCH_observability.json (fillrandom on the simulated device, bare
 # vs. fully instrumented).
 bench-observability:
 	$(GO) run ./cmd/dbbench -device xpoint -benchmarks fillrandom -threads 4 -duration 30s

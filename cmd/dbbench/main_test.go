@@ -1,0 +1,74 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"xpointdb/internal/engine"
+)
+
+// TestRunBody drives the one run body on both substrates and both
+// store shapes: same ops, same report lines, a healthy store at the end.
+func TestRunBody(t *testing.T) {
+	for _, substrate := range []string{"sim", "real"} {
+		for _, shards := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", substrate, shards), func(t *testing.T) {
+				args := []string{"-benchmarks", "mixed", "-threads", "2", "-duration", "200ms", "-num", "2000",
+					"-shards", fmt.Sprint(shards)}
+				if substrate == "real" {
+					args = append(args, "-path", t.TempDir())
+				} else {
+					args = append(args, "-device", "xpoint")
+				}
+				cfg, err := parse(args)
+				if err != nil {
+					t.Fatalf("parse(%v): %v", args, err)
+				}
+				var out bytes.Buffer
+				r, err := execute(cfg, &out)
+				if err != nil {
+					t.Fatalf("execute: %v", err)
+				}
+				if r.res.Ops() == 0 || r.res.Errors != 0 {
+					t.Errorf("ops = %d, errors = %d; want ops > 0 and no errors", r.res.Ops(), r.res.Errors)
+				}
+				if r.health != engine.Healthy {
+					t.Errorf("final health = %v", r.health)
+				}
+				if want := max(shards, 1); len(r.snaps) != want {
+					t.Errorf("%d engine snapshots, want %d", len(r.snaps), want)
+				}
+				for _, label := range []string{"benchmark", "throughput", "read latency", "write latency", "read misses",
+					"flushes", "stalls", "waiting writers", "read path", "l0 drain", "health"} {
+					if !strings.Contains(out.String(), "\n"+label) && !strings.HasPrefix(out.String(), label) {
+						t.Errorf("report has no %q line:\n%s", label, out.String())
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRejectedFlags: every bad flag combination is refused by parse,
+// before execute could open anything.
+func TestRejectedFlags(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-path /tmp/x -wal_device nvm", "-wal_device requires the simulated device"},
+		{"-path /tmp/x -faultprob 0.1", "-faultprob requires the simulated device"},
+		{"-path /tmp/x -disk_quota 1000", "-disk_quota requires the simulated device"},
+		{"-quota_cycle 1s", "-quota_cycle requires -disk_quota"},
+		{"-device floppy", `unknown -device "floppy"`},
+		{"-wal_device floppy", `unknown -wal_device "floppy"`},
+		{"-shards -1", "-shards must be >= 0"},
+		{"-hot_shard_skew 0.5 -shards 4", "-hot_shard_skew must be > 1"},
+		{"-hot_shard_skew 1.2", "-hot_shard_skew requires -shards > 1"},
+		{"-benchmarks nope", `unknown -benchmarks "nope"`},
+		{"-throttle nope", `unknown -throttle "nope"`},
+	} {
+		if _, err := parse(strings.Fields(c.args)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("parse(%q) = %v, want an error containing %q", c.args, err, c.want)
+		}
+	}
+}

@@ -35,12 +35,12 @@ func (db *DB) adaptiveWorker() {
 		writeFrac := float64(writes) / float64(total)
 
 		var target int64
-		if writeFrac > db.opts.AdaptiveWriteIntensive {
+		if writeFrac > adaptiveWriteIntensive {
 			// Write-intensive: many small files.
-			target = db.opts.AdaptiveL0Aggregate / int64(db.opts.AdaptiveL0ManyFiles)
+			target = db.opts.AdaptiveL0Aggregate / adaptiveL0ManyFiles
 		} else {
 			// Read-intensive: few large files.
-			target = db.opts.AdaptiveL0Aggregate / int64(db.opts.AdaptiveL0FewFiles)
+			target = db.opts.AdaptiveL0Aggregate / adaptiveL0FewFiles
 		}
 		if target != db.MemtableBudget() {
 			db.opts.logf("adaptive L0: writeFrac=%.2f -> memtable budget %d", writeFrac, target)

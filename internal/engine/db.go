@@ -245,7 +245,7 @@ func Open(opts Options) (*DB, error) {
 		// Shared, externally owned: one budget across every sharer.
 		db.space = opts.SpaceManager
 	} else if opts.MaxAllowedSpace > 0 {
-		db.space = NewSpaceManager(opts.MaxAllowedSpace, opts.FreeSpaceThreshold)
+		db.space = NewSpaceManager(opts.MaxAllowedSpace)
 	}
 	db.picker = newCompactionPicker(&db.opts)
 	if opts.CompactionPacer != nil {
@@ -540,6 +540,11 @@ func (db *DB) BackgroundError() error {
 
 // Metrics returns the engine's live instrumentation.
 func (db *DB) Metrics() *Metrics { return db.metrics }
+
+// Engines returns the engines behind the store, which for a bare
+// engine is itself — the same accessor shardeddb.DB has, so callers
+// reach per-engine state (Metrics, NumLevelFiles, DebugLayout) one way.
+func (db *DB) Engines() []*DB { return []*DB{db} }
 
 // Controller exposes the write controller (for experiment inspection).
 func (db *DB) Controller() *throttle.Controller { return db.controller }

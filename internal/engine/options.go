@@ -34,9 +34,6 @@ type Options struct {
 	// memtable becomes one Level-0 file, so this is also the L0 file
 	// size knob that Figures 8/9/10/12 sweep.
 	MemtableSize int64
-	// MaxImmutables bounds the queue of flushed-but-unwritten
-	// memtables (RocksDB max_write_buffer_number − 1).
-	MaxImmutables int
 
 	// L0CompactionTrigger starts L0→L1 compaction at this many L0
 	// files (RocksDB default 4).
@@ -50,10 +47,8 @@ type Options struct {
 	// TargetFileSize is the output SST size at L1+.
 	TargetFileSize int64
 	// BaseLevelBytes is the L1 size target; each deeper level is
-	// LevelMultiplier× larger.
+	// levelMultiplier× larger.
 	BaseLevelBytes int64
-	// LevelMultiplier is the per-level size ratio (default 10).
-	LevelMultiplier int
 
 	// BlockSize is the SST data block size (default 4 KiB).
 	BlockSize int
@@ -157,18 +152,11 @@ type Options struct {
 	// few large files under read-heavy load (fewer files to probe).
 	AdaptiveL0 bool
 	// AdaptiveL0Aggregate is the assumed-constant aggregate Level-0
-	// volume V; file size flips between V/AdaptiveL0ManyFiles and
-	// V/AdaptiveL0FewFiles.
+	// volume V; file size flips between V/adaptiveL0ManyFiles and
+	// V/adaptiveL0FewFiles.
 	AdaptiveL0Aggregate int64
-	// AdaptiveL0ManyFiles and AdaptiveL0FewFiles are the two target
-	// file counts (paper: 24 and 6).
-	AdaptiveL0ManyFiles int
-	AdaptiveL0FewFiles  int
 	// AdaptiveWindow is the sampling window for the read/write ratio.
 	AdaptiveWindow time.Duration
-	// AdaptiveWriteIntensive is the write fraction above which the
-	// workload is tagged write-intensive (paper: 25%).
-	AdaptiveWriteIntensive float64
 
 	// EventListener, if non-nil, receives the structured event stream
 	// (flush, compaction, stall-condition and rate changes, WAL
@@ -227,16 +215,12 @@ type Options struct {
 	// MaxAllowedSpace caps the bytes of live SST/WAL/MANIFEST files
 	// the engine may hold on disk (RocksDB's SstFileManager
 	// max_allowed_space). Zero means unlimited. Approaching the budget
-	// escalates the write controller (delayed, then stopped — reads
-	// keep serving) before any real write can fail for space, and
+	// escalates the write controller (delayed once less than
+	// freeSpaceThreshold of it remains free, stopped below half that —
+	// reads keep serving) before any real write can fail for space, and
 	// flush/compaction jobs whose projected output would overrun the
 	// budget are deferred until reclamation frees headroom.
 	MaxAllowedSpace int64
-	// FreeSpaceThreshold is the fraction of MaxAllowedSpace that must
-	// remain free before the degradation ladder engages: below it
-	// writes are delayed, below half of it they are stopped. Default
-	// 0.1. Ignored when MaxAllowedSpace is zero.
-	FreeSpaceThreshold float64
 	// SpaceManager, if non-nil, is an externally owned space budget
 	// shared with other shards (like Controller/BGPool): every sharer
 	// charges its live bytes against one MaxAllowedSpace, so a hot
@@ -286,6 +270,27 @@ type Options struct {
 	Logger func(format string, args ...interface{})
 }
 
+// Tuning values that are constants rather than Options fields: no
+// caller, test or benchmark needs a second value for any of them.
+const (
+	// maxImmutables bounds the queue of flushed-but-unwritten memtables
+	// (RocksDB max_write_buffer_number − 1).
+	maxImmutables = 1
+	// levelMultiplier is the per-level size ratio.
+	levelMultiplier = 10
+	// adaptiveL0ManyFiles and adaptiveL0FewFiles are case study B's two
+	// target Level-0 file counts.
+	adaptiveL0ManyFiles = 24
+	adaptiveL0FewFiles  = 6
+	// adaptiveWriteIntensive is the write fraction above which case
+	// study B tags the workload write-intensive (paper: 25%).
+	adaptiveWriteIntensive = 0.25
+	// freeSpaceThreshold is the fraction of a space budget that must
+	// remain free before the degradation ladder engages: below it
+	// writes are delayed, below half of it they are stopped.
+	freeSpaceThreshold = 0.1
+)
+
 // DefaultOptions returns the scaled-RocksDB defaults. fs is the data
 // filesystem.
 func DefaultOptions(fs vfs.FS) Options {
@@ -296,13 +301,11 @@ func DefaultOptions(fs vfs.FS) Options {
 		MaxRecoveryAttempts: 12,
 		SpaceStallTimeout:   10 * time.Second,
 		MemtableSize:        4 << 20,
-		MaxImmutables:       1,
 		L0CompactionTrigger: 4,
 		L0SlowdownTrigger:   20,
 		L0StopTrigger:       36,
 		TargetFileSize:      4 << 20,
 		BaseLevelBytes:      16 << 20,
-		LevelMultiplier:     10,
 		BlockSize:           4096,
 		BloomBitsPerKey:     10,
 		BlockCacheSize:      8 << 20,
@@ -313,11 +316,8 @@ func DefaultOptions(fs vfs.FS) Options {
 		DelayedWriteRate:    16 << 20,
 		ScrubBytesPerSec:    8 << 20,
 
-		AdaptiveL0Aggregate:    96 << 20,
-		AdaptiveL0ManyFiles:    24,
-		AdaptiveL0FewFiles:     6,
-		AdaptiveWindow:         2 * time.Second,
-		AdaptiveWriteIntensive: 0.25,
+		AdaptiveL0Aggregate: 96 << 20,
+		AdaptiveWindow:      2 * time.Second,
 	}
 }
 
@@ -329,9 +329,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MemtableSize <= 0 {
 		o.MemtableSize = d.MemtableSize
-	}
-	if o.MaxImmutables <= 0 {
-		o.MaxImmutables = d.MaxImmutables
 	}
 	if o.L0CompactionTrigger <= 0 {
 		o.L0CompactionTrigger = d.L0CompactionTrigger
@@ -347,9 +344,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BaseLevelBytes <= 0 {
 		o.BaseLevelBytes = 4 * o.MemtableSize
-	}
-	if o.LevelMultiplier <= 0 {
-		o.LevelMultiplier = d.LevelMultiplier
 	}
 	if o.BlockSize <= 0 {
 		o.BlockSize = d.BlockSize
@@ -372,17 +366,8 @@ func (o Options) withDefaults() Options {
 	if o.AdaptiveL0Aggregate <= 0 {
 		o.AdaptiveL0Aggregate = d.AdaptiveL0Aggregate
 	}
-	if o.AdaptiveL0ManyFiles <= 0 {
-		o.AdaptiveL0ManyFiles = d.AdaptiveL0ManyFiles
-	}
-	if o.AdaptiveL0FewFiles <= 0 {
-		o.AdaptiveL0FewFiles = d.AdaptiveL0FewFiles
-	}
 	if o.AdaptiveWindow <= 0 {
 		o.AdaptiveWindow = d.AdaptiveWindow
-	}
-	if o.AdaptiveWriteIntensive <= 0 {
-		o.AdaptiveWriteIntensive = d.AdaptiveWriteIntensive
 	}
 	if o.RecoveryBaseBackoff <= 0 {
 		o.RecoveryBaseBackoff = d.RecoveryBaseBackoff
@@ -398,9 +383,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ScrubBytesPerSec <= 0 {
 		o.ScrubBytesPerSec = d.ScrubBytesPerSec
-	}
-	if o.FreeSpaceThreshold <= 0 {
-		o.FreeSpaceThreshold = 0.1
 	}
 	if o.SpaceStallTimeout == 0 {
 		o.SpaceStallTimeout = d.SpaceStallTimeout

@@ -324,7 +324,7 @@ func rangesOverlap(as, al, bs, bl []byte) bool {
 func levelTargetBytes(opts *Options, level int) int64 {
 	t := opts.BaseLevelBytes
 	for l := 1; l < level; l++ {
-		t *= int64(opts.LevelMultiplier)
+		t *= levelMultiplier
 	}
 	return t
 }

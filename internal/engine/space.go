@@ -16,7 +16,7 @@ import (
 // Options.MaxAllowedSpace. Three mechanisms hang off the accounting:
 //
 //   - The degradation ladder: as free space shrinks below
-//     FreeSpaceThreshold (then half of it), the write controller is
+//     freeSpaceThreshold of the budget (then half of it), the write controller is
 //     escalated Delayed → Stopped — foreground writes slow and then
 //     stop while reads keep serving, and the remaining threshold slack
 //     is left for background reclamation to work in. ENOSPC is the
@@ -38,29 +38,23 @@ import (
 // budget. The zero value is not usable; create one with
 // NewSpaceManager.
 type SpaceManager struct {
-	mu        sync.Mutex
-	budget    int64   // 0 = unlimited
-	threshold float64 // free fraction where the ladder engages
-	files     map[string]int64
-	used      int64
-	reserved  int64
-	state     throttle.State
-	subs      map[int]func(throttle.State)
-	nextSub   int
+	mu       sync.Mutex
+	budget   int64 // 0 = unlimited
+	files    map[string]int64
+	used     int64
+	reserved int64
+	state    throttle.State
+	subs     map[int]func(throttle.State)
+	nextSub  int
 }
 
 // NewSpaceManager returns a manager enforcing budget bytes (0 =
-// unlimited) with the given free-space threshold fraction (<=0 means
-// the 0.1 default).
-func NewSpaceManager(budget int64, freeThreshold float64) *SpaceManager {
-	if freeThreshold <= 0 {
-		freeThreshold = 0.1
-	}
+// unlimited).
+func NewSpaceManager(budget int64) *SpaceManager {
 	return &SpaceManager{
-		budget:    budget,
-		threshold: freeThreshold,
-		files:     make(map[string]int64),
-		subs:      make(map[int]func(throttle.State)),
+		budget: budget,
+		files:  make(map[string]int64),
+		subs:   make(map[int]func(throttle.State)),
 	}
 }
 
@@ -101,8 +95,8 @@ func (sm *SpaceManager) State() throttle.State {
 	return sm.stateLocked()
 }
 
-// stateLocked computes the ladder state: with budget b and threshold
-// t, free space below b·t delays writes and below b·t/2 stops them —
+// stateLocked computes the ladder state: with budget b and t =
+// freeSpaceThreshold, free space below b·t delays writes and below b·t/2 stops them —
 // the paper's two-stage throttling keyed on space instead of L0 depth.
 // Reservations count as consumed: a job's projected output is space
 // the foreground can no longer have.
@@ -111,7 +105,7 @@ func (sm *SpaceManager) stateLocked() throttle.State {
 		return throttle.StateClear
 	}
 	free := sm.budget - sm.used - sm.reserved
-	slow := int64(float64(sm.budget) * sm.threshold)
+	slow := int64(float64(sm.budget) * freeSpaceThreshold)
 	switch {
 	case free <= slow/2:
 		return throttle.StateStopped

@@ -17,7 +17,7 @@ import (
 // re-track (size update, not double-count) and untrack must keep Used
 // exact, and an unlimited manager never leaves StateClear.
 func TestSpaceManagerAccounting(t *testing.T) {
-	sm := NewSpaceManager(0, 0)
+	sm := NewSpaceManager(0)
 	sm.TrackFile("s0/000001.sst", 100)
 	sm.TrackFile("s0/000002.log", 50)
 	if got := sm.Used(); got != 150 {
@@ -52,7 +52,7 @@ func TestSpaceManagerAccounting(t *testing.T) {
 // reservations counting as consumed. Subscribers hear every transition.
 func TestSpaceManagerLadder(t *testing.T) {
 	// budget 1000, threshold 0.1: slow line at free=100, stop at free=50.
-	sm := NewSpaceManager(1000, 0.1)
+	sm := NewSpaceManager(1000)
 	var mu sync.Mutex
 	var seen []throttle.State
 	sm.subscribe(func(s throttle.State) {

@@ -475,7 +475,7 @@ func (db *DB) makeRoomForWrite() error {
 		case db.mem.ApproximateSize() < db.memBudget:
 			return nil
 
-		case len(db.imms) >= db.opts.MaxImmutables:
+		case len(db.imms) >= maxImmutables:
 			// All write buffers full and flush hasn't caught up.
 			db.bgCond.Broadcast()
 			db.waitStalledLocked()
@@ -499,7 +499,7 @@ func (db *DB) rotateMemtableLocked(reason string) error {
 	for len(db.pendingGroups) > 0 {
 		db.bgCond.Wait()
 	}
-	for len(db.imms) >= db.opts.MaxImmutables {
+	for len(db.imms) >= maxImmutables {
 		if db.bgErr != nil {
 			// The flush worker idles while a background error is
 			// latched; the immutable queue will never drain.

@@ -11,11 +11,9 @@ import (
 	"strings"
 	"time"
 
-	"xpointdb/internal/costmodel"
 	"xpointdb/internal/engine"
-	"xpointdb/internal/sim"
+	"xpointdb/internal/simenv"
 	"xpointdb/internal/storage"
-	"xpointdb/internal/vfs"
 	"xpointdb/internal/workload"
 )
 
@@ -55,40 +53,24 @@ func Devices() []storage.Profile {
 	return []storage.Profile{storage.SATAFlash(), storage.PCIeFlash(), storage.XPoint()}
 }
 
-// Env is one simulated database environment.
+// Env is one simulated database environment at a scale.
 type Env struct {
-	Kernel *sim.Kernel
-	Dev    *storage.Device
-	WALDev *storage.Device // nil unless split WAL
-	FS     *vfs.MemFS
-	Opts   engine.Options
-	Scale  Scale
+	*simenv.Env
+	Scale Scale
 }
 
 // NewEnv builds an environment on profile at scale, applying tweak (if
 // non-nil) to the options before use.
 func NewEnv(profile storage.Profile, sc Scale, tweak func(*engine.Options)) *Env {
-	k := sim.New(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC))
-	dev := storage.New(k, profile.Scaled(sc.SizeScale))
-	fs := vfs.NewMem(dev)
-	opts := engine.DefaultOptions(fs)
-	opts.Clock = k
-	opts.CostModel = costmodel.Default()
-	opts.MemtableSize = sc.MemtableSize
-	opts.TargetFileSize = sc.MemtableSize
+	e := &Env{Env: simenv.New(profile.Scaled(sc.SizeScale)), Scale: sc}
+	e.Options.MemtableSize = sc.MemtableSize
+	e.Options.TargetFileSize = sc.MemtableSize
 	// A shallow base level deepens the tree at the scaled dataset
 	// size, restoring the paper's compaction write amplification.
-	opts.BaseLevelBytes = 2 * sc.MemtableSize
+	e.Options.BaseLevelBytes = 2 * sc.MemtableSize
 	if tweak != nil {
-		tweak(&opts)
+		tweak(&e.Options)
 	}
-	return &Env{Kernel: k, Dev: dev, FS: fs, Opts: opts, Scale: sc}
-}
-
-// WithWALDevice moves the WAL onto its own device (case study C).
-func (e *Env) WithWALDevice(profile storage.Profile) *Env {
-	e.WALDev = storage.New(e.Kernel, profile.Scaled(e.Scale.SizeScale))
-	e.Opts.WALFS = vfs.NewMem(e.WALDev)
 	return e
 }
 
@@ -98,7 +80,7 @@ func (e *Env) WithWALDevice(profile storage.Profile) *Env {
 func (e *Env) RunKV(fn func(db *engine.DB) *workload.Result) (res *workload.Result, m *engine.Metrics, err error) {
 	e.Kernel.Run(func() {
 		var db *engine.DB
-		db, err = engine.Open(e.Opts)
+		db, err = engine.Open(e.Options)
 		if err != nil {
 			return
 		}
@@ -109,7 +91,7 @@ func (e *Env) RunKV(fn func(db *engine.DB) *workload.Result) (res *workload.Resu
 		// Let startup compactions settle so the measured phase
 		// starts from a steady tree.
 		e.settle(db)
-		e.Dev.ResetStats()
+		e.Device.ResetStats()
 		res = fn(db)
 		m = db.Metrics()
 		err = db.Close()
@@ -122,7 +104,7 @@ func (e *Env) RunKV(fn func(db *engine.DB) *workload.Result) (res *workload.Resu
 func (e *Env) settle(db *engine.DB) {
 	deadline := e.Kernel.Now().Add(30 * time.Second)
 	for e.Kernel.Now().Before(deadline) {
-		if db.NumLevelFiles(0) < e.Opts.L0CompactionTrigger {
+		if db.NumLevelFiles(0) < e.Options.L0CompactionTrigger {
 			return
 		}
 		e.Kernel.Sleep(200 * time.Millisecond)

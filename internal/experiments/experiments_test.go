@@ -130,7 +130,7 @@ func TestScaledProfilePlumbing(t *testing.T) {
 	sc.SizeScale = 8
 	env := NewEnv(storage.SATAFlash(), sc, nil)
 	want := storage.SATAFlash().ReadBandwidth / 8
-	if got := env.Dev.Profile().ReadBandwidth; got != want {
+	if got := env.Device.Profile().ReadBandwidth; got != want {
 		t.Fatalf("bandwidth not scaled: %d want %d", got, want)
 	}
 }

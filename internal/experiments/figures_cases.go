@@ -153,8 +153,6 @@ func (r *Runner) Fig19() *Report {
 				o.L0SlowdownTrigger = 24
 				o.L0StopTrigger = 36
 				o.AdaptiveL0Aggregate = 24 * o.MemtableSize
-				o.AdaptiveL0ManyFiles = 24
-				o.AdaptiveL0FewFiles = 6
 			})
 			res, _, err := env.RunKV(func(db *engine.DB) *workload.Result {
 				return env.Mixed(db, 4, float64(pct)/100, nil)
@@ -203,7 +201,7 @@ func (r *Runner) Fig20() *Report {
 			o.SyncWAL = true
 		})
 		if c.nvm {
-			env.WithWALDevice(storage.NVM())
+			env.WithWALDevice(storage.NVM().Scaled(r.Scale.SizeScale))
 		}
 		res, _, err := env.RunKV(func(db *engine.DB) *workload.Result {
 			return env.Mixed(db, 4, 0.5, nil)

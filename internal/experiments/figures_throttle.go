@@ -27,7 +27,7 @@ func (r *Runner) Fig1() *Report {
 		env := NewEnv(p, r.Scale, nil)
 		var raw *workload.Result
 		env.Kernel.Run(func() {
-			raw = workload.RunRaw(env.Kernel, env.Dev, 8, 0.5, r.Scale.Duration/2, 1)
+			raw = workload.RunRaw(env.Kernel, env.Device, 8, 0.5, r.Scale.Duration/2, 1)
 		})
 
 		// KV: same mix through the engine.

@@ -63,8 +63,9 @@ import (
 // ErrNotFound re-exports the engine's miss sentinel.
 var ErrNotFound = engine.ErrNotFound
 
-// ErrClosed is returned by operations on a closed DB.
-var ErrClosed = errors.New("shardeddb: database is closed")
+// ErrClosed re-exports the engine's closed sentinel, so a caller of
+// either store checks one error.
+var ErrClosed = engine.ErrClosed
 
 // ErrReservedKey rejects user keys in the internal 0x00-prefixed
 // keyspace, which the two-phase commit machinery owns (prepare
@@ -223,7 +224,7 @@ func Open(opts Options) (*DB, error) {
 		// reservations consume headroom all shards observe, and each
 		// shard's ladder subscription folds the shared state into its
 		// own stall computation.
-		db.space = engine.NewSpaceManager(opts.Engine.MaxAllowedSpace, opts.Engine.FreeSpaceThreshold)
+		db.space = engine.NewSpaceManager(opts.Engine.MaxAllowedSpace)
 	}
 	// One event stream for the whole store, built by the constructor the
 	// engine uses: the caller's listener plus the ops plane hang off it,
@@ -320,11 +321,9 @@ func (db *DB) shardOptions(i int, fs vfs.FS) engine.Options {
 	return o
 }
 
-// NumShards returns the shard count.
-func (db *DB) NumShards() int { return len(db.shards) }
-
-// Shard exposes shard i's engine (stats, tests, manual compaction).
-func (db *DB) Shard(i int) *engine.DB { return db.shards[i] }
+// Engines returns every shard's engine in shard order (stats, tests,
+// manual compaction). The slice is the store's own; do not modify it.
+func (db *DB) Engines() []*engine.DB { return db.shards }
 
 // ShardForKey returns the index of the shard owning key.
 func (db *DB) ShardForKey(key []byte) int {
@@ -484,6 +483,19 @@ func (db *DB) BackgroundError() error {
 		}
 	}
 	return nil
+}
+
+// Resume is the operator's manual recovery (engine.DB.Resume) fanned
+// out to every shard. Every shard is tried; the first failure is
+// returned with its shard named.
+func (db *DB) Resume() error {
+	var first error
+	for i, s := range db.shards {
+		if err := s.Resume(); err != nil && first == nil {
+			first = fmt.Errorf("shardeddb: resume shard %d: %w", i, err)
+		}
+	}
+	return first
 }
 
 // Health returns the worst health across shards.

@@ -66,8 +66,8 @@ func TestShardedPutGetSmoke(t *testing.T) {
 	db, _ := newTestStore(t, 4, nil)
 	defer db.Close()
 
-	if db.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", db.NumShards())
+	if len(db.Engines()) != 4 {
+		t.Fatalf("len(Engines()) = %d", len(db.Engines()))
 	}
 	// One key per shard, routed by range.
 	for s := 0; s < 4; s++ {
@@ -162,7 +162,7 @@ func TestCrossShardBatchAtomicity(t *testing.T) {
 	// Prepare records must have been cleaned up: no reserved keys
 	// remain visible on any shard's raw iterator.
 	for s := 0; s < 4; s++ {
-		it, err := db.Shard(s).NewIter()
+		it, err := db.Engines()[s].NewIter()
 		if err != nil {
 			t.Fatal(err)
 		}

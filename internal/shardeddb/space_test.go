@@ -20,7 +20,7 @@ import (
 func TestShardedRejectsCallerSpaceManager(t *testing.T) {
 	fs := vfs.NewMem(storage.New(clock.Real{}, storage.Null()))
 	opts := testOptions(fs, 2, nil)
-	opts.Engine.SpaceManager = engine.NewSpaceManager(1<<30, 0)
+	opts.Engine.SpaceManager = engine.NewSpaceManager(1 << 30)
 	if _, err := Open(opts); err == nil {
 		t.Fatal("Open accepted a caller-set Engine.SpaceManager")
 	}
@@ -43,7 +43,7 @@ func TestShardedSharedSpaceBudget(t *testing.T) {
 		t.Fatal("SpaceManager() = nil with MaxAllowedSpace set")
 	}
 	for s := 0; s < 4; s++ {
-		if got := db.Shard(s).SpaceManager(); got != sm {
+		if got := db.Engines()[s].SpaceManager(); got != sm {
 			t.Fatalf("shard %d has a private SpaceManager", s)
 		}
 	}
@@ -160,10 +160,10 @@ func TestShardedEnospcKeepsBatchesAtomic(t *testing.T) {
 	ffs.SetQuota(-1)
 	deadline := time.Now().Add(10 * time.Second)
 	for s := 0; s < 4; s++ {
-		for db.Shard(s).Health() != engine.Healthy {
+		for db.Engines()[s].Health() != engine.Healthy {
 			if time.Now().After(deadline) {
 				t.Fatalf("shard %d did not heal after release: %v",
-					s, db.Shard(s).BackgroundError())
+					s, db.Engines()[s].BackgroundError())
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -7,6 +7,8 @@ import (
 
 	"xpointdb/internal/batch"
 	"xpointdb/internal/engine"
+	"xpointdb/internal/iterator"
+	"xpointdb/internal/kvstore"
 	"xpointdb/internal/shardeddb"
 	"xpointdb/internal/throttle"
 	"xpointdb/internal/vfs"
@@ -119,18 +121,9 @@ func engineOptions(fs vfs.FS, g geometry, tune func(*engine.Options)) engine.Opt
 	return o
 }
 
-// iterator is the method set engine.Iter and shardeddb.Iter share.
-type iterator interface {
-	SeekToFirst()
-	Valid() bool
-	Next()
-	Key() []byte
-	Value() []byte
-	Error() error
-	Close() error
-}
-
-func scanAll(it iterator, visit func(key, value []byte)) error {
+// scanAll walks an engine.Iter or a shardeddb.Iter: both have
+// iterator.Iterator's method set (yielding user keys, not internal ones).
+func scanAll(it iterator.Iterator, visit func(key, value []byte)) error {
 	defer it.Close()
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		visit(it.Key(), it.Value())
@@ -141,42 +134,62 @@ func scanAll(it iterator, visit func(key, value []byte)) error {
 // newStore picks the adapter for cfg.Shards and draws its seeded
 // parameters.
 func newStore(cfg Config, rng *rand.Rand, geo geometry, tune func(*engine.Options)) store {
+	h := handle{geo: geo, tune: tune}
 	if cfg.Shards <= 1 {
-		return &engineStore{geo: geo, tune: tune}
+		return &engineStore{handle: h}
 	}
 	return &shardedStore{
-		geo: geo, tune: tune, n: cfg.Shards, keys: cfg.Keys,
+		handle: h, n: cfg.Shards, keys: cfg.Keys,
 		slots: 2 + rng.Intn(cfg.Shards+1), // undersized pool stresses cross-shard scheduling
 	}
 }
 
-// engineStore is the one-shard store: a bare engine.DB. Every op has
-// participants {0} and the single cut marker is "@cut".
-type engineStore struct {
-	*engine.DB
+// handle is what both adapters share: the run's seeded configuration
+// and the open store, held as the store seam so everything that needs
+// only its method set — Apply, Get, Flush, Health, BackgroundError,
+// Resume, Close, and the per-engine walks below — is written once.
+type handle struct {
+	kvstore.Store
 	geo  geometry
 	tune func(*engine.Options)
 }
 
+func (h *handle) counters() (c counters) {
+	for _, e := range h.Engines() {
+		c.add(e.Metrics())
+	}
+	if sdb, ok := h.Store.(*shardeddb.DB); ok {
+		_, _, c.rolledForward, c.abortedAtOpen = sdb.TxnStats()
+	}
+	return c
+}
+
+func (h *handle) layout() string {
+	var b strings.Builder
+	for i, e := range h.Engines() {
+		fmt.Fprintf(&b, "shard %d:\n%s", i, e.DebugLayout())
+	}
+	return b.String()
+}
+
+// engineStore is the one-shard store: a bare engine.DB. Every op has
+// participants {0} and the single cut marker is "@cut".
+type engineStore struct{ handle }
+
 func (e *engineStore) open(fs vfs.FS) error {
 	db, err := engine.Open(engineOptions(fs, e.geo, e.tune))
 	if err == nil {
-		e.DB = db // a failed reopen keeps the old, closed handle
+		e.Store = db // a failed reopen keeps the old, closed handle
 	}
 	return err
 }
 
 func (e *engineStore) scan(visit func(key, value []byte)) error {
-	it, err := e.NewIter()
+	it, err := e.Store.(*engine.DB).NewIter()
 	if err != nil {
 		return err
 	}
 	return scanAll(it, visit)
-}
-
-func (e *engineStore) counters() (c counters) {
-	c.add(e.Metrics())
-	return c
 }
 
 func (e *engineStore) shards() int                { return 1 }
@@ -185,7 +198,6 @@ func (e *engineStore) marker(int) string          { return "@cut" }
 func (e *engineStore) glob(pattern string) string { return pattern }
 func (e *engineStore) coordLog() string           { return "" }
 func (e *engineStore) describe() string           { return "engine" }
-func (e *engineStore) layout() string             { return e.DebugLayout() }
 
 // shardedStore is the range-sharded store: n engines behind
 // shardeddb.DB, one crash image holding every shard directory and the
@@ -196,13 +208,15 @@ func (e *engineStore) layout() string             { return e.DebugLayout() }
 // surviving ops on one shard always form a prefix of the ops that
 // touched it, so the recovered marker identifies that prefix exactly.
 type shardedStore struct {
-	*shardeddb.DB
-	geo     geometry
-	tune    func(*engine.Options)
+	handle
 	n, keys int
 	slots   int
 }
 
+func (s *shardedStore) sdb() *shardeddb.DB { return s.Store.(*shardeddb.DB) }
+
+// open does not go through kvstore.Open: the seeded PoolSlots is not
+// part of that opener's signature.
 func (s *shardedStore) open(fs vfs.FS) error {
 	opts := shardeddb.Options{
 		Shards:    s.n,
@@ -215,41 +229,24 @@ func (s *shardedStore) open(fs vfs.FS) error {
 	}
 	db, err := shardeddb.Open(opts)
 	if err == nil {
-		s.DB = db
+		s.Store = db
 	}
 	return err
 }
 
 func (s *shardedStore) scan(visit func(key, value []byte)) error {
-	it, err := s.NewIter()
+	it, err := s.sdb().NewIter()
 	if err != nil {
 		return err
 	}
 	return scanAll(it, visit)
 }
 
-func (s *shardedStore) Resume() error {
-	for i := 0; i < s.n; i++ {
-		if err := s.Shard(i).Resume(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-func (s *shardedStore) counters() (c counters) {
-	for i := 0; i < s.n; i++ {
-		c.add(s.Shard(i).Metrics())
-	}
-	_, _, c.rolledForward, c.abortedAtOpen = s.TxnStats()
-	return c
-}
-
 func (s *shardedStore) shards() int            { return s.n }
-func (s *shardedStore) shardOf(key string) int { return s.ShardForKey([]byte(key)) }
+func (s *shardedStore) shardOf(key string) int { return s.sdb().ShardForKey([]byte(key)) }
 
 func (s *shardedStore) marker(shard int) string {
-	start, _ := s.ShardRange(shard)
+	start, _ := s.sdb().ShardRange(shard)
 	return string(start) + "\x01@cut"
 }
 
@@ -260,12 +257,4 @@ func (s *shardedStore) coordLog() string           { return "*/TXN-*" }
 
 func (s *shardedStore) describe() string {
 	return fmt.Sprintf("sharded: %d shards, %d pool slots", s.n, s.slots)
-}
-
-func (s *shardedStore) layout() string {
-	var b strings.Builder
-	for i := 0; i < s.n; i++ {
-		fmt.Fprintf(&b, "shard %d:\n%s", i, s.Shard(i).DebugLayout())
-	}
-	return b.String()
 }

@@ -32,7 +32,6 @@ package xpointdb
 
 import (
 	"io"
-	"time"
 
 	"xpointdb/internal/batch"
 	"xpointdb/internal/clock"
@@ -41,6 +40,7 @@ import (
 	"xpointdb/internal/events"
 	"xpointdb/internal/shardeddb"
 	"xpointdb/internal/sim"
+	"xpointdb/internal/simenv"
 	"xpointdb/internal/sstable"
 	"xpointdb/internal/storage"
 	"xpointdb/internal/throttle"
@@ -189,37 +189,20 @@ func OpenShardedPath(dir string, n int) (*ShardedDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := shardeddb.Options{Shards: n, Engine: DefaultOptions(nil)}
-	opts.Engine.FS = fs
-	return shardeddb.Open(opts)
+	return shardeddb.Open(shardeddb.Options{Shards: n, Engine: DefaultOptions(fs)})
 }
 
 // Simulation bundles the pieces of a virtual-time experiment: drive
 // all activity from Kernel.Run, and read device counters from Device.
-type Simulation struct {
-	Kernel *sim.Kernel
-	Device *storage.Device
-	FS     *vfs.MemFS
-	// WALDevice and WALFS are set when the WAL lives on its own
-	// device (case study C).
-	WALDevice *storage.Device
-	WALFS     *vfs.MemFS
-	// Options are the DB options, pre-wired to the clock, FS and
-	// calibrated cost model; adjust and pass to Open inside Run.
-	Options Options
-}
+// Its fields are Kernel, Device, FS, WALDevice, WALFS and Options (the
+// DB options pre-wired to the clock, FS and calibrated cost model;
+// adjust and pass to Open inside Run). WithWALDevice places the WAL on
+// a separate simulated device (case study C's NVM logging).
+type Simulation = simenv.Env
 
 // NewSimulation builds a simulated environment on the given device
 // profile. Open the DB and run the workload inside sim.Kernel.Run.
-func NewSimulation(profile DeviceProfile) *Simulation {
-	k := sim.New(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC))
-	dev := storage.New(k, profile)
-	fs := vfs.NewMem(dev)
-	opts := DefaultOptions(fs)
-	opts.Clock = k
-	opts.CostModel = costmodel.Default()
-	return &Simulation{Kernel: k, Device: dev, FS: fs, Options: opts}
-}
+func NewSimulation(profile DeviceProfile) *Simulation { return simenv.New(profile) }
 
 // NewSimulationNull returns an environment on a zero-latency in-memory
 // device with the real clock: the store as plain Go code, useful for
@@ -229,13 +212,4 @@ func NewSimulationNull() *Simulation {
 	dev := storage.New(clock.Real{}, storage.Null())
 	fs := vfs.NewMem(dev)
 	return &Simulation{Device: dev, FS: fs, Options: DefaultOptions(fs)}
-}
-
-// WithWALDevice places the WAL on a separate simulated device (case
-// study C's NVM logging). Returns s for chaining.
-func (s *Simulation) WithWALDevice(profile DeviceProfile) *Simulation {
-	s.WALDevice = storage.New(s.Kernel, profile)
-	s.WALFS = vfs.NewMem(s.WALDevice)
-	s.Options.WALFS = s.WALFS
-	return s
 }
