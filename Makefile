@@ -5,7 +5,7 @@ GO ?= go
 TORTURE_ITERS ?= 50
 FUZZTIME ?= 10s
 
-.PHONY: all tier1 tier2 tier3 bench-test bench-observability bench-smoke obs-smoke
+.PHONY: all tier1 tier2 tier3 bench-test bench-observability bench-smoke obs-smoke loc
 
 all: tier1
 
@@ -17,6 +17,12 @@ tier1:
 # `go test ./...` at the root does not reach).
 bench-test:
 	$(GO) -C bench test ./...
+
+# Code size per package and in total (non-blank, non-comment lines of
+# non-test and test Go outside bench/): the measure a simplicity PR
+# quotes. Informational, no threshold.
+loc:
+	bash scripts/loc.sh
 
 # Tier-2: vet plus the full suite under the race detector. Exercises
 # the concurrent metrics/snapshot/event paths (see

@@ -40,7 +40,7 @@ func run(profile xpointdb.DeviceProfile, writeHeavy bool) (*workload.Result, str
 			ValueSize: 1024,
 			Seed:      2020,
 		})
-		stats = db.Stats()
+		stats = db.StatsReport()
 	})
 	return res, stats
 }

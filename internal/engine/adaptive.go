@@ -11,12 +11,6 @@ package engine
 
 // adaptiveWorker runs while the DB is open, re-evaluating each window.
 func (db *DB) adaptiveWorker() {
-	defer func() {
-		db.mu.Lock()
-		db.liveWorkers--
-		db.bgCond.Broadcast()
-		db.mu.Unlock()
-	}()
 	for {
 		db.clk.Sleep(db.opts.AdaptiveWindow)
 		db.mu.Lock()

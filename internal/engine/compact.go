@@ -75,7 +75,7 @@ func (db *DB) compactWorker() {
 			// mid-compaction): picking from the still-current version
 			// would select the same inputs and double-delete them at
 			// install ("delete of absent file").
-			if db.bgErr == nil && !db.compacting {
+			if db.compactReadyLocked() {
 				if c = db.pickCompactionLocked(); c != nil {
 					break
 				}
@@ -89,120 +89,49 @@ func (db *DB) compactWorker() {
 		if db.closed {
 			break
 		}
-		if db.opts.BGPool != nil {
-			// Shared pool: take a token before running. The pick made
-			// above proves work exists and prices the priority, but it
-			// can go stale while we wait for a token — drop it and
-			// re-pick once the token is held.
-			prio := db.compactPriorityLocked(c.score)
+		held := bgHold{db: db}
+		c, backoff := db.acquireForCompactionLocked(c, &held)
+		var err error
+		if c != nil {
+			db.compacting = true
 			db.mu.Unlock()
-			db.opts.BGPool.AcquireTag(prio, db.opts.StallSource)
+			err = db.executePickedCompaction(c, &held)
+			if err != nil {
+				// A checksum failure in a live input is not retryable
+				// in place — the file is damaged. Route it to the
+				// quarantine/repair path (latches the corruption error)
+				// before the generic soft-error note below.
+				db.maybeReportCorruption(err)
+			}
 			db.mu.Lock()
-			c.base.Unref()
-			c = nil
-			if db.closed || db.bgErr != nil {
-				db.opts.BGPool.Release()
-				if db.closed {
-					break
+			db.compacting = false
+			if err != nil {
+				db.opts.logf("compaction L%d→L%d failed: %v", c.level, c.outputLevel, err)
+				if db.bgErr == nil {
+					// Inputs are still live and the pick retries: a soft
+					// error — except disk-full, which classifies hard so
+					// the recovery worker's wait-for-space path owns it
+					// (see classifySeverity). (Manifest failures latch
+					// inside commitEdit; the bgErr guard avoids
+					// double-classifying them.)
+					db.setBackgroundErrorLocked(opCompaction, err)
 				}
-				continue
+				backoff = true
+			} else {
+				db.clearSoftErrorLocked(opCompaction)
 			}
-			if db.compacting {
-				// A manual or repair compaction started while we
-				// waited for the token; re-enter the wait loop.
-				db.opts.BGPool.Release()
-				continue
-			}
-			if c = db.pickCompactionLocked(); c == nil {
-				db.opts.BGPool.Release()
-				continue
-			}
-		}
-		var reservedSpace int64
-		if db.space != nil && !c.trivialMove {
-			// Reserve headroom for the projected output (bounded by the
-			// input bytes; obsolete inputs are only freed after install).
-			// Over budget the job defers, never fails. TryReserve runs
-			// without db.mu — a ladder change notifies back into it — so
-			// the world must be re-checked before committing to the pick.
-			// A trivial move writes no bytes and skips the reservation.
-			for _, f := range c.inputs {
-				reservedSpace += f.Size
-			}
-			for _, f := range c.overlaps {
-				reservedSpace += f.Size
-			}
-			db.mu.Unlock()
-			ok := db.space.TryReserve(reservedSpace)
-			db.mu.Lock()
-			stale := db.closed || db.bgErr != nil || db.compacting
-			if !ok || stale {
-				deferred := c
-				c.base.Unref()
-				db.mu.Unlock()
-				if ok {
-					db.space.Release(reservedSpace)
-				} else {
-					db.metrics.SpaceDeferrals.Add(1)
-					db.emitCompactionDeferred(deferred, reservedSpace)
-					db.opts.logf("compaction deferred: %d B projected output over space budget", reservedSpace)
-				}
-				db.releaseBGToken()
-				if !ok && !stale {
-					db.clk.Sleep(flushRetryBackoff)
-				}
-				db.mu.Lock()
-				continue
-			}
-		}
-		db.compacting = true
-		db.mu.Unlock()
-
-		err := db.executePickedCompaction(c)
-		if reservedSpace > 0 {
-			// Outputs are tracked as used bytes now (or were removed);
-			// the reservation would double-count them.
-			db.space.Release(reservedSpace)
-		}
-
-		if err != nil {
-			// A checksum failure in a live input is not retryable in
-			// place — the file is damaged. Route it to the
-			// quarantine/repair path (latches the corruption error)
-			// before the generic soft-error note below.
-			db.maybeReportCorruption(err)
-		}
-
-		db.mu.Lock()
-		db.compacting = false
-		if err != nil {
-			db.opts.logf("compaction L%d→L%d failed: %v", c.level, c.outputLevel, err)
-			if db.bgErr == nil {
-				// Inputs are still live and the pick retries: a soft
-				// error — except disk-full, which classifies hard so
-				// the recovery worker's wait-for-space path owns it
-				// (see classifySeverity). (Manifest failures latch
-				// inside commitEdit; the bgErr guard avoids
-				// double-classifying them.)
-				db.setBackgroundErrorLocked(opCompaction, err)
-			}
-			// Wake anyone quiescing on db.compacting (error recovery).
+			// Also wakes anyone quiescing on db.compacting (recovery).
 			db.bgCond.Broadcast()
+		}
+		db.mu.Unlock()
+		// Everything goes back before the backoff or the sweep, so a
+		// sleeping worker can't starve other shards' jobs.
+		held.release()
+		switch {
+		case backoff:
 			// Timed backoff; see flushWorker for the livelock note.
-			// The token goes back first so the backoff can't starve
-			// other shards' jobs.
-			db.mu.Unlock()
-			db.releaseBGToken()
 			db.clk.Sleep(flushRetryBackoff)
-			db.mu.Lock()
-		} else {
-			db.clearSoftErrorLocked(opCompaction)
-			db.bgCond.Broadcast()
-		}
-		db.mu.Unlock()
-
-		if err == nil {
-			db.releaseBGToken()
+		case c != nil:
 			// Rate feedback for Algorithm 1: compaction that leaves
 			// L0 above the slowdown line is "behind" (Prev ≤ Esti).
 			if db.stallActive() {
@@ -215,17 +144,77 @@ func (db *DB) compactWorker() {
 		}
 		db.mu.Lock()
 	}
-	db.liveWorkers--
-	db.bgCond.Broadcast()
 	db.mu.Unlock()
+}
+
+// compactReadyLocked reports whether the background compactor may run
+// a job. Callers hold db.mu.
+func (db *DB) compactReadyLocked() bool {
+	return !db.closed && db.bgErr == nil && !db.compacting
+}
+
+// acquireForCompactionLocked takes what a background compaction holds
+// while it runs, in this order: a token of the shared pool first — the
+// pick proves work exists and prices the priority, but it can go stale
+// while parked, so it is dropped and made again once the token is held
+// — then headroom for the projected output (bounded by the input
+// bytes; obsolete inputs are only freed after install). Over budget
+// the job defers, never fails: compaction_deferred is emitted and
+// backoff asks the worker to sleep before the next pick. A trivial
+// move writes no bytes and skips the reservation. db.mu is dropped
+// around both steps, so the world is re-checked after each. It returns
+// the compaction to run, or nil when there is none; what was taken so
+// far is in held either way. Called with db.mu held, which is held on
+// return.
+func (db *DB) acquireForCompactionLocked(c *compaction, held *bgHold) (_ *compaction, backoff bool) {
+	if db.opts.BGPool != nil {
+		prio := db.compactPriorityLocked(c.score)
+		db.mu.Unlock()
+		held.acquireToken(prio)
+		db.mu.Lock()
+		c.base.Unref()
+		if !db.compactReadyLocked() {
+			return nil, false
+		}
+		if c = db.pickCompactionLocked(); c == nil {
+			return nil, false
+		}
+	}
+	if db.space == nil || c.trivialMove {
+		return c, false
+	}
+	var projected int64
+	for _, f := range c.inputs {
+		projected += f.Size
+	}
+	for _, f := range c.overlaps {
+		projected += f.Size
+	}
+	// TryReserve runs without db.mu: a ladder change notifies back
+	// into it.
+	db.mu.Unlock()
+	ok := db.space.TryReserve(projected)
+	if ok {
+		held.space = projected
+	} else {
+		db.metrics.SpaceDeferrals.Add(1)
+		db.emitCompactionDeferred(c, projected)
+		db.opts.logf("compaction deferred: %d B projected output over space budget", projected)
+	}
+	db.mu.Lock()
+	if ready := db.compactReadyLocked(); !ok || !ready {
+		c.base.Unref()
+		return nil, !ok && ready
+	}
+	return c, false
 }
 
 // executePickedCompaction runs a picked compaction on the caller's
 // goroutine — events, timing, the job itself, success metrics, cursor
-// advance, and the base unref. The caller must have set db.compacting
-// and must not hold db.mu. Shared by the background worker, manual
-// CompactRange, and the repair path.
-func (db *DB) executePickedCompaction(c *compaction) error {
+// advance, and the base unref. The caller must have set db.compacting,
+// must not hold db.mu, and releases held, which gains the job's extra
+// lane tokens. Shared by the background worker and compactNowLocked.
+func (db *DB) executePickedCompaction(c *compaction, held *bgHold) error {
 	var inputBytes, upperBytes int64
 	for _, f := range c.inputs {
 		upperBytes += f.Size
@@ -237,7 +226,7 @@ func (db *DB) executePickedCompaction(c *compaction) error {
 	db.emitCompactionBegin(c, inputBytes)
 	compStart := db.clk.Now()
 
-	stats, err := db.runCompactionJob(c)
+	stats, err := db.runCompactionJob(c, held)
 	compDur := db.clk.Now().Sub(compStart)
 	db.emitCompactionEnd(c, stats, compDur, err)
 	c.base.Unref()
@@ -250,6 +239,29 @@ func (db *DB) executePickedCompaction(c *compaction) error {
 		db.mu.Lock()
 		db.picker.noteCompacted(c)
 		db.mu.Unlock()
+	}
+	return err
+}
+
+// compactNowLocked runs c on the caller's goroutine, outside the
+// background worker's scheduling: manual CompactRange and the repair
+// path. It takes the compacting flag for the duration, so the worker
+// and other callers stay out; the caller has made sure it is free.
+// Called with db.mu held; returns with it released.
+func (db *DB) compactNowLocked(c *compaction) error {
+	db.compacting = true
+	db.mu.Unlock()
+
+	held := bgHold{db: db}
+	err := db.executePickedCompaction(c, &held)
+	held.release()
+
+	db.mu.Lock()
+	db.compacting = false
+	db.bgCond.Broadcast()
+	db.mu.Unlock()
+	if err == nil {
+		db.deleteObsoleteFiles()
 	}
 	return err
 }

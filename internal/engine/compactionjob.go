@@ -2,13 +2,11 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
 
 	"xpointdb/internal/iterator"
 	"xpointdb/internal/keys"
 	"xpointdb/internal/manifest"
 	"xpointdb/internal/sstable"
-	"xpointdb/internal/vfs"
 )
 
 // compactionStats summarizes one compaction job for events and
@@ -39,8 +37,9 @@ type subResult struct {
 // as up to MaxSubcompactions concurrent bounded merge loops — and
 // install ONE atomic version edit for the whole job, so a crash at any
 // point leaves either the old version or the new one, never a mix.
+// Extra lane tokens are added to held, which the caller releases.
 // Called without db.mu; the caller holds db.compacting.
-func (db *DB) runCompactionJob(c *compaction) (stats compactionStats, err error) {
+func (db *DB) runCompactionJob(c *compaction, held *bgHold) (stats compactionStats, err error) {
 	if c.trivialMove {
 		return db.runTrivialMove(c)
 	}
@@ -53,23 +52,9 @@ func (db *DB) runCompactionJob(c *compaction) (stats compactionStats, err error)
 	}
 	stats.subs = len(subs)
 
-	// Extra lanes come from the shared pool non-blockingly: idle slots
-	// speed the job up, but a queued flush (strictly higher priority)
-	// keeps its claim on every free token. Without a pool the job owns
-	// the machine's parallelism question alone and fans out fully.
 	lanes := 1
 	if len(subs) > 1 {
-		lanes = len(subs)
-		if db.opts.BGPool != nil {
-			db.mu.Lock()
-			prio := db.compactPriorityLocked(c.score)
-			db.mu.Unlock()
-			extra := db.opts.BGPool.TryAcquireN(prio, len(subs)-1, db.opts.StallSource)
-			if extra > 0 {
-				defer db.opts.BGPool.ReleaseN(extra)
-			}
-			lanes = 1 + extra
-		}
+		lanes += held.acquireLanes(c.score, len(subs)-1)
 	}
 
 	results := make([]subResult, len(subs))
@@ -119,7 +104,6 @@ func (db *DB) runCompactionJob(c *compaction) (stats compactionStats, err error)
 	}
 
 	var outNums []uint64
-	var firstErr error
 	for i := range results {
 		r := &results[i]
 		stats.read += r.read
@@ -127,52 +111,35 @@ func (db *DB) runCompactionJob(c *compaction) (stats compactionStats, err error)
 		stats.outputs += len(r.outputs)
 		stats.entries += r.entries
 		outNums = append(outNums, r.outNums...)
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
+		if r.err != nil && err == nil {
+			err = r.err
 		}
 	}
 	if len(subs) > 1 {
 		db.metrics.Subcompactions.Add(int64(len(subs)))
 	}
 
-	// Outputs never installed in a version have no reference protecting
-	// them — on failure they are removed here, unless a manifest-install
-	// error is latched (the durable manifest may already name them; see
-	// canDeleteFailedOutputLocked).
-	cleanup := func() {
-		db.mu.Lock()
-		del := db.canDeleteFailedOutputLocked()
-		db.mu.Unlock()
-		if !del {
-			return
+	if err == nil {
+		// One edit for the whole job: every input (and shadowed
+		// output-level file) out, every sub-compaction's outputs in.
+		// Sub-ranges are disjoint in user-key space and results are
+		// rolled up in range order, so the output-level invariants hold.
+		edit := &manifest.Edit{}
+		for _, f := range c.inputs {
+			edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: c.level, Num: f.Num})
 		}
-		for _, n := range outNums {
-			_ = db.spaceRemove(db.fs, manifest.SSTName(n))
+		for _, f := range c.overlaps {
+			edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: c.outputLevel, Num: f.Num})
 		}
-	}
-	if firstErr != nil {
-		cleanup()
-		return stats, firstErr
-	}
-
-	// One edit for the whole job: every input (and shadowed
-	// output-level file) out, every sub-compaction's outputs in.
-	// Sub-ranges are disjoint in user-key space and results are rolled
-	// up in range order, so the output-level invariants hold.
-	edit := &manifest.Edit{}
-	for _, f := range c.inputs {
-		edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: c.level, Num: f.Num})
-	}
-	for _, f := range c.overlaps {
-		edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: c.outputLevel, Num: f.Num})
-	}
-	for i := range results {
-		for _, f := range results[i].outputs {
-			edit.Added = append(edit.Added, manifest.AddedFile{Level: c.outputLevel, Meta: f})
+		for i := range results {
+			for _, f := range results[i].outputs {
+				edit.Added = append(edit.Added, manifest.AddedFile{Level: c.outputLevel, Meta: f})
+			}
 		}
+		err = db.commitEditWith(edit, c.recovery)
 	}
-	if err := db.commitEditWith(edit, c.recovery); err != nil {
-		cleanup()
+	if err != nil {
+		db.removeUninstalledOutputs(outNums)
 		return stats, err
 	}
 	db.metrics.CompactionBytesRead.Add(stats.read)
@@ -261,49 +228,28 @@ func (db *DB) runSubcompaction(c *compaction, sub subrange, res *subResult) {
 	defer merged.Close()
 
 	var (
-		builder     *sstable.Builder
-		builderFile vfs.File
-		curNum      uint64
+		out         *tableWriter // the output being filled, nil between files
 		entries     int
 		lastUserKey []byte
 		haveLast    bool
 	)
 	defer func() {
-		if res.err != nil && builder != nil {
-			_ = builderFile.Close()
+		if res.err != nil && out != nil {
+			out.abort()
 		}
 	}()
-
 	finishOutput := func() error {
-		if builder == nil {
+		if out == nil {
 			return nil
 		}
-		size, ferr := builder.Finish()
-		if ferr != nil {
-			return ferr
-		}
-		if err := builderFile.Sync(); err != nil {
+		meta, err := out.finish()
+		out = nil
+		if err != nil {
 			return err
 		}
-		if db.opts.ParanoidFileChecks {
-			if err := db.paranoidVerify(builderFile, size, curNum, builder.Checksum()); err != nil {
-				return err
-			}
-		}
-		if err := builderFile.Close(); err != nil {
-			return err
-		}
-		db.spaceTrack(manifest.SSTName(curNum), size)
-		db.pacer.Wait(db.clk, size)
-		res.outputs = append(res.outputs, &manifest.FileMeta{
-			Num:      curNum,
-			Size:     size,
-			Smallest: builder.Smallest(),
-			Largest:  builder.Largest(),
-			Checksum: builder.Checksum(),
-		})
-		res.written += size
-		builder = nil
+		db.pacer.Wait(db.clk, meta.Size)
+		res.outputs = append(res.outputs, meta)
+		res.written += meta.Size
 		return nil
 	}
 
@@ -333,9 +279,8 @@ func (db *DB) runSubcompaction(c *compaction, sub subrange, res *subResult) {
 			// snapshots can retain several versions of one key, so
 			// cutting on size alone could strand versions of the
 			// same key in adjacent files — an invalid version edit.
-			if builder != nil && builder.EstimatedSize() >= db.opts.TargetFileSize {
-				if err := finishOutput(); err != nil {
-					res.err = err
+			if out != nil && out.estimatedSize() >= db.opts.TargetFileSize {
+				if res.err = finishOutput(); res.err != nil {
 					return
 				}
 			}
@@ -362,34 +307,23 @@ func (db *DB) runSubcompaction(c *compaction, sub subrange, res *subResult) {
 			continue
 		}
 
-		if builder == nil {
+		if out == nil {
 			db.mu.Lock()
-			curNum = db.vs.AllocFileNum()
+			num := db.vs.AllocFileNum()
 			db.mu.Unlock()
-			res.outNums = append(res.outNums, curNum)
-			f, cerr := db.fs.Create(manifest.SSTName(curNum))
-			if cerr != nil {
-				res.err = fmt.Errorf("engine: create compaction output: %w", cerr)
+			res.outNums = append(res.outNums, num)
+			if out, res.err = db.newTableWriter(num); res.err != nil {
 				return
 			}
-			builderFile = f
-			builder = sstable.NewBuilder(f, sstable.BuilderOptions{
-				BlockSize:       db.opts.BlockSize,
-				BloomBitsPerKey: db.opts.BloomBitsPerKey,
-				Compression:     db.opts.Compression,
-			})
 		}
-		if err := builder.Add(ikey, merged.Value()); err != nil {
-			res.err = err
+		if res.err = out.add(ikey, merged.Value()); res.err != nil {
 			return
 		}
 	}
-	if err := merged.Error(); err != nil {
-		res.err = err
+	if res.err = merged.Error(); res.err != nil {
 		return
 	}
-	if err := finishOutput(); err != nil {
-		res.err = err
+	if res.err = finishOutput(); res.err != nil {
 		return
 	}
 	if db.cost != nil {

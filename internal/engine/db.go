@@ -151,9 +151,9 @@ type DB struct {
 	// Stopped only fires if the epoch it captured is still current.
 	spaceState     throttle.State
 	spaceStopEpoch uint64
-	closed     bool
-	liveWorkers   int
-	memBudget     int64 // current memtable size target (adaptive L0)
+	closed         bool
+	liveWorkers    int
+	memBudget      int64 // current memtable size target (adaptive L0)
 
 	// scrubDebt is the scrubber's accumulated pacing time owed; only
 	// the scrub worker touches it (scrub.go).
@@ -174,6 +174,10 @@ type DB struct {
 	// sweeps counts in-flight deleteObsoleteFiles calls; recovery
 	// quiesces on it before mutating version-set state outside db.mu.
 	sweeps int
+	// keptOutputs are SSTs of failed jobs left on disk because a latched
+	// manifest failure may name them (removeUninstalledOutputs); the
+	// manifest roll that heals the latch removes them.
+	keptOutputs []uint64
 
 	// snapsMu guards snapshots, which maps live snapshots to their
 	// pinned sequence numbers; compaction preserves versions at these
@@ -265,34 +269,21 @@ func Open(opts Options) (*DB, error) {
 	}
 
 	db.mu.Lock()
-	db.liveWorkers = 2
-	db.mu.Unlock()
-	clk.Go("flush-worker", db.flushWorker)
-	clk.Go("compact-worker", db.compactWorker)
+	db.startWorkerLocked("flush-worker", db.flushWorker)
+	db.startWorkerLocked("compact-worker", db.compactWorker)
 	if opts.AdaptiveL0 {
-		db.mu.Lock()
-		db.liveWorkers++
-		db.mu.Unlock()
-		clk.Go("adaptive-l0", db.adaptiveWorker)
+		db.startWorkerLocked("adaptive-l0", db.adaptiveWorker)
 	}
 	if opts.StatsDumpInterval > 0 && (opts.StatsWriter != nil || opts.Logger != nil) {
-		db.mu.Lock()
-		db.liveWorkers++
-		db.mu.Unlock()
-		clk.Go("stats-worker", db.statsWorker)
+		db.startWorkerLocked("stats-worker", db.statsWorker)
 	}
 	if !opts.DisableAutoRecovery {
-		db.mu.Lock()
-		db.liveWorkers++
-		db.mu.Unlock()
-		clk.Go("recovery-worker", db.recoveryWorker)
+		db.startWorkerLocked("recovery-worker", db.recoveryWorker)
 	}
 	if !opts.DisableScrub {
-		db.mu.Lock()
-		db.liveWorkers++
-		db.mu.Unlock()
-		clk.Go("scrub-worker", db.scrubWorker)
+		db.startWorkerLocked("scrub-worker", db.scrubWorker)
 	}
+	db.mu.Unlock()
 
 	if db.space != nil {
 		db.seedSpaceAccounting()
@@ -397,9 +388,7 @@ func (db *DB) newWALLocked() error {
 	if err != nil {
 		return fmt.Errorf("engine: create wal: %w", err)
 	}
-	db.walFile = f
-	db.walWriter = wal.NewWriter(f)
-	db.walNum = num
+	db.installWALLocked(num, f)
 	db.spaceTrack(manifest.WALName(num), 0)
 	return nil
 }
@@ -441,8 +430,20 @@ func (db *DB) replayWALs() error {
 	db.vs.MarkSeq(maxSeq)
 	if !mem.Empty() {
 		// Flush the recovered memtable straight to L0 so recovery
-		// leaves no WAL dependencies behind.
-		if err := db.flushMemToL0(mem, nil); err != nil {
+		// leaves no WAL dependencies behind. No SuperVersion exists
+		// yet, so the edit goes to the version set directly; a failure
+		// is latched as commitEditWith would, so the flush job keeps an
+		// output the MANIFEST may already name.
+		commit := func(edit *manifest.Edit) error {
+			err := db.vs.LogAndApply(edit)
+			db.mu.Lock()
+			db.setBackgroundErrorLocked(opManifestAppend, err)
+			db.mu.Unlock()
+			return err
+		}
+		db.mu.Lock()
+		_, err := db.flushImmLocked(flushedMem{mem: mem, maxSeq: maxSeq, reason: "recovery"}, commit)
+		if err != nil {
 			return err
 		}
 	}

@@ -27,13 +27,13 @@ func (db *DB) emitFlushBegin(reason string, walNum uint64, bytes int64, immutabl
 	})
 }
 
-func (db *DB) emitFlushEnd(reason string, walNum, outputFile uint64, bytes int64, l0Files int, d time.Duration, err error) {
+func (db *DB) emitFlushEnd(fm flushedMem, outputFile uint64, bytes int64, l0Files int, d time.Duration, err error) {
 	if db.ev == nil {
 		return
 	}
 	f := &events.Flush{
-		Reason:     reason,
-		WALNum:     walNum,
+		Reason:     fm.reason,
+		WALNum:     fm.walNum,
 		OutputFile: outputFile,
 		Bytes:      bytes,
 		L0Files:    l0Files,

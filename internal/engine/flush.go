@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
-	"xpointdb/internal/iterator"
 	"xpointdb/internal/manifest"
-	"xpointdb/internal/sstable"
+	"xpointdb/internal/memtable"
 	"xpointdb/internal/throttle"
 )
 
@@ -17,7 +15,7 @@ func (db *DB) flushWorker() {
 	for {
 		// Idle while a background error is latched: retrying a flush
 		// against a failed MANIFEST or WAL only multiplies damage.
-		for !db.closed && (len(db.imms) == 0 || db.bgErr != nil) {
+		for !db.closed && !db.flushReadyLocked() {
 			if len(db.imms) == 0 {
 				// Nothing left to retry: a soft-error note from a
 				// failed attempt is stale (error recovery may have
@@ -31,144 +29,154 @@ func (db *DB) flushWorker() {
 			// are recovered on the next open.
 			break
 		}
-		var reservedSpace int64
-		if db.space != nil {
-			// Reserve headroom for the projected L0 output before taking
-			// any shared resource: over budget the job defers — it does
-			// not fail — until reclamation or a budget raise makes room.
-			projected := db.imms[0].mem.ApproximateSize()
+		held := bgHold{db: db}
+		if !db.acquireForFlushLocked(&held) {
+			// Closing, or the queue drained while parked.
 			db.mu.Unlock()
-			ok := db.reserveSpace(projected, "flush")
+			held.release()
 			db.mu.Lock()
-			if !ok {
-				continue // closing; the wait loop re-checks
-			}
-			reservedSpace = projected
-			if db.closed || len(db.imms) == 0 || db.bgErr != nil {
-				// Release without db.mu: a ladder-state change notifies
-				// subscribers, which re-take db.mu.
-				db.mu.Unlock()
-				db.space.Release(reservedSpace)
-				db.mu.Lock()
-				continue
-			}
+			continue
 		}
-		if db.opts.BGPool != nil {
-			// Shared pool: take a token before running the job. Drop
-			// db.mu while blocked (the pool parks on its own cond), and
-			// re-check the world afterwards — the queue may have been
-			// drained by error recovery, or the DB closed.
-			prio := db.flushPriorityLocked()
-			db.mu.Unlock()
-			db.opts.BGPool.AcquireTag(prio, db.opts.StallSource)
-			db.mu.Lock()
-			if db.closed || len(db.imms) == 0 || db.bgErr != nil {
-				db.opts.BGPool.Release()
-				if reservedSpace > 0 {
-					db.mu.Unlock()
-					db.space.Release(reservedSpace)
-					db.mu.Lock()
-				}
-				continue
-			}
-		}
-		fm := db.imms[0]
-		num := db.vs.AllocFileNum()
-		db.flushing = true
-		queued := len(db.imms)
-		db.mu.Unlock()
-
-		memBytes := fm.mem.ApproximateSize()
-		db.emitFlushBegin(fm.reason, fm.walNum, memBytes, queued)
-		flushStart := db.clk.Now()
-
-		meta, err := db.buildTable(num, newMemIter(fm.mem))
-		if err == nil {
-			// The new L0 file supersedes fm's WAL; logs strictly
-			// older than the next surviving memtable's WAL can go.
-			db.mu.Lock()
-			logNum := db.walNum
-			if len(db.imms) > 1 {
-				logNum = db.imms[1].walNum
-			}
-			db.mu.Unlock()
-			seq := fm.maxSeq
-			edit := &manifest.Edit{
-				LogNum:  &logNum,
-				LastSeq: &seq,
-				Added:   []manifest.AddedFile{{Level: 0, Meta: meta}},
-			}
-			err = db.commitEdit(edit)
-		}
-		if reservedSpace > 0 {
-			// The output is now tracked as used bytes (or was removed);
-			// holding the reservation longer would double-count it.
-			db.space.Release(reservedSpace)
-		}
-
-		db.mu.Lock()
-		db.flushing = false
-		l0Files := db.vs.Current().NumFiles(0)
+		l0Files, err := db.flushImmLocked(db.imms[0], db.commitEdit)
+		// Everything goes back before the backoff or the sweep: a
+		// sleeping worker must not starve other shards' jobs.
+		held.release()
 		if err != nil {
-			db.opts.logf("flush failed: %v", err)
-			if db.bgErr == nil {
-				// The SST build failed but WAL and MANIFEST are fine.
-				// Classification decides the cost: transient I/O is a
-				// soft error — the immutable stays queued and the retry
-				// below usually heals it — while disk-full latches hard
-				// so writers fail fast and the recovery worker's
-				// wait-for-space path owns reclamation (retrying an SST
-				// build into a full disk can never succeed, and the
-				// stalled write leader has nothing to fail on).
-				// (Manifest failures latched inside commitEdit; the
-				// bgErr guard avoids double-classifying them.)
-				db.setBackgroundErrorLocked(opFlush, err)
-			}
-			delOutput := db.canDeleteFailedOutputLocked()
-			// Wake anyone quiescing on db.flushing (error recovery).
-			db.bgCond.Broadcast()
-			db.mu.Unlock()
-			db.emitFlushEnd(fm.reason, fm.walNum, num, 0, l0Files,
-				db.clk.Now().Sub(flushStart), err)
-			if delOutput {
-				// The output was never installed in any version, so no
-				// reference protects it; remove it directly.
-				_ = db.spaceRemove(db.fs, manifest.SSTName(num))
-			}
-			// Give the token back before backing off: a sleeping
-			// worker must not starve other shards' jobs.
-			db.releaseBGToken()
-			// Leave the immutable queued and retry after a timed
-			// backoff. (An untimed cond wait here can livelock with
-			// a write leader stalled on the full immutable queue:
-			// each would wait for the other's signal.)
+			// The immutable stays queued; retry after a timed backoff.
+			// (An untimed cond wait here can livelock with a write
+			// leader stalled on the full immutable queue: each would
+			// wait for the other's signal.)
 			db.clk.Sleep(flushRetryBackoff)
 		} else {
-			db.clearSoftErrorLocked(opFlush)
-			db.imms = db.imms[1:]
-			db.installSuperVersionLocked("flush")
-			db.metrics.Flushes.Add(1)
-			db.metrics.FlushBytes.Add(meta.Size)
 			// Algorithm 1 rate feedback: a completed flush grew L0;
 			// if the tree is in a stall zone, compaction is behind.
-			behind := l0Files >= db.opts.L0SlowdownTrigger
-			db.bgCond.Broadcast()
-			db.mu.Unlock()
-			flushDur := db.clk.Now().Sub(flushStart)
-			db.metrics.FlushLatency.Record(flushDur)
-			db.metrics.Levels[0].recordCompaction(memBytes, 0, meta.Size, flushDur)
-			db.emitFlushEnd(fm.reason, fm.walNum, num, meta.Size, l0Files, flushDur, nil)
 			if db.stallActive() {
-				db.controller.AdjustRate(behind)
+				db.controller.AdjustRate(l0Files >= db.opts.L0SlowdownTrigger)
 			}
-			db.releaseBGToken()
 			db.deleteObsoleteFiles()
 		}
 		db.mu.Lock()
 	}
-	db.liveWorkers--
+	db.mu.Unlock()
+}
+
+// flushReadyLocked reports whether the flush worker has a job it may
+// run. Callers hold db.mu.
+func (db *DB) flushReadyLocked() bool {
+	return !db.closed && len(db.imms) > 0 && db.bgErr == nil
+}
+
+// acquireForFlushLocked takes what a flush holds while it runs, in
+// this order: headroom for the projected L0 output first — over budget
+// the job defers, it does not fail, until reclamation or a budget
+// raise makes room — then a token of the shared pool. db.mu is dropped
+// while parked on either, so the world is re-checked after each: the
+// queue may have been drained by error recovery, or the DB closed. A
+// false return means there is nothing to run; what was taken so far is
+// in held either way. Called with db.mu held, which is held on return.
+func (db *DB) acquireForFlushLocked(held *bgHold) bool {
+	if db.space != nil {
+		projected := db.imms[0].mem.ApproximateSize()
+		db.mu.Unlock()
+		ok := db.reserveSpace(projected, "flush")
+		db.mu.Lock()
+		if !ok {
+			return false // closing
+		}
+		held.space = projected
+		if !db.flushReadyLocked() {
+			return false
+		}
+	}
+	if db.opts.BGPool != nil {
+		prio := db.flushPriorityLocked()
+		db.mu.Unlock()
+		held.acquireToken(prio)
+		db.mu.Lock()
+	}
+	return db.flushReadyLocked()
+}
+
+// flushImmLocked is the flush job: it writes one immutable memtable as
+// a Level-0 SST and installs it. It owns the file number, the version
+// edit, the flush_begin/flush_end pair, the failed-output cleanup, the
+// retirement of fm from the immutable queue and the flush accounting;
+// the flush worker, the recovery drain and open-time WAL replay all
+// run it. commit is its one varying input: the worker commits through
+// commitEdit, the drain with the recovery bypass, and WAL replay —
+// which runs before the first SuperVersion exists and flushes a
+// memtable that was never queued — applies the edit to the version set
+// directly. It returns the Level-0 file count after the attempt.
+// Called with db.mu held; returns with it released.
+func (db *DB) flushImmLocked(fm flushedMem, commit func(*manifest.Edit) error) (l0Files int, err error) {
+	num := db.vs.AllocFileNum()
+	queued := len(db.imms)
+	db.flushing = true
+	db.mu.Unlock()
+
+	memBytes := fm.mem.ApproximateSize()
+	db.emitFlushBegin(fm.reason, fm.walNum, memBytes, queued)
+	start := db.clk.Now()
+
+	meta, err := db.buildTable(num, fm.mem)
+	if err == nil {
+		// The new L0 file supersedes fm's WAL; logs strictly older
+		// than the next surviving memtable's WAL can go.
+		db.mu.Lock()
+		logNum := db.walNum
+		if len(db.imms) > 1 {
+			logNum = db.imms[1].walNum
+		}
+		db.mu.Unlock()
+		err = commit(&manifest.Edit{
+			LogNum:  &logNum,
+			LastSeq: &fm.maxSeq,
+			Added:   []manifest.AddedFile{{Level: 0, Meta: meta}},
+		})
+	}
+
+	db.mu.Lock()
+	db.flushing = false
+	l0Files = db.vs.Current().NumFiles(0)
+	if err != nil {
+		db.opts.logf("flush failed: %v", err)
+		if db.bgErr == nil {
+			// The SST build failed but WAL and MANIFEST are fine.
+			// Classification decides the cost: transient I/O is a soft
+			// error — the immutable stays queued and the worker's retry
+			// usually heals it — while disk-full latches hard so
+			// writers fail fast and the recovery worker's
+			// wait-for-space path owns reclamation (retrying an SST
+			// build into a full disk can never succeed, and the stalled
+			// write leader has nothing to fail on). (Manifest failures
+			// latched inside commit; the bgErr guard avoids
+			// double-classifying them, and makes this a no-op under the
+			// latch a recovery drain runs with.)
+			db.setBackgroundErrorLocked(opFlush, err)
+		}
+		// Wake anyone quiescing on db.flushing (error recovery).
+		db.bgCond.Broadcast()
+		db.mu.Unlock()
+		db.emitFlushEnd(fm, num, 0, l0Files, db.clk.Now().Sub(start), err)
+		db.removeUninstalledOutputs([]uint64{num})
+		return l0Files, err
+	}
+	db.clearSoftErrorLocked(opFlush)
+	if len(db.imms) > 0 {
+		// fm heads the queue — except at open, where WAL replay flushes
+		// a memtable no reader could see yet.
+		db.imms = db.imms[1:]
+		db.installSuperVersionLocked("flush")
+	}
+	db.metrics.Flushes.Add(1)
+	db.metrics.FlushBytes.Add(meta.Size)
 	db.bgCond.Broadcast()
 	db.mu.Unlock()
+	dur := db.clk.Now().Sub(start)
+	db.metrics.FlushLatency.Record(dur)
+	db.metrics.Levels[0].recordCompaction(memBytes, 0, meta.Size, dur)
+	db.emitFlushEnd(fm, num, meta.Size, l0Files, dur, nil)
+	return l0Files, nil
 }
 
 // compactChargeBatch is how many merged entries of CPU cost are
@@ -212,78 +220,41 @@ func (db *DB) compactPriorityLocked(score float64) float64 {
 	return float64(l0)/float64(db.opts.L0SlowdownTrigger)*100 + tie
 }
 
-// releaseBGToken returns the shared-pool token, if pools are in use.
-func (db *DB) releaseBGToken() {
-	if db.opts.BGPool != nil {
-		db.opts.BGPool.Release()
-	}
-}
-
 // stallActive reports whether any throttling state is in force.
 func (db *DB) stallActive() bool {
 	s := db.controller.CurrentState()
 	return s == throttle.StateDelayed || s == throttle.StateAggressive
 }
 
-// buildTable writes all entries of src into SST file num. Called
-// without db.mu.
-func (db *DB) buildTable(num uint64, src iterator.Iterator) (*manifest.FileMeta, error) {
-	name := manifest.SSTName(num)
-	f, err := db.fs.Create(name)
+// buildTable writes every entry of mem into SST file num, charging
+// merge CPU as it goes so the flush occupies virtual time while it
+// runs, not as a lump at the end. Called without db.mu.
+func (db *DB) buildTable(num uint64, mem *memtable.Memtable) (*manifest.FileMeta, error) {
+	w, err := db.newTableWriter(num)
 	if err != nil {
-		return nil, fmt.Errorf("engine: create %s: %w", name, err)
+		return nil, err
 	}
-	b := sstable.NewBuilder(f, sstable.BuilderOptions{
-		BlockSize:       db.opts.BlockSize,
-		BloomBitsPerKey: db.opts.BloomBitsPerKey,
-		Compression:     db.opts.Compression,
-	})
+	src := newMemIter(mem)
 	entries := 0
 	for src.SeekToFirst(); src.Valid(); src.Next() {
-		if err := b.Add(src.Key(), src.Value()); err != nil {
-			f.Close()
+		if err := w.add(src.Key(), src.Value()); err != nil {
+			w.abort()
 			return nil, err
 		}
 		entries++
-		// Charge merge CPU as we go so the flush occupies virtual
-		// time while it runs, not as a lump at the end.
 		if db.cost != nil && entries%compactChargeBatch == 0 {
 			db.cost.ChargeCompactEntries(db.clk, compactChargeBatch)
 		}
 	}
 	if err := src.Error(); err != nil {
-		f.Close()
+		w.abort()
 		return nil, err
 	}
-	size, err := b.Finish()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if db.opts.ParanoidFileChecks {
-		if err := db.paranoidVerify(f, size, num, b.Checksum()); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	db.spaceTrack(name, size)
-	if db.cost != nil {
+	meta, err := w.finish()
+	if err == nil && db.cost != nil {
 		db.cost.ChargeCompactEntries(db.clk, entries%compactChargeBatch)
 	}
-	return &manifest.FileMeta{
-		Num:      num,
-		Size:     size,
-		Smallest: b.Smallest(),
-		Largest:  b.Largest(),
-		Checksum: b.Checksum(),
-	}, nil
+	return meta, err
 }
 
 // commitEdit durably applies a version edit: manifest I/O outside
@@ -313,11 +284,10 @@ func (db *DB) commitEditWith(edit *manifest.Edit, recovery bool) error {
 	db.mu.Unlock()
 
 	err := db.vs.Append(payload)
-	if err == nil {
-		// Charge the appended edit to the live MANIFEST (stable while
-		// manifestBusy is held; record framing is a few bytes, ignored).
-		db.spaceGrow(manifest.ManifestName(db.vs.ManifestNum()), int64(len(payload)))
-	}
+	// Charge the appended edit to the live MANIFEST (stable while
+	// manifestBusy is held). A failed append counts too: its bytes are
+	// in the file until recovery rolls it away.
+	db.spaceTrack(manifest.ManifestName(db.vs.ManifestNum()), db.vs.ManifestSize())
 
 	db.mu.Lock()
 	db.manifestBusy = false

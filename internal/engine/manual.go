@@ -1,12 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"strings"
-	"time"
-
-	"xpointdb/internal/manifest"
-)
+import "xpointdb/internal/manifest"
 
 // CompactRange compacts every level holding data overlapping the user
 // key range [start, end] down the tree, level by level, until each
@@ -46,58 +40,5 @@ func (db *DB) compactLevelRange(level int, start, end []byte) error {
 		db.mu.Unlock()
 		return nil
 	}
-	db.compacting = true
-	db.mu.Unlock()
-
-	err := db.executePickedCompaction(c)
-
-	db.mu.Lock()
-	db.compacting = false
-	db.bgCond.Broadcast()
-	db.mu.Unlock()
-	if err == nil {
-		db.deleteObsoleteFiles()
-	}
-	return err
-}
-
-// Stats renders a human-readable status report, in the spirit of
-// RocksDB's GetProperty("rocksdb.stats").
-func (db *DB) Stats() string {
-	db.mu.Lock()
-	v := db.vs.Current()
-	memSize := db.mem.ApproximateSize()
-	memBudget := db.memBudget
-	imms := len(db.imms)
-	stall := db.stallState
-	db.mu.Unlock()
-
-	m := db.metrics
-	var b strings.Builder
-	fmt.Fprintf(&b, "** LSM state **\n")
-	fmt.Fprintf(&b, "memtable: %d/%d bytes, %d immutable(s) pending, stall=%v\n", memSize, memBudget, imms, stall)
-	for l := 0; l < manifest.NumLevels; l++ {
-		if v.NumFiles(l) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "L%d: %3d files %12d bytes\n", l, v.NumFiles(l), v.LevelBytes(l))
-	}
-	fmt.Fprintf(&b, "** Background **\n")
-	fmt.Fprintf(&b, "flushes: %d (%d bytes)   compactions: %d (read %d, wrote %d bytes, %d entries)\n",
-		m.Flushes.Load(), m.FlushBytes.Load(), m.Compactions.Load(),
-		m.CompactionBytesRead.Load(), m.CompactionBytesWritten.Load(), m.CompactionEntriesMerged.Load())
-	fmt.Fprintf(&b, "stalls: delay=%v stop=%v in %d episodes; delayed_write_rate=%.1f MB/s\n",
-		time.Duration(m.StallDelayTotal.Load()).Round(time.Microsecond),
-		time.Duration(m.StallStopTotal.Load()).Round(time.Microsecond),
-		m.StallStops.Load(), db.controller.Rate()/(1<<20))
-	fmt.Fprintf(&b, "** Reads **\n")
-	fmt.Fprintf(&b, "get: %s\n", m.GetLatency.String())
-	fmt.Fprintf(&b, "hits: mem=%d imm=%d L0=%d deep=%d miss=%d; L0 probes=%d bloom skips=%d\n",
-		m.GetHitMemtable.Load(), m.GetHitImmutable.Load(), m.GetHitL0.Load(),
-		m.GetHitDeep.Load(), m.GetMisses.Load(), m.L0TablesProbed.Load(), m.BloomSkips.Load())
-	fmt.Fprintf(&b, "** Writes **\n")
-	fmt.Fprintf(&b, "write: %s\n", m.WriteLatency.String())
-	fmt.Fprintf(&b, "wal:   %s\n", m.WALLatency.String())
-	fmt.Fprintf(&b, "waiting writers: mean %.2f max %d\n", m.WaitingWriters.Mean(), m.WaitingWriters.Max())
-	return b.String()
+	return db.compactNowLocked(c)
 }

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestCompactRangePushesDataDown(t *testing.T) {
 	db, _ := newTestDB(t, func(o *Options) {
@@ -89,21 +86,6 @@ func TestCompactRangeDropsTombstones(t *testing.T) {
 	for i := 0; i < 500; i += 17 {
 		if _, err := db.Get(testKey(i)); err != ErrNotFound {
 			t.Fatalf("deleted key %d: %v", i, err)
-		}
-	}
-}
-
-func TestStatsRendering(t *testing.T) {
-	db, _ := newTestDB(t, nil)
-	defer db.Close()
-	for i := 0; i < 300; i++ {
-		db.Put(testKey(i), testValue(i))
-	}
-	db.Get(testKey(1))
-	s := db.Stats()
-	for _, want := range []string{"LSM state", "memtable:", "flushes:", "get:", "waiting writers"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("Stats missing %q:\n%s", want, s)
 		}
 	}
 }

@@ -7,8 +7,6 @@ import (
 
 	"xpointdb/internal/events"
 	"xpointdb/internal/manifest"
-	"xpointdb/internal/memtable"
-	"xpointdb/internal/wal"
 )
 
 // Automatic background-error recovery (RocksDB's ErrorHandler
@@ -29,8 +27,7 @@ import (
 // by Close.
 
 // recoveryQuantum bounds each slice of a recovery backoff sleep so a
-// concurrent Close is noticed promptly (clock.Cond has no timed wait;
-// statsQuantum uses the same pattern).
+// concurrent Close is noticed promptly (see sleepUnlessClosed).
 const recoveryQuantum = 5 * time.Millisecond
 
 // needsRecoveryLocked reports whether an automatic attempt should
@@ -66,8 +63,6 @@ func (db *DB) recoveryWorker() {
 		db.recovering = false
 		db.bgCond.Broadcast()
 	}
-	db.liveWorkers--
-	db.bgCond.Broadcast()
 	db.mu.Unlock()
 }
 
@@ -120,7 +115,7 @@ func (db *DB) runRecoveryLoop() {
 			})
 			return
 		}
-		if db.sleepRecoveryBackoff(backoff) {
+		if db.sleepUnlessClosed(backoff, recoveryQuantum) {
 			return
 		}
 		backoff *= 2
@@ -128,27 +123,6 @@ func (db *DB) runRecoveryLoop() {
 			backoff = db.opts.RecoveryMaxBackoff
 		}
 	}
-}
-
-// sleepRecoveryBackoff sleeps d in recoveryQuantum slices, returning
-// true early if the DB closed (a plain Sleep could stall Close by a
-// full backoff).
-func (db *DB) sleepRecoveryBackoff(d time.Duration) bool {
-	for d > 0 {
-		db.mu.Lock()
-		closed := db.closed
-		db.mu.Unlock()
-		if closed {
-			return true
-		}
-		step := d
-		if step > recoveryQuantum {
-			step = recoveryQuantum
-		}
-		db.clk.Sleep(step)
-		d -= step
-	}
-	return false
 }
 
 // recoverOnce executes one repair attempt for the latched error and,
@@ -247,17 +221,11 @@ func (db *DB) recoverWAL() error {
 
 	db.mu.Lock()
 	oldFile := db.walFile
-	db.walFile = newFile
-	db.walWriter = wal.NewWriter(newFile)
-	db.walNum = newNum
+	db.installWALLocked(newNum, newFile)
 	if !db.mem.Empty() {
 		// The mutable memtable's writes live only in the dead log;
 		// queue it so the drain below makes them durable in SSTs.
-		db.imms = append(db.imms, flushedMem{
-			mem: db.mem, walNum: oldNum, maxSeq: db.lastSeq, reason: "recovery",
-		})
-		db.mem = memtable.New(db.memBudget)
-		db.installSuperVersionLocked("recovery")
+		db.queueMemLocked(oldNum, "recovery")
 	}
 	db.mu.Unlock()
 	if oldFile != nil {
@@ -288,20 +256,36 @@ func (db *DB) recoverManifest() error {
 
 	// Roll mutates only version-set state; every other mutator is
 	// either quiesced or excluded by manifestBusy.
+	superseded := manifest.ManifestName(db.vs.ManifestNum())
 	err := db.vs.Roll()
-	if err == nil && db.space != nil {
-		name := manifest.ManifestName(db.vs.ManifestNum())
-		if size, serr := db.fs.Size(name); serr == nil {
-			db.spaceTrack(name, size)
-		}
+	if err == nil {
+		db.spaceUntrack(superseded) // Roll removed it itself
+		db.spaceTrack(manifest.ManifestName(db.vs.ManifestNum()), db.vs.ManifestSize())
 	}
 
 	db.mu.Lock()
 	db.manifestBusy = false
+	var kept []uint64
+	if err == nil {
+		// The superseded MANIFEST was the only thing that could name an
+		// output kept after a failed append; the fresh one snapshots the
+		// in-memory version, so whatever that does not hold is garbage
+		// now. (A crash before this point leaves it to the open-time
+		// orphan sweep.)
+		for _, n := range db.keptOutputs {
+			if level, _ := db.fileLevelLocked(n); level < 0 {
+				kept = append(kept, n)
+			}
+		}
+		db.keptOutputs = nil
+	}
 	db.bgCond.Broadcast()
 	db.mu.Unlock()
 	if err != nil {
 		return err
+	}
+	for _, n := range kept {
+		_ = db.spaceRemove(db.fs, manifest.SSTName(n))
 	}
 	return db.recoveryDrainImms()
 }
@@ -323,11 +307,12 @@ func (db *DB) recoverSpace() error {
 	return db.recoveryDrainImms()
 }
 
-// recoveryDrainImms flushes every queued immutable memtable to Level 0,
-// committing the edits with the recovery bypass. When it returns nil,
-// every acknowledged write is durable in SSTs — the precondition for
-// clearing the latch.
+// recoveryDrainImms flushes every queued immutable memtable to Level 0
+// with the flush job, committing the edits with the recovery bypass.
+// When it returns nil, every acknowledged write is durable in SSTs —
+// the precondition for clearing the latch.
 func (db *DB) recoveryDrainImms() error {
+	commit := func(edit *manifest.Edit) error { return db.commitEditWith(edit, true) }
 	for {
 		db.mu.Lock()
 		if db.closed {
@@ -338,49 +323,9 @@ func (db *DB) recoveryDrainImms() error {
 			db.mu.Unlock()
 			return nil
 		}
-		fm := db.imms[0]
-		num := db.vs.AllocFileNum()
-		logNum := db.walNum
-		if len(db.imms) > 1 {
-			logNum = db.imms[1].walNum
-		}
-		queued := len(db.imms)
-		db.mu.Unlock()
-
-		db.emitFlushBegin(fm.reason, fm.walNum, fm.mem.ApproximateSize(), queued)
-		flushStart := db.clk.Now()
-		meta, err := db.buildTable(num, newMemIter(fm.mem))
-		if err == nil {
-			seq := fm.maxSeq
-			err = db.commitEditWith(&manifest.Edit{
-				LogNum:  &logNum,
-				LastSeq: &seq,
-				Added:   []manifest.AddedFile{{Level: 0, Meta: meta}},
-			}, true)
-		}
-
-		db.mu.Lock()
-		l0Files := db.vs.Current().NumFiles(0)
-		if err != nil {
-			del := db.canDeleteFailedOutputLocked()
-			db.mu.Unlock()
-			db.emitFlushEnd(fm.reason, fm.walNum, num, 0, l0Files,
-				db.clk.Now().Sub(flushStart), err)
-			if del {
-				_ = db.spaceRemove(db.fs, manifest.SSTName(num))
-			}
+		if _, err := db.flushImmLocked(db.imms[0], commit); err != nil {
 			return err
 		}
-		db.imms = db.imms[1:]
-		db.installSuperVersionLocked("recovery")
-		db.metrics.Flushes.Add(1)
-		db.metrics.FlushBytes.Add(meta.Size)
-		db.bgCond.Broadcast()
-		db.mu.Unlock()
-		flushDur := db.clk.Now().Sub(flushStart)
-		db.metrics.FlushLatency.Record(flushDur)
-		db.metrics.Levels[0].recordCompaction(fm.mem.ApproximateSize(), 0, meta.Size, flushDur)
-		db.emitFlushEnd(fm.reason, fm.walNum, num, meta.Size, l0Files, flushDur, nil)
 	}
 }
 

@@ -191,21 +191,10 @@ func (db *DB) quarantineFile(level int, meta *manifest.FileMeta, ce *sstable.Cor
 func (db *DB) repairCompaction(level int, meta *manifest.FileMeta) error {
 	db.mu.Lock()
 	c := db.picker.pickRepair(db.vs.Current(), level, meta, db.liveSnapshotSeqs())
-	// Exclude a concurrent manual CompactRange for the duration (the
-	// background compactor is already idling on the latch).
-	db.compacting = true
-	db.mu.Unlock()
-
-	err := db.executePickedCompaction(c)
-
-	db.mu.Lock()
-	db.compacting = false
-	db.bgCond.Broadcast()
-	db.mu.Unlock()
-	if err == nil {
-		db.deleteObsoleteFiles()
-	}
-	return err
+	// Takes the compacting flag, excluding a concurrent manual
+	// CompactRange for the duration (the background compactor is
+	// already idling on the latch).
+	return db.compactNowLocked(c)
 }
 
 // declareDataLoss drops the unreadable file from the version and

@@ -312,35 +312,7 @@ const statsQuantum = 200 * time.Millisecond
 // statsWorker periodically writes StatsReport to Options.StatsWriter
 // (or the debug logger) every StatsDumpInterval of engine-clock time.
 func (db *DB) statsWorker() {
-	interval := db.opts.StatsDumpInterval
-	var sinceDump time.Duration
-	for {
-		db.mu.Lock()
-		if db.closed {
-			db.liveWorkers--
-			db.bgCond.Broadcast()
-			db.mu.Unlock()
-			return
-		}
-		db.mu.Unlock()
-
-		step := interval - sinceDump
-		if step > statsQuantum {
-			step = statsQuantum
-		}
-		db.clk.Sleep(step)
-		sinceDump += step
-		if sinceDump < interval {
-			continue
-		}
-		sinceDump = 0
-
-		db.mu.Lock()
-		closed := db.closed
-		db.mu.Unlock()
-		if closed {
-			continue // exit via the check at loop top
-		}
+	for !db.sleepUnlessClosed(db.opts.StatsDumpInterval, statsQuantum) {
 		report := db.StatsReport()
 		if w := db.opts.StatsWriter; w != nil {
 			fmt.Fprintf(w, "--- stats @ %v ---\n%s", db.clk.Now().Format("15:04:05.000"), report)

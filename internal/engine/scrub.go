@@ -37,7 +37,7 @@ var errScrubAborted = errors.New("engine: scrub pass aborted")
 // unless Options.DisableScrub.
 func (db *DB) scrubWorker() {
 	for {
-		if db.sleepRecoveryBackoff(scrubIdleDelay) {
+		if db.sleepUnlessClosed(scrubIdleDelay, scrubQuantum) {
 			break // closed
 		}
 		db.mu.Lock()
@@ -53,10 +53,6 @@ func (db *DB) scrubWorker() {
 		}
 		db.runScrubPass()
 	}
-	db.mu.Lock()
-	db.liveWorkers--
-	db.bgCond.Broadcast()
-	db.mu.Unlock()
 }
 
 // runScrubPass verifies every SST live at the start of the pass. Files

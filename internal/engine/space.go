@@ -257,8 +257,7 @@ func (db *DB) spaceStateChanged(s throttle.State) {
 		db.spaceStopEpoch++
 		if s == throttle.StateStopped && db.opts.SpaceStallTimeout > 0 {
 			epoch := db.spaceStopEpoch
-			db.liveWorkers++
-			db.clk.Go("space-watchdog", func() { db.spaceStallWatchdog(epoch) })
+			db.startWorkerLocked("space-watchdog", func() { db.spaceStallWatchdog(epoch) })
 		}
 	}
 	db.mu.Unlock()
@@ -277,13 +276,7 @@ func (db *DB) spaceStateChanged(s throttle.State) {
 // condition as a max_allowed_space background error rather than an
 // unbounded write stall.
 func (db *DB) spaceStallWatchdog(epoch uint64) {
-	defer func() {
-		db.mu.Lock()
-		db.liveWorkers--
-		db.bgCond.Broadcast()
-		db.mu.Unlock()
-	}()
-	if db.sleepRecoveryBackoff(db.opts.SpaceStallTimeout) {
+	if db.sleepUnlessClosed(db.opts.SpaceStallTimeout, recoveryQuantum) {
 		return // closed
 	}
 	db.mu.Lock()

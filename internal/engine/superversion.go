@@ -143,21 +143,3 @@ func (db *DB) sweepZombies() {
 	db.metrics.ZombieFilesDeleted.Add(int64(len(zombies)))
 	db.emitObsoleteGC(zombies)
 }
-
-// canDeleteFailedOutputLocked reports whether the partial output of a
-// failed flush or compaction may be removed from disk. It may NOT be
-// when a manifest failure is latched. After manifest-install the edit
-// naming the file was durably appended before the in-memory install
-// diverged; after manifest-append — which includes a failed sync — the
-// edit's bytes are in the file and can survive a crash. Either way the
-// next open's manifest replay may reference the file and must find it;
-// when the bytes did not survive, the open-time orphan sweep reclaims
-// it. A build error leaves the file unnamed by any manifest state.
-// Callers hold db.mu.
-func (db *DB) canDeleteFailedOutputLocked() bool {
-	if db.bgErr == nil {
-		return true
-	}
-	be, ok := db.bgErr.(*BackgroundError)
-	return ok && be.Op != opManifestInstall && be.Op != opManifestAppend
-}

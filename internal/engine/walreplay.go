@@ -7,7 +7,6 @@ import (
 
 	"xpointdb/internal/batch"
 	"xpointdb/internal/keys"
-	"xpointdb/internal/manifest"
 	"xpointdb/internal/memtable"
 	"xpointdb/internal/vfs"
 	"xpointdb/internal/wal"
@@ -50,30 +49,4 @@ func replayLogInto(f vfs.File, mem *memtable.Memtable, baseSeq uint64) (uint64, 
 			maxSeq = seq - 1
 		}
 	}
-}
-
-// flushMemToL0 writes mem as one Level-0 SST and commits the edit.
-// Used by recovery, before background workers exist. editExtra, if
-// non-nil, is merged into the committed edit.
-func (db *DB) flushMemToL0(mem *memtable.Memtable, editExtra *manifest.Edit) error {
-	num := db.vs.AllocFileNum()
-	db.emitFlushBegin("recovery", 0, mem.ApproximateSize(), 0)
-	start := db.clk.Now()
-	meta, err := db.buildTable(num, newMemIter(mem))
-	if err != nil {
-		db.emitFlushEnd("recovery", 0, num, 0, 0, db.clk.Now().Sub(start), err)
-		return err
-	}
-	edit := &manifest.Edit{Added: []manifest.AddedFile{{Level: 0, Meta: meta}}}
-	if editExtra != nil {
-		edit.LogNum = editExtra.LogNum
-		edit.Added = append(edit.Added, editExtra.Added...)
-		edit.Deleted = append(edit.Deleted, editExtra.Deleted...)
-	}
-	seq := db.vs.LastSeq
-	edit.LastSeq = &seq
-	err = db.vs.LogAndApply(edit)
-	db.emitFlushEnd("recovery", 0, num, meta.Size,
-		db.vs.Current().NumFiles(0), db.clk.Now().Sub(start), err)
-	return err
 }

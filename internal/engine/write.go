@@ -565,15 +565,27 @@ func (db *DB) rotateMemtableLocked(reason string) error {
 		return fmt.Errorf("engine: rotate wal: sync old log: %w", serr)
 	}
 	if !db.opts.DisableWAL {
-		db.walFile = newFile
-		db.walWriter = wal.NewWriter(newFile)
-		db.walNum = newNum
+		db.installWALLocked(newNum, newFile)
 	}
-	db.imms = append(db.imms, flushedMem{mem: db.mem, walNum: oldWALNum, maxSeq: db.lastSeq, reason: reason})
+	db.queueMemLocked(oldWALNum, reason)
+	return nil
+}
+
+// installWALLocked makes f — WAL file num, just created — the log new
+// writes append to. The caller owns the previous handle. Callers hold
+// db.mu (or run at open, before any concurrency).
+func (db *DB) installWALLocked(num uint64, f vfs.File) {
+	db.walFile, db.walWriter, db.walNum = f, wal.NewWriter(f), num
+}
+
+// queueMemLocked hands the mutable memtable to the flush path: it joins
+// the immutable queue — covered by WAL walNum, to be flushed for
+// reason — and a fresh memtable takes its place. Callers hold db.mu.
+func (db *DB) queueMemLocked(walNum uint64, reason string) {
+	db.imms = append(db.imms, flushedMem{mem: db.mem, walNum: walNum, maxSeq: db.lastSeq, reason: reason})
 	db.mem = memtable.New(db.memBudget)
 	db.installSuperVersionLocked("rotation")
 	db.bgCond.Broadcast() // wake the flush worker
-	return nil
 }
 
 // waitStalledLocked blocks the leader on bgCond while recording stop

@@ -235,8 +235,8 @@ type Recovery struct {
 // SuperVersion records one read-path bundle swap: the engine published
 // a new {memtable, immutables, version} snapshot for readers to pin.
 type SuperVersion struct {
-	// Reason names the install trigger: "open", "rotation", "flush",
-	// "version-edit", or "recovery".
+	// Reason names the install trigger: "open", "rotation", "flush" or
+	// "version-edit".
 	Reason string `json:"reason"`
 	// Immutables and L0Files describe the published bundle's shape.
 	Immutables int `json:"immutables"`

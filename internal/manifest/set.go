@@ -309,6 +309,11 @@ func (s *Set) Current() *Version { return s.current }
 // obsolete-file sweep: any other manifest file is garbage).
 func (s *Set) ManifestNum() uint64 { return s.manifestNum }
 
+// ManifestSize returns the live MANIFEST's size in bytes, framing
+// included: every manifest starts as a fresh file, so it is what this
+// Set appended. Serialize against Append and Roll like they are.
+func (s *Set) ManifestSize() int64 { return s.manifestLog.Appended() }
+
 // AllocFileNum returns a fresh file number.
 func (s *Set) AllocFileNum() uint64 {
 	n := s.NextFileNum
