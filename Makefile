@@ -19,7 +19,8 @@ bench-test:
 	$(GO) -C bench test ./...
 
 # Code size per package and in total (non-blank, non-comment lines of
-# non-test and test Go outside bench/): the measure a simplicity PR
+# non-test and test Go outside bench/), then the engine.Options field
+# count and the dbbench flag count: the measures a simplicity PR
 # quotes. Informational, no threshold.
 loc:
 	bash scripts/loc.sh

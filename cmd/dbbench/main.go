@@ -397,10 +397,14 @@ func (r *report) summarize(st kvstore.Store) {
 	for _, e := range st.Engines() {
 		r.snaps = append(r.snaps, e.Metrics().Snapshot())
 	}
+	sh := st.Shared()
+	if sh.Blocks != nil {
+		r.cacheUsed = sh.Blocks.Used()
+		r.cacheHits, r.cacheMisses = sh.Blocks.Stats()
+	}
+	_, _, r.poolGrants = sh.Pool.Stats()
 	if sdb, ok := st.(*shardeddb.DB); ok {
 		r.sharded = true
-		r.cacheUsed, r.cacheHits, r.cacheMisses = sdb.CacheStats()
-		_, _, r.poolGrants = sdb.Pool().Stats()
 		r.cross, r.aborts, r.rolledFwd, r.abortedO = sdb.TxnStats()
 	}
 }

@@ -18,6 +18,16 @@ import (
 // inject storage failures after open.
 func newFaultTestDB(t *testing.T, tweak func(*Options)) (*DB, *faultfs.FS) {
 	t.Helper()
+	opts, ffs := faultTestOptions(t, tweak)
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	return db, ffs
+}
+
+func faultTestOptions(t *testing.T, tweak func(*Options)) (Options, *faultfs.FS) {
+	t.Helper()
 	dev := storage.New(clock.Real{}, storage.Null())
 	ffs, err := faultfs.New(vfs.NewMem(dev), 1)
 	if err != nil {
@@ -33,11 +43,7 @@ func newFaultTestDB(t *testing.T, tweak func(*Options)) (*DB, *faultfs.FS) {
 	if tweak != nil {
 		tweak(&opts)
 	}
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	return db, ffs
+	return opts, ffs
 }
 
 // TestWALSyncFailureLatches is the regression test for the sync-error

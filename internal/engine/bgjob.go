@@ -54,37 +54,32 @@ type bgHold struct {
 	tokens int
 }
 
-// acquireToken blocks for one pool token at prio; a no-op without a
-// shared pool. Call without db.mu: the pool parks on its own cond.
+// acquireToken blocks for one pool token at prio. Call without db.mu:
+// the pool parks on its own cond.
 func (h *bgHold) acquireToken(prio float64) {
-	if pool := h.db.opts.BGPool; pool != nil {
-		pool.AcquireTag(prio, h.db.opts.StallSource)
-		h.tokens++
-	}
+	h.db.pool.AcquireTag(prio, h.db.index)
+	h.tokens++
 }
 
 // acquireLanes takes up to n extra tokens without blocking, priced
 // like the job's own, and returns how many lanes beyond the first the
 // job may run: idle slots speed it up, but a queued flush (strictly
-// higher priority) keeps its claim on every free token. Without a pool
-// the job fans out fully. Call without db.mu.
+// higher priority) keeps its claim on every free token. A lone
+// engine's pool has a slot for every lane, so it fans out fully. Call
+// without db.mu.
 func (h *bgHold) acquireLanes(score float64, n int) int {
-	if pool := h.db.opts.BGPool; pool != nil {
-		h.db.mu.Lock()
-		prio := h.db.compactPriorityLocked(score)
-		h.db.mu.Unlock()
-		n = pool.TryAcquireN(prio, n, h.db.opts.StallSource)
-		h.tokens += n
-	}
+	h.db.mu.Lock()
+	prio := h.db.compactPriorityLocked(score)
+	h.db.mu.Unlock()
+	n = h.db.pool.TryAcquireN(prio, n, h.db.index)
+	h.tokens += n
 	return n
 }
 
 // release hands everything back. Call without db.mu: a ladder-state
 // change notifies subscribers, which re-take it.
 func (h *bgHold) release() {
-	if pool := h.db.opts.BGPool; pool != nil && h.tokens > 0 {
-		pool.ReleaseN(h.tokens)
-	}
+	h.db.pool.ReleaseN(h.tokens)
 	if sm := h.db.space; sm != nil && h.space > 0 {
 		// The outputs are tracked as used bytes by now (or were
 		// removed); holding on would double-count them.

@@ -4,8 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"xpointdb/internal/bgpool"
-	"xpointdb/internal/clock"
 	"xpointdb/internal/events"
 	"xpointdb/internal/faultfs"
 	"xpointdb/internal/keys"
@@ -84,7 +82,7 @@ func TestKeptOutputReclaimedAfterManifestRoll(t *testing.T) {
 		}
 		onDisk += size
 	}
-	if used := db.SpaceManager().Used(); used != onDisk {
+	if used := db.Shared().Space.Used(); used != onDisk {
 		t.Errorf("SpaceManager.Used() = %d, the files on disk hold %d", used, onDisk)
 	}
 	for i := 0; i < acked; i++ {
@@ -99,9 +97,11 @@ func TestKeptOutputReclaimedAfterManifestRoll(t *testing.T) {
 // create or sync (soft, retried in place), a failed MANIFEST append
 // (hard, healed by recovery), Close while the worker is parked on a
 // pool token, Close while the job is deferred on space — and checks
-// that afterwards nothing is held and nothing is left over. The pool
-// has as many slots as the job has lanes (one, except at K=4), so the
-// extra lane tokens of a fanned-out compaction are really drawn.
+// that afterwards nothing is held and nothing is left over. The
+// engine's Shared is built with as many pool slots as the job has
+// lanes (one, except at K=4) instead of the lone engine's 1 + K, so a
+// worker can really park and the extra lane tokens of a fanned-out
+// compaction are really drawn.
 func TestBackgroundJobReleasesEverything(t *testing.T) {
 	jobs := []struct {
 		name       string
@@ -118,12 +118,10 @@ func TestBackgroundJobReleasesEverything(t *testing.T) {
 		for _, exit := range exits {
 			job, exit := job, exit
 			t.Run(job.name+"/"+exit, func(t *testing.T) {
-				pool := bgpool.New(clock.Real{}, job.lanes)
 				buf := &events.Buffer{}
-				db, ffs := newFaultTestDB(t, func(o *Options) {
+				opts, ffs := faultTestOptions(t, func(o *Options) {
 					o.DisableAutoRecovery = false
 					o.RecoveryBaseBackoff = time.Millisecond
-					o.BGPool = pool
 					o.MaxAllowedSpace = 1 << 30
 					o.MemtableSize = 16 << 10
 					o.TargetFileSize = 16 << 10
@@ -133,13 +131,19 @@ func TestBackgroundJobReleasesEverything(t *testing.T) {
 					o.EventListener = buf
 					o.EventSinkQueue = -1
 				})
+				sh := NewShared(opts, 1, job.lanes)
+				db, err := sh.open(0, opts, true)
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				pool := sh.Pool
 				closed := false
 				defer func() {
 					if !closed {
 						db.Close()
 					}
 				}()
-				sm := db.SpaceManager()
+				sm := db.Shared().Space
 				setCompacting := func(v bool) {
 					db.mu.Lock()
 					db.compacting = v

@@ -167,18 +167,16 @@ func (db *DB) compactReadyLocked() bool {
 // far is in held either way. Called with db.mu held, which is held on
 // return.
 func (db *DB) acquireForCompactionLocked(c *compaction, held *bgHold) (_ *compaction, backoff bool) {
-	if db.opts.BGPool != nil {
-		prio := db.compactPriorityLocked(c.score)
-		db.mu.Unlock()
-		held.acquireToken(prio)
-		db.mu.Lock()
-		c.base.Unref()
-		if !db.compactReadyLocked() {
-			return nil, false
-		}
-		if c = db.pickCompactionLocked(); c == nil {
-			return nil, false
-		}
+	prio := db.compactPriorityLocked(c.score)
+	db.mu.Unlock()
+	held.acquireToken(prio)
+	db.mu.Lock()
+	c.base.Unref()
+	if !db.compactReadyLocked() {
+		return nil, false
+	}
+	if c = db.pickCompactionLocked(); c == nil {
+		return nil, false
 	}
 	if db.space == nil || c.trivialMove {
 		return c, false

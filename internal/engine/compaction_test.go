@@ -344,9 +344,9 @@ func TestCompactionDeferredEvent(t *testing.T) {
 	// lands its L0 file but the compaction it triggers (projected ≈ the
 	// three files' bytes) overruns and defers.
 	fill(200)
-	sm := db.SpaceManager()
+	sm := db.Shared().Space
 	if sm == nil {
-		t.Fatal("SpaceManager() = nil with MaxAllowedSpace set")
+		t.Fatal("Shared().Space = nil with MaxAllowedSpace set")
 	}
 	// Settle pending obsolete-file deletion first: a stale WAL still
 	// counted in Used() here would be freed later and hand the

@@ -41,13 +41,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xpointdb/internal/cache"
+	"xpointdb/internal/bgpool"
 	"xpointdb/internal/clock"
 	"xpointdb/internal/costmodel"
 	"xpointdb/internal/events"
 	"xpointdb/internal/manifest"
 	"xpointdb/internal/memtable"
-	"xpointdb/internal/obs"
 	"xpointdb/internal/throttle"
 	"xpointdb/internal/vfs"
 	"xpointdb/internal/wal"
@@ -83,23 +82,31 @@ type flushedMem struct {
 
 // DB is the key-value store.
 type DB struct {
-	opts       Options
-	clk        clock.Clock
-	fs         vfs.FS
-	walFS      vfs.FS
-	cost       *costmodel.Model
-	metrics    *Metrics
-	controller *throttle.Controller
-	blocks     *cache.Cache
-	tables     *tableCache
-	ev         events.Listener // plane.Listener(), shard-tagged; nil when event logging is off
-	plane      *obs.Plane      // event path + HTTP ops plane (serve.go)
+	opts    Options
+	clk     clock.Clock
+	fs      vfs.FS
+	walFS   vfs.FS
+	cost    *costmodel.Model
+	metrics *Metrics
+	tables  *tableCache
 
-	// space is the disk budget accountant (space.go); nil when no
-	// MaxAllowedSpace and no shared SpaceManager were configured.
-	// spaceSub is this DB's ladder subscription id.
-	space    *SpaceManager
-	spaceSub int
+	// shared is the set of resources this engine opened in (shared.go)
+	// and index its place there: its stall source at the controller,
+	// its pool tag and its space-key namespace. ownsShared marks a set
+	// of one made by Open, which the engine reports and closes as its
+	// own. controller, pool, pacer, space and ev are the set's,
+	// copied at open so the hot paths load one pointer; space is nil
+	// without a budget, pacer when unlimited, ev when nothing listens
+	// (otherwise it stamps this engine's shard tag).
+	shared     *Shared
+	index      int
+	ownsShared bool
+	controller *throttle.Controller
+	pool       *bgpool.Pool
+	pacer      *costmodel.Pacer
+	space      *SpaceManager
+	spaceSub   int // this DB's ladder subscription id at space
+	ev         events.Listener
 
 	mu     clock.Mutex
 	bgCond clock.Cond // broadcast on any background state change
@@ -139,10 +146,7 @@ type DB struct {
 	compacting bool
 	// picker is the compaction policy (picker.go): pick shape and
 	// cursor state live there; the engine owns only the mechanism.
-	picker *compactionPicker
-	// pacer rate-limits compaction I/O against foreground traffic;
-	// nil = unlimited. Shared across shards when injected via options.
-	pacer      *costmodel.Pacer
+	picker     *compactionPicker
 	stallState throttle.State
 	// spaceState is the space-budget degradation-ladder state (space.go),
 	// max-merged with the L0 state in updateStallStateLocked. Updated by
@@ -191,80 +195,66 @@ type DB struct {
 	windowWrites atomic.Int64
 }
 
-// Open opens (creating if necessary) a database on opts.FS.
+// Open opens (creating if necessary) a database on opts.FS: a set of
+// one engine that owns its Shared.
 func Open(opts Options) (*DB, error) {
+	sh := NewShared(opts, 1, 0)
+	db, err := sh.open(0, opts, true)
+	if err != nil {
+		sh.Close()
+		return nil, err
+	}
+	// Serve last, with the workers running, so no handler can observe
+	// a half-open DB.
+	if err := sh.Plane.Serve(db.WritePrometheus, db.StatsReport, db.healthz); err != nil {
+		_ = db.Close()
+		return nil, fmt.Errorf("engine: ops server: %w", err)
+	}
+	return db, nil
+}
+
+// Open opens engine i of the set on opts.FS. Of opts, what NewShared
+// read is not read again; the caller closes the engine, then sh.
+func (sh *Shared) Open(i int, opts Options) (*DB, error) { return sh.open(i, opts, false) }
+
+func (sh *Shared) open(i int, opts Options, owned bool) (*DB, error) {
 	if opts.FS == nil {
 		return nil, errors.New("engine: Options.FS is required")
 	}
 	opts = opts.withDefaults()
-	clk := opts.Clock
+	opts.Clock = sh.clk // a set runs on one clock
+	clk := sh.clk
 
 	db := &DB{
-		opts:      opts,
-		clk:       clk,
-		fs:        opts.FS,
-		walFS:     opts.WALFS,
-		cost:      opts.CostModel,
-		metrics:   newMetrics(clk),
-		memBudget: opts.MemtableSize,
-		snapshots: make(map[*Snapshot]uint64),
+		opts:       opts,
+		clk:        clk,
+		fs:         opts.FS,
+		walFS:      opts.WALFS,
+		cost:       opts.CostModel,
+		metrics:    newMetrics(clk, &sh.EventsDropped),
+		shared:     sh,
+		index:      i,
+		ownsShared: owned,
+		controller: sh.Controller,
+		pool:       sh.Pool,
+		pacer:      sh.Pacer,
+		space:      sh.Space,
+		ev:         sh.listener(i),
+		memBudget:  opts.MemtableSize,
+		snapshots:  make(map[*Snapshot]uint64),
 	}
 	if db.walFS == nil {
 		db.walFS = db.fs
 	}
-	if opts.BlockCache != nil {
-		db.blocks = opts.BlockCache // shared, externally owned
-	} else if opts.BlockCacheSize > 0 {
-		db.blocks = cache.New(opts.BlockCacheSize)
-	}
-	db.tables = newTableCache(clk, db.fs, db.blocks, opts.CacheID)
-	// Built before openOrRecover so recovery-time events take the same
-	// path as every later one.
-	db.plane = obs.NewPlane(opts.EventListener, opts.EventSinkQueue, opts.ObsAddr,
-		func() { db.metrics.EventsDropped.Add(1) })
-	db.ev = db.plane.Listener()
-	if opts.ShardTag != 0 && db.ev != nil {
-		inner, tag := db.ev, opts.ShardTag
-		db.ev = events.Func(func(e events.Event) {
-			e.Shard = tag
-			inner.Emit(e)
-		})
-	}
-	if opts.Controller != nil {
-		// Shared, externally owned: the owner wired RateChanged.
-		db.controller = opts.Controller
-	} else {
-		tcfg := throttle.Config{
-			Mode:             opts.ThrottleMode,
-			DelayedWriteRate: opts.DelayedWriteRate,
-			FloorRate:        opts.TwoStageFloorRate,
-		}
-		if db.ev != nil {
-			// Surface every Algorithm 1 Dec/Inc step in the event stream.
-			tcfg.RateChanged = db.emitRateChange
-		}
-		db.controller = throttle.New(clk, tcfg)
-	}
-	if opts.SpaceManager != nil {
-		// Shared, externally owned: one budget across every sharer.
-		db.space = opts.SpaceManager
-	} else if opts.MaxAllowedSpace > 0 {
-		db.space = NewSpaceManager(opts.MaxAllowedSpace)
-	}
+	// Engines allocate the same small file numbers, far below 2^48; the
+	// tag in the high bits keeps their blocks apart in the one cache.
+	db.tables = newTableCache(clk, db.fs, sh.Blocks, uint64(sh.tag(i))<<48)
 	db.picker = newCompactionPicker(&db.opts)
-	if opts.CompactionPacer != nil {
-		// Shared, externally owned: one compaction I/O budget across
-		// every sharer.
-		db.pacer = opts.CompactionPacer
-	} else {
-		db.pacer = costmodel.NewPacer(opts.CompactionRateBytesPerSec)
-	}
 	db.mu = clk.NewMutex()
 	db.bgCond = clk.NewCond(db.mu)
 	db.recoveryCond = clk.NewCond(db.mu)
 
 	if err := db.openOrRecover(); err != nil {
-		db.plane.Close()
 		return nil, err
 	}
 
@@ -296,13 +286,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.updateStallStateLocked()
 	db.mu.Unlock()
-
-	// Serve last, with the workers running, so no handler can observe
-	// a half-open DB.
-	if err := db.plane.Serve(db.WritePrometheus, db.StatsReport, db.healthz); err != nil {
-		_ = db.Close()
-		return nil, fmt.Errorf("engine: ops server: %w", err)
-	}
 	return db, nil
 }
 
@@ -513,21 +496,20 @@ func (db *DB) Close() error {
 	if cerr := db.vs.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	if db.opts.Controller != nil {
-		// Shared controller: withdraw this shard's stall vote so a
-		// closed shard can't keep the global budget throttled.
-		db.controller.SetSourceState(db.opts.StallSource, throttle.StateClear)
-	}
+	// Withdraw this engine's stall vote: a closed engine can't keep the
+	// set's write budget throttled.
+	db.controller.SetSourceState(db.index, throttle.StateClear)
 	if db.space != nil {
-		// Drop the ladder subscription: a shared SpaceManager outlives
+		// Drop the ladder subscription: the SpaceManager may outlive
 		// this engine and must not call back into a closed DB. The
 		// tracked file bytes stay — the files are still on disk.
 		db.space.unsubscribe(db.spaceSub)
 	}
-	// Tear down the ops plane last: every background worker has exited,
-	// so the event stream is complete; closing the hub drains the sink
-	// fully before the HTTP server stops answering.
-	db.plane.Close()
+	if db.ownsShared {
+		// Last: every background worker has exited, so the event
+		// stream the plane drains is complete.
+		db.shared.Close()
+	}
 	return err
 }
 
@@ -550,9 +532,9 @@ func (db *DB) Engines() []*DB { return []*DB{db} }
 // Controller exposes the write controller (for experiment inspection).
 func (db *DB) Controller() *throttle.Controller { return db.controller }
 
-// SpaceManager exposes the space budget manager, or nil when no budget
-// is configured.
-func (db *DB) SpaceManager() *SpaceManager { return db.space }
+// Shared returns the set of resources the engine opened in — its own,
+// or the ones it shares with the other engines of a sharded store.
+func (db *DB) Shared() *Shared { return db.shared }
 
 // NumLevelFiles returns the file count at the given level.
 func (db *DB) NumLevelFiles(level int) int {
@@ -619,7 +601,7 @@ func (db *DB) updateStallStateLocked() {
 		db.opts.logf("stall state %v -> %v (L0=%d)", db.stallState, s, l0)
 		old := db.stallState
 		db.stallState = s
-		db.controller.SetSourceState(db.opts.StallSource, s)
+		db.controller.SetSourceState(db.index, s)
 		db.emitStallChangeLocked(old, s, l0)
 		if s != throttle.StateStopped {
 			// Unblock writers waiting on a stop condition.

@@ -128,23 +128,6 @@ func (db *DB) emitStallChangeLocked(from, to throttle.State, l0Files int) {
 	})
 }
 
-// emitRateChange observes one Algorithm 1 Dec/Inc step (wired as the
-// controller's RateChanged callback).
-func (db *DB) emitRateChange(oldRate, newRate float64, behind bool) {
-	if db.ev == nil {
-		return
-	}
-	factor := throttle.Inc
-	if behind {
-		factor = throttle.Dec
-	}
-	db.ev.Emit(events.Event{
-		TS:   db.clk.Now(),
-		Kind: events.KindRateChange,
-		Rate: &events.Rate{OldRate: oldRate, NewRate: newRate, Factor: factor, Behind: behind},
-	})
-}
-
 func (db *DB) emitWALSync(walNum uint64, bytes int64, d time.Duration, err error) {
 	if db.ev == nil {
 		return

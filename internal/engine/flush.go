@@ -88,12 +88,10 @@ func (db *DB) acquireForFlushLocked(held *bgHold) bool {
 			return false
 		}
 	}
-	if db.opts.BGPool != nil {
-		prio := db.flushPriorityLocked()
-		db.mu.Unlock()
-		held.acquireToken(prio)
-		db.mu.Lock()
-	}
+	prio := db.flushPriorityLocked()
+	db.mu.Unlock()
+	held.acquireToken(prio)
+	db.mu.Lock()
 	return db.flushReadyLocked()
 }
 

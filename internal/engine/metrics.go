@@ -128,10 +128,11 @@ type Metrics struct {
 	// SlowOps counts operations promoted into slow_op trace events
 	// (end-to-end latency over Options.SlowOpThreshold).
 	SlowOps atomic.Int64
-	// EventsDropped counts events lost to ops-plane backpressure: the
-	// bounded sink queue was full, so the event reached subscribers
-	// and the replay ring but not the JSON-lines sink.
-	EventsDropped atomic.Int64
+	// eventsDropped is Shared.EventsDropped of the set the engine opened
+	// in: events lost to ops-plane backpressure — the bounded sink queue
+	// was full, so the event reached subscribers and the replay ring but
+	// not the JSON-lines sink. A fact of the set, read by Snapshot.
+	eventsDropped *atomic.Int64
 
 	// Levels holds the per-level compaction/I-O counters behind the
 	// RocksDB-style level stats table (levelstats.go).
@@ -162,8 +163,8 @@ type Metrics struct {
 	PerfBlockCacheMisses atomic.Int64
 }
 
-func newMetrics(clk clock.Clock) *Metrics {
-	m := &Metrics{clk: clk, start: clk.Now()}
+func newMetrics(clk clock.Clock, eventsDropped *atomic.Int64) *Metrics {
+	m := &Metrics{clk: clk, start: clk.Now(), eventsDropped: eventsDropped}
 	m.Ops = histogram.NewTimeSeries(m.start, time.Second)
 	m.WriteOps = histogram.NewTimeSeries(m.start, time.Second)
 	m.WaitingWriters.init(clk)

@@ -417,7 +417,7 @@ func TestMetricsReportContents(t *testing.T) {
 		}
 	}
 	full := db.StatsReport()
-	for _, want := range []string{"lsm", "controller", "block cache"} {
+	for _, want := range []string{"lsm", "controller", "bg pool", "block cache"} {
 		if !strings.Contains(full, want) {
 			t.Errorf("stats report missing %q:\n%s", want, full)
 		}

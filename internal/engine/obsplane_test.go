@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"xpointdb/internal/bgpool"
 	"xpointdb/internal/clock"
 	"xpointdb/internal/events"
 	"xpointdb/internal/histogram"
@@ -83,7 +82,6 @@ func TestPrometheusGolden(t *testing.T) {
 func TestMetricsComplete(t *testing.T) {
 	db, _ := newTestDB(t, func(o *Options) {
 		o.DisableScrub = true // nothing but the test may move a counter
-		o.BGPool = bgpool.New(clock.Real{}, 2)
 	})
 	defer db.Close()
 
@@ -109,7 +107,7 @@ func TestMetricsComplete(t *testing.T) {
 		return samples
 	}
 	seen := map[string]bool{}
-	for _, lists := range [][]string{familyNames(engineFamilies), familyNames(poolShardFamilies), familyNames(cacheFamilies),
+	for _, lists := range [][]string{familyNames(engineFamilies), familyNames(cacheFamilies),
 		familyNames(poolFamilies), familyNames(controllerFamilies), familyNames(spaceFamilies), familyNames(hubFamilies)} {
 		for _, name := range lists {
 			if seen[name] {
@@ -255,7 +253,7 @@ func (b *blockingSink) Emit(events.Event) {
 }
 
 // TestEventSinkBackpressureDrops: a wedged sink must never block the
-// write path; overflow is counted in Metrics.EventsDropped.
+// write path; overflow is counted in Shared.EventsDropped.
 func TestEventSinkBackpressureDrops(t *testing.T) {
 	sink := &blockingSink{release: make(chan struct{})}
 	db, _ := newTestDB(t, func(o *Options) {
@@ -279,7 +277,7 @@ func TestEventSinkBackpressureDrops(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("write path blocked on a wedged event sink")
 	}
-	if db.Metrics().EventsDropped.Load() == 0 {
+	if db.Shared().EventsDropped.Load() == 0 {
 		t.Error("no drops counted despite a wedged sink and a queue of 2")
 	}
 	close(sink.release) // un-wedge so Close can drain

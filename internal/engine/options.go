@@ -4,8 +4,6 @@ import (
 	"io"
 	"time"
 
-	"xpointdb/internal/bgpool"
-	"xpointdb/internal/cache"
 	"xpointdb/internal/clock"
 	"xpointdb/internal/costmodel"
 	"xpointdb/internal/events"
@@ -59,39 +57,9 @@ type Options struct {
 	// the paper's experiments also run without compression so block
 	// reads have deterministic size).
 	Compression sstable.Compression
-	// BlockCacheSize is the block cache capacity in bytes.
+	// BlockCacheSize is the block cache capacity in bytes; 0 means no
+	// cache. Across the shards of a sharded store it is the total.
 	BlockCacheSize int64
-	// BlockCache, if non-nil, is an externally owned block cache shared
-	// with other engine instances (shards of a ShardedDB). When set,
-	// BlockCacheSize is ignored and the engine neither sizes nor owns
-	// the cache. Sharers must carry distinct CacheIDs.
-	BlockCache *cache.Cache
-	// CacheID disambiguates this engine's file numbers inside a shared
-	// BlockCache. Cache keys are (file number, offset); independent
-	// engines allocate the same small sequential file numbers, so a
-	// shared cache would alias their blocks. The ID is OR-ed into the
-	// high bits of the file number used for cache keying (use
-	// uint64(shard+1)<<48; file numbers stay far below 2^48). Zero
-	// means no salting — correct whenever the cache is not shared.
-	CacheID uint64
-
-	// Controller, if non-nil, is an externally owned write controller
-	// shared with other shards: one token bucket, one delayed-write
-	// rate, a global stall budget. The engine then reports its stall
-	// state under StallSource instead of owning the controller, and
-	// the owner is responsible for Config.RateChanged wiring.
-	Controller *throttle.Controller
-	// StallSource identifies this engine to a shared Controller
-	// (SetSourceState). Ignored when Controller is nil.
-	StallSource int
-
-	// BGPool, if non-nil, gates flush/compaction job execution behind
-	// a token pool shared across shards: each background job acquires
-	// a token (priority-ordered by stall risk — flushes over
-	// compactions, L0 pressure breaking ties) before running and
-	// releases it after. Nil leaves the engine's own two dedicated
-	// workers ungated, exactly the single-DB behavior.
-	BGPool *bgpool.Pool
 
 	// MaxSubcompactions splits one compaction job into up to this many
 	// disjoint key-range sub-compactions executed concurrently, each
@@ -99,25 +67,16 @@ type Options struct {
 	// version edit (RocksDB's max_subcompactions). Parallel merge loops
 	// exploit the device's internal parallelism — the paper's central
 	// underutilization finding for PCIe flash and XPoint — so L0 drains
-	// faster and write stalls shorten. Under a shared BGPool the extra
-	// lanes are drawn non-blockingly and never starve a queued flush.
+	// faster and write stalls shorten. The extra lanes are drawn from the
+	// background pool without blocking and never starve a queued flush.
 	// 0 or 1 disables splitting (the single-merge-loop behavior).
 	MaxSubcompactions int
 	// CompactionRateBytesPerSec bounds compaction I/O (input reads +
 	// output writes) to this many bytes per second of engine-clock
 	// time, pacing background traffic against foreground reads and
-	// writes (RocksDB's rate_limiter). 0 means unlimited.
+	// writes (RocksDB's rate_limiter). 0 means unlimited. The budget is
+	// the store's, however many shards draw from it.
 	CompactionRateBytesPerSec int64
-	// CompactionPacer, if non-nil, is an externally owned pacer shared
-	// with other shards: all sharers' compaction I/O draws from one
-	// budget. When nil and CompactionRateBytesPerSec > 0, the engine
-	// creates a private one.
-	CompactionPacer *costmodel.Pacer
-
-	// ShardTag, when nonzero, stamps every event this engine emits
-	// with Shard=ShardTag (1-based; 0 = unsharded) so a shared event
-	// stream can attribute flushes, stalls, etc. to a shard.
-	ShardTag int
 
 	// DisableWAL skips the write-ahead log entirely (Figure 17).
 	DisableWAL bool
@@ -170,7 +129,7 @@ type Options struct {
 	// called from a dedicated drain goroutine, so a slow or blocking
 	// sink can no longer stall the emitting engine path; if the queue
 	// fills, events are dropped for the listener (counted in
-	// Metrics.EventsDropped) while still reaching the ops-plane replay
+	// Shared.EventsDropped) while still reaching the ops-plane replay
 	// ring and SSE subscribers. Set negative to call the listener
 	// synchronously from the emitting goroutine — for tests and
 	// oracles that must observe an event the moment the operation that
@@ -219,14 +178,9 @@ type Options struct {
 	// freeSpaceThreshold of it remains free, stopped below half that —
 	// reads keep serving) before any real write can fail for space, and
 	// flush/compaction jobs whose projected output would overrun the
-	// budget are deferred until reclamation frees headroom.
+	// budget are deferred until reclamation frees headroom. The budget
+	// is the store's: every shard charges the same one.
 	MaxAllowedSpace int64
-	// SpaceManager, if non-nil, is an externally owned space budget
-	// shared with other shards (like Controller/BGPool): every sharer
-	// charges its live bytes against one MaxAllowedSpace, so a hot
-	// shard consumes headroom visible to all of them. When nil and
-	// MaxAllowedSpace > 0, the engine creates a private one.
-	SpaceManager *SpaceManager
 	// SpaceStallTimeout bounds how long writers may sit stopped on the
 	// space ladder with no state change before the engine latches a
 	// hard ErrMaxSpaceReached instead of stalling forever. A stopped

@@ -1,12 +1,37 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
+	"xpointdb/internal/bgpool"
+	"xpointdb/internal/cache"
 	"xpointdb/internal/clock"
+	"xpointdb/internal/costmodel"
 	"xpointdb/internal/storage"
+	"xpointdb/internal/throttle"
 	"xpointdb/internal/vfs"
 )
+
+// TestOptionsCarryNoSharedResource keeps the resources a Shared builds
+// out of Options: a set of engines is an argument, not a knob, so no
+// caller can hand an engine a cache, controller, pool, pacer or space
+// budget of its own choosing.
+func TestOptionsCarryNoSharedResource(t *testing.T) {
+	shared := map[reflect.Type]bool{
+		reflect.TypeOf((*cache.Cache)(nil)):         true,
+		reflect.TypeOf((*throttle.Controller)(nil)): true,
+		reflect.TypeOf((*bgpool.Pool)(nil)):         true,
+		reflect.TypeOf((*costmodel.Pacer)(nil)):     true,
+		reflect.TypeOf((*SpaceManager)(nil)):        true,
+	}
+	ot := reflect.TypeOf(Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		if f := ot.Field(i); shared[f.Type] {
+			t.Errorf("Options.%s has type %v: shared resources are built by NewShared", f.Name, f.Type)
+		}
+	}
+}
 
 func TestOpenRequiresFS(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {

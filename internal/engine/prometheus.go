@@ -64,7 +64,6 @@ type scrape struct {
 	db     *DB
 	m      *Metrics
 	levels []LevelStats
-	pool   *bgpool.Pool // SharedMetrics.Pool; nil without one
 }
 
 // engineFamilies are the facts each engine owns. A sharded store emits
@@ -181,28 +180,16 @@ var engineFamilies = []family[*scrape]{
 	counter("xpointdb_data_loss_events_total", "Files dropped with declared data loss.", func(e *scrape) float64 { return float64(e.m.DataLossEvents.Load()) }),
 
 	counter("xpointdb_slow_ops_total", "Operations promoted to slow_op trace events.", func(e *scrape) float64 { return float64(e.m.SlowOps.Load()) }),
+
+	// The engine's share of the background pool.
+	gauge("xpointdb_bgpool_shard_waiting", "Background jobs from this shard waiting for a token.", func(e *scrape) float64 { w, _ := e.db.pool.TagStats(e.db.index); return float64(w) }),
+	counter("xpointdb_bgpool_shard_grants_total", "Tokens granted to this shard since open.", func(e *scrape) float64 { _, g := e.db.pool.TagStats(e.db.index); return float64(g) }),
 }
 
-// poolShardFamilies are each engine's share of a background pool; like
-// poolFamilies they exist only when a pool is attached.
-var poolShardFamilies = []family[*scrape]{
-	gauge("xpointdb_bgpool_shard_waiting", "Background jobs from this shard waiting for a token.", func(e *scrape) float64 { w, _ := e.pool.TagStats(e.db.opts.StallSource); return float64(w) }),
-	counter("xpointdb_bgpool_shard_grants_total", "Tokens granted to this shard since open.", func(e *scrape) float64 { _, g := e.pool.TagStats(e.db.opts.StallSource); return float64(g) }),
-}
-
-// SharedMetrics names the resources engines can share. Their facts are
-// exported once per process, unlabelled, by the store that owns them: a
-// bare engine passes its own, a sharded store the ones it injected into
-// every shard. Nil resources are skipped, except Space: its gauges read
-// 0 without a budget so dashboards see a stable metric set.
-type SharedMetrics struct {
-	Blocks     *cache.Cache
-	Pool       *bgpool.Pool
-	Controller *throttle.Controller
-	Space      *SpaceManager
-	// EventsDropped counts events lost to the owner's bounded sink queue.
-	EventsDropped *atomic.Int64
-}
+// The families below are the facts of a Shared's resources, exported
+// once per store, unlabelled. The cache families are skipped without a
+// cache; the space gauges read 0 without a budget, so dashboards see a
+// stable metric set.
 
 var cacheFamilies = []family[*cache.Cache]{
 	gauge("xpointdb_block_cache_used_bytes", "Bytes resident in the block cache.", func(c *cache.Cache) float64 { return float64(c.Used()) }),
@@ -248,10 +235,7 @@ var hubFamilies = []family[*atomic.Int64]{
 // /metrics body of the ops plane. The output is validated structurally
 // by the obs package's ParsePromText in the golden tests.
 func (db *DB) WritePrometheus(w io.Writer) {
-	WriteMetrics(w, []*DB{db}, false, SharedMetrics{
-		Blocks: db.blocks, Pool: db.opts.BGPool, Controller: db.controller,
-		Space: db.space, EventsDropped: &db.metrics.EventsDropped,
-	})
+	WriteMetrics(w, []*DB{db}, false, db.shared)
 }
 
 // WriteMetrics is the one exporter: every per-engine family once, with
@@ -259,27 +243,24 @@ func (db *DB) WritePrometheus(w io.Writer) {
 // when shardLabel is set, which is how a sharded store's exposition
 // answers the same queries as a bare store's — then the shared
 // resources' families once each.
-func WriteMetrics(w io.Writer, dbs []*DB, shardLabel bool, shared SharedMetrics) {
+func WriteMetrics(w io.Writer, dbs []*DB, shardLabel bool, shared *Shared) {
 	pw := obs.PromWriter{W: w}
 	scrapes := make([]*scrape, len(dbs))
 	labels := make([]string, len(dbs))
 	for i, db := range dbs {
-		scrapes[i] = &scrape{db: db, m: db.metrics, levels: db.LevelStats().Levels, pool: shared.Pool}
+		scrapes[i] = &scrape{db: db, m: db.metrics, levels: db.LevelStats().Levels}
 		if shardLabel {
 			labels[i] = fmt.Sprintf(`shard="%d"`, i)
 		}
 	}
 	writeFamilies(pw, engineFamilies, scrapes, labels)
-	if shared.Pool != nil {
-		writeFamilies(pw, poolShardFamilies, scrapes, labels)
-		writeFamilies(pw, poolFamilies, []*bgpool.Pool{shared.Pool}, nil)
-	}
+	writeFamilies(pw, poolFamilies, []*bgpool.Pool{shared.Pool}, nil)
 	if shared.Blocks != nil {
 		writeFamilies(pw, cacheFamilies, []*cache.Cache{shared.Blocks}, nil)
 	}
 	writeFamilies(pw, controllerFamilies, []*throttle.Controller{shared.Controller}, nil)
 	writeFamilies(pw, spaceFamilies, []*SpaceManager{shared.Space}, nil)
-	writeFamilies(pw, hubFamilies, []*atomic.Int64{shared.EventsDropped}, nil)
+	writeFamilies(pw, hubFamilies, []*atomic.Int64{&shared.EventsDropped}, nil)
 }
 
 // writeFamilies emits each family's header once, then every source's

@@ -162,7 +162,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		ScrubPassMean:  m.ScrubPassLatency.Mean(),
 
 		SlowOps:       m.SlowOps.Load(),
-		EventsDropped: m.EventsDropped.Load(),
+		EventsDropped: m.eventsDropped.Load(),
 
 		PerfWriteOps:         m.PerfWriteOps.Load(),
 		PerfReadOps:          m.PerfReadOps.Load(),
@@ -254,8 +254,9 @@ func coverage(total, part time.Duration) float64 {
 }
 
 // StatsReport extends Metrics.Report with engine state the metrics
-// cannot see: the LSM shape, block cache occupancy and the write
-// controller's current state and rate.
+// cannot see: health, the LSM shape and — when the engine owns its
+// Shared, otherwise the owning store prints them once — the shared
+// resources' lines.
 func (db *DB) StatsReport() string {
 	var b strings.Builder
 	b.WriteString(db.metrics.Report())
@@ -269,7 +270,6 @@ func (db *DB) StatsReport() string {
 		}
 	}
 	imms := len(db.imms)
-	stall := db.stallState
 	health := db.healthLocked()
 	bg := db.bgErr
 	db.mu.Unlock()
@@ -283,21 +283,8 @@ func (db *DB) StatsReport() string {
 		fmt.Fprintf(&b, "health         : %v\n", health)
 	}
 	fmt.Fprintf(&b, "lsm            : %s; immutables %d\n", strings.Join(lsm, ", "), imms)
-	if db.space != nil {
-		fmt.Fprintf(&b, "space          : used %d B, reserved %d B, budget %d B (state %v)\n",
-			db.space.Used(), db.space.Reserved(), db.space.Budget(), db.space.State())
-	}
-	total, delayed, adjustments := db.controller.Stats()
-	fmt.Fprintf(&b, "controller     : state %v, rate %.1f MB/s (%d delayed ops %v total, %d rate steps)\n",
-		stall, db.controller.Rate()/(1<<20), delayed, total.Round(time.Microsecond), adjustments)
-	if pool := db.opts.BGPool; pool != nil {
-		busy, waiting, grants := pool.Stats()
-		shardWaiting, shardGrants := pool.TagStats(db.opts.StallSource)
-		fmt.Fprintf(&b, "bg pool        : %d/%d busy, %d waiting, %d grants (this shard: %d waiting, %d grants)\n",
-			busy, pool.Size(), waiting, grants, shardWaiting, shardGrants)
-	}
-	if db.blocks != nil {
-		fmt.Fprintf(&b, "block cache    : %s\n", db.blocks)
+	if db.ownsShared {
+		b.WriteString(db.shared.StatsReport())
 	}
 	b.WriteString("** Per-level compaction stats **\n")
 	b.WriteString(db.LevelStats().String())

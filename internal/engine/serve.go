@@ -9,10 +9,10 @@ func (db *DB) healthz() (bool, string) {
 // ObsAddr returns the bound address of the HTTP ops server ("" when
 // Options.ObsAddr was empty). With ObsAddr ":0" this is how callers
 // discover the ephemeral port.
-func (db *DB) ObsAddr() string { return db.plane.Addr() }
+func (db *DB) ObsAddr() string { return db.shared.Plane.Addr() }
 
 // SyncEvents blocks until every event emitted so far has been
 // delivered to the configured EventListener. Only meaningful with the
 // async sink (EventSinkQueue >= 0); a no-op otherwise. Tests that
 // assert on the listener's contents mid-run call this first.
-func (db *DB) SyncEvents() { db.plane.Sync() }
+func (db *DB) SyncEvents() { db.shared.Plane.Sync() }

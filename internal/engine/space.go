@@ -29,10 +29,10 @@ import (
 //     the recovery worker reclaims obsolete files and polls for
 //     headroom with a cheap probe before re-attempting the repair.
 //
-// One SpaceManager can be shared by every shard of a sharded store
-// (Options.SpaceManager), so a hot shard consumes headroom all shards
-// observe; per-file keys are namespaced by StallSource to keep equal
-// file names from colliding across shards.
+// One SpaceManager serves every engine of a Shared set (shared.go), so
+// a hot shard consumes headroom all shards observe; per-file keys are
+// namespaced by the engine's index in the set to keep equal file names
+// from colliding across shards.
 
 // SpaceManager tracks live file bytes and reservations against a byte
 // budget. The zero value is not usable; create one with
@@ -221,7 +221,7 @@ func (sm *SpaceManager) Release(bytes int64) {
 // SpaceManager: shards allocate the same small file numbers, so equal
 // names must not collide across sharers.
 func (db *DB) spaceKey(name string) string {
-	return fmt.Sprintf("s%d/%s", db.opts.StallSource, name)
+	return fmt.Sprintf("s%d/%s", db.index, name)
 }
 
 func (db *DB) spaceTrack(name string, size int64) {

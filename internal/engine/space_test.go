@@ -125,9 +125,9 @@ func TestFlushDeferralOverBudget(t *testing.T) {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	sm := db.SpaceManager()
+	sm := db.Shared().Space
 	if sm == nil {
-		t.Fatal("SpaceManager() = nil with MaxAllowedSpace set")
+		t.Fatal("Shared().Space = nil with MaxAllowedSpace set")
 	}
 	// Squeeze the budget to exactly current consumption: any projected
 	// flush output now overruns it, so the manual flush must defer.
@@ -356,7 +356,7 @@ func TestCloseDuringSpaceDeferral(t *testing.T) {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	sm := db.SpaceManager()
+	sm := db.Shared().Space
 	sm.SetBudget(sm.Used() + sm.Reserved())
 	// Rotate the memtable so the flush worker picks it up and defers.
 	go db.Flush() //nolint:errcheck — interrupted by Close below
@@ -477,7 +477,7 @@ func TestSpaceStallWatchdog(t *testing.T) {
 	// Exhaust the budget: the ladder goes Stopped and STAYS there —
 	// nothing in the engine can free tracked bytes, so without the
 	// watchdog this stall would never end.
-	sm := db.SpaceManager()
+	sm := db.Shared().Space
 	sm.SetBudget(sm.Used() + sm.Reserved())
 
 	// A stalled writer must come back with the watchdog's latch, not

@@ -17,8 +17,9 @@ type tableCache struct {
 	fs     vfs.FS
 	blocks *cache.Cache // may be nil
 	// salt is OR-ed into the file number used for block-cache keys
-	// (Options.CacheID). Shards sharing one cache allocate the same
-	// small file numbers; the salt keeps their blocks from aliasing.
+	// (the engine's tag in its Shared, shifted past any file number).
+	// Shards sharing one cache allocate the same small file numbers;
+	// the salt keeps their blocks from aliasing.
 	salt uint64
 
 	mu      clock.Mutex

@@ -35,6 +35,9 @@ type Store interface {
 	// Engines returns the engines behind the store in shard order (one
 	// for a bare engine), for per-engine metrics and LSM shape.
 	Engines() []*engine.DB
+	// Shared returns the resources those engines have in common: block
+	// cache, background pool, write controller, space budget, ops plane.
+	Shared() *engine.Shared
 	Close() error
 }
 

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"xpointdb/internal/bgpool"
 	"xpointdb/internal/clock"
 	"xpointdb/internal/engine"
 	"xpointdb/internal/obs"
@@ -21,11 +20,10 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics_*.txt instead of diffing against them")
 
 // scrapeBare parses the /metrics body of a bare engine opened with the
-// sharded tests' options, plus a BGPool so the pool families appear.
+// sharded tests' options.
 func scrapeBare(t *testing.T) []*obs.PromFamily {
 	t.Helper()
 	eo := testOptions(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), 1, nil).Engine
-	eo.BGPool = bgpool.New(clock.Real{}, 2)
 	db, err := engine.Open(eo)
 	if err != nil {
 		t.Fatalf("engine.Open: %v", err)

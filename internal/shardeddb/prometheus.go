@@ -55,8 +55,5 @@ func (db *DB) WritePrometheus(w io.Writer) {
 	pw.Header(healthFamily, "1 when every shard is healthy; state carries the worst shard's detail.", "gauge")
 	pw.Sample(healthFamily, fmt.Sprintf(`state="%s"`, health), healthy)
 
-	engine.WriteMetrics(w, db.shards, true, engine.SharedMetrics{
-		Blocks: db.blocks, Pool: db.pool, Controller: db.controller,
-		Space: db.space, EventsDropped: &db.eventsDropped,
-	})
+	engine.WriteMetrics(w, db.shards, true, db.shared)
 }

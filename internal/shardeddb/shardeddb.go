@@ -8,10 +8,12 @@
 // paths while keys stay ordered for range scans (a full iteration is
 // the plain concatenation of the shards' iterations).
 //
-// What is NOT duplicated per shard — shared resources:
+// What is NOT duplicated per shard — the shared resources, built,
+// reported and closed by one engine.Shared that every shard opens in
+// (DESIGN §16):
 //
-//   - One block cache (engine Options.BlockCache + CacheID salting),
-//     so hot shards can use the whole memory budget.
+//   - One block cache (keys salted per shard), so hot shards can use
+//     the whole memory budget.
 //   - One background worker pool (internal/bgpool): each shard still
 //     runs its own flush/compaction goroutines, but a job must hold a
 //     pool token to execute, and tokens go to the highest-priority
@@ -47,15 +49,8 @@ import (
 	"sync/atomic"
 
 	"xpointdb/internal/batch"
-	"xpointdb/internal/bgpool"
-	"xpointdb/internal/cache"
-	"xpointdb/internal/clock"
-	"xpointdb/internal/costmodel"
 	"xpointdb/internal/engine"
-	"xpointdb/internal/events"
 	"xpointdb/internal/keys"
-	"xpointdb/internal/obs"
-	"xpointdb/internal/throttle"
 	"xpointdb/internal/vfs"
 	"xpointdb/internal/wal"
 )
@@ -87,10 +82,8 @@ type Options struct {
 	// ShardFS/MetaFS below override the layout). BlockCacheSize is the
 	// TOTAL budget of the one shared cache. EventListener/
 	// EventSinkQueue/ObsAddr configure the single shared event stream
-	// and ops server. BlockCache, Controller, BGPool, CacheID,
-	// StallSource, ShardTag and CompactionPacer must be left zero —
-	// the sharded layer owns them (CompactionRateBytesPerSec becomes
-	// one shared pacer across every shard).
+	// and ops server; CompactionRateBytesPerSec and MaxAllowedSpace are
+	// one pacer and one budget across every shard.
 	Engine engine.Options
 
 	// ShardFS, if non-nil, supplies shard i's filesystem instead of
@@ -100,9 +93,10 @@ type Options struct {
 	// log) instead of the default "meta/" prefix of Engine.FS.
 	MetaFS vfs.FS
 
-	// PoolSlots sizes the shared background pool. Default
-	// max(2, Shards) — enough that a single shard is never starved,
-	// while 2×Shards worker goroutines contend for Shards tokens.
+	// PoolSlots sizes the shared background pool. 0 takes
+	// engine.NewShared's default, max(2, Shards) across several shards
+	// — enough that a single shard is never starved, while 2×Shards
+	// worker goroutines contend for Shards tokens.
 	PoolSlots int
 }
 
@@ -121,18 +115,13 @@ func UniformBoundaries(n int) [][]byte {
 // DB is a range-sharded store over N engine instances.
 type DB struct {
 	opts       Options
-	clk        clock.Clock
 	shards     []*engine.DB
 	boundaries [][]byte
 
-	blocks     *cache.Cache
-	pool       *bgpool.Pool
-	controller *throttle.Controller
-	space      *engine.SpaceManager
-	pacer      *costmodel.Pacer // shared compaction I/O rate limit (nil = unlimited)
-
-	ev    events.Listener // plane.Listener(): the shared stream every shard forwards into
-	plane *obs.Plane      // event path + HTTP ops plane (serve.go)
+	// shared is what the shards have in common — block cache, background
+	// pool, write controller, compaction pacer, space budget, ops plane.
+	// Built here before any shard opens, closed here after the last.
+	shared *engine.Shared
 
 	metaFS vfs.FS
 
@@ -155,7 +144,6 @@ type DB struct {
 	txnP2Failures  atomic.Int64
 	rolledForward  atomic.Int64
 	abortedAtOpen  atomic.Int64
-	eventsDropped  atomic.Int64
 	txnLogRotation atomic.Int64
 }
 
@@ -166,11 +154,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	if opts.Engine.FS == nil && (opts.ShardFS == nil || opts.MetaFS == nil) {
 		return nil, errors.New("shardeddb: Options.Engine.FS is required (or ShardFS+MetaFS)")
-	}
-	if opts.Engine.BlockCache != nil || opts.Engine.Controller != nil ||
-		opts.Engine.BGPool != nil || opts.Engine.CacheID != 0 || opts.Engine.ShardTag != 0 ||
-		opts.Engine.SpaceManager != nil || opts.Engine.CompactionPacer != nil {
-		return nil, errors.New("shardeddb: shared-resource engine options are owned by the sharded layer")
 	}
 	if len(opts.Boundaries) == 0 && opts.Shards > 1 {
 		opts.Boundaries = UniformBoundaries(opts.Shards)
@@ -187,61 +170,12 @@ func Open(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("shardeddb: boundaries not strictly ascending at %d", i)
 		}
 	}
-	clk := opts.Engine.Clock
-	if clk == nil {
-		clk = clock.Real{}
-	}
-
 	db := &DB{
 		opts:       opts,
-		clk:        clk,
 		boundaries: opts.Boundaries,
 		txnPending: make(map[uint64]bool),
+		shared:     engine.NewShared(opts.Engine, opts.Shards, opts.PoolSlots),
 	}
-
-	// Shared resources.
-	cacheSize := opts.Engine.BlockCacheSize
-	if cacheSize == 0 {
-		cacheSize = engine.DefaultOptions(nil).BlockCacheSize
-	}
-	if cacheSize > 0 {
-		db.blocks = cache.New(cacheSize)
-	}
-	slots := opts.PoolSlots
-	if slots <= 0 {
-		slots = opts.Shards
-		if slots < 2 {
-			slots = 2
-		}
-	}
-	db.pool = bgpool.New(clk, slots)
-	// One compaction-I/O rate limit across every shard: the configured
-	// bytes/sec is a device budget, not a per-shard one, so shards
-	// sharing a device pace against the same virtual-time ledger.
-	db.pacer = costmodel.NewPacer(opts.Engine.CompactionRateBytesPerSec)
-	if opts.Engine.MaxAllowedSpace > 0 {
-		// One space budget across every shard: a hot shard's files and
-		// reservations consume headroom all shards observe, and each
-		// shard's ladder subscription folds the shared state into its
-		// own stall computation.
-		db.space = engine.NewSpaceManager(opts.Engine.MaxAllowedSpace)
-	}
-	// One event stream for the whole store, built by the constructor the
-	// engine uses: the caller's listener plus the ops plane hang off it,
-	// and each shard emits synchronously into it through a tagging
-	// forwarder (serve.go). Built before any shard opens.
-	db.plane = obs.NewPlane(opts.Engine.EventListener, opts.Engine.EventSinkQueue, opts.Engine.ObsAddr,
-		func() { db.eventsDropped.Add(1) })
-	db.ev = db.plane.Listener()
-	tcfg := throttle.Config{
-		Mode:             opts.Engine.ThrottleMode,
-		DelayedWriteRate: opts.Engine.DelayedWriteRate,
-		FloorRate:        opts.Engine.TwoStageFloorRate,
-	}
-	if db.ev != nil {
-		tcfg.RateChanged = db.emitRateChange
-	}
-	db.controller = throttle.New(clk, tcfg)
 
 	// Filesystems: default layout is one base FS with per-shard
 	// prefixes plus a meta namespace.
@@ -250,7 +184,7 @@ func Open(opts Options) (*DB, error) {
 		db.metaFS = vfs.NewPrefix(opts.Engine.FS, "meta/")
 	}
 
-	// Open every shard with the shared resources injected.
+	// Open every shard inside the shared set.
 	db.shards = make([]*engine.DB, opts.Shards)
 	for i := range db.shards {
 		var sfs vfs.FS
@@ -261,13 +195,10 @@ func Open(opts Options) (*DB, error) {
 			sfs = vfs.NewPrefix(opts.Engine.FS, fmt.Sprintf("shard-%03d/", i))
 		}
 		if err == nil {
-			db.shards[i], err = engine.Open(db.shardOptions(i, sfs))
+			db.shards[i], err = db.shared.Open(i, db.shardOptions(i, sfs))
 		}
 		if err != nil {
-			for j := 0; j < i; j++ {
-				_ = db.shards[j].Close()
-			}
-			db.plane.Close()
+			db.abortOpen(i)
 			return nil, fmt.Errorf("shardeddb: open shard %d: %w", i, err)
 		}
 	}
@@ -275,46 +206,31 @@ func Open(opts Options) (*DB, error) {
 	// Resolve in-flight cross-shard transactions from the last run,
 	// then start a fresh coordinator epoch.
 	if err := db.recoverTxns(); err != nil {
-		for _, s := range db.shards {
-			_ = s.Close()
-		}
-		db.plane.Close()
+		db.abortOpen(opts.Shards)
 		return nil, err
 	}
 
-	if err := db.plane.Serve(db.WritePrometheus, db.StatsReport, db.healthz); err != nil {
+	if err := db.shared.Plane.Serve(db.WritePrometheus, db.StatsReport, db.healthz); err != nil {
 		_ = db.Close()
 		return nil, fmt.Errorf("shardeddb: ops server: %w", err)
 	}
 	return db, nil
 }
 
-// shardOptions builds shard i's engine options from the template.
+// abortOpen undoes a failed Open: the first n shards, then the set.
+func (db *DB) abortOpen(n int) {
+	for _, s := range db.shards[:n] {
+		_ = s.Close()
+	}
+	db.shared.Close()
+}
+
+// shardOptions builds shard i's engine options from the template: its
+// filesystem and, when the caller set WALFS, its own WAL namespace
+// there (one WAL device across shards is fine, equal names are not).
 func (db *DB) shardOptions(i int, fs vfs.FS) engine.Options {
 	o := db.opts.Engine
 	o.FS = fs
-	o.Clock = db.clk
-	// Shared block cache with a per-shard key salt; the shard must not
-	// size its own.
-	o.BlockCache = db.blocks
-	o.BlockCacheSize = 0
-	o.CacheID = uint64(i+1) << 48
-	// Shared write controller, background pool and space budget.
-	o.Controller = db.controller
-	o.StallSource = i
-	o.BGPool = db.pool
-	o.SpaceManager = db.space
-	o.CompactionPacer = db.pacer
-	// One event stream, one ops server — owned here, not per shard.
-	o.ObsAddr = ""
-	o.EventListener = db.shardListener(i)
-	if o.EventListener != nil {
-		// The shared hub already decouples slow sinks; per-shard
-		// forwarding is synchronous and non-blocking.
-		o.EventSinkQueue = -1
-	}
-	// WALFS sharing one device across shards is fine; a per-shard WAL
-	// namespace keeps names distinct when the caller set WALFS.
 	if o.WALFS != nil {
 		o.WALFS = vfs.NewPrefix(o.WALFS, fmt.Sprintf("shard-%03d/", i))
 	}
@@ -517,24 +433,8 @@ func (db *DB) TxnStats() (cross, aborts, rolledForward, abortedAtOpen int64) {
 		db.rolledForward.Load(), db.abortedAtOpen.Load()
 }
 
-// CacheStats exposes the shared block cache (nil-safe).
-func (db *DB) CacheStats() (used int64, hits, misses int64) {
-	if db.blocks == nil {
-		return 0, 0, 0
-	}
-	h, m := db.blocks.Stats()
-	return db.blocks.Used(), h, m
-}
-
-// Controller exposes the shared write controller.
-func (db *DB) Controller() *throttle.Controller { return db.controller }
-
-// Pool exposes the shared background pool.
-func (db *DB) Pool() *bgpool.Pool { return db.pool }
-
-// SpaceManager exposes the shared space budget manager, or nil when no
-// budget is configured.
-func (db *DB) SpaceManager() *engine.SpaceManager { return db.space }
+// Shared returns the resources the shards have in common.
+func (db *DB) Shared() *engine.Shared { return db.shared }
 
 // Close closes every shard and the coordinator state. The shards close
 // in parallel — each drains its own writers and workers.
@@ -567,6 +467,6 @@ func (db *DB) Close() error {
 		db.txnFile = nil
 	}
 	db.txnMu.Unlock()
-	db.plane.Close()
+	db.shared.Close()
 	return err
 }

@@ -333,15 +333,16 @@ func TestSharedCacheAndPoolAreShared(t *testing.T) {
 			}
 		}
 	}
-	used, hits, misses := db.CacheStats()
-	if used == 0 || hits+misses == 0 {
+	sh := db.Shared()
+	hits, misses := sh.Blocks.Stats()
+	if used := sh.Blocks.Used(); used == 0 || hits+misses == 0 {
 		t.Fatalf("shared cache unused: used=%d hits=%d misses=%d", used, hits, misses)
 	}
-	if _, _, grants := db.pool.Stats(); grants == 0 {
+	if _, _, grants := sh.Pool.Stats(); grants == 0 {
 		t.Fatal("shared pool never granted a token")
 	}
-	if db.pool.Size() != 2 {
-		t.Fatalf("pool size = %d, want 2", db.pool.Size())
+	if sh.Pool.Size() != 2 {
+		t.Fatalf("pool size = %d, want 2", sh.Pool.Size())
 	}
 }
 
@@ -419,6 +420,23 @@ func TestShardedPrometheusParses(t *testing.T) {
 	}
 	if !strings.Contains(db.StatsReport(), "cross-shard txns") {
 		t.Fatal("StatsReport missing shared-resource summary")
+	}
+}
+
+// TestStatsReportPrintsSharedLinesOnce: the one controller, pool, cache
+// and space budget are reported once at the top, not again under every
+// shard; what a shard has of its own still appears per shard.
+func TestStatsReportPrintsSharedLinesOnce(t *testing.T) {
+	db, _ := newTestStore(t, 3, func(o *Options) { o.Engine.MaxAllowedSpace = 1 << 30 })
+	defer db.Close()
+	rep := db.StatsReport()
+	for line, want := range map[string]int{
+		"controller     :": 1, "block cache    :": 1, "bg pool        :": 1, "space          :": 1,
+		"bg pool shard ": 3, "lsm            :": 3,
+	} {
+		if got := strings.Count(rep, line); got != want {
+			t.Errorf("%q appears %d times in a 3-shard report, want %d:\n%s", line, got, want, rep)
+		}
 	}
 }
 

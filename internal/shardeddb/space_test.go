@@ -14,18 +14,6 @@ import (
 	"xpointdb/internal/vfs"
 )
 
-// TestShardedRejectsCallerSpaceManager pins the shared-resource
-// ownership rule: the sharded layer creates the one SpaceManager all
-// shards charge, so a caller-supplied one is a configuration error.
-func TestShardedRejectsCallerSpaceManager(t *testing.T) {
-	fs := vfs.NewMem(storage.New(clock.Real{}, storage.Null()))
-	opts := testOptions(fs, 2, nil)
-	opts.Engine.SpaceManager = engine.NewSpaceManager(1 << 30)
-	if _, err := Open(opts); err == nil {
-		t.Fatal("Open accepted a caller-set Engine.SpaceManager")
-	}
-}
-
 // TestShardedSharedSpaceBudget is the one-budget-many-shards contract:
 // bytes written through ANY shard consume the single shared budget, a
 // squeeze to zero free space stops writes on EVERY shard — including a
@@ -38,13 +26,13 @@ func TestShardedSharedSpaceBudget(t *testing.T) {
 	})
 	defer db.Close()
 
-	sm := db.SpaceManager()
+	sm := db.Shared().Space
 	if sm == nil {
-		t.Fatal("SpaceManager() = nil with MaxAllowedSpace set")
+		t.Fatal("Shared().Space = nil with MaxAllowedSpace set")
 	}
 	for s := 0; s < 4; s++ {
-		if got := db.Engines()[s].SpaceManager(); got != sm {
-			t.Fatalf("shard %d has a private SpaceManager", s)
+		if db.Engines()[s].Shared() != db.Shared() {
+			t.Fatalf("shard %d opened in a Shared of its own", s)
 		}
 	}
 

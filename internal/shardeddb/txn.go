@@ -194,10 +194,10 @@ func (db *DB) appendCommitLocked(id uint64) error {
 	if err := db.txnLog.Sync(); err != nil {
 		return err
 	}
-	if db.space != nil {
+	if db.shared.Space != nil {
 		// Charge the appended record to the shared space budget (record
 		// framing is a few bytes, ignored — rotation re-measures).
-		db.space.GrowFile(metaSpaceKey(db.txnName), int64(len(rec)))
+		db.shared.Space.GrowFile(metaSpaceKey(db.txnName), int64(len(rec)))
 	}
 	return nil
 }
@@ -342,14 +342,14 @@ func (db *DB) writeTxnLog(epoch uint32, gen int, pending []uint64) error {
 	}
 	if db.txnName != "" && db.txnName != name {
 		_ = db.metaFS.Remove(db.txnName)
-		if db.space != nil {
-			db.space.UntrackFile(metaSpaceKey(db.txnName))
+		if db.shared.Space != nil {
+			db.shared.Space.UntrackFile(metaSpaceKey(db.txnName))
 		}
 	}
 	db.txnFile, db.txnLog, db.txnName = f, w, name
-	if db.space != nil {
+	if db.shared.Space != nil {
 		if size, err := db.metaFS.Size(name); err == nil {
-			db.space.TrackFile(metaSpaceKey(name), size)
+			db.shared.Space.TrackFile(metaSpaceKey(name), size)
 		}
 	}
 	return nil

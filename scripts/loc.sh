@@ -2,7 +2,9 @@
 # Size of the Go code, the measure the simplicity PRs are judged by:
 # per package and in total, the lines of non-test and of _test.go files
 # that are neither blank nor a // comment. bench/ is its own module and
-# is left out. Informational: prints a table, enforces no threshold.
+# is left out. Below the table, the two knob counts ROADMAP and CHANGES
+# quote: the fields of engine.Options and the flags dbbench binds.
+# Informational: prints, enforces no threshold.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,3 +28,9 @@ END {
 	close("sort")
 	printf "%-34s %8d %8d\n", "total (Go outside bench/)", totalCode, totalTest
 }'
+
+awk '/^type Options struct/ { inside = 1; next }
+	inside && /^}/ { exit }
+	inside && /^\t[A-Z][A-Za-z0-9]*[ \t]/ { n++ }
+	END { printf "%-34s %8d\n", "engine.Options fields", n }' internal/engine/options.go
+printf '%-34s %8d\n' "dbbench flags" "$(grep -cE '^[[:space:]]*fs\.[A-Za-z0-9]+Var\(' cmd/dbbench/main.go)"
