@@ -4,8 +4,10 @@ GO ?= go
 # budget for the native fuzz targets.
 TORTURE_ITERS ?= 50
 FUZZTIME ?= 10s
+# How long each layer microbenchmark runs; CI passes 1x.
+MICROBENCHTIME ?= 1s
 
-.PHONY: all tier1 tier2 tier3 bench-test bench-observability bench-smoke obs-smoke loc
+.PHONY: all tier1 tier2 tier3 bench-test microbench bench-observability bench-smoke obs-smoke loc
 
 all: tier1
 
@@ -17,6 +19,16 @@ tier1:
 # `go test ./...` at the root does not reach).
 bench-test:
 	$(GO) -C bench test ./...
+
+# Layer microbenchmarks (ns/op, B/op, allocs/op) under the write path:
+# skiplist Insert and Get at 4k and 64k entries, MemFS append (1 KiB
+# records and one write, 4 MiB), 4 KiB ReadAt and a small file, and an
+# empty store's Open + Close. These are what a change to one of those
+# layers quotes, parent against change; end-to-end numbers come from
+# bench/ (`bash bench/run.sh`).
+microbench:
+	$(GO) test -run '^$$' -bench . -benchtime $(MICROBENCHTIME) \
+		./internal/skiplist ./internal/vfs ./internal/engine
 
 # Code size per package and in total (non-blank, non-comment lines of
 # non-test and test Go outside bench/), then the engine.Options field

@@ -17,8 +17,21 @@ const headerLen = 12
 
 // Batch is a sequence of Put/Delete operations applied atomically. The
 // zero value is an empty, usable batch.
+//
+// Ownership: the store does not copy a batch it commits — the memtable
+// keeps slices into the batch's buffer — so from the moment the write
+// path sequences a batch (SetSequence) the bytes of its operations
+// belong to the store and nothing overwrites them. The Batch value
+// stays the caller's: Reset gives a committed batch a fresh buffer
+// instead of clearing the old one in place, so Put, Apply, Reset, Put,
+// Apply is safe and what the first Apply wrote stays what it was. A
+// batch that was never committed resets in place. The key and value
+// slices handed to Put and Delete are copied on the way in and remain
+// the caller's throughout.
 type Batch struct {
 	rep []byte
+	// retained is set once the store may hold slices into rep.
+	retained bool
 }
 
 func (b *Batch) ensureHeader() {
@@ -67,11 +80,13 @@ func (b *Batch) Sequence() uint64 {
 	return binary.LittleEndian.Uint64(b.rep[:8])
 }
 
-// SetSequence assigns the base sequence number (done by the write path
-// when the batch is committed).
+// SetSequence assigns the base sequence number. The write path does so
+// when it commits the batch, which is the point the store takes over
+// the buffer (see Batch).
 func (b *Batch) SetSequence(seq uint64) {
 	b.ensureHeader()
 	binary.LittleEndian.PutUint64(b.rep[:8], seq)
+	b.retained = true
 }
 
 // Empty reports whether no operations are queued.
@@ -85,8 +100,14 @@ func (b *Batch) Size() int {
 	return len(b.rep)
 }
 
-// Reset clears the batch for reuse.
+// Reset clears the batch for reuse. A committed batch's buffer belongs
+// to the store (see Batch): it is left as it is and the batch starts a
+// fresh one of the same capacity.
 func (b *Batch) Reset() {
+	if b.retained {
+		b.rep, b.retained = make([]byte, headerLen, cap(b.rep)), false
+		return
+	}
 	if len(b.rep) >= headerLen {
 		b.rep = b.rep[:headerLen]
 		for i := range b.rep {

@@ -143,6 +143,47 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestResetOwnership pins the ownership rule: a batch nobody committed
+// resets in place and keeps its buffer, while a committed (sequenced)
+// batch leaves its buffer — which the store holds slices into — as it
+// is and starts a fresh one of the same capacity.
+func TestResetOwnership(t *testing.T) {
+	var b Batch
+	b.Put([]byte("key"), []byte("first"))
+	var held []byte // what a memtable would keep
+	_ = b.Iterate(func(_ keys.Kind, _, value []byte) error { held = value; return nil })
+	buf := &b.Repr()[0]
+
+	b.Reset()
+	if &b.Repr()[0] != buf {
+		t.Fatal("Reset of an uncommitted batch dropped its buffer")
+	}
+	b.Put([]byte("key"), []byte("again"))
+	if string(held) != "again" {
+		t.Fatalf("uncommitted batch did not reset in place: held = %q", held)
+	}
+
+	b.SetSequence(7) // the write path commits it
+	size := cap(b.Repr())
+	b.Reset()
+	if !b.Empty() || b.Sequence() != 0 {
+		t.Fatalf("after Reset: count=%d seq=%d", b.Count(), b.Sequence())
+	}
+	if &b.Repr()[0] == buf || cap(b.Repr()) != size {
+		t.Fatalf("Reset of a committed batch: same buffer %v, cap %d want %d", &b.Repr()[0] == buf, cap(b.Repr()), size)
+	}
+	b.Put([]byte("key"), []byte("third"))
+	if string(held) != "again" {
+		t.Fatalf("refill after Reset rewrote a committed value: held = %q", held)
+	}
+	// The fresh buffer is uncommitted again: it resets in place.
+	buf = &b.Repr()[0]
+	b.Reset()
+	if &b.Repr()[0] != buf {
+		t.Fatal("second Reset dropped an uncommitted buffer")
+	}
+}
+
 func TestSizeGrows(t *testing.T) {
 	var b Batch
 	s0 := b.Size()

@@ -26,9 +26,9 @@ func New(budget int64) *Memtable {
 }
 
 // Add inserts an entry. Safe for concurrent use (CAS skiplist insert).
-// It returns the number of skiplist levels touched — a proxy for
-// insert work used by the CPU cost model (insert cost grows with
-// log(table size), the effect behind paper Figure 12).
+// value is retained, not copied. Insert cost grows with log(table
+// size) — the effect behind paper Figure 12; the engine charges the
+// CPU cost model for it from Count.
 func (m *Memtable) Add(seq uint64, kind keys.Kind, userKey, value []byte) {
 	m.list.Insert(keys.Make(userKey, seq, kind), value)
 }

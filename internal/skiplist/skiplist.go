@@ -58,9 +58,20 @@ const nodeOverhead = 64
 
 // Insert adds an internal key and value. The key must not already be
 // present. Safe for concurrent use with other Inserts and readers. The
-// slices are retained; callers must not modify them afterwards.
-func (s *SkipList) Insert(key, value []byte) {
+// slices are retained; callers must not modify them afterwards. It
+// returns the number of key comparisons performed, as findGE does.
+//
+// The search is RocksDB InlineSkipList's splice: one descent from the
+// top level records, for every level, the pair the key falls between;
+// the node is then linked bottom-up from those recorded predecessors.
+// Nodes are never unlinked, so a recorded prev stays a predecessor of
+// key on its level whatever other inserts do, and a lost CAS only has
+// to walk forward from it — never from head again.
+func (s *SkipList) Insert(key, value []byte) (cmps int) {
 	height := s.randomHeight()
+	// Raise the list height first, so that the descent below starts
+	// at or above every level the new node will be linked on; levels
+	// nobody has used yet are simply head → nil.
 	for {
 		h := s.height.Load()
 		if height <= int(h) || s.height.CompareAndSwap(h, int32(height)) {
@@ -68,28 +79,46 @@ func (s *SkipList) Insert(key, value []byte) {
 		}
 	}
 
+	var prev, next [maxHeight]*node
+	before := s.head
+	for level := int(s.height.Load()) - 1; level >= 0; level-- {
+		prev[level], next[level] = findSpliceForLevel(key, before, level, &cmps)
+		before = prev[level]
+	}
+
+	// Bottom-up, so that a node reachable on a level is already linked
+	// on every level below it: a reader (or the descent above) that
+	// steps down from it always finds a valid forward pointer.
 	x := newNode(key, value, height)
 	for level := 0; level < height; level++ {
 		for {
-			prev, next := s.findSpliceForLevel(key, s.head, level)
-			x.next[level].Store(next)
-			if prev.next[level].CompareAndSwap(next, x) {
+			x.next[level].Store(next[level])
+			if prev[level].next[level].CompareAndSwap(next[level], x) {
 				break
 			}
-			// Lost a race at this level; re-search and retry.
+			// Lost a race at this level: something was linked between
+			// prev and next. Re-search this level only, from prev.
+			prev[level], next[level] = findSpliceForLevel(key, prev[level], level, &cmps)
 		}
 	}
 	s.size.Add(int64(len(key)+len(value)) + nodeOverhead)
 	s.count.Add(1)
+	return cmps
 }
 
-// findSpliceForLevel walks level starting at start and returns the pair
-// (prev, next) such that prev.key < key ≤ next.key at that level.
-func (s *SkipList) findSpliceForLevel(key []byte, start *node, level int) (prev, next *node) {
+// findSpliceForLevel walks level starting at start, whose key must be
+// below key (or which is head), and returns the pair (prev, next) such
+// that prev.key < key ≤ next.key at that level, adding the key
+// comparisons it made to *cmps.
+func findSpliceForLevel(key []byte, start *node, level int, cmps *int) (prev, next *node) {
 	prev = start
 	for {
 		next = prev.next[level].Load()
-		if next == nil || keys.Compare(next.key, key) >= 0 {
+		if next == nil {
+			return prev, nil
+		}
+		*cmps++
+		if keys.Compare(next.key, key) >= 0 {
 			return prev, next
 		}
 		prev = next

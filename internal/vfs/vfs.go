@@ -88,13 +88,76 @@ func NewMem(dev *storage.Device) *MemFS {
 // Device returns the device this filesystem charges.
 func (fs *MemFS) Device() *storage.Device { return fs.dev }
 
+// chunkSize is the unit a memFile's bytes are stored in. An append
+// never moves bytes already written: it fills the tail chunk and starts
+// another. Chosen once, from BenchmarkMemFSAppend (dearer per byte
+// both below this and above it) against the slack a short tail chunk
+// wastes and the `mixed` reader's p99; DESIGN §17 has the numbers.
+const (
+	chunkShift = 16
+	chunkSize  = 1 << chunkShift
+)
+
+// memFile stores a file as chunks that are never moved once written.
+// tail is the chunk appends go to; *full lists the chunks before it,
+// chunkSize bytes each, so byte off lives in chunk off>>chunkShift. A
+// file that fits one chunk is tail alone, grown by append like any
+// slice, and full stays nil — a pointer, so that the many small files
+// (CURRENT, a MANIFEST) pay one word for it and no allocation. Every
+// later chunk is allocated at full capacity, once.
 type memFile struct {
 	fs   *MemFS
 	name string
 
 	mu     sync.RWMutex
-	data   []byte
-	synced int // prefix of data known to be on the device
+	tail   []byte
+	full   *[][]byte
+	synced int // prefix of the file known to be on the device
+}
+
+// size returns the file's length in bytes. Caller holds f.mu.
+func (f *memFile) size() int {
+	n := len(f.tail)
+	if f.full != nil {
+		n += len(*f.full) << chunkShift
+	}
+	return n
+}
+
+// chunk returns the i-th chunk. Caller holds f.mu.
+func (f *memFile) chunk(i int) []byte {
+	if f.full != nil && i < len(*f.full) {
+		return (*f.full)[i]
+	}
+	return f.tail
+}
+
+// append adds p at the end of the file. Caller holds f.mu.
+func (f *memFile) append(p []byte) {
+	for len(p) > 0 {
+		if len(f.tail) == chunkSize {
+			if f.full == nil {
+				f.full = new([][]byte)
+			}
+			*f.full = append(*f.full, f.tail)
+			f.tail = make([]byte, 0, chunkSize)
+		}
+		n := min(len(p), chunkSize-len(f.tail))
+		f.tail = append(f.tail, p[:n]...)
+		p = p[n:]
+	}
+}
+
+// readAt copies the file's bytes from off on into p and returns how
+// many there were: fewer than len(p) only at the end of the file. The
+// caller holds f.mu and has checked 0 <= off <= f.size().
+func (f *memFile) readAt(p []byte, off int) int {
+	p = p[:min(len(p), f.size()-off)]
+	for n := 0; n < len(p); {
+		at := off + n
+		n += copy(p[n:], f.chunk(at >> chunkShift)[at&(chunkSize-1):])
+	}
+	return len(p)
 }
 
 // Create creates or truncates name.
@@ -166,7 +229,7 @@ func (fs *MemFS) Size(name string) (int64, error) {
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return int64(len(f.data)), nil
+	return int64(f.size()), nil
 }
 
 // CrashClone returns a copy of the filesystem as it would look after a
@@ -177,11 +240,14 @@ func (fs *MemFS) CrashClone() *MemFS {
 	defer fs.mu.Unlock()
 	clone := NewMem(fs.dev)
 	for name, f := range fs.files {
+		c := &memFile{fs: clone, name: name}
 		f.mu.RLock()
-		data := make([]byte, f.synced)
-		copy(data, f.data[:f.synced])
+		for off := 0; off < f.synced; off += chunkSize {
+			c.append(f.chunk(off >> chunkShift)[:min(chunkSize, f.synced-off)])
+		}
 		f.mu.RUnlock()
-		clone.files[name] = &memFile{fs: clone, name: name, data: data, synced: len(data)}
+		c.synced = f.synced
+		clone.files[name] = c
 	}
 	return clone
 }
@@ -200,10 +266,10 @@ func (fs *MemFS) CorruptBit(name string, off int64) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if off < 0 || off >= int64(len(f.data)) {
-		return fmt.Errorf("vfs: corrupt %s at %d beyond size %d", name, off, len(f.data))
+	if size := f.size(); off < 0 || off >= int64(size) {
+		return fmt.Errorf("vfs: corrupt %s at %d beyond size %d", name, off, size)
 	}
-	f.data[off] ^= 1
+	f.chunk(int(off >> chunkShift))[off&(chunkSize-1)] ^= 1
 	return nil
 }
 
@@ -215,7 +281,7 @@ func (fs *MemFS) TotalBytes() int64 {
 	var n int64
 	for _, f := range fs.files {
 		f.mu.RLock()
-		n += int64(len(f.data))
+		n += int64(f.size())
 		f.mu.RUnlock()
 	}
 	return n
@@ -232,7 +298,7 @@ func (h *memHandle) Write(p []byte) (int, error) {
 		return 0, fmt.Errorf("vfs: write %s: file closed", h.f.name)
 	}
 	h.f.mu.Lock()
-	h.f.data = append(h.f.data, p...)
+	h.f.append(p)
 	h.f.mu.Unlock()
 	return len(p), nil
 }
@@ -246,10 +312,10 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.f.fs.dev.Read(len(p))
 	h.f.mu.RLock()
 	defer h.f.mu.RUnlock()
-	if off < 0 || off > int64(len(h.f.data)) {
-		return 0, fmt.Errorf("vfs: read %s at %d beyond size %d: %w", h.f.name, off, len(h.f.data), io.EOF)
+	if size := h.f.size(); off < 0 || off > int64(size) {
+		return 0, fmt.Errorf("vfs: read %s at %d beyond size %d: %w", h.f.name, off, size, io.EOF)
 	}
-	n := copy(p, h.f.data[off:])
+	n := h.f.readAt(p, int(off))
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -263,7 +329,7 @@ func (h *memHandle) Sync() error {
 	f := h.f
 	for {
 		f.mu.Lock()
-		dirty := len(f.data) - f.synced
+		dirty := f.size() - f.synced
 		if dirty <= 0 {
 			f.mu.Unlock()
 			break

@@ -55,7 +55,12 @@ type DB = engine.DB
 // Options configures Open.
 type Options = engine.Options
 
-// Batch is an atomic group of writes, applied with DB.Apply.
+// Batch is an atomic group of writes, applied with DB.Apply. A Batch
+// may be reused after Apply: the store keeps the applied operations'
+// bytes without copying them, and Reset on an applied batch therefore
+// starts a fresh buffer rather than overwriting them (a batch never
+// applied resets in place). Keys and values passed to Put and Delete
+// are copied and stay the caller's.
 type Batch = batch.Batch
 
 // Iter is a bidirectional snapshot iterator returned by DB.NewIter.

@@ -198,3 +198,74 @@ func TestNewSimulationNull(t *testing.T) {
 		t.Fatalf("Get = %q, %v", v, err)
 	}
 }
+
+// TestBatchReuseAfterApply reuses one Batch across Apply calls, the way
+// the API invites: apply, Reset, refill with different values of the
+// same length, apply again. The store keeps the first apply's bytes
+// without copying them, so a Reset that cleared the buffer in place
+// would let the refill overwrite values already acknowledged.
+func TestBatchReuseAfterApply(t *testing.T) {
+	type store interface {
+		Apply(b *Batch, syncWAL bool) error
+		Get(key []byte) ([]byte, error)
+		Flush() error
+		Close() error
+	}
+	bare := func(t *testing.T) store {
+		db, err := Open(NewSimulationNull().Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	sharded := func(t *testing.T) store {
+		db, err := OpenSharded(ShardedOptions{
+			Shards:     2,
+			Boundaries: [][]byte{[]byte("k-b")},
+			Engine:     NewSimulationNull().Options,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	for name, open := range map[string]func(*testing.T) store{"bare": bare, "2 shards": sharded} {
+		t.Run(name, func(t *testing.T) {
+			db := open(t)
+			defer db.Close()
+			const rounds, per = 3, 8
+			key := func(round, i int) []byte { return []byte(fmt.Sprintf("k-%c-%d-%02d", "ac"[i%2], round, i)) }
+			value := func(round, i int) []byte { return []byte(fmt.Sprintf("value-of-round-%d-op-%02d", round, i)) }
+
+			var b Batch
+			for round := 0; round < rounds; round++ {
+				for i := 0; i < per; i++ {
+					b.Put(key(round, i), value(round, i))
+				}
+				if err := db.Apply(&b, false); err != nil {
+					t.Fatal(err)
+				}
+				b.Reset()
+				if b.Count() != 0 {
+					t.Fatalf("Count after Reset = %d", b.Count())
+				}
+			}
+			check := func(when string) {
+				t.Helper()
+				for round := 0; round < rounds; round++ {
+					for i := 0; i < per; i++ {
+						got, err := db.Get(key(round, i))
+						if err != nil || string(got) != string(value(round, i)) {
+							t.Fatalf("%s: Get(%s) = %q, %v; want %q", when, key(round, i), got, err, value(round, i))
+						}
+					}
+				}
+			}
+			check("before flush")
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			check("after flush")
+		})
+	}
+}
