@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # How long each layer microbenchmark runs; CI passes 1x.
 MICROBENCHTIME ?= 1s
 
-.PHONY: all tier1 tier2 tier3 bench-test microbench bench-observability bench-smoke obs-smoke loc
+.PHONY: all tier1 tier2 tier3 bench-test microbench bench-smoke obs-smoke loc
 
 all: tier1
 
@@ -70,7 +70,8 @@ tier3:
 #   3. a zipfian hot-shard run: skewed load lands on shard 0 while the
 #      shared stall budget leaves cold shards unthrottled.
 #   4. fillrandom at max_subcompactions 4, failing unless the stats
-#      report shows the fan-out actually split a compaction.
+#      report's xpointdb_compaction_subcompactions_total line shows the
+#      fan-out actually split a compaction.
 # Real-clock and simulated dbbench runs share one code path, so `-path
 # DIR` in place of `-device xpoint` smokes the same body on the OS.
 bench-smoke:
@@ -79,7 +80,7 @@ bench-smoke:
 	$(GO) run ./cmd/dbbench -device xpoint -shards 4 -hot_shard_skew 1.3 \
 		-benchmarks readrandomwriterandom -threads 8 -duration 2s -num 8000
 	$(GO) run ./cmd/dbbench -device xpoint -benchmarks fillrandom -threads 8 -duration 2s -num 12000 \
-		-max_subcompactions 4 -stats | tee /dev/stderr | grep -E '^compaction mech: .* [1-9][0-9]* sub-compactions' >/dev/null
+		-max_subcompactions 4 -stats | tee /dev/stderr | grep -E '^xpointdb_compaction_subcompactions_total [1-9]' >/dev/null
 
 # Ops-plane smoke: run dbbench on a real directory with -serve and
 # curl every HTTP endpoint (/healthz, /metrics, /stats, /events SSE,
@@ -87,11 +88,3 @@ bench-smoke:
 # engine, once with -shards 4, against the same metric families.
 obs-smoke:
 	bash scripts/obs_smoke.sh
-
-# Re-measure the write-path instrumentation overhead recorded in
-# docs/history/BENCH_observability.json (fillrandom on the simulated device, bare
-# vs. fully instrumented).
-bench-observability:
-	$(GO) run ./cmd/dbbench -device xpoint -benchmarks fillrandom -threads 4 -duration 30s
-	$(GO) run ./cmd/dbbench -device xpoint -benchmarks fillrandom -threads 4 -duration 30s \
-		-perf -stats -eventlog /tmp/xpointdb-bench.events

@@ -20,6 +20,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"xpointdb/internal/clock"
@@ -27,7 +28,6 @@ import (
 	"xpointdb/internal/events"
 	"xpointdb/internal/faultfs"
 	"xpointdb/internal/kvstore"
-	"xpointdb/internal/shardeddb"
 	"xpointdb/internal/simenv"
 	"xpointdb/internal/storage"
 	"xpointdb/internal/throttle"
@@ -77,7 +77,7 @@ func parse(args []string) (*config, error) {
 	fs.BoolVar(&c.pipelined, "pipelined", true, "pipelined writes (paper Algorithm 2)")
 	fs.StringVar(&c.throttle, "throttle", "algo1", "write controller: none | algo1 | twostage")
 	fs.Int64Var(&c.seed, "seed", 42, "workload seed")
-	fs.BoolVar(&c.stats, "stats", false, "print the full engine stats report at the end")
+	fs.BoolVar(&c.stats, "stats", false, "end with the full stats report (health, LSM shape, per-level table around the metrics section) instead of the metrics section alone")
 	fs.DurationVar(&c.statsIntv, "statsinterval", 0, "periodic stats dump interval in engine-clock time (0 disables); dumps go to stderr")
 	fs.StringVar(&c.eventLog, "eventlog", "", "write the structured engine event stream (JSON lines) to this file")
 	fs.BoolVar(&c.perf, "perf", false, "collect per-operation stage timings (PerfContext histograms)")
@@ -195,7 +195,7 @@ func execute(cfg *config, out io.Writer) (r *report, err error) {
 		opts.Clock = clock.Real{}
 		cfg.tune(&opts, evLog)
 		if r, err = run(cfg, opts, nil); err == nil {
-			r.print(out, cfg, cfg.path, "real clock")
+			r.print(out, cfg, cfg.path, "real clock", "")
 		}
 		return r, err
 	}
@@ -218,37 +218,31 @@ func execute(cfg *config, out io.Writer) (r *report, err error) {
 	if err != nil {
 		return nil, err
 	}
-	r.print(out, cfg, cfg.prof.Name, "simulated, virtual time")
-	fmt.Fprintf(out, "device         : %v (queue waits sampled at end: %d)\n", env.Device.Stats(), env.Device.QueueDepth())
+	device := fmt.Sprintf("device         : %v (queue waits sampled at end: %d)\n", env.Device.Stats(), env.Device.QueueDepth())
 	if env.WALDevice != nil {
-		fmt.Fprintf(out, "wal device     : %v\n", env.WALDevice.Stats())
+		device += fmt.Sprintf("wal device     : %v\n", env.WALDevice.Stats())
 	}
+	r.print(out, cfg, cfg.prof.Name, "simulated, virtual time", device)
 	fmt.Fprintf(os.Stderr, "[%v virtual simulated in %v wall]\n", r.res.Duration.Round(time.Millisecond), time.Since(wall).Round(time.Millisecond))
 	return r, nil
 }
 
 // report is what one finished run hands to the printer: the workload
-// result, one metrics snapshot per engine (a single one for the bare
-// engine) and, for a sharded store, the resources and transactions its
-// shards share.
+// result, the store's rendered metrics section (its full stats report
+// with -stats) and what the substrate around the store saw.
 type report struct {
 	res      *workload.Result
-	snaps    []engine.MetricsSnapshot
 	health   engine.Health
 	l0Drain  time.Duration
-	stats    string // -stats
-	injected int64  // -faultprob: faults the filesystem injected
-	refused  int64  // -disk_quota: ops the filesystem refused with ENOSPC
-	squeezes int64  // -quota_cycle
-
-	sharded                                       bool
-	cacheUsed, cacheHits, cacheMisses, poolGrants int64
-	cross, aborts, rolledFwd, abortedO            int64
+	stats    string
+	injected int64 // -faultprob: faults the filesystem injected
+	refused  int64 // -disk_quota: ops the filesystem refused with ENOSPC
+	squeezes int64 // -quota_cycle
 }
 
 // run is the one benchmark body, the same on every substrate and for
 // one engine or many: open, preload, arm the nemesis, measure, settle,
-// drain Level 0, close, summarize. opts carries the substrate (FS,
+// drain Level 0, render the store's metrics, close. opts carries the substrate (FS,
 // clock, cost model); ffs is the fault-injecting filesystem under it,
 // nil without -faultprob/-disk_quota. The simulator calls run inside
 // Kernel.Run, the real clock directly.
@@ -280,6 +274,10 @@ func run(cfg *config, opts engine.Options, ffs *faultfs.FS) (*report, error) {
 	r.health = st.Health()
 	if cfg.stats {
 		r.stats = st.StatsReport()
+	} else {
+		var b strings.Builder
+		engine.WriteStats(&b, st.Engines(), st.Shared())
+		r.stats = b.String()
 	}
 	if err := st.Close(); err != nil {
 		return nil, fmt.Errorf("close: %w", err)
@@ -287,7 +285,6 @@ func run(cfg *config, opts engine.Options, ffs *faultfs.FS) (*report, error) {
 	if ffs != nil {
 		r.injected, r.refused = ffs.InjectedCount(), ffs.EnospcCount()
 	}
-	r.summarize(st)
 	return r, nil
 }
 
@@ -392,65 +389,12 @@ func settleSpace(clk clock.Clock, st kvstore.Store) {
 	}
 }
 
-// summarize snapshots the (closed) store's metrics into r.
-func (r *report) summarize(st kvstore.Store) {
-	for _, e := range st.Engines() {
-		r.snaps = append(r.snaps, e.Metrics().Snapshot())
-	}
-	sh := st.Shared()
-	if sh.Blocks != nil {
-		r.cacheUsed = sh.Blocks.Used()
-		r.cacheHits, r.cacheMisses = sh.Blocks.Stats()
-	}
-	_, _, r.poolGrants = sh.Pool.Stats()
-	if sdb, ok := st.(*shardeddb.DB); ok {
-		r.sharded = true
-		r.cross, r.aborts, r.rolledFwd, r.abortedO = sdb.TxnStats()
-	}
-}
-
-// total folds the per-engine snapshots into store-wide figures: the
-// counters the printed lines read. Waiting-writer means add (the store's total queue depth); the
-// max is the deepest single queue.
-func (r *report) total() (t engine.MetricsSnapshot) {
-	for _, s := range r.snaps {
-		t.Flushes += s.Flushes
-		t.FlushBytes += s.FlushBytes
-		t.Compactions += s.Compactions
-		t.CompactionBytesRead += s.CompactionBytesRead
-		t.CompactionBytesWritten += s.CompactionBytesWritten
-		t.StallDelayTotal += s.StallDelayTotal
-		t.StallStopTotal += s.StallStopTotal
-		t.StallStops += s.StallStops
-		t.WaitingWritersMean += s.WaitingWritersMean
-		t.WaitingWritersMax = max(t.WaitingWritersMax, s.WaitingWritersMax)
-		t.SoftErrors += s.SoftErrors
-		t.HardErrors += s.HardErrors
-		t.RecoveryAttempts += s.RecoveryAttempts
-		t.RecoverySuccesses += s.RecoverySuccesses
-		t.RecoveryGiveups += s.RecoveryGiveups
-		t.GetHitMemtable += s.GetHitMemtable
-		t.GetHitImmutable += s.GetHitImmutable
-		t.GetHitL0 += s.GetHitL0
-		t.GetHitDeep += s.GetHitDeep
-		t.GetMisses += s.GetMisses
-		t.L0TablesProbed += s.L0TablesProbed
-		t.BloomSkips += s.BloomSkips
-		t.ScrubPasses += s.ScrubPasses
-		t.ScrubbedBytes += s.ScrubbedBytes
-		t.CorruptionsDetected += s.CorruptionsDetected
-		t.EnospcErrors += s.EnospcErrors
-		t.SpaceDeferrals += s.SpaceDeferrals
-		t.SpaceWaits += s.SpaceWaits
-		t.SpaceRecoveries += s.SpaceRecoveries
-	}
-	return t
-}
-
-// print writes the report: target names what the store ran on (a
-// device profile or a directory), mode how its time passed.
-func (r *report) print(w io.Writer, cfg *config, target, mode string) {
-	res, m := r.res, r.total()
+// print writes the report: the workload's own lines, what the substrate
+// saw, then the store's rendered metrics. target names what the store
+// ran on (a device profile or a directory), mode how its time passed,
+// device the simulated devices' lines ("" on the real clock).
+func (r *report) print(w io.Writer, cfg *config, target, mode, device string) {
+	res := r.res
 	if cfg.shards > 1 {
 		target = fmt.Sprintf("%s, %d shards", target, cfg.shards)
 	}
@@ -463,34 +407,6 @@ func (r *report) print(w io.Writer, cfg *config, target, mode string) {
 		fmt.Fprintf(w, "write latency  : %s\n", res.WriteLat)
 	}
 	fmt.Fprintf(w, "read misses    : %d   errors: %d\n", res.ReadMisses, res.Errors)
-	fmt.Fprintf(w, "flushes        : %d (%d B)   compactions: %d (read %d B, wrote %d B)\n",
-		m.Flushes, m.FlushBytes, m.Compactions, m.CompactionBytesRead, m.CompactionBytesWritten)
-	fmt.Fprintf(w, "stalls         : delay %v, stop %v in %d episodes\n",
-		m.StallDelayTotal.Round(time.Microsecond), m.StallStopTotal.Round(time.Microsecond), m.StallStops)
-	fmt.Fprintf(w, "waiting writers: mean %.2f, max %d\n", m.WaitingWritersMean, m.WaitingWritersMax)
-	if m.SoftErrors+m.HardErrors+m.RecoveryAttempts > 0 {
-		fmt.Fprintf(w, "bg errors      : %d soft, %d hard; recovery %d attempts, %d recovered, %d gave up\n",
-			m.SoftErrors, m.HardErrors, m.RecoveryAttempts, m.RecoverySuccesses, m.RecoveryGiveups)
-	}
-	fmt.Fprintf(w, "read path      : mem %d, imm %d, L0 %d, deep %d, miss %d; L0 probes %d, bloom skips %d\n",
-		m.GetHitMemtable, m.GetHitImmutable, m.GetHitL0, m.GetHitDeep, m.GetMisses, m.L0TablesProbed, m.BloomSkips)
-	if m.ScrubPasses+m.ScrubbedBytes > 0 {
-		fmt.Fprintf(w, "scrub          : %d passes, %d B verified, %d corruptions detected\n",
-			m.ScrubPasses, m.ScrubbedBytes, m.CorruptionsDetected)
-	}
-	if r.sharded {
-		fmt.Fprintf(w, "shared cache   : %d B used, %d hits, %d misses; pool grants: %d\n",
-			r.cacheUsed, r.cacheHits, r.cacheMisses, r.poolGrants)
-		if r.cross+r.aborts+r.rolledFwd+r.abortedO > 0 {
-			fmt.Fprintf(w, "cross-shard txn: %d committed, %d aborted, %d rolled forward, %d aborted at open\n",
-				r.cross, r.aborts, r.rolledFwd, r.abortedO)
-		}
-		for i, m := range r.snaps {
-			fmt.Fprintf(w, "  shard %-3d    : %d writes, %d gets, %d flushes, %d compactions, stall %v, write p99 %v\n",
-				i, m.Writes, m.Gets, m.Flushes, m.Compactions,
-				(m.StallDelayTotal + m.StallStopTotal).Round(time.Microsecond), m.WriteP99)
-		}
-	}
 	fmt.Fprintf(w, "l0 drain       : %v after the measured window (max_subcompactions %d, compaction_rate %d B/s)\n",
 		r.l0Drain.Round(time.Millisecond), cfg.maxSub, cfg.compRate)
 	fmt.Fprintf(w, "health         : %v at the end of the run\n", r.health)
@@ -499,11 +415,10 @@ func (r *report) print(w io.Writer, cfg *config, target, mode string) {
 			cfg.faultProb, cfg.faultHeal, r.injected, r.health)
 	}
 	if cfg.diskQuota > 0 {
-		fmt.Fprintf(w, "space          : disk quota %d B cycle %v (%d squeezes); fs refused %d ops; engine: %d ENOSPC, %d deferred jobs, %d space waits, %d recoveries; final health %v\n",
-			cfg.diskQuota, cfg.quotaCycle, r.squeezes, r.refused,
-			m.EnospcErrors, m.SpaceDeferrals, m.SpaceWaits, m.SpaceRecoveries, r.health)
+		fmt.Fprintf(w, "space          : disk quota %d B cycle %v (%d squeezes); fs refused %d ops; final health %v\n",
+			cfg.diskQuota, cfg.quotaCycle, r.squeezes, r.refused, r.health)
 	}
-	fmt.Fprint(w, r.stats)
+	fmt.Fprint(w, device, r.stats)
 }
 
 // quotaCycler periodically squeezes the filesystem quota below current

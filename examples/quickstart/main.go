@@ -88,6 +88,7 @@ func main() {
 	}
 	fmt.Printf("after reopen, user:0042 = %s\n", v)
 
-	m := db2.Metrics()
-	fmt.Printf("engine: %d flushes, %d compactions\n", m.Flushes.Load(), m.Compactions.Load())
+	// The same report /stats serves: health, LSM shape, every non-zero
+	// metric under its /metrics name, the per-level table.
+	fmt.Print(db2.StatsReport())
 }

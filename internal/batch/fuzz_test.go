@@ -18,7 +18,7 @@ func FuzzFromRepr(f *testing.F) {
 	seed.SetSequence(42)
 	f.Add(append([]byte(nil), seed.Repr()...))
 	f.Add([]byte{})
-	f.Add(make([]byte, 12))           // header only, zero count
+	f.Add(make([]byte, 12))          // header only, zero count
 	f.Add(append(seed.Repr(), 0xff)) // trailing garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -8,7 +8,6 @@ package cache
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -135,23 +134,6 @@ func (c *Cache) EvictFile(fileNum uint64) {
 // Stats returns cumulative hit/miss counts.
 func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// HitRate returns the fraction of Gets served from the cache (0 when
-// the cache has never been consulted).
-func (c *Cache) HitRate() float64 {
-	h, m := c.Stats()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
-// String summarizes occupancy and hit rate for the stats reporter.
-func (c *Cache) String() string {
-	h, m := c.Stats()
-	return fmt.Sprintf("used=%dB hits=%d misses=%d hit_rate=%.1f%%",
-		c.Used(), h, m, 100*c.HitRate())
 }
 
 // Used returns the bytes currently cached.

@@ -231,7 +231,7 @@ func (sh *Shared) open(i int, opts Options, owned bool) (*DB, error) {
 		fs:         opts.FS,
 		walFS:      opts.WALFS,
 		cost:       opts.CostModel,
-		metrics:    newMetrics(clk, &sh.EventsDropped),
+		metrics:    newMetrics(clk),
 		shared:     sh,
 		index:      i,
 		ownsShared: owned,

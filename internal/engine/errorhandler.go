@@ -27,7 +27,8 @@ const (
 	SeverityNone Severity = iota
 	// SeveritySoft errors leave the DB writable: the failing
 	// background operation (flush, compaction, WAL-rotation create)
-	// retries in place and nothing acknowledged is at risk. Writes
+	// retries in place and nothing acknowledged is at risk (disk-full
+	// on those ops is hard instead; see classifySeverity). Writes
 	// may briefly stall if the failure backs up the immutable queue.
 	SeveritySoft
 	// SeverityHard errors latch writes (fail-fast) because the
@@ -186,6 +187,7 @@ var ErrMaxSpaceReached = fmt.Errorf("engine: max allowed space reached: %w", vfs
 //	                         durable; same recovery.
 //	wal-rotate-create soft   the old WAL is intact and still open;
 //	                         writes continue and the rotation retries.
+//	                         EXCEPT disk-full: hard — see below.
 //	manifest-append   hard   the MANIFEST tail may hold a torn edit;
 //	                         rolling to a fresh MANIFEST (full
 //	                         snapshot) heals it.
@@ -213,26 +215,25 @@ var ErrMaxSpaceReached = fmt.Errorf("engine: max allowed space reached: %w", vfs
 //
 // Disk-full (ENOSPC) on the hard rows stays hard: space can be freed,
 // and the recovery worker's backoff keeps probing until it is. On the
-// flush and compaction rows disk-full ESCALATES to hard (RocksDB's
-// ErrorHandler does the same for SstFileManager-managed ENOSPC):
-// retrying in place cannot succeed until space frees, and while the
-// retry loop spins the write path stalls on the full immutable queue
-// or L0 with no error to fail fast on — an unbounded invisible hang.
+// flush, compaction and rotate-create rows disk-full ESCALATES to hard
+// (RocksDB's ErrorHandler does the same for SstFileManager-managed
+// ENOSPC): retrying in place cannot succeed until space frees. A flush
+// or compaction retry loop would spin while the write path stalls on
+// the full immutable queue or L0 with no error to fail fast on; a full
+// memtable whose rotation cannot create its WAL would fail every write
+// while Health stayed Healthy, with no worker ever probing for space.
 // Latching hands the situation to the recovery worker's wait-for-space
 // path: writers fail fast with ErrBackground, reads keep serving, and
-// when the probe finds headroom the queued immutables drain and the
-// latch clears on the same handle. (The rotate-create row stays soft
-// even when disk-full: the old WAL is intact and the NEXT write retries
-// the rotation synchronously, so the writer already gets an error.)
-// Unknown ops classify as unrecoverable — the conservative latch.
+// when the probe finds headroom the repair runs (a drain, or for the
+// rotation the WAL swap that is the rotation) and the latch clears on
+// the same handle. Unknown ops classify as unrecoverable — the
+// conservative latch.
 func classifySeverity(op string, err error) Severity {
 	switch op {
-	case opFlush, opCompaction:
+	case opFlush, opCompaction, opWALRotateCreate:
 		if isDiskFull(err) {
 			return SeverityHard
 		}
-		return SeveritySoft
-	case opWALRotateCreate:
 		return SeveritySoft
 	case opWALAppend, opWALSync, opWALRotateSync, opManifestAppend, opCorruption, opSpaceStall:
 		return SeverityHard
@@ -263,7 +264,9 @@ const (
 
 func categoryOf(op string) recoveryCategory {
 	switch op {
-	case opWALAppend, opWALSync, opWALRotateSync:
+	case opWALAppend, opWALSync, opWALRotateSync, opWALRotateCreate:
+		// rotate-create latches only when the disk is full; the WAL
+		// swap after the wait-for-space probe is the rotation it failed.
 		return catWAL
 	case opManifestAppend:
 		return catManifest

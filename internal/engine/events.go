@@ -200,27 +200,13 @@ func (db *DB) emitSlowOp(op string, lat time.Duration, batch int, d *PerfContext
 		Batch:       batch,
 	}
 	if d != nil {
-		stages := map[string]time.Duration{
-			"throttle":   d.ThrottleDelay,
-			"queue":      d.WriteQueueWait,
-			"stall":      d.WriteStall,
-			"wal_append": d.WALAppend,
-			"wal_sync":   d.WALSync,
-			"mem_insert": d.MemtableInsert,
-			"mem_probe":  d.MemtableProbe,
-			"imm_probe":  d.ImmutableProbe,
-			"l0_probe":   d.L0ProbeTime,
-			"deep_probe": d.DeepProbeTime,
-			"block_read": d.BlockReadTime,
-		}
-		for name, v := range stages {
-			if v <= 0 {
-				continue
+		for _, st := range allStages {
+			if v := st.dur(d); v > 0 {
+				if so.Stages == nil {
+					so.Stages = make(map[string]int64, 4)
+				}
+				so.Stages[st.name] = v.Microseconds()
 			}
-			if so.Stages == nil {
-				so.Stages = make(map[string]int64, 4)
-			}
-			so.Stages[name] = v.Microseconds()
 		}
 	}
 	db.ev.Emit(events.Event{TS: db.clk.Now(), Kind: events.KindSlowOp, SlowOp: so})

@@ -11,7 +11,8 @@ import (
 )
 
 // Metrics aggregates the engine's instrumentation. All members are
-// safe for concurrent use; read them live or via Snapshot.
+// safe for concurrent use. The family tables in prometheus.go are how
+// they are read: /metrics and /stats both render those tables.
 type Metrics struct {
 	clk   clock.Clock
 	start time.Time
@@ -128,11 +129,6 @@ type Metrics struct {
 	// SlowOps counts operations promoted into slow_op trace events
 	// (end-to-end latency over Options.SlowOpThreshold).
 	SlowOps atomic.Int64
-	// eventsDropped is Shared.EventsDropped of the set the engine opened
-	// in: events lost to ops-plane backpressure — the bounded sink queue
-	// was full, so the event reached subscribers and the replay ring but
-	// not the JSON-lines sink. A fact of the set, read by Snapshot.
-	eventsDropped *atomic.Int64
 
 	// Levels holds the per-level compaction/I-O counters behind the
 	// RocksDB-style level stats table (levelstats.go).
@@ -163,8 +159,8 @@ type Metrics struct {
 	PerfBlockCacheMisses atomic.Int64
 }
 
-func newMetrics(clk clock.Clock, eventsDropped *atomic.Int64) *Metrics {
-	m := &Metrics{clk: clk, start: clk.Now(), eventsDropped: eventsDropped}
+func newMetrics(clk clock.Clock) *Metrics {
+	m := &Metrics{clk: clk, start: clk.Now()}
 	m.Ops = histogram.NewTimeSeries(m.start, time.Second)
 	m.WriteOps = histogram.NewTimeSeries(m.start, time.Second)
 	m.WaitingWriters.init(clk)
@@ -172,21 +168,19 @@ func newMetrics(clk clock.Clock, eventsDropped *atomic.Int64) *Metrics {
 	return m
 }
 
-// Start returns when metric collection began.
-func (m *Metrics) Start() time.Time { return m.start }
-
 // stageDef declares one PerfContext stage: its stage label on
-// xpointdb_stage_seconds (the text report drops a "_probe" suffix),
-// where an operation's PerfContext carries it, and which histogram
-// aggregates it. Recording, the report's stage lines and sums, and the
-// exporter all range over writeStages and readStages — a new stage is
-// one PerfContext field, one Metrics histogram and one line here.
+// xpointdb_stage_seconds (the stage-share line drops a "_probe"
+// suffix), where an operation's PerfContext carries it, and which
+// histogram aggregates it. Recording, the stage-share line and sums,
+// and the exporter all range over writeStages and readStages — a new
+// stage is one PerfContext field, one Metrics histogram and one line
+// here.
 type stageDef struct {
 	name string
 	dur  func(*PerfContext) time.Duration
 	hist func(*Metrics) *histogram.Histogram
 	// nested marks a sub-portion of other stages: recorded and
-	// exported, but left out of the stage sum and the report line.
+	// exported, but left out of the stage sum and the stage-share line.
 	nested bool
 }
 
@@ -207,6 +201,9 @@ var readStages = []stageDef{
 	{name: "block_read", dur: func(pc *PerfContext) time.Duration { return pc.BlockReadTime }, hist: func(m *Metrics) *histogram.Histogram { return &m.StageBlockRead }, nested: true},
 }
 
+// allStages is every stage, write path first.
+var allStages = append(append([]stageDef(nil), writeStages...), readStages...)
+
 // recordStages folds one operation's stage breakdown into the stage
 // histograms. Zero stages are skipped (see the field comments).
 func (m *Metrics) recordStages(stages []stageDef, pc *PerfContext) {
@@ -215,17 +212,6 @@ func (m *Metrics) recordStages(stages []stageDef, pc *PerfContext) {
 			stages[i].hist(m).Record(d)
 		}
 	}
-}
-
-// stageSum is the total time attributed to the (non-nested) stages.
-func (m *Metrics) stageSum(stages []stageDef) time.Duration {
-	var sum time.Duration
-	for _, st := range stages {
-		if !st.nested {
-			sum += st.hist(m).Sum()
-		}
-	}
-	return sum
 }
 
 // recordWritePerf folds one write operation's stage breakdown into the

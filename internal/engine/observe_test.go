@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -38,8 +39,8 @@ func TestGaugeZeroValue(t *testing.T) {
 
 // TestMetricsSnapshotRace hammers the engine with concurrent writers
 // and readers while another goroutine takes snapshots and renders
-// reports; run under -race this is the data-race check for the whole
-// metrics surface.
+// both sinks of the family tables; run under -race this is the
+// data-race check for the whole metrics surface.
 func TestMetricsSnapshotRace(t *testing.T) {
 	db, _ := newTestDB(t, func(o *Options) {
 		o.CollectPerf = true
@@ -75,7 +76,7 @@ func TestMetricsSnapshotRace(t *testing.T) {
 			if s.Writes < 0 {
 				t.Errorf("negative write count: %d", s.Writes)
 			}
-			_ = db.Metrics().Report()
+			db.WritePrometheus(io.Discard)
 			_ = db.StatsReport()
 		}
 	}()
@@ -286,8 +287,16 @@ func TestPerfStageCoverage(t *testing.T) {
 				name, stages, 100*ratio, e2e)
 		}
 	}
-	checkCoverage("write", m.WriteLatency.Sum(), m.stageSum(writeStages))
-	checkCoverage("read", m.GetLatency.Sum(), m.stageSum(readStages))
+	stageSum := func(stages []stageDef) (sum time.Duration) {
+		for _, st := range stages {
+			if !st.nested {
+				sum += st.hist(m).Sum()
+			}
+		}
+		return sum
+	}
+	checkCoverage("write", m.WriteLatency.Sum(), stageSum(writeStages))
+	checkCoverage("read", m.GetLatency.Sum(), stageSum(readStages))
 }
 
 // TestPerfContextExplicit exercises the caller-supplied accumulating
@@ -387,15 +396,18 @@ func TestStatsWorkerPeriodicDump(t *testing.T) {
 	if dumps < 3 {
 		t.Errorf("got %d periodic dumps over 3.5s of virtual time, want >= 3\n%s", dumps, out.String())
 	}
-	if !strings.Contains(out.String(), "** Engine stats") {
-		t.Errorf("dump missing metrics report:\n%s", out.String())
+	if !strings.Contains(out.String(), "** Metrics **") {
+		t.Errorf("dump missing the metrics section:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "controller     :") {
-		t.Errorf("dump missing controller line:\n%s", out.String())
+	if !strings.Contains(out.String(), `xpointdb_write_controller_state{state="clear"} 1`) {
+		t.Errorf("dump missing the controller state line:\n%s", out.String())
 	}
 }
 
-// TestMetricsReportContents sanity-checks the one-shot report text.
+// TestMetricsReportContents sanity-checks the one-shot /stats text of
+// a bare engine: state lines, rendered families (including the shared
+// resources it owns), the stage-share line and the per-level table —
+// and no per-level family lines, which the table renders.
 func TestMetricsReportContents(t *testing.T) {
 	db, _ := newTestDB(t, func(o *Options) { o.CollectPerf = true })
 	defer db.Close()
@@ -405,21 +417,28 @@ func TestMetricsReportContents(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
+	if err := db.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
 	for i := 0; i < 50; i++ {
 		if _, err := db.Get(testKey(i)); err != nil {
 			t.Fatalf("Get: %v", err)
 		}
 	}
-	rep := db.Metrics().Report()
-	for _, want := range []string{"gets", "writes", "write stages", "read stages", "flush"} {
+	rep := db.StatsReport()
+	for _, want := range []string{
+		"health         : healthy\n", "lsm            : L0 1 files", "** Metrics **\n",
+		"\nxpointdb_write_ops_total 200\n", "\nxpointdb_get_latency_seconds n=50 mean=",
+		"\nxpointdb_flushes_total 1\n", "\nxpointdb_stage_seconds{path=\"write\",stage=\"wal_sync\"} n=200 ",
+		"\nstage share    : write ", "; get mem ", "\nxpointdb_bgpool_size ", "\nxpointdb_block_cache_used_bytes ",
+		`xpointdb_write_controller_state{state="clear"} 1`, `xpointdb_space_state{state="clear"} 1`,
+		"** Per-level compaction stats **\n",
+	} {
 		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %q:\n%s", want, rep)
+			t.Errorf("stats report missing %q:\n%s", want, rep)
 		}
 	}
-	full := db.StatsReport()
-	for _, want := range []string{"lsm", "controller", "bg pool", "block cache"} {
-		if !strings.Contains(full, want) {
-			t.Errorf("stats report missing %q:\n%s", want, full)
-		}
+	if strings.Contains(rep, "xpointdb_level_") {
+		t.Errorf("per-level families rendered as lines; the per-level table is their rendering:\n%s", rep)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,14 +78,18 @@ func TestPrometheusGolden(t *testing.T) {
 
 // TestMetricsComplete walks Metrics by reflection and fails for any
 // counter, gauge, histogram or per-level counter that no table entry
-// reads: bumping the field must change the exposition. It also fails
-// when two entries emit the same family name and label set.
+// reads: bumping the field must change the /metrics exposition and the
+// /stats text alike, the two sinks of the one table. It also fails when
+// two entries declare the same family or emit the same name and label
+// set.
 func TestMetricsComplete(t *testing.T) {
 	db, _ := newTestDB(t, func(o *Options) {
 		o.DisableScrub = true // nothing but the test may move a counter
 	})
 	defer db.Close()
 
+	// Families that move with the clock alone, not with a bump.
+	timeWeighted := []string{"xpointdb_uptime_seconds", "xpointdb_waiting_writers_mean"}
 	render := func() map[string]float64 {
 		var buf bytes.Buffer
 		db.WritePrometheus(&buf)
@@ -99,16 +104,24 @@ func TestMetricsComplete(t *testing.T) {
 				if _, dup := samples[key]; dup {
 					t.Errorf("sample %s emitted twice", key)
 				}
-				if f.Name != "xpointdb_uptime_seconds" {
+				if !slices.Contains(timeWeighted, f.Name) {
 					samples[key] = s.Value
 				}
 			}
 		}
 		return samples
 	}
+	renderStats := func() string {
+		var kept []string
+		for _, line := range strings.Split(db.StatsReport(), "\n") {
+			if name, _, _ := strings.Cut(line, " "); !slices.Contains(timeWeighted, name) {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
 	seen := map[string]bool{}
-	for _, lists := range [][]string{familyNames(engineFamilies), familyNames(cacheFamilies),
-		familyNames(poolFamilies), familyNames(controllerFamilies), familyNames(spaceFamilies), familyNames(hubFamilies)} {
+	for _, lists := range [][]string{familyNames(engineFamilies), familyNames(sharedFamilies), familyNames(cacheFamilies)} {
 		for _, name := range lists {
 			if seen[name] {
 				t.Errorf("family %s declared twice", name)
@@ -119,7 +132,7 @@ func TestMetricsComplete(t *testing.T) {
 
 	var bump func(path string, v reflect.Value)
 	bump = func(path string, v reflect.Value) {
-		before := render()
+		before, beforeStats := render(), renderStats()
 		switch f := v.Addr().Interface().(type) {
 		case *atomic.Int64:
 			f.Add(1 << 20)
@@ -142,6 +155,9 @@ func TestMetricsComplete(t *testing.T) {
 		}
 		if reflect.DeepEqual(before, render()) {
 			t.Errorf("Metrics.%s is exported by no table entry", path)
+		}
+		if beforeStats == renderStats() {
+			t.Errorf("Metrics.%s does not reach /stats", path)
 		}
 	}
 	mv := reflect.ValueOf(db.Metrics()).Elem()

@@ -51,15 +51,19 @@ type PerfContext struct {
 }
 
 // WriteStages returns the sum of the write-path stage durations.
-func (pc *PerfContext) WriteStages() time.Duration {
-	return pc.ThrottleDelay + pc.WriteQueueWait + pc.WriteStall +
-		pc.WALAppend + pc.WALSync + pc.MemtableInsert
-}
+func (pc *PerfContext) WriteStages() time.Duration { return pc.sum(writeStages) }
 
 // ReadStages returns the sum of the read-path stage durations.
 // BlockReadTime is not added: it is a sub-portion of the probe stages.
-func (pc *PerfContext) ReadStages() time.Duration {
-	return pc.MemtableProbe + pc.ImmutableProbe + pc.L0ProbeTime + pc.DeepProbeTime
+func (pc *PerfContext) ReadStages() time.Duration { return pc.sum(readStages) }
+
+func (pc *PerfContext) sum(stages []stageDef) (d time.Duration) {
+	for _, st := range stages {
+		if !st.nested {
+			d += st.dur(pc)
+		}
+	}
+	return d
 }
 
 // Reset zeroes every field.
@@ -94,22 +98,11 @@ func (pc *PerfContext) diff(before *PerfContext) PerfContext {
 // String renders the non-zero stages.
 func (pc *PerfContext) String() string {
 	var b strings.Builder
-	stage := func(name string, d time.Duration) {
-		if d > 0 {
-			fmt.Fprintf(&b, " %s=%v", name, d)
+	for _, st := range allStages {
+		if d := st.dur(pc); d > 0 {
+			fmt.Fprintf(&b, " %s=%v", st.name, d)
 		}
 	}
-	stage("throttle", pc.ThrottleDelay)
-	stage("queue", pc.WriteQueueWait)
-	stage("stall", pc.WriteStall)
-	stage("wal_append", pc.WALAppend)
-	stage("wal_sync", pc.WALSync)
-	stage("mem_insert", pc.MemtableInsert)
-	stage("mem_probe", pc.MemtableProbe)
-	stage("imm_probe", pc.ImmutableProbe)
-	stage("l0_probe", pc.L0ProbeTime)
-	stage("deep_probe", pc.DeepProbeTime)
-	stage("block_read", pc.BlockReadTime)
 	if pc.BloomChecks > 0 || pc.L0Probes > 0 || pc.DeepProbes > 0 {
 		fmt.Fprintf(&b, " probes[l0=%d deep=%d bloom=%d/%d skipped]",
 			pc.L0Probes, pc.DeepProbes, pc.BloomSkips, pc.BloomChecks)

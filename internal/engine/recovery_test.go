@@ -60,13 +60,13 @@ func TestSeverityClassification(t *testing.T) {
 		{opManifestAppend, cause, SeverityHard},
 		{opManifestInstall, cause, SeverityFatal},
 		{"some-new-op", cause, SeverityUnrecoverable},
-		// Disk-full escalates flush/compaction to hard (retrying in
-		// place cannot succeed until space frees, and the stalled write
-		// path needs a latch to fail fast on); rotate-create stays soft
-		// because the writer already surfaces the error synchronously.
+		// Disk-full escalates flush/compaction/rotate-create to hard
+		// (retrying in place cannot succeed until space frees, and the
+		// write path needs a latch to fail fast on and a recovery worker
+		// that probes for space).
 		{opFlush, full, SeverityHard},
 		{opCompaction, full, SeverityHard},
-		{opWALRotateCreate, full, SeveritySoft},
+		{opWALRotateCreate, full, SeverityHard},
 		{opFlush, fmt.Errorf("sst: %w", syscall.ENOSPC), SeverityHard},
 	}
 	for _, c := range cases {

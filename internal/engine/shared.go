@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"fmt"
-	"strings"
 	"sync/atomic"
-	"time"
 
 	"xpointdb/internal/bgpool"
 	"xpointdb/internal/cache"
@@ -16,7 +13,8 @@ import (
 )
 
 // Shared is what the engines of one store have in common, and the one
-// place those resources are built, reported and closed (DESIGN §16).
+// place those resources are built and closed (DESIGN §16); their facts
+// are the sharedFamilies and cacheFamilies tables (prometheus.go).
 // Every engine opens inside a Shared by index: Open makes a set of one
 // that the engine owns and closes with itself; a sharded store builds
 // one with NewShared, opens its N engines in it and closes it last.
@@ -113,25 +111,6 @@ func (sh *Shared) emitRateChange(oldRate, newRate float64, behind bool) {
 		Kind: events.KindRateChange,
 		Rate: &events.Rate{OldRate: oldRate, NewRate: newRate, Factor: factor, Behind: behind},
 	})
-}
-
-// StatsReport renders the /stats lines of the shared resources; the
-// store that owns the set prints them once.
-func (sh *Shared) StatsReport() string {
-	b := &strings.Builder{}
-	if sm := sh.Space; sm != nil {
-		fmt.Fprintf(b, "space          : used %d B, reserved %d B, budget %d B (state %v)\n",
-			sm.Used(), sm.Reserved(), sm.Budget(), sm.State())
-	}
-	total, delayed, adjustments := sh.Controller.Stats()
-	fmt.Fprintf(b, "controller     : state %v, rate %.1f MB/s (%d delayed ops %v total, %d rate steps)\n",
-		sh.Controller.CurrentState(), sh.Controller.Rate()/(1<<20), delayed, total.Round(time.Microsecond), adjustments)
-	busy, waiting, grants := sh.Pool.Stats()
-	fmt.Fprintf(b, "bg pool        : %d/%d busy, %d waiting, %d grants\n", busy, sh.Pool.Size(), waiting, grants)
-	if sh.Blocks != nil {
-		fmt.Fprintf(b, "block cache    : %s\n", sh.Blocks)
-	}
-	return b.String()
 }
 
 // Close tears down the ops plane, the one resource that holds

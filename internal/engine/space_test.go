@@ -240,6 +240,73 @@ func TestWaitForSpaceRecovery(t *testing.T) {
 	}
 }
 
+// TestFullDiskUnderFullMemtableLatches: with the disk full and the
+// memtable at its budget, the write that must rotate cannot create the
+// next WAL. That latches a hard error — writes fail fast with
+// ErrBackground, Health leaves Healthy and the recovery worker probes
+// for space — where a soft error would fail every write while Health
+// stayed Healthy and nothing ever probed. Once space returns, the same
+// handle heals and every acknowledged write reads back.
+func TestFullDiskUnderFullMemtableLatches(t *testing.T) {
+	db, ffs := newFaultTestDB(t, func(o *Options) {
+		o.MemtableSize = 16 << 10
+		o.DisableAutoRecovery = false
+		o.RecoveryBaseBackoff = time.Millisecond
+		o.RecoveryMaxBackoff = 5 * time.Millisecond
+		o.MaxRecoveryAttempts = 1 << 20 // the test heals by releasing the quota
+	})
+	defer db.Close()
+
+	// Fill the memtable to its budget; no write has rotated it yet, so
+	// the next one must.
+	acked := 0
+	for full := false; !full; acked++ {
+		if err := db.Put(testKey(acked), testValue(acked)); err != nil {
+			t.Fatalf("Put %d: %v", acked, err)
+		}
+		db.mu.Lock()
+		full = db.mem.ApproximateSize() >= db.memBudget
+		rotated := len(db.imms) > 0
+		db.mu.Unlock()
+		if rotated || db.Metrics().Flushes.Load() > 0 {
+			t.Fatalf("memtable rotated after %d writes, before it was full", acked+1)
+		}
+	}
+
+	ffs.SetQuota(ffs.DiskUsed()) // full: the rotation's WAL create fails
+	if err := db.Put(testKey(acked), testValue(acked)); err == nil {
+		t.Fatal("rotating Put on a full disk succeeded")
+	}
+	if err := db.Put(testKey(acked), testValue(acked)); !errors.Is(err, ErrBackground) {
+		t.Fatalf("Put after the failed rotation = %v, want the latched ErrBackground", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && db.Metrics().SpaceWaits.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if h := db.Health(); h == Healthy {
+		t.Fatal("Health = Healthy with every write failing on a full disk")
+	}
+	if db.Metrics().SpaceWaits.Load() == 0 {
+		t.Fatal("no failed space probe recorded while the disk was full")
+	}
+	if _, err := db.Get(testKey(0)); err != nil {
+		t.Fatalf("Get under the latch: %v", err)
+	}
+
+	ffs.SetQuota(-1) // operator frees space
+	waitHealthy(t, db, 10*time.Second)
+	for i := 0; i < acked; i++ {
+		v, err := db.Get(testKey(i))
+		if err != nil || string(v) != string(testValue(i)) {
+			t.Fatalf("Get %d after recovery = (%q, %v), want the acked value", i, v, err)
+		}
+	}
+	if err := db.Put(testKey(acked), testValue(acked)); err != nil {
+		t.Fatalf("Put after recovery: %v", err)
+	}
+}
+
 // TestSpaceRecoveryGiveupBounded pins the honest-failure half of the
 // contract: when space never frees, automatic recovery stops after
 // MaxRecoveryAttempts (bounded, no silent infinite retry), writes keep

@@ -553,9 +553,10 @@ func (db *DB) rotateMemtableLocked(reason string) error {
 
 	db.mu.Lock()
 	if err != nil {
-		// Transient, retriable, old WAL intact: a soft error — writes
-		// keep flowing into the current memtable and the next rotation
-		// attempt retries the create.
+		// Old WAL intact: a soft error — writes keep flowing into the
+		// current memtable and the next rotation attempt retries the
+		// create — unless the disk is full, which latches (hard) and
+		// hands the rotation to wait-for-space recovery.
 		db.setBackgroundErrorLocked(opWALRotateCreate, err)
 		return fmt.Errorf("engine: rotate wal: %w", err)
 	}

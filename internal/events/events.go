@@ -41,15 +41,15 @@ const (
 	// back (projected output over MaxAllowedSpace); the job retries once
 	// reclamation or a budget raise frees headroom.
 	KindCompactionDeferred Kind = "compaction_deferred"
-	KindStallChange     Kind = "stall_change"
-	KindRateChange      Kind = "rate_change"
-	KindWALSync         Kind = "wal_sync"
-	KindFSOp            Kind = "fs_op"
-	KindBackgroundError Kind = "background_error"
-	KindRecoveryBegin   Kind = "error_recovery_begin"
-	KindRecoveryAttempt Kind = "error_recovery_attempt"
-	KindRecoverySuccess Kind = "error_recovery_success"
-	KindRecoveryGiveup  Kind = "error_recovery_giveup"
+	KindStallChange        Kind = "stall_change"
+	KindRateChange         Kind = "rate_change"
+	KindWALSync            Kind = "wal_sync"
+	KindFSOp               Kind = "fs_op"
+	KindBackgroundError    Kind = "background_error"
+	KindRecoveryBegin      Kind = "error_recovery_begin"
+	KindRecoveryAttempt    Kind = "error_recovery_attempt"
+	KindRecoverySuccess    Kind = "error_recovery_success"
+	KindRecoveryGiveup     Kind = "error_recovery_giveup"
 
 	KindSuperVersionInstall Kind = "superversion_install"
 	KindObsoleteGC          Kind = "obsolete_gc"
@@ -136,8 +136,8 @@ type Compaction struct {
 	Subcompactions int `json:"subcompactions,omitempty"`
 	// TrivialMove marks a job executed as a pure manifest edit: the
 	// inputs moved to the output level with zero data I/O.
-	TrivialMove bool  `json:"trivial_move,omitempty"`
-	DurationUS  int64 `json:"duration_us,omitempty"`
+	TrivialMove bool   `json:"trivial_move,omitempty"`
+	DurationUS  int64  `json:"duration_us,omitempty"`
 	Error       string `json:"error,omitempty"`
 }
 

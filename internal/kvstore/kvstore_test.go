@@ -92,8 +92,8 @@ func TestStoreContract(t *testing.T) {
 			if _, err := st.Get(keys[1]); !errors.Is(err, engine.ErrNotFound) {
 				t.Fatalf("Get(%q) after the batch deleted it = %v, want ErrNotFound", keys[1], err)
 			}
-			if !strings.Contains(st.StatsReport(), "compaction mech:") {
-				t.Error("StatsReport lacks the engine report")
+			if !strings.Contains(st.StatsReport(), "\nxpointdb_write_ops_total ") {
+				t.Error("StatsReport lacks the rendered metrics section")
 			}
 
 			// Latch a hard error on the engine owning keys[1]: one WAL

@@ -20,26 +20,22 @@ func (db *DB) ObsAddr() string { return db.shared.Plane.Addr() }
 // configured listener (async sink only; no-op otherwise).
 func (db *DB) SyncEvents() { db.shared.Plane.Sync() }
 
-// StatsReport renders the combined human-readable report: the shared
-// resources once, then each shard's engine report without them.
+// StatsReport renders the combined human-readable report: one
+// store-wide metrics section over every shard (engine.WriteStats: sums
+// with per-shard brackets, the shared resources once), the cross-shard
+// transaction line, then each shard's health, LSM shape and per-level
+// table.
 func (db *DB) StatsReport() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== sharded store: %d shards ==\n", len(db.shards))
-	b.WriteString(db.shared.StatsReport())
-	for i := range db.shards {
-		w, g := db.shared.Pool.TagStats(i)
-		fmt.Fprintf(&b, "bg pool shard %d: waiting=%d grants=%d\n", i, w, g)
-	}
-	if p := db.shared.Pacer; p != nil {
-		fmt.Fprintf(&b, "compaction pacer: %dB/s shared\n", p.Rate())
-	}
+	engine.WriteStats(&b, db.shards, db.shared)
 	cross, aborts, rf, ab := db.TxnStats()
 	fmt.Fprintf(&b, "cross-shard txns: committed=%d aborted=%d rolled_forward=%d aborted_at_open=%d pending=%d\n",
 		cross, aborts, rf, ab, db.pendingTxns())
 	for i, s := range db.shards {
 		start, end := db.ShardRange(i)
 		fmt.Fprintf(&b, "\n-- shard %d [%q, %q) --\n", i, start, end)
-		b.WriteString(s.StatsReport())
+		b.WriteString(s.StateReport())
 	}
 	return b.String()
 }

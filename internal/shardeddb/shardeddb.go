@@ -49,6 +49,7 @@ import (
 	"sync/atomic"
 
 	"xpointdb/internal/batch"
+	"xpointdb/internal/clock"
 	"xpointdb/internal/engine"
 	"xpointdb/internal/keys"
 	"xpointdb/internal/vfs"
@@ -304,11 +305,11 @@ func (db *DB) Delete(key []byte) error {
 
 // MultiGet looks up every key, returning parallel values/errors
 // slices. Lookups are grouped by shard and the groups run
-// concurrently, one goroutine per shard touched.
+// concurrently, one clock process per shard touched.
 func (db *DB) MultiGet(keys ...[]byte) ([][]byte, []error) {
 	values := make([][]byte, len(keys))
 	errs := make([]error, len(keys))
-	byShard := make(map[int][]int)
+	byShard := make([][]int, len(db.shards))
 	for i, k := range keys {
 		if err := checkKey(k); err != nil {
 			errs[i] = err
@@ -317,17 +318,18 @@ func (db *DB) MultiGet(keys ...[]byte) ([][]byte, []error) {
 		s := db.ShardForKey(k)
 		byShard[s] = append(byShard[s], i)
 	}
-	var wg sync.WaitGroup
+	var touched []int
 	for s, idxs := range byShard {
-		wg.Add(1)
-		go func(s int, idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				values[i], errs[i] = db.shards[s].Get(keys[i])
-			}
-		}(s, idxs)
+		if len(idxs) > 0 {
+			touched = append(touched, s)
+		}
 	}
-	wg.Wait()
+	clock.Parallel(db.opts.Engine.Clock, "multiget", len(touched), func(j int) {
+		s := touched[j]
+		for _, i := range byShard[s] {
+			values[i], errs[i] = db.shards[s].Get(keys[i])
+		}
+	})
 	return values, errs
 }
 
@@ -443,15 +445,9 @@ func (db *DB) Close() error {
 		return ErrClosed
 	}
 	errs := make([]error, len(db.shards))
-	var wg sync.WaitGroup
-	for i, s := range db.shards {
-		wg.Add(1)
-		go func(i int, s *engine.DB) {
-			defer wg.Done()
-			errs[i] = s.Close()
-		}(i, s)
-	}
-	wg.Wait()
+	clock.Parallel(db.opts.Engine.Clock, "close-shard", len(db.shards), func(i int) {
+		errs[i] = db.shards[i].Close()
+	})
 	var err error
 	for i, e := range errs {
 		if e != nil && err == nil {

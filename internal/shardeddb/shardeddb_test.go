@@ -3,10 +3,11 @@ package shardeddb
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
-	"testing"
-
 	"sync"
+	"testing"
+	"time"
 
 	"xpointdb/internal/batch"
 	"xpointdb/internal/clock"
@@ -424,19 +425,163 @@ func TestShardedPrometheusParses(t *testing.T) {
 }
 
 // TestStatsReportPrintsSharedLinesOnce: the one controller, pool, cache
-// and space budget are reported once at the top, not again under every
-// shard; what a shard has of its own still appears per shard.
+// and space budget are rendered once, in the store-wide section, not
+// again under every shard; every counter is rendered once, store-wide;
+// what a shard has of its own (health, LSM shape, level table) still
+// appears per shard.
 func TestStatsReportPrintsSharedLinesOnce(t *testing.T) {
 	db, _ := newTestStore(t, 3, func(o *Options) { o.Engine.MaxAllowedSpace = 1 << 30 })
 	defer db.Close()
+	for s := 0; s < 3; s++ {
+		if err := db.Put(shardKey(s, db, 0), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rep := db.StatsReport()
 	for line, want := range map[string]int{
-		"controller     :": 1, "block cache    :": 1, "bg pool        :": 1, "space          :": 1,
-		"bg pool shard ": 3, "lsm            :": 3,
+		"\nxpointdb_write_controller_state{": 1, "\nxpointdb_bgpool_size ": 1, "\nxpointdb_space_budget_bytes ": 1,
+		"\nxpointdb_write_ops_total 3 [1 1 1]\n": 1, "\nxpointdb_wal_syncs_total 3 [1 1 1]\n": 1, "** Metrics": 1,
+		"\nhealth         :": 3, "\nlsm            :": 3, "** Per-level compaction stats **": 3,
 	} {
 		if got := strings.Count(rep, line); got != want {
 			t.Errorf("%q appears %d times in a 3-shard report, want %d:\n%s", line, got, want, rep)
 		}
+	}
+}
+
+// TestStatsTotalsMatchShards: every counter of a sharded store's /stats
+// section is a store-wide total that equals the sum of its per-shard
+// brackets, and each bracket is that shard's /metrics sample — and
+// every counter /metrics reports as non-zero for some shard is there.
+func TestStatsTotalsMatchShards(t *testing.T) {
+	db, _ := newTestStore(t, 3, func(o *Options) { o.Engine.DisableScrub = true })
+	defer db.Close()
+	val := bytes.Repeat([]byte("x"), 256)
+	for s := 0; s < 3; s++ {
+		for i := 0; i < 50*(s+1); i++ {
+			if err := db.Put(shardKey(s, db, i), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	b := new(batch.Batch)
+	b.Put(shardKey(0, db, 1000), val)
+	b.Put(shardKey(2, db, 1000), val)
+	if err := db.Apply(b, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := db.Get(shardKey(i%3, db, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// counters maps "name{labels}" to the per-shard values: from the
+	// exposition (shard label dropped) or from /stats brackets.
+	fromMetrics := func() map[string][]float64 {
+		out := map[string][]float64{}
+		for _, f := range scrape(t, db.WritePrometheus) {
+			if f.Type != "counter" || strings.HasPrefix(f.Name, "xpointdb_level_") {
+				continue
+			}
+			for _, smp := range f.Samples {
+				shard, ok := smp.Labels["shard"]
+				if !ok {
+					continue
+				}
+				var labels []string
+				for k, v := range smp.Labels {
+					if k != "shard" {
+						labels = append(labels, fmt.Sprintf("%s=%q", k, v))
+					}
+				}
+				sortStrings(labels)
+				key := smp.Name
+				if len(labels) > 0 {
+					key += "{" + strings.Join(labels, ",") + "}"
+				}
+				if out[key] == nil {
+					out[key] = make([]float64, 3)
+				}
+				var i int
+				fmt.Sscan(shard, &i)
+				out[key][i] = smp.Value
+			}
+		}
+		return out
+	}
+	type statLine struct {
+		total  float64
+		shards []float64
+	}
+	fromStats := func() map[string]statLine {
+		out := map[string]statLine{}
+		for _, line := range strings.Split(db.StatsReport(), "\n") {
+			name, rest, _ := strings.Cut(line, " ")
+			total, brackets, ok := strings.Cut(rest, " [")
+			if !strings.HasPrefix(name, "xpointdb_") || !ok {
+				continue // a gauge, a histogram or not a metric line
+			}
+			var l statLine
+			fmt.Sscan(total, &l.total)
+			for _, v := range strings.Fields(strings.TrimSuffix(brackets, "]")) {
+				var f float64
+				fmt.Sscan(v, &f)
+				l.shards = append(l.shards, f)
+			}
+			out[name] = l
+		}
+		return out
+	}
+	// Background work may land between the two renderings; retry until
+	// /stats is the same before and after the scrape.
+	var metrics map[string][]float64
+	var stats map[string]statLine
+	for try := 0; ; try++ {
+		stats = fromStats()
+		metrics = fromMetrics()
+		if fmt.Sprint(stats) == fmt.Sprint(fromStats()) {
+			break
+		}
+		if try == 50 {
+			t.Fatal("counters never held still")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+	for key, perShard := range metrics {
+		var sum float64
+		for _, v := range perShard {
+			sum += v
+		}
+		l, ok := stats[key]
+		switch {
+		case sum == 0 && ok:
+			t.Errorf("%s: all shards zero on /metrics, yet /stats renders %v", key, l)
+		case sum == 0:
+		case !ok:
+			t.Errorf("%s: %v on /metrics, no store-wide line on /stats", key, perShard)
+		case len(l.shards) != 3:
+			t.Errorf("%s: /stats brackets %v, want one value per shard", key, l.shards)
+		default:
+			var bracketSum float64
+			for i, v := range l.shards {
+				bracketSum += v
+				if !near(v, perShard[i]) {
+					t.Errorf("%s: shard %d is %v on /stats, %v on /metrics", key, i, v, perShard[i])
+				}
+			}
+			if !near(l.total, bracketSum) {
+				t.Errorf("%s: store-wide %v, brackets sum to %v", key, l.total, bracketSum)
+			}
+		}
+	}
+	if len(stats) < 10 {
+		t.Errorf("only %d counter lines on a busy 3-shard store:\n%s", len(stats), db.StatsReport())
 	}
 }
 

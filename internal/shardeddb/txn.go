@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
+	"maps"
+	"slices"
 
 	"xpointdb/internal/batch"
+	"xpointdb/internal/clock"
 	"xpointdb/internal/engine"
 	"xpointdb/internal/vfs"
 	"xpointdb/internal/wal"
@@ -92,22 +94,14 @@ func (db *DB) applyCross(parts map[int]*batch.Batch, syncWAL bool) error {
 	// Phase 1: durable prepare records in every participant, in
 	// parallel. The record's value is the sub-batch payload, so the
 	// shard itself carries everything roll-forward needs.
-	shardIDs := make([]int, 0, len(parts))
-	for s := range parts {
-		shardIDs = append(shardIDs, s)
-	}
+	clk := db.opts.Engine.Clock
+	shardIDs := slices.Sorted(maps.Keys(parts))
 	prepErrs := make([]error, len(shardIDs))
-	var wg sync.WaitGroup
-	for i, s := range shardIDs {
-		wg.Add(1)
-		go func(i, s int) {
-			defer wg.Done()
-			var pb batch.Batch
-			pb.Put(prepKey, parts[s].Repr())
-			prepErrs[i] = db.shards[s].Apply(&pb, true)
-		}(i, s)
-	}
-	wg.Wait()
+	clock.Parallel(clk, "txn-prepare", len(shardIDs), func(i int) {
+		var pb batch.Batch
+		pb.Put(prepKey, parts[shardIDs[i]].Repr())
+		prepErrs[i] = db.shards[shardIDs[i]].Apply(&pb, true)
+	})
 	for i, e := range prepErrs {
 		if e != nil {
 			// Presumed abort: best-effort removal of the prepares that
@@ -139,16 +133,11 @@ func (db *DB) applyCross(parts map[int]*batch.Batch, syncWAL bool) error {
 	// Phase 2: apply the data and retire the prepare record, one
 	// engine batch per shard — they vanish or survive together.
 	applyErrs := make([]error, len(shardIDs))
-	for i, s := range shardIDs {
-		wg.Add(1)
-		go func(i, s int) {
-			defer wg.Done()
-			sub := parts[s]
-			sub.Delete(prepKey)
-			applyErrs[i] = db.shards[s].Apply(sub, syncWAL)
-		}(i, s)
-	}
-	wg.Wait()
+	clock.Parallel(clk, "txn-apply", len(shardIDs), func(i int) {
+		sub := parts[shardIDs[i]]
+		sub.Delete(prepKey)
+		applyErrs[i] = db.shards[shardIDs[i]].Apply(sub, syncWAL)
+	})
 	for i, e := range applyErrs {
 		if e != nil {
 			// The transaction IS committed — its record is durable and

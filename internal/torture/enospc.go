@@ -147,14 +147,10 @@ func (e *enospc) settle(r *run) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for r.c().giveups == c.giveups && time.Now().Before(deadline) {
 		if r.healthy() {
-			// Either the obsolete-file scrape freed enough slack for
-			// that round's repair to land, or the poison died in a WAL
-			// rotation (a full memtable; a failed create is a soft
-			// error and latches nothing). Let a rotation through and
-			// re-poison; should space appear under the squeeze after
-			// all, the ack stands like any other.
-			r.ffs.SetQuota(-1)
-			_ = r.st.Flush()
+			// The obsolete-file scrape freed enough slack for that
+			// round's repair to land: re-poison. Should space appear
+			// under the squeeze after all, the ack stands like any
+			// other.
 			if poison() == nil {
 				r.live["@poison"] = "x"
 			}

@@ -164,85 +164,66 @@ func Run(clk clock.Clock, db KV, cfg Config) *Result {
 	}
 	stats := make([]workerStats, cfg.Workers)
 
-	m := clk.NewMutex()
-	c := clk.NewCond(m)
-	remaining := cfg.Workers
-
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		clk.Go(fmt.Sprintf("workload-%d", w), func() {
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
-			st := &stats[w]
-			// rand.Zipf is not safe for concurrent use: one per worker.
-			var zipf *rand.Zipf
-			if cfg.Shards > 1 && cfg.HotShardSkew > 1 {
-				zipf = rand.NewZipf(rng, cfg.HotShardSkew, 1, uint64(cfg.Shards-1))
+	clock.Parallel(clk, "workload", cfg.Workers, func(w int) {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
+		st := &stats[w]
+		// rand.Zipf is not safe for concurrent use: one per worker.
+		var zipf *rand.Zipf
+		if cfg.Shards > 1 && cfg.HotShardSkew > 1 {
+			zipf = rand.NewZipf(rng, cfg.HotShardSkew, 1, uint64(cfg.Shards-1))
+		}
+		for {
+			now := clk.Now()
+			if !now.Before(end) {
+				break
 			}
-			for {
-				now := clk.Now()
-				if !now.Before(end) {
-					break
-				}
-				readRatio := cfg.ReadRatio
-				if dedicated {
-					if w < cfg.ReadWorkers {
-						readRatio = 1
-					} else {
-						readRatio = 0
-					}
-				}
-				if b := cfg.Burst; b != nil {
-					phase := now.Sub(start) % b.Period
-					if phase < b.BurstLen {
-						readRatio = b.BurstReadRatio
-					}
-				}
-				i := rng.Intn(cfg.KeySpace)
-				if zipf != nil {
-					s := int(zipf.Uint64())
-					lo := cfg.KeySpace * s / cfg.Shards
-					hi := cfg.KeySpace * (s + 1) / cfg.Shards
-					if hi > lo {
-						i = lo + rng.Intn(hi-lo)
-					}
-				}
-				if rng.Float64() < readRatio {
-					t0 := clk.Now()
-					_, err := db.Get(Key(i))
-					st.readLat.Record(clk.Now().Sub(t0))
-					st.reads++
-					if err != nil {
-						if isNotFound(err) {
-							st.misses++
-						} else {
-							st.errs++
-						}
-					}
+			readRatio := cfg.ReadRatio
+			if dedicated {
+				if w < cfg.ReadWorkers {
+					readRatio = 1
 				} else {
-					t0 := clk.Now()
-					err := db.Put(Key(i), Value(i, cfg.ValueSize))
-					st.writeLat.Record(clk.Now().Sub(t0))
-					st.writes++
-					if err != nil {
+					readRatio = 0
+				}
+			}
+			if b := cfg.Burst; b != nil {
+				phase := now.Sub(start) % b.Period
+				if phase < b.BurstLen {
+					readRatio = b.BurstReadRatio
+				}
+			}
+			i := rng.Intn(cfg.KeySpace)
+			if zipf != nil {
+				s := int(zipf.Uint64())
+				lo := cfg.KeySpace * s / cfg.Shards
+				hi := cfg.KeySpace * (s + 1) / cfg.Shards
+				if hi > lo {
+					i = lo + rng.Intn(hi-lo)
+				}
+			}
+			if rng.Float64() < readRatio {
+				t0 := clk.Now()
+				_, err := db.Get(Key(i))
+				st.readLat.Record(clk.Now().Sub(t0))
+				st.reads++
+				if err != nil {
+					if isNotFound(err) {
+						st.misses++
+					} else {
 						st.errs++
 					}
 				}
-				res.Series.Record(clk.Now(), 1)
+			} else {
+				t0 := clk.Now()
+				err := db.Put(Key(i), Value(i, cfg.ValueSize))
+				st.writeLat.Record(clk.Now().Sub(t0))
+				st.writes++
+				if err != nil {
+					st.errs++
+				}
 			}
-			m.Lock()
-			remaining--
-			if remaining == 0 {
-				c.Broadcast()
-			}
-			m.Unlock()
-		})
-	}
-
-	m.Lock()
-	for remaining > 0 {
-		c.Wait()
-	}
-	m.Unlock()
+			res.Series.Record(clk.Now(), 1)
+		}
+	})
 
 	res.Duration = clk.Now().Sub(start)
 	for i := range stats {
@@ -287,40 +268,23 @@ func RunRaw(clk clock.Clock, dev RawDevice, workers int, readRatio float64, dura
 	}
 	stats := make([]rawStats, workers)
 
-	m := clk.NewMutex()
-	c := clk.NewCond(m)
-	remaining := workers
-	for w := 0; w < workers; w++ {
-		w := w
-		clk.Go(fmt.Sprintf("raw-%d", w), func() {
-			rng := rand.New(rand.NewSource(seed + int64(w)*104729))
-			st := &stats[w]
-			for clk.Now().Before(end) {
-				t0 := clk.Now()
-				if rng.Float64() < readRatio {
-					dev.Read(4096)
-					st.readLat.Record(clk.Now().Sub(t0))
-					st.reads++
-				} else {
-					dev.Write(4096)
-					st.writeLat.Record(clk.Now().Sub(t0))
-					st.writes++
-				}
-				res.Series.Record(clk.Now(), 1)
+	clock.Parallel(clk, "raw", workers, func(w int) {
+		rng := rand.New(rand.NewSource(seed + int64(w)*104729))
+		st := &stats[w]
+		for clk.Now().Before(end) {
+			t0 := clk.Now()
+			if rng.Float64() < readRatio {
+				dev.Read(4096)
+				st.readLat.Record(clk.Now().Sub(t0))
+				st.reads++
+			} else {
+				dev.Write(4096)
+				st.writeLat.Record(clk.Now().Sub(t0))
+				st.writes++
 			}
-			m.Lock()
-			remaining--
-			if remaining == 0 {
-				c.Broadcast()
-			}
-			m.Unlock()
-		})
-	}
-	m.Lock()
-	for remaining > 0 {
-		c.Wait()
-	}
-	m.Unlock()
+			res.Series.Record(clk.Now(), 1)
+		}
+	})
 
 	res.Duration = clk.Now().Sub(start)
 	for i := range stats {

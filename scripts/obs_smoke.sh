@@ -2,7 +2,7 @@
 # Ops-plane smoke test: start dbbench in real-clock mode with the HTTP
 # ops server enabled, then exercise every endpoint with curl while the
 # benchmark runs — /healthz must report ok, /metrics must expose the
-# engine families, /stats must render the per-level table, /events
+# engine families, /stats must render them and the per-level table, /events
 # must stream SSE frames, and the dashboard page must be served. The
 # walk runs twice against the same family list: a bare engine, then a
 # 4-shard store (whose per-shard samples carry the same family names).
@@ -57,6 +57,8 @@ walk() {
     echo "== /stats =="
     stats="$(curl -sf "http://$addr/stats")"
     echo "$stats" | grep 'Per-level compaction stats' >/dev/null || { echo "FAIL: no per-level table"; exit 1; }
+    # The metrics section renders the /metrics tables under the same names.
+    echo "$stats" | grep '^xpointdb_ops_total [1-9]' >/dev/null || { echo "FAIL: no rendered xpointdb_ops_total"; exit 1; }
     echo "$stats" | sed -n '/Per-level/,$p' | head -8
 
     echo "== /events (3s of SSE) =="

@@ -70,8 +70,10 @@ type Iter = engine.Iter
 // release it when done.
 type Snapshot = engine.Snapshot
 
-// Metrics is the engine's live instrumentation; MetricsSnapshot is a
-// consistent plain-value copy taken with Metrics.Snapshot.
+// Metrics is the engine's live instrumentation, read through
+// DB.StatsReport (/stats) and DB.WritePrometheus (/metrics);
+// MetricsSnapshot is the plain-value copy of the counters the
+// benchmark harness diffs, taken with Metrics.Snapshot.
 type (
 	Metrics         = engine.Metrics
 	MetricsSnapshot = engine.MetricsSnapshot
