@@ -20,15 +20,17 @@ tier1:
 bench-test:
 	$(GO) -C bench test ./...
 
-# Layer microbenchmarks (ns/op, B/op, allocs/op) under the write path:
-# skiplist Insert and Get at 4k and 64k entries, MemFS append (1 KiB
-# records and one write, 4 MiB), 4 KiB ReadAt and a small file, and an
-# empty store's Open + Close. These are what a change to one of those
-# layers quotes, parent against change; end-to-end numbers come from
-# bench/ (`bash bench/run.sh`).
+# Layer microbenchmarks (ns/op, B/op, allocs/op) under the write and
+# read paths: skiplist Insert and Get at 4k and 64k entries, MemFS
+# append (1 KiB records and one write, 4 MiB), 4 KiB ReadAt and a small
+# file, an SST Get with every block cached and a full table scan (64k
+# entries), a memtable-hit and a cached-block Get through the engine,
+# and an empty store's Open + Close. These are what a change to one of
+# those layers quotes, parent against change; end-to-end numbers come
+# from bench/ (`bash bench/run.sh`).
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime $(MICROBENCHTIME) \
-		./internal/skiplist ./internal/vfs ./internal/engine
+		./internal/skiplist ./internal/vfs ./internal/sstable ./internal/engine
 
 # Code size per package and in total (non-blank, non-comment lines of
 # non-test and test Go outside bench/), then the engine.Options field

@@ -163,6 +163,37 @@ func TestAdaptiveL0AdjustsBudget(t *testing.T) {
 	})
 }
 
+// TestAdaptiveL0CountsSnapshotReads: case study B classifies the load
+// by every point read, snapshot reads included, so a load of snapshot
+// reads alone is read-intensive and gets the few-large-files budget.
+func TestAdaptiveL0CountsSnapshotReads(t *testing.T) {
+	env := newSimEnv(storage.XPoint(), func(o *Options) {
+		o.AdaptiveL0 = true
+		o.AdaptiveL0Aggregate = 24 << 20
+		o.AdaptiveWindow = time.Second
+	})
+	env.k.Run(func() {
+		db, err := Open(env.o)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		defer db.Close()
+		snap := db.NewSnapshot()
+		defer snap.Release()
+		for i := 0; i < 3000; i++ { // 3 s of virtual time: three windows
+			if _, err := snap.Get(workload.Key(i % 100)); err != ErrNotFound {
+				t.Errorf("snapshot get: %v", err)
+				return
+			}
+			env.k.Sleep(time.Millisecond)
+		}
+		if got := db.MemtableBudget(); got != (24<<20)/6 {
+			t.Errorf("snapshot-read budget = %d, want %d (read-intensive)", got, (24<<20)/6)
+		}
+	})
+}
+
 // TestWALDeviceIsolation (case study C): WAL traffic goes to the WAL
 // device; SST traffic goes to the data device.
 func TestWALDeviceIsolation(t *testing.T) {

@@ -79,9 +79,10 @@ func (db *DB) newIterAt(snap uint64) (*Iter, error) {
 	for i := len(sv.imms) - 1; i >= 0; i-- {
 		children = append(children, newMemIter(sv.imms[i].mem))
 	}
-	// L0: one iterator per file.
-	for _, f := range sv.ver.L0Newest() {
-		r, err := db.tables.get(f)
+	// L0: one iterator per file, newest first.
+	l0 := sv.ver.Files[0]
+	for i := len(l0) - 1; i >= 0; i-- {
+		r, err := db.tables.get(l0[i])
 		if err != nil {
 			return fail(err)
 		}

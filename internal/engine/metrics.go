@@ -25,10 +25,6 @@ type Metrics struct {
 	// WALLatency isolates the WAL append+sync portion of commits.
 	WALLatency histogram.Histogram
 
-	// Ops and WriteOps drive the throughput timelines (Figs 4/5/18).
-	Ops      *histogram.TimeSeries
-	WriteOps *histogram.TimeSeries
-
 	// WaitingWriters tracks the write-queue depth over time (Fig 16).
 	WaitingWriters Gauge
 
@@ -161,8 +157,6 @@ type Metrics struct {
 
 func newMetrics(clk clock.Clock) *Metrics {
 	m := &Metrics{clk: clk, start: clk.Now()}
-	m.Ops = histogram.NewTimeSeries(m.start, time.Second)
-	m.WriteOps = histogram.NewTimeSeries(m.start, time.Second)
 	m.WaitingWriters.init(clk)
 	m.PinnedVersions.init(clk)
 	return m

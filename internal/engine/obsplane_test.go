@@ -176,9 +176,9 @@ func familyNames[S any](fams []family[S]) []string {
 	return names
 }
 
-// TestSlowOpTracing: with a threshold of 1ns every op is slow, and
-// each promoted event must carry the full stage breakdown even though
-// CollectPerf is off.
+// TestSlowOpTracing: with a threshold of 1ns every op is slow — a
+// snapshot read as much as a live one — and each promoted event must
+// carry the full stage breakdown even though CollectPerf is off.
 func TestSlowOpTracing(t *testing.T) {
 	buf := &events.Buffer{}
 	db, _ := newTestDB(t, func(o *Options) {
@@ -194,8 +194,14 @@ func TestSlowOpTracing(t *testing.T) {
 	if _, err := db.Get([]byte("k")); err != nil {
 		t.Fatalf("get: %v", err)
 	}
+	snap := db.NewSnapshot()
+	defer snap.Release()
+	if _, err := snap.Get([]byte("k")); err != nil {
+		t.Fatalf("snapshot get: %v", err)
+	}
 
-	var sawGet, sawWrite bool
+	var gets int
+	var sawWrite bool
 	for _, e := range buf.Events() {
 		if e.Kind != events.KindSlowOp {
 			continue
@@ -209,7 +215,7 @@ func TestSlowOpTracing(t *testing.T) {
 		}
 		switch so.Op {
 		case "get":
-			sawGet = true
+			gets++
 		case "write":
 			sawWrite = true
 			if so.Batch != 1 {
@@ -217,11 +223,11 @@ func TestSlowOpTracing(t *testing.T) {
 			}
 		}
 	}
-	if !sawGet || !sawWrite {
-		t.Fatalf("missing slow_op events: get=%v write=%v", sawGet, sawWrite)
+	if gets != 2 || !sawWrite {
+		t.Fatalf("slow_op events: %d gets (want 2: live and snapshot), write=%v", gets, sawWrite)
 	}
-	if db.Metrics().SlowOps.Load() < 2 {
-		t.Errorf("SlowOps = %d, want >= 2", db.Metrics().SlowOps.Load())
+	if db.Metrics().SlowOps.Load() < 3 {
+		t.Errorf("SlowOps = %d, want >= 3", db.Metrics().SlowOps.Load())
 	}
 }
 

@@ -24,6 +24,19 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 // set, in which case the engine times the lookup internally; either
 // way the per-op deltas feed the Metrics Stage* histograms.
 func (db *DB) GetWithPerf(key []byte, pc *PerfContext) ([]byte, error) {
+	// The snapshot sequence is loaded BEFORE the SuperVersion is
+	// pinned. Any bundle current at pin time holds every write visible
+	// at a sequence loaded earlier (newer bundles are supersets), so
+	// this order can never miss committed data; the reverse order
+	// could read a sequence the pinned bundle predates.
+	return db.timedGet(key, db.visibleSeq.Load(), pc)
+}
+
+// timedGet is the one body every point read runs, live or through a
+// Snapshot: the lookup at snap, its end-to-end latency, the read count
+// case study B's adaptive worker classifies the load by, stage
+// attribution and slow-op tracing.
+func (db *DB) timedGet(key []byte, snap uint64, pc *PerfContext) ([]byte, error) {
 	var before PerfContext
 	if pc == nil {
 		if db.opts.CollectPerf || db.opts.SlowOpThreshold > 0 {
@@ -33,11 +46,9 @@ func (db *DB) GetWithPerf(key []byte, pc *PerfContext) ([]byte, error) {
 		before = *pc
 	}
 	start := db.clk.Now()
-	v, err := db.get(key, pc)
-	now := db.clk.Now()
-	lat := now.Sub(start)
+	v, err := db.getAt(key, snap, pc)
+	lat := db.clk.Now().Sub(start)
 	db.metrics.GetLatency.Record(lat)
-	db.metrics.Ops.Record(now, 1)
 	db.windowReads.Add(1)
 	if pc != nil {
 		d := pc.diff(&before)
@@ -49,16 +60,6 @@ func (db *DB) GetWithPerf(key []byte, pc *PerfContext) ([]byte, error) {
 		db.emitSlowOp("get", lat, 0, nil)
 	}
 	return v, err
-}
-
-func (db *DB) get(key []byte, pc *PerfContext) ([]byte, error) {
-	// The snapshot sequence is loaded BEFORE the SuperVersion is
-	// pinned. Any bundle current at pin time holds every write visible
-	// at a sequence loaded earlier (newer bundles are supersets), so
-	// this order can never miss committed data; the reverse order
-	// could read a sequence the pinned bundle predates.
-	snap := db.visibleSeq.Load()
-	return db.getAt(key, snap, pc)
 }
 
 // getAt reads key as of sequence snapshot snap against a pinned
@@ -125,12 +126,16 @@ func (db *DB) getFromMem(mem *memtable.Memtable, key []byte, snap uint64, hitCou
 
 // getFromVersion searches the on-disk tree.
 func (db *DB) getFromVersion(v *manifest.Version, key []byte, snap uint64, pc *PerfContext) ([]byte, error) {
-	search := keys.SearchKey(key, snap)
+	var buf [64]byte
+	search := keys.AppendSearchKey(buf[:0], key, snap)
 
 	// Level 0: files may overlap; probe every covering file newest
-	// first. This loop is the read amplification of Finding #2 — its
-	// cost scales with the number of Level-0 files.
-	for _, f := range v.L0Newest() {
+	// first (Files[0] is oldest first, so walk it backwards). This loop
+	// is the read amplification of Finding #2 — its cost scales with
+	// the number of Level-0 files.
+	l0 := v.Files[0]
+	for i := len(l0) - 1; i >= 0; i-- {
+		f := l0[i]
 		if !f.ContainsUserKey(key) {
 			continue
 		}

@@ -49,15 +49,10 @@ func (s *Snapshot) Release() {
 // Get reads key as of the snapshot. The SuperVersion pinned inside
 // getAt may be newer than the snapshot — that is fine: newer bundles
 // hold a superset of the data, and sequence filtering hides everything
-// committed after s.seq.
+// committed after s.seq. It is timed, counted and traced exactly like
+// a live Get.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
-	db := s.db
-	start := db.clk.Now()
-	v, err := db.getAt(key, s.seq, nil)
-	now := db.clk.Now()
-	db.metrics.GetLatency.Record(now.Sub(start))
-	db.metrics.Ops.Record(now, 1)
-	return v, err
+	return s.db.timedGet(key, s.seq, nil)
 }
 
 // NewIter returns an iterator over the snapshot's view.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"sync"
+
 	"xpointdb/internal/cache"
 	"xpointdb/internal/clock"
 	"xpointdb/internal/manifest"
@@ -10,9 +12,11 @@ import (
 
 // tableCache keeps every live SST's Reader open (footer, index and
 // filter pinned in memory, as RocksDB's table cache does with
-// max_open_files = -1). Concurrent first-opens of the same file are
-// coalesced; the wait uses the engine clock's Cond so it parks
-// correctly under the simulation kernel.
+// max_open_files = -1). A hit — every probe after a table's first — is
+// one lock-free map load. The mutex only coalesces concurrent first
+// opens of the same file, whose wait uses the engine clock's Cond so it
+// parks correctly under the simulation kernel, and serialises them
+// against evict and close.
 type tableCache struct {
 	fs     vfs.FS
 	blocks *cache.Cache // may be nil
@@ -22,9 +26,10 @@ type tableCache struct {
 	// the salt keeps their blocks from aliasing.
 	salt uint64
 
+	readers sync.Map // file number → *sstable.Reader
+
 	mu      clock.Mutex
 	cond    clock.Cond
-	readers map[uint64]*sstable.Reader
 	loading map[uint64]bool
 }
 
@@ -36,18 +41,20 @@ func newTableCache(clk clock.Clock, fs vfs.FS, blocks *cache.Cache, salt uint64)
 		salt:    salt,
 		mu:      mu,
 		cond:    clk.NewCond(mu),
-		readers: make(map[uint64]*sstable.Reader),
 		loading: make(map[uint64]bool),
 	}
 }
 
 // get returns the Reader for file meta, opening it on first use.
 func (tc *tableCache) get(meta *manifest.FileMeta) (*sstable.Reader, error) {
+	if r, ok := tc.readers.Load(meta.Num); ok {
+		return r.(*sstable.Reader), nil
+	}
 	tc.mu.Lock()
 	for {
-		if r, ok := tc.readers[meta.Num]; ok {
+		if r, ok := tc.readers.Load(meta.Num); ok {
 			tc.mu.Unlock()
-			return r, nil
+			return r.(*sstable.Reader), nil
 		}
 		if !tc.loading[meta.Num] {
 			tc.loading[meta.Num] = true
@@ -69,7 +76,7 @@ func (tc *tableCache) get(meta *manifest.FileMeta) (*sstable.Reader, error) {
 	tc.mu.Lock()
 	delete(tc.loading, meta.Num)
 	if err == nil {
-		tc.readers[meta.Num] = r
+		tc.readers.Store(meta.Num, r)
 	}
 	tc.cond.Broadcast()
 	tc.mu.Unlock()
@@ -83,11 +90,10 @@ func (tc *tableCache) get(meta *manifest.FileMeta) (*sstable.Reader, error) {
 // files it may touch.
 func (tc *tableCache) evict(num uint64) {
 	tc.mu.Lock()
-	r := tc.readers[num]
-	delete(tc.readers, num)
+	r, ok := tc.readers.LoadAndDelete(num)
 	tc.mu.Unlock()
-	if r != nil {
-		r.Close()
+	if ok {
+		r.(*sstable.Reader).Close()
 	}
 	if tc.blocks != nil {
 		tc.blocks.EvictFile(tc.salt | num)
@@ -96,9 +102,13 @@ func (tc *tableCache) evict(num uint64) {
 
 // close closes every open reader.
 func (tc *tableCache) close() {
+	var readers []*sstable.Reader
 	tc.mu.Lock()
-	readers := tc.readers
-	tc.readers = make(map[uint64]*sstable.Reader)
+	tc.readers.Range(func(num, r any) bool {
+		tc.readers.Delete(num)
+		readers = append(readers, r.(*sstable.Reader))
+		return true
+	})
 	tc.mu.Unlock()
 	for _, r := range readers {
 		r.Close()

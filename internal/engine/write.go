@@ -162,9 +162,6 @@ func (db *DB) ApplyWithPerf(b *batch.Batch, syncWAL bool, pc *PerfContext) error
 
 	lat := db.clk.Now().Sub(start)
 	db.metrics.WriteLatency.Record(lat)
-	now := db.clk.Now()
-	db.metrics.Ops.Record(now, int64(b.Count()))
-	db.metrics.WriteOps.Record(now, int64(b.Count()))
 	db.windowWrites.Add(int64(b.Count()))
 	if pc != nil {
 		d := pc.diff(&before)

@@ -43,9 +43,7 @@ func Make(userKey []byte, seq uint64, kind Kind) []byte {
 
 // AppendTrailer appends the (seq, kind) trailer to dst.
 func AppendTrailer(dst []byte, seq uint64, kind Kind) []byte {
-	var t [TrailerLen]byte
-	binary.LittleEndian.PutUint64(t[:], seq<<8|uint64(kind))
-	return append(dst, t[:]...)
+	return binary.LittleEndian.AppendUint64(dst, seq<<8|uint64(kind))
 }
 
 // UserKey returns the user-key portion of an internal key.
@@ -87,7 +85,14 @@ func CompareUserKeys(a, b []byte) int { return bytes.Compare(a, b) }
 // userKey with sequence ≤ seq — i.e. the seek target that finds the
 // newest visible version.
 func SearchKey(userKey []byte, seq uint64) []byte {
-	return Make(userKey, seq, Kind(0xff))
+	return AppendSearchKey(make([]byte, 0, len(userKey)+TrailerLen), userKey, seq)
+}
+
+// AppendSearchKey appends SearchKey(userKey, seq) to dst. A lookup
+// passes a stack buffer as dst, so building its seek target allocates
+// nothing.
+func AppendSearchKey(dst, userKey []byte, seq uint64) []byte {
+	return AppendTrailer(append(dst, userKey...), seq, Kind(0xff))
 }
 
 // String formats an internal key for debugging.

@@ -120,6 +120,17 @@ func TestSearchKeyFindsNewestVisible(t *testing.T) {
 	}
 }
 
+func TestAppendSearchKeyMatchesSearchKey(t *testing.T) {
+	want := SearchKey([]byte("user-key"), 77)
+	var buf [4]byte // too small: append must grow, not truncate
+	if got := AppendSearchKey(buf[:0], []byte("user-key"), 77); !bytes.Equal(got, want) {
+		t.Fatalf("AppendSearchKey = %x, want %x", got, want)
+	}
+	if got := AppendSearchKey([]byte("pre"), []byte("user-key"), 77); !bytes.Equal(got[3:], want) || string(got[:3]) != "pre" {
+		t.Fatalf("AppendSearchKey did not append after dst: %x", got)
+	}
+}
+
 func TestValid(t *testing.T) {
 	if Valid([]byte("short")) {
 		t.Fatal("5 bytes is not a valid internal key")

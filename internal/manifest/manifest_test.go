@@ -147,16 +147,19 @@ func TestApplyOverlapInvariant(t *testing.T) {
 	}
 }
 
-func TestL0NewestOrder(t *testing.T) {
+// TestL0FilesOldestFirst: Level 0 is kept in ascending file-number
+// order whatever order the edit lists it in; the read path probes it
+// newest first by walking Files[0] backwards.
+func TestL0FilesOldestFirst(t *testing.T) {
 	v := &Version{}
 	v1, _ := v.Apply(&Edit{Added: []AddedFile{
 		{Level: 0, Meta: fm(5, "a", "b")},
 		{Level: 0, Meta: fm(9, "a", "b")},
 		{Level: 0, Meta: fm(2, "a", "b")},
 	}})
-	newest := v1.L0Newest()
-	if newest[0].Num != 9 || newest[2].Num != 2 {
-		t.Fatalf("L0Newest order: %d %d %d", newest[0].Num, newest[1].Num, newest[2].Num)
+	l0 := v1.Files[0]
+	if l0[0].Num != 2 || l0[1].Num != 5 || l0[2].Num != 9 {
+		t.Fatalf("L0 order: %d %d %d", l0[0].Num, l0[1].Num, l0[2].Num)
 	}
 }
 

@@ -149,17 +149,6 @@ func (v *Version) TotalFiles() int {
 	return n
 }
 
-// L0Newest returns the L0 files ordered newest→oldest, the order the
-// read path must probe them in.
-func (v *Version) L0Newest() []*FileMeta {
-	src := v.Files[0]
-	out := make([]*FileMeta, len(src))
-	for i, f := range src {
-		out[len(src)-1-i] = f
-	}
-	return out
-}
-
 // Overlaps returns the files at level whose user-key range intersects
 // [smallest, largest]. For L0 every overlapping file is returned; for
 // deeper levels the files are contiguous.

@@ -41,8 +41,9 @@ func (m *Memtable) Add(seq uint64, kind keys.Kind, userKey, value []byte) {
 //
 // cmps reports the key comparisons performed, for CPU cost accounting.
 func (m *Memtable) Get(userKey []byte, seq uint64) (value []byte, found, deleted bool, cmps int) {
+	var buf [64]byte
 	it := m.list.NewIterator()
-	it.SeekGE(keys.SearchKey(userKey, seq))
+	it.SeekGE(keys.AppendSearchKey(buf[:0], userKey, seq))
 	cmps = it.Cmps
 	if !it.Valid() {
 		return nil, false, false, cmps

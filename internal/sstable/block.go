@@ -84,11 +84,14 @@ func (b *blockBuilder) estimatedSize() int {
 	return len(b.buf) + 4*len(b.restarts) + 4
 }
 
-// blockIter iterates over one decoded block.
+// blockIter iterates over one decoded block. It is a value: the table
+// reader keeps its iterators on the stack or inside a tableIter, and
+// init re-points one at another block, so opening a block allocates
+// nothing. The restart array is read in place from the block bytes.
 type blockIter struct {
 	data     []byte // entry region (restart array stripped)
-	restarts []uint32
-	off      int // offset of current entry within data
+	restarts []byte // restart array: little-endian uint32 entry offsets
+	off      int    // offset of current entry within data
 	nextOff  int
 	key      []byte
 	val      []byte
@@ -98,23 +101,40 @@ type blockIter struct {
 	cmps int
 }
 
-// newBlockIter parses the block contents (as produced by
-// blockBuilder.finish, trailer already stripped).
-func newBlockIter(contents []byte) (*blockIter, error) {
+// init points the iterator at block contents (as produced by
+// blockBuilder.finish, trailer already stripped), unpositioned. The key
+// buffer is kept for reuse; everything else is reset.
+func (it *blockIter) init(contents []byte) error {
 	if len(contents) < 4 {
-		return nil, fmt.Errorf("sstable: block too short (%d bytes)", len(contents))
+		return fmt.Errorf("sstable: block too short (%d bytes)", len(contents))
 	}
 	n := int(binary.LittleEndian.Uint32(contents[len(contents)-4:]))
 	restartEnd := len(contents) - 4
 	restartStart := restartEnd - 4*n
 	if n <= 0 || restartStart < 0 {
-		return nil, fmt.Errorf("sstable: bad restart count %d", n)
+		return fmt.Errorf("sstable: bad restart count %d", n)
 	}
-	restarts := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		restarts[i] = binary.LittleEndian.Uint32(contents[restartStart+4*i:])
-	}
-	return &blockIter{data: contents[:restartStart], restarts: restarts}, nil
+	// Field by field, not *it = blockIter{key: it.key[:0]}: reslicing
+	// it.key in place is a self-assignment the escape analysis ignores,
+	// so an iterator on a caller's stack stays there.
+	it.data = contents[:restartStart]
+	it.restarts = contents[restartStart:restartEnd]
+	it.off, it.nextOff = 0, 0
+	it.key = it.key[:0]
+	it.val = nil
+	it.valid = false
+	it.err = nil
+	it.cmps = 0
+	return nil
+}
+
+// numRestarts returns the number of restart points (at least 1 after
+// a successful init).
+func (it *blockIter) numRestarts() int { return len(it.restarts) / 4 }
+
+// restart returns the entry offset recorded by restart point i.
+func (it *blockIter) restart(i int) int {
+	return int(binary.LittleEndian.Uint32(it.restarts[4*i:]))
 }
 
 // decodeAt decodes the entry at off, building the full key from prev.
@@ -154,16 +174,27 @@ func (it *blockIter) decodeAt(off int) bool {
 		it.corrupt(off)
 		return false
 	}
-	it.key = append(it.key[:shared], p[:unshared]...)
+	// The key buffer grows by hand rather than by append: a
+	// self-append would let the iterator's contents escape and force
+	// every iterator onto the heap.
+	n := int(shared) + int(unshared)
+	if n > cap(it.key) {
+		k := make([]byte, n, 2*n)
+		copy(k, it.key[:shared])
+		it.key = k
+	}
+	it.key = it.key[:n]
+	copy(it.key[shared:], p[:unshared])
 	if len(it.key) < keys.TrailerLen {
 		// Data and index blocks hold internal keys only; anything
 		// shorter would panic the key comparator downstream.
 		it.corrupt(off)
 		return false
 	}
-	it.val = p[unshared : unshared+vlen]
+	valOff := off + n1 + n2 + n3 + int(unshared)
+	it.val = it.data[valOff : valOff+int(vlen)]
 	it.off = off
-	it.nextOff = off + n1 + n2 + n3 + int(unshared) + int(vlen)
+	it.nextOff = valOff + int(vlen)
 	it.valid = true
 	return true
 }
@@ -185,9 +216,6 @@ func (it *blockIter) Value() []byte { return it.val }
 // Error returns any decoding error.
 func (it *blockIter) Error() error { return it.err }
 
-// Close is a no-op (blocks are in-memory).
-func (it *blockIter) Close() error { return it.err }
-
 // SeekToFirst positions at the first entry.
 func (it *blockIter) SeekToFirst() {
 	it.key = it.key[:0]
@@ -204,12 +232,12 @@ func (it *blockIter) Next() {
 
 // SeekToLast positions at the last entry.
 func (it *blockIter) SeekToLast() {
-	if len(it.restarts) == 0 {
+	if it.numRestarts() == 0 {
 		it.valid = false
 		return
 	}
 	it.key = it.key[:0]
-	if !it.decodeAt(int(it.restarts[len(it.restarts)-1])) {
+	if !it.decodeAt(it.restart(it.numRestarts() - 1)) {
 		return
 	}
 	for it.nextOff < len(it.data) {
@@ -223,11 +251,11 @@ func (it *blockIter) SeekToLast() {
 func (it *blockIter) SeekLT(target []byte) {
 	// Binary search restarts for the last one with key < target, then
 	// scan forward keeping the last entry still below target.
-	lo, hi := 0, len(it.restarts)-1
+	lo, hi := 0, it.numRestarts()-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		it.key = it.key[:0]
-		if !it.decodeAt(int(it.restarts[mid])) {
+		if !it.decodeAt(it.restart(mid)) {
 			return
 		}
 		it.cmps++
@@ -238,7 +266,7 @@ func (it *blockIter) SeekLT(target []byte) {
 		}
 	}
 	it.key = it.key[:0]
-	if !it.decodeAt(int(it.restarts[lo])) {
+	if !it.decodeAt(it.restart(lo)) {
 		return
 	}
 	it.cmps++
@@ -286,16 +314,16 @@ func (it *blockIter) seekToRestartThenOffset(target int) {
 	// previous restart group... but restart offsets are entry
 	// starts, so the predecessor of an entry AT a restart offset
 	// still begins at or after the previous restart).
-	lo, hi := 0, len(it.restarts)-1
+	lo, hi := 0, it.numRestarts()-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if int(it.restarts[mid]) < target {
+		if it.restart(mid) < target {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	if !it.decodeAt(int(it.restarts[lo])) {
+	if !it.decodeAt(it.restart(lo)) {
 		return
 	}
 	for it.nextOff < target {
@@ -311,11 +339,11 @@ func (it *blockIter) seekToRestartThenOffset(target int) {
 // search over restart points followed by a linear scan.
 func (it *blockIter) SeekGE(target []byte) {
 	// Binary search restart points for the last one with key < target.
-	lo, hi := 0, len(it.restarts)-1
+	lo, hi := 0, it.numRestarts()-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		it.key = it.key[:0]
-		if !it.decodeAt(int(it.restarts[mid])) {
+		if !it.decodeAt(it.restart(mid)) {
 			return
 		}
 		it.cmps++
@@ -326,7 +354,7 @@ func (it *blockIter) SeekGE(target []byte) {
 		}
 	}
 	it.key = it.key[:0]
-	if !it.decodeAt(int(it.restarts[lo])) {
+	if !it.decodeAt(it.restart(lo)) {
 		return
 	}
 	for it.valid {

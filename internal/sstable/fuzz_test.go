@@ -49,7 +49,7 @@ func buildFuzzTable(tb testing.TB, opts BuilderOptions, n int) []byte {
 	return f.buf
 }
 
-// validBlock builds one raw block image (as fed to newBlockIter).
+// validBlock builds one raw block image (as fed to blockIter.init).
 func validBlock(n int) []byte {
 	var b blockBuilder
 	for i := 0; i < n; i++ {
@@ -70,8 +70,8 @@ func FuzzBlockIter(f *testing.F) {
 	f.Add([]byte("garbage-not-a-block"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		it, err := newBlockIter(data)
-		if err != nil {
+		var it blockIter
+		if it.init(data) != nil {
 			return
 		}
 		// Each decoded entry consumes ≥3 bytes, so entry counts are

@@ -487,9 +487,18 @@ func (r *Reader) Get(ikey []byte) (key, value []byte, cmps int, found bool, err 
 
 // GetStats is Get with full per-probe cost attribution written to st
 // (which must be non-nil; fields are incremented, not reset).
+//
+// Both block iterators live on this frame. Their key buffers share one
+// allocation, the lookup's only one: the data iterator's key is
+// returned, so its buffer outlives the frame, and the index iterator's
+// rides along (its error is returned too, which the compiler cannot
+// tell from its key).
 func (r *Reader) GetStats(ikey []byte, st *ProbeStats) (key, value []byte, found bool, err error) {
-	idx, err := newBlockIter(r.index)
-	if err != nil {
+	const keyCap = 64 // internal keys up to this long decode without growing
+	keyBufs := make([]byte, 2*keyCap)
+	idx := blockIter{key: keyBufs[:0:keyCap]}
+	data := blockIter{key: keyBufs[keyCap:keyCap]}
+	if err := idx.init(r.index); err != nil {
 		return nil, nil, false, err
 	}
 	idx.SeekGE(ikey)
@@ -510,8 +519,7 @@ func (r *Reader) GetStats(ikey []byte, st *ProbeStats) (key, value []byte, found
 	} else {
 		st.CacheMisses++
 	}
-	data, err := newBlockIter(contents)
-	if err != nil {
+	if err := data.init(contents); err != nil {
 		return nil, nil, false, err
 	}
 	data.SeekGE(ikey)
@@ -533,8 +541,8 @@ func (r *Reader) Size() int64 { return r.size }
 // there is out of range. n == 0 means no block can hold a key in the
 // range.
 func (r *Reader) DataWindow(start, end []byte) (off, n int64, err error) {
-	it, err := newBlockIter(r.index)
-	if err != nil {
+	var it blockIter
+	if err := it.init(r.index); err != nil {
 		return 0, 0, err
 	}
 	if start == nil {
@@ -595,110 +603,102 @@ func (r *Reader) Close() error { return r.f.Close() }
 
 // NewIter returns a two-level iterator over the whole table.
 func (r *Reader) NewIter() iterator.Iterator {
-	return &tableIter{r: r}
+	t := &tableIter{r: r}
+	t.err = t.idx.init(r.index)
+	return t
 }
 
 // tableIter is the classic two-level iterator: an index iterator
 // selecting data blocks, and a data iterator within the current block.
+// Both are values re-pointed by init, so stepping into the next block
+// allocates nothing.
 type tableIter struct {
 	r    *Reader
-	idx  *blockIter
-	data *blockIter
+	idx  blockIter
+	data blockIter // invalid when no block is loaded
 	err  error
 }
 
-func (t *tableIter) init() bool {
-	if t.idx == nil {
-		it, err := newBlockIter(t.r.index)
-		if err != nil {
-			t.err = err
-			return false
-		}
-		t.idx = it
-	}
-	return true
-}
-
-// loadData opens the data block at the current index position.
-func (t *tableIter) loadData() {
-	t.data = nil
+// loadData opens the data block at the current index position,
+// reporting whether one is loaded (false at the end of the index or on
+// error, with data left invalid).
+func (t *tableIter) loadData() bool {
+	t.data.valid = false
 	if !t.idx.Valid() {
-		return
+		t.err = t.idx.Error()
+		return false
 	}
 	h, _, err := decodeHandle(t.idx.Value())
 	if err != nil {
 		t.err = err
-		return
+		return false
 	}
 	contents, _, err := t.r.getBlock(h)
 	if err != nil {
 		t.err = err
-		return
+		return false
 	}
-	d, err := newBlockIter(contents)
-	if err != nil {
+	if err := t.data.init(contents); err != nil {
 		t.err = err
-		return
+		return false
 	}
-	t.data = d
+	return true
 }
 
 // skipEmpty advances past exhausted data blocks.
 func (t *tableIter) skipEmpty() {
-	for t.err == nil && t.data != nil && !t.data.Valid() {
+	for t.err == nil && !t.data.Valid() {
 		if err := t.data.Error(); err != nil {
 			t.err = err
 			return
 		}
 		t.idx.Next()
-		t.loadData()
-		if t.data != nil {
-			t.data.SeekToFirst()
+		if !t.loadData() {
+			return
 		}
+		t.data.SeekToFirst()
 	}
 }
 
 // skipEmptyBackward steps back across exhausted data blocks.
 func (t *tableIter) skipEmptyBackward() {
-	for t.err == nil && t.data != nil && !t.data.Valid() {
+	for t.err == nil && !t.data.Valid() {
 		if err := t.data.Error(); err != nil {
 			t.err = err
 			return
 		}
 		t.idx.Prev()
-		t.loadData()
-		if t.data != nil {
-			t.data.SeekToLast()
+		if !t.loadData() {
+			return
 		}
+		t.data.SeekToLast()
 	}
 }
 
 func (t *tableIter) Valid() bool {
-	return t.err == nil && t.data != nil && t.data.Valid()
+	return t.err == nil && t.data.Valid()
 }
 
 func (t *tableIter) SeekGE(target []byte) {
-	if !t.init() {
+	if t.err != nil {
 		return
 	}
 	t.idx.SeekGE(target)
-	t.loadData()
-	if t.data != nil {
+	if t.loadData() {
 		t.data.SeekGE(target)
+		t.skipEmpty()
 	}
-	t.skipEmpty()
 }
 
 func (t *tableIter) SeekToFirst() {
-	if !t.init() {
+	if t.err != nil {
 		return
 	}
 	t.idx.SeekToFirst()
-	t.loadData()
-	if t.data != nil {
+	if t.loadData() {
 		t.data.SeekToFirst()
+		t.skipEmpty()
 	}
-	t.skipEmpty()
 }
 
 func (t *tableIter) Next() {
@@ -710,19 +710,18 @@ func (t *tableIter) Next() {
 }
 
 func (t *tableIter) SeekToLast() {
-	if !t.init() {
+	if t.err != nil {
 		return
 	}
 	t.idx.SeekToLast()
-	t.loadData()
-	if t.data != nil {
+	if t.loadData() {
 		t.data.SeekToLast()
+		t.skipEmptyBackward()
 	}
-	t.skipEmptyBackward()
 }
 
 func (t *tableIter) SeekLT(target []byte) {
-	if !t.init() {
+	if t.err != nil {
 		return
 	}
 	// The block that may contain entries < target is the one whose
@@ -732,11 +731,10 @@ func (t *tableIter) SeekLT(target []byte) {
 	if !t.idx.Valid() {
 		t.idx.SeekToLast()
 	}
-	t.loadData()
-	if t.data != nil {
+	if t.loadData() {
 		t.data.SeekLT(target)
+		t.skipEmptyBackward()
 	}
-	t.skipEmptyBackward()
 }
 
 func (t *tableIter) Prev() {

@@ -23,7 +23,7 @@ func ik(user string, seq uint64) []byte {
 }
 
 // buildTable writes n sequential entries and returns an open Reader.
-func buildTable(t *testing.T, n int, c *cache.Cache, opts BuilderOptions) (*Reader, *vfs.MemFS) {
+func buildTable(t testing.TB, n int, c *cache.Cache, opts BuilderOptions) (*Reader, *vfs.MemFS) {
 	t.Helper()
 	fs := newFS()
 	f, err := fs.Create("t.sst")

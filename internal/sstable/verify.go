@@ -97,8 +97,8 @@ func (r *Reader) Verify(fileChecksum uint32, pace func(n int) error) (VerifyStat
 	if err != nil {
 		return st, err
 	}
-	idx, err := newBlockIter(index)
-	if err != nil {
+	var idx blockIter
+	if err := idx.init(index); err != nil {
 		return st, &CorruptionError{
 			FileNum: r.fileNum,
 			Offset:  indexHandle.offset,
