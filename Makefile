@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # How long each layer microbenchmark runs; CI passes 1x.
 MICROBENCHTIME ?= 1s
 
-.PHONY: all tier1 tier2 tier3 bench-test microbench bench-smoke obs-smoke loc
+.PHONY: all tier1 tier2 tier2-stress tier3 bench-test bench-check microbench bench-smoke obs-smoke loc
 
 all: tier1
 
@@ -19,6 +19,16 @@ tier1:
 # `go test ./...` at the root does not reach).
 bench-test:
 	$(GO) -C bench test ./...
+
+# The modelled system as a golden: one short single-client simulated
+# run per device (3D XPoint, SATA flash), compared exactly against
+# internal/experiments/testdata/sim_golden.txt — flush, compaction and
+# WAL-sync counts, stall time, and virtual-time Put/Get p50/p99. A
+# change that moves it changes the system the figures are drawn from;
+# regenerate with `go test ./internal/experiments -run TestSimGolden
+# -update` only when that is the point, and say why.
+bench-check:
+	$(GO) test ./internal/experiments -run '^TestSimGolden$$' -count=1
 
 # Layer microbenchmarks (ns/op, B/op, allocs/op) under the write and
 # read paths: skiplist Insert and Get at 4k and 64k entries, MemFS
@@ -44,6 +54,14 @@ loc:
 # internal/engine/observe_test.go and internal/events).
 tier2:
 	$(GO) vet ./... && $(GO) test -race ./...
+
+# One torture cell run 1,000 times under -race, six copies at a time,
+# so the copies load the machine and open the scheduling windows a lone
+# run rarely hits. The cell is the loaded-bitrot one (a read racing a
+# declared data loss); stress another with
+# `bash scripts/tier2_stress.sh RUNS PARALLEL <cmd/torture flags>`.
+tier2-stress:
+	bash scripts/tier2_stress.sh 1000 6 -seed 4 -nemesis bitrot -shards 2
 
 # Tier-3: crash-consistency and robustness. Runs the seeded torture
 # matrix — every nemesis (crash, transient, bitrot, enospc) against

@@ -141,17 +141,6 @@ func BenchmarkAblationThrottleMode(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationWriteGroupSize(b *testing.B) {
-	for _, kb := range []int64{1, 64, 1024} {
-		kb := kb
-		b.Run(fmt.Sprintf("groupKB=%d", kb), func(b *testing.B) {
-			ablationRun(b, storage.XPoint(), 0.5, func(o *engine.Options) {
-				o.MaxBatchGroupBytes = kb << 10
-			})
-		})
-	}
-}
-
 // BenchmarkEngineRealClock measures the store as plain Go code (real
 // clock, zero-latency device): the software-only cost of Put and Get.
 func BenchmarkEngineRealClock(b *testing.B) {

@@ -3,7 +3,9 @@
 // structurally valid starting points (real WAL logs, SST images,
 // batch reprs) plus known-nasty near-valid mutants, so the fuzzers
 // reach deep decoder states immediately instead of re-discovering the
-// formats. Run from the repo root:
+// formats. Seeds of retired formats (valid_flate, legacy_tag4_added)
+// are no longer generated; their committed files stay as regression
+// seeds the decoders must reject. Run from the repo root:
 //
 //	go run ./cmd/genfuzzcorpus
 package main
@@ -114,8 +116,6 @@ func main() {
 	dir = "internal/sstable/testdata/fuzz/FuzzTableReader"
 	plain := sstTable(sstable.BuilderOptions{BlockSize: 256, BloomBitsPerKey: 10}, 64)
 	writeCorpus(dir, "valid_plain", lit(plain))
-	writeCorpus(dir, "valid_flate",
-		lit(sstTable(sstable.BuilderOptions{BlockSize: 4096, Compression: sstable.FlateCompression}, 200)))
 	trunc := append([]byte(nil), plain[:len(plain)/2]...)
 	trunc = append(trunc, plain[len(plain)-48:]...) // body cut, footer kept
 	writeCorpus(dir, "truncated_body", lit(trunc))
@@ -174,18 +174,6 @@ func main() {
 	}
 	enc := full.Encode()
 	writeCorpus(dir, "valid_full", lit(enc))
-	// Legacy added-file record (tag 4, no file checksum): the encoder
-	// no longer emits it, so build one by hand to pin decoder compat.
-	var legacy []byte
-	legacy = binary.AppendUvarint(legacy, 4) // tagAddedFile
-	legacy = binary.AppendUvarint(legacy, 1) // level
-	legacy = binary.AppendUvarint(legacy, 9) // num
-	legacy = binary.AppendUvarint(legacy, 4096)
-	legacy = binary.AppendUvarint(legacy, 3)
-	legacy = append(legacy, "aaa"...)
-	legacy = binary.AppendUvarint(legacy, 3)
-	legacy = append(legacy, "zzz"...)
-	writeCorpus(dir, "legacy_tag4_added", lit(legacy))
 	writeCorpus(dir, "truncated_varint", lit(enc[:len(enc)-2]))
 	badLevel := append([]byte(nil), enc...)
 	writeCorpus(dir, "bit_damage", lit(append(badLevel[:1], badLevel[2:]...)))

@@ -1,6 +1,8 @@
 // Burst writes (paper case study A): a workload with periodic write
 // bursts drives the stock Algorithm 1 throttling into near-stop
 // windows on a 3D XPoint device; two-stage throttling removes them.
+// Its first stage never lets the delayed-write rate fall below half the
+// 16 MiB/s starting rate.
 //
 // The whole experiment runs on the simulated device in virtual time,
 // so it completes in seconds of wall clock regardless of the simulated
@@ -20,7 +22,6 @@ func run(twoStage bool) (*workload.Result, time.Duration) {
 	sim := xpointdb.NewSimulation(xpointdb.XPoint())
 	if twoStage {
 		sim.Options.ThrottleMode = xpointdb.ThrottleTwoStage
-		sim.Options.TwoStageFloorRate = sim.Options.DelayedWriteRate / 2
 	}
 
 	var res *workload.Result

@@ -7,12 +7,15 @@ package engine
 // shorter flushes). The adaptive worker measures the read/write mix
 // over a sliding window and retunes the memtable budget — and with it
 // the L0 file size — between V/ManyFiles (write-intensive) and
-// V/FewFiles (read-intensive).
+// V/FewFiles (read-intensive). V is adaptiveL0ManyFiles × the
+// configured MemtableSize, so the write-intensive budget is the
+// configured size itself. The budget in force is the
+// xpointdb_memtable_budget_bytes gauge.
 
 // adaptiveWorker runs while the DB is open, re-evaluating each window.
 func (db *DB) adaptiveWorker() {
 	for {
-		db.clk.Sleep(db.opts.AdaptiveWindow)
+		db.clk.Sleep(adaptiveWindow)
 		db.mu.Lock()
 		closed := db.closed
 		db.mu.Unlock()
@@ -28,17 +31,12 @@ func (db *DB) adaptiveWorker() {
 		}
 		writeFrac := float64(writes) / float64(total)
 
-		var target int64
+		aggregate := adaptiveL0ManyFiles * db.opts.MemtableSize
+		// Write-intensive: many small files; read-intensive: few large.
+		target := aggregate / adaptiveL0FewFiles
 		if writeFrac > adaptiveWriteIntensive {
-			// Write-intensive: many small files.
-			target = db.opts.AdaptiveL0Aggregate / adaptiveL0ManyFiles
-		} else {
-			// Read-intensive: few large files.
-			target = db.opts.AdaptiveL0Aggregate / adaptiveL0FewFiles
+			target = aggregate / adaptiveL0ManyFiles
 		}
-		if target != db.MemtableBudget() {
-			db.opts.logf("adaptive L0: writeFrac=%.2f -> memtable budget %d", writeFrac, target)
-			db.SetMemtableBudget(target)
-		}
+		db.SetMemtableBudget(target)
 	}
 }

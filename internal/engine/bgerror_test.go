@@ -52,7 +52,7 @@ func faultTestOptions(t *testing.T, tweak func(*Options)) (Options, *faultfs.FS)
 // acknowledging data the log cannot promise durable.
 func TestWALSyncFailureLatches(t *testing.T) {
 	buf := &events.Buffer{}
-	db, ffs := newFaultTestDB(t, func(o *Options) { o.EventListener = buf; o.EventSinkQueue = -1 })
+	db, ffs := newFaultTestDB(t, func(o *Options) { o.EventListener = buf })
 	defer db.Close()
 
 	if err := db.Put(testKey(0), testValue(0)); err != nil {
@@ -89,6 +89,7 @@ func TestWALSyncFailureLatches(t *testing.T) {
 	}
 
 	// The latch moment is in the event stream.
+	db.SyncEvents()
 	found := false
 	for _, e := range buf.Events() {
 		if e.Kind == events.KindBackgroundError && e.BGError.Op == "wal-sync" {

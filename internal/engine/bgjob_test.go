@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -18,6 +19,17 @@ func eventually(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
+}
+
+// waitForEvent waits until buf, the listener db delivers to, holds an
+// event match accepts. An event may trail the state change or counter
+// the caller waited on, so it polls behind the SyncEvents barrier.
+func waitForEvent(t *testing.T, db *DB, buf *events.Buffer, what string, match func(events.Event) bool) {
+	t.Helper()
+	eventually(t, what, func() bool {
+		db.SyncEvents()
+		return slices.ContainsFunc(buf.Events(), match)
+	})
 }
 
 func countEvents(buf *events.Buffer, kind events.Kind) int {
@@ -42,7 +54,6 @@ func TestKeptOutputReclaimedAfterManifestRoll(t *testing.T) {
 		o.RecoveryBaseBackoff = time.Millisecond
 		o.MaxAllowedSpace = 1 << 30
 		o.EventListener = buf
-		o.EventSinkQueue = -1 // asserted mid-run
 	})
 	defer db.Close()
 
@@ -57,6 +68,7 @@ func TestKeptOutputReclaimedAfterManifestRoll(t *testing.T) {
 	})
 	_ = db.Flush() // may return the latch, or nil if recovery wins the race
 	waitHealthy(t, db, 10*time.Second)
+	db.SyncEvents()
 
 	var kept uint64
 	for _, e := range buf.Events() {
@@ -129,7 +141,6 @@ func TestBackgroundJobReleasesEverything(t *testing.T) {
 					o.L0CompactionTrigger = 4
 					o.MaxSubcompactions = job.lanes
 					o.EventListener = buf
-					o.EventSinkQueue = -1
 				})
 				sh := NewShared(opts, 1, job.lanes)
 				db, err := sh.open(0, opts, true)
@@ -277,6 +288,7 @@ type flushOutcome struct {
 func observeFlush(t *testing.T, db *DB, buf *events.Buffer) flushOutcome {
 	t.Helper()
 	eventually(t, "the flush_end event", func() bool {
+		db.SyncEvents()
 		return countEvents(buf, events.KindFlushEnd) > 0 && db.NumLevelFiles(0) == 1
 	})
 	db.mu.Lock()
@@ -318,7 +330,6 @@ func TestFlushCallersAgree(t *testing.T) {
 			o.DisableAutoRecovery = false
 			o.RecoveryBaseBackoff = time.Millisecond
 			o.EventListener = buf
-			o.EventSinkQueue = -1
 		})
 		for i := 0; i < n; i++ {
 			if err := db.Put(testKey(i), testValue(i)); err != nil {

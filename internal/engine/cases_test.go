@@ -80,7 +80,6 @@ func TestTwoStageKeepsHigherFloor(t *testing.T) {
 	run := func(mode throttle.Mode) float64 {
 		env := newSimEnv(storage.XPoint().Scaled(64), func(o *Options) {
 			o.ThrottleMode = mode
-			o.TwoStageFloorRate = o.DelayedWriteRate / 2
 			// A distant stop threshold keeps the comparison inside
 			// the throttling regime: if L0 blows past the two-stage
 			// midpoint (or the stop line), both controllers behave
@@ -127,16 +126,15 @@ func TestTwoStageKeepsHigherFloor(t *testing.T) {
 }
 
 // TestAdaptiveL0AdjustsBudget verifies case study B's controller moves
-// the memtable budget with the observed mix.
+// the memtable budget with the observed mix: the configured size under
+// write-heavy load (aggregate/24), four times it under read-heavy load
+// (aggregate/6). Each phase spans two 2 s sampling windows.
 func TestAdaptiveL0AdjustsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("minute-scale simulated workload is too slow under the race detector")
 	}
-	env := newSimEnv(storage.XPoint(), func(o *Options) {
-		o.AdaptiveL0 = true
-		o.AdaptiveL0Aggregate = 24 << 20
-		o.AdaptiveWindow = time.Second
-	})
+	env := newSimEnv(storage.XPoint(), func(o *Options) { o.AdaptiveL0 = true })
+	small, large := env.o.MemtableSize, 4*env.o.MemtableSize
 	env.k.Run(func() {
 		db, err := Open(env.o)
 		if err != nil {
@@ -144,21 +142,19 @@ func TestAdaptiveL0AdjustsBudget(t *testing.T) {
 			return
 		}
 		defer db.Close()
-		// Write-heavy phase → small memtables (aggregate/24 = 1 MiB).
 		workload.Run(env.k, db, workload.Config{
-			Workers: 2, ReadRatio: 0.05, Duration: 3 * time.Second,
+			Workers: 2, ReadRatio: 0.05, Duration: 5 * time.Second,
 			KeySpace: 5000, ValueSize: 1024, Seed: 1,
 		})
-		if got := db.MemtableBudget(); got != (24<<20)/24 {
-			t.Errorf("write-heavy budget = %d, want %d", got, (24<<20)/24)
+		if got := db.MemtableBudget(); got != small {
+			t.Errorf("write-heavy budget = %d, want %d", got, small)
 		}
-		// Read-heavy phase → large memtables (aggregate/6 = 4 MiB).
 		workload.Run(env.k, db, workload.Config{
-			Workers: 2, ReadRatio: 0.95, Duration: 3 * time.Second,
+			Workers: 2, ReadRatio: 0.95, Duration: 5 * time.Second,
 			KeySpace: 5000, ValueSize: 1024, Seed: 2,
 		})
-		if got := db.MemtableBudget(); got != (24<<20)/6 {
-			t.Errorf("read-heavy budget = %d, want %d", got, (24<<20)/6)
+		if got := db.MemtableBudget(); got != large {
+			t.Errorf("read-heavy budget = %d, want %d", got, large)
 		}
 	})
 }
@@ -167,11 +163,7 @@ func TestAdaptiveL0AdjustsBudget(t *testing.T) {
 // by every point read, snapshot reads included, so a load of snapshot
 // reads alone is read-intensive and gets the few-large-files budget.
 func TestAdaptiveL0CountsSnapshotReads(t *testing.T) {
-	env := newSimEnv(storage.XPoint(), func(o *Options) {
-		o.AdaptiveL0 = true
-		o.AdaptiveL0Aggregate = 24 << 20
-		o.AdaptiveWindow = time.Second
-	})
+	env := newSimEnv(storage.XPoint(), func(o *Options) { o.AdaptiveL0 = true })
 	env.k.Run(func() {
 		db, err := Open(env.o)
 		if err != nil {
@@ -181,15 +173,15 @@ func TestAdaptiveL0CountsSnapshotReads(t *testing.T) {
 		defer db.Close()
 		snap := db.NewSnapshot()
 		defer snap.Release()
-		for i := 0; i < 3000; i++ { // 3 s of virtual time: three windows
+		for i := 0; i < 5000; i++ { // 5 s of virtual time: two windows
 			if _, err := snap.Get(workload.Key(i % 100)); err != ErrNotFound {
 				t.Errorf("snapshot get: %v", err)
 				return
 			}
 			env.k.Sleep(time.Millisecond)
 		}
-		if got := db.MemtableBudget(); got != (24<<20)/6 {
-			t.Errorf("snapshot-read budget = %d, want %d (read-intensive)", got, (24<<20)/6)
+		if got, want := db.MemtableBudget(), 4*env.o.MemtableSize; got != want {
+			t.Errorf("snapshot-read budget = %d, want %d (read-intensive)", got, want)
 		}
 	})
 }
@@ -388,48 +380,6 @@ func TestManualFlushConcurrentWithWrites(t *testing.T) {
 		if _, err := db.Get(testKey(i)); err != nil {
 			t.Fatalf("Get %d: %v", i, err)
 		}
-	}
-}
-
-// TestCompressedDB: the whole engine works with flate-compressed SSTs.
-func TestCompressedDB(t *testing.T) {
-	db, fs := newTestDB(t, func(o *Options) {
-		o.Compression = 1 // sstable.FlateCompression
-	})
-	const n = 2000
-	for i := 0; i < n; i++ {
-		// Compressible values.
-		v := append(testValue(i), make([]byte, 200)...)
-		if err := db.Put(testKey(i), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		v, err := db.Get(testKey(i))
-		if err != nil {
-			t.Fatalf("Get %d: %v", i, err)
-		}
-		if len(v) != len(testValue(i))+200 {
-			t.Fatalf("value %d truncated", i)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Recovery over compressed tables.
-	opts := DefaultOptions(fs)
-	opts.MemtableSize = 64 << 10
-	opts.Compression = 1
-	db2, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if _, err := db2.Get(testKey(n / 2)); err != nil {
-		t.Fatalf("Get after reopen: %v", err)
 	}
 }
 

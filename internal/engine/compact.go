@@ -106,7 +106,6 @@ func (db *DB) compactWorker() {
 			db.mu.Lock()
 			db.compacting = false
 			if err != nil {
-				db.opts.logf("compaction L%d→L%d failed: %v", c.level, c.outputLevel, err)
 				if db.bgErr == nil {
 					// Inputs are still live and the pick retries: a soft
 					// error — except disk-full, which classifies hard so
@@ -197,7 +196,6 @@ func (db *DB) acquireForCompactionLocked(c *compaction, held *bgHold) (_ *compac
 	} else {
 		db.metrics.SpaceDeferrals.Add(1)
 		db.emitCompactionDeferred(c, projected)
-		db.opts.logf("compaction deferred: %d B projected output over space budget", projected)
 	}
 	db.mu.Lock()
 	if ready := db.compactReadyLocked(); !ok || !ready {

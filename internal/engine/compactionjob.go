@@ -145,9 +145,6 @@ func (db *DB) runCompactionJob(c *compaction, held *bgHold) (stats compactionSta
 	db.metrics.CompactionBytesRead.Add(stats.read)
 	db.metrics.CompactionBytesWritten.Add(stats.written)
 	db.metrics.CompactionEntriesMerged.Add(stats.entries)
-	db.opts.logf("compacted L%d→L%d: %d in (%d B), %d out (%d B), %d sub(s)",
-		c.level, c.outputLevel, len(c.inputs)+len(c.overlaps), stats.read,
-		stats.outputs, stats.written, len(subs))
 	return stats, nil
 }
 
@@ -159,19 +156,15 @@ func (db *DB) runCompactionJob(c *compaction, held *bgHold) (stats compactionSta
 // later rewrite still gets to make.
 func (db *DB) runTrivialMove(c *compaction) (stats compactionStats, err error) {
 	edit := &manifest.Edit{}
-	var moved int64
 	for _, f := range c.inputs {
 		edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: c.level, Num: f.Num})
 		edit.Added = append(edit.Added, manifest.AddedFile{Level: c.outputLevel, Meta: f})
-		moved += f.Size
 	}
 	if err := db.commitEditWith(edit, c.recovery); err != nil {
 		return stats, err
 	}
 	stats.outputs = len(c.inputs)
 	db.metrics.TrivialMoves.Add(int64(len(c.inputs)))
-	db.opts.logf("moved L%d→L%d: %d file(s), %d B (trivial, no I/O)",
-		c.level, c.outputLevel, len(c.inputs), moved)
 	return stats, nil
 }
 

@@ -264,7 +264,7 @@ func (sh *Shared) open(i int, opts Options, owned bool) (*DB, error) {
 	if opts.AdaptiveL0 {
 		db.startWorkerLocked("adaptive-l0", db.adaptiveWorker)
 	}
-	if opts.StatsDumpInterval > 0 && (opts.StatsWriter != nil || opts.Logger != nil) {
+	if opts.StatsDumpInterval > 0 && opts.StatsWriter != nil {
 		db.startWorkerLocked("stats-worker", db.statsWorker)
 	}
 	if !opts.DisableAutoRecovery {
@@ -598,7 +598,6 @@ func (db *DB) updateStallStateLocked() {
 		s = db.spaceState
 	}
 	if s != db.stallState {
-		db.opts.logf("stall state %v -> %v (L0=%d)", db.stallState, s, l0)
 		old := db.stallState
 		db.stallState = s
 		db.controller.SetSourceState(db.index, s)

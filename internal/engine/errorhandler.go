@@ -335,7 +335,6 @@ func (db *DB) setBackgroundErrorLocked(op string, err error) {
 			// recovery from a wal-sync latch).
 			db.bgErr = &BackgroundError{Op: op, Severity: sev, Err: err}
 			db.bgSeverity = sev
-			db.opts.logf("background error escalated (%s, %s): %v", op, sev, err)
 			db.emitBackgroundError(op, sev, err)
 		}
 		return
@@ -343,7 +342,6 @@ func (db *DB) setBackgroundErrorLocked(op string, err error) {
 	db.bgErr = &BackgroundError{Op: op, Severity: sev, Err: err}
 	db.bgSeverity = sev
 	db.metrics.HardErrors.Add(1)
-	db.opts.logf("background error latched (%s, %s): %v", op, sev, err)
 	db.emitBackgroundError(op, sev, err)
 	// Wake writers and workers so they observe the latch, and the
 	// recovery worker so it engages.
@@ -366,7 +364,6 @@ func (db *DB) relatchLocked(op string, err error) {
 	}
 	db.bgErr = &BackgroundError{Op: op, Severity: sev, Err: err}
 	db.bgSeverity = sev
-	db.opts.logf("background error re-latched during recovery (%s, %s): %v", op, sev, err)
 	db.emitBackgroundError(op, sev, err)
 }
 
@@ -387,7 +384,6 @@ func (db *DB) noteSoftErrorLocked(op string, err error) {
 		// not hold the DB in Degraded — there is no in-flight retry
 		// whose completion could ever clear it if writes stop.
 		db.metrics.SoftErrors.Add(1)
-		db.opts.logf("soft background error (%s, next write retries): %v", op, err)
 		db.emitBackgroundError(op, SeveritySoft, err)
 		return
 	}
@@ -396,7 +392,6 @@ func (db *DB) noteSoftErrorLocked(op string, err error) {
 	}
 	if _, active := db.softErrs[op]; !active {
 		db.metrics.SoftErrors.Add(1)
-		db.opts.logf("soft background error (%s, retrying): %v", op, err)
 		db.emitBackgroundError(op, SeveritySoft, err)
 	}
 	db.softErrs[op] = err

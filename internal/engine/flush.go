@@ -78,7 +78,7 @@ func (db *DB) acquireForFlushLocked(held *bgHold) bool {
 	if db.space != nil {
 		projected := db.imms[0].mem.ApproximateSize()
 		db.mu.Unlock()
-		ok := db.reserveSpace(projected, "flush")
+		ok := db.reserveSpace(projected)
 		db.mu.Lock()
 		if !ok {
 			return false // closing
@@ -137,7 +137,6 @@ func (db *DB) flushImmLocked(fm flushedMem, commit func(*manifest.Edit) error) (
 	db.flushing = false
 	l0Files = db.vs.Current().NumFiles(0)
 	if err != nil {
-		db.opts.logf("flush failed: %v", err)
 		if db.bgErr == nil {
 			// The SST build failed but WAL and MANIFEST are fine.
 			// Classification decides the cost: transient I/O is a soft

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -99,7 +100,6 @@ func TestReadPathCorruptionRepairs(t *testing.T) {
 		o.DisableAutoRecovery = false
 		o.DisableScrub = true
 		o.EventListener = buf
-		o.EventSinkQueue = -1 // asserted mid-run
 		o.RecoveryBaseBackoff = time.Millisecond
 		o.RecoveryMaxBackoff = 10 * time.Millisecond
 	})
@@ -140,7 +140,7 @@ func TestReadPathCorruptionRepairs(t *testing.T) {
 			t.Fatalf("Get %d after repair = %q, %v", i, v, err)
 		}
 	}
-	requireEventKinds(t, buf, events.KindQuarantine, events.KindRepair)
+	requireEventKinds(t, db, buf, events.KindQuarantine, events.KindRepair)
 }
 
 // TestScrubDetectsPersistentCorruption: the scrubber finds silent media
@@ -151,7 +151,6 @@ func TestScrubDetectsPersistentCorruption(t *testing.T) {
 	buf := &events.Buffer{}
 	db, fs := newTestDB(t, func(o *Options) {
 		o.EventListener = buf
-		o.EventSinkQueue = -1 // asserted mid-run
 		o.RecoveryBaseBackoff = time.Millisecond
 		o.RecoveryMaxBackoff = 10 * time.Millisecond
 	})
@@ -174,7 +173,9 @@ func TestScrubDetectsPersistentCorruption(t *testing.T) {
 	waitHealthy(t, db, 10*time.Second)
 
 	// The data_loss event names the affected range; keys outside any
-	// lost range must still read correctly.
+	// lost range must still read correctly. It is emitted before the
+	// loss is counted.
+	db.SyncEvents()
 	lost := lostRanges(buf)
 	if len(lost) == 0 {
 		t.Fatal("DataLossEvents > 0 but no data_loss event in buffer")
@@ -189,7 +190,7 @@ func TestScrubDetectsPersistentCorruption(t *testing.T) {
 			t.Fatalf("Get %d outside lost range = %q, %v", i, v, err)
 		}
 	}
-	requireEventKinds(t, buf, events.KindScrubCorruption, events.KindQuarantine, events.KindDataLoss)
+	requireEventKinds(t, db, buf, events.KindScrubCorruption, events.KindQuarantine, events.KindDataLoss)
 
 	// The DB must remain fully usable: writes, flushes and reads.
 	for i := 200; i < 250; i++ {
@@ -208,7 +209,6 @@ func TestScrubCompletesCleanPass(t *testing.T) {
 	buf := &events.Buffer{}
 	db, _ := newTestDB(t, func(o *Options) {
 		o.EventListener = buf
-		o.EventSinkQueue = -1 // asserted mid-run
 		o.ScrubBytesPerSec = 64 << 20
 	})
 	defer db.Close()
@@ -227,7 +227,7 @@ func TestScrubCompletesCleanPass(t *testing.T) {
 	if db.metrics.CorruptionsDetected.Load() != 0 {
 		t.Fatal("clean DB reported corruption")
 	}
-	requireEventKinds(t, buf, events.KindScrubBegin, events.KindScrubComplete)
+	requireEventKinds(t, db, buf, events.KindScrubBegin, events.KindScrubComplete)
 }
 
 // TestParanoidFileChecks verifies flush outputs end-to-end before
@@ -271,17 +271,11 @@ func TestCheckConsistencyCatchesSizeDrift(t *testing.T) {
 	}
 }
 
-// requireEventKinds fails unless every kind appears in the buffer.
-func requireEventKinds(t *testing.T, buf *events.Buffer, kinds ...events.Kind) {
+// requireEventKinds fails unless every kind reaches buf.
+func requireEventKinds(t *testing.T, db *DB, buf *events.Buffer, kinds ...events.Kind) {
 	t.Helper()
-	seen := map[events.Kind]bool{}
-	for _, e := range buf.Events() {
-		seen[e.Kind] = true
-	}
 	for _, k := range kinds {
-		if !seen[k] {
-			t.Errorf("event %q missing from stream", k)
-		}
+		waitForEvent(t, db, buf, fmt.Sprintf("a %s event", k), func(e events.Event) bool { return e.Kind == k })
 	}
 }
 

@@ -109,7 +109,6 @@ func TestEventStreamBurst(t *testing.T) {
 		opts.L0SlowdownTrigger = 2 // stall engages after two flushes
 		opts.L0CompactionTrigger = 4
 		opts.EventListener = &buf
-		opts.EventSinkQueue = -1 // deterministic inline delivery for the golden log
 
 		db, err := Open(opts)
 		if err != nil {

@@ -183,7 +183,6 @@ func TestSlowOpTracing(t *testing.T) {
 	buf := &events.Buffer{}
 	db, _ := newTestDB(t, func(o *Options) {
 		o.EventListener = buf
-		o.EventSinkQueue = -1
 		o.SlowOpThreshold = time.Nanosecond
 	})
 	defer db.Close()
@@ -200,6 +199,7 @@ func TestSlowOpTracing(t *testing.T) {
 		t.Fatalf("snapshot get: %v", err)
 	}
 
+	db.SyncEvents()
 	var gets int
 	var sawWrite bool
 	for _, e := range buf.Events() {
@@ -275,19 +275,19 @@ func (b *blockingSink) Emit(events.Event) {
 }
 
 // TestEventSinkBackpressureDrops: a wedged sink must never block the
-// write path; overflow is counted in Shared.EventsDropped.
+// write path; once more events than the queue holds are emitted, the
+// overflow is counted in Shared.EventsDropped.
 func TestEventSinkBackpressureDrops(t *testing.T) {
 	sink := &blockingSink{release: make(chan struct{})}
 	db, _ := newTestDB(t, func(o *Options) {
 		o.EventListener = sink
-		o.EventSinkQueue = 2
 		o.SlowOpThreshold = time.Nanosecond // every op emits an event
 	})
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 200; i++ {
+		for i := 0; i < obs.DefaultSinkQueue+200; i++ {
 			if err := db.Put(testKey(i), testValue(i)); err != nil {
 				t.Errorf("put: %v", err)
 				return
@@ -300,7 +300,7 @@ func TestEventSinkBackpressureDrops(t *testing.T) {
 		t.Fatal("write path blocked on a wedged event sink")
 	}
 	if db.Shared().EventsDropped.Load() == 0 {
-		t.Error("no drops counted despite a wedged sink and a queue of 2")
+		t.Error("no drops counted despite a wedged sink and 200 events past its queue")
 	}
 	close(sink.release) // un-wedge so Close can drain
 	if err := db.Close(); err != nil {

@@ -7,7 +7,6 @@ import (
 	"xpointdb/internal/clock"
 	"xpointdb/internal/costmodel"
 	"xpointdb/internal/events"
-	"xpointdb/internal/sstable"
 	"xpointdb/internal/throttle"
 	"xpointdb/internal/vfs"
 )
@@ -53,12 +52,10 @@ type Options struct {
 	// BloomBitsPerKey sizes the per-table Bloom filters; 0 disables
 	// them (default 10).
 	BloomBitsPerKey int
-	// Compression selects the SST data block codec (default none;
-	// the paper's experiments also run without compression so block
-	// reads have deterministic size).
-	Compression sstable.Compression
 	// BlockCacheSize is the block cache capacity in bytes; 0 means no
-	// cache. Across the shards of a sharded store it is the total.
+	// cache. Across the shards of a sharded store it is the total. Only
+	// the ablation benches vary it; it stays an option because it sizes
+	// a resource, a deployment setting.
 	BlockCacheSize int64
 
 	// MaxSubcompactions splits one compaction job into up to this many
@@ -93,48 +90,33 @@ type Options struct {
 	// group applies its own batch to the memtable concurrently.
 	// Disabled, the leader applies all batches itself.
 	PipelinedWrites bool
-	// MaxBatchGroupBytes caps how much a leader batches into one WAL
-	// record.
-	MaxBatchGroupBytes int64
 
 	// ThrottleMode selects the write controller policy (Algorithm 1,
-	// two-stage, or none).
+	// two-stage, or none). The controller starts at RocksDB's 16 MiB/s
+	// delayed_write_rate; two-stage mode's stage-1 floor is half that.
 	ThrottleMode throttle.Mode
-	// DelayedWriteRate is the controller's starting rate, bytes/s.
-	DelayedWriteRate float64
-	// TwoStageFloorRate bounds stage-1 throttling in two-stage mode.
-	TwoStageFloorRate float64
 
 	// AdaptiveL0 enables case study B: the engine watches the
-	// read/write mix and retunes MemtableSize so Level-0 converges
-	// to many small files under write-heavy load (fast inserts) or
-	// few large files under read-heavy load (fewer files to probe).
+	// read/write mix over adaptiveWindow and retunes the memtable
+	// budget so Level-0 converges to many small files under
+	// write-heavy load (fast inserts) or few large files under
+	// read-heavy load (fewer files to probe). The aggregate Level-0
+	// volume is held at adaptiveL0ManyFiles × MemtableSize, so the
+	// write-intensive budget is MemtableSize and the read-intensive
+	// one is adaptiveL0ManyFiles/adaptiveL0FewFiles (4) times it.
 	AdaptiveL0 bool
-	// AdaptiveL0Aggregate is the assumed-constant aggregate Level-0
-	// volume V; file size flips between V/adaptiveL0ManyFiles and
-	// V/adaptiveL0FewFiles.
-	AdaptiveL0Aggregate int64
-	// AdaptiveWindow is the sampling window for the read/write ratio.
-	AdaptiveWindow time.Duration
 
 	// EventListener, if non-nil, receives the structured event stream
 	// (flush, compaction, stall-condition and rate changes, WAL
-	// syncs). Use events.NewEventLog for a JSON-lines file sink.
-	// Listeners are called from engine paths — sometimes with engine
-	// locks held — and must be concurrency-safe and non-blocking.
+	// syncs). Use events.NewEventLog for a JSON-lines file sink. The
+	// listener is called in emission order from one drain goroutine
+	// behind a bounded queue (obs.DefaultSinkQueue events), so a slow
+	// sink never stalls the engine; if the queue fills, events are
+	// dropped for the listener (counted in Shared.EventsDropped) while
+	// still reaching the ops-plane replay ring and SSE subscribers.
+	// DB.SyncEvents waits until everything emitted so far has been
+	// delivered: call it before asserting on the listener's contents.
 	EventListener events.Listener
-
-	// EventSinkQueue sizes the bounded queue between engine emitters
-	// and the EventListener. At the default (0 → 4096) the listener is
-	// called from a dedicated drain goroutine, so a slow or blocking
-	// sink can no longer stall the emitting engine path; if the queue
-	// fills, events are dropped for the listener (counted in
-	// Shared.EventsDropped) while still reaching the ops-plane replay
-	// ring and SSE subscribers. Set negative to call the listener
-	// synchronously from the emitting goroutine — for tests and
-	// oracles that must observe an event the moment the operation that
-	// caused it returns.
-	EventSinkQueue int
 
 	// ObsAddr, when non-empty, serves the HTTP ops plane on this
 	// address (e.g. "127.0.0.1:8639", or ":0" for an ephemeral port —
@@ -192,13 +174,15 @@ type Options struct {
 	// wait-for-space recovery heals the moment a budget raise or a
 	// delete frees headroom (RocksDB surfaces the same condition as a
 	// max_allowed_space background error). Default 10s; negative
-	// disables the watchdog.
+	// disables the watchdog. Only tests set it, to bound real-clock
+	// waits, until they run on the simulation kernel.
 	SpaceStallTimeout time.Duration
 
 	// DisableAutoRecovery turns off the background recovery worker:
 	// hard background errors stay latched until a manual Resume (or a
 	// reopen), matching the pre-recovery engine. Soft-error in-place
-	// retries are unaffected.
+	// retries are unaffected. Only tests set it, to bound real-clock
+	// waits, until they run on the simulation kernel.
 	DisableAutoRecovery bool
 	// RecoveryBaseBackoff is the delay before the second automatic
 	// recovery attempt; each further attempt doubles it up to
@@ -212,16 +196,13 @@ type Options struct {
 	// clearable via Resume). Default 12.
 	MaxRecoveryAttempts int
 
-	// StatsDumpInterval, when positive, starts a background worker
-	// that writes DB.StatsReport to StatsWriter (or the Logger) every
-	// interval of engine-clock time — RocksDB's periodic stats dump.
+	// StatsDumpInterval, when positive and StatsWriter is set, starts
+	// a background worker that writes DB.StatsReport to StatsWriter
+	// every interval of engine-clock time — RocksDB's periodic stats
+	// dump (dbbench -statsinterval).
 	StatsDumpInterval time.Duration
-	// StatsWriter receives periodic stats dumps. When nil, dumps go
-	// to Logger; when both are nil, no dumps are produced.
+	// StatsWriter receives the periodic stats dumps.
 	StatsWriter io.Writer
-
-	// Logger, if non-nil, receives debug events.
-	Logger func(format string, args ...interface{})
 }
 
 // Tuning values that are constants rather than Options fields: no
@@ -239,10 +220,16 @@ const (
 	// adaptiveWriteIntensive is the write fraction above which case
 	// study B tags the workload write-intensive (paper: 25%).
 	adaptiveWriteIntensive = 0.25
+	// adaptiveWindow is case study B's sampling window for the
+	// read/write ratio.
+	adaptiveWindow = 2 * time.Second
 	// freeSpaceThreshold is the fraction of a space budget that must
 	// remain free before the degradation ladder engages: below it
 	// writes are delayed, below half of it they are stopped.
 	freeSpaceThreshold = 0.1
+	// maxBatchGroupBytes caps how much a write-group leader batches
+	// into one WAL record.
+	maxBatchGroupBytes = 1 << 20
 )
 
 // DefaultOptions returns the scaled-RocksDB defaults. fs is the data
@@ -265,13 +252,8 @@ func DefaultOptions(fs vfs.FS) Options {
 		BlockCacheSize:      8 << 20,
 		SyncWAL:             false,
 		PipelinedWrites:     true,
-		MaxBatchGroupBytes:  1 << 20,
 		ThrottleMode:        throttle.ModeAlgorithm1,
-		DelayedWriteRate:    16 << 20,
 		ScrubBytesPerSec:    8 << 20,
-
-		AdaptiveL0Aggregate: 96 << 20,
-		AdaptiveWindow:      2 * time.Second,
 	}
 }
 
@@ -305,23 +287,11 @@ func (o Options) withDefaults() Options {
 	if o.BlockCacheSize < 0 {
 		o.BlockCacheSize = 0
 	}
-	if o.MaxBatchGroupBytes <= 0 {
-		o.MaxBatchGroupBytes = d.MaxBatchGroupBytes
-	}
 	if o.MaxSubcompactions <= 0 {
 		o.MaxSubcompactions = 1
 	}
 	if o.CompactionRateBytesPerSec < 0 {
 		o.CompactionRateBytesPerSec = 0
-	}
-	if o.DelayedWriteRate <= 0 {
-		o.DelayedWriteRate = d.DelayedWriteRate
-	}
-	if o.AdaptiveL0Aggregate <= 0 {
-		o.AdaptiveL0Aggregate = d.AdaptiveL0Aggregate
-	}
-	if o.AdaptiveWindow <= 0 {
-		o.AdaptiveWindow = d.AdaptiveWindow
 	}
 	if o.RecoveryBaseBackoff <= 0 {
 		o.RecoveryBaseBackoff = d.RecoveryBaseBackoff
@@ -342,10 +312,4 @@ func (o Options) withDefaults() Options {
 		o.SpaceStallTimeout = d.SpaceStallTimeout
 	}
 	return o
-}
-
-func (o *Options) logf(format string, args ...interface{}) {
-	if o.Logger != nil {
-		o.Logger(format, args...)
-	}
 }

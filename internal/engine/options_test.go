@@ -1,7 +1,16 @@
 package engine
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"xpointdb/internal/bgpool"
@@ -54,9 +63,6 @@ func TestWithDefaultsFillsZeroFields(t *testing.T) {
 	if o.BaseLevelBytes != 4*o.MemtableSize {
 		t.Fatalf("BaseLevelBytes default = %d", o.BaseLevelBytes)
 	}
-	if o.MaxBatchGroupBytes <= 0 || o.DelayedWriteRate <= 0 {
-		t.Fatal("write-path knobs not defaulted")
-	}
 }
 
 func TestDefaultsMatchRocksDBTriggers(t *testing.T) {
@@ -67,8 +73,8 @@ func TestDefaultsMatchRocksDBTriggers(t *testing.T) {
 		t.Fatalf("L0 triggers = %d/%d/%d, want RocksDB's 4/20/36",
 			d.L0CompactionTrigger, d.L0SlowdownTrigger, d.L0StopTrigger)
 	}
-	if d.DelayedWriteRate != 16<<20 {
-		t.Fatalf("delayed write rate = %f, want 16 MiB/s", d.DelayedWriteRate)
+	if r := NewShared(d, 1, 0).Controller.Rate(); r != 16<<20 {
+		t.Fatalf("delayed write rate = %f, want 16 MiB/s", r)
 	}
 	if d.SyncWAL {
 		t.Fatal("SyncWAL must default false (db_bench/paper configuration)")
@@ -95,5 +101,144 @@ func TestOpenOnExistingEmptyDirIsFresh(t *testing.T) {
 	defer db2.Close()
 	if _, err := db2.Get([]byte("missing")); err != ErrNotFound {
 		t.Fatalf("Get on empty reopened db: %v", err)
+	}
+}
+
+// TestOptionsHaveCallers keeps every Options field earning its place: a
+// field must be set by some non-test Go outside internal/engine,
+// examples/ and bench/ that imports the engine — a store, a command, an
+// experiment or the torture driver — or stand in the allow-list with
+// its reason. A value
+// nobody varies belongs in a constant, a mode only tests use belongs in
+// no Options at all, and an assignment computed from another field of
+// the same Options (o.X = o.Y / 2) is not a setting: the engine derives
+// it. A field counts as set by name — an assignment to a selector, a
+// key of an engine.Options literal, or its address taken (a flag
+// binding) — so a same-named field of another struct can hide a
+// missing caller, never invent one.
+func TestOptionsHaveCallers(t *testing.T) {
+	allowed := map[string]string{
+		"BlockCacheSize":      "sizes a resource: a deployment setting with the default every run uses",
+		"DisableAutoRecovery": "how tests bound real-clock waits, until they run on the simulation kernel",
+		"SpaceStallTimeout":   "how tests bound real-clock waits, until they run on the simulation kernel",
+	}
+	fields := map[string]bool{}
+	ot := reflect.TypeOf(Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		fields[ot.Field(i).Name] = true
+	}
+	set := map[string]bool{}
+	// derived reports whether rhs reads another field of the Options
+	// value the assignment writes to.
+	derived := func(lhs *ast.SelectorExpr, rhs ast.Expr) bool {
+		owner, found := types.ExprString(lhs.X), false
+		ast.Inspect(rhs, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && fields[sel.Sel.Name] && types.ExprString(sel.X) == owner {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+
+	const root = "../.."
+	skip := map[string]bool{"internal/engine": true, "examples": true, "bench": true}
+	fset := token.NewFileSet()
+	scanned := 0
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		if d.IsDir() {
+			if skip[filepath.ToSlash(rel)] || d.Name() == "testdata" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		scanned++
+		// Only a file importing the engine (or the root package's alias
+		// of its Options) can hold an Options value to set.
+		optionsPkg := map[string]bool{}
+		for _, spec := range f.Imports {
+			ip, _ := strconv.Unquote(spec.Path.Value)
+			name := path.Base(ip)
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			if ip == "xpointdb/internal/engine" || ip == "xpointdb" {
+				optionsPkg[name] = true
+			}
+		}
+		if len(optionsPkg) == 0 {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, l := range n.Lhs {
+					sel, ok := l.(*ast.SelectorExpr)
+					if !ok || !fields[sel.Sel.Name] {
+						continue
+					}
+					rhs := n.Rhs[0]
+					if len(n.Rhs) == len(n.Lhs) {
+						rhs = n.Rhs[i]
+					}
+					if !derived(sel, rhs) {
+						set[sel.Sel.Name] = true
+					}
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND && fields[sel.Sel.Name] {
+					set[sel.Sel.Name] = true
+				}
+			case *ast.CompositeLit:
+				typ, ok := n.Type.(*ast.SelectorExpr)
+				if !ok || typ.Sel.Name != "Options" {
+					return true
+				}
+				if pkg, ok := typ.X.(*ast.Ident); !ok || !optionsPkg[pkg.Name] {
+					return true
+				}
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if k, ok := kv.Key.(*ast.Ident); ok {
+							set[k.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned < 50 {
+		t.Fatalf("scanned only %d files under %s", scanned, root)
+	}
+	for i := 0; i < ot.NumField(); i++ {
+		name := ot.Field(i).Name
+		_, ok := allowed[name]
+		switch {
+		case !set[name] && !ok:
+			t.Errorf("Options.%s: no caller outside internal/engine, examples/ and bench/ sets it; make it a constant, derive it, or delete the mode", name)
+		case set[name] && ok:
+			t.Errorf("Options.%s is set by a caller now: drop it from the allow-list", name)
+		}
+	}
+	for name := range allowed {
+		if !fields[name] {
+			t.Errorf("allow-list names Options.%s, which does not exist", name)
+		}
 	}
 }

@@ -134,6 +134,7 @@ var engineFamilies = []family[*scrape]{
 	gauge("xpointdb_waiting_writers_max", "Deepest write queue since open.", func(e *scrape) float64 { return float64(e.m.WaitingWriters.Max()) }),
 
 	// Background work.
+	gauge("xpointdb_memtable_budget_bytes", "Memtable size target in force (case study B retunes it).", func(e *scrape) float64 { return float64(e.db.MemtableBudget()) }),
 	counter("xpointdb_flushes_total", "Completed memtable flushes.", func(e *scrape) float64 { return float64(e.m.Flushes.Load()) }),
 	counter("xpointdb_flush_bytes_total", "Bytes written to Level 0 by flushes.", func(e *scrape) float64 { return float64(e.m.FlushBytes.Load()) }),
 	counter("xpointdb_compactions_total", "Completed compactions.", func(e *scrape) float64 { return float64(e.m.Compactions.Load()) }),

@@ -94,7 +94,6 @@ func (db *DB) runRecoveryLoop() {
 		err := db.recoverOnce(be)
 		if err == nil {
 			db.metrics.RecoverySuccesses.Add(1)
-			db.opts.logf("background error recovered (%s) after %d attempt(s)", be.Op, attempt)
 			db.emitRecovery(events.KindRecoverySuccess, &events.Recovery{
 				Op: be.Op, Attempt: attempt, Health: db.Health().String(),
 			})
@@ -103,13 +102,11 @@ func (db *DB) runRecoveryLoop() {
 		if errors.Is(err, ErrClosed) {
 			return
 		}
-		db.opts.logf("recovery attempt %d (%s) failed: %v", attempt, be.Op, err)
 		if attempt >= db.opts.MaxRecoveryAttempts {
 			db.metrics.RecoveryGiveups.Add(1)
 			db.mu.Lock()
 			db.recoveryGaveUp = true
 			db.mu.Unlock()
-			db.opts.logf("automatic recovery gave up after %d attempts (%s); Resume() can retry", attempt, be.Op)
 			db.emitRecovery(events.KindRecoveryGiveup, &events.Recovery{
 				Op: be.Op, Attempt: attempt, Error: err.Error(),
 			})

@@ -29,15 +29,13 @@ func waitHealthy(t *testing.T, db *DB, timeout time.Duration) {
 		timeout, db.Health(), db.BackgroundError())
 }
 
-// hasRecoveryEvent reports whether buf holds a recovery event of the
-// given kind, optionally filtered on the Manual flag.
-func hasRecoveryEvent(buf *events.Buffer, kind events.Kind, manual bool) bool {
-	for _, e := range buf.Events() {
-		if e.Kind == kind && e.Recovery != nil && e.Recovery.Manual == manual {
-			return true
-		}
-	}
-	return false
+// requireRecoveryEvent fails unless buf receives a recovery event of
+// the given kind with the given Manual flag.
+func requireRecoveryEvent(t *testing.T, db *DB, buf *events.Buffer, kind events.Kind, manual bool) {
+	t.Helper()
+	waitForEvent(t, db, buf, fmt.Sprintf("a %s event (manual=%v)", kind, manual), func(e events.Event) bool {
+		return e.Kind == kind && e.Recovery != nil && e.Recovery.Manual == manual
+	})
 }
 
 // TestSeverityClassification pins the op→severity table: a silent
@@ -125,7 +123,6 @@ func TestAutoRecoveryWALSync(t *testing.T) {
 		o.DisableAutoRecovery = false
 		o.RecoveryBaseBackoff = time.Millisecond
 		o.EventListener = buf
-		o.EventSinkQueue = -1 // asserted mid-run
 	})
 	defer db.Close()
 
@@ -159,12 +156,8 @@ func TestAutoRecoveryWALSync(t *testing.T) {
 		t.Fatalf("failed write reappeared after recovery: Get = %v, want ErrNotFound", err)
 	}
 
-	if !hasRecoveryEvent(buf, events.KindRecoveryBegin, false) {
-		t.Error("no automatic error_recovery_begin event")
-	}
-	if !hasRecoveryEvent(buf, events.KindRecoverySuccess, false) {
-		t.Error("no automatic error_recovery_success event")
-	}
+	requireRecoveryEvent(t, db, buf, events.KindRecoveryBegin, false)
+	requireRecoveryEvent(t, db, buf, events.KindRecoverySuccess, false)
 	if got := db.Metrics().RecoverySuccesses.Load(); got < 1 {
 		t.Errorf("RecoverySuccesses = %d, want >= 1", got)
 	}
@@ -179,7 +172,6 @@ func TestAutoRecoveryManifestAppend(t *testing.T) {
 		o.DisableAutoRecovery = false
 		o.RecoveryBaseBackoff = time.Millisecond
 		o.EventListener = buf
-		o.EventSinkQueue = -1 // asserted mid-run
 	})
 	defer db.Close()
 
@@ -213,16 +205,14 @@ func TestAutoRecoveryManifestAppend(t *testing.T) {
 			t.Fatalf("Get(key%d) after recovery = (%q, %v)", i, v, err)
 		}
 	}
-	if !hasRecoveryEvent(buf, events.KindRecoverySuccess, false) {
-		t.Error("no automatic error_recovery_success event")
-	}
+	requireRecoveryEvent(t, db, buf, events.KindRecoverySuccess, false)
 }
 
 // TestResumeAfterHeal: with auto-recovery disabled, the latch persists
 // until a manual Resume, which succeeds once the fault has healed.
 func TestResumeAfterHeal(t *testing.T) {
 	buf := &events.Buffer{}
-	db, ffs := newFaultTestDB(t, func(o *Options) { o.EventListener = buf; o.EventSinkQueue = -1 })
+	db, ffs := newFaultTestDB(t, func(o *Options) { o.EventListener = buf })
 	defer db.Close()
 
 	if err := db.Put(testKey(0), testValue(0)); err != nil {
@@ -262,12 +252,8 @@ func TestResumeAfterHeal(t *testing.T) {
 		t.Fatalf("unacked write visible after Resume: %v", err)
 	}
 
-	if !hasRecoveryEvent(buf, events.KindRecoveryBegin, true) {
-		t.Error("no manual error_recovery_begin event")
-	}
-	if !hasRecoveryEvent(buf, events.KindRecoverySuccess, true) {
-		t.Error("no manual error_recovery_success event")
-	}
+	requireRecoveryEvent(t, db, buf, events.KindRecoveryBegin, true)
+	requireRecoveryEvent(t, db, buf, events.KindRecoverySuccess, true)
 }
 
 // TestResumeWhileFaultPersists: Resume must return the (still) latched
@@ -326,7 +312,6 @@ func TestRecoveryGiveup(t *testing.T) {
 		o.RecoveryMaxBackoff = 2 * time.Millisecond
 		o.MaxRecoveryAttempts = 3
 		o.EventListener = buf
-		o.EventSinkQueue = -1 // asserted mid-run
 	})
 	defer db.Close()
 
@@ -356,9 +341,7 @@ func TestRecoveryGiveup(t *testing.T) {
 	if db.BackgroundError() == nil {
 		t.Fatal("latch cleared despite giveup")
 	}
-	if !hasRecoveryEvent(buf, events.KindRecoveryGiveup, false) {
-		t.Error("no error_recovery_giveup event")
-	}
+	requireRecoveryEvent(t, db, buf, events.KindRecoveryGiveup, false)
 
 	// Manual Resume remains available after giveup.
 	ffs.ClearRules()

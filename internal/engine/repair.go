@@ -138,7 +138,6 @@ func (db *DB) recoverCorruption(be *BackgroundError) error {
 		err := db.repairCompaction(level, meta)
 		if err == nil {
 			db.metrics.CorruptionsRepaired.Add(1)
-			db.opts.logf("repaired corruption: sst %d (L%d) re-compacted", meta.Num, level)
 			db.emitIntegrity(events.KindRepair, &events.Integrity{
 				FileNum:  meta.Num,
 				Level:    level,
@@ -170,7 +169,6 @@ func (db *DB) quarantineFile(level int, meta *manifest.FileMeta, ce *sstable.Cor
 		return err
 	}
 	db.metrics.FilesQuarantined.Add(1)
-	db.opts.logf("quarantined sst %d (L%d): %s", meta.Num, level, ce.Detail)
 	db.emitIntegrity(events.KindQuarantine, &events.Integrity{
 		FileNum:  meta.Num,
 		Level:    level,
@@ -198,8 +196,12 @@ func (db *DB) repairCompaction(level int, meta *manifest.FileMeta) error {
 }
 
 // declareDataLoss drops the unreadable file from the version and
-// reports the precise affected user-key range. Returning nil clears the
-// latch: the DB resumes with bounded, named loss instead of wedging.
+// reports the precise affected user-key range. The data_loss event is
+// emitted before the drop installs, so every read that can observe the
+// drop is sequenced after the declaration; if the install then fails,
+// the range was declared but not lost, and the retry declares it again.
+// Returning nil clears the latch: the DB resumes with bounded, named
+// loss instead of wedging.
 func (db *DB) declareDataLoss(ce *sstable.CorruptionError) error {
 	db.mu.Lock()
 	level, meta := db.fileLevelLocked(ce.FileNum)
@@ -207,6 +209,13 @@ func (db *DB) declareDataLoss(ce *sstable.CorruptionError) error {
 	if meta == nil {
 		return nil
 	}
+	db.emitIntegrity(events.KindDataLoss, &events.Integrity{
+		FileNum:  meta.Num,
+		Level:    level,
+		Smallest: string(keys.UserKey(meta.Smallest)),
+		Largest:  string(keys.UserKey(meta.Largest)),
+		Detail:   ce.Detail,
+	})
 	edit := &manifest.Edit{
 		Deleted: []manifest.DeletedFile{{Level: level, Num: meta.Num}},
 	}
@@ -214,17 +223,6 @@ func (db *DB) declareDataLoss(ce *sstable.CorruptionError) error {
 		return err
 	}
 	db.metrics.DataLossEvents.Add(1)
-	small := string(keys.UserKey(meta.Smallest))
-	large := string(keys.UserKey(meta.Largest))
-	db.opts.logf("DATA LOSS: dropped unreadable sst %d (L%d); keys [%q, %q] affected: %s",
-		meta.Num, level, small, large, ce.Detail)
-	db.emitIntegrity(events.KindDataLoss, &events.Integrity{
-		FileNum:  meta.Num,
-		Level:    level,
-		Smallest: small,
-		Largest:  large,
-		Detail:   ce.Detail,
-	})
 	db.deleteObsoleteFiles()
 	return nil
 }

@@ -105,15 +105,10 @@ func (db *DB) report(section bool) string {
 // the next tick immediately, so the quantum costs nothing).
 const statsQuantum = 200 * time.Millisecond
 
-// statsWorker periodically writes StatsReport to Options.StatsWriter
-// (or the debug logger) every StatsDumpInterval of engine-clock time.
+// statsWorker writes StatsReport to Options.StatsWriter every
+// StatsDumpInterval of engine-clock time.
 func (db *DB) statsWorker() {
 	for !db.sleepUnlessClosed(db.opts.StatsDumpInterval, statsQuantum) {
-		report := db.StatsReport()
-		if w := db.opts.StatsWriter; w != nil {
-			fmt.Fprintf(w, "--- stats @ %v ---\n%s", db.clk.Now().Format("15:04:05.000"), report)
-		} else {
-			db.opts.logf("stats dump:\n%s", report)
-		}
+		fmt.Fprintf(db.opts.StatsWriter, "--- stats @ %v ---\n%s", db.clk.Now().Format("15:04:05.000"), db.StatsReport())
 	}
 }

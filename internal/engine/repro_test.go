@@ -39,12 +39,6 @@ func TestSimulatedMixedWorkload(t *testing.T) {
 		}
 		panic("deadlock (state dumped)")
 	}
-	opts.Logger = func(format string, args ...interface{}) {
-		if testing.Verbose() {
-			fmt.Printf("engine: "+format+"\n", args...)
-		}
-	}
-
 	k.Run(func() {
 		var err error
 		db, err = Open(opts)

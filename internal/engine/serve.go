@@ -12,7 +12,6 @@ func (db *DB) healthz() (bool, string) {
 func (db *DB) ObsAddr() string { return db.shared.Plane.Addr() }
 
 // SyncEvents blocks until every event emitted so far has been
-// delivered to the configured EventListener. Only meaningful with the
-// async sink (EventSinkQueue >= 0); a no-op otherwise. Tests that
-// assert on the listener's contents mid-run call this first.
+// delivered to the configured EventListener (a no-op without one).
+// Code that asserts on the listener's contents mid-run calls this first.
 func (db *DB) SyncEvents() { db.shared.Plane.Sync() }

@@ -60,13 +60,8 @@ func NewShared(opts Options, engines, poolSlots int) *Shared {
 	}
 	// Built before any engine opens, so recovery-time events take the
 	// same path as every later one.
-	sh.Plane = obs.NewPlane(opts.EventListener, opts.EventSinkQueue, opts.ObsAddr,
-		func() { sh.EventsDropped.Add(1) })
-	tcfg := throttle.Config{
-		Mode:             opts.ThrottleMode,
-		DelayedWriteRate: opts.DelayedWriteRate,
-		FloorRate:        opts.TwoStageFloorRate,
-	}
+	sh.Plane = obs.NewPlane(opts.EventListener, opts.ObsAddr, func() { sh.EventsDropped.Add(1) })
+	tcfg := throttle.Config{Mode: opts.ThrottleMode}
 	if sh.Plane.Listener() != nil {
 		tcfg.RateChanged = sh.emitRateChange
 	}

@@ -285,8 +285,6 @@ func (db *DB) spaceStallWatchdog(epoch uint64) {
 		db.spaceStopEpoch != epoch || db.spaceState != throttle.StateStopped {
 		return // the stall ended (or something else already latched)
 	}
-	db.opts.logf("space budget exhausted: writers stopped for %v with no ladder transition (used=%d reserved=%d budget=%d)",
-		db.opts.SpaceStallTimeout, db.space.Used(), db.space.Reserved(), db.space.Budget())
 	db.setBackgroundErrorLocked(opSpaceStall, ErrMaxSpaceReached)
 }
 
@@ -333,7 +331,7 @@ func (db *DB) spaceRemove(fs interface{ Remove(string) error }, name string) err
 // Deferral polls with a timed sleep: reclamation, a budget raise, or
 // another shard's delete can free headroom at any time. Call without
 // db.mu; a true return must be paired with sm.Release(bytes).
-func (db *DB) reserveSpace(bytes int64, job string) bool {
+func (db *DB) reserveSpace(bytes int64) bool {
 	if db.space == nil {
 		return true
 	}
@@ -351,8 +349,6 @@ func (db *DB) reserveSpace(bytes int64, job string) bool {
 		if !deferred {
 			deferred = true
 			db.metrics.SpaceDeferrals.Add(1)
-			db.opts.logf("%s deferred: %d B projected output over space budget (used=%d reserved=%d budget=%d)",
-				job, bytes, db.space.Used(), db.space.Reserved(), db.space.Budget())
 		}
 		db.clk.Sleep(flushRetryBackoff)
 	}

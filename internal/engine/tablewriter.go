@@ -30,7 +30,6 @@ func (db *DB) newTableWriter(num uint64) (*tableWriter, error) {
 	return &tableWriter{db: db, num: num, f: f, b: sstable.NewBuilder(f, sstable.BuilderOptions{
 		BlockSize:       db.opts.BlockSize,
 		BloomBitsPerKey: db.opts.BloomBitsPerKey,
-		Compression:     db.opts.Compression,
 	})}, nil
 }
 

@@ -246,7 +246,7 @@ func (db *DB) leaderCommit(leader *writer) {
 			break
 		}
 		sz := int64(cand.batch.Size())
-		if len(group.members) > 0 && groupBytes+sz > db.opts.MaxBatchGroupBytes {
+		if len(group.members) > 0 && groupBytes+sz > maxBatchGroupBytes {
 			break
 		}
 		group.members = append(group.members, cand)

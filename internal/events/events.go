@@ -422,15 +422,6 @@ func (b *Buffer) Len() int {
 
 // ---------------------------------------------------------------------
 
-// Tee fans every event out to each listener in order.
-func Tee(ls ...Listener) Listener {
-	return Func(func(e Event) {
-		for _, l := range ls {
-			l.Emit(e)
-		}
-	})
-}
-
 // Decode reads a JSON-lines event stream back (the inverse of
 // EventLog). It stops at EOF and fails on the first malformed line.
 func Decode(r io.Reader) ([]Event, error) {

@@ -138,15 +138,6 @@ func TestBufferConcurrent(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	var a, b Buffer
-	l := Tee(&a, &b)
-	l.Emit(Event{Kind: KindWALSync, WALSync: &WALSync{Bytes: 1}})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("Tee delivered %d/%d, want 1/1", a.Len(), b.Len())
-	}
-}
-
 func TestEventString(t *testing.T) {
 	for _, e := range sampleEvents() {
 		s := e.String()

@@ -57,8 +57,9 @@ func (r *Runner) Fig18() *Report {
 	for _, mode := range []throttle.Mode{throttle.ModeAlgorithm1, throttle.ModeTwoStage} {
 		mode := mode
 		env := NewEnv(storage.XPoint(), sc, func(o *engine.Options) {
+			// Two-stage's stage-1 floor is half the 16 MiB/s starting
+			// rate.
 			o.ThrottleMode = mode
-			o.TwoStageFloorRate = o.DelayedWriteRate / 2
 			// RocksDB's 20/36 thresholds assume 64 MB files against
 			// a 100 GB dataset (0.08 dataset fractions); at the
 			// scaled 2 MB files / tens-of-MB dataset they would
@@ -147,12 +148,11 @@ func (r *Runner) Fig19() *Report {
 		for i, adaptive := range []bool{false, true} {
 			adaptive := adaptive
 			env := NewEnv(storage.XPoint(), r.Scale, func(o *engine.Options) {
-				o.AdaptiveL0 = adaptive
 				// The paper's configuration: throttle at 24 L0 files;
-				// aggregate L0 volume constant.
+				// aggregate L0 volume constant (24 memtables).
+				o.AdaptiveL0 = adaptive
 				o.L0SlowdownTrigger = 24
 				o.L0StopTrigger = 36
-				o.AdaptiveL0Aggregate = 24 * o.MemtableSize
 			})
 			res, _, err := env.RunKV(func(db *engine.DB) *workload.Result {
 				return env.Mixed(db, 4, float64(pct)/100, nil)

@@ -157,7 +157,6 @@ func TestSharedSeam(t *testing.T) {
 			opts.L0CompactionTrigger = 100        // Level-0 files stay where flushes put them
 			opts.L0SlowdownTrigger = 2
 			opts.EventListener = sink
-			opts.EventSinkQueue = -1 // asserted mid-run
 			opts.ObsAddr = "127.0.0.1:0"
 			st, err := Open(opts, shards, nil)
 			if err != nil {
@@ -196,6 +195,7 @@ func TestSharedSeam(t *testing.T) {
 			}
 			sh.Controller.AdjustRate(true)
 			sh.Controller.AdjustRate(false)
+			sh.Plane.Sync()
 
 			tags, rateChanges := map[int]bool{}, int64(0)
 			for _, e := range sink.Events() {

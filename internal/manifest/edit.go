@@ -41,17 +41,15 @@ type QuarantinedFile struct {
 	Num   uint64
 }
 
-// Field tags of the MANIFEST record encoding.
+// Field tags of the MANIFEST record encoding. Tag 4, an added file
+// without a whole-file checksum, is retired: the decoder rejects it as
+// an unknown tag, so every live file has a recorded checksum.
 const (
-	tagLogNum      = 1
-	tagNextFileNum = 2
-	tagLastSeq     = 3
-	tagAddedFile   = 4 // legacy: added file without a file checksum
-	tagDeletedFile = 5
-	// tagAddedFileChecksum supersedes tagAddedFile: same fields plus the
-	// whole-file CRC-32C. The encoder always emits this form; the
-	// decoder accepts both so pre-checksum manifests still replay.
-	tagAddedFileChecksum = 6
+	tagLogNum            = 1
+	tagNextFileNum       = 2
+	tagLastSeq           = 3
+	tagDeletedFile       = 5
+	tagAddedFileChecksum = 6 // added file with its whole-file CRC-32C
 	tagQuarantinedFile   = 7
 )
 
@@ -109,14 +107,12 @@ func DecodeEdit(p []byte) (*Edit, error) {
 		case tagLastSeq:
 			v := d.uvarint()
 			e.LastSeq = &v
-		case tagAddedFile, tagAddedFileChecksum:
+		case tagAddedFileChecksum:
 			level := int(d.uvarint())
 			meta := &FileMeta{
-				Num:  d.uvarint(),
-				Size: int64(d.uvarint()),
-			}
-			if tag == tagAddedFileChecksum {
-				meta.Checksum = uint32(d.uvarint())
+				Num:      d.uvarint(),
+				Size:     int64(d.uvarint()),
+				Checksum: uint32(d.uvarint()),
 			}
 			meta.Smallest = d.bytes()
 			meta.Largest = d.bytes()

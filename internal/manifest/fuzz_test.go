@@ -6,9 +6,8 @@ import (
 )
 
 // editsEquivalent compares the decoder-visible fields of two edits.
-// Byte-level comparison would be wrong: a legacy tag-4 added-file
-// record re-encodes as tag-6, and out-of-range varints normalize on
-// the uint32/int64 truncation the decoder applies.
+// Byte-level comparison would be wrong: out-of-range varints normalize
+// on the uint32/int64 truncation the decoder applies.
 func editsEquivalent(a, b *Edit) bool {
 	u64eq := func(x, y *uint64) bool {
 		if (x == nil) != (y == nil) {
@@ -48,9 +47,9 @@ func editsEquivalent(a, b *Edit) bool {
 // FuzzDecodeEdit feeds arbitrary bytes to the MANIFEST edit decoder:
 // it must never panic or loop, and any payload it accepts must
 // round-trip — re-encoding the decoded edit and decoding again yields
-// a semantically identical edit. This pins the compatibility contract
-// between the legacy (tag 4) and checksummed (tag 6) added-file
-// records: the decoder takes both, the encoder emits only tag 6.
+// a semantically identical edit. The committed corpus keeps a record
+// of the retired tag-4 added file (legacy_tag4_added), which the
+// decoder must now reject.
 func FuzzDecodeEdit(f *testing.F) {
 	ln, nf, ls := uint64(7), uint64(42), uint64(100000)
 	full := &Edit{

@@ -3,6 +3,9 @@ package manifest
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -64,6 +67,23 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	bad[1] = 99 // level byte
 	if _, err := DecodeEdit(bad); err == nil {
 		t.Fatal("invalid level accepted")
+	}
+}
+
+// TestTag4Rejected: the retired checksum-less added-file record (tag 4)
+// decodes as an unknown tag. The record is the committed fuzz seed.
+func TestTag4Rejected(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeEdit/legacy_tag4_added")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	rec, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeEdit([]byte(rec)); err == nil || err.Error() != "manifest: unknown edit tag 4" {
+		t.Fatalf("DecodeEdit(tag-4 record) = %v, want unknown edit tag 4", err)
 	}
 }
 

@@ -29,8 +29,7 @@ type FileMeta struct {
 	Smallest []byte
 	Largest  []byte
 	// Checksum is the CRC-32C of the file's full byte stream, computed
-	// by the SST writer and persisted through the version edit. Zero
-	// means no digest was recorded (files from pre-checksum manifests).
+	// by the SST writer and persisted through the version edit.
 	Checksum uint32
 
 	// quarantined marks a file in which corruption was detected; the

@@ -168,14 +168,20 @@ func (h *Hub) drain() {
 }
 
 // Sync blocks until every event accepted for the sink so far has been
-// delivered to it — the barrier tests and Close use to make the
-// asynchronous sink observably caught up.
-func (h *Hub) Sync() {
+// delivered to it — the barrier that makes the asynchronous sink
+// observably caught up — and returns the sequence number of the last
+// event emitted before the call: every event up to it has reached the
+// sink (or was dropped, and counted, on a full queue).
+func (h *Hub) Sync() uint64 {
+	h.mu.Lock()
+	seq := h.seq
+	h.mu.Unlock()
 	h.pendingMu.Lock()
 	for h.pending > 0 {
 		h.pendingCond.Wait()
 	}
 	h.pendingMu.Unlock()
+	return seq
 }
 
 // Close stops the hub: subsequent Emits are discarded, every

@@ -20,37 +20,24 @@ type Plane struct {
 }
 
 // NewPlane wires a store's options — its event listener (may be nil),
-// the listener's sink queue length, the ops-server address ("" = none)
-// and a callback counting events the sink queue drops — into one of
-// three shapes:
+// the ops-server address ("" = none) and a callback counting events the
+// sink queue drops — into one of two shapes:
 //
 //   - No listener, no addr: Listener() is nil and emission is free.
-//   - Async sink (sinkQueue >= 0, the default): a Hub sits between the
-//     store and the listener. Emitters never block — the hub hands
-//     events to a dedicated drain goroutine through a bounded queue,
-//     dropping (and calling onSinkDrop) under sustained backpressure.
-//     The same hub feeds /events when the server is on.
-//   - Synchronous sink (sinkQueue < 0): the listener is invoked inline
-//     from the emitting goroutine — for tests and oracles that assert
-//     on events mid-run. If addr is also set, a hub with no sink rides
-//     alongside via events.Tee so /events still works.
-func NewPlane(listener events.Listener, sinkQueue int, addr string, onSinkDrop func()) *Plane {
-	p := &Plane{addr: addr, ev: listener}
-	async := listener != nil && sinkQueue >= 0
-	if !async && addr == "" {
+//   - Otherwise a Hub is what the store emits into. Emitters never
+//     block: the hub hands events to the listener from a dedicated
+//     drain goroutine through a bounded queue (DefaultSinkQueue),
+//     dropping (and calling onSinkDrop) under sustained backpressure,
+//     and Sync is the barrier behind which the listener has seen
+//     everything emitted so far. The same hub feeds /events when the
+//     server is on.
+func NewPlane(listener events.Listener, addr string, onSinkDrop func()) *Plane {
+	p := &Plane{addr: addr}
+	if listener == nil && addr == "" {
 		return p
 	}
-	hcfg := HubConfig{SinkQueue: sinkQueue}
-	if async {
-		hcfg.Sink = listener
-		hcfg.OnSinkDrop = onSinkDrop
-	}
-	p.hub = NewHub(hcfg)
-	if listener != nil && !async {
-		p.ev = events.Tee(listener, p.hub)
-	} else {
-		p.ev = p.hub
-	}
+	p.hub = NewHub(HubConfig{Sink: listener, OnSinkDrop: onSinkDrop})
+	p.ev = p.hub
 	return p
 }
 
@@ -82,12 +69,13 @@ func (p *Plane) Addr() string {
 }
 
 // Sync blocks until every event emitted so far has been delivered to
-// the configured listener. Only meaningful with the async sink; a
-// no-op otherwise.
-func (p *Plane) Sync() {
-	if p.hub != nil {
-		p.hub.Sync()
+// the configured listener, and returns the hub sequence number of the
+// last of them (0 when nothing was emitted or nothing listens).
+func (p *Plane) Sync() uint64 {
+	if p.hub == nil {
+		return 0
 	}
+	return p.hub.Sync()
 }
 
 // Close tears the plane down once the store's background work has

@@ -81,10 +81,10 @@ type Options struct {
 	// Engine is the per-shard option template. FS is the base
 	// filesystem carved into "shard-NNN/" + "meta/" prefixes (unless
 	// ShardFS/MetaFS below override the layout). BlockCacheSize is the
-	// TOTAL budget of the one shared cache. EventListener/
-	// EventSinkQueue/ObsAddr configure the single shared event stream
-	// and ops server; CompactionRateBytesPerSec and MaxAllowedSpace are
-	// one pacer and one budget across every shard.
+	// TOTAL budget of the one shared cache. EventListener/ObsAddr
+	// configure the single shared event stream and ops server;
+	// CompactionRateBytesPerSec and MaxAllowedSpace are one pacer and
+	// one budget across every shard.
 	Engine engine.Options
 
 	// ShardFS, if non-nil, supplies shard i's filesystem instead of

@@ -589,7 +589,6 @@ func TestShardedEventsCarryShardTag(t *testing.T) {
 	sink := eventsCollector{tags: map[int]int{}}
 	db, _ := newTestStore(t, 2, func(o *Options) {
 		o.Engine.EventListener = &sink
-		o.Engine.EventSinkQueue = -1 // synchronous
 	})
 	defer db.Close()
 
@@ -604,6 +603,7 @@ func TestShardedEventsCarryShardTag(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	db.Shared().Plane.Sync()
 	if sink.tag(1) == 0 || sink.tag(2) == 0 {
 		t.Fatalf("events not tagged per shard: %v", sink.tags)
 	}

@@ -36,21 +36,10 @@ func IsCorruption(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// Compression selects the block compression codec.
-type Compression byte
-
 const (
-	// NoCompression stores blocks raw.
-	NoCompression Compression = 0
-	// FlateCompression compresses blocks with DEFLATE (stdlib
-	// compress/flate); a block is stored raw anyway when compression
-	// saves less than 1/8 of its size, as in LevelDB.
-	FlateCompression Compression = 1
-)
-
-const (
-	// blockTrailerLen is the per-block on-disk trailer: compression
-	// type (1 byte) + CRC-32C (4 bytes).
+	// blockTrailerLen is the per-block on-disk trailer: codec byte +
+	// CRC-32C (4 bytes). Blocks are stored raw, and the builder writes
+	// codec 0; the reader rejects any other codec as corruption.
 	blockTrailerLen = 5
 
 	// footerLen is the fixed footer: two padded block handles
@@ -92,8 +81,6 @@ type BuilderOptions struct {
 	BlockSize int
 	// BloomBitsPerKey sizes the table's Bloom filter; 0 disables it.
 	BloomBitsPerKey int
-	// Compression selects the data block codec (default none).
-	Compression Compression
 }
 
 // DefaultBuilderOptions mirrors RocksDB defaults: 4 KiB blocks,
@@ -204,7 +191,7 @@ func (b *Builder) finishDataBlock() error {
 		return nil
 	}
 	contents := b.data.finish()
-	h, err := b.writeDataBlock(contents)
+	h, err := b.writeBlock(contents)
 	if err != nil {
 		b.err = err
 		return err
@@ -216,27 +203,10 @@ func (b *Builder) finishDataBlock() error {
 	return nil
 }
 
-// writeRawBlock stores contents uncompressed (used for filter and
-// index blocks, and as the data-block fallback).
-func (b *Builder) writeRawBlock(contents []byte) (blockHandle, error) {
-	return b.writeBlock(contents, NoCompression)
-}
-
-// writeDataBlock applies the configured codec, falling back to raw
-// storage when compression is not worthwhile.
-func (b *Builder) writeDataBlock(contents []byte) (blockHandle, error) {
-	if b.opts.Compression == FlateCompression {
-		if compressed, ok := flateCompress(contents); ok {
-			return b.writeBlock(compressed, FlateCompression)
-		}
-	}
-	return b.writeBlock(contents, NoCompression)
-}
-
-func (b *Builder) writeBlock(contents []byte, codec Compression) (blockHandle, error) {
+// writeBlock stores contents raw behind its trailer (codec 0).
+func (b *Builder) writeBlock(contents []byte) (blockHandle, error) {
 	h := blockHandle{offset: b.offset, length: uint64(len(contents))}
 	var trailer [blockTrailerLen]byte
-	trailer[0] = byte(codec)
 	crc := crc32.Update(0, crcTable, contents)
 	crc = crc32.Update(crc, crcTable, trailer[:1])
 	binary.LittleEndian.PutUint32(trailer[1:], crc)
@@ -268,14 +238,14 @@ func (b *Builder) Finish() (int64, error) {
 	var filterHandle blockHandle
 	if b.opts.BloomBitsPerKey > 0 && len(b.filterKeys) > 0 {
 		f := bloom.New(b.filterKeys, b.opts.BloomBitsPerKey)
-		h, err := b.writeRawBlock([]byte(f))
+		h, err := b.writeBlock([]byte(f))
 		if err != nil {
 			return 0, err
 		}
 		filterHandle = h
 	}
 	indexContents := b.index.finish()
-	indexHandle, err := b.writeRawBlock(indexContents)
+	indexHandle, err := b.writeBlock(indexContents)
 	if err != nil {
 		return 0, err
 	}
@@ -389,8 +359,7 @@ func readFooter(f vfs.File, size int64, fileNum uint64) (filterHandle, indexHand
 	return filterHandle, indexHandle, nil
 }
 
-// readBlock reads, verifies, and decompresses a block, bypassing the
-// cache.
+// readBlock reads and verifies a block, bypassing the cache.
 func (r *Reader) readBlock(h blockHandle) ([]byte, error) {
 	// Validate the handle against the file size before allocating:
 	// handles come from on-disk bytes (footer, index entries) and a
@@ -419,25 +388,14 @@ func (r *Reader) readBlock(h blockHandle) ([]byte, error) {
 			Detail:  fmt.Sprintf("block fails checksum (computed %#x, stored %#x)", crc, want),
 		}
 	}
-	switch Compression(trailer[0]) {
-	case NoCompression:
-		return contents, nil
-	case FlateCompression:
-		out, err := flateDecompress(contents)
-		if err != nil {
-			return nil, &CorruptionError{
-				FileNum: r.fileNum,
-				Offset:  h.offset,
-				Detail:  fmt.Sprintf("block decompression: %v", err),
-			}
+	if trailer[0] != 0 {
+		return nil, &CorruptionError{
+			FileNum: r.fileNum,
+			Offset:  h.offset,
+			Detail:  fmt.Sprintf("block has unknown codec %d", trailer[0]),
 		}
-		return out, nil
 	}
-	return nil, &CorruptionError{
-		FileNum: r.fileNum,
-		Offset:  h.offset,
-		Detail:  fmt.Sprintf("block has unknown codec %d", trailer[0]),
-	}
+	return contents, nil
 }
 
 // getBlock returns block contents via the cache; hit reports whether

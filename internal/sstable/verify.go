@@ -23,9 +23,9 @@ type VerifyStats struct {
 // Verify re-reads the entire table from the underlying file, bypassing
 // the block cache. It recomputes the whole-file CRC-32C (compared
 // against fileChecksum when fileChecksum != 0 — zero means no recorded
-// digest, as with files from pre-checksum manifests) and then re-checks
-// every block: footer decode, filter, index, and each data block the
-// index references.
+// digest, as when xpdump verifies a file the live MANIFEST does not
+// name) and then re-checks every block: footer decode, filter, index,
+// and each data block the index references.
 //
 // pace, if non-nil, is called after every read with the byte count just
 // transferred; returning an error aborts the pass with that error. The

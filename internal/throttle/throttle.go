@@ -40,9 +40,10 @@ const (
 	ModeNone Mode = iota
 	// ModeAlgorithm1 is the paper's Algorithm 1 (RocksDB default).
 	ModeAlgorithm1
-	// ModeTwoStage is case study A: a gentle fixed-floor stage
-	// between the slowdown threshold and the midpoint
-	// (slowdown+stop)/2, then full Algorithm 1 beyond it.
+	// ModeTwoStage is case study A: a gentle stage between the
+	// slowdown threshold and the midpoint (slowdown+stop)/2 whose rate
+	// never drops below half the starting rate, then full Algorithm 1
+	// beyond it.
 	ModeTwoStage
 )
 
@@ -94,7 +95,7 @@ type Controller struct {
 	// initialRate restores rate when a stall episode ends.
 	initialRate float64
 	// floorRate is stage 1's "maximum acceptable" lower bound on the
-	// delayed write rate (two-stage mode).
+	// delayed write rate (two-stage mode): half the starting rate.
 	floorRate float64
 	minRate   float64
 	maxRate   float64
@@ -118,9 +119,6 @@ type Config struct {
 	// DelayedWriteRate is the starting delayed_write_rate in
 	// bytes/second (RocksDB default 16 MiB/s).
 	DelayedWriteRate float64
-	// FloorRate bounds stage-1 throttling in two-stage mode
-	// (default: DelayedWriteRate).
-	FloorRate float64
 	// RateChanged, if non-nil, observes every AdjustRate step with the
 	// pre- and post-clamp rates. It is called without the controller
 	// lock held and must not call back into the controller.
@@ -132,16 +130,13 @@ func New(clk clock.Clock, cfg Config) *Controller {
 	if cfg.DelayedWriteRate <= 0 {
 		cfg.DelayedWriteRate = 16 << 20
 	}
-	if cfg.FloorRate <= 0 {
-		cfg.FloorRate = cfg.DelayedWriteRate
-	}
 	return &Controller{
 		clk:         clk,
 		mode:        cfg.Mode,
 		state:       StateClear,
 		rate:        cfg.DelayedWriteRate,
 		initialRate: cfg.DelayedWriteRate,
-		floorRate:   cfg.FloorRate,
+		floorRate:   cfg.DelayedWriteRate / 2,
 		minRate:     1 << 20, // 1 MiB/s lower clamp
 		maxRate:     1 << 30, // 1 GiB/s upper clamp
 		lastRefill:  clk.Now(),
@@ -241,7 +236,7 @@ func (c *Controller) Delay(numBytes int) time.Duration {
 		return 0
 	case c.mode == ModeTwoStage && c.state == StateDelayed:
 		// Stage 1: slight throttling — rate never drops below the
-		// configured floor.
+		// floor.
 		if effRate < c.floorRate {
 			effRate = c.floorRate
 		}

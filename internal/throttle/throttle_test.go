@@ -128,8 +128,7 @@ func TestRateRestoredWhenStallEnds(t *testing.T) {
 
 func TestTwoStageFloorInStage1(t *testing.T) {
 	k := sim.New(t0)
-	floor := float64(8 << 20)
-	c := New(k, Config{Mode: ModeTwoStage, DelayedWriteRate: 16 << 20, FloorRate: floor})
+	c := New(k, Config{Mode: ModeTwoStage, DelayedWriteRate: 16 << 20})
 	// Decay the adaptive rate far below the floor.
 	c.SetState(StateDelayed)
 	for i := 0; i < 60; i++ {
@@ -146,7 +145,7 @@ func TestTwoStageFloorInStage1(t *testing.T) {
 
 	// Stage 2 (StateAggressive): full Algorithm 1 at the decayed rate.
 	k2 := sim.New(t0)
-	c2 := New(k2, Config{Mode: ModeTwoStage, DelayedWriteRate: 16 << 20, FloorRate: floor})
+	c2 := New(k2, Config{Mode: ModeTwoStage, DelayedWriteRate: 16 << 20})
 	c2.SetState(StateAggressive)
 	for i := 0; i < 60; i++ {
 		c2.AdjustRate(true)

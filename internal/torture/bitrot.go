@@ -17,7 +17,7 @@ type bitrot struct {
 	paranoid bool
 	armed    bool
 	mode     string
-	cursor   int // events already absorbed into r.loose
+	cursor   int // buffered events already absorbed into r.loose
 }
 
 func (b *bitrot) tune(o *engine.Options) {
@@ -43,7 +43,7 @@ func (b *bitrot) before(r *run, i int) error {
 		b.arm(r)
 	}
 	if b.armed {
-		b.absorbLoss(r)
+		b.absorb(r, r.st.syncEvents())
 	}
 	return nil
 }
@@ -79,15 +79,26 @@ func (b *bitrot) arm(r *run) {
 	r.cfg.Logf("bitrot: transient rot armed (FailNTimes=%d)", k)
 }
 
-// absorbLoss moves every key inside a newly declared data_loss range
-// into the loose set: the one case where a non-oracle read result is
-// honest. A later acknowledged write to the key pins it down again.
-func (b *bitrot) absorbLoss(r *run) {
+// absorb moves every key inside a data_loss range declared in the
+// events up to sequence number through into the loose set: the one
+// case where a non-oracle read result is honest. A later acknowledged
+// write to the key pins it down again.
+//
+// The engine emits a declaration before it drops the file, so a read
+// that observed the drop returns after the declaration was sequenced,
+// and the driver absorbs up to the sequence number read at the
+// response (run.spot). A declaration sequenced after the response
+// never excuses the read, and no key outside a declared range is ever
+// loose, so a wrong read the engine has not admitted to is still a
+// violation. The buffer renumbers events 1, 2, … as they arrive, which
+// matches the hub's numbering only if the queue dropped none; settle
+// checks that.
+func (b *bitrot) absorb(r *run, through uint64) {
 	if b.buf.Len() == b.cursor {
 		return // nothing new; Events copies the whole buffer
 	}
 	evs := b.buf.Events()
-	for ; b.cursor < len(evs); b.cursor++ {
+	for ; b.cursor < len(evs) && evs[b.cursor].Seq <= through; b.cursor++ {
 		e := evs[b.cursor]
 		if e.Kind != events.KindDataLoss || e.Integrity == nil {
 			continue
@@ -131,8 +142,11 @@ func (b *bitrot) settle(r *run) error {
 	if err := r.waitHealthy(false); err != nil {
 		return err
 	}
-	b.absorbLoss(r)
+	b.absorb(r, r.st.syncEvents())
 	c := r.c()
+	if c.eventsDropped > 0 {
+		return r.violation("the event queue dropped %d events: declared losses cannot be matched to reads", c.eventsDropped)
+	}
 	r.cfg.Logf("bitrot(%s): detected=%d quarantined=%d repaired=%d dataloss=%d lostkeys=%d",
 		b.mode, c.detected, c.quarantined, c.repaired, c.dataLoss, len(r.loose))
 	if c.giveups > 0 {

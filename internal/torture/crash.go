@@ -70,6 +70,7 @@ func (c *crash) start(r *run) {
 
 func (c *crash) before(*run, int) error { return nil }
 func (c *crash) spotRate() float64      { return 0.02 }
+func (c *crash) absorb(*run, uint64)    {}
 
 // Any write may fail once the injected faults latch — the op's fate is
 // resolved by the recovered cut markers — but reads must keep serving.

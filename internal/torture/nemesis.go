@@ -23,6 +23,9 @@ type nemesis interface {
 	// spotRate is the probability of a live spot read in front of the
 	// next op.
 	spotRate() float64
+	// absorb folds into r.loose what the store declared lost in the
+	// events up to sequence number through (bitrot; a no-op elsewhere).
+	absorb(r *run, through uint64)
 	// honest reports whether err is a failure this regime may cause:
 	// from Apply or Flush (read false) or from Get (read true).
 	// Anything else is a foreign error and fails the run.
@@ -71,10 +74,9 @@ type sameHandle struct {
 }
 
 func (s *sameHandle) tune(o *engine.Options) {
+	// The contracts read the buffer mid-run, each time behind the
+	// store's event barrier (store.syncEvents).
 	o.EventListener = &s.buf
-	// Synchronous delivery: the contracts assert on the buffer mid-run
-	// and must observe each event before the next op.
-	o.EventSinkQueue = -1
 	// Tight backoffs keep iterations fast; the generous attempt budget
 	// means a giveup on a fault that heals can only be a real bug.
 	o.RecoveryBaseBackoff = time.Millisecond
@@ -82,18 +84,24 @@ func (s *sameHandle) tune(o *engine.Options) {
 	o.MaxRecoveryAttempts = s.attempts
 }
 
-func (s *sameHandle) finish(*run) error { return nil }
+func (s *sameHandle) absorb(*run, uint64) {}
+func (s *sameHandle) finish(*run) error   { return nil }
 
 // requireRecoveryEvents asserts the event stream recorded at least one
-// recovery engagement and one success, in that order.
+// recovery engagement and one success, in that order. The success
+// event trails the Healthy state the caller waited for, so it polls
+// behind the event barrier.
 func (s *sameHandle) requireRecoveryEvents(r *run) error {
 	begin, success := -1, -1
-	for i, e := range s.buf.Events() {
-		if e.Kind == events.KindRecoveryBegin && begin < 0 {
-			begin = i
-		}
-		if e.Kind == events.KindRecoverySuccess && success < 0 {
-			success = i
+	for deadline := time.Now().Add(healTimeout); success < 0 && time.Now().Before(deadline); time.Sleep(200 * time.Microsecond) {
+		r.st.syncEvents()
+		for i, e := range s.buf.Events() {
+			if e.Kind == events.KindRecoveryBegin && begin < 0 {
+				begin = i
+			}
+			if e.Kind == events.KindRecoverySuccess && success < 0 {
+				success = i
+			}
 		}
 	}
 	switch {

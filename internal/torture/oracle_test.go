@@ -145,6 +145,7 @@ func (f *fakeStore) glob(p string) string   { return p }
 func (f *fakeStore) coordLog() string       { return "" }
 func (f *fakeStore) describe() string       { return "fake" }
 func (f *fakeStore) layout() string         { return "" }
+func (f *fakeStore) syncEvents() uint64     { return 0 }
 
 func driveFake(cfg Config, f *fakeStore) error {
 	return drive(cfg, func(c Config, _ *rand.Rand, _ geometry, _ func(*engine.Options)) store {

@@ -35,6 +35,9 @@ type store interface {
 	// counters sums the recovery, integrity and space counters of
 	// every shard of the open handle.
 	counters() counters
+	// syncEvents waits until the listener holds every event the store
+	// emitted so far and returns the sequence number of the last one.
+	syncEvents() uint64
 	shards() int
 	shardOf(key string) int
 	// marker is shard s's monotone cut-marker key.
@@ -57,6 +60,7 @@ type counters struct {
 	detected, quarantined, repaired, dataLoss           int64
 	enospc, spaceWaits, spaceRecoveries, spaceDeferrals int64
 	rolledForward, abortedAtOpen                        int64
+	eventsDropped                                       int64
 }
 
 func (c *counters) add(m *engine.Metrics) {
@@ -161,8 +165,11 @@ func (h *handle) counters() (c counters) {
 	if sdb, ok := h.Store.(*shardeddb.DB); ok {
 		_, _, c.rolledForward, c.abortedAtOpen = sdb.TxnStats()
 	}
+	c.eventsDropped = h.Shared().EventsDropped.Load()
 	return c
 }
+
+func (h *handle) syncEvents() uint64 { return h.Shared().Plane.Sync() }
 
 func (h *handle) layout() string {
 	var b strings.Builder

@@ -507,8 +507,14 @@ func (r *run) spot(p float64) error {
 	// (enospc's release timer): the workload must not.
 	if roll, k := r.rng.Float64(), r.key(); roll < p {
 		v, err := r.st.Get([]byte(k))
+		// The read's response: a loss declared by now may have
+		// overlapped it, one declared later cannot excuse it.
+		through := r.st.syncEvents()
 		if err != nil && r.nem.honest(err, true) {
 			return nil // honest detection; the nemesis's settle resolves it
+		}
+		if r.compare("Get", k, string(v), err) != nil {
+			r.nem.absorb(r, through)
 		}
 		return r.compare("Get", k, string(v), err)
 	}

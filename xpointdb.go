@@ -41,7 +41,6 @@ import (
 	"xpointdb/internal/shardeddb"
 	"xpointdb/internal/sim"
 	"xpointdb/internal/simenv"
-	"xpointdb/internal/sstable"
 	"xpointdb/internal/storage"
 	"xpointdb/internal/throttle"
 	"xpointdb/internal/vfs"
@@ -112,12 +111,6 @@ const (
 	ThrottleNone       = throttle.ModeNone
 	ThrottleAlgorithm1 = throttle.ModeAlgorithm1
 	ThrottleTwoStage   = throttle.ModeTwoStage
-)
-
-// SST block compression codecs (Options.Compression).
-const (
-	NoCompression    = sstable.NoCompression
-	FlateCompression = sstable.FlateCompression
 )
 
 // FS is the filesystem abstraction databases run on.
