@@ -9,6 +9,7 @@ import (
 	"path"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,28 +105,59 @@ func TestOpenOnExistingEmptyDirIsFresh(t *testing.T) {
 	}
 }
 
-// TestOptionsHaveCallers keeps every Options field earning its place: a
-// field must be set by some non-test Go outside internal/engine,
-// examples/ and bench/ that imports the engine — a store, a command, an
+// TestOptionsHaveCallers keeps every field of the two stores' Options
+// (engine.Options, shardeddb.Options) earning its place: a field must
+// be set by some non-test Go outside the store's own package, examples/
+// and bench/ that imports the package — a store, a command, an
 // experiment or the torture driver — or stand in the allow-list with
-// its reason. A value
-// nobody varies belongs in a constant, a mode only tests use belongs in
-// no Options at all, and an assignment computed from another field of
-// the same Options (o.X = o.Y / 2) is not a setting: the engine derives
-// it. A field counts as set by name — an assignment to a selector, a
-// key of an engine.Options literal, or its address taken (a flag
-// binding) — so a same-named field of another struct can hide a
-// missing caller, never invent one.
+// its reason. A value nobody varies belongs in a constant, a mode only
+// tests use belongs in no Options at all, and an assignment computed
+// from another field of the same Options (o.X = o.Y / 2) is not a
+// setting: the store derives it. A field counts as set by name — an
+// assignment to a selector, a key of an Options literal of the package,
+// or its address taken (a flag binding) — so a same-named field of
+// another struct can hide a missing caller, never invent one.
 func TestOptionsHaveCallers(t *testing.T) {
-	allowed := map[string]string{
-		"BlockCacheSize":      "sizes a resource: a deployment setting with the default every run uses",
-		"DisableAutoRecovery": "how tests bound real-clock waits, until they run on the simulation kernel",
-		"SpaceStallTimeout":   "how tests bound real-clock waits, until they run on the simulation kernel",
-	}
+	t.Run("engine.Options", func(t *testing.T) {
+		// The root package aliases the engine's Options.
+		checkOptionCallers(t, "internal/engine", []string{"xpointdb/internal/engine", "xpointdb"}, map[string]string{
+			"BlockCacheSize":      "sizes a resource: a deployment setting with the default every run uses",
+			"DisableAutoRecovery": "how tests bound real-clock waits, until they run on the simulation kernel",
+			"SpaceStallTimeout":   "how tests bound real-clock waits, until they run on the simulation kernel",
+		})
+	})
+	t.Run("shardeddb.Options", func(t *testing.T) {
+		checkOptionCallers(t, "internal/shardeddb", []string{"xpointdb/internal/shardeddb"}, nil)
+	})
+}
+
+// checkOptionCallers is TestOptionsHaveCallers for the Options struct
+// of the package in dir (relative to the repository root), reached by
+// the import paths imports.
+func checkOptionCallers(t *testing.T, dir string, imports []string, allowed map[string]string) {
+	const root = "../.."
+	fset := token.NewFileSet()
 	fields := map[string]bool{}
-	ot := reflect.TypeOf(Options{})
-	for i := 0; i < ot.NumField(); i++ {
-		fields[ot.Field(i).Name] = true
+	pkgs, err := parser.ParseDir(fset, filepath.Join(root, dir), func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "Options" {
+				for _, f := range ts.Type.(*ast.StructType).Fields.List {
+					for _, name := range f.Names {
+						fields[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(fields) == 0 {
+		t.Fatalf("no Options struct in %s", dir)
 	}
 	set := map[string]bool{}
 	// derived reports whether rhs reads another field of the Options
@@ -141,11 +173,9 @@ func TestOptionsHaveCallers(t *testing.T) {
 		return found
 	}
 
-	const root = "../.."
-	skip := map[string]bool{"internal/engine": true, "examples": true, "bench": true}
-	fset := token.NewFileSet()
+	skip := map[string]bool{dir: true, "examples": true, "bench": true}
 	scanned := 0
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -164,8 +194,8 @@ func TestOptionsHaveCallers(t *testing.T) {
 			return err
 		}
 		scanned++
-		// Only a file importing the engine (or the root package's alias
-		// of its Options) can hold an Options value to set.
+		// Only a file importing the package can hold an Options value
+		// to set.
 		optionsPkg := map[string]bool{}
 		for _, spec := range f.Imports {
 			ip, _ := strconv.Unquote(spec.Path.Value)
@@ -173,7 +203,7 @@ func TestOptionsHaveCallers(t *testing.T) {
 			if spec.Name != nil {
 				name = spec.Name.Name
 			}
-			if ip == "xpointdb/internal/engine" || ip == "xpointdb" {
+			if slices.Contains(imports, ip) {
 				optionsPkg[name] = true
 			}
 		}
@@ -226,12 +256,11 @@ func TestOptionsHaveCallers(t *testing.T) {
 	if scanned < 50 {
 		t.Fatalf("scanned only %d files under %s", scanned, root)
 	}
-	for i := 0; i < ot.NumField(); i++ {
-		name := ot.Field(i).Name
+	for name := range fields {
 		_, ok := allowed[name]
 		switch {
 		case !set[name] && !ok:
-			t.Errorf("Options.%s: no caller outside internal/engine, examples/ and bench/ sets it; make it a constant, derive it, or delete the mode", name)
+			t.Errorf("Options.%s: no caller outside %s, examples/ and bench/ sets it; make it a constant, derive it, or delete the mode", name, dir)
 		case set[name] && ok:
 			t.Errorf("Options.%s is set by a caller now: drop it from the allow-list", name)
 		}

@@ -179,17 +179,6 @@ func (sm *SpaceManager) untrack(key string) {
 	sm.notifyLocked()
 }
 
-// TrackFile records the size of an externally-owned file (a sharded
-// store's coordinator log, for example) under key. Sharers must prefix
-// keys with their own namespace — engines use "s<shard>/".
-func (sm *SpaceManager) TrackFile(key string, size int64) { sm.setFile(key, size) }
-
-// GrowFile adds delta appended bytes to an externally-owned file.
-func (sm *SpaceManager) GrowFile(key string, delta int64) { sm.grow(key, delta) }
-
-// UntrackFile drops a deleted externally-owned file.
-func (sm *SpaceManager) UntrackFile(key string) { sm.untrack(key) }
-
 // TryReserve reserves headroom for a background job's projected
 // output. It fails (so the job defers) when the budget cannot cover
 // it; a successful reservation must be paired with Release.

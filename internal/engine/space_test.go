@@ -18,23 +18,23 @@ import (
 // exact, and an unlimited manager never leaves StateClear.
 func TestSpaceManagerAccounting(t *testing.T) {
 	sm := NewSpaceManager(0)
-	sm.TrackFile("s0/000001.sst", 100)
-	sm.TrackFile("s0/000002.log", 50)
+	sm.setFile("s0/000001.sst", 100)
+	sm.setFile("s0/000002.log", 50)
 	if got := sm.Used(); got != 150 {
 		t.Fatalf("Used = %d, want 150", got)
 	}
-	sm.GrowFile("s0/000002.log", 25)
+	sm.grow("s0/000002.log", 25)
 	if got := sm.Used(); got != 175 {
 		t.Fatalf("Used after grow = %d, want 175", got)
 	}
 	// Re-tracking a known file replaces its size (seeding after reopen,
 	// or a manifest roll re-stating the file) — it must not add.
-	sm.TrackFile("s0/000001.sst", 120)
+	sm.setFile("s0/000001.sst", 120)
 	if got := sm.Used(); got != 195 {
 		t.Fatalf("Used after re-track = %d, want 195", got)
 	}
-	sm.UntrackFile("s0/000001.sst")
-	sm.UntrackFile("s0/000001.sst") // double-untrack is a no-op
+	sm.untrack("s0/000001.sst")
+	sm.untrack("s0/000001.sst") // double-untrack is a no-op
 	if got := sm.Used(); got != 75 {
 		t.Fatalf("Used after untrack = %d, want 75", got)
 	}
@@ -61,11 +61,11 @@ func TestSpaceManagerLadder(t *testing.T) {
 		mu.Unlock()
 	})
 
-	sm.TrackFile("f", 850) // free 150
+	sm.setFile("f", 850) // free 150
 	if s := sm.State(); s != throttle.StateClear {
 		t.Fatalf("free=150: state %v, want Clear", s)
 	}
-	sm.GrowFile("f", 50) // free 100 — exactly the slow line
+	sm.grow("f", 50) // free 100 — exactly the slow line
 	if s := sm.State(); s != throttle.StateDelayed {
 		t.Fatalf("free=100: state %v, want Delayed", s)
 	}

@@ -20,7 +20,7 @@ import (
 // manual flushes — while a scraper loops over the live HTTP /metrics
 // endpoint, strictly parsing every response. Run under -race (make
 // tier2) this is the data-race probe for the shared cache, shared
-// pool, shared controller, event tagging, and the coordinator log.
+// pool, shared controller, event tagging, and the 2PC pending set.
 func TestShardHammerWithLiveScraper(t *testing.T) {
 	const shards = 4
 	db, _ := newTestStore(t, shards, func(o *Options) {

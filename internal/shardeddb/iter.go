@@ -32,13 +32,14 @@ func (db *DB) NewIter() (*Iter, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	return db.newIter(func(s *engine.DB) (*engine.Iter, error) { return s.NewIter() })
+	return db.newIter(func(i int) (*engine.Iter, error) { return db.shards[i].NewIter() })
 }
 
-func (db *DB) newIter(open func(*engine.DB) (*engine.Iter, error)) (*Iter, error) {
+// newIter builds an Iter over the per-shard iterators open returns.
+func (db *DB) newIter(open func(shard int) (*engine.Iter, error)) (*Iter, error) {
 	it := &Iter{db: db, iters: make([]*engine.Iter, len(db.shards))}
-	for i, s := range db.shards {
-		si, err := open(s)
+	for i := range db.shards {
+		si, err := open(i)
 		if err != nil {
 			for _, prev := range it.iters[:i] {
 				prev.Close()
@@ -181,18 +182,13 @@ func (it *Iter) fail(err error) {
 // Close releases every per-shard iterator (and its pinned version).
 func (it *Iter) Close() error {
 	it.valid = false
-	var errs []error
+	errs := []error{it.err}
 	for _, si := range it.iters {
 		if si != nil {
-			if err := si.Close(); err != nil {
-				errs = append(errs, err)
-			}
+			errs = append(errs, si.Close())
 		}
 	}
 	it.iters = nil
-	if it.err != nil {
-		errs = append([]error{it.err}, errs...)
-	}
 	return errors.Join(errs...)
 }
 
@@ -229,18 +225,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 
 // NewIter returns an iterator over the snapshot's view.
 func (s *Snapshot) NewIter() (*Iter, error) {
-	it := &Iter{db: s.db, iters: make([]*engine.Iter, len(s.snaps))}
-	for i, snap := range s.snaps {
-		si, err := snap.NewIter()
-		if err != nil {
-			for _, prev := range it.iters[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		it.iters[i] = si
-	}
-	return it, nil
+	return s.db.newIter(func(i int) (*engine.Iter, error) { return s.snaps[i].NewIter() })
 }
 
 // Release unpins all per-shard snapshots. Safe to call more than once.

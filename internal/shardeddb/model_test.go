@@ -37,8 +37,8 @@ func modelOptions(fs vfs.FS) Options {
 // batches — many of them spanning shards and therefore committing
 // through the two-phase protocol — checked against an in-memory
 // reference model after each phase. The store runs on one shared
-// faultfs (all four shard directories plus the coordinator's meta
-// namespace crash together, as one filesystem would), and crash phases
+// faultfs (all four shard directories crash together, as one
+// filesystem would), and crash phases
 // exercise progressively harsher images: clean, partial-sync, torn.
 // With SyncWAL=true every acknowledged write — including every
 // acknowledged cross-shard batch — must survive all three unchanged,
@@ -168,8 +168,8 @@ func TestShardedRandomOpsAgainstModel(t *testing.T) {
 		}
 		checkAll(fmt.Sprintf("phase %d", phase))
 
-		// Every other phase: crash the whole store (all shards and the
-		// coordinator log freeze at one instant) and reopen from a
+		// Every other phase: crash the whole store (all shards freeze at
+		// one instant) and reopen from a
 		// progressively harsher image.
 		if phase%2 == 1 {
 			var mode faultfs.CrashOpts

@@ -23,16 +23,14 @@ var shardedFamilies = []shardedFamily{
 		func(db *DB) float64 { return float64(db.crossBatches.Load()) }},
 	{"xpointdb_sharded_txn_aborted_total", "Cross-shard batches aborted before the commit point.", "counter",
 		func(db *DB) float64 { return float64(db.txnAborts.Load()) }},
-	{"xpointdb_sharded_txn_phase2_failures_total", "Committed batches whose phase 2 hit an error (resolved at reopen).", "counter",
+	{"xpointdb_sharded_txn_phase2_failures_total", "Runs of a cross-shard batch's commit record or phase 2 that failed; the steps stay queued for the next write to a participant.", "counter",
 		func(db *DB) float64 { return float64(db.txnP2Failures.Load()) }},
 	{"xpointdb_sharded_txn_rolled_forward_total", "Committed batches completed from prepare records at recovery.", "counter",
 		func(db *DB) float64 { return float64(db.rolledForward.Load()) }},
 	{"xpointdb_sharded_txn_aborted_at_open_total", "Uncommitted prepare records discarded at recovery.", "counter",
 		func(db *DB) float64 { return float64(db.abortedAtOpen.Load()) }},
-	{"xpointdb_sharded_txn_log_rotations_total", "Coordinator transaction-log rotations.", "counter",
-		func(db *DB) float64 { return float64(db.txnLogRotation.Load()) }},
-	{"xpointdb_sharded_txn_pending", "Committed batches whose phase 2 has not finished.", "gauge",
-		func(db *DB) float64 { return float64(db.pendingTxns()) }},
+	{"xpointdb_sharded_txn_pending", "Cross-shard batches past their prepares whose commit record or phase 2 has not finished, queued ones included.", "gauge",
+		func(db *DB) float64 { db.txnMu.Lock(); defer db.txnMu.Unlock(); return float64(len(db.txnPending)) }},
 }
 
 // WritePrometheus writes the sharded store's metrics in the Prometheus

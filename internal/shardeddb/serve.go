@@ -23,25 +23,23 @@ func (db *DB) SyncEvents() { db.shared.Plane.Sync() }
 // StatsReport renders the combined human-readable report: one
 // store-wide metrics section over every shard (engine.WriteStats: sums
 // with per-shard brackets, the shared resources once), the cross-shard
-// transaction line, then each shard's health, LSM shape and per-level
-// table.
+// transaction line (the xpointdb_sharded_txn_* families), then each
+// shard's health, LSM shape and per-level table.
 func (db *DB) StatsReport() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== sharded store: %d shards ==\n", len(db.shards))
 	engine.WriteStats(&b, db.shards, db.shared)
-	cross, aborts, rf, ab := db.TxnStats()
-	fmt.Fprintf(&b, "cross-shard txns: committed=%d aborted=%d rolled_forward=%d aborted_at_open=%d pending=%d\n",
-		cross, aborts, rf, ab, db.pendingTxns())
+	b.WriteString("cross-shard txns:")
+	for _, f := range shardedFamilies {
+		if name, ok := strings.CutPrefix(f.name, "xpointdb_sharded_txn_"); ok {
+			fmt.Fprintf(&b, " %s=%v", strings.TrimSuffix(name, "_total"), f.value(db))
+		}
+	}
+	b.WriteString("\n")
 	for i, s := range db.shards {
 		start, end := db.ShardRange(i)
 		fmt.Fprintf(&b, "\n-- shard %d [%q, %q) --\n", i, start, end)
 		b.WriteString(s.StateReport())
 	}
 	return b.String()
-}
-
-func (db *DB) pendingTxns() int {
-	db.txnMu.Lock()
-	defer db.txnMu.Unlock()
-	return len(db.txnPending)
 }

@@ -28,16 +28,15 @@
 //
 // Cross-shard atomic batches use a two-phase commit with presumed
 // abort (txn.go): prepare records carrying the sub-batch payload are
-// made durable in every participant, then a commit record in the
-// coordinator log (meta namespace) is the commit point, then the data
-// applies. Crash anywhere never exposes a torn batch: recovery at open
-// rolls committed transactions forward and aborts the rest.
+// made durable in every participant, then a commit record — a reserved
+// key in the lowest-numbered participant — is the commit point, then
+// the data applies. Crash anywhere never exposes a torn batch: recovery
+// at open rolls committed transactions forward and aborts the rest.
 //
-// Layout: one underlying filesystem holds every shard under a
-// "shard-NNN/" prefix (vfs.NewPrefix) plus a "meta/" namespace for the
-// coordinator log, so a single crash snapshot captures the whole store
-// at one instant. Callers on a real OS filesystem can instead hand
-// each shard its own directory (Options.ShardFS/MetaFS).
+// Layout: one filesystem, Engine.FS, holds every shard under a
+// "shard-NNN/" prefix (vfs.NewPrefix), so a single crash snapshot
+// captures the whole store at one instant. Each shard's WAL is the only
+// durable log; there is no store-level file.
 package shardeddb
 
 import (
@@ -45,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"xpointdb/internal/batch"
@@ -53,7 +51,6 @@ import (
 	"xpointdb/internal/engine"
 	"xpointdb/internal/keys"
 	"xpointdb/internal/vfs"
-	"xpointdb/internal/wal"
 )
 
 // ErrNotFound re-exports the engine's miss sentinel.
@@ -79,20 +76,12 @@ type Options struct {
 	Boundaries [][]byte
 
 	// Engine is the per-shard option template. FS is the base
-	// filesystem carved into "shard-NNN/" + "meta/" prefixes (unless
-	// ShardFS/MetaFS below override the layout). BlockCacheSize is the
+	// filesystem carved into "shard-NNN/" prefixes. BlockCacheSize is the
 	// TOTAL budget of the one shared cache. EventListener/ObsAddr
 	// configure the single shared event stream and ops server;
 	// CompactionRateBytesPerSec and MaxAllowedSpace are one pacer and
 	// one budget across every shard.
 	Engine engine.Options
-
-	// ShardFS, if non-nil, supplies shard i's filesystem instead of
-	// the default prefix layout (e.g. one real directory per device).
-	ShardFS func(i int) (vfs.FS, error)
-	// MetaFS, if non-nil, holds the coordinator state (transaction
-	// log) instead of the default "meta/" prefix of Engine.FS.
-	MetaFS vfs.FS
 
 	// PoolSlots sizes the shared background pool. 0 takes
 	// engine.NewShared's default, max(2, Shards) across several shards
@@ -124,28 +113,29 @@ type DB struct {
 	// Built here before any shard opens, closed here after the last.
 	shared *engine.Shared
 
-	metaFS vfs.FS
+	clk clock.Clock
 
-	// Coordinator (two-phase commit) state — txn.go.
-	txnMu      sync.Mutex
-	txnLog     *wal.Writer
-	txnFile    vfs.File
-	txnName    string
-	txnEpoch   uint32
-	txnGen     int // rotation generation within the epoch
-	txnCounter uint32
-	txnPending map[uint64]bool
-	txnDirty   int // commits since last rotation
+	// Cross-shard batch state (txn.go). txnMu guards the ID counter, the
+	// pending set and the GC list, and is never held across an Apply;
+	// txnCond wakes a writer waiting for queued steps another writer
+	// runs. txnQueued counts the pending batches that are queued.
+	txnMu      clock.Mutex
+	txnCond    clock.Cond
+	txnID      uint64
+	txnPending map[uint64]*txn
+	txnDone    []*txn // finished batches whose commit records await GC
+	txnSinceGC int    // batches finished since the last GC pass began
+	txnGCing   bool
+	txnQueued  atomic.Int64
 
 	closed atomic.Bool
 
 	// Cross-shard transaction counters (Prometheus + tests).
-	crossBatches   atomic.Int64
-	txnAborts      atomic.Int64
-	txnP2Failures  atomic.Int64
-	rolledForward  atomic.Int64
-	abortedAtOpen  atomic.Int64
-	txnLogRotation atomic.Int64
+	crossBatches  atomic.Int64
+	txnAborts     atomic.Int64
+	txnP2Failures atomic.Int64
+	rolledForward atomic.Int64
+	abortedAtOpen atomic.Int64
 }
 
 // Open opens (creating if necessary) a sharded store.
@@ -153,8 +143,8 @@ func Open(opts Options) (*DB, error) {
 	if opts.Shards < 1 {
 		return nil, errors.New("shardeddb: Options.Shards must be >= 1")
 	}
-	if opts.Engine.FS == nil && (opts.ShardFS == nil || opts.MetaFS == nil) {
-		return nil, errors.New("shardeddb: Options.Engine.FS is required (or ShardFS+MetaFS)")
+	if opts.Engine.FS == nil {
+		return nil, errors.New("shardeddb: Options.Engine.FS is required")
 	}
 	if len(opts.Boundaries) == 0 && opts.Shards > 1 {
 		opts.Boundaries = UniformBoundaries(opts.Shards)
@@ -174,38 +164,28 @@ func Open(opts Options) (*DB, error) {
 	db := &DB{
 		opts:       opts,
 		boundaries: opts.Boundaries,
-		txnPending: make(map[uint64]bool),
+		clk:        opts.Engine.Clock,
+		txnPending: make(map[uint64]*txn),
 		shared:     engine.NewShared(opts.Engine, opts.Shards, opts.PoolSlots),
 	}
-
-	// Filesystems: default layout is one base FS with per-shard
-	// prefixes plus a meta namespace.
-	db.metaFS = opts.MetaFS
-	if db.metaFS == nil {
-		db.metaFS = vfs.NewPrefix(opts.Engine.FS, "meta/")
+	if db.clk == nil {
+		db.clk = clock.Real{}
 	}
+	db.txnMu = db.clk.NewMutex()
+	db.txnCond = db.clk.NewCond(db.txnMu)
 
 	// Open every shard inside the shared set.
 	db.shards = make([]*engine.DB, opts.Shards)
 	for i := range db.shards {
-		var sfs vfs.FS
+		sfs := vfs.NewPrefix(opts.Engine.FS, fmt.Sprintf("shard-%03d/", i))
 		var err error
-		if opts.ShardFS != nil {
-			sfs, err = opts.ShardFS(i)
-		} else {
-			sfs = vfs.NewPrefix(opts.Engine.FS, fmt.Sprintf("shard-%03d/", i))
-		}
-		if err == nil {
-			db.shards[i], err = db.shared.Open(i, db.shardOptions(i, sfs))
-		}
-		if err != nil {
+		if db.shards[i], err = db.shared.Open(i, db.shardOptions(i, sfs)); err != nil {
 			db.abortOpen(i)
 			return nil, fmt.Errorf("shardeddb: open shard %d: %w", i, err)
 		}
 	}
 
-	// Resolve in-flight cross-shard transactions from the last run,
-	// then start a fresh coordinator epoch.
+	// Resolve the cross-shard batches the last run left in flight.
 	if err := db.recoverTxns(); err != nil {
 		db.abortOpen(opts.Shards)
 		return nil, err
@@ -289,18 +269,25 @@ func (db *DB) Has(key []byte) (bool, error) {
 
 // Put inserts or overwrites key.
 func (db *DB) Put(key, value []byte) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	return db.shards[db.ShardForKey(key)].Put(key, value)
+	return db.write(key, func(s *engine.DB) error { return s.Put(key, value) })
 }
 
 // Delete removes key.
 func (db *DB) Delete(key []byte) error {
+	return db.write(key, func(s *engine.DB) error { return s.Delete(key) })
+}
+
+// write runs a single-key write on the shard owning key, behind the
+// fence (txn.go).
+func (db *DB) write(key []byte, fn func(*engine.DB) error) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
-	return db.shards[db.ShardForKey(key)].Delete(key)
+	s := db.ShardForKey(key)
+	if err := db.fence(s); err != nil {
+		return err
+	}
+	return fn(db.shards[s])
 }
 
 // MultiGet looks up every key, returning parallel values/errors
@@ -324,7 +311,7 @@ func (db *DB) MultiGet(keys ...[]byte) ([][]byte, []error) {
 			touched = append(touched, s)
 		}
 	}
-	clock.Parallel(db.opts.Engine.Clock, "multiget", len(touched), func(j int) {
+	clock.Parallel(db.clk, "multiget", len(touched), func(j int) {
 		s := touched[j]
 		for _, i := range byShard[s] {
 			values[i], errs[i] = db.shards[s].Get(keys[i])
@@ -353,16 +340,15 @@ func (db *DB) splitBatch(b *batch.Batch) (map[int]*batch.Batch, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return parts, nil
+	return parts, err
 }
 
 // Apply atomically applies b. Batches confined to one shard take that
 // shard's normal group-commit path; batches spanning shards commit via
 // the two-phase protocol (txn.go) — all of b survives a crash, or none
-// of it does.
+// of it does. A write first runs the queued steps of any failed
+// cross-shard batch it shares a shard with (txn.go), as Put and Delete
+// do.
 func (db *DB) Apply(b *batch.Batch, syncWAL bool) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -376,6 +362,9 @@ func (db *DB) Apply(b *batch.Batch, syncWAL bool) error {
 		return nil
 	case 1:
 		for s, sub := range parts {
+			if err := db.fence(s); err != nil {
+				return err
+			}
 			return db.shards[s].Apply(sub, syncWAL)
 		}
 	}
@@ -428,7 +417,7 @@ func (db *DB) Health() engine.Health {
 }
 
 // TxnStats reports cross-shard transaction counters: committed
-// cross-shard batches, aborts (prepare/commit-point failures),
+// cross-shard batches, aborts (prepare failures),
 // recovery roll-forwards and recovery aborts.
 func (db *DB) TxnStats() (cross, aborts, rolledForward, abortedAtOpen int64) {
 	return db.crossBatches.Load(), db.txnAborts.Load(),
@@ -438,31 +427,20 @@ func (db *DB) TxnStats() (cross, aborts, rolledForward, abortedAtOpen int64) {
 // Shared returns the resources the shards have in common.
 func (db *DB) Shared() *engine.Shared { return db.shared }
 
-// Close closes every shard and the coordinator state. The shards close
-// in parallel — each drains its own writers and workers.
+// Close closes every shard, in parallel — each drains its own writers
+// and workers — and then the shared set. Queued steps of failed
+// cross-shard batches are left to recovery at the next open.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return ErrClosed
 	}
 	errs := make([]error, len(db.shards))
-	clock.Parallel(db.opts.Engine.Clock, "close-shard", len(db.shards), func(i int) {
+	clock.Parallel(db.clk, "close-shard", len(db.shards), func(i int) {
 		errs[i] = db.shards[i].Close()
 	})
-	var err error
-	for i, e := range errs {
-		if e != nil && err == nil {
-			err = fmt.Errorf("shardeddb: close shard %d: %w", i, e)
-		}
-	}
-	db.txnMu.Lock()
-	if db.txnFile != nil {
-		if serr := db.txnLog.Sync(); serr != nil && err == nil {
-			err = fmt.Errorf("shardeddb: close: txn log sync: %w", serr)
-		}
-		_ = db.txnFile.Close()
-		db.txnFile = nil
-	}
-	db.txnMu.Unlock()
 	db.shared.Close()
-	return err
+	if i := firstErr(errs); i >= 0 {
+		return fmt.Errorf("shardeddb: close shard %d: %w", i, errs[i])
+	}
+	return nil
 }

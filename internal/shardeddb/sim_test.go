@@ -15,41 +15,65 @@ import (
 )
 
 // TestSimCrossShardFanOut runs a 3-shard store on simulated 3D XPoint
-// inside Kernel.Run: a writer issues synced cross-shard batches (both
-// 2PC phases fan out to every participant) and MultiGets its keys while
-// two readers MultiGet a fixed key set across every shard; then Close
+// inside Kernel.Run: writers, each on its own slice of every shard's
+// keys, issue synced cross-shard batches (both 2PC phases fan out to
+// every participant, and concurrent batches contend for the commit
+// path) and read their own keys back every 10 batches, while two
+// readers MultiGet a fixed key set across every shard; then Close
 // (which fans out too) and a reopen that reads everything back. Every
 // read, on every run, must match the model exactly: the fan-outs are
 // clock processes the kernel tracks, so virtual time cannot pass a
 // participant that has not run, and the caller parks in the kernel
-// while they do. (One writer: two concurrent cross-shard batches would
-// contend on the coordinator's txnMu, a sync.Mutex held across the
-// commit record's sync — a sleep the kernel cannot see past.)
+// while they do. A wall-clock deadline guards Kernel.Run: a lock held
+// across a sleep the kernel cannot see past hangs the run instead of
+// failing it. One writer runs with pipelined writes, three without:
+// under pipelined writes an Apply can return before its own write is
+// visible while another writer's earlier group still inserts (ROADMAP
+// direction 1).
 func TestSimCrossShardFanOut(t *testing.T) {
-	const batches, readers, reads = 150, 2, 40
-	for run := 0; run < 3; run++ {
-		env := simenv.New(storage.XPoint())
-		opts := Options{Shards: 3, Engine: env.Options}
-		opts.Engine.MemtableSize = 16 << 10 // flushes and compactions run under the batches
-		opts.Engine.TargetFileSize = 16 << 10
-		opts.Engine.BaseLevelBytes = 64 << 10
+	const readers, reads = 2, 40
+	for _, tc := range []struct {
+		writers   int
+		pipelined bool
+	}{{1, true}, {3, false}} {
+		t.Run(fmt.Sprintf("writers=%d", tc.writers), func(t *testing.T) {
+			for run := 0; run < 3; run++ {
+				simCrossShardRun(t, run, tc.writers, tc.pipelined, readers, reads)
+			}
+		})
+	}
+}
 
-		// Keys 0-9 of every shard are written once and then only read;
-		// keys 10-39 belong to the writer.
-		model := map[string][]byte{}
-		var fixed, written [][]byte
-		check := func(db *DB, keys [][]byte, model map[string][]byte, when string) {
-			values, errs := db.MultiGet(keys...)
-			for i, k := range keys {
-				want, live := model[string(k)]
-				switch {
-				case live && (errs[i] != nil || !bytes.Equal(values[i], want)):
-					t.Errorf("run %d, %s: MultiGet(%q) = (%q, %v), want %q", run, when, k, values[i], errs[i], want)
-				case !live && errs[i] != ErrNotFound:
-					t.Errorf("run %d, %s: MultiGet(%q) = (%q, %v), want ErrNotFound", run, when, k, values[i], errs[i])
-				}
+// simCrossShardRun is one run of TestSimCrossShardFanOut: 150 batches
+// split across the writers.
+func simCrossShardRun(t *testing.T, run, writers int, pipelined bool, readers, reads int) {
+	batches, span := 150/writers, 30/writers
+	env := simenv.New(storage.XPoint())
+	opts := Options{Shards: 3, Engine: env.Options}
+	opts.Engine.MemtableSize = 16 << 10 // flushes and compactions run under the batches
+	opts.Engine.TargetFileSize = 16 << 10
+	opts.Engine.BaseLevelBytes = 64 << 10
+	opts.Engine.PipelinedWrites = pipelined
+
+	// Keys 0-9 of every shard are written once and then only read;
+	// writer w owns the span keys from 10+span*w.
+	model := map[string][]byte{}
+	var fixed, written [][]byte
+	check := func(db *DB, keys [][]byte, model map[string][]byte, when string) {
+		values, errs := db.MultiGet(keys...)
+		for i, k := range keys {
+			want, live := model[string(k)]
+			switch {
+			case live && (errs[i] != nil || !bytes.Equal(values[i], want)):
+				t.Errorf("run %d, %s: MultiGet(%q) = (%q, %v), want %q", run, when, k, values[i], errs[i], want)
+			case !live && errs[i] != ErrNotFound:
+				t.Errorf("run %d, %s: MultiGet(%q) = (%q, %v), want ErrNotFound", run, when, k, values[i], errs[i])
 			}
 		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
 		env.Kernel.Run(func() {
 			db, err := Open(opts)
 			if err != nil {
@@ -58,7 +82,7 @@ func TestSimCrossShardFanOut(t *testing.T) {
 			}
 			b := new(batch.Batch)
 			for s := 0; s < 3; s++ {
-				for i := 0; i < 40; i++ {
+				for i := 0; i < 10+span*writers; i++ {
 					k := shardKey(s, db, i)
 					if i >= 10 {
 						written = append(written, k)
@@ -73,31 +97,41 @@ func TestSimCrossShardFanOut(t *testing.T) {
 				t.Errorf("run %d: Apply the fixed keys: %v", run, err)
 				return
 			}
-			writerModel := map[string][]byte{} // read only by the writer until it is done
-			clock.Parallel(env.Kernel, "client", 1+readers, func(c int) {
-				if c > 0 {
+			// Each writer's model is read only by that writer until the
+			// clients are done.
+			writerModels := make([]map[string][]byte, writers)
+			clock.Parallel(env.Kernel, "client", writers+readers, func(c int) {
+				if c >= writers {
 					for i := 0; i < reads; i++ {
 						check(db, fixed, model, fmt.Sprintf("reader %d, read %d", c, i))
 					}
 					return
 				}
-				rng := rand.New(rand.NewSource(int64(run)))
+				writerModel := map[string][]byte{}
+				writerModels[c] = writerModel
+				var mine [][]byte
+				for s := 0; s < 3; s++ {
+					for i := 0; i < span; i++ {
+						mine = append(mine, shardKey(s, db, 10+span*c+i))
+					}
+				}
+				rng := rand.New(rand.NewSource(int64(run + 10*c)))
 				for i := 0; i < batches; i++ {
 					b := new(batch.Batch)
 					ops := map[string][]byte{}
 					for s := 0; s < 3; s++ {
-						k := shardKey(s, db, 10+rng.Intn(30))
+						k := shardKey(s, db, 10+span*c+rng.Intn(span))
 						if rng.Intn(5) == 0 {
 							b.Delete(k)
 							ops[string(k)] = nil
 						} else {
-							v := bytes.Repeat([]byte(fmt.Sprintf("b%03d-s%d;", i, s)), 16)
+							v := bytes.Repeat([]byte(fmt.Sprintf("w%d-b%03d-s%d;", c, i, s)), 16)
 							b.Put(k, v)
 							ops[string(k)] = v
 						}
 					}
 					if err := db.Apply(b, true); err != nil {
-						t.Errorf("run %d: Apply batch %d: %v", run, i, err)
+						t.Errorf("run %d: writer %d, Apply batch %d: %v", run, c, i, err)
 						return
 					}
 					for k, v := range ops {
@@ -107,16 +141,18 @@ func TestSimCrossShardFanOut(t *testing.T) {
 							writerModel[k] = v
 						}
 					}
-					if i%25 == 24 {
-						check(db, written, writerModel, fmt.Sprintf("after batch %d", i))
+					if i%10 == 9 {
+						check(db, mine, writerModel, fmt.Sprintf("writer %d, after batch %d", c, i))
 					}
 				}
 			})
-			for k, v := range writerModel {
-				model[k] = v
+			for _, m := range writerModels {
+				for k, v := range m {
+					model[k] = v
+				}
 			}
-			if cross, _, _, _ := db.TxnStats(); cross != batches+1 {
-				t.Errorf("run %d: %d cross-shard commits, want %d", run, cross, batches+1)
+			if cross, _, _, _ := db.TxnStats(); cross != int64(writers*batches+1) {
+				t.Errorf("run %d: %d cross-shard commits, want %d", run, cross, writers*batches+1)
 			}
 			if err := db.Close(); err != nil {
 				t.Errorf("run %d: Close: %v", run, err)
@@ -132,6 +168,11 @@ func TestSimCrossShardFanOut(t *testing.T) {
 				t.Errorf("run %d: second Close: %v", run, err)
 			}
 		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("run %d: Kernel.Run has not returned after 30 s of wall time: the cross-shard writers hang the kernel", run)
 	}
 }
 

@@ -1,17 +1,16 @@
 package shardeddb
 
 import (
+	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 
 	"xpointdb/internal/batch"
 	"xpointdb/internal/clock"
 	"xpointdb/internal/engine"
-	"xpointdb/internal/vfs"
-	"xpointdb/internal/wal"
 )
 
 // Two-phase commit for cross-shard atomic batches, with presumed
@@ -22,429 +21,370 @@ import (
 //	                    record — a reserved-keyspace Put whose value
 //	                    is the shard's sub-batch payload — with
 //	                    sync=true, in parallel.
-//	Commit point:       one commit record (the batch ID) appended and
-//	                    synced to the coordinator log in the meta
-//	                    namespace. Before this record is durable the
-//	                    transaction is presumed aborted.
+//	Commit point:       a commit record — the reserved key commitPrefix
+//	                    + batch ID — Put with sync=true in the batch's
+//	                    lowest-numbered participant, whose own WAL and
+//	                    LSM make it durable: there is no other log.
+//	                    Before it is durable the batch is presumed
+//	                    aborted.
 //	Phase 2 (apply):    each participant applies its real sub-batch
 //	                    plus a delete of its prepare record, as one
 //	                    engine batch, with the caller's sync flag.
 //
-// Recovery at open reads the committed-ID set from the coordinator
-// log (a torn tail reads as "uncommitted", which is safe: the caller
-// was only acknowledged after the commit record synced), scans every
-// shard for surviving prepare records, rolls the committed ones
-// forward and aborts the rest. Roll-forward cannot clobber newer
-// durable data: the prepare's sync made that shard's whole WAL prefix
-// durable, so a surviving prepare means nothing later in that shard
-// survived either.
+// Once every prepare is durable the handle never aborts the batch. If
+// the commit record or a phase-2 apply fails, the remaining steps stay
+// queued on the handle and the prepares stay; Apply returns the error,
+// and before any later write routed to a participant is applied the
+// handle runs the queued steps (that write fails if they fail again).
+// Close leaves the queue to recovery at open, which scans every shard's
+// reserved keyspace once: the committed set is the union of the commit
+// records found, prepares with a committed ID roll forward on their
+// shard and the rest abort, and then every commit record is deleted,
+// synced. No record outlives an open, so the batch-ID counter simply
+// restarts at zero with each open.
 //
-// The coordinator log never shrinks in place; it rotates through a
-// CURRENT-style pointer file (txnCurName) so a torn new log can never
-// orphan carried-forward IDs — the old log stays authoritative until
-// the pointer renames over. Before a rotation drops confirmed IDs it
-// forces every shard's WAL down (a reserved-key Put with sync=true),
-// making the phase-2 prepare deletions durable; otherwise a dropped
-// ID's prepare could resurface after a crash and be wrongly aborted.
+// Roll-forward cannot clobber newer data — the fence: a batch's phase 2
+// on shard s, which deletes its prepare there, precedes in s's WAL
+// every user write to s that began after the batch's Apply returned
+// (the queue above holds such writes back until s has no step left),
+// and a shard's WAL survives a crash as a prefix. So a surviving
+// prepare means no write issued after its batch returned survived on
+// that shard. A write concurrent with the batch may have; roll-forward
+// orders the batch after it, as phase 2 would have.
+//
+// Commit records of finished batches are garbage. Every txnGCEvery
+// finished batches, the writer that finished the last one forces every
+// shard's WAL down (a synced Put of syncMarkerKey), making their
+// phase-2 prepare deletions durable, and then deletes the records, one
+// batch per coordinator shard. Without that sync a dropped record's
+// prepare could resurface after a crash and be wrongly aborted. A
+// failed pass leaves its records to the next pass or the next open.
+//
+// A store written before the commit record moved into the shards keeps
+// it in a coordinator log under meta/. Open removes those files, or,
+// if a prepare survives whose commit may be recorded only there,
+// refuses the store rather than abort a committed batch.
 
-const (
-	// txnCurName is the pointer file naming the live coordinator log.
-	txnCurName = "TXNCUR"
-	// txnRecEpoch and txnRecCommit are the log record kinds.
-	txnRecEpoch  = 1
-	txnRecCommit = 2
-	// txnRotateEvery bounds commits per log before rotation.
-	txnRotateEvery = 4096
+// txnGCEvery is how many finished batches' commit records accumulate
+// before a GC pass deletes them.
+const txnGCEvery = 4096
+
+// The reserved keyspace: 0x00-leading keys are rejected from the public
+// API. A prepare record's key is prepPrefix + 8-byte big-endian batch
+// ID, a commit record's commitPrefix + ID; both begin with txnPrefix, so
+// one scan finds both. syncMarkerKey is the reserved key whose synced
+// Put forces a shard's WAL down before a GC pass.
+var (
+	txnPrefix     = []byte{0, 't', 'x', 'n'}
+	prepPrefix    = []byte{0, 't', 'x', 'n', 0}
+	commitPrefix  = []byte{0, 't', 'x', 'n', 1}
+	syncMarkerKey = []byte{0, 's', 'y', 'n', 'c'}
 )
 
-// prepPrefix is the reserved key prefix for prepare records; the full
-// key is prepPrefix + 8-byte big-endian batch ID. 0x00-leading keys
-// are rejected from the public API, so this keyspace is private.
-var prepPrefix = []byte{0, 't', 'x', 'n', 0}
-
-// syncMarkerKey is the reserved key whose synced Put forces a shard's
-// WAL down during coordinator-log rotation.
-var syncMarkerKey = []byte{0, 's', 'y', 'n', 'c'}
-
-func prepKeyFor(id uint64) []byte {
-	k := make([]byte, len(prepPrefix)+8)
-	copy(k, prepPrefix)
-	binary.BigEndian.PutUint64(k[len(prepPrefix):], id)
-	return k
-}
-
-func prepKeyID(key []byte) (uint64, bool) {
-	if len(key) != len(prepPrefix)+8 || string(key[:len(prepPrefix)]) != string(prepPrefix) {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(key[len(prepPrefix):]), true
+func txnKey(prefix []byte, id uint64) []byte {
+	return binary.BigEndian.AppendUint64(slices.Clip(prefix), id)
 }
 
 // isInternalKey reports whether key lives in the reserved keyspace.
 func isInternalKey(key []byte) bool { return len(key) > 0 && key[0] == 0 }
 
+// txn is a cross-shard batch whose prepares are all durable.
+type txn struct {
+	id     uint64
+	shards []int // participants, ascending; shards[0] holds the commit record
+	sync   bool  // the caller's phase-2 sync flag
+	// What is still to do, touched only by the writer running the steps:
+	// the commit record, and the phase-2 batches by shard.
+	commit bool
+	parts  map[int]*batch.Batch
+	// Guarded by txnMu: queued means a run failed and the steps wait for
+	// a write to a participant; running, that some writer runs them.
+	queued, running bool
+}
+
+// blocks reports whether t still has a step on shard s: every
+// participant until the commit record is durable, then the unfinished
+// phase 2s. Called under txnMu; while a writer runs the steps they are
+// its own, so every participant counts.
+func (t *txn) blocks(s int) bool {
+	if t.running || t.commit {
+		return slices.Contains(t.shards, s)
+	}
+	return t.parts[s] != nil
+}
+
 // applyCross runs the two-phase protocol for a batch spanning parts.
 func (db *DB) applyCross(parts map[int]*batch.Batch, syncWAL bool) error {
+	shardIDs := slices.Sorted(maps.Keys(parts))
+	if err := db.fence(shardIDs...); err != nil {
+		return err
+	}
 	db.txnMu.Lock()
-	db.txnCounter++
-	id := uint64(db.txnEpoch)<<32 | uint64(db.txnCounter)
+	db.txnID++
+	t := &txn{id: db.txnID, shards: shardIDs, sync: syncWAL, commit: true, parts: parts, running: true}
 	db.txnMu.Unlock()
-	prepKey := prepKeyFor(id)
+	prepKey := txnKey(prepPrefix, t.id)
 
 	// Phase 1: durable prepare records in every participant, in
 	// parallel. The record's value is the sub-batch payload, so the
 	// shard itself carries everything roll-forward needs.
-	clk := db.opts.Engine.Clock
-	shardIDs := slices.Sorted(maps.Keys(parts))
-	prepErrs := make([]error, len(shardIDs))
-	clock.Parallel(clk, "txn-prepare", len(shardIDs), func(i int) {
+	errs := make([]error, len(shardIDs))
+	clock.Parallel(db.clk, "txn-prepare", len(shardIDs), func(i int) {
 		var pb batch.Batch
 		pb.Put(prepKey, parts[shardIDs[i]].Repr())
-		prepErrs[i] = db.shards[shardIDs[i]].Apply(&pb, true)
+		errs[i] = db.shards[shardIDs[i]].Apply(&pb, true)
 	})
-	for i, e := range prepErrs {
-		if e != nil {
-			// Presumed abort: best-effort removal of the prepares that
-			// did land; recovery aborts any that survive a crash.
-			db.abortPrepares(shardIDs, prepErrs, prepKey)
-			db.txnAborts.Add(1)
-			return fmt.Errorf("shardeddb: prepare on shard %d: %w", shardIDs[i], e)
+	if i := firstErr(errs); i >= 0 {
+		// Presumed abort: best-effort removal of the prepares that did
+		// land; recovery aborts any that survive a crash.
+		for j, s := range shardIDs {
+			if errs[j] == nil {
+				var ab batch.Batch
+				ab.Delete(prepKey)
+				_ = db.shards[s].Apply(&ab, false)
+			}
 		}
-	}
-
-	// Commit point: the ID becomes durable in the coordinator log.
-	db.txnMu.Lock()
-	db.txnPending[id] = true
-	err := db.appendCommitLocked(id)
-	if err != nil {
-		delete(db.txnPending, id)
-		db.txnMu.Unlock()
-		db.abortPrepares(shardIDs, prepErrs, prepKey)
 		db.txnAborts.Add(1)
-		return fmt.Errorf("shardeddb: commit record: %w", err)
+		return fmt.Errorf("shardeddb: prepare on shard %d: %w", shardIDs[i], errs[i])
 	}
-	db.txnDirty++
-	if db.txnDirty >= txnRotateEvery {
-		db.rotateTxnLogLocked()
-	}
-	db.txnMu.Unlock()
-	db.crossBatches.Add(1)
 
-	// Phase 2: apply the data and retire the prepare record, one
-	// engine batch per shard — they vanish or survive together.
-	applyErrs := make([]error, len(shardIDs))
-	clock.Parallel(clk, "txn-apply", len(shardIDs), func(i int) {
-		sub := parts[shardIDs[i]]
+	// Past the prepares the batch only goes forward. Each phase-2 batch
+	// retires its prepare, so the two vanish or survive together.
+	for _, sub := range parts {
 		sub.Delete(prepKey)
-		applyErrs[i] = db.shards[shardIDs[i]].Apply(sub, syncWAL)
-	})
-	for i, e := range applyErrs {
-		if e != nil {
-			// The transaction IS committed — its record is durable and
-			// at least one shard may have applied. The ID stays pending
-			// (never dropped by rotation) and the surviving prepares
-			// roll forward at the next open. Callers see the error; the
-			// shard's background-error machinery owns the rest.
-			db.txnP2Failures.Add(1)
-			return fmt.Errorf("shardeddb: committed batch %#x: apply on shard %d: %w",
-				id, shardIDs[i], e)
-		}
 	}
 	db.txnMu.Lock()
-	delete(db.txnPending, id)
+	db.txnPending[t.id] = t
 	db.txnMu.Unlock()
-	return nil
+	return db.runSteps(t)
 }
 
-// abortPrepares deletes the prepare record from every shard whose
-// prepare succeeded. Best-effort: a shard that cannot delete keeps the
-// record until open-time resolution aborts it (its ID is not in the
-// coordinator log).
-func (db *DB) abortPrepares(shardIDs []int, prepErrs []error, prepKey []byte) {
-	for i, s := range shardIDs {
-		if prepErrs[i] != nil {
-			continue
-		}
-		var ab batch.Batch
-		ab.Delete(prepKey)
-		_ = db.shards[s].Apply(&ab, false)
+// fence runs the queued steps of every batch with a step left on one of
+// shards, before a write to them is applied. A batch whose steps another
+// writer is running is waited for.
+func (db *DB) fence(shards ...int) error {
+	if db.txnQueued.Load() == 0 {
+		return nil
 	}
-}
-
-// appendCommitLocked writes and syncs one commit record. Caller holds
-// txnMu.
-func (db *DB) appendCommitLocked(id uint64) error {
-	rec := make([]byte, 9)
-	rec[0] = txnRecCommit
-	binary.BigEndian.PutUint64(rec[1:], id)
-	if err := db.txnLog.AddRecord(rec); err != nil {
-		return err
-	}
-	if err := db.txnLog.Sync(); err != nil {
-		return err
-	}
-	if db.shared.Space != nil {
-		// Charge the appended record to the shared space budget (record
-		// framing is a few bytes, ignored — rotation re-measures).
-		db.shared.Space.GrowFile(metaSpaceKey(db.txnName), int64(len(rec)))
-	}
-	return nil
-}
-
-// metaSpaceKey namespaces coordinator files in the shared space
-// manager ("meta/" cannot collide with the shards' "s<i>/" keys).
-func metaSpaceKey(name string) string { return "meta/" + name }
-
-// ---------------------------------------------------------------------
-// Coordinator log lifecycle
-
-func txnLogName(epoch uint32, gen int) string {
-	return fmt.Sprintf("TXN-%06d-%03d", epoch, gen)
-}
-
-// readAll reads a whole file from fs.
-func readAll(fs vfs.FS, name string) ([]byte, error) {
-	size, err := fs.Size(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := fs.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// loadTxnLog reads the live coordinator log (via the pointer file) and
-// returns the committed-ID set and the highest epoch seen. A missing
-// pointer means a fresh store. Torn tails end the scan cleanly: any
-// ID not fully synced was never acknowledged.
-func (db *DB) loadTxnLog() (committed map[uint64]bool, maxEpoch uint32, err error) {
-	committed = make(map[uint64]bool)
-	cur, err := readAll(db.metaFS, txnCurName)
-	if err != nil {
-		if errors.Is(err, vfs.ErrNotExist) {
-			return committed, 0, nil
-		}
-		return nil, 0, fmt.Errorf("shardeddb: read %s: %w", txnCurName, err)
-	}
-	name := string(cur)
-	f, err := db.metaFS.Open(name)
-	if err != nil {
-		if errors.Is(err, vfs.ErrNotExist) {
-			// Pointer to a missing log: treat as empty (the rename
-			// landed but the store crashed before any commit).
-			return committed, 0, nil
-		}
-		return nil, 0, fmt.Errorf("shardeddb: open txn log %s: %w", name, err)
-	}
-	defer f.Close()
-	r := wal.NewReader(f)
+	db.txnMu.Lock()
 	for {
-		rec, rerr := r.ReadRecord()
-		if rerr != nil {
-			break // EOF or torn tail — scan ends
+		var t *txn
+		for _, p := range db.txnPending {
+			if p.queued && slices.ContainsFunc(shards, p.blocks) {
+				t = p
+				break
+			}
 		}
-		if len(rec) == 0 {
+		switch {
+		case t == nil:
+			db.txnMu.Unlock()
+			return nil
+		case t.running:
+			db.txnCond.Wait()
 			continue
 		}
-		switch rec[0] {
-		case txnRecEpoch:
-			e, n := binary.Uvarint(rec[1:])
-			if n > 0 && uint32(e) > maxEpoch {
-				maxEpoch = uint32(e)
-			}
-		case txnRecCommit:
-			if len(rec) == 9 {
-				committed[binary.BigEndian.Uint64(rec[1:])] = true
-			}
-		}
-	}
-	db.txnName = name
-	return committed, maxEpoch, nil
-}
-
-// writeTxnLog creates a fresh coordinator log carrying epoch and the
-// still-pending committed IDs, atomically repoints TXNCUR at it, and
-// removes the previous log. Called with txnMu held (or before the DB
-// is shared).
-func (db *DB) writeTxnLog(epoch uint32, gen int, pending []uint64) error {
-	name := txnLogName(epoch, gen)
-	f, err := db.metaFS.Create(name)
-	if err != nil {
-		return fmt.Errorf("shardeddb: create txn log: %w", err)
-	}
-	w := wal.NewWriter(f)
-	rec := make([]byte, 1, 10)
-	rec[0] = txnRecEpoch
-	rec = binary.AppendUvarint(rec, uint64(epoch))
-	if err := w.AddRecord(rec); err != nil {
-		f.Close()
-		return err
-	}
-	for _, id := range pending {
-		r := make([]byte, 9)
-		r[0] = txnRecCommit
-		binary.BigEndian.PutUint64(r[1:], id)
-		if err := w.AddRecord(r); err != nil {
-			f.Close()
+		t.running = true
+		db.txnMu.Unlock()
+		if err := db.runSteps(t); err != nil {
 			return err
 		}
+		db.txnMu.Lock()
 	}
-	if err := w.Sync(); err != nil {
-		f.Close()
-		return err
-	}
+}
 
-	// Atomic pointer swap: the new log is fully durable before the
-	// pointer moves, so a crash mid-rotation leaves the old log (and
-	// every ID it carries) authoritative.
-	tmp := txnCurName + ".tmp"
-	pf, err := db.metaFS.Create(tmp)
+// runSteps runs t's remaining steps and records the outcome: a finished
+// batch leaves the pending set for the GC list, a failed one stays
+// queued. The caller has set t.running.
+func (db *DB) runSteps(t *txn) error {
+	err := db.steps(t)
+	var gc []*txn
+	db.txnMu.Lock()
+	t.running = false
 	if err != nil {
-		f.Close()
-		return err
-	}
-	if _, err = pf.Write([]byte(name)); err == nil {
-		err = pf.Sync()
-	}
-	if cerr := pf.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = db.metaFS.Rename(tmp, txnCurName)
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("shardeddb: point %s: %w", txnCurName, err)
-	}
-
-	if db.txnFile != nil {
-		_ = db.txnFile.Close()
-	}
-	if db.txnName != "" && db.txnName != name {
-		_ = db.metaFS.Remove(db.txnName)
-		if db.shared.Space != nil {
-			db.shared.Space.UntrackFile(metaSpaceKey(db.txnName))
+		if !t.queued {
+			t.queued = true
+			db.txnQueued.Add(1)
+		}
+		db.txnP2Failures.Add(1)
+	} else {
+		if t.queued {
+			db.txnQueued.Add(-1)
+		}
+		delete(db.txnPending, t.id)
+		db.txnDone = append(db.txnDone, t)
+		if db.txnSinceGC++; db.txnSinceGC >= txnGCEvery && !db.txnGCing {
+			gc, db.txnDone, db.txnGCing, db.txnSinceGC = db.txnDone, nil, true, 0
 		}
 	}
-	db.txnFile, db.txnLog, db.txnName = f, w, name
-	if db.shared.Space != nil {
-		if size, err := db.metaFS.Size(name); err == nil {
-			db.shared.Space.TrackFile(metaSpaceKey(name), size)
+	db.txnCond.Broadcast()
+	db.txnMu.Unlock()
+	if gc != nil {
+		db.gc(gc)
+	}
+	return err
+}
+
+// steps writes t's commit record unless it is durable already, then
+// applies every unfinished participant's phase 2, in parallel.
+func (db *DB) steps(t *txn) error {
+	if t.commit {
+		var cb batch.Batch
+		cb.Put(txnKey(commitPrefix, t.id), nil)
+		if err := db.shards[t.shards[0]].Apply(&cb, true); err != nil {
+			return fmt.Errorf("shardeddb: batch %#x: commit record on shard %d: %w", t.id, t.shards[0], err)
 		}
+		t.commit = false
+		db.crossBatches.Add(1)
+	}
+	left := slices.Sorted(maps.Keys(t.parts))
+	errs := make([]error, len(left))
+	clock.Parallel(db.clk, "txn-apply", len(left), func(i int) {
+		errs[i] = db.shards[left[i]].Apply(t.parts[left[i]], t.sync)
+	})
+	for i, err := range errs {
+		if err == nil {
+			delete(t.parts, left[i])
+		}
+	}
+	if i := firstErr(errs); i >= 0 {
+		return fmt.Errorf("shardeddb: committed batch %#x: apply on shard %d: %w", t.id, left[i], errs[i])
 	}
 	return nil
 }
 
-// rotateTxnLogLocked compacts the coordinator log: forces every
-// shard's WAL down so completed phase-2 prepare deletions are durable,
-// then rewrites the log with only the still-pending IDs. Failures are
-// non-fatal — the old log just keeps growing until the next attempt.
-// Caller holds txnMu.
-func (db *DB) rotateTxnLogLocked() {
-	db.txnDirty = 0
+// gc deletes the commit records of finished batches (see the header).
+func (db *DB) gc(done []*txn) {
+	var keep []*txn
 	for _, s := range db.shards {
 		var sb batch.Batch
 		sb.Put(syncMarkerKey, nil)
-		if err := s.Apply(&sb, true); err != nil {
-			return // shard unhealthy; retry at a later rotation
+		if s.Apply(&sb, true) != nil {
+			keep = done
+			break
 		}
 	}
-	pending := make([]uint64, 0, len(db.txnPending))
-	for id := range db.txnPending {
-		pending = append(pending, id)
-	}
-	db.txnGen++
-	if err := db.writeTxnLog(db.txnEpoch, db.txnGen, pending); err != nil {
-		return
-	}
-	db.txnLogRotation.Add(1)
-}
-
-// ---------------------------------------------------------------------
-// Open-time resolution
-
-// recoverTxns resolves every prepare record surviving from the last
-// run — roll committed transactions forward, abort the rest — and
-// starts a fresh coordinator epoch.
-func (db *DB) recoverTxns() error {
-	committed, maxEpoch, err := db.loadTxnLog()
-	if err != nil {
-		return err
-	}
-
-	for i, s := range db.shards {
-		preps, err := db.scanPrepares(s)
-		if err != nil {
-			return fmt.Errorf("shardeddb: scan shard %d prepares: %w", i, err)
+	if keep == nil {
+		byShard := map[int][]*txn{}
+		for _, t := range done {
+			byShard[t.shards[0]] = append(byShard[t.shards[0]], t)
 		}
-		for _, p := range preps {
-			if committed[p.id] {
-				// Roll forward: re-apply the stored sub-batch and
-				// retire the prepare, durably. Idempotent — the
-				// prepare's sync means nothing after it in this
-				// shard's WAL survived, so nothing newer is clobbered.
-				sub, err := batch.FromRepr(p.payload)
-				if err != nil {
-					return fmt.Errorf("shardeddb: shard %d: decode prepared batch %#x: %w", i, p.id, err)
-				}
-				var fb batch.Batch
-				fb.Append(sub)
-				fb.Delete(prepKeyFor(p.id))
-				if err := s.Apply(&fb, true); err != nil {
-					return fmt.Errorf("shardeddb: shard %d: roll forward batch %#x: %w", i, p.id, err)
-				}
-				db.rolledForward.Add(1)
-			} else {
-				// Presumed abort: the commit record never became
-				// durable, so no shard applied phase 2.
-				var ab batch.Batch
-				ab.Delete(prepKeyFor(p.id))
-				if err := s.Apply(&ab, true); err != nil {
-					return fmt.Errorf("shardeddb: shard %d: abort batch %#x: %w", i, p.id, err)
-				}
-				db.abortedAtOpen.Add(1)
+		for s, ts := range byShard {
+			var b batch.Batch
+			for _, t := range ts {
+				b.Delete(txnKey(commitPrefix, t.id))
+			}
+			if db.shards[s].Apply(&b, false) != nil {
+				keep = append(keep, ts...)
 			}
 		}
 	}
-
-	// Fresh epoch; nothing is pending after full resolution.
-	db.txnEpoch = maxEpoch + 1
-	db.txnGen = 0
 	db.txnMu.Lock()
-	defer db.txnMu.Unlock()
-	return db.writeTxnLog(db.txnEpoch, 0, nil)
+	db.txnDone = append(db.txnDone, keep...)
+	db.txnGCing = false
+	db.txnMu.Unlock()
 }
 
-type prepared struct {
-	id      uint64
-	payload []byte
+// recoverTxns resolves the records the last run left (see the header):
+// committed batches roll forward, the rest abort, and then every commit
+// record is deleted. Each step is synced.
+func (db *DB) recoverTxns() error {
+	type prepared struct {
+		shard   int
+		id      uint64
+		payload []byte
+	}
+	var preps []prepared
+	committed := map[uint64]bool{}
+	commits := make([]batch.Batch, len(db.shards))
+	for i, s := range db.shards {
+		err := scanPrefix(s, txnPrefix, func(key, value []byte) {
+			if len(key) != len(prepPrefix)+8 {
+				return
+			}
+			id := binary.BigEndian.Uint64(key[len(prepPrefix):])
+			switch {
+			case bytes.HasPrefix(key, prepPrefix):
+				preps = append(preps, prepared{i, id, slices.Clone(value)})
+			case bytes.HasPrefix(key, commitPrefix):
+				committed[id] = true
+				commits[i].Delete(key)
+			}
+		})
+		if err != nil {
+			return fmt.Errorf("shardeddb: scan shard %d: %w", i, err)
+		}
+	}
+	if err := db.dropCoordinatorLog(len(preps) > 0); err != nil {
+		return err
+	}
+	for _, p := range preps {
+		var fb batch.Batch
+		outcome := &db.abortedAtOpen
+		if committed[p.id] {
+			sub, err := batch.FromRepr(p.payload)
+			if err != nil {
+				return fmt.Errorf("shardeddb: shard %d: decode prepared batch %#x: %w", p.shard, p.id, err)
+			}
+			fb.Append(sub)
+			outcome = &db.rolledForward
+		}
+		fb.Delete(txnKey(prepPrefix, p.id))
+		if err := db.shards[p.shard].Apply(&fb, true); err != nil {
+			return fmt.Errorf("shardeddb: shard %d: resolve batch %#x: %w", p.shard, p.id, err)
+		}
+		outcome.Add(1)
+	}
+	for i := range commits {
+		if commits[i].Empty() {
+			continue
+		}
+		if err := db.shards[i].Apply(&commits[i], true); err != nil {
+			return fmt.Errorf("shardeddb: shard %d: delete commit records: %w", i, err)
+		}
+	}
+	return nil
 }
 
-// scanPrepares collects the surviving prepare records in one shard.
-func (db *DB) scanPrepares(s *engine.DB) ([]prepared, error) {
+// oldTxnCur is the coordinator log's pointer file in a store written
+// before the commit record moved into the shards (see the header).
+const oldTxnCur = "meta/TXNCUR"
+
+// dropCoordinatorLog removes an old store's meta/ files, the pointer
+// last so that a crash part-way repeats the check, or fails when a
+// prepare survives (inDoubt): its commit may be recorded only there.
+func (db *DB) dropCoordinatorLog(inDoubt bool) error {
+	fs := db.opts.Engine.FS
+	names, err := fs.List()
+	if err != nil || !slices.Contains(names, oldTxnCur) {
+		return err
+	}
+	if inDoubt {
+		return fmt.Errorf("shardeddb: in-doubt cross-shard batches whose commits may be recorded only in %s; open and close the store once with the version that wrote it", oldTxnCur)
+	}
+	for _, n := range names {
+		if strings.HasPrefix(n, "meta/") && n != oldTxnCur {
+			if err := fs.Remove(n); err != nil {
+				return err
+			}
+		}
+	}
+	return fs.Remove(oldTxnCur)
+}
+
+// firstErr returns the index of the first non-nil error, -1 for none.
+func firstErr(errs []error) int {
+	return slices.IndexFunc(errs, func(err error) bool { return err != nil })
+}
+
+// scanPrefix calls fn for every live key of s that begins with prefix.
+func scanPrefix(s *engine.DB, prefix []byte, fn func(key, value []byte)) error {
 	it, err := s.NewIter()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer it.Close()
-	var out []prepared
-	for it.SeekGE(prepPrefix); it.Valid(); it.Next() {
-		id, ok := prepKeyID(it.Key())
-		if !ok {
-			break // past the prepare keyspace
-		}
-		payload := make([]byte, len(it.Value()))
-		copy(payload, it.Value())
-		out = append(out, prepared{id: id, payload: payload})
+	for it.SeekGE(prefix); it.Valid() && bytes.HasPrefix(it.Key(), prefix); it.Next() {
+		fn(it.Key(), it.Value())
 	}
-	return out, it.Error()
+	return it.Error()
 }

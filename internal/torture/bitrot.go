@@ -18,10 +18,14 @@ type bitrot struct {
 	armed    bool
 	mode     string
 	cursor   int // buffered events already absorbed into r.loose
+	// base is how many buffered events earlier handles emitted: a
+	// reopened store's hub numbers its events from 1 again.
+	base uint64
 }
 
 func (b *bitrot) tune(o *engine.Options) {
 	b.sameHandle.tune(o)
+	b.base = uint64(b.buf.Len())
 	o.ParanoidFileChecks = b.paranoid
 	o.ScrubBytesPerSec = 1 << 30 // unpaced: let the scrubber race the reads
 }
@@ -91,14 +95,14 @@ func (b *bitrot) arm(r *run) {
 // never excuses the read, and no key outside a declared range is ever
 // loose, so a wrong read the engine has not admitted to is still a
 // violation. The buffer renumbers events 1, 2, … as they arrive, which
-// matches the hub's numbering only if the queue dropped none; settle
-// checks that.
+// matches base plus the hub's numbering only if the queue dropped none;
+// settle checks that.
 func (b *bitrot) absorb(r *run, through uint64) {
 	if b.buf.Len() == b.cursor {
 		return // nothing new; Events copies the whole buffer
 	}
 	evs := b.buf.Events()
-	for ; b.cursor < len(evs) && evs[b.cursor].Seq <= through; b.cursor++ {
+	for ; b.cursor < len(evs) && evs[b.cursor].Seq <= b.base+through; b.cursor++ {
 		e := evs[b.cursor]
 		if e.Kind != events.KindDataLoss || e.Integrity == nil {
 			continue

@@ -1,9 +1,7 @@
 package torture
 
 import (
-	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"xpointdb/internal/clock"
@@ -47,13 +45,6 @@ func (c *crash) start(r *run) {
 			After: rng.Int63n(8), Count: 1,
 		})
 		r.cfg.Logf("fault: one MANIFEST sync failure armed")
-	}
-	if log := r.st.coordLog(); log != "" && rng.Float64() < 0.10 {
-		r.ffs.AddRule(faultfs.Rule{
-			Ops: []faultfs.Op{faultfs.OpSync}, Path: log,
-			After: rng.Int63n(10), Count: 1,
-		})
-		r.cfg.Logf("fault: one coordinator-log sync failure armed")
 	}
 	if rng.Float64() < 0.15 {
 		r.ffs.AddRule(faultfs.Rule{
@@ -104,28 +95,13 @@ func (c *crash) settle(r *run) error {
 		return r.violation("recovery failed: %v", err)
 	}
 
-	cut := make([]int, r.st.shards())
-	for s := range cut {
-		cut[s] = -1
-		v, gerr := r.st.Get([]byte(r.st.marker(s)))
-		switch {
-		case gerr == nil:
-			if cut[s], err = strconv.Atoi(string(v)); err != nil {
-				return r.violation("shard %d cut marker corrupted: %q", s, v)
-			}
-		case !errors.Is(gerr, engine.ErrNotFound):
-			return r.violation("reading shard %d cut marker: %v", s, gerr)
-		}
-	}
-	cross := 0
-	for _, o := range r.ops {
-		if len(o.participants) > 1 {
-			cross++
-		}
+	cut, err := r.cuts()
+	if err != nil {
+		return err
 	}
 	ctr := r.c()
-	r.cfg.Logf("mode=%s submitted=%d cross=%d cuts=%v maxPossible=%d rolledForward=%d abortedAtOpen=%d",
-		mode.name, len(r.ops), cross, cut, r.maxPossible, ctr.rolledForward, ctr.abortedAtOpen)
+	r.cfg.Logf("mode=%s submitted=%d cuts=%v maxPossible=%d rolledForward=%d abortedAtOpen=%d",
+		mode.name, len(r.ops), cut, r.maxPossible, ctr.rolledForward, ctr.abortedAtOpen)
 
 	for s, got := range cut {
 		if got > r.maxPossible {
@@ -134,15 +110,9 @@ func (c *crash) settle(r *run) error {
 		}
 	}
 	for i, o := range r.ops {
-		applied := 0
-		for _, s := range o.participants {
-			if cut[s] >= i {
-				applied++
-			}
-		}
-		if applied != 0 && applied != len(o.participants) {
-			return r.violation("TORN CROSS-SHARD BATCH: op %d touched shards %v but survived on only %d of them (cuts %v)",
-				i, o.participants, applied, cut)
+		applied, err := r.held(i, &o, cut)
+		if err != nil {
+			return err
 		}
 		if o.ackedDurable && applied == 0 {
 			return r.violation("acknowledged-durable data lost: op %d (shards %v) was acked, cuts %v\n%s",
@@ -150,8 +120,8 @@ func (c *crash) settle(r *run) error {
 		}
 	}
 	// From here on the oracle is the exact replay of the surviving
-	// prefixes; nothing is loose after a reopen.
-	r.live, r.loose = r.replay(cut), map[string]bool{}
+	// prefixes.
+	r.live = r.replay(cut)
 	return nil
 }
 

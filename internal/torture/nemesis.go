@@ -64,7 +64,7 @@ func newNemesis(name string, rng *rand.Rand) (nemesis, error) {
 	return nil, fmt.Errorf("torture: unknown nemesis %q (want crash, transient, bitrot or enospc)", name)
 }
 
-// sameHandle is what the three no-reopen regimes share: the captured
+// sameHandle is what the three live-handle regimes share: the captured
 // event stream, a fast recovery budget, and nothing to do once the
 // store is closed.
 type sameHandle struct {

@@ -142,7 +142,6 @@ func (f *fakeStore) counters() counters     { return counters{} }
 func (f *fakeStore) shards() int            { return f.n }
 func (f *fakeStore) marker(s int) string    { return fmt.Sprintf("@cut%d", s) }
 func (f *fakeStore) glob(p string) string   { return p }
-func (f *fakeStore) coordLog() string       { return "" }
 func (f *fakeStore) describe() string       { return "fake" }
 func (f *fakeStore) layout() string         { return "" }
 func (f *fakeStore) syncEvents() uint64     { return 0 }

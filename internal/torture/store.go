@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -45,9 +46,6 @@ type store interface {
 	// glob turns a per-engine file pattern ("*.log") into a
 	// fault-rule path glob over the store's directory layout.
 	glob(pattern string) string
-	// coordLog globs the cross-shard coordinator log; "" when the
-	// store has none.
-	coordLog() string
 	describe() string
 	// layout renders the LSM shape for violation reports.
 	layout() string
@@ -156,17 +154,31 @@ type handle struct {
 	kvstore.Store
 	geo  geometry
 	tune func(*engine.Options)
+	// banked is what the handles closed before this one counted: the
+	// counters of a reopened store carry on (the 2PC resolution counts
+	// are the current open's).
+	banked counters
 }
 
-func (h *handle) counters() (c counters) {
+func (h *handle) counters() counters {
+	c := h.banked
 	for _, e := range h.Engines() {
 		c.add(e.Metrics())
 	}
 	if sdb, ok := h.Store.(*shardeddb.DB); ok {
 		_, _, c.rolledForward, c.abortedAtOpen = sdb.TxnStats()
 	}
-	c.eventsDropped = h.Shared().EventsDropped.Load()
+	c.eventsDropped += h.Shared().EventsDropped.Load()
 	return c
+}
+
+// Close closes the store and, the first time, banks its counters.
+func (h *handle) Close() error {
+	err := h.Store.Close()
+	if !errors.Is(err, engine.ErrClosed) {
+		h.banked = h.counters()
+	}
+	return err
 }
 
 func (h *handle) syncEvents() uint64 { return h.Shared().Plane.Sync() }
@@ -203,15 +215,14 @@ func (e *engineStore) shards() int                { return 1 }
 func (e *engineStore) shardOf(string) int         { return 0 }
 func (e *engineStore) marker(int) string          { return "@cut" }
 func (e *engineStore) glob(pattern string) string { return pattern }
-func (e *engineStore) coordLog() string           { return "" }
 func (e *engineStore) describe() string           { return "engine" }
 
 // shardedStore is the range-sharded store: n engines behind
-// shardeddb.DB, one crash image holding every shard directory and the
-// coordinator log. Each shard's cut marker sits just inside its key
-// range — the range start followed by a 0x01 byte sorts below every
-// user key sharing the boundary prefix and outside the reserved 0x00
-// namespace. Because each shard is an engine with its own WAL, the
+// shardeddb.DB, one crash image holding every shard directory. Each
+// shard's cut marker sits just inside its key range — the range start
+// followed by a 0x01 byte sorts below every user key sharing the
+// boundary prefix and outside the reserved 0x00 namespace. Because
+// each shard is an engine with its own WAL, the
 // surviving ops on one shard always form a prefix of the ops that
 // touched it, so the recovered marker identifies that prefix exactly.
 type shardedStore struct {
@@ -257,10 +268,9 @@ func (s *shardedStore) marker(shard int) string {
 	return string(start) + "\x01@cut"
 }
 
-// Shard files live under "shard-NNN/" and the coordinator log under
-// "meta/"; path.Match wildcards do not cross '/'.
+// Shard files live under "shard-NNN/"; path.Match wildcards do not
+// cross '/'.
 func (s *shardedStore) glob(pattern string) string { return "*/" + pattern }
-func (s *shardedStore) coordLog() string           { return "*/TXN-*" }
 
 func (s *shardedStore) describe() string {
 	return fmt.Sprintf("sharded: %d shards, %d pool slots", s.n, s.slots)

@@ -24,12 +24,22 @@
 // oracle is the map of acknowledged state: an op enters it iff its
 // Apply returned nil. In front of every op the driver spot-reads a
 // random key against the oracle. A key is "loose" — old or new value
-// accepted, until an acknowledged op rewrites it — in exactly two
-// cases: it lies in a range a data_loss event declared lost (bitrot),
-// or it belongs to an UNACKNOWLEDGED cross-shard batch on a live handle
-// (a 2PC batch whose phase 2 failed on one shard has passed its commit
-// point, stays visible on the shards that applied, and is only made
-// whole at the next open — see ROADMAP "Open items").
+// accepted, until an acknowledged op rewrites it — only when it lies in
+// a range a data_loss event declared lost (bitrot).
+//
+// A cross-shard op whose Apply failed may be past its commit point, so
+// its fate is unknown until recovery resolves it. In the live-handle
+// regimes (transient, bitrot, enospc) on the sharded store the harness
+// then waits for Healthy, closes the store and reopens it on the same
+// filesystem, and pins the op from its participants' cut markers: all
+// at the op's index folds it into the oracle, none leaves it absent,
+// and a mix is a TORN CROSS-SHARD BATCH. It does the same after a
+// failed single-shard op, once the op's keys and marker have read as
+// absent on the healed live handle (the engine's contract for a failed
+// write): a reopen can bring back a write whose WAL sync failed
+// (ROADMAP), so pinning every failed op at once keeps each one
+// decidable from its marker. The counters the contracts read, and
+// the event buffer, carry on across such a reopen.
 //
 // After the workload the nemesis settles the store (crash: reopen on
 // the crash image; the others: heal the SAME handle), and the shared
@@ -44,8 +54,9 @@
 // # Nemesis contracts
 //
 // crash — the filesystem crashes at a random fs-op boundary under
-// seeded fault rules (failed WAL / MANIFEST / coordinator-log syncs,
-// failed SST creates, latency); any Apply or Flush error ends the
+// seeded fault rules (failed WAL / MANIFEST syncs — a cross-shard
+// commit record is a shard WAL write like any other — failed SST
+// creates, latency); any Apply or Flush error ends the
 // workload early. One of three crash images is materialised by seed
 // (clean: synced bytes only; partial-sync: a prefix of the unsynced
 // tail; torn: that prefix with bit damage) and the store reopens on it.
@@ -67,14 +78,16 @@
 //  5. Recovery must succeed — torn WAL/MANIFEST tails truncate cleanly,
 //     in-doubt transactions roll forward or abort — and the reopened
 //     store's post-recovery writes must survive a second reopen and
-//     still verify (MANIFEST roll-forward, a new coordinator epoch).
+//     still verify (MANIFEST roll-forward, batch IDs reissued from a
+//     counter that restarted at the first reopen).
 //
 // At one shard clauses 2–4 reduce to "c ≥ last acked-synced op" and
 // "c ≤ last op possibly in the image".
 //
-// transient — no crash, no reopen: 2–5 fault episodes arm at random
-// ops, each a self-healing rule (FailNTimes / HealAfter) on WAL sync,
-// MANIFEST sync, WAL create or SST create. Every fault either stays
+// transient — no crash, and no reopen but the one that pins a failed
+// op on the sharded store, after the heal: 2–5 fault episodes arm at
+// random ops, each a self-healing rule (FailNTimes / HealAfter) on WAL
+// sync, MANIFEST sync, WAL create or SST create. Every fault either stays
 // invisible (soft, retried in place) or fails the requesting write,
 // after which the recovery worker must heal the SAME handle.
 //
@@ -338,11 +351,15 @@ func drive(cfg Config, mkStore func(Config, *rand.Rand, geometry, func(*engine.O
 		}
 		if werr := r.st.Apply(b, o.sync); werr != nil {
 			r.failed++
-			r.unacked(&o)
 			if stop, err := r.writeFailed(i, werr); err != nil {
 				return err
 			} else if stop {
 				break
+			}
+			if r.st.shards() > 1 {
+				if err := r.pin(i, &r.ops[i]); err != nil {
+					return err
+				}
 			}
 			continue
 		}
@@ -460,21 +477,79 @@ func (r *run) ack(i int, o *op) {
 	o.ackedDurable = (o.sync || len(o.participants) > 1) && !r.ffs.Crashed()
 }
 
-// unacked records what a failed Apply leaves unknown. A single-shard
-// batch that failed is simply absent (the engine's contract). A
-// cross-shard one may be past its commit point and visible on some
-// participants only until the next open, so its keys and markers go
-// loose.
-func (r *run) unacked(o *op) {
-	if len(o.participants) < 2 {
-		return
+// pin settles op i after its Apply failed on a live handle of the
+// sharded store (see the package comment): a single-shard op must first
+// read as absent on the live handle, and the reopen is retried while
+// the nemesis's faults fail it honestly.
+func (r *run) pin(i int, o *op) error {
+	if err := r.waitHealthy(true); err != nil {
+		return err
 	}
-	for _, m := range o.muts {
-		r.loose[m.key] = true
+	// A single-shard op: each of its keys, then its marker, on the live
+	// handle.
+	for j := 0; len(o.participants) == 1 && j <= len(o.muts); j++ {
+		k := r.st.marker(o.participants[0])
+		if j < len(o.muts) {
+			k = o.muts[j].key
+		}
+		if err := r.read(k); err != nil {
+			return err
+		}
 	}
+	_ = r.st.Close() // what counts is that the store reopens
+	err := r.st.open(r.ffs)
+	for deadline := time.Now().Add(healTimeout); err != nil; err = r.st.open(r.ffs) {
+		if !r.nem.honest(err, false) || time.Now().After(deadline) {
+			return r.violation("reopen after failed op %d: %v", i, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cut, err := r.cuts()
+	if err != nil {
+		return err
+	}
+	applied, err := r.held(i, o, cut)
+	r.cfg.Logf("op %d: failed batch holds on %d of its %d participants after a reopen", i, applied, len(o.participants))
+	if err == nil && applied > 0 {
+		r.ack(i, o)
+	}
+	return err
+}
+
+// cuts reads every shard's cut marker: the index of the last op on the
+// shard that the store holds, -1 for none.
+func (r *run) cuts() ([]int, error) {
+	cut := make([]int, r.st.shards())
+	for s := range cut {
+		v, err := r.st.Get([]byte(r.st.marker(s)))
+		switch {
+		case errors.Is(err, engine.ErrNotFound):
+			cut[s] = -1
+		case err != nil:
+			return nil, r.violation("reading shard %d cut marker: %v", s, err)
+		default:
+			if cut[s], err = strconv.Atoi(string(v)); err != nil {
+				return nil, r.violation("shard %d cut marker corrupted: %q", s, v)
+			}
+		}
+	}
+	return cut, nil
+}
+
+// held counts the participants of op i whose cut covers it. A batch held
+// by some of its participants only is a violation.
+func (r *run) held(i int, o *op, cut []int) (int, error) {
+	n := 0
 	for _, s := range o.participants {
-		r.loose[r.st.marker(s)] = true
+		if cut[s] >= i {
+			n++
+		}
 	}
+	if n != 0 && n != len(o.participants) {
+		return n, r.violation("TORN CROSS-SHARD BATCH: op %d touched shards %v but survived on only %d of them (cuts %v)",
+			i, o.participants, n, cut)
+	}
+	return n, nil
 }
 
 // replay is the oracle's view of a crash image: each mutation of op i
@@ -506,19 +581,24 @@ func (r *run) spot(p float64) error {
 	// Both draws happen regardless of p, which can depend on the clock
 	// (enospc's release timer): the workload must not.
 	if roll, k := r.rng.Float64(), r.key(); roll < p {
-		v, err := r.st.Get([]byte(k))
-		// The read's response: a loss declared by now may have
-		// overlapped it, one declared later cannot excuse it.
-		through := r.st.syncEvents()
-		if err != nil && r.nem.honest(err, true) {
-			return nil // honest detection; the nemesis's settle resolves it
-		}
-		if r.compare("Get", k, string(v), err) != nil {
-			r.nem.absorb(r, through)
-		}
-		return r.compare("Get", k, string(v), err)
+		return r.read(k)
 	}
 	return nil
+}
+
+// read checks key k on the live handle against the oracle.
+func (r *run) read(k string) error {
+	v, err := r.st.Get([]byte(k))
+	// The read's response: a loss declared by now may have overlapped
+	// it, one declared later cannot excuse it.
+	through := r.st.syncEvents()
+	if err != nil && r.nem.honest(err, true) {
+		return nil // honest detection; the nemesis's settle resolves it
+	}
+	if r.compare("Get", k, string(v), err) != nil {
+		r.nem.absorb(r, through)
+	}
+	return r.compare("Get", k, string(v), err)
 }
 
 // compare is the one comparison of a read result against the oracle.

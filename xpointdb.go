@@ -162,7 +162,9 @@ func OpenPath(dir string) (*DB, error) {
 // ShardedDB partitions the keyspace by range across independent
 // engine instances that share one block cache, one background worker
 // pool, one write controller and one event stream, with cross-shard
-// atomic batches via two-phase commit. See internal/shardeddb.
+// atomic batches via two-phase commit. A batch's commit record is a key
+// in one of its shards, so each shard's WAL is the store's only durable
+// log. See internal/shardeddb.
 type ShardedDB = shardeddb.DB
 
 // ShardedOptions configures OpenSharded.
