@@ -16,7 +16,9 @@ import (
 // keeps the DB writable while the failing work retries in place, a
 // hard error latches writes but is automatically recoverable, a
 // fatal/unrecoverable error latches until the process reopens the DB.
-// The recovery side lives in recovery.go.
+// The op decides the severity only: a hard latch is healed by one
+// repair whatever its op (recovery.go), corruption by quarantine and
+// repair (repair.go).
 
 // Severity ranks a background error by how much of the DB it takes
 // down and whether the engine can heal without a reopen.
@@ -224,8 +226,8 @@ var ErrMaxSpaceReached = fmt.Errorf("engine: max allowed space reached: %w", vfs
 // while Health stayed Healthy, with no worker ever probing for space.
 // Latching hands the situation to the recovery worker's wait-for-space
 // path: writers fail fast with ErrBackground, reads keep serving, and
-// when the probe finds headroom the repair runs (a drain, or for the
-// rotation the WAL swap that is the rotation) and the latch clears on
+// once the repair's first writes find headroom it runs to the end (for
+// the rotation, its WAL swap is the rotation) and the latch clears on
 // the same handle. Unknown ops classify as unrecoverable — the
 // conservative latch.
 func classifySeverity(op string, err error) Severity {
@@ -249,36 +251,6 @@ func classifySeverity(op string, err error) Severity {
 // exercised by tests exactly as a full device would drive it.
 func isDiskFull(err error) bool {
 	return errors.Is(err, vfs.ErrNoSpace) || errors.Is(err, syscall.ENOSPC)
-}
-
-// recoveryCategory groups ops by which repair recoverOnce applies.
-type recoveryCategory int
-
-const (
-	catNone       recoveryCategory = iota
-	catWAL                         // swap in a fresh WAL, flush the memtables it covered
-	catManifest                    // roll the MANIFEST to a fresh snapshot file
-	catCorruption                  // quarantine the damaged SST, repair or declare loss
-	catSpace                       // wait for disk space, then drain the immutable queue
-)
-
-func categoryOf(op string) recoveryCategory {
-	switch op {
-	case opWALAppend, opWALSync, opWALRotateSync, opWALRotateCreate:
-		// rotate-create latches only when the disk is full; the WAL
-		// swap after the wait-for-space probe is the rotation it failed.
-		return catWAL
-	case opManifestAppend:
-		return catManifest
-	case opCorruption:
-		return catCorruption
-	case opFlush, opCompaction, opSpaceStall:
-		// Only disk-full flush/compaction failures latch (everything
-		// else on those ops is soft and never reaches recovery).
-		// space-stall is the watchdog's budget-exhaustion latch.
-		return catSpace
-	}
-	return catNone
 }
 
 // healthLocked derives the DB's condition from the error-handler
@@ -350,10 +322,11 @@ func (db *DB) setBackgroundErrorLocked(op string, err error) {
 }
 
 // relatchLocked replaces the latched error's classification during a
-// recovery attempt: the newest failure names the resource the next
-// attempt must repair first (a manifest append failing while
-// recovering from a WAL error means the manifest now has the torn
-// tail). Severity never decreases. Callers hold db.mu.
+// recovery attempt: the newest failure is what the next attempt faces
+// (a manifest append failing while recovering from a WAL error means
+// the manifest now has the torn tail, so failed outputs must be kept,
+// and a corruption latch becomes one the general repair heals).
+// Severity never decreases. Callers hold db.mu.
 func (db *DB) relatchLocked(op string, err error) {
 	if err == nil || errors.Is(err, ErrBackground) {
 		return

@@ -102,8 +102,8 @@ type Metrics struct {
 	// disk-full errors latched or noted by the error handler;
 	// SpaceDeferrals counts flush/compaction jobs that deferred for lack
 	// of budget headroom (each deferral episode counts once, however
-	// long it waits); SpaceWaits counts wait-for-space probes that still
-	// found the disk full (each burns one recovery attempt);
+	// long it waits); SpaceWaits counts disk-full recovery attempts that
+	// still found no space (each burns one recovery attempt);
 	// SpaceRecoveries counts recoveries completed after a disk-full
 	// latch — acked data survived a full disk.
 	EnospcErrors    atomic.Int64

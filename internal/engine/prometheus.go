@@ -190,7 +190,7 @@ var engineFamilies = []family[*scrape]{
 	// Space events (the byte gauges belong to the SpaceManager, below).
 	counter("xpointdb_enospc_errors_total", "Disk-full errors hit by background work.", func(e *scrape) float64 { return float64(e.m.EnospcErrors.Load()) }),
 	counter("xpointdb_space_deferrals_total", "Flush/compaction jobs deferred for lack of budget headroom.", func(e *scrape) float64 { return float64(e.m.SpaceDeferrals.Load()) }),
-	counter("xpointdb_space_waits_total", "Wait-for-space probes that still found the disk full.", func(e *scrape) float64 { return float64(e.m.SpaceWaits.Load()) }),
+	counter("xpointdb_space_waits_total", "Disk-full recovery attempts that still found no space.", func(e *scrape) float64 { return float64(e.m.SpaceWaits.Load()) }),
 	counter("xpointdb_space_recoveries_total", "Recoveries completed after a disk-full latch.", func(e *scrape) float64 { return float64(e.m.SpaceRecoveries.Load()) }),
 
 	// Integrity.

@@ -10,15 +10,17 @@ import (
 )
 
 // Automatic background-error recovery (RocksDB's ErrorHandler
-// auto-resume). A hard-severity latch names a single damaged resource
-// — a poisoned WAL or a MANIFEST with a possibly-torn tail — and both
-// have a repair that needs no reopen: swap in a fresh WAL, or roll to
-// a fresh MANIFEST holding a full snapshot. Either way the repair must
-// end by draining every queued immutable memtable to Level 0 BEFORE
-// the latch clears: acked writes covered by an abandoned log exist
-// only in memory, and if new writes could be synced-acked in the fresh
-// log first, a crash could persist a suffix of the acked history while
-// losing its prefix.
+// auto-resume). Every hard latch but corruption — a poisoned WAL, a
+// MANIFEST with a possibly-torn tail, a disk-full flush, compaction or
+// WAL rotation, the space-stall watchdog — is healed by one procedure,
+// recoverLatch, that needs no reopen and does not ask which resource
+// failed: it swaps in a fresh WAL, rolls to a fresh MANIFEST holding a
+// full snapshot, drains every queued immutable memtable to Level 0 and
+// retires the abandoned log, all BEFORE the latch clears. Acked writes
+// covered by an abandoned log exist only in memory, and if new writes
+// could be synced-acked in the fresh log first, a crash could persist a
+// suffix of the acked history while losing its prefix. A corruption
+// latch is healed by quarantine and repair instead (repair.go).
 //
 // The recovery worker re-tries the repair with exponential backoff up
 // to Options.MaxRecoveryAttempts, then gives up and leaves the latch
@@ -87,19 +89,8 @@ func (db *DB) runRecoveryLoop() {
 		}
 		db.mu.Unlock()
 
-		db.metrics.RecoveryAttempts.Add(1)
-		db.emitRecovery(events.KindRecoveryAttempt, &events.Recovery{
-			Op: be.Op, Severity: be.Severity.String(), Attempt: attempt,
-		})
-		err := db.recoverOnce(be)
-		if err == nil {
-			db.metrics.RecoverySuccesses.Add(1)
-			db.emitRecovery(events.KindRecoverySuccess, &events.Recovery{
-				Op: be.Op, Attempt: attempt, Health: db.Health().String(),
-			})
-			return
-		}
-		if errors.Is(err, ErrClosed) {
+		err := db.recoveryAttempt(be, attempt, false)
+		if err == nil || errors.Is(err, ErrClosed) {
 			return
 		}
 		if attempt >= db.opts.MaxRecoveryAttempts {
@@ -122,36 +113,49 @@ func (db *DB) runRecoveryLoop() {
 	}
 }
 
+// recoveryAttempt is attempt number n at the latched error be, automatic
+// or manual: it is counted and announced, recoverOnce runs, and a
+// success is counted and announced with the health it leaves. What a
+// failure costs — a backoff, a giveup, an error to Resume's caller —
+// is the caller's. Called with db.recovering set and db.mu not held.
+func (db *DB) recoveryAttempt(be *BackgroundError, n int, manual bool) error {
+	db.metrics.RecoveryAttempts.Add(1)
+	db.emitRecovery(events.KindRecoveryAttempt, &events.Recovery{
+		Op: be.Op, Severity: be.Severity.String(), Attempt: n, Manual: manual,
+	})
+	err := db.recoverOnce(be)
+	if err == nil {
+		db.metrics.RecoverySuccesses.Add(1)
+		db.emitRecovery(events.KindRecoverySuccess, &events.Recovery{
+			Op: be.Op, Attempt: n, Manual: manual, Health: db.Health().String(),
+		})
+	}
+	return err
+}
+
 // recoverOnce executes one repair attempt for the latched error and,
 // on success, clears the latch so writers resume. The caller holds
 // db.recovering, so no second attempt runs concurrently; writers fail
 // fast and the flush/compaction workers idle while the latch is set.
 func (db *DB) recoverOnce(be *BackgroundError) error {
 	diskFull := isDiskFull(be.Err)
-	if diskFull {
-		// Wait-for-space: a disk-full latch is healed by headroom, not
-		// by retrying the repair into the same wall. Reclaim whatever
-		// the engine can free on its own (obsolete WALs, zombie SSTs,
-		// stale manifests), then probe for space; a failed probe aborts
-		// this attempt so the loop polls with its capped backoff
-		// instead of burning a doomed WAL-swap/manifest-roll.
-		if err := db.waitForSpaceOnce(); err != nil {
-			db.metrics.SpaceWaits.Add(1)
-			return err
-		}
-	}
 	var err error
-	switch categoryOf(be.Op) {
-	case catWAL:
-		err = db.recoverWAL()
-	case catManifest:
-		err = db.recoverManifest()
-	case catCorruption:
+	switch {
+	case be.Op == opCorruption:
 		err = db.recoverCorruption(be)
-	case catSpace:
-		err = db.recoverSpace()
+	case diskFull:
+		// Wait-for-space: a disk-full latch is healed by headroom, not
+		// by retrying the repair into the same wall. A failed wait, or
+		// a repair whose first writes still find the disk full, aborts
+		// this attempt so the loop polls with its capped backoff.
+		if err = db.waitForSpaceOnce(); err == nil {
+			err = db.recoverLatch()
+		}
+		if isDiskFull(err) {
+			db.metrics.SpaceWaits.Add(1)
+		}
 	default:
-		return fmt.Errorf("engine: no recovery procedure for %q", be.Op)
+		err = db.recoverLatch()
 	}
 	if err != nil {
 		return err
@@ -189,126 +193,83 @@ func (db *DB) quiesceForRecoveryLocked() bool {
 	return !db.closed
 }
 
-// recoverWAL repairs a poisoned write-ahead log: it creates a
-// replacement WAL (the recovery probe — if the device is still failing
-// the attempt dies here), swaps it in, rotates the current memtable
-// behind it, and drains the immutable queue before the caller clears
-// the latch. The abandoned log's handle is closed; the file itself
-// stays until the post-recovery sweep, by which time its contents are
-// covered by SSTs.
-func (db *DB) recoverWAL() error {
+// recoverLatch is the one repair for every recoverable latch except
+// corruption. Whichever resource failed, it runs every step; a step
+// whose resource is fine costs one small file:
+//
+//  1. Quiesce.
+//  2. Create a fresh WAL — the probe: a device still failing, or a disk
+//     still full, fails the attempt here — and install it. A non-empty
+//     mutable memtable is queued behind the log it abandons.
+//  3. Roll the MANIFEST to a fresh file holding one snapshot edit. The
+//     roll comes before any edit the repair appends: a manifest-append
+//     latch may have left a torn tail, and replay stops at it.
+//  4. Drain every immutable memtable to Level 0.
+//  5. Record the fresh WAL as the MANIFEST's LogNum, retiring the
+//     abandoned log. A flush moves LogNum, but an empty memtable is
+//     never flushed, so without this edit a reopen would replay the
+//     abandoned log — and with it a write whose sync failed.
+//  6. Remove the outputs failed jobs kept while the superseded
+//     MANIFEST might name them.
+//
+// The caller clears the latch only after all of it, so the drain and
+// the LogNum edit are durable first (prefix durability). With
+// DisableWAL there is no log to swap or retire: steps 2 and 5 are
+// skipped. A failed step leaves the latch set, and the next attempt
+// starts over at step 1.
+func (db *DB) recoverLatch() error {
 	db.mu.Lock()
 	if !db.quiesceForRecoveryLocked() {
 		db.mu.Unlock()
 		return ErrClosed
 	}
-	if db.opts.DisableWAL {
-		db.mu.Unlock()
-		return db.recoveryDrainImms()
-	}
-	newNum := db.vs.AllocFileNum()
-	oldNum := db.walNum
+	walNum := db.vs.AllocFileNum()
 	db.mu.Unlock()
 
-	newFile, err := db.walFS.Create(manifest.WALName(newNum))
-	if err != nil {
-		return fmt.Errorf("engine: recovery wal probe: %w", err)
-	}
-	db.spaceTrack(manifest.WALName(newNum), 0)
-
-	db.mu.Lock()
-	oldFile := db.walFile
-	db.installWALLocked(newNum, newFile)
-	if !db.mem.Empty() {
-		// The mutable memtable's writes live only in the dead log;
-		// queue it so the drain below makes them durable in SSTs.
-		db.queueMemLocked(oldNum, "recovery")
-	}
-	db.mu.Unlock()
-	if oldFile != nil {
-		_ = oldFile.Close()
-	}
-	return db.recoveryDrainImms()
-}
-
-// recoverManifest abandons a MANIFEST whose tail may hold a torn edit:
-// it rolls to a fresh manifest holding one full-snapshot edit (nothing
-// to replay past), then drains the immutable queue so the latch clears
-// with every acked write durable.
-func (db *DB) recoverManifest() error {
-	db.mu.Lock()
-	if !db.quiesceForRecoveryLocked() {
+	if !db.opts.DisableWAL {
+		f, err := db.walFS.Create(manifest.WALName(walNum))
+		if err != nil {
+			return fmt.Errorf("engine: recovery wal probe: %w", err)
+		}
+		db.spaceTrack(manifest.WALName(walNum), 0)
+		db.mu.Lock()
+		old, oldNum := db.walFile, db.walNum
+		db.installWALLocked(walNum, f)
+		if !db.mem.Empty() {
+			db.queueMemLocked(oldNum, "recovery")
+		}
 		db.mu.Unlock()
-		return ErrClosed
-	}
-	for db.manifestBusy {
-		db.bgCond.Wait()
-		if db.closed {
-			db.mu.Unlock()
-			return ErrClosed
+		if old != nil {
+			_ = old.Close()
 		}
 	}
-	db.manifestBusy = true
-	db.mu.Unlock()
 
 	// Roll mutates only version-set state; every other mutator is
 	// either quiesced or excluded by manifestBusy.
+	db.mu.Lock()
+	for db.manifestBusy && !db.closed {
+		db.bgCond.Wait()
+	}
+	if db.closed {
+		db.mu.Unlock()
+		return ErrClosed
+	}
+	db.manifestBusy = true
+	db.mu.Unlock()
 	superseded := manifest.ManifestName(db.vs.ManifestNum())
 	err := db.vs.Roll()
 	if err == nil {
 		db.spaceUntrack(superseded) // Roll removed it itself
 		db.spaceTrack(manifest.ManifestName(db.vs.ManifestNum()), db.vs.ManifestSize())
 	}
-
 	db.mu.Lock()
 	db.manifestBusy = false
-	var kept []uint64
-	if err == nil {
-		// The superseded MANIFEST was the only thing that could name an
-		// output kept after a failed append; the fresh one snapshots the
-		// in-memory version, so whatever that does not hold is garbage
-		// now. (A crash before this point leaves it to the open-time
-		// orphan sweep.)
-		for _, n := range db.keptOutputs {
-			if level, _ := db.fileLevelLocked(n); level < 0 {
-				kept = append(kept, n)
-			}
-		}
-		db.keptOutputs = nil
-	}
 	db.bgCond.Broadcast()
 	db.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	for _, n := range kept {
-		_ = db.spaceRemove(db.fs, manifest.SSTName(n))
-	}
-	return db.recoveryDrainImms()
-}
 
-// recoverSpace heals a disk-full flush/compaction latch. The WAL and
-// MANIFEST are intact — the latch exists only because SST output could
-// not be written — so once waitForSpaceOnce has verified headroom (the
-// probe ran before this was called), the repair is simply to drain the
-// immutable queue the latch interrupted. Compaction needs no explicit
-// redo: its inputs are still live and the picker re-selects them once
-// the latch clears.
-func (db *DB) recoverSpace() error {
-	db.mu.Lock()
-	if !db.quiesceForRecoveryLocked() {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	db.mu.Unlock()
-	return db.recoveryDrainImms()
-}
-
-// recoveryDrainImms flushes every queued immutable memtable to Level 0
-// with the flush job, committing the edits with the recovery bypass.
-// When it returns nil, every acknowledged write is durable in SSTs —
-// the precondition for clearing the latch.
-func (db *DB) recoveryDrainImms() error {
 	commit := func(edit *manifest.Edit) error { return db.commitEditWith(edit, true) }
 	for {
 		db.mu.Lock()
@@ -317,13 +278,36 @@ func (db *DB) recoveryDrainImms() error {
 			return ErrClosed
 		}
 		if len(db.imms) == 0 {
-			db.mu.Unlock()
-			return nil
+			break
 		}
 		if _, err := db.flushImmLocked(db.imms[0], commit); err != nil {
 			return err
 		}
 	}
+	db.mu.Unlock()
+	if !db.opts.DisableWAL {
+		if err := commit(&manifest.Edit{LogNum: &walNum}); err != nil {
+			return err
+		}
+	}
+
+	// The superseded MANIFEST was the only thing that could name a kept
+	// output; the fresh one snapshots the in-memory version, so whatever
+	// that does not hold is garbage now. (A crash before this point
+	// leaves it to the open-time orphan sweep.)
+	db.mu.Lock()
+	var kept []uint64
+	for _, n := range db.keptOutputs {
+		if level, _ := db.fileLevelLocked(n); level < 0 {
+			kept = append(kept, n)
+		}
+	}
+	db.keptOutputs = nil
+	db.mu.Unlock()
+	for _, n := range kept {
+		_ = db.spaceRemove(db.fs, manifest.SSTName(n))
+	}
+	return nil
 }
 
 // Resume manually retries recovery from a latched background error —
@@ -358,14 +342,10 @@ func (db *DB) Resume() error {
 	db.recovering = true
 	db.mu.Unlock()
 
-	db.metrics.RecoveryAttempts.Add(1)
 	db.emitRecovery(events.KindRecoveryBegin, &events.Recovery{
 		Op: be.Op, Severity: be.Severity.String(), Manual: true,
 	})
-	db.emitRecovery(events.KindRecoveryAttempt, &events.Recovery{
-		Op: be.Op, Severity: be.Severity.String(), Attempt: 1, Manual: true,
-	})
-	err := db.recoverOnce(be)
+	err := db.recoveryAttempt(be, 1, true)
 
 	db.mu.Lock()
 	db.recovering = false
@@ -377,10 +357,6 @@ func (db *DB) Resume() error {
 	db.mu.Unlock()
 
 	if err == nil {
-		db.metrics.RecoverySuccesses.Add(1)
-		db.emitRecovery(events.KindRecoverySuccess, &events.Recovery{
-			Op: be.Op, Attempt: 1, Manual: true, Health: db.Health().String(),
-		})
 		return nil
 	}
 	db.emitRecovery(events.KindRecoveryGiveup, &events.Recovery{

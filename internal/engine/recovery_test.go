@@ -208,6 +208,65 @@ func TestAutoRecoveryManifestAppend(t *testing.T) {
 	requireRecoveryEvent(t, db, buf, events.KindRecoverySuccess, false)
 }
 
+// TestFailedSyncedWriteStaysGoneAfterReopen: a synced Put whose WAL
+// sync failed reads as absent once the store heals, and must stay absent
+// after a clean Close and reopen — the repair retires the abandoned log
+// even when the memtable it covered was empty, so replay cannot bring
+// the failed record back. Every acked Put reads back on both handles.
+func TestFailedSyncedWriteStaysGoneAfterReopen(t *testing.T) {
+	for _, acked := range []int{0, 20} {
+		for _, manual := range []bool{false, true} {
+			t.Run(fmt.Sprintf("acked=%d/manual=%v", acked, manual), func(t *testing.T) {
+				tweak := func(o *Options) {
+					o.DisableAutoRecovery = manual
+					o.RecoveryBaseBackoff = time.Millisecond
+				}
+				db, ffs := newFaultTestDB(t, tweak)
+				for i := 0; i < acked; i++ {
+					if err := db.Put(testKey(i), testValue(i)); err != nil {
+						t.Fatalf("Put %d: %v", i, err)
+					}
+				}
+				ffs.AddRule(faultfs.Rule{
+					Ops: []faultfs.Op{faultfs.OpSync}, Path: "*.log", FailNTimes: 1,
+				})
+				if err := db.Put(testKey(acked), testValue(acked)); err == nil {
+					t.Fatal("synced Put during WAL sync fault succeeded")
+				}
+				if manual {
+					if err := db.Resume(); err != nil {
+						t.Fatalf("Resume: %v", err)
+					}
+				}
+				waitHealthy(t, db, 10*time.Second)
+				check := func(db *DB, when string) {
+					t.Helper()
+					for i := 0; i < acked; i++ {
+						if v, err := db.Get(testKey(i)); err != nil || string(v) != string(testValue(i)) {
+							t.Fatalf("%s: Get(key%d) = (%q, %v)", when, i, v, err)
+						}
+					}
+					if v, err := db.Get(testKey(acked)); !errors.Is(err, ErrNotFound) {
+						t.Fatalf("%s: failed write Get = (%q, %v), want ErrNotFound", when, v, err)
+					}
+				}
+				check(db, "live handle")
+				if err := db.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				opts, _ := faultTestOptions(t, tweak)
+				opts.FS = ffs
+				db, err := Open(opts)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				defer db.Close()
+				check(db, "after reopen")
+			})
+		}
+	}
+}
+
 // TestResumeAfterHeal: with auto-recovery disabled, the latch persists
 // until a manual Resume, which succeeds once the fault has healed.
 func TestResumeAfterHeal(t *testing.T) {

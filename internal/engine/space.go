@@ -26,8 +26,9 @@ import (
 //     the budget cannot cover them.
 //   - Wait-for-space recovery (recovery.go): when a disk-full error
 //     latches anyway — a real ENOSPC or an injected quota squeeze —
-//     the recovery worker reclaims obsolete files and polls for
-//     headroom with a cheap probe before re-attempting the repair.
+//     the recovery worker reclaims obsolete files and waits for the
+//     budget to clear before re-attempting the repair, whose first
+//     writes probe the filesystem.
 //
 // One SpaceManager serves every engine of a Shared set (shared.go), so
 // a hot shard consumes headroom all shards observe; per-file keys are
@@ -343,43 +344,20 @@ func (db *DB) reserveSpace(bytes int64) bool {
 	}
 }
 
-// spaceProbeName is the scratch file the wait-for-space poller writes
-// to test for reclaimed headroom. The name parses as no engine file
-// type, so directory sweeps ignore a leftover probe.
-const spaceProbeName = "SPACEPROBE"
-
-// spaceProbeBytes is the probe's payload: enough that a disk with no
-// real headroom fails it, small enough to be free when space exists.
-const spaceProbeBytes = 4096
-
-// waitForSpaceOnce is one poll of the wait-for-space recovery path:
-// aggressively reclaim everything the engine can free on its own
-// (obsolete WALs, zombie SSTs, superseded manifests), then probe the
-// filesystem for writable headroom. The space budget must have cleared
-// its Stopped line too: a filesystem with room is useless while the
-// engine's own ladder would re-stop the first write, so declaring the
-// probe successful would only flap the latch. A non-nil return means
-// space is still exhausted; the recovery loop's capped backoff
-// schedules the next poll. Called without db.mu.
+// waitForSpaceOnce is the wait-for-space step of a disk-full recovery
+// attempt: reclaim everything the engine can free on its own (obsolete
+// WALs, zombie SSTs, superseded manifests), then require the space
+// budget to have left its Stopped line — a filesystem with room is
+// useless while the engine's own ladder would re-stop the first write,
+// so repairing then would only flap the latch. The filesystem itself is
+// probed by the repair's first writes, the fresh WAL and the MANIFEST
+// roll. A non-nil return means space is still exhausted; the recovery
+// loop's capped backoff schedules the next poll. Called without db.mu.
 func (db *DB) waitForSpaceOnce() error {
 	db.deleteObsoleteFiles()
 	if db.space != nil && db.space.State() == throttle.StateStopped {
-		return fmt.Errorf("engine: space probe: budget still exhausted (used=%d reserved=%d budget=%d): %w",
+		return fmt.Errorf("engine: wait for space: budget still exhausted (used=%d reserved=%d budget=%d): %w",
 			db.space.Used(), db.space.Reserved(), db.space.Budget(), vfs.ErrNoSpace)
-	}
-	f, err := db.fs.Create(spaceProbeName)
-	if err != nil {
-		return fmt.Errorf("engine: space probe: %w", err)
-	}
-	_, werr := f.Write(make([]byte, spaceProbeBytes))
-	serr := f.Sync()
-	_ = f.Close()
-	_ = db.fs.Remove(spaceProbeName)
-	if werr != nil {
-		return fmt.Errorf("engine: space probe write: %w", werr)
-	}
-	if serr != nil {
-		return fmt.Errorf("engine: space probe sync: %w", serr)
 	}
 	return nil
 }

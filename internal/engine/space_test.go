@@ -217,7 +217,7 @@ func TestWaitForSpaceRecovery(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if db.Metrics().SpaceWaits.Load() == 0 {
-		t.Fatal("no failed space probe recorded while the quota held")
+		t.Fatal("no space wait recorded while the quota held")
 	}
 
 	ffs.SetQuota(-1) // operator frees space
@@ -288,7 +288,7 @@ func TestFullDiskUnderFullMemtableLatches(t *testing.T) {
 		t.Fatal("Health = Healthy with every write failing on a full disk")
 	}
 	if db.Metrics().SpaceWaits.Load() == 0 {
-		t.Fatal("no failed space probe recorded while the disk was full")
+		t.Fatal("no space wait recorded while the disk was full")
 	}
 	if _, err := db.Get(testKey(0)); err != nil {
 		t.Fatalf("Get under the latch: %v", err)
@@ -580,7 +580,7 @@ func TestSpaceStallWatchdog(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if db.Metrics().SpaceWaits.Load() == 0 {
-		t.Fatal("no failed space probe recorded while the budget held")
+		t.Fatal("no space wait recorded while the budget held")
 	}
 
 	// The operator raises the budget: recovery heals on its own.

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"xpointdb/internal/batch"
@@ -30,36 +29,30 @@ import (
 // (Figure 16) and the 32-thread write tail latency (Figure 15) are
 // measured here.
 
-type writerState int
-
-const (
-	stateQueued writerState = iota
-	stateLeader
-	stateMemWriter // pipelined: apply own batch to the memtable
-	stateDone
-)
-
 // writer is one queued Apply call. flush marks a memtable-rotation
-// request travelling through the queue instead of a batch.
+// request travelling through the queue instead of a batch; memWriter,
+// set by a pipelined group's leader, hands the writer its own memtable
+// insert.
 type writer struct {
-	batch *batch.Batch
-	sync  bool
-	flush bool
-	state writerState
-	err   error
-	cv    clock.Cond
-	group *commitGroup
-	perf  *PerfContext // nil unless stage timing is on for this op
+	batch     *batch.Batch
+	sync      bool
+	flush     bool
+	memWriter bool
+	err       error
+	cv        clock.Cond
+	group     *commitGroup
+	perf      *PerfContext // nil unless stage timing is on for this op
 }
 
 // commitGroup is a leader-collected set of writers committed as one
-// WAL record.
+// WAL record. pending counts the members still inserting into mem (the
+// leader alone stands for the group unless it is pipelined); at zero
+// the group is done and may be published. Both fields are under db.mu.
 type commitGroup struct {
 	members []*writer
 	mem     *memtable.Memtable
 	lastSeq uint64
-	pending atomic.Int32
-	done    bool
+	pending int
 	err     error
 }
 
@@ -132,7 +125,7 @@ func (db *DB) ApplyWithPerf(b *batch.Batch, syncWAL bool, pc *PerfContext) error
 	if pc != nil {
 		qStart = db.clk.Now()
 	}
-	for w.state == stateQueued && db.writers[0] != w {
+	for db.queuedLocked(w) {
 		w.cv.Wait()
 	}
 	if pc != nil {
@@ -140,10 +133,8 @@ func (db *DB) ApplyWithPerf(b *batch.Batch, syncWAL bool, pc *PerfContext) error
 	}
 	db.metrics.WaitingWriters.Add(-1)
 
-	switch w.state {
-	case stateDone:
-		db.mu.Unlock()
-	case stateMemWriter:
+	switch {
+	case w.memWriter:
 		db.mu.Unlock()
 		var t0 time.Time
 		if pc != nil {
@@ -153,12 +144,30 @@ func (db *DB) ApplyWithPerf(b *batch.Batch, syncWAL bool, pc *PerfContext) error
 		if pc != nil {
 			pc.MemtableInsert += db.clk.Now().Sub(t0)
 		}
-		db.memberDone(w.group)
-	default:
-		// Head of queue: become leader. leaderCommit releases db.mu.
-		w.state = stateLeader
+		db.mu.Lock()
+		db.memberDoneLocked(w.group)
+	case w.group == nil:
+		// Head of queue: become leader.
 		db.leaderCommit(w)
 	}
+	// Read-your-writes: return only once the group's sequence numbers
+	// are visible — a group ahead of this one may still be inserting
+	// (RocksDB's pipelined write waits the same way) — or with its
+	// error. advanceVisibleLocked signals w.cv when it publishes; the
+	// wait is on other writers, so it counts as queueing.
+	if g := w.group; g != nil {
+		if !db.publishedLocked(g) {
+			t0 := db.clk.Now()
+			for !db.publishedLocked(g) {
+				w.cv.Wait()
+			}
+			if pc != nil {
+				pc.WriteQueueWait += db.clk.Now().Sub(t0)
+			}
+		}
+		w.err = g.err
+	}
+	db.mu.Unlock()
 
 	lat := db.clk.Now().Sub(start)
 	db.metrics.WriteLatency.Record(lat)
@@ -193,17 +202,14 @@ func (db *DB) Flush() error {
 	}
 	w.cv = db.clk.NewCond(db.mu)
 	db.writers = append(db.writers, w)
-	for w.state == stateQueued && db.writers[0] != w {
+	for db.writers[0] != w {
 		w.cv.Wait()
 	}
-	if w.state == stateQueued {
-		// Head of queue: perform the rotation.
-		w.state = stateLeader
-		if !db.mem.Empty() {
-			w.err = db.rotateMemtableLocked("manual")
-		}
-		db.popGroupLocked([]*writer{w})
+	// Head of queue: perform the rotation.
+	if !db.mem.Empty() {
+		w.err = db.rotateMemtableLocked("manual")
 	}
+	db.popGroupLocked([]*writer{w})
 	// Wait for the flush worker to drain the immutables.
 	for w.err == nil && !db.closed && db.bgErr == nil && (len(db.imms) > 0 || db.flushing) {
 		db.bgCond.Wait()
@@ -217,8 +223,19 @@ func (db *DB) Flush() error {
 	return w.err
 }
 
+// queuedLocked reports whether w has nothing to do yet: queued behind
+// another head, or collected into a group whose leader has neither
+// handed it its memtable insert nor published the group. Callers hold
+// db.mu.
+func (db *DB) queuedLocked(w *writer) bool {
+	if w.group == nil {
+		return db.writers[0] != w
+	}
+	return !w.memWriter && !db.publishedLocked(w.group)
+}
+
 // leaderCommit runs the commit protocol for the group led by w. Called
-// with db.mu held; returns with it released.
+// with db.mu held, which is held on return.
 func (db *DB) leaderCommit(leader *writer) {
 	pc := leader.perf
 	var roomStart time.Time
@@ -229,7 +246,6 @@ func (db *DB) leaderCommit(leader *writer) {
 		// Fail the entire queue head; no seqs were assigned.
 		leader.err = err
 		db.popGroupLocked([]*writer{leader})
-		db.mu.Unlock()
 		return
 	}
 	if pc != nil {
@@ -238,7 +254,7 @@ func (db *DB) leaderCommit(leader *writer) {
 
 	// Collect the batch group: a contiguous queue prefix. Flush
 	// markers never join a group; they run the queue head alone.
-	group := &commitGroup{mem: db.mem}
+	group := &commitGroup{mem: db.mem, pending: 1}
 	var groupBytes int64
 	syncNeeded := false
 	for _, cand := range db.writers {
@@ -317,7 +333,11 @@ func (db *DB) leaderCommit(leader *writer) {
 	// overlap with this group's memtable phase (Algorithm 2).
 	db.popGroupLocked(group.members)
 
-	if walErr != nil {
+	// The batches this leader inserts: its own under pipelined writes,
+	// where every member inserts its own concurrently, else all of them.
+	mine := group.members
+	switch {
+	case walErr != nil:
 		// Both failures poison the log for everyone after this group:
 		// a failed append may leave a torn record that ends replay
 		// early, and a failed sync means acknowledged-but-unsynced
@@ -325,62 +345,28 @@ func (db *DB) leaderCommit(leader *writer) {
 		// instead of appending after the damage.
 		db.setBackgroundErrorLocked(walOp, walErr)
 		group.err = walErr
-		for _, m := range group.members {
-			m.err = walErr
-			if m != leader {
-				m.state = stateDone
-				m.cv.Signal()
-			}
+		mine = nil
+	case db.opts.PipelinedWrites:
+		group.pending = len(group.members)
+		for _, m := range group.members[1:] {
+			m.memWriter = true
+			m.cv.Signal()
 		}
-		group.done = true
-		db.advanceVisibleLocked()
-		db.mu.Unlock()
-		return
+		mine = mine[:1]
 	}
-
-	if db.opts.PipelinedWrites {
-		group.pending.Store(int32(len(group.members)))
-		for _, m := range group.members {
-			if m != leader {
-				m.state = stateMemWriter
-				m.cv.Signal()
-			}
-		}
-		db.mu.Unlock()
-		var t0 time.Time
-		if pc != nil {
-			t0 = db.clk.Now()
-		}
-		db.applyBatchToMem(group.mem, leader.batch)
-		if pc != nil {
-			pc.MemtableInsert += db.clk.Now().Sub(t0)
-		}
-		db.memberDone(group)
-		return
-	}
-
-	// Non-pipelined: the leader applies every batch itself.
 	db.mu.Unlock()
 	var t0 time.Time
 	if pc != nil {
 		t0 = db.clk.Now()
 	}
-	for _, m := range group.members {
+	for _, m := range mine {
 		db.applyBatchToMem(group.mem, m.batch)
 	}
 	if pc != nil {
 		pc.MemtableInsert += db.clk.Now().Sub(t0)
 	}
 	db.mu.Lock()
-	for _, m := range group.members {
-		if m != leader {
-			m.state = stateDone
-			m.cv.Signal()
-		}
-	}
-	group.done = true
-	db.advanceVisibleLocked()
-	db.mu.Unlock()
+	db.memberDoneLocked(group)
 }
 
 // popGroupLocked removes the group's writers from the queue head and
@@ -394,30 +380,39 @@ func (db *DB) popGroupLocked(members []*writer) {
 	}
 }
 
-// memberDone records one completed memtable application; the last
-// member finalizes the group.
-func (db *DB) memberDone(group *commitGroup) {
-	if group.pending.Add(-1) != 0 {
-		return
+// memberDoneLocked records that one member of group finished its
+// share of the memtable inserts (a failed group's leader: none); the
+// last one makes the group done and publishes. Callers hold db.mu.
+func (db *DB) memberDoneLocked(group *commitGroup) {
+	if group.pending--; group.pending == 0 {
+		db.advanceVisibleLocked()
 	}
-	db.mu.Lock()
-	group.done = true
-	db.advanceVisibleLocked()
-	db.mu.Unlock()
 }
 
-// advanceVisibleLocked publishes sequence numbers of every completed
-// group prefix, preserving commit order.
+// advanceVisibleLocked publishes the sequence numbers of every done
+// group prefix, preserving commit order, and wakes each published
+// group's writers. Callers hold db.mu.
 func (db *DB) advanceVisibleLocked() {
 	n := 0
-	for n < len(db.pendingGroups) && db.pendingGroups[n].done {
-		db.visibleSeq.Store(db.pendingGroups[n].lastSeq)
-		n++
+	for ; n < len(db.pendingGroups) && db.pendingGroups[n].pending == 0; n++ {
+		g := db.pendingGroups[n]
+		db.visibleSeq.Store(g.lastSeq)
+		for _, m := range g.members {
+			m.cv.Signal()
+		}
 	}
-	if n > 0 {
-		db.pendingGroups = db.pendingGroups[n:]
+	db.pendingGroups = db.pendingGroups[n:]
+	if n > 0 && len(db.pendingGroups) == 0 {
 		db.bgCond.Broadcast() // memtable switch / Close may be waiting
 	}
+}
+
+// publishedLocked reports whether group's sequence numbers are visible.
+// Groups publish in commit order and each has its own, so visibleSeq
+// covering lastSeq means the group itself was published. Callers hold
+// db.mu.
+func (db *DB) publishedLocked(group *commitGroup) bool {
+	return db.visibleSeq.Load() >= group.lastSeq
 }
 
 // combinedRepr builds the WAL payload for a group.

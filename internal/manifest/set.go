@@ -40,27 +40,11 @@ type Set struct {
 }
 
 // Create initializes a brand-new database directory: an empty version,
-// MANIFEST-000001 and CURRENT.
+// MANIFEST-000001 holding its snapshot edit, and CURRENT.
 func Create(fs vfs.FS) (*Set, error) {
 	s := &Set{fs: fs, NextFileNum: 1}
 	s.installCurrent(&Version{})
-	s.manifestNum = s.AllocFileNum()
-	f, err := fs.Create(ManifestName(s.manifestNum))
-	if err != nil {
-		return nil, fmt.Errorf("manifest: create: %w", err)
-	}
-	s.manifestFile = f
-	s.manifestLog = wal.NewWriter(f)
-	// Write a snapshot edit carrying the allocator state.
-	next, last, log := s.NextFileNum, s.LastSeq, s.LogNum
-	edit := &Edit{NextFileNum: &next, LastSeq: &last, LogNum: &log}
-	if err := s.manifestLog.AddRecord(edit.Encode()); err != nil {
-		return nil, err
-	}
-	if err := s.manifestLog.Sync(); err != nil {
-		return nil, err
-	}
-	if err := s.setCurrent(s.manifestNum); err != nil {
+	if err := s.rollManifest(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -130,8 +114,9 @@ func Recover(fs vfs.FS) (*Set, error) {
 }
 
 // rollManifest creates a new MANIFEST holding one snapshot edit of the
-// entire current state, points CURRENT at it, and removes the old
-// file. On failure the old manifest remains CURRENT and intact.
+// entire current state, points CURRENT at it, and removes the old file
+// (a brand-new Set, numbered 0, has none). On failure the old manifest
+// remains CURRENT and intact.
 func (s *Set) rollManifest() error {
 	oldNum := s.manifestNum
 	// The replayed NextFileNum may predate the old manifest's own
@@ -146,16 +131,20 @@ func (s *Set) rollManifest() error {
 		return fmt.Errorf("manifest: roll: %w", err)
 	}
 	w := wal.NewWriter(f)
-	next, last, log := s.NextFileNum, s.LastSeq, s.LogNum
-	edit := &Edit{NextFileNum: &next, LastSeq: &last, LogNum: &log}
+	// The file lists are built in locals: appending to the edit's own
+	// fields would move the allocator fields below to the heap.
+	var added []AddedFile
+	var quarantined []QuarantinedFile
 	for l := 0; l < NumLevels; l++ {
 		for _, fm := range s.current.Files[l] {
-			edit.Added = append(edit.Added, AddedFile{Level: l, Meta: fm})
+			added = append(added, AddedFile{Level: l, Meta: fm})
 			if fm.Quarantined() {
-				edit.Quarantined = append(edit.Quarantined, QuarantinedFile{Level: l, Num: fm.Num})
+				quarantined = append(quarantined, QuarantinedFile{Level: l, Num: fm.Num})
 			}
 		}
 	}
+	next, last, log := s.NextFileNum, s.LastSeq, s.LogNum
+	edit := &Edit{NextFileNum: &next, LastSeq: &last, LogNum: &log, Added: added, Quarantined: quarantined}
 	if err := w.AddRecord(edit.Encode()); err != nil {
 		f.Close()
 		return fmt.Errorf("manifest: roll snapshot: %w", err)
@@ -171,9 +160,11 @@ func (s *Set) rollManifest() error {
 	s.manifestNum = newNum
 	s.manifestFile = f
 	s.manifestLog = w
-	// Best effort: the old manifest is unreferenced now; the engine's
-	// obsolete-file sweep also catches it.
-	_ = s.fs.Remove(ManifestName(oldNum))
+	if oldNum != 0 {
+		// Best effort: the old manifest is unreferenced now; the
+		// engine's obsolete-file sweep also catches it.
+		_ = s.fs.Remove(ManifestName(oldNum))
+	}
 	return nil
 }
 

@@ -26,19 +26,16 @@ import (
 // participant that has not run, and the caller parks in the kernel
 // while they do. A wall-clock deadline guards Kernel.Run: a lock held
 // across a sleep the kernel cannot see past hangs the run instead of
-// failing it. One writer runs with pipelined writes, three without:
-// under pipelined writes an Apply can return before its own write is
-// visible while another writer's earlier group still inserts (ROADMAP
-// direction 1).
+// failing it. Both cases run with pipelined writes (the default): a
+// writer's read of its own keys also checks that Apply returns only
+// once its group is visible, though another writer's earlier group may
+// still be inserting.
 func TestSimCrossShardFanOut(t *testing.T) {
 	const readers, reads = 2, 40
-	for _, tc := range []struct {
-		writers   int
-		pipelined bool
-	}{{1, true}, {3, false}} {
-		t.Run(fmt.Sprintf("writers=%d", tc.writers), func(t *testing.T) {
+	for _, writers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("writers=%d", writers), func(t *testing.T) {
 			for run := 0; run < 3; run++ {
-				simCrossShardRun(t, run, tc.writers, tc.pipelined, readers, reads)
+				simCrossShardRun(t, run, writers, readers, reads)
 			}
 		})
 	}
@@ -46,14 +43,13 @@ func TestSimCrossShardFanOut(t *testing.T) {
 
 // simCrossShardRun is one run of TestSimCrossShardFanOut: 150 batches
 // split across the writers.
-func simCrossShardRun(t *testing.T, run, writers int, pipelined bool, readers, reads int) {
+func simCrossShardRun(t *testing.T, run, writers, readers, reads int) {
 	batches, span := 150/writers, 30/writers
 	env := simenv.New(storage.XPoint())
 	opts := Options{Shards: 3, Engine: env.Options}
 	opts.Engine.MemtableSize = 16 << 10 // flushes and compactions run under the batches
 	opts.Engine.TargetFileSize = 16 << 10
 	opts.Engine.BaseLevelBytes = 64 << 10
-	opts.Engine.PipelinedWrites = pipelined
 
 	// Keys 0-9 of every shard are written once and then only read;
 	// writer w owns the span keys from 10+span*w.

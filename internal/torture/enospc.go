@@ -183,7 +183,7 @@ func (e *enospc) settle(r *run) error {
 		return err
 	}
 	if c = r.c(); c.spaceWaits == 0 {
-		return r.violation("a never-released squeeze ran but no failed space probe was recorded")
+		return r.violation("a never-released squeeze ran but no space wait was recorded")
 	} else if c.spaceRecoveries == 0 {
 		return r.violation("recovered from disk-full latches but SpaceRecoveries is 0")
 	}

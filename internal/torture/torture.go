@@ -33,13 +33,14 @@
 // then waits for Healthy, closes the store and reopens it on the same
 // filesystem, and pins the op from its participants' cut markers: all
 // at the op's index folds it into the oracle, none leaves it absent,
-// and a mix is a TORN CROSS-SHARD BATCH. It does the same after a
-// failed single-shard op, once the op's keys and marker have read as
-// absent on the healed live handle (the engine's contract for a failed
-// write): a reopen can bring back a write whose WAL sync failed
-// (ROADMAP), so pinning every failed op at once keeps each one
-// decidable from its marker. The counters the contracts read, and
-// the event buffer, carry on across such a reopen.
+// and a mix is a TORN CROSS-SHARD BATCH. A failed single-shard op has
+// no such doubt — the engine's contract is that a failed write stays
+// gone — and the same reopen checks it: the op's keys and marker must
+// read as absent on the healed live handle, and after the reopen the
+// op must hold on no participant, or it is a FAILED WRITE RESURRECTED
+// (the healed handle retires the log the failed write reached). The
+// counters the contracts read, and the event buffer, carry on across
+// such a reopen.
 //
 // After the workload the nemesis settles the store (crash: reopen on
 // the crash image; the others: heal the SAME handle), and the shared
@@ -142,9 +143,9 @@
 //     that is never released must end in a giveup within the bounded
 //     attempt budget — not a hang, not a lie — with Health ≠ Healthy
 //     and Apply failing honestly; once space returns one Resume must
-//     heal the handle, failed space probes and space recoveries must
-//     have been counted, and the rejected "@poison" write must be
-//     absent from the final scan.
+//     heal the handle, space waits (disk-full recovery attempts that
+//     found no space) and space recoveries must have been counted, and
+//     the rejected "@poison" write must be absent from the final scan.
 //
 // # Reproducibility
 //
@@ -478,9 +479,9 @@ func (r *run) ack(i int, o *op) {
 }
 
 // pin settles op i after its Apply failed on a live handle of the
-// sharded store (see the package comment): a single-shard op must first
-// read as absent on the live handle, and the reopen is retried while
-// the nemesis's faults fail it honestly.
+// sharded store (see the package comment): a single-shard op must read
+// as absent on the live handle and stay absent across the reopen, which
+// is retried while the nemesis's faults fail it honestly.
 func (r *run) pin(i int, o *op) error {
 	if err := r.waitHealthy(true); err != nil {
 		return err
@@ -510,10 +511,16 @@ func (r *run) pin(i int, o *op) error {
 	}
 	applied, err := r.held(i, o, cut)
 	r.cfg.Logf("op %d: failed batch holds on %d of its %d participants after a reopen", i, applied, len(o.participants))
-	if err == nil && applied > 0 {
+	switch {
+	case err != nil:
+		return err
+	case applied > 0 && len(o.participants) == 1:
+		return r.violation("FAILED WRITE RESURRECTED: op %d failed on shard %d but holds after a reopen (cuts %v)",
+			i, o.participants[0], cut)
+	case applied > 0:
 		r.ack(i, o)
 	}
-	return err
+	return nil
 }
 
 // cuts reads every shard's cut marker: the index of the last op on the
