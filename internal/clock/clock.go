@@ -6,8 +6,11 @@
 // The contract mirrors the standard library: Mutex behaves like
 // sync.Mutex, Cond like sync.Cond bound to the Mutex it was created
 // with. Code that runs under a Clock must observe one additional rule:
-// never hold a Mutex across Sleep. (Cond.Wait releases the mutex, as
-// usual.)
+// never hold a sync.Mutex across a clock block (Sleep, Cond.Wait, or a
+// clock Mutex's Lock). The simulated clock runs one process at a time,
+// so a process that waits on a sync.Mutex whose holder is parked there
+// stalls the whole simulation; a clock Mutex held across a block is
+// visible to it, and fine.
 package clock
 
 import (

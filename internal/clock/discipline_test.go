@@ -13,19 +13,27 @@ import (
 )
 
 // TestProcessDiscipline scans the non-test Go under internal/ for what
-// a simulated clock cannot see: a go statement, a sync.WaitGroup, or a
-// call to time.Now, time.Sleep or time.AfterFunc. Code that runs under
-// a Clock starts processes with Clock.Go, waits for them on clock-made
-// Conds (Parallel) and reads time from its Clock. The allow-list is
-// the code that implements the clocks or runs outside them: clock and
-// sim themselves, obs (the HTTP server and the hub's sink drain run on
-// real time) and torture, until it runs on the kernel. sync.Mutex is
-// not checked: whether it becomes a kernel-aware lock is the kernel's
-// decision.
+// a simulated clock cannot see: a go statement, a sync.WaitGroup, a
+// sync.Cond, a channel send, receive or select, or a call to time.Now,
+// time.Sleep or time.AfterFunc. The simulation kernel runs one process
+// at a time, so a process blocked on any of these keeps the run token
+// and the whole simulation hangs with it. Code that runs under a Clock
+// starts processes with Clock.Go, waits for them on clock-made Conds
+// (Parallel) and reads time from its Clock. The allow-list is the code
+// that implements the clocks or runs outside them: clock and sim
+// themselves, obs (the HTTP server and the hub's sink drain run on
+// real time) and torture, until it runs on the kernel. sync.Mutex and
+// sync.RWMutex are allowed as leaf locks, held only across code that
+// never blocks on the clock: under the kernel their holder then runs
+// to its Unlock before another process runs, so they never contend
+// there, and they keep the host hot paths (cache, histograms, vfs)
+// free of a clock Mutex's interface dispatch on the real clock.
 func TestProcessDiscipline(t *testing.T) {
 	allowed := map[string]bool{"clock": true, "sim": true, "obs": true, "torture": true}
 	forbidden := map[string]string{
 		"sync.WaitGroup": "wait with Parallel or a clock-made Cond",
+		"sync.Cond":      "use a clock-made Cond",
+		"sync.NewCond":   "use Clock.NewCond",
 		"time.Now":       "read the Clock",
 		"time.Sleep":     "sleep on the Clock",
 		"time.AfterFunc": "start a Clock.Go process that sleeps on the Clock",
@@ -65,6 +73,14 @@ func TestProcessDiscipline(t *testing.T) {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				t.Errorf("%s: go statement; start the process with Clock.Go", fset.Position(n.Pos()))
+			case *ast.SendStmt:
+				t.Errorf("%s: channel send; hand off through a clock-made Cond", fset.Position(n.Pos()))
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW {
+					t.Errorf("%s: channel receive; wait on a clock-made Cond", fset.Position(n.Pos()))
+				}
+			case *ast.SelectStmt:
+				t.Errorf("%s: select; wait on a clock-made Cond", fset.Position(n.Pos()))
 			case *ast.SelectorExpr:
 				if pkg, ok := n.X.(*ast.Ident); ok {
 					name := imports[pkg.Name] + "." + n.Sel.Name

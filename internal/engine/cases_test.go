@@ -237,43 +237,6 @@ func TestWaitingWritersGaugeRises(t *testing.T) {
 	}
 }
 
-// TestFasterDeviceQueuesMoreWriters reproduces Finding #3's mechanism:
-// at equal thread counts, the faster device (quicker reads → higher
-// write arrival pressure) accumulates at least as many waiting writers.
-func TestFasterDeviceQueuesMoreWriters(t *testing.T) {
-	if raceEnabled {
-		t.Skip("minute-scale simulated workload is too slow under the race detector")
-	}
-	run := func(p storage.Profile) float64 {
-		env := newSimEnv(p, nil)
-		var mean float64
-		env.k.Run(func() {
-			db, err := Open(env.o)
-			if err != nil {
-				t.Errorf("open: %v", err)
-				return
-			}
-			defer db.Close()
-			if err := workload.Preload(db, 5000, 1024); err != nil {
-				t.Errorf("preload: %v", err)
-				return
-			}
-			workload.Run(env.k, db, workload.Config{
-				Workers: 32, ReadRatio: 0.5, Duration: 4 * time.Second,
-				KeySpace: 5000, ValueSize: 1024, Seed: 13,
-			})
-			mean = db.Metrics().WaitingWriters.Mean()
-		})
-		return mean
-	}
-	sata := run(storage.SATAFlash())
-	xp := run(storage.XPoint())
-	t.Logf("mean waiting writers: sata=%.2f xpoint=%.2f", sata, xp)
-	if xp < sata {
-		t.Fatalf("xpoint queued fewer writers (%.2f) than sata (%.2f)", xp, sata)
-	}
-}
-
 // TestStopStallBlocksAndRecovers: with a tiny stop threshold, writes
 // must stall (recording stop episodes) and still complete.
 func TestStopStallBlocksAndRecovers(t *testing.T) {

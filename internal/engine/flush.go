@@ -134,7 +134,6 @@ func (db *DB) flushImmLocked(fm flushedMem, commit func(*manifest.Edit) error) (
 	}
 
 	db.mu.Lock()
-	db.flushing = false
 	l0Files = db.vs.Current().NumFiles(0)
 	if err != nil {
 		if db.bgErr == nil {
@@ -151,11 +150,10 @@ func (db *DB) flushImmLocked(fm flushedMem, commit func(*manifest.Edit) error) (
 			// latch a recovery drain runs with.)
 			db.setBackgroundErrorLocked(opFlush, err)
 		}
-		// Wake anyone quiescing on db.flushing (error recovery).
-		db.bgCond.Broadcast()
 		db.mu.Unlock()
 		db.emitFlushEnd(fm, num, 0, l0Files, db.clk.Now().Sub(start), err)
 		db.removeUninstalledOutputs([]uint64{num})
+		db.endFlush()
 		return l0Files, err
 	}
 	db.clearSoftErrorLocked(opFlush)
@@ -173,7 +171,18 @@ func (db *DB) flushImmLocked(fm flushedMem, commit func(*manifest.Edit) error) (
 	db.metrics.FlushLatency.Record(dur)
 	db.metrics.Levels[0].recordCompaction(memBytes, 0, meta.Size, dur)
 	db.emitFlushEnd(fm, num, meta.Size, l0Files, dur, nil)
+	db.endFlush()
 	return l0Files, nil
+}
+
+// endFlush marks the flush job over once its flush_end is emitted, so
+// a Flush waiting on db.flushing returns only after the event exists,
+// and wakes anyone quiescing on it (error recovery).
+func (db *DB) endFlush() {
+	db.mu.Lock()
+	db.flushing = false
+	db.bgCond.Broadcast()
+	db.mu.Unlock()
 }
 
 // compactChargeBatch is how many merged entries of CPU cost are

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -28,20 +27,8 @@ func TestSimulatedMixedWorkload(t *testing.T) {
 	opts.TargetFileSize = 2 << 20
 	opts.BaseLevelBytes = 8 << 20
 
-	var db *DB
-	k.OnIdle = func() {
-		if db != nil {
-			fmt.Printf("DEADLOCK STATE: L0=%d imms=%d stall=%v writers=%d pendingGroups=%d flushing=%v compacting=%v manifestBusy=%v closed=%v\n",
-				db.vs.Current().NumFiles(0), len(db.imms), db.stallState,
-				len(db.writers), len(db.pendingGroups), db.flushing, db.compacting,
-				db.manifestBusy, db.closed)
-			fmt.Printf("layout:\n%s", db.vs.Current().DebugString())
-		}
-		panic("deadlock (state dumped)")
-	}
 	k.Run(func() {
-		var err error
-		db, err = Open(opts)
+		db, err := Open(opts)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return

@@ -210,8 +210,9 @@ func (db *DB) Flush() error {
 		w.err = db.rotateMemtableLocked("manual")
 	}
 	db.popGroupLocked([]*writer{w})
-	// Wait for the flush worker to drain the immutables.
-	for w.err == nil && !db.closed && db.bgErr == nil && (len(db.imms) > 0 || db.flushing) {
+	// Wait for the flush worker to drain the immutables, and for a
+	// flush in flight to end (flush_end emitted) even if it failed.
+	for w.err == nil && !db.closed && (db.flushing || (db.bgErr == nil && len(db.imms) > 0)) {
 		db.bgCond.Wait()
 	}
 	if w.err == nil && db.bgErr != nil {

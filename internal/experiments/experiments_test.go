@@ -106,6 +106,27 @@ func TestFig17Tiny(t *testing.T) {
 	}
 }
 
+// TestFig16FasterDeviceQueuesMoreWriters asserts Finding #3 at Figure
+// 16's own configuration (Quick scale, 32 clients, 1:1): the fast
+// device's quicker reads raise the write arrival rate, so more writers
+// queue on 3D XPoint than on either flash SSD.
+func TestFig16FasterDeviceQueuesMoreWriters(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("minute-scale figure run in -short mode or under the race detector")
+	}
+	r := &Runner{Scale: Quick()}
+	cells, err := r.parallel32()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sata, pcie, xp := cells[storage.SATAFlash().Name], cells[storage.PCIeFlash().Name], cells[storage.XPoint().Name]
+	t.Logf("mean waiting writers: sata=%.2f pcie=%.2f xpoint=%.2f", sata.waitingWriters, pcie.waitingWriters, xp.waitingWriters)
+	if xp.waitingWriters <= sata.waitingWriters || xp.waitingWriters <= pcie.waitingWriters {
+		t.Fatalf("3D XPoint queued %.2f writers, not more than SATA (%.2f) and PCIe (%.2f)",
+			xp.waitingWriters, sata.waitingWriters, pcie.waitingWriters)
+	}
+}
+
 func TestReportTableAlignment(t *testing.T) {
 	rep := &Report{
 		ID:      "figX",

@@ -17,38 +17,48 @@ var update = flag.Bool("update", false, "rewrite testdata/sim_golden.txt instead
 
 const simGoldenPath = "testdata/sim_golden.txt"
 
-// TestSimGolden pins what the modelled system does in one short
-// single-client run per device: the background work it schedules
-// (flushes, compactions, WAL syncs), the foreground time it stalls, and
-// the virtual-time Put and Get latencies the cost and device models
-// produce. Every pinned value is exact and host-independent — a change
-// that moves one of them changes the simulated system the figures are
-// drawn from. Regenerate with -update only when the modelled system is
-// meant to change, and say why.
+// TestSimGolden pins what the modelled system does in one short run
+// per device, with one client and with eight: the background work it
+// schedules (flushes, compactions, WAL syncs), the foreground time it
+// stalls, and the virtual-time Put and Get latencies the cost and
+// device models produce. Every pinned value is exact and
+// host-independent — the kernel runs one process at a time, so eight
+// clients replay as exactly as one — and a change that moves one of
+// them changes the simulated system the figures are drawn from.
+// Regenerate with -update only when the modelled system is meant to
+// change, and say why.
 func TestSimGolden(t *testing.T) {
 	var b strings.Builder
-	b.WriteString("# one client, 50% reads, 4000 keys preloaded, 2 s virtual; see TestSimGolden\n")
-	for _, p := range []storage.Profile{storage.XPoint(), storage.SATAFlash()} {
-		sc := Scale{Duration: 2 * time.Second, KeySpace: 4000, MemtableSize: 512 << 10, SizeScale: 1}
-		env := NewEnv(p, sc, nil)
-		res, m, err := env.RunKV(func(db *engine.DB) *workload.Result {
-			return env.Mixed(db, 1, 0.5, nil)
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
+	for _, clients := range []int{1, 8} {
+		prefix := ""
+		if clients == 1 {
+			b.WriteString("# one client, 50% reads, 4000 keys preloaded, 2 s virtual; see TestSimGolden\n")
+		} else {
+			prefix = fmt.Sprintf("clients%d.", clients)
+			fmt.Fprintf(&b, "# %d clients, otherwise as above\n", clients)
 		}
-		if res.Errors != 0 {
-			t.Fatalf("%s: %d workload errors", p.Name, res.Errors)
+		for _, p := range []storage.Profile{storage.XPoint(), storage.SATAFlash()} {
+			sc := Scale{Duration: 2 * time.Second, KeySpace: 4000, MemtableSize: 512 << 10, SizeScale: 1}
+			env := NewEnv(p, sc, nil)
+			res, m, err := env.RunKV(func(db *engine.DB) *workload.Result {
+				return env.Mixed(db, clients, 0.5, nil)
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			if res.Errors != 0 {
+				t.Fatalf("%s: %d workload errors", p.Name, res.Errors)
+			}
+			line := func(name string, v any) { fmt.Fprintf(&b, "%s%s.%s %v\n", prefix, p.Name, name, v) }
+			line("flushes", m.Flushes.Load())
+			line("compactions", m.Compactions.Load())
+			line("wal_syncs", m.WALSyncs.Load())
+			line("stall", time.Duration(m.StallDelayTotal.Load()+m.StallStopTotal.Load()))
+			line("put_p50", res.WriteLat.Percentile(50))
+			line("put_p99", res.WriteLat.Percentile(99))
+			line("get_p50", res.ReadLat.Percentile(50))
+			line("get_p99", res.ReadLat.Percentile(99))
 		}
-		line := func(name string, v any) { fmt.Fprintf(&b, "%s.%s %v\n", p.Name, name, v) }
-		line("flushes", m.Flushes.Load())
-		line("compactions", m.Compactions.Load())
-		line("wal_syncs", m.WALSyncs.Load())
-		line("stall", time.Duration(m.StallDelayTotal.Load()+m.StallStopTotal.Load()))
-		line("put_p50", res.WriteLat.Percentile(50))
-		line("put_p99", res.WriteLat.Percentile(99))
-		line("get_p50", res.ReadLat.Percentile(50))
-		line("get_p99", res.ReadLat.Percentile(99))
 	}
 	got := b.String()
 

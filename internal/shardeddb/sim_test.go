@@ -24,12 +24,15 @@ import (
 // read, on every run, must match the model exactly: the fan-outs are
 // clock processes the kernel tracks, so virtual time cannot pass a
 // participant that has not run, and the caller parks in the kernel
-// while they do. A wall-clock deadline guards Kernel.Run: a lock held
-// across a sleep the kernel cannot see past hangs the run instead of
-// failing it. Both cases run with pipelined writes (the default): a
-// writer's read of its own keys also checks that Apply returns only
-// once its group is visible, though another writer's earlier group may
-// still be inserting.
+// while they do. Each case runs three writer seeds; the kernel orders
+// every process, so each seed is one fixed schedule. A wall-clock
+// deadline guards Kernel.Run: a process blocked on what the kernel
+// cannot see (a sync.Mutex whose holder sleeps) keeps the run token
+// and hangs the run instead of failing it, while a wait the kernel can
+// see that nothing will end fails as its deadlock panic. Both cases run
+// with pipelined writes (the default): a writer's read of its own keys
+// also checks that Apply returns only once its group is visible,
+// though another writer's earlier group may still be inserting.
 func TestSimCrossShardFanOut(t *testing.T) {
 	const readers, reads = 2, 40
 	for _, writers := range []int{1, 3} {

@@ -2,31 +2,37 @@
 // kernel that satisfies clock.Clock.
 //
 // Every goroutine participating in the simulation is a "process" that
-// the kernel tracks. Virtual time advances only when every tracked
-// process is blocked — either sleeping (Sleep) or waiting on a kernel
-// condition variable (Cond.Wait). At that point the kernel jumps the
-// clock to the earliest pending timer event and wakes its process(es).
-// Processes therefore execute arbitrary amounts of Go code in zero
-// virtual time; durations are charged explicitly via Sleep, which is
-// how device models and CPU cost models express service times.
+// the kernel tracks, and exactly one process runs at a time: it holds
+// the kernel's run token. A process gives the token up only at a
+// blocking point — Sleep, Cond.Wait, a contended Mutex.Lock, or its
+// exit — and the token passes to the oldest runnable process. Virtual
+// time jumps to the earliest pending timer only when no process is
+// runnable; the processes whose timers fall due at that instant become
+// runnable in the order their timers were created. Processes therefore
+// execute arbitrary amounts of Go code in zero virtual time; durations
+// are charged explicitly via Sleep, which is how device models and CPU
+// cost models express service times. Because the kernel, not the Go
+// scheduler, decides every ordering, a seeded run replays exactly and
+// the host's core count does not shape the model.
 //
 // Rules for code running under the kernel:
 //
 //   - Spawn concurrent work with Clock.Go, never with the go statement.
-//   - Never call Sleep or Cond.Wait while holding a Mutex other than
-//     the one associated with that Cond.
+//   - Block only on the kernel: Sleep, and the Mutex and Cond it made.
+//     A process blocked on anything else (a channel, a sync.Cond, a
+//     sync.Mutex whose holder is parked) keeps the token, and the
+//     whole simulation waits with it. A sync.Mutex is therefore a
+//     leaf lock: never held across a blocking point.
+//   - A goroutine the kernel did not start (an ops-plane HTTP handler
+//     reading a simulated store) may take a kernel Mutex, but a wait
+//     there borrows the token, so a run served over HTTP does not
+//     replay.
 //   - Finish (or unblock) all processes before the function passed to
-//     Run returns, or their remaining virtual work is abandoned.
-//
-// Scheduling of processes that are runnable at the same virtual instant
-// is delegated to the Go scheduler, so event *ordering* within one
-// instant is not deterministic; timer firing order is (ties broken by
-// creation sequence). Experiments that need reproducibility should rely
-// on seeded workloads and aggregate statistics.
+//     Run returns: the simulation stops with the main process, and
+//     the others stay parked where they are.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -38,50 +44,45 @@ import (
 // Kernel is a virtual-time clock.Clock. Create one with New, start
 // processes with Go, and drive the simulation with Run.
 type Kernel struct {
-	mu     sync.Mutex
-	start  time.Time
-	now    time.Duration // virtual time elapsed since start
-	active int           // processes currently runnable
-	events eventHeap
-	seq    uint64 // tiebreaker so equal-time events fire in creation order
+	mu      sync.Mutex
+	start   time.Time
+	now     time.Duration // virtual time elapsed since start
+	running bool          // a process holds the run token
+	runq    waitq         // runnable processes waiting for the token
+	timers  []timer       // ordered by time, then creation
 
-	mainDone bool
-	runPanic interface{}    // panic from the main process, rethrown by Run
+	stopped  chan struct{}  // closed when Run's main process exits or deadlocks
+	deadlock string         // why the simulation stopped with main still live
 	procs    map[string]int // live process names -> count, for diagnostics
-
-	// OnIdle, if non-nil, is invoked (with the kernel unlocked) when
-	// the simulation would otherwise be stuck: no runnable process
-	// and no pending event while the main process is still running.
-	// If nil, the kernel panics with a process dump, since this state
-	// is a virtual-time deadlock.
-	OnIdle func()
 }
 
 var _ clock.Clock = (*Kernel)(nil)
 
-type event struct {
-	at  time.Duration
-	seq uint64
-	ch  chan struct{}
+// waitq is a FIFO of parked processes; closing a process's channel
+// releases it.
+type waitq []chan struct{}
+
+func (q *waitq) push() chan struct{} {
+	ch := make(chan struct{})
+	*q = append(*q, ch)
+	return ch
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// pop removes and returns the oldest process, or nil if q is empty.
+func (q *waitq) pop() chan struct{} {
+	if len(*q) == 0 {
+		return nil
 	}
-	return h[i].seq < h[j].seq
+	ch := (*q)[0]
+	(*q)[0] = nil
+	*q = (*q)[1:]
+	return ch
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// timer is a process sleeping until at.
+type timer struct {
+	at time.Duration
+	ch chan struct{}
 }
 
 // New returns a kernel whose virtual clock starts at start.
@@ -90,11 +91,7 @@ func New(start time.Time) *Kernel {
 }
 
 // Now returns the current virtual time.
-func (k *Kernel) Now() time.Time {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.start.Add(k.now)
-}
+func (k *Kernel) Now() time.Time { return k.start.Add(k.Elapsed()) }
 
 // Elapsed returns the virtual time elapsed since the kernel started.
 func (k *Kernel) Elapsed() time.Duration {
@@ -110,58 +107,50 @@ func (k *Kernel) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	k.mu.Lock()
 	ch := make(chan struct{})
-	heap.Push(&k.events, event{at: k.now + d, seq: k.seq, ch: ch})
-	k.seq++
-	k.blockLocked()
+	k.mu.Lock()
+	at := k.now + d
+	i := sort.Search(len(k.timers), func(i int) bool { return k.timers[i].at > at })
+	k.timers = append(k.timers, timer{})
+	copy(k.timers[i+1:], k.timers[i:])
+	k.timers[i] = timer{at: at, ch: ch}
+	k.yieldLocked()
 	k.mu.Unlock()
 	<-ch
 }
 
-// Go starts fn as a new tracked process.
+// Go starts fn as a new tracked process, runnable behind every process
+// that already is.
 func (k *Kernel) Go(name string, fn func()) {
+	ch := make(chan struct{})
 	k.mu.Lock()
-	k.active++
 	k.procs[name]++
+	k.readyLocked(ch)
 	k.mu.Unlock()
 	go func() {
+		<-ch
 		defer k.exit(name)
 		fn()
 	}()
 }
 
-// Run executes main as the root process and returns when it does.
-// Virtual time during the call advances per the simulation rules. A
-// panic inside the main process (including a simulation deadlock) is
-// rethrown on the caller's goroutine. Run must not be called
+// Run executes main as the root process and returns when it does,
+// leaving any other process parked. Virtual time during the call
+// advances per the simulation rules. A panic inside the main process
+// is rethrown on the caller's goroutine, and so is a simulation
+// deadlock, whichever process meets it. Run must not be called
 // concurrently with itself.
 func (k *Kernel) Run(main func()) {
-	k.mu.Lock()
-	k.active++
-	k.procs["main"]++
-	k.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil {
-				k.mu.Lock()
-				k.runPanic = r
-				k.mu.Unlock()
-			}
-			k.mu.Lock()
-			k.mainDone = true
-			k.mu.Unlock()
-			k.exit("main")
-		}()
+	var r any
+	k.stopped = make(chan struct{}) // Go's locking publishes it to exit
+	k.Go("main", func() {
+		defer func() { r = recover() }()
 		main()
-	}()
-	<-done
-	k.mu.Lock()
-	r := k.runPanic
-	k.runPanic = nil
-	k.mu.Unlock()
+	})
+	<-k.stopped // written before the close, deadlock is safe to read
+	if k.deadlock != "" {
+		r = k.deadlock
+	}
 	if r != nil {
 		panic(r)
 	}
@@ -169,56 +158,52 @@ func (k *Kernel) Run(main func()) {
 
 func (k *Kernel) exit(name string) {
 	k.mu.Lock()
-	k.procs[name]--
-	if k.procs[name] <= 0 {
+	if k.procs[name]--; k.procs[name] <= 0 {
 		delete(k.procs, name)
 	}
-	k.active--
-	k.advanceLocked()
+	if name == "main" {
+		k.running = false
+		close(k.stopped)
+	} else {
+		k.yieldLocked()
+	}
 	k.mu.Unlock()
 }
 
-// blockLocked marks the calling process as no longer runnable and, if
-// that was the last runnable process, advances virtual time.
-func (k *Kernel) blockLocked() {
-	k.active--
-	k.advanceLocked()
-}
-
-// wakeLocked marks one process runnable again and releases it.
-func (k *Kernel) wakeLocked(ch chan struct{}) {
-	k.active++
+// readyLocked makes the process parked on ch runnable: it runs at once
+// if no process holds the token, and otherwise queues for it.
+func (k *Kernel) readyLocked(ch chan struct{}) {
+	if k.running {
+		k.runq = append(k.runq, ch)
+		return
+	}
+	k.running = true
 	close(ch)
 }
 
-// advanceLocked fires the earliest pending event(s) if no process is
-// runnable. Called with k.mu held.
-func (k *Kernel) advanceLocked() {
-	if k.active > 0 {
+// yieldLocked passes the calling process's token to the oldest
+// runnable process. If there is none, virtual time advances to the
+// earliest timer and every process due at that instant becomes
+// runnable, in creation order. With no timer either, the simulation
+// is idle, which is a deadlock while the main process still runs.
+func (k *Kernel) yieldLocked() {
+	if len(k.runq) == 0 && len(k.timers) > 0 {
+		k.now = k.timers[0].at
+		for len(k.timers) > 0 && k.timers[0].at == k.now {
+			k.runq = append(k.runq, k.timers[0].ch)
+			k.timers = k.timers[1:]
+		}
+	}
+	if ch := k.runq.pop(); ch != nil {
+		close(ch)
 		return
 	}
-	if len(k.events) == 0 {
-		if k.mainDone {
-			return // normal wind-down; leftover processes stay parked
-		}
-		if k.OnIdle != nil {
-			f := k.OnIdle
-			k.mu.Unlock()
-			f()
-			k.mu.Lock()
-			return
-		}
-		// Release the kernel lock before panicking so deferred
-		// cleanup (e.g. Run's exit) can still take it.
-		msg := "sim: deadlock — no runnable process and no pending event; live processes: " + k.procDumpLocked()
-		k.mu.Unlock()
-		panic(msg)
-	}
-	t := k.events[0].at
-	k.now = t
-	for len(k.events) > 0 && k.events[0].at == t {
-		e := heap.Pop(&k.events).(event)
-		k.wakeLocked(e.ch)
+	k.running = false
+	if k.procs["main"] > 0 && k.deadlock == "" {
+		// Run panics with this on its caller's goroutine; every
+		// process stays parked.
+		k.deadlock = "sim: deadlock — no runnable process and no pending timer; live processes: " + k.procDumpLocked()
+		close(k.stopped)
 	}
 }
 
@@ -231,60 +216,81 @@ func (k *Kernel) procDumpLocked() string {
 	return fmt.Sprint(names)
 }
 
-// NewMutex returns a mutex usable by simulation processes. It is a
-// plain sync.Mutex: a process blocked on it is still counted as
-// runnable, which is correct as long as holders never sleep or wait
-// while holding it (the package-level discipline).
-func (k *Kernel) NewMutex() clock.Mutex { return &sync.Mutex{} }
+// NewMutex returns a mutex whose contention the kernel schedules: a
+// process that finds it locked parks and gives up the token, and
+// Unlock hands the lock to the oldest waiter.
+func (k *Kernel) NewMutex() clock.Mutex { return &mutex{k: k} }
 
-// NewCond returns a virtual-time-aware condition variable bound to m.
-func (k *Kernel) NewCond(m clock.Mutex) clock.Cond {
-	return &cond{k: k, m: m}
+// NewCond returns a condition variable bound to m, which must come
+// from the same kernel's NewMutex. Signal and Broadcast make waiters
+// runnable, oldest first, at the current instant.
+func (k *Kernel) NewCond(m clock.Mutex) clock.Cond { return &cond{m: m.(*mutex)} }
+
+type mutex struct {
+	k       *Kernel
+	locked  bool
+	waiters waitq
 }
 
-// cond is a kernel-aware condition variable. Wait parks the process in
-// kernel bookkeeping (so virtual time can advance past it); Signal and
-// Broadcast make parked processes runnable again at the current
-// instant.
+func (m *mutex) Lock() {
+	m.k.mu.Lock()
+	if !m.locked {
+		m.locked = true
+		m.k.mu.Unlock()
+		return
+	}
+	ch := m.waiters.push()
+	m.k.yieldLocked()
+	m.k.mu.Unlock()
+	<-ch // Unlock handed the lock over
+}
+
+func (m *mutex) Unlock() {
+	m.k.mu.Lock()
+	m.unlockLocked()
+	m.k.mu.Unlock()
+}
+
+func (m *mutex) unlockLocked() {
+	if !m.locked {
+		m.k.mu.Unlock()
+		panic("sim: unlock of unlocked mutex")
+	}
+	if ch := m.waiters.pop(); ch != nil {
+		m.k.readyLocked(ch)
+	} else {
+		m.locked = false
+	}
+}
+
 type cond struct {
-	k       *Kernel
-	m       clock.Mutex
-	waiters []chan struct{}
+	m       *mutex
+	waiters waitq
 }
 
 func (c *cond) Wait() {
-	ch := make(chan struct{})
-	c.k.mu.Lock()
-	c.waiters = append(c.waiters, ch)
-	c.k.mu.Unlock()
-	// Release the user mutex before parking so that signalers (who
-	// hold it by convention) can run. A Signal arriving between the
-	// append above and blockLocked below is safe: it increments
-	// active first, so the pair nets to zero and <-ch returns
-	// immediately.
-	c.m.Unlock()
-	c.k.mu.Lock()
-	c.k.blockLocked()
-	c.k.mu.Unlock()
+	k := c.m.k
+	k.mu.Lock()
+	ch := c.waiters.push()
+	c.m.unlockLocked()
+	k.yieldLocked()
+	k.mu.Unlock()
 	<-ch
 	c.m.Lock()
 }
 
-func (c *cond) Signal() {
-	c.k.mu.Lock()
-	if len(c.waiters) > 0 {
-		ch := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		c.k.wakeLocked(ch)
-	}
-	c.k.mu.Unlock()
-}
+func (c *cond) Signal()    { c.wake(false) }
+func (c *cond) Broadcast() { c.wake(true) }
 
-func (c *cond) Broadcast() {
-	c.k.mu.Lock()
-	for _, ch := range c.waiters {
-		c.k.wakeLocked(ch)
+// wake makes the oldest waiter, or every waiter, runnable.
+func (c *cond) wake(all bool) {
+	k := c.m.k
+	k.mu.Lock()
+	for ch := c.waiters.pop(); ch != nil; ch = c.waiters.pop() {
+		k.readyLocked(ch)
+		if !all {
+			break
+		}
 	}
-	c.waiters = nil
-	c.k.mu.Unlock()
+	k.mu.Unlock()
 }

@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -207,34 +211,6 @@ func TestDeadlockPanics(t *testing.T) {
 	})
 }
 
-func TestOnIdleHookSuppressesPanic(t *testing.T) {
-	// Main waits on a cond nobody signals; instead of panicking, the
-	// OnIdle hook injects the signal (modelling an external event
-	// source that is invisible to the kernel).
-	k := New(t0)
-	m := k.NewMutex()
-	c := k.NewCond(m)
-	done := false
-	var calls int32
-	k.OnIdle = func() {
-		atomic.AddInt32(&calls, 1)
-		m.Lock()
-		done = true
-		c.Signal()
-		m.Unlock()
-	}
-	k.Run(func() {
-		m.Lock()
-		for !done {
-			c.Wait()
-		}
-		m.Unlock()
-	})
-	if atomic.LoadInt32(&calls) == 0 {
-		t.Fatal("OnIdle was never called")
-	}
-}
-
 func TestGoRunsTrackedProcess(t *testing.T) {
 	k := New(t0)
 	var ran int32
@@ -309,5 +285,160 @@ func TestNestedSleepChains(t *testing.T) {
 	})
 	if got := k.Elapsed(); got != 600*time.Millisecond {
 		t.Fatalf("elapsed = %v, want 600ms", got)
+	}
+}
+
+// TestOneProcessRunsAtATime spins many processes that yield at every
+// kind of blocking point and checks no two ever run at once.
+func TestOneProcessRunsAtATime(t *testing.T) {
+	k := New(t0)
+	var running, overlaps int32
+	k.Run(func() {
+		m := k.NewMutex()
+		clock.Parallel(k, "p", 16, func(i int) {
+			for j := 0; j < 50; j++ {
+				if atomic.AddInt32(&running, 1) != 1 {
+					atomic.AddInt32(&overlaps, 1)
+				}
+				runtime.Gosched() // another runner would get in here
+				atomic.AddInt32(&running, -1)
+				m.Lock()
+				k.Sleep(time.Duration(i%3) * time.Microsecond)
+				m.Unlock()
+			}
+		})
+	})
+	if overlaps != 0 {
+		t.Fatalf("%d times a process ran while another did", overlaps)
+	}
+}
+
+// TestSameInstantWakeOrder: processes whose timers fall due at one
+// instant run in the order the timers were created — not the order the
+// processes were started — and a Broadcast wakes waiters oldest first.
+func TestSameInstantWakeOrder(t *testing.T) {
+	k := New(t0)
+	var sleepers, waiters []int
+	k.Run(func() {
+		m := k.NewMutex()
+		c := k.NewCond(m)
+		for i := 0; i < 5; i++ {
+			k.Go("sleeper", func() {
+				// Sleeper 0's one timer is created first, then the
+				// second timers of sleepers 4, 3, 2, 1: all due at 5 ms.
+				k.Sleep(time.Duration(5-i) * time.Millisecond)
+				k.Sleep(time.Duration(i) * time.Millisecond)
+				sleepers = append(sleepers, i)
+			})
+		}
+		for i := 0; i < 5; i++ {
+			k.Go("waiter", func() {
+				m.Lock()
+				c.Wait()
+				waiters = append(waiters, i)
+				m.Unlock()
+			})
+		}
+		k.Sleep(20 * time.Millisecond)
+		c.Broadcast()
+		k.Sleep(time.Millisecond)
+	})
+	if fmt.Sprint(sleepers) != "[0 4 3 2 1]" || fmt.Sprint(waiters) != "[0 1 2 3 4]" {
+		t.Fatalf("sleepers woke %v, want [0 4 3 2 1]; waiters %v, want [0 1 2 3 4]", sleepers, waiters)
+	}
+}
+
+// TestMutexHeldAcrossSleep: a kernel Mutex held across Sleep parks a
+// contender in the kernel's books, so virtual time still advances, and
+// Unlock hands the lock to the oldest waiter.
+func TestMutexHeldAcrossSleep(t *testing.T) {
+	k := New(t0)
+	var order []int
+	k.Run(func() {
+		m := k.NewMutex()
+		m.Lock()
+		for i := 0; i < 3; i++ {
+			k.Go("contender", func() {
+				m.Lock()
+				order = append(order, i)
+				k.Sleep(time.Second)
+				m.Unlock()
+			})
+		}
+		k.Sleep(time.Second)
+		m.Unlock()
+		m.Lock() // queues behind the three contenders
+		m.Unlock()
+	})
+	if fmt.Sprint(order) != "[0 1 2]" {
+		t.Fatalf("lock handed over in order %v, want [0 1 2]", order)
+	}
+	if got := k.Elapsed(); got != 4*time.Second {
+		t.Fatalf("elapsed = %v, want 4s", got)
+	}
+}
+
+// TestMutexDeadlockPanics: two processes locking two kernel Mutexes in
+// opposite orders across a Sleep leave nothing runnable; the kernel
+// reports it from Run, although the child process met it.
+func TestMutexDeadlockPanics(t *testing.T) {
+	k := New(t0)
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "deadlock") {
+			t.Fatalf("recovered %v, want the kernel's deadlock panic", r)
+		}
+	}()
+	k.Run(func() {
+		a, b := k.NewMutex(), k.NewMutex()
+		k.Go("ab", func() {
+			a.Lock()
+			k.Sleep(time.Millisecond)
+			b.Lock()
+		})
+		b.Lock()
+		k.Sleep(time.Millisecond)
+		a.Lock()
+	})
+}
+
+// TestScheduleReplays runs a seeded mix of sleeps, locks and cond
+// hand-offs twice and requires the same trace of (time, process) steps.
+func TestScheduleReplays(t *testing.T) {
+	trace := func() string {
+		k := New(t0)
+		var b strings.Builder
+		k.Run(func() {
+			m := k.NewMutex()
+			c := k.NewCond(m)
+			queue := 0
+			clock.Parallel(k, "p", 8, func(i int) {
+				rng := rand.New(rand.NewSource(int64(i)))
+				for j := 0; j < 100; j++ {
+					k.Sleep(time.Duration(rng.Intn(3)) * time.Microsecond)
+					m.Lock()
+					fmt.Fprintf(&b, "%v:%d ", k.Elapsed(), i)
+					if rng.Intn(2) == 0 {
+						queue++
+						c.Signal()
+					} else {
+						for queue == 0 && rng.Intn(4) != 0 {
+							c.Wait()
+						}
+						if queue > 0 {
+							queue--
+						}
+					}
+					m.Unlock()
+				}
+				m.Lock()
+				c.Broadcast()
+				m.Unlock()
+			})
+		})
+		return b.String()
+	}
+	if a, b := trace(), trace(); a != b {
+		t.Fatal("two runs of one seeded schedule differ")
 	}
 }

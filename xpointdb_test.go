@@ -2,9 +2,12 @@ package xpointdb
 
 import (
 	"fmt"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
+	"xpointdb/internal/kvstore"
 	"xpointdb/internal/workload"
 )
 
@@ -104,32 +107,45 @@ func TestSimulationEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSimulationDeterminism runs eight clients twice, on the bare
+// store and on a 4-shard store, and requires the two runs' full
+// /metrics exposition and virtual elapsed time to match byte for byte:
+// the kernel, not the Go scheduler, orders every process.
 func TestSimulationDeterminism(t *testing.T) {
-	run := func() (int64, time.Duration) {
+	const keys = 2000
+	run := func(shards int) string {
 		sim := NewSimulation(SATAFlash())
-		var ops int64
+		var b strings.Builder
 		sim.Kernel.Run(func() {
-			db, err := Open(sim.Options)
+			var bounds [][]byte
+			for i := 1; i < shards; i++ {
+				bounds = append(bounds, workload.Key(keys*i/shards))
+			}
+			db, err := kvstore.Open(sim.Options, shards, bounds)
 			if err != nil {
-				t.Errorf("Open: %v", err)
+				t.Errorf("open: %v", err)
 				return
 			}
 			defer db.Close()
-			// Single-threaded: fully deterministic event order.
-			for i := 0; i < 2000; i++ {
-				if err := db.Put(workload.Key(i), workload.Value(i, 512)); err != nil {
-					t.Errorf("Put: %v", err)
-					return
-				}
-				ops++
+			if err := workload.Preload(db, keys, 512); err != nil {
+				t.Errorf("preload: %v", err)
+				return
 			}
+			res := workload.Run(sim.Kernel, db, workload.Config{
+				Workers: 8, ReadRatio: 0.5, Duration: 500 * time.Millisecond,
+				KeySpace: keys, ValueSize: 512, Seed: 1,
+			})
+			fmt.Fprintf(&b, "%s\n", res)
+			db.(interface{ WritePrometheus(io.Writer) }).WritePrometheus(&b)
 		})
-		return ops, sim.Kernel.Elapsed()
+		fmt.Fprintf(&b, "elapsed %v\n", sim.Kernel.Elapsed())
+		return b.String()
 	}
-	ops1, t1 := run()
-	ops2, t2 := run()
-	if ops1 != ops2 || t1 != t2 {
-		t.Fatalf("single-threaded simulation not deterministic: (%d, %v) vs (%d, %v)", ops1, t1, ops2, t2)
+	for _, shards := range []int{0, 4} {
+		first, second := run(shards), run(shards)
+		if first != second {
+			t.Fatalf("shards=%d: two runs of one seed differ:\n%s\n---\n%s", shards, first, second)
+		}
 	}
 }
 
