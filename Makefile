@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # How long each layer microbenchmark runs; CI passes 1x.
 MICROBENCHTIME ?= 1s
 
-.PHONY: all tier1 tier2 tier2-stress tier3 bench-test bench-check microbench bench-smoke obs-smoke loc
+.PHONY: all tier1 tier2 tier3 bench-test bench-check microbench bench-smoke obs-smoke loc
 
 all: tier1
 
@@ -54,14 +54,6 @@ loc:
 # internal/engine/observe_test.go and internal/events).
 tier2:
 	$(GO) vet ./... && $(GO) test -race ./...
-
-# One torture cell run 1,000 times under -race, six copies at a time,
-# so the copies load the machine and open the scheduling windows a lone
-# run rarely hits. The cell is the loaded-bitrot one (a read racing a
-# declared data loss); stress another with
-# `bash scripts/tier2_stress.sh RUNS PARALLEL <cmd/torture flags>`.
-tier2-stress:
-	bash scripts/tier2_stress.sh 1000 6 -seed 4 -nemesis bitrot -shards 2
 
 # Tier-3: crash-consistency and robustness. Runs the seeded torture
 # matrix — every nemesis (crash, transient, bitrot, enospc) against

@@ -206,10 +206,9 @@ func execute(cfg *config, out io.Writer) (r *report, err error) {
 	}
 	var ffs *faultfs.FS
 	if cfg.faultProb > 0 || cfg.diskQuota > 0 {
-		if ffs, err = faultfs.New(env.FS, cfg.seed); err != nil {
+		if ffs, err = faultfs.New(env.FS, env.Kernel, cfg.seed); err != nil {
 			return nil, err
 		}
-		ffs.SetClock(env.Kernel)
 		env.Options.FS = ffs
 	}
 	cfg.tune(&env.Options, evLog)

@@ -21,15 +21,15 @@ import (
 // starts processes with Clock.Go, waits for them on clock-made Conds
 // (Parallel) and reads time from its Clock. The allow-list is the code
 // that implements the clocks or runs outside them: clock and sim
-// themselves, obs (the HTTP server and the hub's sink drain run on
-// real time) and torture, until it runs on the kernel. sync.Mutex and
-// sync.RWMutex are allowed as leaf locks, held only across code that
-// never blocks on the clock: under the kernel their holder then runs
-// to its Unlock before another process runs, so they never contend
-// there, and they keep the host hot paths (cache, histograms, vfs)
-// free of a clock Mutex's interface dispatch on the real clock.
+// themselves, and obs (the HTTP server and the hub's sink drain run on
+// real time). sync.Mutex and sync.RWMutex are allowed as leaf locks,
+// held only across code that never blocks on the clock: under the
+// kernel their holder then runs to its Unlock before another process
+// runs, so they never contend there, and they keep the host hot paths
+// (cache, histograms, vfs) free of a clock Mutex's interface dispatch
+// on the real clock.
 func TestProcessDiscipline(t *testing.T) {
-	allowed := map[string]bool{"clock": true, "sim": true, "obs": true, "torture": true}
+	allowed := map[string]bool{"clock": true, "sim": true, "obs": true}
 	forbidden := map[string]string{
 		"sync.WaitGroup": "wait with Parallel or a clock-made Cond",
 		"sync.Cond":      "use a clock-made Cond",

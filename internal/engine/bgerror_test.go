@@ -29,7 +29,7 @@ func newFaultTestDB(t *testing.T, tweak func(*Options)) (*DB, *faultfs.FS) {
 func faultTestOptions(t *testing.T, tweak func(*Options)) (Options, *faultfs.FS) {
 	t.Helper()
 	dev := storage.New(clock.Real{}, storage.Null())
-	ffs, err := faultfs.New(vfs.NewMem(dev), 1)
+	ffs, err := faultfs.New(vfs.NewMem(dev), clock.Real{}, 1)
 	if err != nil {
 		t.Fatalf("faultfs.New: %v", err)
 	}

@@ -168,7 +168,7 @@ const (
 )
 
 // ErrMaxSpaceReached is latched by the space-stall watchdog when the
-// space-budget ladder has held writers stopped for SpaceStallTimeout
+// space-budget ladder has held writers stopped for spaceStallTimeout
 // with no transition: the budget is exhausted and no background job can
 // reserve the headroom to reclaim anything, so waiting longer cannot
 // help (RocksDB's "Max allowed space was reached"). It wraps
@@ -204,7 +204,7 @@ var ErrMaxSpaceReached = fmt.Errorf("engine: max allowed space reached: %w", vfs
 //	                         EXCEPT disk-full: hard — see below.
 //	space-stall       hard   the space-stall watchdog's latch: the
 //	                         budget ladder held writers stopped past
-//	                         SpaceStallTimeout with nothing reclaimable
+//	                         spaceStallTimeout with nothing reclaimable
 //	                         in flight. Always ErrMaxSpaceReached
 //	                         (disk-full class), so it recovers via the
 //	                         wait-for-space path.

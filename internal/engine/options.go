@@ -163,26 +163,12 @@ type Options struct {
 	// budget are deferred until reclamation frees headroom. The budget
 	// is the store's: every shard charges the same one.
 	MaxAllowedSpace int64
-	// SpaceStallTimeout bounds how long writers may sit stopped on the
-	// space ladder with no state change before the engine latches a
-	// hard ErrMaxSpaceReached instead of stalling forever. A stopped
-	// ladder with nothing reclaimable is a standstill — flushes and
-	// compactions cannot reserve headroom, so no background job will
-	// ever free the space the writers are waiting for. The latch turns
-	// that silent hang into the ordinary disk-full error path: stalled
-	// writers fail fast with ErrBackground, reads keep serving, and
-	// wait-for-space recovery heals the moment a budget raise or a
-	// delete frees headroom (RocksDB surfaces the same condition as a
-	// max_allowed_space background error). Default 10s; negative
-	// disables the watchdog. Only tests set it, to bound real-clock
-	// waits, until they run on the simulation kernel.
-	SpaceStallTimeout time.Duration
 
 	// DisableAutoRecovery turns off the background recovery worker:
 	// hard background errors stay latched until a manual Resume (or a
 	// reopen), matching the pre-recovery engine. Soft-error in-place
-	// retries are unaffected. Only tests set it, to bound real-clock
-	// waits, until they run on the simulation kernel.
+	// retries are unaffected. Only the engine's latch tests on the real
+	// clock set it, to assert that an error stays latched.
 	DisableAutoRecovery bool
 	// RecoveryBaseBackoff is the delay before the second automatic
 	// recovery attempt; each further attempt doubles it up to
@@ -240,7 +226,6 @@ func DefaultOptions(fs vfs.FS) Options {
 		RecoveryBaseBackoff: 5 * time.Millisecond,
 		RecoveryMaxBackoff:  500 * time.Millisecond,
 		MaxRecoveryAttempts: 12,
-		SpaceStallTimeout:   10 * time.Second,
 		MemtableSize:        4 << 20,
 		L0CompactionTrigger: 4,
 		L0SlowdownTrigger:   20,
@@ -307,9 +292,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ScrubBytesPerSec <= 0 {
 		o.ScrubBytesPerSec = d.ScrubBytesPerSec
-	}
-	if o.SpaceStallTimeout == 0 {
-		o.SpaceStallTimeout = d.SpaceStallTimeout
 	}
 	return o
 }

@@ -122,8 +122,7 @@ func TestOptionsHaveCallers(t *testing.T) {
 		// The root package aliases the engine's Options.
 		checkOptionCallers(t, "internal/engine", []string{"xpointdb/internal/engine", "xpointdb"}, map[string]string{
 			"BlockCacheSize":      "sizes a resource: a deployment setting with the default every run uses",
-			"DisableAutoRecovery": "how tests bound real-clock waits, until they run on the simulation kernel",
-			"SpaceStallTimeout":   "how tests bound real-clock waits, until they run on the simulation kernel",
+			"DisableAutoRecovery": "the engine's latch tests on the real clock assert that an error stays latched",
 		})
 	})
 	t.Run("shardeddb.Options", func(t *testing.T) {

@@ -3,10 +3,16 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"xpointdb/internal/throttle"
 	"xpointdb/internal/vfs"
 )
+
+// spaceStallTimeout bounds how long writers may sit stopped on the
+// space ladder with no state change before the space-stall watchdog
+// latches ErrMaxSpaceReached instead of stalling forever.
+const spaceStallTimeout = 10 * time.Second
 
 // Disk-space budget management (RocksDB's SstFileManager analog).
 //
@@ -245,7 +251,7 @@ func (db *DB) spaceStateChanged(s throttle.State) {
 		// from a previous Stopped entry; entering Stopped arms a new
 		// one against the fresh epoch.
 		db.spaceStopEpoch++
-		if s == throttle.StateStopped && db.opts.SpaceStallTimeout > 0 {
+		if s == throttle.StateStopped {
 			epoch := db.spaceStopEpoch
 			db.startWorkerLocked("space-watchdog", func() { db.spaceStallWatchdog(epoch) })
 		}
@@ -257,7 +263,7 @@ func (db *DB) spaceStateChanged(s throttle.State) {
 // ladder means foreground writes are parked AND background jobs cannot
 // reserve headroom — so if nothing frees space on its own (another
 // shard's delete, an operator budget raise), no amount of waiting ends
-// the stall: it is a silent, permanent wedge. After SpaceStallTimeout
+// the stall: it is a silent, permanent wedge. After spaceStallTimeout
 // of uninterrupted Stopped, the watchdog latches ErrMaxSpaceReached —
 // a hard disk-full-class error — so stalled writers fail fast with
 // ErrBackground, reads keep serving, and the wait-for-space recovery
@@ -266,7 +272,7 @@ func (db *DB) spaceStateChanged(s throttle.State) {
 // condition as a max_allowed_space background error rather than an
 // unbounded write stall.
 func (db *DB) spaceStallWatchdog(epoch uint64) {
-	if db.sleepUnlessClosed(db.opts.SpaceStallTimeout, recoveryQuantum) {
+	if db.sleepUnlessClosed(spaceStallTimeout, recoveryQuantum) {
 		return // closed
 	}
 	db.mu.Lock()

@@ -518,90 +518,113 @@ func TestFaultFSQuota(t *testing.T) {
 }
 
 // TestSpaceStallWatchdog pins the bounded-stall contract: a space
-// ladder held Stopped past SpaceStallTimeout with nothing reclaimable
+// ladder held Stopped past spaceStallTimeout with nothing reclaimable
 // must latch ErrMaxSpaceReached (hard, disk-full class) — turning the
 // silent permanent write stall into fail-fast errors — while reads keep
 // serving, and a budget raise must heal the latch through wait-for-
-// space recovery with nothing acknowledged lost.
+// space recovery with nothing acknowledged lost. It runs on the
+// simulation kernel, so the watchdog's 10 s are virtual.
 func TestSpaceStallWatchdog(t *testing.T) {
-	db, _ := newFaultTestDB(t, func(o *Options) {
+	env := newSimEnv(storage.Null(), func(o *Options) {
+		o.MemtableSize = 64 << 10
+		o.ThrottleMode = throttle.ModeNone
+		o.SyncWAL = true
 		o.MaxAllowedSpace = 1 << 30
-		o.SpaceStallTimeout = 50 * time.Millisecond
-		o.DisableAutoRecovery = false
 		o.RecoveryBaseBackoff = time.Millisecond
 		o.RecoveryMaxBackoff = 5 * time.Millisecond
 		o.MaxRecoveryAttempts = 1 << 20 // the test heals by raising the budget
 	})
-	defer db.Close()
-
-	const acked = 40
-	for i := 0; i < acked; i++ {
-		if err := db.Put(testKey(i), testValue(i)); err != nil {
-			t.Fatalf("Put %d: %v", i, err)
+	k := env.k
+	// waitFor polls cond on the kernel clock for up to d of virtual time.
+	waitFor := func(d time.Duration, cond func() bool) bool {
+		for deadline := k.Elapsed() + d; !cond(); k.Sleep(time.Millisecond) {
+			if k.Elapsed() >= deadline {
+				return false
+			}
 		}
+		return true
 	}
+	k.Run(func() {
+		db, err := Open(env.o)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer db.Close()
 
-	// Exhaust the budget: the ladder goes Stopped and STAYS there —
-	// nothing in the engine can free tracked bytes, so without the
-	// watchdog this stall would never end.
-	sm := db.Shared().Space
-	sm.SetBudget(sm.Used() + sm.Reserved())
+		const acked = 40
+		for i := 0; i < acked; i++ {
+			if err := db.Put(testKey(i), testValue(i)); err != nil {
+				t.Fatalf("Put %d: %v", i, err)
+			}
+		}
 
-	// A stalled writer must come back with the watchdog's latch, not
-	// hang forever.
-	errc := make(chan error, 1)
-	go func() { errc <- db.Put(testKey(acked), testValue(acked)) }()
-	select {
-	case err := <-errc:
-		if err == nil {
+		// Exhaust the budget: the ladder goes Stopped and STAYS there —
+		// nothing in the engine can free tracked bytes, so without the
+		// watchdog this stall would never end.
+		sm := db.Shared().Space
+		sm.SetBudget(sm.Used() + sm.Reserved())
+		stopped := k.Elapsed()
+
+		// A stalled writer must come back with the watchdog's latch, not
+		// hang forever.
+		var putErr error
+		returned := false
+		k.Go("stalled-put", func() {
+			putErr = db.Put(testKey(acked), testValue(acked))
+			returned = true
+		})
+		if !waitFor(2*spaceStallTimeout, func() bool { return returned }) {
+			t.Fatal("stalled Put never returned: space-stall watchdog did not fire")
+		}
+		if putErr == nil {
 			t.Fatal("Put under an exhausted budget succeeded")
 		}
-		if !errors.Is(err, ErrBackground) && !errors.Is(err, vfs.ErrNoSpace) {
-			t.Fatalf("stalled Put = %v, want latched disk-full error", err)
+		if !errors.Is(putErr, ErrBackground) && !errors.Is(putErr, vfs.ErrNoSpace) {
+			t.Fatalf("stalled Put = %v, want latched disk-full error", putErr)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("stalled Put never returned: space-stall watchdog did not fire")
-	}
-	if !errors.Is(db.BackgroundError(), vfs.ErrNoSpace) {
-		t.Fatalf("latched error = %v, want ErrMaxSpaceReached (disk-full class)",
-			db.BackgroundError())
-	}
+		if waited := k.Elapsed() - stopped; waited < spaceStallTimeout {
+			t.Fatalf("stalled Put returned after %v, before the %v watchdog", waited, spaceStallTimeout)
+		}
+		if !errors.Is(db.BackgroundError(), vfs.ErrNoSpace) {
+			t.Fatalf("latched error = %v, want ErrMaxSpaceReached (disk-full class)",
+				db.BackgroundError())
+		}
 
-	// Reads keep serving under the latch.
-	for i := 0; i < acked; i += 7 {
-		if _, err := db.Get(testKey(i)); err != nil {
-			t.Fatalf("Get %d under latch: %v", i, err)
+		// Reads keep serving under the latch.
+		for i := 0; i < acked; i += 7 {
+			if _, err := db.Get(testKey(i)); err != nil {
+				t.Fatalf("Get %d under latch: %v", i, err)
+			}
 		}
-	}
-	// Recovery polls but cannot heal while the budget binds: the probe
-	// reports the ladder still Stopped.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && db.Metrics().SpaceWaits.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if db.Metrics().SpaceWaits.Load() == 0 {
-		t.Fatal("no space wait recorded while the budget held")
-	}
+		// Recovery polls but cannot heal while the budget binds: the probe
+		// reports the ladder still Stopped.
+		if !waitFor(5*time.Second, func() bool { return db.Metrics().SpaceWaits.Load() > 0 }) {
+			t.Fatal("no space wait recorded while the budget held")
+		}
 
-	// The operator raises the budget: recovery heals on its own.
-	sm.SetBudget(1 << 30)
-	waitHealthy(t, db, 10*time.Second)
-	if db.Metrics().SpaceRecoveries.Load() == 0 {
-		t.Fatal("no space recovery recorded after the budget raise")
-	}
-	for i := 0; i < acked; i++ {
-		if _, err := db.Get(testKey(i)); err != nil {
-			t.Fatalf("Get %d after heal: %v", i, err)
+		// The operator raises the budget: recovery heals on its own.
+		sm.SetBudget(1 << 30)
+		if !waitFor(10*time.Second, func() bool { return db.Health() == Healthy }) {
+			t.Fatalf("DB did not return to Healthy within 10s: health=%v bgErr=%v",
+				db.Health(), db.BackgroundError())
 		}
-	}
-	if err := db.Put(testKey(acked+1), testValue(acked+1)); err != nil {
-		t.Fatalf("Put after heal: %v", err)
-	}
+		if db.Metrics().SpaceRecoveries.Load() == 0 {
+			t.Fatal("no space recovery recorded after the budget raise")
+		}
+		for i := 0; i < acked; i++ {
+			if _, err := db.Get(testKey(i)); err != nil {
+				t.Fatalf("Get %d after heal: %v", i, err)
+			}
+		}
+		if err := db.Put(testKey(acked+1), testValue(acked+1)); err != nil {
+			t.Fatalf("Put after heal: %v", err)
+		}
+	})
 }
 
 func newQuotaFS(t *testing.T) *faultfs.FS {
 	t.Helper()
-	ffs, err := faultfs.New(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), 1)
+	ffs, err := faultfs.New(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), clock.Real{}, 1)
 	if err != nil {
 		t.Fatalf("faultfs.New: %v", err)
 	}

@@ -210,14 +210,16 @@ type FS struct {
 
 var _ vfs.FS = (*FS)(nil)
 
-// New wraps inner, seeding all randomized decisions from seed. Files
+// New wraps inner, seeding all randomized decisions from seed. clk is
+// the clock injected latency sleeps on and HealAfter and trace
+// timestamps read: the clock of the engine the filesystem serves. Files
 // already present on inner are read eagerly into the shadow and marked
 // fully synced (wrapping a filesystem at rest: everything on disk is
 // durable).
-func New(inner vfs.FS, seed int64) (*FS, error) {
+func New(inner vfs.FS, clk clock.Clock, seed int64) (*FS, error) {
 	f := &FS{
 		inner:   inner,
-		clk:     clock.Real{},
+		clk:     clk,
 		rng:     rand.New(rand.NewSource(seed)),
 		shadows: make(map[string]*shadow),
 		quota:   -1,
@@ -314,10 +316,6 @@ func (f *FS) chargeQuota(op Op, add int) error {
 	}
 	return nil
 }
-
-// SetClock installs the clock used for injected latency and trace
-// timestamps (default: the real clock). Call before use.
-func (f *FS) SetClock(clk clock.Clock) { f.clk = clk }
 
 // SetTrace installs a listener receiving one events.KindFSOp event per
 // operation. Call before use.

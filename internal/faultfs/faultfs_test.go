@@ -17,7 +17,7 @@ import (
 func newTestFS(t *testing.T, seed int64) (*FS, *vfs.MemFS) {
 	t.Helper()
 	mem := vfs.NewMem(storage.New(clock.Real{}, storage.Null()))
-	f, err := New(mem, seed)
+	f, err := New(mem, clock.Real{}, seed)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestArmCrashFreezesState(t *testing.T) {
 func TestEagerHydration(t *testing.T) {
 	mem := vfs.NewMem(storage.New(clock.Real{}, storage.Null()))
 	writeFile(t, mem, "preexisting", []byte("hello"), true)
-	f, err := New(mem, 1)
+	f, err := New(mem, clock.Real{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 func TestStoreContract(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ffs, err := faultfs.New(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), 1)
+			ffs, err := faultfs.New(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), clock.Real{}, 1)
 			if err != nil {
 				t.Fatalf("faultfs.New: %v", err)
 			}

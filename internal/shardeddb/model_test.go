@@ -46,7 +46,7 @@ func modelOptions(fs vfs.FS) Options {
 func TestShardedRandomOpsAgainstModel(t *testing.T) {
 	newFFS := func(inner *vfs.MemFS, seed int64) *faultfs.FS {
 		t.Helper()
-		ffs, err := faultfs.New(inner, seed)
+		ffs, err := faultfs.New(inner, clock.Real{}, seed)
 		if err != nil {
 			t.Fatalf("faultfs.New: %v", err)
 		}

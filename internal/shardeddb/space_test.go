@@ -99,7 +99,7 @@ func TestShardedSharedSpaceBudget(t *testing.T) {
 // wait-for-space recovery heals), the same batch applies cleanly.
 func TestShardedEnospcKeepsBatchesAtomic(t *testing.T) {
 	dev := storage.New(clock.Real{}, storage.Null())
-	ffs, err := faultfs.New(vfs.NewMem(dev), 1)
+	ffs, err := faultfs.New(vfs.NewMem(dev), clock.Real{}, 1)
 	if err != nil {
 		t.Fatalf("faultfs.New: %v", err)
 	}

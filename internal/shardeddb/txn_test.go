@@ -21,7 +21,7 @@ import (
 // a recovery budget that never gives up on a fault that heals.
 func faultStore(t *testing.T, n int) (*DB, *faultfs.FS) {
 	t.Helper()
-	ffs, err := faultfs.New(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), 1)
+	ffs, err := faultfs.New(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), clock.Real{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCommitRecordSyncFailureIsAllOrNothing(t *testing.T) {
 // hold every batch finished before it — the pass forced the phase-2
 // writes down before it deleted their commit records.
 func TestCommitRecordGC(t *testing.T) {
-	ffs, err := faultfs.New(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), 1)
+	ffs, err := faultfs.New(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), clock.Real{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,12 +147,11 @@ func (b *bitrot) settle(r *run) error {
 		return err
 	}
 	b.absorb(r, r.st.syncEvents())
-	c := r.c()
+	r.cfg.Logf("bitrot(%s): lostkeys=%d", b.mode, len(r.loose))
+	c := r.logCounters()
 	if c.eventsDropped > 0 {
 		return r.violation("the event queue dropped %d events: declared losses cannot be matched to reads", c.eventsDropped)
 	}
-	r.cfg.Logf("bitrot(%s): detected=%d quarantined=%d repaired=%d dataloss=%d lostkeys=%d",
-		b.mode, c.detected, c.quarantined, c.repaired, c.dataLoss, len(r.loose))
 	if c.giveups > 0 {
 		return r.violation("recovery gave up on corruption (%d giveups)", c.giveups)
 	}

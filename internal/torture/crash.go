@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"xpointdb/internal/clock"
 	"xpointdb/internal/engine"
 	"xpointdb/internal/faultfs"
 	"xpointdb/internal/storage"
@@ -68,11 +67,15 @@ func (c *crash) absorb(*run, uint64)    {}
 func (c *crash) honest(_ error, read bool) bool { return !read }
 func (c *crash) failed(*run) (bool, error)      { return true, nil }
 
-// settle freezes the crash snapshot (at the current boundary if the
-// armed crash never triggered: short runs, early faults), materialises
-// one image of it, recovers the whole store on that image, and checks
+// settle lets the power fail a seeded moment after the last op — up to
+// 10 ms in which flushes, compactions and any recovery a latched fault
+// started keep running, and may reach the armed crash point — then
+// freezes the crash snapshot (at the current boundary if the armed
+// crash never triggered: short runs, early faults), materialises one
+// image of it, recovers the whole store on that image, and checks
 // clauses 2–4 against the recovered cut markers.
 func (c *crash) settle(r *run) error {
+	r.clk.Sleep(time.Duration(r.rng.Int63n(int64(10 * time.Millisecond))))
 	snap := r.ffs.ForceCrash()
 	_ = r.st.Close() // may fail under latched background errors; the disk image is the snapshot
 
@@ -86,7 +89,7 @@ func (c *crash) settle(r *run) error {
 	}
 	mode := modes[r.rng.Intn(len(modes))]
 	r.phase = mode.name
-	img, err := snap.Materialize(storage.New(clock.Real{}, storage.Null()), r.rng, mode.opts)
+	img, err := snap.Materialize(storage.New(r.clk, storage.XPoint()), r.rng, mode.opts)
 	if err != nil {
 		return fmt.Errorf("torture seed %d: materialize %s: %w", r.cfg.Seed, mode.name, err)
 	}
@@ -99,9 +102,8 @@ func (c *crash) settle(r *run) error {
 	if err != nil {
 		return err
 	}
-	ctr := r.c()
-	r.cfg.Logf("mode=%s submitted=%d cuts=%v maxPossible=%d rolledForward=%d abortedAtOpen=%d",
-		mode.name, len(r.ops), cut, r.maxPossible, ctr.rolledForward, ctr.abortedAtOpen)
+	r.cfg.Logf("mode=%s submitted=%d cuts=%v maxPossible=%d", mode.name, len(r.ops), cut, r.maxPossible)
+	r.logCounters()
 
 	for s, got := range cut {
 		if got > r.maxPossible {

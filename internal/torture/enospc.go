@@ -16,7 +16,9 @@ type enospc struct {
 	sameHandle
 	budgeted  bool
 	squeezeAt map[int]time.Duration // op index → how long that squeeze holds
-	released  chan struct{}         // non-nil while squeezed; closed by the release timer
+	// squeezed is set from a squeeze until the workload observes its
+	// release; lifted is set by the release process.
+	squeezed, lifted bool
 }
 
 func (e *enospc) tune(o *engine.Options) {
@@ -52,27 +54,23 @@ func squeeze(ffs *faultfs.FS) (quota, used int64) {
 }
 
 func (e *enospc) before(r *run, i int) error {
-	if e.released != nil {
-		select {
-		case <-e.released:
-			e.released = nil
-			r.cfg.Logf("op %d: quota released", i)
-			// The latch (if any) must clear on this same handle. A
-			// giveup can slip in when the squeeze outlasted the attempt
-			// budget; a single Resume must then finish the job.
-			if err := r.waitHealthy(true); err != nil {
-				return err
-			}
-		default:
+	if e.squeezed && e.lifted {
+		e.squeezed = false
+		r.cfg.Logf("op %d: quota released", i)
+		// The latch (if any) must clear on this same handle. A giveup
+		// can slip in when the squeeze outlasted the attempt budget; a
+		// single Resume must then finish the job.
+		if err := r.waitHealthy(true); err != nil {
+			return err
 		}
 	}
-	if hold := e.squeezeAt[i]; hold > 0 && e.released == nil {
+	if hold := e.squeezeAt[i]; hold > 0 && !e.squeezed {
 		q, used := squeeze(r.ffs)
-		ch := make(chan struct{})
-		e.released = ch
-		time.AfterFunc(hold, func() {
+		e.squeezed, e.lifted = true, false
+		r.clk.Go("enospc-release", func() {
+			r.clk.Sleep(hold)
 			r.ffs.SetQuota(-1)
-			close(ch)
+			e.lifted = true
 		})
 		r.cfg.Logf("op %d: quota squeezed to %d B (used %d B) for %v", i, q, used, hold)
 	}
@@ -82,7 +80,7 @@ func (e *enospc) before(r *run, i int) error {
 // Reads are sampled much harder during a squeeze, where a blocking or
 // erroring read would be the bug clause 2 exists to catch.
 func (e *enospc) spotRate() float64 {
-	if e.released != nil {
+	if e.squeezed {
 		return 0.25
 	}
 	return 0.02
@@ -96,29 +94,26 @@ func (e *enospc) honest(err error, read bool) bool {
 // Unacknowledged; the scheduled release resolves the latch. Back off
 // like a real client so the squeeze window covers a bounded number of
 // failed ops instead of the whole workload.
-func (e *enospc) failed(*run) (bool, error) {
-	time.Sleep(200 * time.Microsecond)
+func (e *enospc) failed(r *run) (bool, error) {
+	r.clk.Sleep(200 * time.Microsecond)
 	return false, nil
 }
 
 func (e *enospc) settle(r *run) error {
-	// Wait out a still-pending release timer (its late fire must not
-	// sabotage the never-released phase below), then settle and verify
-	// the full acked state on the same handle.
-	if e.released != nil {
-		<-e.released
-		e.released = nil
+	// Wait out a still-pending release (its late lift must not sabotage
+	// the never-released phase below), then settle and verify the full
+	// acked state on the same handle.
+	for e.squeezed && !e.lifted {
+		r.clk.Sleep(time.Millisecond)
 	}
+	e.squeezed = false
 	if err := r.waitHealthy(true); err != nil {
 		return err
 	}
-	c := r.c()
-	r.cfg.Logf("enospc: %d/%d ops failed; %d ENOSPC, %d space waits, %d space recoveries, %d deferrals; recovery %d attempts %d successes %d giveups",
-		r.failed, r.cfg.Ops, c.enospc, c.spaceWaits, c.spaceRecoveries, c.spaceDeferrals,
-		c.attempts, c.successes, c.giveups)
-	// A short squeeze can lapse before any write reaches the disk (a
-	// descheduled workload, e.g. under -race); what the filesystem did
-	// reject, the engine must have counted.
+	c := r.logCounters()
+	// A short squeeze can lapse before any write reaches the disk (it
+	// holds for as little as 2 ms of virtual time); what the filesystem
+	// did reject, the engine must have counted.
 	if n := r.ffs.EnospcCount(); n > 0 && c.enospc == 0 {
 		return r.violation("the quota rejected %d operations but no ENOSPC error was ever recorded", n)
 	}
@@ -144,8 +139,8 @@ func (e *enospc) settle(r *run) error {
 	if poison() == nil {
 		return r.violation("synced Apply succeeded under a zero-headroom quota")
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for r.c().giveups == c.giveups && time.Now().Before(deadline) {
+	deadline := r.clk.Now().Add(30 * time.Second)
+	for r.c().giveups == c.giveups && r.clk.Now().Before(deadline) {
 		if r.healthy() {
 			// The obsolete-file scrape freed enough slack for that
 			// round's repair to land: re-poison. Should space appear
@@ -155,7 +150,7 @@ func (e *enospc) settle(r *run) error {
 				r.live["@poison"] = "x"
 			}
 		}
-		time.Sleep(time.Millisecond)
+		r.clk.Sleep(time.Millisecond)
 	}
 	if now := r.c(); now.giveups == c.giveups {
 		return r.violation("quota never released: recovery neither gave up nor succeeded within 30s (attempts %d, health %v)",

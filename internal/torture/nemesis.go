@@ -55,7 +55,8 @@ func newNemesis(name string, rng *rand.Rand) (nemesis, error) {
 	case "enospc":
 		// The attempt budget is sized so a workload squeeze (released
 		// within milliseconds) never exhausts it, while the
-		// never-released squeeze gives up in a few hundred milliseconds.
+		// never-released squeeze gives up in a few hundred milliseconds
+		// of virtual time.
 		return &enospc{
 			sameHandle: sameHandle{maxBackoff: 5 * time.Millisecond, attempts: 60},
 			budgeted:   rng.Intn(2) == 0,
@@ -93,7 +94,7 @@ func (s *sameHandle) finish(*run) error   { return nil }
 // behind the event barrier.
 func (s *sameHandle) requireRecoveryEvents(r *run) error {
 	begin, success := -1, -1
-	for deadline := time.Now().Add(healTimeout); success < 0 && time.Now().Before(deadline); time.Sleep(200 * time.Microsecond) {
+	for deadline := r.clk.Now().Add(healTimeout); success < 0 && r.clk.Now().Before(deadline); r.clk.Sleep(200 * time.Microsecond) {
 		r.st.syncEvents()
 		for i, e := range s.buf.Events() {
 			if e.Kind == events.KindRecoveryBegin && begin < 0 {

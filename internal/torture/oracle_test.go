@@ -147,7 +147,7 @@ func (f *fakeStore) layout() string         { return "" }
 func (f *fakeStore) syncEvents() uint64     { return 0 }
 
 func driveFake(cfg Config, f *fakeStore) error {
-	return drive(cfg, func(c Config, _ *rand.Rand, _ geometry, _ func(*engine.Options)) store {
+	return drive(cfg, func(c Config, _ *rand.Rand, _ engine.Options, _ geometry, _ func(*engine.Options)) store {
 		f.universe = c.Keys
 		return f
 	})

@@ -105,9 +105,12 @@ func pickGeometry(rng *rand.Rand) geometry {
 }
 
 // engineOptions builds the engine options every open of one run uses:
-// defaults, the seeded geometry, then the nemesis's own knobs.
-func engineOptions(fs vfs.FS, g geometry, tune func(*engine.Options)) engine.Options {
-	o := engine.DefaultOptions(fs)
+// the simulated environment's (defaults on the kernel clock with the
+// calibrated cost model) on fs, the seeded geometry, then the nemesis's
+// own knobs.
+func engineOptions(base engine.Options, fs vfs.FS, g geometry, tune func(*engine.Options)) engine.Options {
+	o := base
+	o.FS = fs
 	o.MemtableSize = g.memtableSize
 	o.TargetFileSize = g.targetFileSize
 	o.BaseLevelBytes = g.baseLevelBytes
@@ -135,8 +138,8 @@ func scanAll(it iterator.Iterator, visit func(key, value []byte)) error {
 
 // newStore picks the adapter for cfg.Shards and draws its seeded
 // parameters.
-func newStore(cfg Config, rng *rand.Rand, geo geometry, tune func(*engine.Options)) store {
-	h := handle{geo: geo, tune: tune}
+func newStore(cfg Config, rng *rand.Rand, base engine.Options, geo geometry, tune func(*engine.Options)) store {
+	h := handle{base: base, geo: geo, tune: tune}
 	if cfg.Shards <= 1 {
 		return &engineStore{handle: h}
 	}
@@ -152,6 +155,7 @@ func newStore(cfg Config, rng *rand.Rand, geo geometry, tune func(*engine.Option
 // Resume, Close, and the per-engine walks below — is written once.
 type handle struct {
 	kvstore.Store
+	base engine.Options
 	geo  geometry
 	tune func(*engine.Options)
 	// banked is what the handles closed before this one counted: the
@@ -196,7 +200,7 @@ func (h *handle) layout() string {
 type engineStore struct{ handle }
 
 func (e *engineStore) open(fs vfs.FS) error {
-	db, err := engine.Open(engineOptions(fs, e.geo, e.tune))
+	db, err := engine.Open(engineOptions(e.base, fs, e.geo, e.tune))
 	if err == nil {
 		e.Store = db // a failed reopen keeps the old, closed handle
 	}
@@ -239,7 +243,7 @@ func (s *shardedStore) open(fs vfs.FS) error {
 	opts := shardeddb.Options{
 		Shards:    s.n,
 		PoolSlots: s.slots,
-		Engine:    engineOptions(fs, s.geo, s.tune),
+		Engine:    engineOptions(s.base, fs, s.geo, s.tune),
 	}
 	// Split the "k%03d" key universe evenly.
 	for i := 1; i < s.n; i++ {

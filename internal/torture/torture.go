@@ -125,11 +125,12 @@
 //
 // enospc — 1–3 times the faultfs byte quota is squeezed below current
 // usage (every write, create and sync fails with vfs.ErrNoSpace) and
-// released on a TIMER, the out-of-band operator freeing space: a
-// squeeze can park the workload itself behind a full immutable queue,
-// so an op-counted release would deadlock the harness. Half the seeds
-// also run the space-budget accounting (MaxAllowedSpace, shared across
-// shards). Spot reads rise to 25 % while squeezed.
+// released by a kernel process that sleeps the squeeze's hold, the
+// out-of-band operator freeing space: a squeeze can park the workload
+// itself behind a full immutable queue, so an op-counted release would
+// deadlock the harness. Half the seeds also run the space-budget
+// accounting (MaxAllowedSpace, shared across shards). Spot reads rise
+// to 25 % while squeezed.
 //
 //  1. Zero acked-write loss across any number of squeeze episodes.
 //  2. Reads never block on a full disk: point lookups during a squeeze
@@ -149,13 +150,14 @@
 //
 // # Reproducibility
 //
-// Given the same seed, every workload, fault, and crash-materialisation
-// decision — down to the bytes of every submitted batch — is reproduced
-// exactly. The crash point is an exact filesystem-operation count;
-// which engine state that count lands on can still vary with goroutine
-// scheduling, so a failing seed is a strong — not bit-perfect —
-// reproducer. The contracts are interleaving-independent, so any run
-// that fails one is a real bug.
+// Every iteration runs inside one simulation kernel (internal/sim) on
+// the environment the benchmarks and figures use: simulated 3D XPoint
+// with the calibrated CPU cost model (simenv.New). The kernel runs one
+// process at a time and decides every ordering, and the harness reads
+// and sleeps only on the kernel clock — heal deadlines, enospc's
+// release, injected latency and HealAfter are virtual time — so a seed
+// replays exactly: the same batches, faults, crash point, engine state
+// and verbose transcript, run after run, on any host.
 package torture
 
 import (
@@ -169,8 +171,8 @@ import (
 	"xpointdb/internal/clock"
 	"xpointdb/internal/engine"
 	"xpointdb/internal/faultfs"
+	"xpointdb/internal/simenv"
 	"xpointdb/internal/storage"
-	"xpointdb/internal/vfs"
 )
 
 const (
@@ -181,8 +183,9 @@ const (
 	// postRecoveryOps is the number of synced writes the settled store
 	// must accept (and, after a crash, keep across a second reopen).
 	postRecoveryOps = 20
-	// healTimeout bounds every wait for Healthy; every fault heals, so
-	// a store that stays unhealthy has a broken recovery path.
+	// healTimeout bounds every wait for Healthy, in virtual time; every
+	// fault heals, so a store that stays unhealthy has a broken recovery
+	// path.
 	healTimeout = 15 * time.Second
 )
 
@@ -268,6 +271,7 @@ type op struct {
 type run struct {
 	cfg   Config
 	rng   *rand.Rand
+	clk   clock.Clock // the kernel every process of the run is on
 	ffs   *faultfs.FS
 	st    store
 	nem   nemesis
@@ -286,19 +290,38 @@ func (r *run) key() string   { return keyName(r.rng.Intn(r.cfg.Keys)) }
 func (r *run) c() counters   { return r.st.counters() }
 func (r *run) healthy() bool { return r.st.Health() == engine.Healthy }
 
+// logCounters logs the settled run's failed ops and every counter the
+// contracts read, and returns the counters.
+func (r *run) logCounters() counters {
+	c := r.c()
+	r.cfg.Logf("%s: %d/%d ops failed; %+v", r.cfg.Nemesis, r.failed, r.cfg.Ops, c)
+	return c
+}
+
 // violation renders a contract failure with full repro context.
 func (r *run) violation(format string, args ...interface{}) error {
 	return fmt.Errorf("torture seed %d (%s on %s, %s): DURABILITY VIOLATION: %s",
 		r.cfg.Seed, r.cfg.Nemesis, r.st.describe(), r.phase, fmt.Sprintf(format, args...))
 }
 
-func drive(cfg Config, mkStore func(Config, *rand.Rand, geometry, func(*engine.Options)) store) error {
+// storeMaker builds the store under test from the run's seeded
+// configuration and the environment's base engine options.
+type storeMaker func(cfg Config, rng *rand.Rand, base engine.Options, geo geometry, tune func(*engine.Options)) store
+
+// drive runs one iteration as the main process of a fresh simulation.
+func drive(cfg Config, mkStore storeMaker) error {
 	cfg, err := cfg.resolve()
 	if err != nil {
 		return err
 	}
+	env := simenv.New(storage.XPoint())
+	env.Kernel.Run(func() { err = iterate(cfg, env, mkStore) })
+	return err
+}
+
+func iterate(cfg Config, env *simenv.Env, mkStore storeMaker) error {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ffs, err := faultfs.New(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), rng.Int63())
+	ffs, err := faultfs.New(env.FS, env.Kernel, rng.Int63())
 	if err != nil {
 		return fmt.Errorf("torture seed %d: faultfs: %w", cfg.Seed, err)
 	}
@@ -308,8 +331,8 @@ func drive(cfg Config, mkStore func(Config, *rand.Rand, geometry, func(*engine.O
 		return err
 	}
 	r := &run{
-		cfg: cfg, rng: rng, ffs: ffs, nem: nem, phase: "live",
-		st:   mkStore(cfg, rng, geo, nem.tune),
+		cfg: cfg, rng: rng, clk: env.Kernel, ffs: ffs, nem: nem, phase: "live",
+		st:   mkStore(cfg, rng, env.Options, geo, nem.tune),
 		live: map[string]string{}, loose: map[string]bool{}, maxPossible: -1,
 	}
 	if err := r.st.open(ffs); err != nil {
@@ -499,11 +522,11 @@ func (r *run) pin(i int, o *op) error {
 	}
 	_ = r.st.Close() // what counts is that the store reopens
 	err := r.st.open(r.ffs)
-	for deadline := time.Now().Add(healTimeout); err != nil; err = r.st.open(r.ffs) {
-		if !r.nem.honest(err, false) || time.Now().After(deadline) {
+	for deadline := r.clk.Now().Add(healTimeout); err != nil; err = r.st.open(r.ffs) {
+		if !r.nem.honest(err, false) || r.clk.Now().After(deadline) {
 			return r.violation("reopen after failed op %d: %v", i, err)
 		}
-		time.Sleep(time.Millisecond)
+		r.clk.Sleep(time.Millisecond)
 	}
 	cut, err := r.cuts()
 	if err != nil {
@@ -585,8 +608,8 @@ func (r *run) replay(cut []int) map[string]string {
 // spot reads one random key with probability p and compares it with
 // the oracle.
 func (r *run) spot(p float64) error {
-	// Both draws happen regardless of p, which can depend on the clock
-	// (enospc's release timer): the workload must not.
+	// Both draws happen regardless of p, which can depend on the store
+	// (whether enospc's release has run yet): the workload must not.
 	if roll, k := r.rng.Float64(), r.key(); roll < p {
 		return r.read(k)
 	}
@@ -679,8 +702,8 @@ func (r *run) verify() error {
 // to hand control to; the fault is already lifted when this is called,
 // so either path must converge.
 func (r *run) waitHealthy(resume bool) error {
-	deadline := time.Now().Add(healTimeout)
-	for time.Now().Before(deadline) {
+	deadline := r.clk.Now().Add(healTimeout)
+	for r.clk.Now().Before(deadline) {
 		if r.healthy() {
 			return nil
 		}
@@ -690,7 +713,7 @@ func (r *run) waitHealthy(resume bool) error {
 				return r.violation("Resume after the fault lifted failed: %v", err)
 			}
 		}
-		time.Sleep(200 * time.Microsecond)
+		r.clk.Sleep(200 * time.Microsecond)
 	}
 	return r.violation("store did not return to Healthy within %v: health=%v bgErr=%v",
 		healTimeout, r.st.Health(), r.st.BackgroundError())

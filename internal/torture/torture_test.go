@@ -2,6 +2,8 @@ package torture
 
 import (
 	"flag"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +39,32 @@ func TestTorture(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestTortureReplays runs one seed of every cell twice and requires
+// byte-identical verbose transcripts: every nemesis logs its counters,
+// crash its mode and cuts, so a run whose engine state depended on the
+// host's scheduling or clock would show up as a diff.
+func TestTortureReplays(t *testing.T) {
+	for _, nemesis := range []string{"crash", "transient", "bitrot", "enospc"} {
+		for _, shards := range []int{1, 2} {
+			cfg := Config{Seed: 4, Nemesis: nemesis, Shards: shards}
+			transcript := func() string {
+				var b strings.Builder
+				c := cfg
+				c.Logf = func(format string, args ...interface{}) { fmt.Fprintf(&b, format+"\n", args...) }
+				fmt.Fprintf(&b, "result: %v\n", Run(c))
+				return b.String()
+			}
+			first, second := transcript(), transcript()
+			if !strings.HasSuffix(first, "result: <nil>\n") {
+				t.Errorf("%s failed:\n%s", cfg.Repro(), first)
+			}
+			if first != second {
+				t.Errorf("%s: two runs printed different transcripts\n--- first:\n%s--- second:\n%s", cfg.Repro(), first, second)
+			}
 		}
 	}
 }

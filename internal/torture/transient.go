@@ -70,9 +70,7 @@ func (t *transient) settle(r *run) error {
 	if err := r.waitHealthy(false); err != nil {
 		return err
 	}
-	c := r.c()
-	r.cfg.Logf("transient: %d/%d ops failed; %d soft, %d hard errors; recovery %d attempts %d successes %d giveups",
-		r.failed, r.cfg.Ops, c.soft, c.hard, c.attempts, c.successes, c.giveups)
+	c := r.logCounters()
 	if c.giveups > 0 {
 		return r.violation("recovery gave up on a transient fault (%d giveups)", c.giveups)
 	}
