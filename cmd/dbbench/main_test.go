@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -12,46 +11,58 @@ import (
 
 // TestRunBody drives the one run body on both substrates and both
 // store shapes: same ops, same report lines, a healthy store at the end.
+// Two more simulated runs put recovery under load — injected WAL sync
+// faults, and a cycled disk quota — and must still end healthy; only
+// they may count failed ops.
 func TestRunBody(t *testing.T) {
-	for _, substrate := range []string{"sim", "real"} {
-		for _, shards := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", substrate, shards), func(t *testing.T) {
-				args := []string{"-benchmarks", "mixed", "-threads", "2", "-duration", "200ms", "-num", "2000",
-					"-shards", fmt.Sprint(shards)}
-				if substrate == "real" {
-					args = append(args, "-path", t.TempDir())
-				} else {
-					args = append(args, "-device", "xpoint")
+	for _, c := range []struct{ name, args string }{
+		{"sim/shards=0", "-device xpoint -shards 0"},
+		{"sim/shards=4", "-device xpoint -shards 4"},
+		{"real/shards=0", "-shards 0"},
+		{"real/shards=4", "-shards 4"},
+		{"sim/faultprob", "-device xpoint -faultprob 0.5 -faultheal 100ms"},
+		{"sim/quota_cycle", "-device xpoint -disk_quota 64000000 -quota_cycle 50ms"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			args := append(strings.Fields("-benchmarks mixed -threads 2 -duration 200ms -num 2000"), strings.Fields(c.args)...)
+			if strings.HasPrefix(c.name, "real/") {
+				args = append(args, "-path", t.TempDir())
+			}
+			cfg, err := parse(args)
+			if err != nil {
+				t.Fatalf("parse(%v): %v", args, err)
+			}
+			var out bytes.Buffer
+			r, err := execute(cfg, &out)
+			if err != nil {
+				t.Fatalf("execute: %v", err)
+			}
+			faulty := cfg.faultProb > 0 || cfg.diskQuota > 0
+			if r.res.Ops() == 0 || (r.res.Errors != 0 && !faulty) {
+				t.Errorf("ops = %d, errors = %d; want ops > 0 and no errors", r.res.Ops(), r.res.Errors)
+			}
+			if faulty && r.injected == 0 && r.refused == 0 {
+				t.Errorf("the filesystem injected no fault and refused no op:\n%s", out.String())
+			}
+			if cfg.quotaCycle > 0 && r.squeezes == 0 {
+				t.Errorf("no quota squeeze in %v of -quota_cycle %v", cfg.duration, cfg.quotaCycle)
+			}
+			if r.health != engine.Healthy {
+				t.Errorf("final health = %v", r.health)
+			}
+			for _, label := range []string{"benchmark", "throughput", "read latency", "write latency", "read misses",
+				"l0 drain", "health", "** Metrics", "xpointdb_write_ops_total", "xpointdb_get_latency_seconds n=",
+				"xpointdb_get_hits_total{where=", "xpointdb_bgpool_size"} {
+				if !strings.Contains(out.String(), "\n"+label) && !strings.HasPrefix(out.String(), label) {
+					t.Errorf("report has no %q line:\n%s", label, out.String())
 				}
-				cfg, err := parse(args)
-				if err != nil {
-					t.Fatalf("parse(%v): %v", args, err)
-				}
-				var out bytes.Buffer
-				r, err := execute(cfg, &out)
-				if err != nil {
-					t.Fatalf("execute: %v", err)
-				}
-				if r.res.Ops() == 0 || r.res.Errors != 0 {
-					t.Errorf("ops = %d, errors = %d; want ops > 0 and no errors", r.res.Ops(), r.res.Errors)
-				}
-				if r.health != engine.Healthy {
-					t.Errorf("final health = %v", r.health)
-				}
-				for _, label := range []string{"benchmark", "throughput", "read latency", "write latency", "read misses",
-					"l0 drain", "health", "** Metrics", "xpointdb_write_ops_total", "xpointdb_get_latency_seconds n=",
-					"xpointdb_get_hits_total{where=", "xpointdb_bgpool_size"} {
-					if !strings.Contains(out.String(), "\n"+label) && !strings.HasPrefix(out.String(), label) {
-						t.Errorf("report has no %q line:\n%s", label, out.String())
-					}
-				}
-				// A sharded store's counters are store-wide with one
-				// bracketed value per shard.
-				if shards > 1 && !regexp.MustCompile(`\nxpointdb_write_ops_total \d+ \[\d+ \d+ \d+ \d+\]\n`).MatchString(out.String()) {
-					t.Errorf("no store-wide write count with %d per-shard values:\n%s", shards, out.String())
-				}
-			})
-		}
+			}
+			// A sharded store's counters are store-wide with one
+			// bracketed value per shard.
+			if cfg.shards > 1 && !regexp.MustCompile(`\nxpointdb_write_ops_total \d+ \[\d+ \d+ \d+ \d+\]\n`).MatchString(out.String()) {
+				t.Errorf("no store-wide write count with %d per-shard values:\n%s", cfg.shards, out.String())
+			}
+		})
 	}
 }
 

@@ -37,13 +37,19 @@ func faultTestOptions(t *testing.T, tweak func(*Options)) (Options, *faultfs.FS)
 	opts.MemtableSize = 64 << 10
 	opts.ThrottleMode = throttle.ModeNone
 	opts.SyncWAL = true
-	// Most latch tests assert that the error STAYS latched; recovery
-	// tests opt back in via tweak.
-	opts.DisableAutoRecovery = true
 	if tweak != nil {
 		tweak(&opts)
 	}
 	return opts, ffs
+}
+
+// blockRepair arms a persistent fault on MANIFEST creation. Every
+// recovery attempt rolls to a fresh MANIFEST, so while the rule stays
+// armed an error, once latched, stays latched: the recovery worker
+// retries and fails, as it would against a device that keeps failing.
+// Nothing but the repair creates a MANIFEST on an open store.
+func blockRepair(ffs *faultfs.FS) {
+	ffs.AddRule(faultfs.Rule{Ops: []faultfs.Op{faultfs.OpCreate}, Path: "MANIFEST-*"})
 }
 
 // TestWALSyncFailureLatches is the regression test for the sync-error
@@ -59,6 +65,7 @@ func TestWALSyncFailureLatches(t *testing.T) {
 		t.Fatalf("healthy Put: %v", err)
 	}
 	ffs.AddRule(faultfs.Rule{Ops: []faultfs.Op{faultfs.OpSync}, Path: "*.log", Count: 1})
+	blockRepair(ffs)
 
 	err := db.Put(testKey(1), testValue(1))
 	if !errors.Is(err, faultfs.ErrInjected) {
@@ -114,6 +121,7 @@ func TestRotationSyncFailureLatches(t *testing.T) {
 	defer db.Close()
 
 	ffs.AddRule(faultfs.Rule{Ops: []faultfs.Op{faultfs.OpSync}, Path: "*.log", Count: 1})
+	blockRepair(ffs)
 
 	// Fill until the memtable rotates (hitting the faulted sync) or
 	// the latch rejects the write.
@@ -153,6 +161,7 @@ func TestManifestAppendFailureLatches(t *testing.T) {
 		}
 	}
 	ffs.AddRule(faultfs.Rule{Ops: []faultfs.Op{faultfs.OpSync}, Path: "MANIFEST-*", Count: 1})
+	blockRepair(ffs)
 
 	// Force a flush: its commitEdit hits the faulted MANIFEST sync.
 	// Flush surfaces the latch either as its own error or via the
@@ -187,6 +196,7 @@ func TestManifestSyncFailureKeepsOutput(t *testing.T) {
 		}
 	}
 	ffs.AddRule(faultfs.Rule{Ops: []faultfs.Op{faultfs.OpSync}, Path: "MANIFEST-*", Count: 1})
+	blockRepair(ffs) // a repair would roll past the MANIFEST under test
 	if err := db.Flush(); err == nil {
 		t.Fatal("Flush with faulted MANIFEST sync succeeded")
 	}
@@ -242,6 +252,7 @@ func TestBackgroundErrorClearsOnReopen(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	rule := ffs.AddRule(faultfs.Rule{Ops: []faultfs.Op{faultfs.OpSync}, Path: "*.log", Count: 1})
+	blockRepair(ffs)
 	if err := db.Put(testKey(1), testValue(1)); err == nil {
 		t.Fatal("Put with faulted sync succeeded")
 	}

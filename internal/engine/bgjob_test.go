@@ -50,8 +50,6 @@ func countEvents(buf *events.Buffer, kind events.Kind) int {
 func TestKeptOutputReclaimedAfterManifestRoll(t *testing.T) {
 	buf := &events.Buffer{}
 	db, ffs := newFaultTestDB(t, func(o *Options) {
-		o.DisableAutoRecovery = false
-		o.RecoveryBaseBackoff = time.Millisecond
 		o.MaxAllowedSpace = 1 << 30
 		o.EventListener = buf
 	})
@@ -132,8 +130,6 @@ func TestBackgroundJobReleasesEverything(t *testing.T) {
 			t.Run(job.name+"/"+exit, func(t *testing.T) {
 				buf := &events.Buffer{}
 				opts, ffs := faultTestOptions(t, func(o *Options) {
-					o.DisableAutoRecovery = false
-					o.RecoveryBaseBackoff = time.Millisecond
 					o.MaxAllowedSpace = 1 << 30
 					o.MemtableSize = 16 << 10
 					o.TargetFileSize = 16 << 10
@@ -327,8 +323,6 @@ func TestFlushCallersAgree(t *testing.T) {
 	open := func(t *testing.T) (*DB, *faultfs.FS, *events.Buffer) {
 		buf := &events.Buffer{}
 		db, ffs := newFaultTestDB(t, func(o *Options) {
-			o.DisableAutoRecovery = false
-			o.RecoveryBaseBackoff = time.Millisecond
 			o.EventListener = buf
 		})
 		for i := 0; i < n; i++ {

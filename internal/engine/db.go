@@ -267,9 +267,7 @@ func (sh *Shared) open(i int, opts Options, owned bool) (*DB, error) {
 	if opts.StatsDumpInterval > 0 && opts.StatsWriter != nil {
 		db.startWorkerLocked("stats-worker", db.statsWorker)
 	}
-	if !opts.DisableAutoRecovery {
-		db.startWorkerLocked("recovery-worker", db.recoveryWorker)
-	}
+	db.startWorkerLocked("recovery-worker", db.recoveryWorker)
 	if !opts.DisableScrub {
 		db.startWorkerLocked("scrub-worker", db.scrubWorker)
 	}

@@ -47,9 +47,10 @@ func liveSSTName(t *testing.T, db *DB) string {
 // which streams the device directly — must detect it and latch the
 // corruption for quarantine/repair.
 func TestVerifyChecksumCatchesCachedCorruption(t *testing.T) {
+	buf := &events.Buffer{}
 	db, fs := newTestDB(t, func(o *Options) {
 		o.DisableScrub = true
-		o.DisableAutoRecovery = true // assert the latch itself
+		o.EventListener = buf
 	})
 	defer db.Close()
 	fillAndFlush(t, db, 200)
@@ -84,9 +85,25 @@ func TestVerifyChecksumCatchesCachedCorruption(t *testing.T) {
 	if got := db.metrics.CorruptionsDetected.Load(); got == 0 {
 		t.Fatal("CorruptionsDetected = 0 after VerifyChecksum failure")
 	}
-	// The damaged file is live, so the detection must latch for repair.
-	if bg := db.BackgroundError(); !errors.Is(bg, ErrHardError) {
-		t.Fatalf("BackgroundError = %v, want hard corruption latch", bg)
+	// The damaged file is live, so the detection must latch hard, and
+	// the latch is what engages the recovery worker's repair.
+	waitForEvent(t, db, buf, "an error_recovery_begin event", func(e events.Event) bool {
+		return e.Kind == events.KindRecoveryBegin
+	})
+	latch, begin := -1, -1
+	for i, e := range buf.Events() {
+		if latch < 0 && e.Kind == events.KindBackgroundError && e.BGError.Op == opCorruption {
+			if e.BGError.Severity != SeverityHard.String() {
+				t.Fatalf("corruption latched at severity %s, want hard", e.BGError.Severity)
+			}
+			latch = i
+		}
+		if begin < 0 && e.Kind == events.KindRecoveryBegin {
+			begin = i
+		}
+	}
+	if latch < 0 || latch > begin {
+		t.Fatalf("background_error for the corruption at event %d, error_recovery_begin at %d: want the latch first", latch, begin)
 	}
 }
 
@@ -97,11 +114,8 @@ func TestVerifyChecksumCatchesCachedCorruption(t *testing.T) {
 func TestReadPathCorruptionRepairs(t *testing.T) {
 	buf := &events.Buffer{}
 	db, ffs := newFaultTestDB(t, func(o *Options) {
-		o.DisableAutoRecovery = false
 		o.DisableScrub = true
 		o.EventListener = buf
-		o.RecoveryBaseBackoff = time.Millisecond
-		o.RecoveryMaxBackoff = 10 * time.Millisecond
 	})
 	defer db.Close()
 	fillAndFlush(t, db, 200)
@@ -151,8 +165,6 @@ func TestScrubDetectsPersistentCorruption(t *testing.T) {
 	buf := &events.Buffer{}
 	db, fs := newTestDB(t, func(o *Options) {
 		o.EventListener = buf
-		o.RecoveryBaseBackoff = time.Millisecond
-		o.RecoveryMaxBackoff = 10 * time.Millisecond
 	})
 	defer db.Close()
 	fillAndFlush(t, db, 200)

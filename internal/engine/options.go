@@ -164,24 +164,6 @@ type Options struct {
 	// is the store's: every shard charges the same one.
 	MaxAllowedSpace int64
 
-	// DisableAutoRecovery turns off the background recovery worker:
-	// hard background errors stay latched until a manual Resume (or a
-	// reopen), matching the pre-recovery engine. Soft-error in-place
-	// retries are unaffected. Only the engine's latch tests on the real
-	// clock set it, to assert that an error stays latched.
-	DisableAutoRecovery bool
-	// RecoveryBaseBackoff is the delay before the second automatic
-	// recovery attempt; each further attempt doubles it up to
-	// RecoveryMaxBackoff (default 5ms).
-	RecoveryBaseBackoff time.Duration
-	// RecoveryMaxBackoff caps the exponential recovery backoff
-	// (default 500ms).
-	RecoveryMaxBackoff time.Duration
-	// MaxRecoveryAttempts bounds automatic recovery attempts per
-	// latched error; past it the worker gives up (the error stays
-	// clearable via Resume). Default 12.
-	MaxRecoveryAttempts int
-
 	// StatsDumpInterval, when positive and StatsWriter is set, starts
 	// a background worker that writes DB.StatsReport to StatsWriter
 	// every interval of engine-clock time — RocksDB's periodic stats
@@ -216,6 +198,15 @@ const (
 	// maxBatchGroupBytes caps how much a write-group leader batches
 	// into one WAL record.
 	maxBatchGroupBytes = 1 << 20
+	// recoveryBaseBackoff is the delay before the second automatic
+	// recovery attempt; each further attempt doubles it up to
+	// recoveryMaxBackoff.
+	recoveryBaseBackoff = 5 * time.Millisecond
+	recoveryMaxBackoff  = 500 * time.Millisecond
+	// maxRecoveryAttempts bounds automatic recovery attempts per
+	// latched error; past it the worker gives up and the error stays
+	// clearable via Resume.
+	maxRecoveryAttempts = 12
 )
 
 // DefaultOptions returns the scaled-RocksDB defaults. fs is the data
@@ -223,9 +214,6 @@ const (
 func DefaultOptions(fs vfs.FS) Options {
 	return Options{
 		FS:                  fs,
-		RecoveryBaseBackoff: 5 * time.Millisecond,
-		RecoveryMaxBackoff:  500 * time.Millisecond,
-		MaxRecoveryAttempts: 12,
 		MemtableSize:        4 << 20,
 		L0CompactionTrigger: 4,
 		L0SlowdownTrigger:   20,
@@ -277,18 +265,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactionRateBytesPerSec < 0 {
 		o.CompactionRateBytesPerSec = 0
-	}
-	if o.RecoveryBaseBackoff <= 0 {
-		o.RecoveryBaseBackoff = d.RecoveryBaseBackoff
-	}
-	if o.RecoveryMaxBackoff <= 0 {
-		o.RecoveryMaxBackoff = d.RecoveryMaxBackoff
-	}
-	if o.RecoveryMaxBackoff < o.RecoveryBaseBackoff {
-		o.RecoveryMaxBackoff = o.RecoveryBaseBackoff
-	}
-	if o.MaxRecoveryAttempts <= 0 {
-		o.MaxRecoveryAttempts = d.MaxRecoveryAttempts
 	}
 	if o.ScrubBytesPerSec <= 0 {
 		o.ScrubBytesPerSec = d.ScrubBytesPerSec

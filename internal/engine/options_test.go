@@ -121,8 +121,7 @@ func TestOptionsHaveCallers(t *testing.T) {
 	t.Run("engine.Options", func(t *testing.T) {
 		// The root package aliases the engine's Options.
 		checkOptionCallers(t, "internal/engine", []string{"xpointdb/internal/engine", "xpointdb"}, map[string]string{
-			"BlockCacheSize":      "sizes a resource: a deployment setting with the default every run uses",
-			"DisableAutoRecovery": "the engine's latch tests on the real clock assert that an error stays latched",
+			"BlockCacheSize": "sizes a resource: a deployment setting with the default every run uses",
 		})
 	})
 	t.Run("shardeddb.Options", func(t *testing.T) {

@@ -23,7 +23,7 @@ import (
 	"xpointdb/internal/events"
 )
 
-// Defaults for HubConfig's sizing knobs.
+// The hub's queue and ring sizes.
 const (
 	// DefaultRingSize is the replay ring capacity: how many recent
 	// events a new SSE client receives on connect.
@@ -36,17 +36,8 @@ const (
 	DefaultClientQueue = 256
 )
 
-// HubConfig configures a Hub. The zero value is usable: defaults are
-// applied and there is no sink.
+// HubConfig configures a Hub. The zero value is a hub with no sink.
 type HubConfig struct {
-	// RingSize is the replay ring capacity (default DefaultRingSize).
-	RingSize int
-	// SinkQueue is the sink drain queue length (default
-	// DefaultSinkQueue). Ignored when Sink is nil.
-	SinkQueue int
-	// ClientQueue is the per-subscriber buffer length (default
-	// DefaultClientQueue).
-	ClientQueue int
 	// Sink, if non-nil, receives every event from a dedicated drain
 	// goroutine — never from the emitting goroutine, so a slow or
 	// blocking sink (a JSON-lines file on a congested disk) cannot
@@ -94,23 +85,14 @@ type Hub struct {
 // NewHub returns a running hub. Call Close to stop the drain goroutine
 // and disconnect subscribers.
 func NewHub(cfg HubConfig) *Hub {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
-	if cfg.SinkQueue <= 0 {
-		cfg.SinkQueue = DefaultSinkQueue
-	}
-	if cfg.ClientQueue <= 0 {
-		cfg.ClientQueue = DefaultClientQueue
-	}
 	h := &Hub{
 		cfg:  cfg,
-		ring: newRing(cfg.RingSize),
+		ring: newRing(DefaultRingSize),
 		subs: make(map[*Subscription]struct{}),
 	}
 	h.pendingCond = sync.NewCond(&h.pendingMu)
 	if cfg.Sink != nil {
-		h.sinkQ = make(chan events.Event, cfg.SinkQueue)
+		h.sinkQ = make(chan events.Event, DefaultSinkQueue)
 		h.drainWG.Add(1)
 		go h.drain()
 	}
@@ -255,7 +237,7 @@ func (h *Hub) Subscribe() *Subscription {
 	h.mu.Lock()
 	sub := &Subscription{
 		h:  h,
-		ch: make(chan events.Event, h.cfg.ClientQueue),
+		ch: make(chan events.Event, DefaultClientQueue),
 	}
 	sub.Replay = h.ring.snapshot()
 	if h.closed {

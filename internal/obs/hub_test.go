@@ -20,17 +20,19 @@ func mkEvent(i int) events.Event {
 }
 
 func TestHubSeqAndRingReplay(t *testing.T) {
-	h := NewHub(HubConfig{RingSize: 8})
+	h := NewHub(HubConfig{})
 	defer h.Close()
-	for i := 1; i <= 20; i++ {
+	const emitted = DefaultRingSize + 12
+	for i := 1; i <= emitted; i++ {
 		h.Emit(mkEvent(i))
 	}
 	sub := h.Subscribe()
 	defer sub.Cancel()
-	if len(sub.Replay) != 8 {
-		t.Fatalf("replay len = %d, want ring size 8", len(sub.Replay))
+	if len(sub.Replay) != DefaultRingSize {
+		t.Fatalf("replay len = %d, want ring size %d", len(sub.Replay), DefaultRingSize)
 	}
-	// Most recent 8 events, in order, with hub-assigned seqs 13..20.
+	// The most recent DefaultRingSize events, in order, with
+	// hub-assigned seqs 13..emitted.
 	for i, e := range sub.Replay {
 		want := uint64(13 + i)
 		if e.Seq != want {
@@ -38,11 +40,11 @@ func TestHubSeqAndRingReplay(t *testing.T) {
 		}
 	}
 	// A live event lands on the channel with the next seq, no gap.
-	h.Emit(mkEvent(21))
+	h.Emit(mkEvent(emitted + 1))
 	select {
 	case e := <-sub.C():
-		if e.Seq != 21 {
-			t.Fatalf("live Seq = %d, want 21", e.Seq)
+		if e.Seq != emitted+1 {
+			t.Fatalf("live Seq = %d, want %d", e.Seq, emitted+1)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("no live event delivered")
@@ -50,7 +52,7 @@ func TestHubSeqAndRingReplay(t *testing.T) {
 }
 
 func TestHubReplayBelowCapacity(t *testing.T) {
-	h := NewHub(HubConfig{RingSize: 64})
+	h := NewHub(HubConfig{})
 	defer h.Close()
 	for i := 1; i <= 3; i++ {
 		h.Emit(mkEvent(i))
@@ -68,11 +70,11 @@ func TestHubReplayBelowCapacity(t *testing.T) {
 }
 
 func TestHubSlowClientDrop(t *testing.T) {
-	h := NewHub(HubConfig{ClientQueue: 4})
+	h := NewHub(HubConfig{})
 	defer h.Close()
 	sub := h.Subscribe()
 	defer sub.Cancel()
-	for i := 1; i <= 10; i++ {
+	for i := 1; i <= DefaultClientQueue+6; i++ {
 		h.Emit(mkEvent(i))
 	}
 	if got := sub.Dropped(); got != 6 {
@@ -81,8 +83,9 @@ func TestHubSlowClientDrop(t *testing.T) {
 	if got := h.ClientDropped(); got != 6 {
 		t.Fatalf("hub.ClientDropped = %d, want 6", got)
 	}
-	// The 4 buffered events are the first 4 (drop-newest semantics).
-	for want := uint64(1); want <= 4; want++ {
+	// The buffered events are the first DefaultClientQueue
+	// (drop-newest semantics).
+	for want := uint64(1); want <= DefaultClientQueue; want++ {
 		e := <-sub.C()
 		if e.Seq != want {
 			t.Fatalf("buffered Seq = %d, want %d", e.Seq, want)
@@ -128,12 +131,13 @@ func TestHubSinkBackpressureDrops(t *testing.T) {
 		delivered++
 	})
 	drops := 0
-	h := NewHub(HubConfig{SinkQueue: 2, Sink: sink, OnSinkDrop: func() { drops++ }})
-	// Queue capacity 2 plus one event parked in the drain goroutine:
-	// emit enough that some must drop, and verify Emit never blocks.
+	h := NewHub(HubConfig{Sink: sink, OnSinkDrop: func() { drops++ }})
+	// Queue capacity plus one event parked in the drain goroutine: emit
+	// enough that some must drop, and verify Emit never blocks.
+	const emitted = DefaultSinkQueue + 10
 	done := make(chan struct{})
 	go func() {
-		for i := 1; i <= 10; i++ {
+		for i := 1; i <= emitted; i++ {
 			h.Emit(mkEvent(i))
 		}
 		close(done)
@@ -148,8 +152,8 @@ func TestHubSinkBackpressureDrops(t *testing.T) {
 	}
 	close(release)
 	h.Close()
-	if int64(delivered)+h.SinkDropped() != 10 {
-		t.Fatalf("delivered %d + dropped %d != emitted 10", delivered, h.SinkDropped())
+	if int64(delivered)+h.SinkDropped() != emitted {
+		t.Fatalf("delivered %d + dropped %d != emitted %d", delivered, h.SinkDropped(), emitted)
 	}
 }
 
@@ -177,7 +181,7 @@ func TestHubCloseDrainsSink(t *testing.T) {
 }
 
 func TestHubConcurrentChurn(t *testing.T) {
-	h := NewHub(HubConfig{RingSize: 32, ClientQueue: 16})
+	h := NewHub(HubConfig{})
 	defer h.Close()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -162,7 +162,7 @@ func readSSEFrames(t *testing.T, r *bufio.Reader, n int, timeout time.Duration) 
 }
 
 func TestServerSSEReplayAndLive(t *testing.T) {
-	h := NewHub(HubConfig{RingSize: 16})
+	h := NewHub(HubConfig{})
 	defer h.Close()
 	for i := 1; i <= 3; i++ {
 		h.Emit(mkEvent(i))

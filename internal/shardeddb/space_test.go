@@ -103,11 +103,7 @@ func TestShardedEnospcKeepsBatchesAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("faultfs.New: %v", err)
 	}
-	db, err := Open(testOptions(ffs, 4, func(o *Options) {
-		o.Engine.RecoveryBaseBackoff = time.Millisecond
-		o.Engine.RecoveryMaxBackoff = 5 * time.Millisecond
-		o.Engine.MaxRecoveryAttempts = 1 << 20 // no giveup: the test releases
-	}))
+	db, err := Open(testOptions(ffs, 4, nil))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

@@ -17,25 +17,18 @@ import (
 	"xpointdb/internal/vfs"
 )
 
-// faultStore opens a store of n shards on a fault-injecting MemFS with
-// a recovery budget that never gives up on a fault that heals.
+// faultStore opens a store of n shards on a fault-injecting MemFS.
 func faultStore(t *testing.T, n int) (*DB, *faultfs.FS) {
 	t.Helper()
 	ffs, err := faultfs.New(vfs.NewMem(storage.New(clock.Real{}, storage.Null())), clock.Real{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(testOptions(ffs, n, fastRecovery))
+	db, err := Open(testOptions(ffs, n, nil))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	return db, ffs
-}
-
-func fastRecovery(o *Options) {
-	o.Engine.RecoveryBaseBackoff = time.Millisecond
-	o.Engine.RecoveryMaxBackoff = 5 * time.Millisecond
-	o.Engine.MaxRecoveryAttempts = 1 << 20
 }
 
 func waitHealthy(t *testing.T, db *DB) {
@@ -100,7 +93,7 @@ func TestFailedPhase2DoesNotClobberLaterWrite(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	db = reopenStore(t, ffs, 2, fastRecovery)
+	db = reopenStore(t, ffs, 2, nil)
 	defer db.Close()
 	wantValue(t, db, k0, "b")
 	wantValue(t, db, k1, "c")

@@ -46,43 +46,29 @@ func newNemesis(name string, rng *rand.Rand) (nemesis, error) {
 	case "crash":
 		return &crash{}, nil
 	case "transient":
-		return &transient{sameHandle: sameHandle{maxBackoff: 10 * time.Millisecond, attempts: 100}}, nil
+		return &transient{}, nil
 	case "bitrot":
-		return &bitrot{
-			sameHandle: sameHandle{maxBackoff: 10 * time.Millisecond, attempts: 100},
-			paranoid:   rng.Intn(2) == 0,
-		}, nil
+		return &bitrot{paranoid: rng.Intn(2) == 0}, nil
 	case "enospc":
-		// The attempt budget is sized so a workload squeeze (released
-		// within milliseconds) never exhausts it, while the
-		// never-released squeeze gives up in a few hundred milliseconds
-		// of virtual time.
-		return &enospc{
-			sameHandle: sameHandle{maxBackoff: 5 * time.Millisecond, attempts: 60},
-			budgeted:   rng.Intn(2) == 0,
-		}, nil
+		// The engine's fixed recovery policy (12 attempts, about 2.6 s
+		// of backoff) outlasts a workload squeeze, released within
+		// milliseconds, and gives up on the never-released squeeze well
+		// inside the tail's bound.
+		return &enospc{budgeted: rng.Intn(2) == 0}, nil
 	}
 	return nil, fmt.Errorf("torture: unknown nemesis %q (want crash, transient, bitrot or enospc)", name)
 }
 
 // sameHandle is what the three live-handle regimes share: the captured
-// event stream, a fast recovery budget, and nothing to do once the
-// store is closed.
+// event stream, and nothing to do once the store is closed.
 type sameHandle struct {
-	buf        events.Buffer
-	maxBackoff time.Duration
-	attempts   int
+	buf events.Buffer
 }
 
 func (s *sameHandle) tune(o *engine.Options) {
 	// The contracts read the buffer mid-run, each time behind the
 	// store's event barrier (store.syncEvents).
 	o.EventListener = &s.buf
-	// Tight backoffs keep iterations fast; the generous attempt budget
-	// means a giveup on a fault that heals can only be a real bug.
-	o.RecoveryBaseBackoff = time.Millisecond
-	o.RecoveryMaxBackoff = s.maxBackoff
-	o.MaxRecoveryAttempts = s.attempts
 }
 
 func (s *sameHandle) absorb(*run, uint64) {}

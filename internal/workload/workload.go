@@ -14,6 +14,13 @@ import (
 	"xpointdb/internal/histogram"
 )
 
+// errorPause is how long a worker waits after a failed op before its
+// next one. A store that fails fast (a latched background error) costs
+// no engine-clock time per op, so under the simulation kernel, which
+// runs one process at a time, a worker retrying at once would never let
+// the recovery worker run.
+const errorPause = time.Millisecond
+
 // KV is the operation surface the runner drives.
 type KV interface {
 	Get(key []byte) ([]byte, error)
@@ -210,6 +217,7 @@ func Run(clk clock.Clock, db KV, cfg Config) *Result {
 						st.misses++
 					} else {
 						st.errs++
+						clk.Sleep(errorPause)
 					}
 				}
 			} else {
@@ -219,6 +227,7 @@ func Run(clk clock.Clock, db KV, cfg Config) *Result {
 				st.writes++
 				if err != nil {
 					st.errs++
+					clk.Sleep(errorPause)
 				}
 			}
 			res.Series.Record(clk.Now(), 1)
