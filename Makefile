@@ -35,7 +35,8 @@ bench-check:
 # append (1 KiB records and one write, 4 MiB), 4 KiB ReadAt and a small
 # file, an SST Get with every block cached and a full table scan (64k
 # entries), a memtable-hit and a cached-block Get through the engine,
-# and an empty store's Open + Close. These are what a change to one of
+# one L0→L1 compaction (ns and B per compacted entry), and an empty
+# store's Open + Close. These are what a change to one of
 # those layers quotes, parent against change; end-to-end numbers come
 # from bench/ (`bash bench/run.sh`).
 microbench:

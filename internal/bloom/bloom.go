@@ -14,6 +14,17 @@ type Filter []byte
 // New builds a filter over the given keys with bitsPerKey bits per key
 // (10 is the customary default, ~1% false-positive rate).
 func New(bloomKeys [][]byte, bitsPerKey int) Filter {
+	hashes := make([]uint32, len(bloomKeys))
+	for i, key := range bloomKeys {
+		hashes[i] = Hash(key)
+	}
+	return FromHashes(hashes, bitsPerKey)
+}
+
+// FromHashes builds the filter New would build over keys whose Hash
+// values are hashes, one per key and in the same order: a builder that
+// keeps one uint32 per key need not keep the keys.
+func FromHashes(hashes []uint32, bitsPerKey int) Filter {
 	if bitsPerKey < 1 {
 		bitsPerKey = 1
 	}
@@ -25,7 +36,7 @@ func New(bloomKeys [][]byte, bitsPerKey int) Filter {
 	if k > 30 {
 		k = 30
 	}
-	bits := len(bloomKeys) * bitsPerKey
+	bits := len(hashes) * bitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
@@ -34,8 +45,7 @@ func New(bloomKeys [][]byte, bitsPerKey int) Filter {
 	buf := make([]byte, nbytes+1)
 	buf[nbytes] = k
 
-	for _, key := range bloomKeys {
-		h := Hash(key)
+	for _, h := range hashes {
 		delta := h>>17 | h<<15
 		for i := uint8(0); i < k; i++ {
 			pos := h % uint32(bits)

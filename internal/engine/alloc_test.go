@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"xpointdb/internal/clock"
@@ -84,6 +85,48 @@ func TestAllocBudgets(t *testing.T) {
 			}
 			i++
 		}))
+	})
+
+	// Compaction's input bytes are read into reused windows and served
+	// in place, and MemFS reuses the chunks of the files compaction
+	// drops, so a steady round of flush and full compaction allocates
+	// far less than the bytes it moves. The overwrites are not counted:
+	// a committed batch's buffer is the memtable's copy of the data.
+	t.Run("compaction/steady-state", func(t *testing.T) {
+		db := allocTestDB(t)
+		defer db.Close()
+		const n = 8000
+		val := make([]byte, 1<<10)
+		var userBytes, allocated uint64
+		var before, after runtime.MemStats
+		round := func() {
+			userBytes = 0
+			for i := 0; i < n; i++ {
+				k := testKey(i)
+				if err := db.Put(k, val); err != nil {
+					t.Fatal(err)
+				}
+				userBytes += uint64(len(k) + len(val))
+			}
+			runtime.ReadMemStats(&before)
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CompactRange(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			allocated = after.TotalAlloc - before.TotalAlloc
+		}
+		round()
+		round()
+		round()
+		const budget = 0.5
+		if perByte := float64(allocated) / float64(userBytes); perByte > budget {
+			t.Errorf("%.2f B allocated per user byte, budget %.1f", perByte, budget)
+		} else {
+			t.Logf("%.2f B allocated per user byte (budget %.1f)", perByte, budget)
+		}
 	})
 
 	t.Run("open-close/empty", func(t *testing.T) {

@@ -190,18 +190,28 @@ func (db *DB) runSubcompaction(c *compaction, sub subrange, res *subResult) {
 	// transfer instead of a random 4 KiB read per block, matching
 	// how real compactions read. Bounded sub-ranges fetch only the
 	// data-block window their bounds can touch.
+	//
+	// Every block the merge reads is a sub-slice of an input's window,
+	// and every entry it keeps is copied into an output block, so the
+	// windows go back to the free list when this lane is done with
+	// them.
 	iters := make([]iterator.Iterator, 0, len(sub.inputs))
+	windows := make([][]byte, 0, len(sub.inputs))
+	defer func() {
+		for _, w := range windows {
+			db.windows.put(w)
+		}
+	}()
 	for _, f := range sub.inputs {
 		var (
 			r    *sstable.Reader
-			n    int64
+			w    []byte
 			oerr error
 		)
 		if startIK == nil && endIK == nil {
-			r, oerr = db.openCompactionInput(f)
-			n = f.Size
+			r, w, oerr = db.openCompactionInput(f)
 		} else {
-			r, n, oerr = db.openCompactionInputWindow(f, startIK, endIK)
+			r, w, oerr = db.openCompactionInputWindow(f, startIK, endIK)
 		}
 		if oerr != nil {
 			res.err = oerr
@@ -210,6 +220,8 @@ func (db *DB) runSubcompaction(c *compaction, sub subrange, res *subResult) {
 		if r == nil {
 			continue // no block of f intersects the range
 		}
+		windows = append(windows, w)
+		n := int64(len(w))
 		db.pacer.Wait(db.clk, n)
 		res.read += n
 		iters = append(iters, r.NewIter())

@@ -190,10 +190,21 @@ type DB struct {
 	snapsMu   sync.Mutex
 	snapshots map[*Snapshot]uint64
 
-	// adaptive L0 window counters (atomics; adaptive.go)
+	// windows is the free list of compaction input windows (bulkread.go).
+	windows windowPool
+
+	// Case study B's window counters (atomics; adaptive.go), bumped only
+	// with Options.AdaptiveL0. Each has a cache line of its own: the
+	// reader and the writer bump them from different cores.
+	_            cacheLinePad
 	windowReads  atomic.Int64
+	_            cacheLinePad
 	windowWrites atomic.Int64
+	_            cacheLinePad
 }
+
+// cacheLinePad keeps the fields on either side of it off one cache line.
+type cacheLinePad [64]byte
 
 // Open opens (creating if necessary) a database on opts.FS: a set of
 // one engine that owns its Shared.

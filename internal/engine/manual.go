@@ -40,5 +40,8 @@ func (db *DB) compactLevelRange(level int, start, end []byte) error {
 		db.mu.Unlock()
 		return nil
 	}
-	return db.compactNowLocked(c)
+	err := db.compactNowLocked(c)
+	// A damaged live input latches here as on the background path.
+	db.maybeReportCorruption(err)
+	return err
 }

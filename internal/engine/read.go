@@ -49,7 +49,9 @@ func (db *DB) timedGet(key []byte, snap uint64, pc *PerfContext) ([]byte, error)
 	v, err := db.getAt(key, snap, pc)
 	lat := db.clk.Now().Sub(start)
 	db.metrics.GetLatency.Record(lat)
-	db.windowReads.Add(1)
+	if db.opts.AdaptiveL0 {
+		db.windowReads.Add(1)
+	}
 	if pc != nil {
 		d := pc.diff(&before)
 		db.metrics.recordReadPerf(&d)

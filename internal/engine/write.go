@@ -171,7 +171,9 @@ func (db *DB) ApplyWithPerf(b *batch.Batch, syncWAL bool, pc *PerfContext) error
 
 	lat := db.clk.Now().Sub(start)
 	db.metrics.WriteLatency.Record(lat)
-	db.windowWrites.Add(int64(b.Count()))
+	if db.opts.AdaptiveL0 {
+		db.windowWrites.Add(int64(b.Count()))
+	}
 	if pc != nil {
 		d := pc.diff(&before)
 		db.metrics.recordWritePerf(&d)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"xpointdb/internal/bloom"
 	"xpointdb/internal/cache"
@@ -103,12 +104,13 @@ type Builder struct {
 	pendingKey    []byte // last key of the just-finished block
 	havePending   bool
 
-	filterKeys [][]byte // user keys for the Bloom filter
-	numEntries int
-	smallest   []byte
-	largest    []byte
-	fileCRC    uint32 // running CRC-32C over every byte written
-	err        error
+	filterHashes []uint32 // bloom.Hash of each entry's user key
+	numEntries   int
+	smallest     []byte
+	largest      []byte
+	fileCRC      uint32 // running CRC-32C over every byte written
+	trailer      [blockTrailerLen]byte
+	err          error
 }
 
 // NewBuilder returns a Builder writing to f.
@@ -136,7 +138,7 @@ func (b *Builder) Add(ikey, value []byte) error {
 	}
 	b.largest = append(b.largest[:0], ikey...)
 	if b.opts.BloomBitsPerKey > 0 {
-		b.filterKeys = append(b.filterKeys, append([]byte(nil), keys.UserKey(ikey)...))
+		b.filterHashes = append(b.filterHashes, bloom.Hash(keys.UserKey(ikey)))
 	}
 	b.data.add(ikey, value)
 	b.numEntries++
@@ -206,18 +208,19 @@ func (b *Builder) finishDataBlock() error {
 // writeBlock stores contents raw behind its trailer (codec 0).
 func (b *Builder) writeBlock(contents []byte) (blockHandle, error) {
 	h := blockHandle{offset: b.offset, length: uint64(len(contents))}
-	var trailer [blockTrailerLen]byte
+	trailer := b.trailer[:] // a field: a local array passed to Write would escape
+	trailer[0] = 0
 	crc := crc32.Update(0, crcTable, contents)
 	crc = crc32.Update(crc, crcTable, trailer[:1])
 	binary.LittleEndian.PutUint32(trailer[1:], crc)
 	if _, err := b.f.Write(contents); err != nil {
 		return h, fmt.Errorf("sstable: write block: %w", err)
 	}
-	if _, err := b.f.Write(trailer[:]); err != nil {
+	if _, err := b.f.Write(trailer); err != nil {
 		return h, fmt.Errorf("sstable: write trailer: %w", err)
 	}
 	b.fileCRC = crc32.Update(b.fileCRC, crcTable, contents)
-	b.fileCRC = crc32.Update(b.fileCRC, crcTable, trailer[:])
+	b.fileCRC = crc32.Update(b.fileCRC, crcTable, trailer)
 	b.offset += uint64(len(contents)) + blockTrailerLen
 	return h, nil
 }
@@ -236,8 +239,8 @@ func (b *Builder) Finish() (int64, error) {
 	}
 
 	var filterHandle blockHandle
-	if b.opts.BloomBitsPerKey > 0 && len(b.filterKeys) > 0 {
-		f := bloom.New(b.filterKeys, b.opts.BloomBitsPerKey)
+	if b.opts.BloomBitsPerKey > 0 && len(b.filterHashes) > 0 {
+		f := bloom.FromHashes(b.filterHashes, b.opts.BloomBitsPerKey)
 		h, err := b.writeBlock([]byte(f))
 		if err != nil {
 			return 0, err
@@ -292,6 +295,14 @@ type Reader struct {
 	size    int64
 	cache   *cache.Cache
 
+	// window, when set, holds the file's bytes from file offset
+	// windowOff on, already in memory: blocks inside it are served as
+	// sub-slices of it, with no read and no copy. The caller owns the
+	// bytes and must not reuse them while the Reader, or any block it
+	// returned, is still in use.
+	window    []byte
+	windowOff int64
+
 	index  []byte // decoded index block contents
 	filter bloom.Filter
 }
@@ -306,33 +317,73 @@ func NewReader(f vfs.File, size int64, fileNum uint64, c *cache.Cache) (*Reader,
 		return nil, err
 	}
 	r := &Reader{f: f, fileNum: fileNum, size: size, cache: c}
+	if err := r.loadMeta(filterHandle, indexHandle); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// NewImageReader opens a table from image, the whole file already in
+// memory. Every block, index and filter included, is a sub-slice of
+// image, checked against its CRC when it is served; nothing is read
+// and nothing is copied. image belongs to the caller, who must keep it
+// unchanged while the Reader is in use. There is no block cache.
+func NewImageReader(image []byte, fileNum uint64) (*Reader, error) {
+	size := int64(len(image))
+	if size < footerLen {
+		return nil, footerTooSmall(size, fileNum)
+	}
+	filterHandle, indexHandle, err := decodeFooter(image[size-footerLen:], size, fileNum)
+	if err != nil {
+		return nil, err
+	}
+	r := &Reader{fileNum: fileNum, size: size, window: image}
+	if err := r.loadMeta(filterHandle, indexHandle); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// loadMeta reads the index and filter blocks.
+func (r *Reader) loadMeta(filterHandle, indexHandle blockHandle) error {
+	var err error
 	r.index, err = r.readBlock(indexHandle)
 	if err != nil {
-		return nil, fmt.Errorf("sstable: read index of %d: %w", fileNum, err)
+		return fmt.Errorf("sstable: read index of %d: %w", r.fileNum, err)
 	}
 	if filterHandle.length > 0 {
 		fb, err := r.readBlock(filterHandle)
 		if err != nil {
-			return nil, fmt.Errorf("sstable: read filter of %d: %w", fileNum, err)
+			return fmt.Errorf("sstable: read filter of %d: %w", r.fileNum, err)
 		}
 		r.filter = bloom.Filter(fb)
 	}
-	return r, nil
+	return nil
+}
+
+// footerTooSmall is the corruption of a table shorter than its footer.
+func footerTooSmall(size int64, fileNum uint64) error {
+	return &CorruptionError{
+		FileNum: fileNum,
+		Detail:  fmt.Sprintf("file too small for footer (%d bytes)", size),
+	}
 }
 
 // readFooter reads and decodes the fixed footer: magic check plus the
 // filter and index block handles.
 func readFooter(f vfs.File, size int64, fileNum uint64) (filterHandle, indexHandle blockHandle, err error) {
 	if size < footerLen {
-		return blockHandle{}, blockHandle{}, &CorruptionError{
-			FileNum: fileNum,
-			Detail:  fmt.Sprintf("file too small for footer (%d bytes)", size),
-		}
+		return blockHandle{}, blockHandle{}, footerTooSmall(size, fileNum)
 	}
 	var footer [footerLen]byte
 	if _, err := f.ReadAt(footer[:], size-footerLen); err != nil {
 		return blockHandle{}, blockHandle{}, fmt.Errorf("sstable: read footer of %d: %w", fileNum, err)
 	}
+	return decodeFooter(footer[:], size, fileNum)
+}
+
+// decodeFooter decodes the footer bytes of a size-byte table.
+func decodeFooter(footer []byte, size int64, fileNum uint64) (filterHandle, indexHandle blockHandle, err error) {
 	if got := binary.LittleEndian.Uint64(footer[footerLen-8:]); got != tableMagic {
 		return blockHandle{}, blockHandle{}, &CorruptionError{
 			FileNum: fileNum,
@@ -374,9 +425,19 @@ func (r *Reader) readBlock(h blockHandle) ([]byte, error) {
 			Detail:  fmt.Sprintf("block handle (%d,%d) exceeds file size %d", h.offset, h.length, r.size),
 		}
 	}
-	buf := make([]byte, h.length+blockTrailerLen)
-	if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
-		return nil, err
+	var buf []byte
+	if r.window != nil {
+		lo, n := int64(h.offset)-r.windowOff, int64(h.length+blockTrailerLen)
+		if lo < 0 || n > int64(len(r.window))-lo {
+			return nil, fmt.Errorf("sstable: block (%d,%d) of %d outside the in-memory window [%d,%d): %w",
+				h.offset, h.length, r.fileNum, r.windowOff, r.windowOff+int64(len(r.window)), io.EOF)
+		}
+		buf = r.window[lo : lo+n : lo+n]
+	} else {
+		buf = make([]byte, h.length+blockTrailerLen)
+		if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
+			return nil, err
+		}
 	}
 	contents, trailer := buf[:h.length], buf[h.length:]
 	crc := crc32.Update(0, crcTable, contents)
@@ -546,18 +607,27 @@ func (r *Reader) DataWindow(start, end []byte) (off, n int64, err error) {
 	return off, n, nil
 }
 
-// WithFile returns a Reader sharing r's parsed metadata (index and
-// filter, already pinned in memory) but reading data blocks from f
-// instead — used by compaction inputs whose data window was bulk-loaded
-// into memory after the metadata was read from the real file.
-func (r *Reader) WithFile(f vfs.File) *Reader {
+// WithWindow returns a Reader sharing r's parsed metadata (index and
+// filter, already pinned in memory) that serves data blocks from
+// window, the file's bytes from offset off on, as sub-slices of it —
+// used by compaction inputs whose data window was bulk-read into
+// memory after the metadata was read from the real file. A block
+// outside the window is an error wrapping io.EOF, never a file read.
+// The window's ownership is as for NewImageReader.
+func (r *Reader) WithWindow(window []byte, off int64) *Reader {
 	nr := *r
-	nr.f = f
+	nr.f, nr.cache = nil, nil
+	nr.window, nr.windowOff = window, off
 	return &nr
 }
 
-// Close closes the underlying file.
-func (r *Reader) Close() error { return r.f.Close() }
+// Close closes the underlying file, if the Reader has one.
+func (r *Reader) Close() error {
+	if r.f == nil {
+		return nil
+	}
+	return r.f.Close()
+}
 
 // NewIter returns a two-level iterator over the whole table.
 func (r *Reader) NewIter() iterator.Iterator {

@@ -2,36 +2,10 @@ package sstable
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
 	"xpointdb/internal/keys"
 )
-
-// windowFile serves a byte window of a table from memory, shifted by
-// the window's file offset — the same shape the engine uses to feed a
-// sub-compaction's DataWindow to a shared Reader. Reads outside the
-// window error instead of returning zeros.
-type windowFile struct {
-	data []byte
-	base int64
-}
-
-func (w *windowFile) ReadAt(p []byte, off int64) (int, error) {
-	off -= w.base
-	if off < 0 || off >= int64(len(w.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, w.data[off:])
-	if n < len(p) {
-		return n, io.ErrUnexpectedEOF
-	}
-	return n, nil
-}
-
-func (w *windowFile) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
-func (w *windowFile) Close() error                { return nil }
-func (w *windowFile) Sync() error                 { return nil }
 
 // TestDataWindowCoversRange checks a windowed reader serves every key
 // inside [start, end) — including the boundary-straddling block the
@@ -73,7 +47,7 @@ func TestDataWindowCoversRange(t *testing.T) {
 		}
 		full.Close()
 
-		wr := r.WithFile(&windowFile{data: data, base: off})
+		wr := r.WithWindow(data, off)
 		it := wr.NewIter()
 		if startIK != nil {
 			it.SeekGE(startIK)

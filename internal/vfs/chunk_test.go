@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"xpointdb/internal/clock"
 	"xpointdb/internal/storage"
@@ -293,4 +295,245 @@ func TestMemFileAgainstModel(t *testing.T) {
 	if n != len(model) || err != nil || !bytes.Equal(buf, model) {
 		t.Fatalf("final read = %d, %v", n, err)
 	}
+}
+
+// chunkID identifies a chunk by the address of its backing array.
+func chunkID(c []byte) *byte { return unsafe.SliceData(c[:cap(c)]) }
+
+// ownedChunks returns the whole chunks f holds.
+func ownedChunks(f *memFile) [][]byte {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	var cs [][]byte
+	if f.full != nil {
+		cs = append(cs, *f.full...)
+	}
+	return append(cs, f.tail)
+}
+
+// TestChunkReuseAgainstModel drives several names and handles through
+// a seeded sequence of Create (often over a live file), Open, appends,
+// reads, Close (sometimes twice), Remove and Rename (often over a live
+// target), against a model that keeps each file's bytes for as long as
+// a handle to it is open. Every open handle must keep reading its own
+// file's bytes while other files are written, a chunk must belong to
+// at most one file that a name or an open handle still reaches, and no
+// such chunk may sit on the free list. The run must also see chunks of
+// dropped files come back into use.
+func TestChunkReuseAgainstModel(t *testing.T) {
+	const steps = 4000
+	rng := rand.New(rand.NewSource(20261018))
+	fs := newMem()
+	names := []string{"a", "b", "c"}
+
+	type modelFile struct{ data []byte }
+	type handle struct {
+		f   File
+		mf  *modelFile
+		mem *memFile
+	}
+	byName := map[string]*modelFile{}
+	var open []*handle
+	freed := map[*byte]bool{} // every chunk that was ever on the free list
+	reused := 0
+
+	check := func(step int, what string, ok bool) {
+		t.Helper()
+		if !ok {
+			t.Fatalf("step %d: %s", step, what)
+		}
+	}
+	for step := 0; step < steps; step++ {
+		name := names[rng.Intn(len(names))]
+		switch op := rng.Intn(100); {
+		case op < 10: // Create, replacing any file of that name
+			f, _ := fs.Create(name)
+			mf := &modelFile{}
+			byName[name] = mf
+			open = append(open, &handle{f: f, mf: mf, mem: f.(*memHandle).f})
+
+		case op < 20: // Open
+			f, err := fs.Open(name)
+			mf, ok := byName[name]
+			check(step, "open "+name, (err == nil) == ok)
+			if ok {
+				open = append(open, &handle{f: f, mf: mf, mem: f.(*memHandle).f})
+			}
+
+		case op < 50: // append through a handle, up to three chunks
+			if len(open) == 0 {
+				continue
+			}
+			h := open[rng.Intn(len(open))]
+			if len(h.mf.data) > 5*chunkSize {
+				continue
+			}
+			p := make([]byte, rng.Intn(3*chunkSize))
+			rng.Read(p)
+			n, err := h.f.Write(p)
+			check(step, "append", n == len(p) && err == nil)
+			h.mf.data = append(h.mf.data, p...)
+
+		case op < 75: // read a whole file through a handle
+			if len(open) == 0 {
+				continue
+			}
+			h := open[rng.Intn(len(open))]
+			buf := make([]byte, len(h.mf.data))
+			n, err := h.f.ReadAt(buf, 0)
+			check(step, fmt.Sprintf("read of %d bytes = %d, %v", len(buf), n, err),
+				n == len(buf) && err == nil && bytes.Equal(buf, h.mf.data))
+
+		case op < 87: // Close, and sometimes Close again
+			if len(open) == 0 {
+				continue
+			}
+			i := rng.Intn(len(open))
+			h := open[i]
+			open = append(open[:i], open[i+1:]...)
+			check(step, "close", h.f.Close() == nil)
+			if rng.Intn(3) == 0 {
+				check(step, "second close", h.f.Close() == nil)
+			}
+
+		case op < 94: // Remove
+			_, ok := byName[name]
+			check(step, "remove "+name, (fs.Remove(name) == nil) == ok)
+			delete(byName, name)
+
+		default: // Rename, often over a live target
+			to := names[rng.Intn(len(names))]
+			mf, ok := byName[name]
+			check(step, "rename "+name, (fs.Rename(name, to) == nil) == ok)
+			if ok {
+				delete(byName, name)
+				byName[to] = mf
+			}
+		}
+
+		// A reachable file is one a name or an open handle leads to.
+		reachable := map[*memFile]bool{}
+		fs.mu.Lock()
+		for _, f := range fs.files {
+			reachable[f] = true
+		}
+		fs.mu.Unlock()
+		handles := map[*memFile]int32{}
+		for _, h := range open {
+			reachable[h.mem] = true
+			handles[h.mem]++
+		}
+		owner := map[*byte]*memFile{}
+		for f := range reachable {
+			fs.mu.Lock()
+			n := f.handles
+			fs.mu.Unlock()
+			check(step, fmt.Sprintf("%s has %d handles, %d open", f.name, n, handles[f]), n == handles[f])
+			for _, c := range ownedChunks(f) {
+				if cap(c) != chunkSize {
+					continue
+				}
+				id := chunkID(c)
+				check(step, "a chunk belongs to two reachable files", owner[id] == nil)
+				owner[id] = f
+				if freed[id] {
+					reused++
+					delete(freed, id) // count each return to use once
+				}
+			}
+		}
+		fs.freeMu.Lock()
+		for _, c := range fs.freeChunks {
+			id := chunkID(c)
+			check(step, "a free chunk belongs to a reachable file", owner[id] == nil)
+			freed[id] = true
+		}
+		check(step, "free list over its bound", len(fs.freeChunks) <= maxFreeChunks)
+		fs.freeMu.Unlock()
+	}
+	if reused == 0 {
+		t.Fatal("no chunk of a dropped file was ever reused")
+	}
+	t.Logf("%d chunks reused", reused)
+}
+
+// TestDroppedOnlyAfterLastClose removes a file with two handles open,
+// closes one of them twice, and checks the file still reads whole
+// while another file is written, then that the last Close frees its
+// chunks and the next file takes them.
+func TestDroppedOnlyAfterLastClose(t *testing.T) {
+	fs := newMem()
+	want := pattern(0, 3*chunkSize+5)
+	f, _ := fs.Create("f")
+	f.Write(want)
+	g, _ := fs.Open("f")
+	if err := fs.Remove("f"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	f.Close() // a second Close must not count against g
+	if n := len(fs.freeChunks); n != 0 {
+		t.Fatalf("%d chunks freed while a handle is open", n)
+	}
+	other, _ := fs.Create("other")
+	other.Write(pattern(7, 4*chunkSize))
+	got := make([]byte, len(want))
+	if n, err := g.ReadAt(got, 0); n != len(want) || err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("open handle of a removed file reads %d, %v (equal: %v)", n, err, bytes.Equal(got, want))
+	}
+	g.Close()
+	if n := len(fs.freeChunks); n != 4 {
+		t.Fatalf("last Close freed %d chunks, want 4 (3 full ones and the tail)", n)
+	}
+	// A new file's first chunk grows by append; its later ones come
+	// off the free list.
+	h, _ := fs.Create("h")
+	h.Write(pattern(0, 2*chunkSize+1))
+	if n := len(fs.freeChunks); n != 2 {
+		t.Fatalf("%d chunks left on the free list, want 2", n)
+	}
+}
+
+// TestMemFileSizeClass keeps memFile in the 96-byte allocation class,
+// what every Create pays for.
+func TestMemFileSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(memFile{}); n > 96 {
+		t.Fatalf("memFile is %d bytes, over the 96-byte size class", n)
+	}
+}
+
+// TestChunkReuseConcurrent has several goroutines each write, reopen,
+// remove, read back and close multi-chunk files of their own, so that
+// chunks one goroutine's files drop are taken by another's appends. Run
+// it under -race: the free list is shared by every file of the MemFS.
+func TestChunkReuseConcurrent(t *testing.T) {
+	fs := newMem()
+	const workers, rounds = 4, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				name := fmt.Sprintf("w%d-%d", w, r)
+				want := pattern(w*7919+r, 2*chunkSize+w*100+r)
+				f, _ := fs.Create(name)
+				f.Write(want[:chunkSize+1])
+				g, _ := fs.Open(name)
+				f.Write(want[chunkSize+1:])
+				f.Close()
+				if err := fs.Remove(name); err != nil {
+					t.Error(err)
+					return
+				}
+				got := make([]byte, len(want))
+				if n, err := g.ReadAt(got, 0); n != len(want) || err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s: read %d, %v (equal: %v)", name, n, err, bytes.Equal(got, want))
+					return
+				}
+				g.Close()
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -73,6 +73,12 @@ type MemFS struct {
 
 	mu    sync.Mutex
 	files map[string]*memFile
+
+	// freeMu guards freeChunks, the whole chunks of dropped files that
+	// appends reuse before they allocate. It is taken last, inside
+	// mu and a memFile's mu.
+	freeMu     sync.Mutex
+	freeChunks [][]byte
 }
 
 // syncChunk is the granularity at which a Sync's dirty bytes are issued
@@ -98,13 +104,23 @@ const (
 	chunkSize  = 1 << chunkShift
 )
 
+// maxFreeChunks bounds a MemFS's free list of chunks: at most this many
+// (32 MiB) stay allocated for reuse after their files are dropped.
+const maxFreeChunks = 512
+
 // memFile stores a file as chunks that are never moved once written.
 // tail is the chunk appends go to; *full lists the chunks before it,
 // chunkSize bytes each, so byte off lives in chunk off>>chunkShift. A
 // file that fits one chunk is tail alone, grown by append like any
 // slice, and full stays nil — a pointer, so that the many small files
 // (CURRENT, a MANIFEST) pay one word for it and no allocation. Every
-// later chunk is allocated at full capacity, once.
+// later chunk is allocated at full capacity, once, or taken from the
+// free list of a file that was dropped.
+//
+// A file is dropped when it is unlinked (removed, or replaced by a
+// Rename or a Create) and its last handle closes, whichever comes
+// second; its whole chunks then go to the free list. handles and
+// unlinked are guarded by fs.mu.
 type memFile struct {
 	fs   *MemFS
 	name string
@@ -113,6 +129,9 @@ type memFile struct {
 	tail   []byte
 	full   *[][]byte
 	synced int // prefix of the file known to be on the device
+
+	handles  int32 // open handles
+	unlinked bool  // no name leads to the file any more
 }
 
 // size returns the file's length in bytes. Caller holds f.mu.
@@ -140,7 +159,7 @@ func (f *memFile) append(p []byte) {
 				f.full = new([][]byte)
 			}
 			*f.full = append(*f.full, f.tail)
-			f.tail = make([]byte, 0, chunkSize)
+			f.tail = f.fs.newChunk()
 		}
 		n := min(len(p), chunkSize-len(f.tail))
 		f.tail = append(f.tail, p[:n]...)
@@ -160,11 +179,69 @@ func (f *memFile) readAt(p []byte, off int) int {
 	return len(p)
 }
 
+// newChunk returns an empty chunk of capacity chunkSize, reused when
+// the free list has one.
+func (fs *MemFS) newChunk() []byte {
+	fs.freeMu.Lock()
+	if n := len(fs.freeChunks); n > 0 {
+		c := fs.freeChunks[n-1]
+		fs.freeChunks[n-1] = nil
+		fs.freeChunks = fs.freeChunks[:n-1]
+		fs.freeMu.Unlock()
+		return c[:0]
+	}
+	fs.freeMu.Unlock()
+	return make([]byte, 0, chunkSize)
+}
+
+// unlinkLocked marks f as reachable by no name, and drops it if no
+// handle is open. Caller holds fs.mu.
+func (fs *MemFS) unlinkLocked(f *memFile) {
+	f.unlinked = true
+	if f.handles == 0 {
+		fs.dropLocked(f)
+	}
+}
+
+// dropLocked empties f, which no name and no open handle reaches any
+// more, and puts its whole chunks on the free list. Emptying it under
+// its lock means a call that found f by name just before it was
+// unlinked (Size, CorruptBit) sees an empty file, never a chunk that
+// another file now holds. Caller holds fs.mu.
+func (fs *MemFS) dropLocked(f *memFile) {
+	f.mu.Lock()
+	var full [][]byte
+	if f.full != nil {
+		full = *f.full
+	}
+	tail := f.tail
+	f.tail, f.full, f.synced = nil, nil, 0
+	f.mu.Unlock()
+
+	fs.freeMu.Lock()
+	defer fs.freeMu.Unlock()
+	for _, c := range full {
+		fs.freeChunkLocked(c)
+	}
+	fs.freeChunkLocked(tail)
+}
+
+// freeChunkLocked puts c on the free list if it is a whole chunk and
+// the list has room. Caller holds fs.freeMu.
+func (fs *MemFS) freeChunkLocked(c []byte) {
+	if cap(c) == chunkSize && len(fs.freeChunks) < maxFreeChunks {
+		fs.freeChunks = append(fs.freeChunks, c)
+	}
+}
+
 // Create creates or truncates name.
 func (fs *MemFS) Create(name string) (File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := &memFile{fs: fs, name: name}
+	if old, ok := fs.files[name]; ok {
+		fs.unlinkLocked(old)
+	}
+	f := &memFile{fs: fs, name: name, handles: 1}
 	fs.files[name] = f
 	return &memHandle{f: f}, nil
 }
@@ -179,6 +256,7 @@ func (fs *MemFS) Open(name string) (File, error) {
 	if !ok {
 		return nil, fmt.Errorf("vfs: open %s: %w", name, ErrNotExist)
 	}
+	f.handles++
 	return &memHandle{f: f}, nil
 }
 
@@ -186,10 +264,12 @@ func (fs *MemFS) Open(name string) (File, error) {
 func (fs *MemFS) Remove(name string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.files[name]; !ok {
+	f, ok := fs.files[name]
+	if !ok {
 		return fmt.Errorf("vfs: remove %s: %w", name, ErrNotExist)
 	}
 	delete(fs.files, name)
+	fs.unlinkLocked(f)
 	return nil
 }
 
@@ -200,6 +280,9 @@ func (fs *MemFS) Rename(oldname, newname string) error {
 	f, ok := fs.files[oldname]
 	if !ok {
 		return fmt.Errorf("vfs: rename %s: %w", oldname, ErrNotExist)
+	}
+	if old, ok := fs.files[newname]; ok && old != f {
+		fs.unlinkLocked(old)
 	}
 	delete(fs.files, oldname)
 	f.name = newname
@@ -346,8 +429,19 @@ func (h *memHandle) Sync() error {
 	return nil
 }
 
+// Close closes the handle; closing it again does nothing. The last
+// close of an unlinked file drops it.
 func (h *memHandle) Close() error {
+	fs := h.f.fs
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if h.closed {
+		return nil
+	}
 	h.closed = true
+	if h.f.handles--; h.f.handles == 0 && h.f.unlinked {
+		fs.dropLocked(h.f)
+	}
 	return nil
 }
 
