@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # How long each layer microbenchmark runs; CI passes 1x.
 MICROBENCHTIME ?= 1s
 
-.PHONY: all tier1 tier2 tier3 bench-test bench-check microbench bench-smoke obs-smoke loc
+.PHONY: all tier1 tier2 tier3 bench-test bench-check microbench obs-smoke loc
 
 all: tier1
 
@@ -73,27 +73,6 @@ tier3:
 	$(GO) test ./internal/sstable -run '^$$' -fuzz '^FuzzTableReader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/batch -run '^$$' -fuzz '^FuzzFromRepr$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/manifest -run '^$$' -fuzz '^FuzzDecodeEdit$$' -fuzztime $(FUZZTIME)
-
-# Smoke runs of dbbench on the simulated 3D XPoint device, short enough
-# for CI. They catch hangs, leak-counter failures at Close and gross
-# regressions; numbers come from bench/ (`bash bench/run.sh`), not here.
-#   1. mixed: concurrent reader and writer pools on the bare engine,
-#      the shape the SuperVersion read path is built for.
-#   2. the same on 4 range shards (shared cache/pool/controller).
-#   3. a zipfian hot-shard run: skewed load lands on shard 0 while the
-#      shared stall budget leaves cold shards unthrottled.
-#   4. fillrandom at max_subcompactions 4, failing unless the stats
-#      report's xpointdb_compaction_subcompactions_total line shows the
-#      fan-out actually split a compaction.
-# Real-clock and simulated dbbench runs share one code path, so `-path
-# DIR` in place of `-device xpoint` smokes the same body on the OS.
-bench-smoke:
-	$(GO) run ./cmd/dbbench -device xpoint -benchmarks mixed -threads 8 -duration 5s
-	$(GO) run ./cmd/dbbench -device xpoint -shards 4 -benchmarks mixed -threads 8 -duration 3s
-	$(GO) run ./cmd/dbbench -device xpoint -shards 4 -hot_shard_skew 1.3 \
-		-benchmarks readrandomwriterandom -threads 8 -duration 2s -num 8000
-	$(GO) run ./cmd/dbbench -device xpoint -benchmarks fillrandom -threads 8 -duration 2s -num 12000 \
-		-max_subcompactions 4 -stats | tee /dev/stderr | grep -E '^xpointdb_compaction_subcompactions_total [1-9]' >/dev/null
 
 # Ops-plane smoke: run dbbench on a real directory with -serve and
 # curl every HTTP endpoint (/healthz, /metrics, /stats, /events SSE,

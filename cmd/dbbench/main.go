@@ -50,8 +50,8 @@ func main() {
 type config struct {
 	device, path, walDevice, bench, throttle, eventLog, serveAddr string
 	threads, num, valueSize, shards, maxSub                       int
-	memtable, scrubRate, diskQuota, compRate, seed                int64
-	duration, statsIntv, faultHeal, slowOp, quotaCycle            time.Duration
+	memtable, scrubRate, diskQuota, seed                          int64
+	duration, faultHeal, slowOp, quotaCycle                       time.Duration
 	writeRatio, faultProb, hotSkew                                float64
 	disableWAL, pipelined, stats, perf, scrub                     bool
 
@@ -78,7 +78,6 @@ func parse(args []string) (*config, error) {
 	fs.StringVar(&c.throttle, "throttle", "algo1", "write controller: none | algo1 | twostage")
 	fs.Int64Var(&c.seed, "seed", 42, "workload seed")
 	fs.BoolVar(&c.stats, "stats", false, "end with the full stats report (health, LSM shape, per-level table around the metrics section) instead of the metrics section alone")
-	fs.DurationVar(&c.statsIntv, "statsinterval", 0, "periodic stats dump interval in engine-clock time (0 disables); dumps go to stderr")
 	fs.StringVar(&c.eventLog, "eventlog", "", "write the structured engine event stream (JSON lines) to this file")
 	fs.BoolVar(&c.perf, "perf", false, "collect per-operation stage timings (PerfContext histograms)")
 	fs.BoolVar(&c.scrub, "scrub", true, "run the background checksum scrubber during the benchmark (-scrub=false disables; rate via -scrub_rate)")
@@ -92,7 +91,6 @@ func parse(args []string) (*config, error) {
 	fs.Int64Var(&c.diskQuota, "disk_quota", 0, "model a disk of this many bytes (simulated device only): the filesystem fails with ENOSPC past it, and the engine's space budget (MaxAllowedSpace) defends the same cap; armed after preload")
 	fs.DurationVar(&c.quotaCycle, "quota_cycle", 0, "with -disk_quota: periodically squeeze the quota below current usage for 10% of each cycle and release it — the full-disk squeeze/release cadence wait-for-space recovery is judged on")
 	fs.IntVar(&c.maxSub, "max_subcompactions", 1, "split each merging compaction into up to K concurrent key-range sub-compactions (1 = single merge loop)")
-	fs.Int64Var(&c.compRate, "compaction_rate", 0, "compaction I/O rate limit in bytes/sec shared by all sub-compactions (0 = unlimited)")
 	_ = fs.Parse(args) // ExitOnError
 	return c, c.validate()
 }
@@ -152,7 +150,6 @@ func (c *config) tune(o *engine.Options, evLog *events.EventLog) {
 	o.TargetFileSize = c.memtable
 	o.BaseLevelBytes = 4 * c.memtable
 	o.MaxSubcompactions = c.maxSub
-	o.CompactionRateBytesPerSec = c.compRate
 	o.DisableWAL = c.disableWAL
 	o.PipelinedWrites = c.pipelined
 	o.ThrottleMode = throttleModes[c.throttle]
@@ -164,8 +161,6 @@ func (c *config) tune(o *engine.Options, evLog *events.EventLog) {
 	}
 	o.ObsAddr = c.serveAddr
 	o.SlowOpThreshold = c.slowOp
-	o.StatsDumpInterval = c.statsIntv
-	o.StatsWriter = os.Stderr
 	// The engine budget defends the same cap the quota enforces, so
 	// the degradation ladder and job deferral engage before ENOSPC;
 	// the cycle's squeeze below usage is what forces the latch.
@@ -411,8 +406,8 @@ func (r *report) print(w io.Writer, cfg *config, target, mode, device string) {
 		fmt.Fprintf(w, "write latency  : %s\n", res.WriteLat)
 	}
 	fmt.Fprintf(w, "read misses    : %d   errors: %d\n", res.ReadMisses, res.Errors)
-	fmt.Fprintf(w, "l0 drain       : %v after the measured window (max_subcompactions %d, compaction_rate %d B/s)\n",
-		r.l0Drain.Round(time.Millisecond), cfg.maxSub, cfg.compRate)
+	fmt.Fprintf(w, "l0 drain       : %v after the measured window (max_subcompactions %d)\n",
+		r.l0Drain.Round(time.Millisecond), cfg.maxSub)
 	fmt.Fprintf(w, "health         : %v at the end of the run\n", r.health)
 	if cfg.faultProb > 0 {
 		fmt.Fprintf(w, "fault injection: WAL sync prob %.3g heal %v; %d faults injected; final health %v\n",

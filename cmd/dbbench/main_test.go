@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,7 +14,9 @@ import (
 // store shapes: same ops, same report lines, a healthy store at the end.
 // Two more simulated runs put recovery under load — injected WAL sync
 // faults, and a cycled disk quota — and must still end healthy; only
-// they may count failed ops.
+// they may count failed ops. A zipfian hot-shard run must land most
+// ops on shard 0, and a fillrandom run at max_subcompactions 4 must
+// show the fan-out splitting a compaction.
 func TestRunBody(t *testing.T) {
 	for _, c := range []struct{ name, args string }{
 		{"sim/shards=0", "-device xpoint -shards 0"},
@@ -22,6 +25,8 @@ func TestRunBody(t *testing.T) {
 		{"real/shards=4", "-shards 4"},
 		{"sim/faultprob", "-device xpoint -faultprob 0.5 -faultheal 100ms"},
 		{"sim/quota_cycle", "-device xpoint -disk_quota 64000000 -quota_cycle 50ms"},
+		{"sim/hot_shard", "-device xpoint -shards 4 -hot_shard_skew 1.3 -benchmarks readrandomwriterandom"},
+		{"sim/subcompactions", "-device xpoint -benchmarks fillrandom -max_subcompactions 4"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			args := append(strings.Fields("-benchmarks mixed -threads 2 -duration 200ms -num 2000"), strings.Fields(c.args)...)
@@ -50,9 +55,12 @@ func TestRunBody(t *testing.T) {
 			if r.health != engine.Healthy {
 				t.Errorf("final health = %v", r.health)
 			}
-			for _, label := range []string{"benchmark", "throughput", "read latency", "write latency", "read misses",
-				"l0 drain", "health", "** Metrics", "xpointdb_write_ops_total", "xpointdb_get_latency_seconds n=",
-				"xpointdb_get_hits_total{where=", "xpointdb_bgpool_size"} {
+			labels := []string{"benchmark", "throughput", "write latency", "read misses",
+				"l0 drain", "health", "** Metrics", "xpointdb_write_ops_total", "xpointdb_bgpool_size"}
+			if cfg.bench != "fillrandom" {
+				labels = append(labels, "read latency", "xpointdb_get_latency_seconds n=", "xpointdb_get_hits_total{where=")
+			}
+			for _, label := range labels {
 				if !strings.Contains(out.String(), "\n"+label) && !strings.HasPrefix(out.String(), label) {
 					t.Errorf("report has no %q line:\n%s", label, out.String())
 				}
@@ -61,6 +69,21 @@ func TestRunBody(t *testing.T) {
 			// bracketed value per shard.
 			if cfg.shards > 1 && !regexp.MustCompile(`\nxpointdb_write_ops_total \d+ \[\d+ \d+ \d+ \d+\]\n`).MatchString(out.String()) {
 				t.Errorf("no store-wide write count with %d per-shard values:\n%s", cfg.shards, out.String())
+			}
+			if cfg.hotSkew > 0 {
+				m := regexp.MustCompile(`\nxpointdb_ops_total \d+ \[(\d+) (\d+) (\d+) (\d+)\]\n`).FindStringSubmatch(out.String())
+				if m == nil {
+					t.Fatalf("no per-shard op counts:\n%s", out.String())
+				}
+				hot, _ := strconv.Atoi(m[1])
+				for _, cold := range m[2:] {
+					if n, _ := strconv.Atoi(cold); n >= hot {
+						t.Errorf("shard 0 ran %d ops, a cold shard %d: the skew did not land on shard 0", hot, n)
+					}
+				}
+			}
+			if cfg.maxSub > 1 && !regexp.MustCompile(`\nxpointdb_compaction_subcompactions_total [1-9]`).MatchString(out.String()) {
+				t.Errorf("max_subcompactions %d split no compaction:\n%s", cfg.maxSub, out.String())
 			}
 		})
 	}

@@ -1,7 +1,7 @@
 // Observability tour: run a bursty write workload on a simulated 3D
 // XPoint device with every instrumentation surface enabled — the
-// structured event stream, per-operation PerfContext aggregation and
-// the periodic stats reporter — then replay what the engine saw:
+// structured event stream and per-operation PerfContext aggregation —
+// then print the stats report and replay what the engine saw:
 // flush/compaction activity, every write-stall episode with its cause,
 // and the Algorithm 1 rate trajectory (×0.8 when compaction falls
 // behind, ×1.25 as it catches up).
@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"xpointdb"
@@ -28,13 +27,11 @@ func main() {
 	sim.Options.ThrottleMode = xpointdb.ThrottleAlgorithm1
 
 	// Instrumentation: an in-memory event buffer (use NewEventLog with
-	// a file to persist the stream for xpdump -events), per-op stage
-	// timings, and a periodic dump every 30 s of virtual time.
+	// a file to persist the stream for xpdump -events) and per-op stage
+	// timings.
 	var evs xpointdb.EventBuffer
 	sim.Options.EventListener = &evs
 	sim.Options.CollectPerf = true
-	sim.Options.StatsDumpInterval = 30 * time.Second
-	sim.Options.StatsWriter = os.Stderr
 
 	var report string
 	sim.Kernel.Run(func() {

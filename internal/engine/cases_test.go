@@ -39,6 +39,10 @@ func newSimEnv(profile storage.Profile, tweak func(*Options)) *simEnv {
 // TestThrottleEngagesUnderWritePressure drives heavy writes on a
 // bandwidth-starved device and verifies Algorithm 1 kicks in: stall
 // delay accumulates and the write controller leaves the clear state.
+// The run takes about a second of wall time; a wall-clock deadline
+// turns a wedged flush or compaction, which would park the writers at
+// the stop trigger for good, into a failure of this test instead of
+// the package's -timeout panic.
 func TestThrottleEngagesUnderWritePressure(t *testing.T) {
 	prof := storage.XPoint().Scaled(64) // very slow background bandwidth
 	env := newSimEnv(prof, func(o *Options) {
@@ -46,26 +50,35 @@ func TestThrottleEngagesUnderWritePressure(t *testing.T) {
 		o.L0StopTrigger = 12
 	})
 	var delayed int64
-	env.k.Run(func() {
-		db, err := Open(env.o)
-		if err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		defer db.Close()
-		res := workload.Run(env.k, db, workload.Config{
-			Workers:   4,
-			ReadRatio: 0.05,
-			Duration:  8 * time.Second,
-			KeySpace:  20000,
-			ValueSize: 1024,
-			Seed:      11,
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		env.k.Run(func() {
+			db, err := Open(env.o)
+			if err != nil {
+				t.Errorf("open: %v", err)
+				return
+			}
+			defer db.Close()
+			res := workload.Run(env.k, db, workload.Config{
+				Workers:   4,
+				ReadRatio: 0.05,
+				Duration:  8 * time.Second,
+				KeySpace:  20000,
+				ValueSize: 1024,
+				Seed:      11,
+			})
+			if res.Errors > 0 {
+				t.Errorf("workload errors: %d", res.Errors)
+			}
+			delayed = db.Metrics().StallDelayTotal.Load()
 		})
-		if res.Errors > 0 {
-			t.Errorf("workload errors: %d", res.Errors)
-		}
-		delayed = db.Metrics().StallDelayTotal.Load()
-	})
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("Kernel.Run has not returned after 2 min of wall time: the 8 s workload is wedged (a stuck flush or compaction parks every writer at the stop trigger)")
+	}
 	if delayed == 0 {
 		t.Fatal("no throttle delay accumulated under heavy writes")
 	}

@@ -221,9 +221,7 @@ func (db *DB) runSubcompaction(c *compaction, sub subrange, res *subResult) {
 			continue // no block of f intersects the range
 		}
 		windows = append(windows, w)
-		n := int64(len(w))
-		db.pacer.Wait(db.clk, n)
-		res.read += n
+		res.read += int64(len(w))
 		iters = append(iters, r.NewIter())
 	}
 	if len(iters) == 0 {
@@ -252,7 +250,6 @@ func (db *DB) runSubcompaction(c *compaction, sub subrange, res *subResult) {
 		if err != nil {
 			return err
 		}
-		db.pacer.Wait(db.clk, meta.Size)
 		res.outputs = append(res.outputs, meta)
 		res.written += meta.Size
 		return nil

@@ -94,16 +94,15 @@ type DB struct {
 	// and index its place there: its stall source at the controller,
 	// its pool tag and its space-key namespace. ownsShared marks a set
 	// of one made by Open, which the engine reports and closes as its
-	// own. controller, pool, pacer, space and ev are the set's,
-	// copied at open so the hot paths load one pointer; space is nil
-	// without a budget, pacer when unlimited, ev when nothing listens
-	// (otherwise it stamps this engine's shard tag).
+	// own. controller, pool, space and ev are the set's, copied at
+	// open so the hot paths load one pointer; space is nil without a
+	// budget, ev when nothing listens (otherwise it stamps this
+	// engine's shard tag).
 	shared     *Shared
 	index      int
 	ownsShared bool
 	controller *throttle.Controller
 	pool       *bgpool.Pool
-	pacer      *costmodel.Pacer
 	space      *SpaceManager
 	spaceSub   int // this DB's ladder subscription id at space
 	ev         events.Listener
@@ -248,7 +247,6 @@ func (sh *Shared) open(i int, opts Options, owned bool) (*DB, error) {
 		ownsShared: owned,
 		controller: sh.Controller,
 		pool:       sh.Pool,
-		pacer:      sh.Pacer,
 		space:      sh.Space,
 		ev:         sh.listener(i),
 		memBudget:  opts.MemtableSize,
@@ -274,9 +272,6 @@ func (sh *Shared) open(i int, opts Options, owned bool) (*DB, error) {
 	db.startWorkerLocked("compact-worker", db.compactWorker)
 	if opts.AdaptiveL0 {
 		db.startWorkerLocked("adaptive-l0", db.adaptiveWorker)
-	}
-	if opts.StatsDumpInterval > 0 && opts.StatsWriter != nil {
-		db.startWorkerLocked("stats-worker", db.statsWorker)
 	}
 	db.startWorkerLocked("recovery-worker", db.recoveryWorker)
 	if !opts.DisableScrub {

@@ -186,8 +186,8 @@ func (db *DB) emitIntegrity(kind events.Kind, in *events.Integrity) {
 
 // emitSlowOp promotes one operation whose end-to-end latency met
 // Options.SlowOpThreshold into a slow_op trace event, carrying its
-// PerfContext stage breakdown (d may be nil when stage collection was
-// unavailable). Called after the operation completed, no locks held.
+// PerfContext stage breakdown d (a threshold makes every op collect
+// one). Called after the operation completed, no locks held.
 func (db *DB) emitSlowOp(op string, lat time.Duration, batch int, d *PerfContext) {
 	db.metrics.SlowOps.Add(1)
 	if db.ev == nil {
@@ -199,14 +199,12 @@ func (db *DB) emitSlowOp(op string, lat time.Duration, batch int, d *PerfContext
 		ThresholdUS: db.opts.SlowOpThreshold.Microseconds(),
 		Batch:       batch,
 	}
-	if d != nil {
-		for _, st := range allStages {
-			if v := st.dur(d); v > 0 {
-				if so.Stages == nil {
-					so.Stages = make(map[string]int64, 4)
-				}
-				so.Stages[st.name] = v.Microseconds()
+	for _, st := range allStages {
+		if v := st.dur(d); v > 0 {
+			if so.Stages == nil {
+				so.Stages = make(map[string]int64, 4)
 			}
+			so.Stages[st.name] = v.Microseconds()
 		}
 	}
 	db.ev.Emit(events.Event{TS: db.clk.Now(), Kind: events.KindSlowOp, SlowOp: so})

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -338,68 +337,6 @@ func TestPerfContextExplicit(t *testing.T) {
 	}
 	if db.Metrics().PerfReadOps.Load() != 1 {
 		t.Errorf("PerfReadOps = %d, want 1", db.Metrics().PerfReadOps.Load())
-	}
-}
-
-// syncWriter is a concurrency-safe io.Writer for the stats worker to
-// dump into.
-type syncWriter struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (w *syncWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.buf.Write(p)
-}
-
-func (w *syncWriter) String() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.buf.String()
-}
-
-// TestStatsWorkerPeriodicDump runs the periodic reporter under the
-// simulation kernel: an idle stretch of virtual time must produce the
-// expected number of dumps, and Close must stop the worker.
-func TestStatsWorkerPeriodicDump(t *testing.T) {
-	k := sim.New(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC))
-	dev := storage.New(k, storage.Null())
-	fs := vfs.NewMem(dev)
-	var out syncWriter
-
-	k.Run(func() {
-		opts := DefaultOptions(fs)
-		opts.Clock = k
-		opts.StatsDumpInterval = time.Second
-		opts.StatsWriter = &out
-		db, err := Open(opts)
-		if err != nil {
-			t.Errorf("Open: %v", err)
-			return
-		}
-		for i := 0; i < 50; i++ {
-			if err := db.Put(testKey(i), testValue(i)); err != nil {
-				t.Errorf("Put: %v", err)
-				return
-			}
-		}
-		k.Sleep(3500 * time.Millisecond)
-		if err := db.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	})
-
-	dumps := strings.Count(out.String(), "--- stats @ ")
-	if dumps < 3 {
-		t.Errorf("got %d periodic dumps over 3.5s of virtual time, want >= 3\n%s", dumps, out.String())
-	}
-	if !strings.Contains(out.String(), "** Metrics **") {
-		t.Errorf("dump missing the metrics section:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), `xpointdb_write_controller_state{state="clear"} 1`) {
-		t.Errorf("dump missing the controller state line:\n%s", out.String())
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"io"
 	"time"
 
 	"xpointdb/internal/clock"
@@ -68,12 +67,6 @@ type Options struct {
 	// background pool without blocking and never starve a queued flush.
 	// 0 or 1 disables splitting (the single-merge-loop behavior).
 	MaxSubcompactions int
-	// CompactionRateBytesPerSec bounds compaction I/O (input reads +
-	// output writes) to this many bytes per second of engine-clock
-	// time, pacing background traffic against foreground reads and
-	// writes (RocksDB's rate_limiter). 0 means unlimited. The budget is
-	// the store's, however many shards draw from it.
-	CompactionRateBytesPerSec int64
 
 	// DisableWAL skips the write-ahead log entirely (Figure 17).
 	DisableWAL bool
@@ -163,14 +156,6 @@ type Options struct {
 	// budget are deferred until reclamation frees headroom. The budget
 	// is the store's: every shard charges the same one.
 	MaxAllowedSpace int64
-
-	// StatsDumpInterval, when positive and StatsWriter is set, starts
-	// a background worker that writes DB.StatsReport to StatsWriter
-	// every interval of engine-clock time — RocksDB's periodic stats
-	// dump (dbbench -statsinterval).
-	StatsDumpInterval time.Duration
-	// StatsWriter receives the periodic stats dumps.
-	StatsWriter io.Writer
 }
 
 // Tuning values that are constants rather than Options fields: no
@@ -262,9 +247,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSubcompactions <= 0 {
 		o.MaxSubcompactions = 1
-	}
-	if o.CompactionRateBytesPerSec < 0 {
-		o.CompactionRateBytesPerSec = 0
 	}
 	if o.ScrubBytesPerSec <= 0 {
 		o.ScrubBytesPerSec = d.ScrubBytesPerSec

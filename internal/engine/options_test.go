@@ -17,7 +17,6 @@ import (
 	"xpointdb/internal/bgpool"
 	"xpointdb/internal/cache"
 	"xpointdb/internal/clock"
-	"xpointdb/internal/costmodel"
 	"xpointdb/internal/storage"
 	"xpointdb/internal/throttle"
 	"xpointdb/internal/vfs"
@@ -25,14 +24,13 @@ import (
 
 // TestOptionsCarryNoSharedResource keeps the resources a Shared builds
 // out of Options: a set of engines is an argument, not a knob, so no
-// caller can hand an engine a cache, controller, pool, pacer or space
+// caller can hand an engine a cache, controller, pool or space
 // budget of its own choosing.
 func TestOptionsCarryNoSharedResource(t *testing.T) {
 	shared := map[reflect.Type]bool{
 		reflect.TypeOf((*cache.Cache)(nil)):         true,
 		reflect.TypeOf((*throttle.Controller)(nil)): true,
 		reflect.TypeOf((*bgpool.Pool)(nil)):         true,
-		reflect.TypeOf((*costmodel.Pacer)(nil)):     true,
 		reflect.TypeOf((*SpaceManager)(nil)):        true,
 	}
 	ot := reflect.TypeOf(Options{})
@@ -106,14 +104,16 @@ func TestOpenOnExistingEmptyDirIsFresh(t *testing.T) {
 }
 
 // TestOptionsHaveCallers keeps every field of the two stores' Options
-// (engine.Options, shardeddb.Options) earning its place: a field must
-// be set by some non-test Go outside the store's own package, examples/
-// and bench/ that imports the package — a store, a command, an
-// experiment or the torture driver — or stand in the allow-list with
-// its reason. A value nobody varies belongs in a constant, a mode only
-// tests use belongs in no Options at all, and an assignment computed
-// from another field of the same Options (o.X = o.Y / 2) is not a
-// setting: the store derives it. A field counts as set by name — an
+// (engine.Options, shardeddb.Options) earning its place, by two rules.
+// First, a field must be set by some non-test Go outside the store's
+// own package, examples/ and bench/ that imports the package — a
+// store, a command, an experiment or the torture driver — or stand in
+// the allow-list with its reason. A value nobody varies belongs in a
+// constant, a mode only tests use belongs in no Options at all, and an
+// assignment computed from another field of the same Options
+// (o.X = o.Y / 2) is not a setting: the store derives it. Second, some
+// _test.go outside bench/ must set it too: a knob no test turns has
+// never been seen to work. A field counts as set by name — an
 // assignment to a selector, a key of an Options literal of the package,
 // or its address taken (a flag binding) — so a same-named field of
 // another struct can hide a missing caller, never invent one.
@@ -131,7 +131,8 @@ func TestOptionsHaveCallers(t *testing.T) {
 
 // checkOptionCallers is TestOptionsHaveCallers for the Options struct
 // of the package in dir (relative to the repository root), reached by
-// the import paths imports.
+// the import paths imports. allowed exempts fields from the first rule
+// only.
 func checkOptionCallers(t *testing.T, dir string, imports []string, allowed map[string]string) {
 	const root = "../.."
 	fset := token.NewFileSet()
@@ -157,7 +158,9 @@ func checkOptionCallers(t *testing.T, dir string, imports []string, allowed map[
 	if len(fields) == 0 {
 		t.Fatalf("no Options struct in %s", dir)
 	}
-	set := map[string]bool{}
+	// set holds the fields non-test callers set, tested the fields
+	// some test sets.
+	set, tested := map[string]bool{}, map[string]bool{}
 	// derived reports whether rhs reads another field of the Options
 	// value the assignment writes to.
 	derived := func(lhs *ast.SelectorExpr, rhs ast.Expr) bool {
@@ -171,29 +174,38 @@ func checkOptionCallers(t *testing.T, dir string, imports []string, allowed map[
 		return found
 	}
 
-	skip := map[string]bool{dir: true, "examples": true, "bench": true}
 	scanned := 0
 	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		rel, _ := filepath.Rel(root, p)
+		rel = filepath.ToSlash(rel)
 		if d.IsDir() {
-			if skip[filepath.ToSlash(rel)] || d.Name() == "testdata" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
+			if rel == "bench" || d.Name() == "testdata" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
+		}
+		// The package's own tests set its Options unqualified.
+		isTest, inPkg := strings.HasSuffix(p, "_test.go"), path.Dir(rel) == dir
+		if !isTest && (inPkg || strings.HasPrefix(rel, "examples/")) {
+			return nil
+		}
+		into := set
+		if isTest {
+			into = tested
 		}
 		f, err := parser.ParseFile(fset, p, nil, 0)
 		if err != nil {
 			return err
 		}
 		scanned++
-		// Only a file importing the package can hold an Options value
-		// to set.
+		// Only a file importing the package (or in it) can hold an
+		// Options value to set.
 		optionsPkg := map[string]bool{}
 		for _, spec := range f.Imports {
 			ip, _ := strconv.Unquote(spec.Path.Value)
@@ -205,7 +217,7 @@ func checkOptionCallers(t *testing.T, dir string, imports []string, allowed map[
 				optionsPkg[name] = true
 			}
 		}
-		if len(optionsPkg) == 0 {
+		if len(optionsPkg) == 0 && !inPkg {
 			return nil
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -221,25 +233,30 @@ func checkOptionCallers(t *testing.T, dir string, imports []string, allowed map[
 						rhs = n.Rhs[i]
 					}
 					if !derived(sel, rhs) {
-						set[sel.Sel.Name] = true
+						into[sel.Sel.Name] = true
 					}
 				}
 			case *ast.UnaryExpr:
 				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND && fields[sel.Sel.Name] {
-					set[sel.Sel.Name] = true
+					into[sel.Sel.Name] = true
 				}
 			case *ast.CompositeLit:
-				typ, ok := n.Type.(*ast.SelectorExpr)
-				if !ok || typ.Sel.Name != "Options" {
-					return true
-				}
-				if pkg, ok := typ.X.(*ast.Ident); !ok || !optionsPkg[pkg.Name] {
+				switch typ := n.Type.(type) {
+				case *ast.SelectorExpr:
+					if pkg, ok := typ.X.(*ast.Ident); !ok || !optionsPkg[pkg.Name] || typ.Sel.Name != "Options" {
+						return true
+					}
+				case *ast.Ident:
+					if !inPkg || typ.Name != "Options" {
+						return true
+					}
+				default:
 					return true
 				}
 				for _, elt := range n.Elts {
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
 						if k, ok := kv.Key.(*ast.Ident); ok {
-							set[k.Name] = true
+							into[k.Name] = true
 						}
 					}
 				}
@@ -262,10 +279,42 @@ func checkOptionCallers(t *testing.T, dir string, imports []string, allowed map[
 		case set[name] && ok:
 			t.Errorf("Options.%s is set by a caller now: drop it from the allow-list", name)
 		}
+		if !tested[name] {
+			t.Errorf("Options.%s: no _test.go outside bench/ sets it; test the knob or delete it", name)
+		}
 	}
 	for name := range allowed {
 		if !fields[name] {
 			t.Errorf("allow-list names Options.%s, which does not exist", name)
 		}
+	}
+}
+
+// TestBlockSizeSetsDataBlocks checks that Options.BlockSize reaches the
+// table builder: a cold Get caches the one data block it read, about
+// BlockSize bytes of it.
+func TestBlockSizeSetsDataBlocks(t *testing.T) {
+	cachedByGet := func(blockSize int) int64 {
+		db, _ := newTestDB(t, func(o *Options) { o.BlockSize = blockSize })
+		defer db.Close()
+		for i := 0; i < 500; i++ {
+			if err := db.Put(testKey(i), testValue(i)); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		blocks := db.Shared().Blocks
+		before := blocks.Used()
+		if _, err := db.Get(testKey(250)); err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		return blocks.Used() - before
+	}
+	small, large := cachedByGet(256), cachedByGet(8192)
+	t.Logf("one cold Get cached %d B at BlockSize 256, %d B at 8192", small, large)
+	if small < 256 || small > 1024 || large < 8192 || large > 10240 {
+		t.Fatalf("one cold Get cached %d B at BlockSize 256 and %d B at 8192; want about one block each", small, large)
 	}
 }

@@ -210,8 +210,8 @@ var engineFamilies = []family[*scrape]{
 
 // The families below are the facts of a Shared's resources, exported
 // once per store, unlabelled. The cache families are skipped without a
-// cache; the pacer and space families read 0 (or clear) without a
-// pacer or budget, so dashboards see a stable metric set.
+// cache; the space families read 0 (or clear) without a budget, so
+// dashboards see a stable metric set.
 
 var cacheFamilies = []family[*cache.Cache]{
 	gauge("xpointdb_block_cache_used_bytes", "Bytes resident in the block cache.", func(c *cache.Cache) float64 { return float64(c.Used()) }),
@@ -239,7 +239,6 @@ var sharedFamilies = []family[*Shared]{
 	gauge("xpointdb_write_rate_bytes_per_second", "Current delayed-write rate.", func(sh *Shared) float64 { return sh.Controller.Rate() }),
 	counter("xpointdb_delayed_ops_total", "Writes delayed by the controller.", func(sh *Shared) float64 { _, ops, _ := sh.Controller.Stats(); return float64(ops) }),
 	counter("xpointdb_rate_adjustments_total", "Algorithm 1 rate steps on the controller.", func(sh *Shared) float64 { _, _, adj := sh.Controller.Stats(); return float64(adj) }),
-	gauge("xpointdb_compaction_pacer_bytes_per_second", "Compaction I/O rate limit shared by every lane and shard (0 = unlimited).", func(sh *Shared) float64 { return float64(sh.Pacer.Rate()) }),
 
 	stateGauge("xpointdb_space_state", "Space-budget degradation-ladder state (1; the state label names it; clear without a budget).", func(sh *Shared) throttle.State {
 		if sh.Space == nil {

@@ -58,8 +58,6 @@ func (db *DB) timedGet(key []byte, snap uint64, pc *PerfContext) ([]byte, error)
 		if t := db.opts.SlowOpThreshold; t > 0 && lat >= t {
 			db.emitSlowOp("get", lat, 0, &d)
 		}
-	} else if t := db.opts.SlowOpThreshold; t > 0 && lat >= t {
-		db.emitSlowOp("get", lat, 0, nil)
 	}
 	return v, err
 }

@@ -99,16 +99,3 @@ func (db *DB) report(section bool) string {
 	b.WriteString(levels.String())
 	return b.String()
 }
-
-// statsQuantum bounds how long a pending Close can wait on the stats
-// worker under the real clock (under simulation the kernel jumps to
-// the next tick immediately, so the quantum costs nothing).
-const statsQuantum = 200 * time.Millisecond
-
-// statsWorker writes StatsReport to Options.StatsWriter every
-// StatsDumpInterval of engine-clock time.
-func (db *DB) statsWorker() {
-	for !db.sleepUnlessClosed(db.opts.StatsDumpInterval, statsQuantum) {
-		fmt.Fprintf(db.opts.StatsWriter, "--- stats @ %v ---\n%s", db.clk.Now().Format("15:04:05.000"), db.StatsReport())
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"xpointdb/internal/bgpool"
 	"xpointdb/internal/cache"
 	"xpointdb/internal/clock"
-	"xpointdb/internal/costmodel"
 	"xpointdb/internal/events"
 	"xpointdb/internal/obs"
 	"xpointdb/internal/throttle"
@@ -23,7 +22,6 @@ type Shared struct {
 	Blocks     *cache.Cache         // nil when Options.BlockCacheSize is 0
 	Pool       *bgpool.Pool         // every flush and compaction runs under one of its tokens
 	Controller *throttle.Controller // one delayed-write rate; the worst engine's stall state governs
-	Pacer      *costmodel.Pacer     // compaction I/O budget; nil when unlimited
 	Space      *SpaceManager        // nil without Options.MaxAllowedSpace
 	Plane      *obs.Plane           // event path and HTTP ops plane
 	// EventsDropped counts events Plane's bounded sink queue lost.
@@ -52,9 +50,8 @@ func NewShared(opts Options, engines, poolSlots int) *Shared {
 		}
 	}
 	sh.Pool = bgpool.New(sh.clk, poolSlots)
-	// The configured bytes/sec and byte budget are device-wide, not per
-	// engine: sharers pace against one ledger and charge one budget.
-	sh.Pacer = costmodel.NewPacer(opts.CompactionRateBytesPerSec)
+	// The byte budget is device-wide, not per engine: sharers charge
+	// one budget.
 	if opts.MaxAllowedSpace > 0 {
 		sh.Space = NewSpaceManager(opts.MaxAllowedSpace)
 	}

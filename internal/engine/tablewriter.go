@@ -11,8 +11,8 @@ import (
 // tableWriter owns one SST output from create to FileMeta: flush and
 // every sub-compaction lane write their files through it, so the build
 // options, the sync → paranoid check → close order and the space
-// accounting exist once. Cost-model charges and pacer waits stay with
-// the callers — they differ per job and fix where virtual time passes.
+// accounting exist once. Cost-model charges stay with the callers —
+// they differ per job and fix where virtual time passes.
 type tableWriter struct {
 	db  *DB
 	num uint64

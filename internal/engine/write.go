@@ -180,8 +180,6 @@ func (db *DB) ApplyWithPerf(b *batch.Batch, syncWAL bool, pc *PerfContext) error
 		if t := db.opts.SlowOpThreshold; t > 0 && lat >= t {
 			db.emitSlowOp("write", lat, int(b.Count()), &d)
 		}
-	} else if t := db.opts.SlowOpThreshold; t > 0 && lat >= t {
-		db.emitSlowOp("write", lat, int(b.Count()), nil)
 	}
 	return w.err
 }

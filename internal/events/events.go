@@ -44,7 +44,6 @@ const (
 	KindStallChange        Kind = "stall_change"
 	KindRateChange         Kind = "rate_change"
 	KindWALSync            Kind = "wal_sync"
-	KindFSOp               Kind = "fs_op"
 	KindBackgroundError    Kind = "background_error"
 	KindRecoveryBegin      Kind = "error_recovery_begin"
 	KindRecoveryAttempt    Kind = "error_recovery_attempt"
@@ -84,7 +83,6 @@ type Event struct {
 	Stall      *Stall      `json:"stall,omitempty"`
 	Rate       *Rate       `json:"rate,omitempty"`
 	WALSync    *WALSync    `json:"wal_sync,omitempty"`
-	FSOp       *FSOp       `json:"fs_op,omitempty"`
 	BGError    *BGError    `json:"background_error,omitempty"`
 	Recovery   *Recovery   `json:"recovery,omitempty"`
 
@@ -174,27 +172,6 @@ type WALSync struct {
 	Bytes      int64  `json:"bytes"`
 	DurationUS int64  `json:"duration_us"`
 	Error      string `json:"error,omitempty"`
-}
-
-// FSOp records one filesystem operation observed by a tracing
-// filesystem wrapper (package faultfs). The trace is the storage-layer
-// ground truth a crash-consistency failure is diagnosed against: which
-// writes and syncs actually reached each file, in what order, and
-// which had faults injected.
-type FSOp struct {
-	// Op is the operation name (create, open, write, read_at, sync,
-	// close, remove, rename, list, size).
-	Op string `json:"op"`
-	// Path is the file the operation targeted (old name for rename).
-	Path string `json:"path,omitempty"`
-	// Bytes is the payload size for write/read_at operations.
-	Bytes int `json:"bytes,omitempty"`
-	// DurationUS is the operation latency, including injected delay.
-	DurationUS int64  `json:"duration_us,omitempty"`
-	Error      string `json:"error,omitempty"`
-	// Injected marks a fault (error, torn write, or latency) applied
-	// by the wrapper rather than the underlying filesystem.
-	Injected bool `json:"injected,omitempty"`
 }
 
 // BGError records the engine latching a background error: a WAL or
@@ -315,13 +292,6 @@ type Func func(Event)
 
 // Emit calls f.
 func (f Func) Emit(e Event) { f(e) }
-
-// Nop is a Listener that discards everything — the disabled-cost
-// baseline for overhead benchmarks.
-type Nop struct{}
-
-// Emit discards e.
-func (Nop) Emit(Event) {}
 
 // ---------------------------------------------------------------------
 

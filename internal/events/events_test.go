@@ -163,18 +163,6 @@ func TestDecodeMalformed(t *testing.T) {
 	}
 }
 
-// BenchmarkNopEmit is the disabled-listener overhead floor: an engine
-// opened without a listener pays only a nil check, and one opened with
-// Nop pays this.
-func BenchmarkNopEmit(b *testing.B) {
-	var l Listener = Nop{}
-	e := Event{Kind: KindWALSync, WALSync: &WALSync{Bytes: 4096}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.Emit(e)
-	}
-}
-
 func BenchmarkEventLogEmit(b *testing.B) {
 	l := NewEventLog(discard{})
 	e := Event{TS: time.Unix(0, 0), Kind: KindWALSync, WALSync: &WALSync{Bytes: 4096}}

@@ -17,8 +17,7 @@
 //
 // All randomness (probabilistic rules, torn-write lengths) comes from
 // a caller-provided seed, so a run is reproducible given the same seed
-// and operation interleaving. Every operation can also be traced as an
-// events.KindFSOp event, composing with the engine's event log.
+// and operation interleaving.
 //
 // faultfs is test infrastructure: the shadow keeps file contents in
 // memory and New reads every pre-existing file eagerly, so wrap
@@ -35,7 +34,6 @@ import (
 	"time"
 
 	"xpointdb/internal/clock"
-	"xpointdb/internal/events"
 	"xpointdb/internal/storage"
 	"xpointdb/internal/vfs"
 )
@@ -143,14 +141,6 @@ type Rule struct {
 	fs         *FS
 }
 
-// Matched returns how many operations matched the rule's selectors
-// (including ones skipped by After/Count/Prob).
-func (r *Rule) Matched() int64 {
-	r.fs.mu.Lock()
-	defer r.fs.mu.Unlock()
-	return r.matched
-}
-
 // Fired returns how many times the rule's fault was applied.
 func (r *Rule) Fired() int64 {
 	r.fs.mu.Lock()
@@ -180,12 +170,11 @@ type shadow struct {
 	synced int
 }
 
-// FS wraps an inner vfs.FS with fault injection, op tracing, and crash
-// snapshot capture. Create one with New; it implements vfs.FS.
+// FS wraps an inner vfs.FS with fault injection and crash snapshot
+// capture. Create one with New; it implements vfs.FS.
 type FS struct {
 	inner vfs.FS
 	clk   clock.Clock
-	trace events.Listener
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -211,11 +200,10 @@ type FS struct {
 var _ vfs.FS = (*FS)(nil)
 
 // New wraps inner, seeding all randomized decisions from seed. clk is
-// the clock injected latency sleeps on and HealAfter and trace
-// timestamps read: the clock of the engine the filesystem serves. Files
-// already present on inner are read eagerly into the shadow and marked
-// fully synced (wrapping a filesystem at rest: everything on disk is
-// durable).
+// the clock injected latency sleeps on and HealAfter reads: the clock
+// of the engine the filesystem serves. Files already present on inner
+// are read eagerly into the shadow and marked fully synced (wrapping a
+// filesystem at rest: everything on disk is durable).
 func New(inner vfs.FS, clk clock.Clock, seed int64) (*FS, error) {
 	f := &FS{
 		inner:   inner,
@@ -317,10 +305,6 @@ func (f *FS) chargeQuota(op Op, add int) error {
 	return nil
 }
 
-// SetTrace installs a listener receiving one events.KindFSOp event per
-// operation. Call before use.
-func (f *FS) SetTrace(l events.Listener) { f.trace = l }
-
 // AddRule registers a fault rule and returns it for counter queries.
 // Rules are evaluated in registration order; the first one that fires
 // wins for a given operation.
@@ -338,13 +322,6 @@ func (f *FS) ClearRules() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.rules = nil
-}
-
-// OpCount returns the number of operations observed so far.
-func (f *FS) OpCount() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ops
 }
 
 // InjectedCount returns the number of operations a fault was applied
@@ -497,50 +474,19 @@ func (f *FS) applyLatency(ft *Fault) {
 	}
 }
 
-// emit traces one completed operation.
-func (f *FS) emit(op Op, name string, bytes int, start time.Time, err error, injected bool) {
-	if f.trace == nil {
-		return
-	}
-	now := f.clk.Now()
-	e := &events.FSOp{
-		Op:         op.String(),
-		Path:       name,
-		Bytes:      bytes,
-		DurationUS: now.Sub(start).Microseconds(),
-		Injected:   injected,
-	}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	f.trace.Emit(events.Event{TS: now, Kind: events.KindFSOp, FSOp: e})
-}
-
-// now returns a trace timestamp, skipping the clock read when tracing
-// is off.
-func (f *FS) now() time.Time {
-	if f.trace == nil {
-		return time.Time{}
-	}
-	return f.clk.Now()
-}
-
 // ---------------------------------------------------------------------
 // vfs.FS implementation
 
 // Create creates (truncating) name, resetting its shadow.
 func (f *FS) Create(name string) (vfs.File, error) {
-	start := f.now()
 	ft := f.begin(OpCreate, name)
 	f.applyLatency(ft)
 	if ft != nil {
 		if err := faultErr(ft); err != nil {
-			f.emit(OpCreate, name, 0, start, err, true)
 			return nil, err
 		}
 	}
 	if err := f.chargeQuota(OpCreate, 0); err != nil {
-		f.emit(OpCreate, name, 0, start, err, true)
 		return nil, err
 	}
 	h, err := f.inner.Create(name)
@@ -552,7 +498,6 @@ func (f *FS) Create(name string) (vfs.File, error) {
 		f.shadows[name] = &shadow{}
 		f.mu.Unlock()
 	}
-	f.emit(OpCreate, name, 0, start, err, ft != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -561,17 +506,14 @@ func (f *FS) Create(name string) (vfs.File, error) {
 
 // Open opens name for reading (and appending, per the vfs contract).
 func (f *FS) Open(name string) (vfs.File, error) {
-	start := f.now()
 	ft := f.begin(OpOpen, name)
 	f.applyLatency(ft)
 	if ft != nil {
 		if err := faultErr(ft); err != nil {
-			f.emit(OpOpen, name, 0, start, err, true)
 			return nil, err
 		}
 	}
 	h, err := f.inner.Open(name)
-	f.emit(OpOpen, name, 0, start, err, ft != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -580,12 +522,10 @@ func (f *FS) Open(name string) (vfs.File, error) {
 
 // Remove deletes name.
 func (f *FS) Remove(name string) error {
-	start := f.now()
 	ft := f.begin(OpRemove, name)
 	f.applyLatency(ft)
 	if ft != nil {
 		if err := faultErr(ft); err != nil {
-			f.emit(OpRemove, name, 0, start, err, true)
 			return err
 		}
 	}
@@ -598,7 +538,6 @@ func (f *FS) Remove(name string) error {
 		delete(f.shadows, name)
 		f.mu.Unlock()
 	}
-	f.emit(OpRemove, name, 0, start, err, ft != nil)
 	return err
 }
 
@@ -606,12 +545,10 @@ func (f *FS) Remove(name string) error {
 // as durable immediately (directory metadata journaling), matching
 // vfs.MemFS semantics.
 func (f *FS) Rename(oldname, newname string) error {
-	start := f.now()
 	ft := f.begin(OpRename, oldname)
 	f.applyLatency(ft)
 	if ft != nil {
 		if err := faultErr(ft); err != nil {
-			f.emit(OpRename, oldname, 0, start, err, true)
 			return err
 		}
 	}
@@ -627,40 +564,31 @@ func (f *FS) Rename(oldname, newname string) error {
 		}
 		f.mu.Unlock()
 	}
-	f.emit(OpRename, oldname, 0, start, err, ft != nil)
 	return err
 }
 
 // List returns the inner filesystem's file names.
 func (f *FS) List() ([]string, error) {
-	start := f.now()
 	ft := f.begin(OpList, "")
 	f.applyLatency(ft)
 	if ft != nil {
 		if err := faultErr(ft); err != nil {
-			f.emit(OpList, "", 0, start, err, true)
 			return nil, err
 		}
 	}
-	names, err := f.inner.List()
-	f.emit(OpList, "", 0, start, err, ft != nil)
-	return names, err
+	return f.inner.List()
 }
 
 // Size returns the size of name.
 func (f *FS) Size(name string) (int64, error) {
-	start := f.now()
 	ft := f.begin(OpSize, name)
 	f.applyLatency(ft)
 	if ft != nil {
 		if err := faultErr(ft); err != nil {
-			f.emit(OpSize, name, 0, start, err, true)
 			return 0, err
 		}
 	}
-	n, err := f.inner.Size(name)
-	f.emit(OpSize, name, 0, start, err, ft != nil)
-	return n, err
+	return f.inner.Size(name)
 }
 
 // ---------------------------------------------------------------------
@@ -676,7 +604,6 @@ type file struct {
 }
 
 func (h *file) Write(p []byte) (int, error) {
-	start := h.fs.now()
 	ft := h.fs.begin(OpWrite, h.name)
 	h.fs.applyLatency(ft)
 	if ft != nil {
@@ -692,19 +619,16 @@ func (h *file) Write(p []byte) (int, error) {
 					}
 				}
 			}
-			h.fs.emit(OpWrite, h.name, len(p), start, err, true)
 			return 0, err
 		}
 	}
 	if err := h.fs.chargeQuota(OpWrite, len(p)); err != nil {
-		h.fs.emit(OpWrite, h.name, len(p), start, err, true)
 		return 0, err
 	}
 	n, err := h.inner.Write(p)
 	if n > 0 {
 		h.fs.record(h.name, p[:n])
 	}
-	h.fs.emit(OpWrite, h.name, len(p), start, err, ft != nil)
 	return n, err
 }
 
@@ -722,12 +646,10 @@ func (f *FS) record(name string, p []byte) {
 }
 
 func (h *file) ReadAt(p []byte, off int64) (int, error) {
-	start := h.fs.now()
 	ft := h.fs.begin(OpReadAt, h.name)
 	h.fs.applyLatency(ft)
 	if ft != nil && !ft.Bitrot {
 		if err := faultErr(ft); err != nil {
-			h.fs.emit(OpReadAt, h.name, len(p), start, err, true)
 			return 0, err
 		}
 	}
@@ -735,7 +657,6 @@ func (h *file) ReadAt(p []byte, off int64) (int, error) {
 	if ft != nil && ft.Bitrot && n > 0 {
 		h.fs.bitrot(h.name, p[:n], off)
 	}
-	h.fs.emit(OpReadAt, h.name, len(p), start, err, ft != nil)
 	return n, err
 }
 
@@ -763,7 +684,6 @@ func (f *FS) bitrot(name string, p []byte, off int64) {
 }
 
 func (h *file) Sync() error {
-	start := h.fs.now()
 	ft := h.fs.begin(OpSync, h.name)
 	// Capture the durable watermark before the inner sync: bytes
 	// appended concurrently with the sync are conservatively treated
@@ -778,12 +698,10 @@ func (h *file) Sync() error {
 	if ft != nil {
 		if err := faultErr(ft); err != nil {
 			// Failed sync: nothing new promised durable.
-			h.fs.emit(OpSync, h.name, 0, start, err, true)
 			return err
 		}
 	}
 	if err := h.fs.chargeQuota(OpSync, 0); err != nil {
-		h.fs.emit(OpSync, h.name, 0, start, err, true)
 		return err
 	}
 	err := h.inner.Sync()
@@ -794,23 +712,18 @@ func (h *file) Sync() error {
 		}
 		h.fs.mu.Unlock()
 	}
-	h.fs.emit(OpSync, h.name, 0, start, err, ft != nil)
 	return err
 }
 
 func (h *file) Close() error {
-	start := h.fs.now()
 	ft := h.fs.begin(OpClose, h.name)
 	h.fs.applyLatency(ft)
 	if ft != nil {
 		if err := faultErr(ft); err != nil {
-			h.fs.emit(OpClose, h.name, 0, start, err, true)
 			return err
 		}
 	}
-	err := h.inner.Close()
-	h.fs.emit(OpClose, h.name, 0, start, err, ft != nil)
-	return err
+	return h.inner.Close()
 }
 
 // ---------------------------------------------------------------------

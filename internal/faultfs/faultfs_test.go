@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"xpointdb/internal/clock"
-	"xpointdb/internal/events"
 	"xpointdb/internal/storage"
 	"xpointdb/internal/vfs"
 )
@@ -331,42 +330,6 @@ func TestRenameMovesShadow(t *testing.T) {
 	}
 	if n := len(f.Snapshot().Files()); n != 0 {
 		t.Fatalf("files after remove = %d, want 0", n)
-	}
-}
-
-func TestTraceEvents(t *testing.T) {
-	f, _ := newTestFS(t, 1)
-	buf := &events.Buffer{}
-	f.SetTrace(buf)
-	f.AddRule(Rule{Ops: []Op{OpSync}, Count: 1})
-	writeFile(t, f, "f", []byte("x"), false)
-	h, _ := f.Open("f")
-	if err := h.Sync(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected sync failure, got %v", err)
-	}
-	h.Close()
-
-	var syncEv *events.FSOp
-	var writes int
-	for _, e := range buf.Events() {
-		if e.Kind != events.KindFSOp {
-			t.Fatalf("unexpected kind %q", e.Kind)
-		}
-		switch e.FSOp.Op {
-		case "sync":
-			syncEv = e.FSOp
-		case "write":
-			writes++
-			if e.FSOp.Bytes != 1 {
-				t.Fatalf("write bytes = %d", e.FSOp.Bytes)
-			}
-		}
-	}
-	if writes != 1 {
-		t.Fatalf("traced %d writes, want 1", writes)
-	}
-	if syncEv == nil || !syncEv.Injected || syncEv.Error == "" {
-		t.Fatalf("sync event missing injection marker: %+v", syncEv)
 	}
 }
 

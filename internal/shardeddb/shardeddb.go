@@ -79,8 +79,7 @@ type Options struct {
 	// filesystem carved into "shard-NNN/" prefixes. BlockCacheSize is the
 	// TOTAL budget of the one shared cache. EventListener/ObsAddr
 	// configure the single shared event stream and ops server;
-	// CompactionRateBytesPerSec and MaxAllowedSpace are one pacer and
-	// one budget across every shard.
+	// MaxAllowedSpace is one budget across every shard.
 	Engine engine.Options
 
 	// PoolSlots sizes the shared background pool. 0 takes
@@ -109,7 +108,7 @@ type DB struct {
 	boundaries [][]byte
 
 	// shared is what the shards have in common — block cache, background
-	// pool, write controller, compaction pacer, space budget, ops plane.
+	// pool, write controller, space budget, ops plane.
 	// Built here before any shard opens, closed here after the last.
 	shared *engine.Shared
 
