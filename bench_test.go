@@ -28,7 +28,6 @@ func benchScale() experiments.Scale {
 		Duration:     1 * time.Second,
 		KeySpace:     6000,
 		MemtableSize: 1 << 20,
-		SizeScale:    1,
 	}
 }
 

@@ -10,10 +10,16 @@
 //	xpdump -events run.events                 # summarize an event log
 //	xpdump -events run.events -keys           # ...printing every event
 //
+// xpdump only reads: it reads CURRENT, MANIFESTs and WALs through the
+// readers of the packages that own those formats (manifest.Load,
+// manifest.Replay, wal.Replay) and never creates, renames or removes a
+// file, so it is safe to run against a store an engine has open.
+//
 // -verify re-reads the named SST end to end: the whole-file CRC-32C is
 // checked against the checksum recorded in the live MANIFEST (when the
 // file is live there), then every block CRC — footer, filter, index,
-// and all data blocks. Exit status is non-zero on any mismatch.
+// and all data blocks. Exit status is non-zero on any mismatch, and on
+// a MANIFEST that cannot be replayed.
 package main
 
 import (
@@ -21,9 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"strings"
 	"time"
 
 	"xpointdb/internal/batch"
@@ -36,54 +40,82 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	var (
-		dbDir    = flag.String("db", "", "database directory (required unless -events)")
-		file     = flag.String("file", "", "file to dump; empty = directory overview")
-		showKeys = flag.Bool("keys", false, "list every key (SSTs and WALs) / every event (-events)")
-		verify   = flag.Bool("verify", false, "checksum-verify -file (SSTs): whole-file CRC vs the MANIFEST plus every block CRC")
-		evFile   = flag.String("events", "", "engine event-log file (JSON lines) to summarize")
-	)
-	flag.Parse()
-	if *evFile != "" {
-		dumpEvents(*evFile, *showKeys)
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
 		return
 	}
-	if *dbDir == "" {
-		flag.Usage()
+	fmt.Fprintln(os.Stderr, err)
+	if errors.Is(err, errUsage) {
 		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// errUsage marks a command line run cannot act on; the usage text has
+// already been printed.
+var errUsage = errors.New("xpdump: usage")
+
+// run is the whole command: it parses args and writes the dump to w.
+func run(args []string, w io.Writer) error {
+	fl := flag.NewFlagSet("xpdump", flag.ContinueOnError)
+	var (
+		dbDir    = fl.String("db", "", "database directory (required unless -events)")
+		file     = fl.String("file", "", "file to dump; empty = directory overview")
+		showKeys = fl.Bool("keys", false, "list every key (SSTs and WALs) / every event (-events)")
+		verify   = fl.Bool("verify", false, "checksum-verify -file (SSTs): whole-file CRC vs the MANIFEST plus every block CRC")
+		evFile   = fl.String("events", "", "engine event-log file (JSON lines) to summarize")
+	)
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if *evFile != "" {
+		return dumpEvents(w, *evFile, *showKeys)
+	}
+	if *dbDir == "" {
+		fl.Usage()
+		return fmt.Errorf("%w: -db is required", errUsage)
+	}
+	// vfs.NewOS creates a missing directory; an inspector must not.
+	if fi, err := os.Stat(*dbDir); err != nil {
+		return err
+	} else if !fi.IsDir() {
+		return fmt.Errorf("xpdump: %s is not a directory", *dbDir)
 	}
 	fs, err := vfs.NewOS(*dbDir)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *file == "" {
-		overview(fs)
-		return
+		return overview(w, fs)
 	}
-	typ, _ := manifest.ParseName(*file)
-	switch typ {
+	switch typ, _ := manifest.ParseName(*file); typ {
 	case manifest.TypeSST:
 		if *verify {
-			verifySST(fs, *file)
-			return
+			return verifySST(w, fs, *file)
 		}
-		dumpSST(fs, *file, *showKeys)
+		return dumpSST(w, fs, *file, *showKeys)
 	case manifest.TypeWAL:
-		dumpWAL(fs, *file, *showKeys)
+		return dumpWAL(w, fs, *file, *showKeys)
 	case manifest.TypeManifest:
-		dumpManifest(fs, *file)
+		return dumpManifest(w, fs, *file)
 	case manifest.TypeCurrent:
-		dumpCurrent(fs)
-	default:
-		log.Fatalf("don't know how to dump %q", *file)
+		name, err := manifest.ReadCurrent(fs)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "CURRENT -> %s\n", name)
+		return nil
 	}
+	return fmt.Errorf("xpdump: don't know how to dump %q", *file)
 }
 
-func overview(fs vfs.FS) {
+func overview(w io.Writer, fs vfs.FS) error {
 	names, err := fs.List()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var totalSST, nSST int64
 	for _, n := range names {
@@ -104,35 +136,35 @@ func overview(fs vfs.FS) {
 		default:
 			kind = "?"
 		}
-		fmt.Printf("%-20s %-9s num=%-6d %10d bytes\n", n, kind, num, size)
+		fmt.Fprintf(w, "%-20s %-9s num=%-6d %10d bytes\n", n, kind, num, size)
 	}
-	fmt.Printf("\n%d SSTs, %d bytes total\n", nSST, totalSST)
+	fmt.Fprintf(w, "\n%d SSTs, %d bytes total\n", nSST, totalSST)
 
-	// Show the live version per CURRENT, if parseable.
-	set, err := manifest.Recover(fs)
+	// Show the live version per CURRENT, if readable.
+	st, err := manifest.Load(fs)
 	if err != nil {
-		fmt.Printf("(manifest not readable: %v)\n", err)
-		return
+		fmt.Fprintf(w, "(manifest not readable: %v)\n", err)
+		return nil
 	}
-	defer set.Close()
-	fmt.Printf("\nlive version (next file %d, last seq %d, log %d):\n%s",
-		set.NextFileNum, set.LastSeq, set.LogNum, set.Current().DebugString())
+	fmt.Fprintf(w, "\nlive version (next file %d, last seq %d, log %d):\n%s",
+		st.NextFileNum, st.LastSeq, st.LogNum, st.Current().DebugString())
+	return nil
 }
 
-func dumpSST(fs vfs.FS, name string, showKeys bool) {
+func dumpSST(w io.Writer, fs vfs.FS, name string, showKeys bool) error {
 	size, err := fs.Size(name)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	f, err := fs.Open(name)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	_, num := manifest.ParseName(name)
 	r, err := sstable.NewReader(f, size, num, nil)
 	if err != nil {
-		log.Fatalf("open table: %v", err)
+		return fmt.Errorf("open table: %w", err)
 	}
 	it := r.NewIter()
 	var n, sets, dels int
@@ -151,200 +183,147 @@ func dumpSST(fs vfs.FS, name string, showKeys bool) {
 		keyBytes += int64(len(it.Key()))
 		valBytes += int64(len(it.Value()))
 		if showKeys {
-			fmt.Printf("  %s = %d bytes\n", keys.String(it.Key()), len(it.Value()))
+			fmt.Fprintf(w, "  %s = %d bytes\n", keys.String(it.Key()), len(it.Value()))
 		}
 		n++
 	}
 	if err := it.Error(); err != nil {
-		log.Fatalf("scan: %v", err)
+		return fmt.Errorf("scan: %w", err)
 	}
-	fmt.Printf("%s: %d bytes, %d entries (%d sets, %d tombstones)\n", name, size, n, sets, dels)
-	fmt.Printf("keys %d bytes, values %d bytes\n", keyBytes, valBytes)
+	fmt.Fprintf(w, "%s: %d bytes, %d entries (%d sets, %d tombstones)\n", name, size, n, sets, dels)
+	fmt.Fprintf(w, "keys %d bytes, values %d bytes\n", keyBytes, valBytes)
 	if n > 0 {
-		fmt.Printf("range: %s .. %s\n", keys.String(firstKey), keys.String(lastKey))
+		fmt.Fprintf(w, "range: %s .. %s\n", keys.String(firstKey), keys.String(lastKey))
 	}
+	return nil
 }
 
-// verifySST re-reads name end to end and exits non-zero on any
-// checksum mismatch: the whole-file CRC-32C against the MANIFEST's
-// recorded value (when the file is live), then every block CRC.
-func verifySST(fs vfs.FS, name string) {
+// verifySST re-reads name end to end and fails on any checksum
+// mismatch: the whole-file CRC-32C against the value the live MANIFEST
+// records (when the file is live), then every block CRC.
+func verifySST(w io.Writer, fs vfs.FS, name string) error {
+	st, err := manifest.Load(fs)
+	if err != nil {
+		return err
+	}
 	size, err := fs.Size(name)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	f, err := fs.Open(name)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	_, num := manifest.ParseName(name)
-	sum, live := recordedChecksum(fs, num)
+	var sum uint32
+	_, meta := st.Current().File(num)
+	if meta != nil {
+		sum = meta.Checksum
+	}
 	r, err := sstable.NewReader(f, size, num, nil)
 	if err != nil {
-		log.Fatalf("CORRUPT: %v", err)
+		return fmt.Errorf("CORRUPT: %w", err)
 	}
-	st, err := r.Verify(sum, nil)
+	vs, err := r.Verify(sum, nil)
 	if err != nil {
-		log.Fatalf("CORRUPT: %v", err)
+		return fmt.Errorf("CORRUPT: %w", err)
 	}
-	if live {
-		fmt.Printf("%s: OK — file CRC %#08x matches MANIFEST; %d blocks, %d bytes verified\n",
-			name, sum, st.Blocks, st.Bytes)
+	if meta != nil {
+		fmt.Fprintf(w, "%s: OK — file CRC %#08x matches MANIFEST; %d blocks, %d bytes verified\n",
+			name, sum, vs.Blocks, vs.Bytes)
 	} else {
-		fmt.Printf("%s: OK — %d blocks, %d bytes verified (file not in the live MANIFEST; no file CRC on record)\n",
-			name, st.Blocks, st.Bytes)
+		fmt.Fprintf(w, "%s: OK — %d blocks, %d bytes verified (file not in the live MANIFEST; no file CRC on record)\n",
+			name, vs.Blocks, vs.Bytes)
 	}
+	return nil
 }
 
-// recordedChecksum replays the live MANIFEST read-only and returns the
-// whole-file checksum recorded for SST num, plus whether the file is
-// live at all. Unlike manifest.Recover this never opens a new manifest
-// or takes ownership of the directory — it is a pure reader, safe to
-// run against a directory another process has open.
-func recordedChecksum(fs vfs.FS, num uint64) (uint32, bool) {
-	cf, err := fs.Open(manifest.CurrentName)
-	if err != nil {
-		return 0, false
-	}
-	buf := make([]byte, 64)
-	n, _ := cf.ReadAt(buf, 0)
-	cf.Close()
-	mname := strings.TrimSpace(string(buf[:n]))
-	if typ, _ := manifest.ParseName(mname); typ != manifest.TypeManifest {
-		return 0, false
-	}
-	mf, err := fs.Open(mname)
-	if err != nil {
-		return 0, false
-	}
-	defer mf.Close()
-	r := wal.NewReader(mf)
-	sums := map[uint64]uint32{}
-	for {
-		rec, err := r.ReadRecord()
-		if errors.Is(err, io.EOF) || errors.Is(err, wal.ErrCorrupt) {
-			break // torn tail: stop at the last good edit, like recovery
-		}
-		if err != nil {
-			return 0, false
-		}
-		edit, err := manifest.DecodeEdit(rec)
-		if err != nil {
-			return 0, false
-		}
-		for _, a := range edit.Added {
-			sums[a.Meta.Num] = a.Meta.Checksum
-		}
-		for _, d := range edit.Deleted {
-			delete(sums, d.Num)
-		}
-	}
-	sum, live := sums[num]
-	return sum, live
-}
-
-func dumpWAL(fs vfs.FS, name string, showKeys bool) {
+func dumpWAL(w io.Writer, fs vfs.FS, name string, showKeys bool) error {
 	f, err := fs.Open(name)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
-	r := wal.NewReader(f)
 	var recs, ops int
-	for {
-		rec, err := r.ReadRecord()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if errors.Is(err, wal.ErrCorrupt) {
-			fmt.Printf("(torn tail after %d records)\n", recs)
-			break
-		}
-		if err != nil {
-			log.Fatalf("read: %v", err)
-		}
+	torn, err := wal.Replay(f, func(rec []byte) error {
 		b, err := batch.FromRepr(rec)
 		if err != nil {
-			log.Fatalf("record %d: %v", recs, err)
+			return fmt.Errorf("record %d: %w", recs, err)
 		}
 		if showKeys {
-			fmt.Printf("batch seq=%d count=%d\n", b.Sequence(), b.Count())
+			fmt.Fprintf(w, "batch seq=%d count=%d\n", b.Sequence(), b.Count())
 			b.Iterate(func(kind keys.Kind, key, value []byte) error {
 				op := "SET"
 				if kind == keys.KindDelete {
 					op = "DEL"
 				}
-				fmt.Printf("  %s %q (%d bytes)\n", op, key, len(value))
+				fmt.Fprintf(w, "  %s %q (%d bytes)\n", op, key, len(value))
 				return nil
 			})
 		}
 		ops += int(b.Count())
 		recs++
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Printf("%s: %d batches, %d operations\n", name, recs, ops)
+	if torn {
+		fmt.Fprintf(w, "(torn tail after %d records)\n", recs)
+	}
+	fmt.Fprintf(w, "%s: %d batches, %d operations\n", name, recs, ops)
+	return nil
 }
 
-func dumpManifest(fs vfs.FS, name string) {
-	f, err := fs.Open(name)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	r := wal.NewReader(f)
+func dumpManifest(w io.Writer, fs vfs.FS, name string) error {
 	v := &manifest.Version{}
 	n := 0
-	for {
-		rec, err := r.ReadRecord()
-		if errors.Is(err, io.EOF) || errors.Is(err, wal.ErrCorrupt) {
-			break
-		}
-		if err != nil {
-			log.Fatalf("read: %v", err)
-		}
-		edit, err := manifest.DecodeEdit(rec)
-		if err != nil {
-			log.Fatalf("edit %d: %v", n, err)
-		}
-		fmt.Printf("edit %d:", n)
+	err := manifest.Replay(fs, name, func(edit *manifest.Edit) error {
+		fmt.Fprintf(w, "edit %d:", n)
 		if edit.LogNum != nil {
-			fmt.Printf(" log=%d", *edit.LogNum)
+			fmt.Fprintf(w, " log=%d", *edit.LogNum)
 		}
 		if edit.NextFileNum != nil {
-			fmt.Printf(" next=%d", *edit.NextFileNum)
+			fmt.Fprintf(w, " next=%d", *edit.NextFileNum)
 		}
 		if edit.LastSeq != nil {
-			fmt.Printf(" seq=%d", *edit.LastSeq)
+			fmt.Fprintf(w, " seq=%d", *edit.LastSeq)
 		}
 		for _, a := range edit.Added {
-			fmt.Printf(" +L%d:%d(%dB)", a.Level, a.Meta.Num, a.Meta.Size)
+			fmt.Fprintf(w, " +L%d:%d(%dB)", a.Level, a.Meta.Num, a.Meta.Size)
 		}
 		for _, d := range edit.Deleted {
-			fmt.Printf(" -L%d:%d", d.Level, d.Num)
+			fmt.Fprintf(w, " -L%d:%d", d.Level, d.Num)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if nv, err := v.Apply(edit); err == nil {
 			v = nv
 		} else {
-			fmt.Printf("  (apply failed: %v)\n", err)
+			fmt.Fprintf(w, "  (apply failed: %v)\n", err)
 		}
 		n++
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("edit %d: %w", n, err)
 	}
-	fmt.Printf("\nfinal version after %d edits:\n%s", n, v.DebugString())
+	fmt.Fprintf(w, "\nfinal version after %d edits:\n%s", n, v.DebugString())
+	return nil
 }
 
 // dumpEvents summarizes a JSON-lines engine event stream: per-kind
 // counts, background I/O totals, the stall-episode transition log and
 // the Algorithm 1 rate trajectory.
-func dumpEvents(path string, verbose bool) {
+func dumpEvents(w io.Writer, path string, verbose bool) error {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	evs, err := events.Decode(f)
 	if err != nil {
-		log.Fatalf("decode: %v (after %d events)", err, len(evs))
+		return fmt.Errorf("decode: %w (after %d events)", err, len(evs))
 	}
 
 	counts := map[events.Kind]int{}
@@ -358,7 +337,7 @@ func dumpEvents(path string, verbose bool) {
 	for _, e := range evs {
 		counts[e.Kind]++
 		if verbose {
-			fmt.Println(e)
+			fmt.Fprintln(w, e)
 		}
 		switch e.Kind {
 		case events.KindFlushEnd:
@@ -389,14 +368,14 @@ func dumpEvents(path string, verbose bool) {
 		}
 	}
 	if verbose && len(evs) > 0 {
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	fmt.Printf("%s: %d events", path, len(evs))
+	fmt.Fprintf(w, "%s: %d events", path, len(evs))
 	if len(evs) > 0 {
-		fmt.Printf(" over %v", evs[len(evs)-1].TS.Sub(evs[0].TS).Round(time.Millisecond))
+		fmt.Fprintf(w, " over %v", evs[len(evs)-1].TS.Sub(evs[0].TS).Round(time.Millisecond))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, k := range []events.Kind{
 		events.KindFlushBegin, events.KindFlushEnd,
 		events.KindCompactionBegin, events.KindCompactionEnd,
@@ -404,41 +383,31 @@ func dumpEvents(path string, verbose bool) {
 		events.KindSuperVersionInstall, events.KindObsoleteGC,
 	} {
 		if counts[k] > 0 {
-			fmt.Printf("  %-17s %d\n", k, counts[k])
+			fmt.Fprintf(w, "  %-17s %d\n", k, counts[k])
 		}
 	}
 	if counts[events.KindFlushEnd] > 0 {
-		fmt.Printf("flush      : %d B to L0 in %v\n", flushBytes, time.Duration(flushUS)*time.Microsecond)
+		fmt.Fprintf(w, "flush      : %d B to L0 in %v\n", flushBytes, time.Duration(flushUS)*time.Microsecond)
 	}
 	if counts[events.KindCompactionEnd] > 0 {
-		fmt.Printf("compaction : read %d B, wrote %d B in %v\n",
+		fmt.Fprintf(w, "compaction : read %d B, wrote %d B in %v\n",
 			compRead, compWritten, time.Duration(compUS)*time.Microsecond)
 	}
 	if counts[events.KindWALSync] > 0 {
-		fmt.Printf("wal syncs  : %d B in %v\n", walBytes, time.Duration(walUS)*time.Microsecond)
+		fmt.Fprintf(w, "wal syncs  : %d B in %v\n", walBytes, time.Duration(walUS)*time.Microsecond)
 	}
 	if zombies > 0 {
-		fmt.Printf("zombie gc  : %d SST(s) deleted in %d sweeps\n", zombies, counts[events.KindObsoleteGC])
+		fmt.Fprintf(w, "zombie gc  : %d SST(s) deleted in %d sweeps\n", zombies, counts[events.KindObsoleteGC])
 	}
 	if rateSteps > 0 {
-		fmt.Printf("rate steps : %d (%d dec ×0.8, %d inc ×1.25), range %.1f–%.1f MB/s\n",
+		fmt.Fprintf(w, "rate steps : %d (%d dec ×0.8, %d inc ×1.25), range %.1f–%.1f MB/s\n",
 			rateSteps, decSteps, rateSteps-decSteps, minRate/(1<<20), maxRate/(1<<20))
 	}
 	if len(stalls) > 0 {
-		fmt.Printf("stall transitions:\n")
+		fmt.Fprintf(w, "stall transitions:\n")
 		for _, e := range stalls {
-			fmt.Printf("  %s\n", e)
+			fmt.Fprintf(w, "  %s\n", e)
 		}
 	}
-}
-
-func dumpCurrent(fs vfs.FS) {
-	f, err := fs.Open(manifest.CurrentName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	buf := make([]byte, 64)
-	n, _ := f.ReadAt(buf, 0)
-	fmt.Printf("CURRENT -> %s", buf[:n])
+	return nil
 }

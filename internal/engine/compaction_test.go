@@ -373,6 +373,12 @@ func TestCompactionDeferredEvent(t *testing.T) {
 	// Budget grows; the deferred job resumes and drains L0.
 	sm.SetBudget(1 << 30)
 	waitForLevel(t, db, 0, 0)
+	// The job installs its version (emptying L0) before it counts
+	// itself in Metrics.Compactions.
+	deadline = time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && db.Metrics().Compactions.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
 	if db.Metrics().Compactions.Load() == 0 {
 		t.Fatal("compaction never completed after budget raise")
 	}

@@ -343,10 +343,6 @@ func (db *DB) openOrRecover() error {
 // recovery, before any worker or reader exists — is the only place
 // unknown files are reaped, and it is race-free by construction.
 func (db *DB) sweepOrphansAtOpen() {
-	// Manifest replay unrefs every intermediate version; drop those
-	// replay-era zombie notes — the live-set scan below covers their
-	// files, along with ones no edit ever named.
-	db.vs.TakeZombies()
 	names, err := db.fs.List()
 	if err != nil {
 		return

@@ -14,8 +14,8 @@ import (
 // rotation, MANIFEST append/install, flush, compaction) is classified
 // into a Severity that decides what the failure costs — a soft error
 // keeps the DB writable while the failing work retries in place, a
-// hard error latches writes but is automatically recoverable, a
-// fatal/unrecoverable error latches until the process reopens the DB.
+// hard error latches writes but is automatically recoverable, a fatal
+// error latches until the process reopens the DB.
 // The op decides the severity only: a hard latch is healed by one
 // repair whatever its op (recovery.go), corruption by quarantine and
 // repair (repair.go).
@@ -42,9 +42,6 @@ const (
 	// in-memory and on-disk state may have diverged, so only a reopen
 	// (which replays durable state) is safe.
 	SeverityFatal
-	// SeverityUnrecoverable marks corruption-class failures: even a
-	// reopen may not restore the affected data.
-	SeverityUnrecoverable
 )
 
 // String returns the RocksDB-style severity name.
@@ -58,8 +55,6 @@ func (s Severity) String() string {
 		return "hard"
 	case SeverityFatal:
 		return "fatal"
-	case SeverityUnrecoverable:
-		return "unrecoverable"
 	}
 	return fmt.Sprintf("severity(%d)", int(s))
 }
@@ -83,8 +78,7 @@ const (
 	// ReadOnly: a hard error is latched — writes fail fast, reads are
 	// served, recovery (automatic or Resume) may clear it.
 	ReadOnly
-	// Fatal: a fatal/unrecoverable error is latched; only a reopen
-	// helps.
+	// Fatal: a fatal error is latched; only a reopen helps.
 	Fatal
 )
 
@@ -110,8 +104,7 @@ var (
 	ErrSoftError = errors.New("engine: soft background error")
 	// ErrHardError matches background errors classified SeverityHard.
 	ErrHardError = errors.New("engine: hard background error")
-	// ErrFatalError matches background errors classified
-	// SeverityFatal or SeverityUnrecoverable.
+	// ErrFatalError matches background errors classified SeverityFatal.
 	ErrFatalError = errors.New("engine: fatal background error")
 )
 
@@ -146,7 +139,7 @@ func (e *BackgroundError) Is(target error) bool {
 	case ErrHardError:
 		return e.Severity == SeverityHard
 	case ErrFatalError:
-		return e.Severity >= SeverityFatal
+		return e.Severity == SeverityFatal
 	}
 	return false
 }
@@ -228,7 +221,7 @@ var ErrMaxSpaceReached = fmt.Errorf("engine: max allowed space reached: %w", vfs
 // path: writers fail fast with ErrBackground, reads keep serving, and
 // once the repair's first writes find headroom it runs to the end (for
 // the rotation, its WAL swap is the rotation) and the latch clears on
-// the same handle. Unknown ops classify as unrecoverable — the
+// the same handle. An unknown op classifies as fatal — the
 // conservative latch.
 func classifySeverity(op string, err error) Severity {
 	switch op {
@@ -239,10 +232,10 @@ func classifySeverity(op string, err error) Severity {
 		return SeveritySoft
 	case opWALAppend, opWALSync, opWALRotateSync, opManifestAppend, opCorruption, opSpaceStall:
 		return SeverityHard
-	case opManifestInstall:
-		return SeverityFatal
 	}
-	return SeverityUnrecoverable
+	// manifest-install, and the conservative latch for an op the table
+	// does not name.
+	return SeverityFatal
 }
 
 // isDiskFull reports an out-of-space failure: a real ENOSPC from the

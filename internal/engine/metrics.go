@@ -150,9 +150,6 @@ type Metrics struct {
 	StageL0Probe   histogram.Histogram
 	StageDeepProbe histogram.Histogram
 	StageBlockRead histogram.Histogram
-
-	PerfBlockCacheHits   atomic.Int64
-	PerfBlockCacheMisses atomic.Int64
 }
 
 func newMetrics(clk clock.Clock) *Metrics {
@@ -215,17 +212,11 @@ func (m *Metrics) recordWritePerf(pc *PerfContext) {
 	m.recordStages(writeStages, pc)
 }
 
-// recordReadPerf folds one read operation's stage breakdown and cache
-// counters into the metrics.
+// recordReadPerf folds one read operation's stage breakdown into the
+// stage histograms.
 func (m *Metrics) recordReadPerf(pc *PerfContext) {
 	m.PerfReadOps.Add(1)
 	m.recordStages(readStages, pc)
-	if pc.BlockCacheHits > 0 {
-		m.PerfBlockCacheHits.Add(int64(pc.BlockCacheHits))
-	}
-	if pc.BlockCacheMisses > 0 {
-		m.PerfBlockCacheMisses.Add(int64(pc.BlockCacheMisses))
-	}
 }
 
 // LevelCounters aggregates the compaction I/O attributed to one LSM

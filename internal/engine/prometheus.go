@@ -173,8 +173,6 @@ var engineFamilies = []family[*scrape]{
 	counter("xpointdb_get_misses_total", "Gets that found nothing.", func(e *scrape) float64 { return float64(e.m.GetMisses.Load()) }),
 	counter("xpointdb_l0_tables_probed_total", "Level-0 SST probes (read amplification).", func(e *scrape) float64 { return float64(e.m.L0TablesProbed.Load()) }),
 	counter("xpointdb_bloom_skips_total", "SST probes short-circuited by a Bloom filter.", func(e *scrape) float64 { return float64(e.m.BloomSkips.Load()) }),
-	counter("xpointdb_block_cache_perf_hits_total", "Block cache hits observed via PerfContext.", func(e *scrape) float64 { return float64(e.m.PerfBlockCacheHits.Load()) }),
-	counter("xpointdb_block_cache_perf_misses_total", "Block cache misses observed via PerfContext.", func(e *scrape) float64 { return float64(e.m.PerfBlockCacheMisses.Load()) }),
 
 	// WAL.
 	counter("xpointdb_wal_syncs_total", "WAL fsyncs.", func(e *scrape) float64 { return float64(e.m.WALSyncs.Load()) }),

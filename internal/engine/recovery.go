@@ -298,7 +298,7 @@ func (db *DB) recoverLatch() error {
 	db.mu.Lock()
 	var kept []uint64
 	for _, n := range db.keptOutputs {
-		if level, _ := db.fileLevelLocked(n); level < 0 {
+		if level, _ := db.vs.Current().File(n); level < 0 {
 			kept = append(kept, n)
 		}
 	}

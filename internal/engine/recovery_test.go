@@ -150,7 +150,7 @@ func TestSeverityClassification(t *testing.T) {
 		{opWALRotateSync, cause, SeverityHard},
 		{opManifestAppend, cause, SeverityHard},
 		{opManifestInstall, cause, SeverityFatal},
-		{"some-new-op", cause, SeverityUnrecoverable},
+		{"some-new-op", cause, SeverityFatal},
 		// Disk-full escalates flush/compaction/rotate-create to hard
 		// (retrying in place cannot succeed until space frees, and the
 		// write path needs a latch to fail fast on and a recovery worker
@@ -168,8 +168,8 @@ func TestSeverityClassification(t *testing.T) {
 	if !SeveritySoft.Recoverable() || !SeverityHard.Recoverable() {
 		t.Error("soft/hard must be Recoverable")
 	}
-	if SeverityFatal.Recoverable() || SeverityUnrecoverable.Recoverable() {
-		t.Error("fatal/unrecoverable must not be Recoverable")
+	if SeverityFatal.Recoverable() {
+		t.Error("fatal must not be Recoverable")
 	}
 }
 
@@ -198,10 +198,6 @@ func TestBackgroundErrorSentinels(t *testing.T) {
 	}
 	if errors.Is(fatal, ErrHardError) {
 		t.Error("fatal error matches ErrHardError")
-	}
-	unrec := &BackgroundError{Op: "x", Severity: SeverityUnrecoverable, Err: cause}
-	if !errors.Is(unrec, ErrFatalError) {
-		t.Error("unrecoverable error must match ErrFatalError")
 	}
 }
 

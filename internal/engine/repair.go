@@ -54,24 +54,10 @@ func (db *DB) maybeReportCorruption(err error) {
 	db.metrics.CorruptionsDetected.Add(1)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if level, _ := db.fileLevelLocked(ce.FileNum); level < 0 {
+	if level, _ := db.vs.Current().File(ce.FileNum); level < 0 {
 		return
 	}
 	db.setBackgroundErrorLocked(opCorruption, err)
-}
-
-// fileLevelLocked locates file num in the current version, returning
-// (-1, nil) when no live level references it. Callers hold db.mu.
-func (db *DB) fileLevelLocked(num uint64) (int, *manifest.FileMeta) {
-	v := db.vs.Current()
-	for l := 0; l < manifest.NumLevels; l++ {
-		for _, f := range v.Files[l] {
-			if f.Num == num {
-				return l, f
-			}
-		}
-	}
-	return -1, nil
 }
 
 // paranoidVerify re-reads a just-built, just-synced SST end to end —
@@ -112,7 +98,7 @@ func (db *DB) recoverCorruption(be *BackgroundError) error {
 		db.mu.Unlock()
 		return ErrClosed
 	}
-	level, meta := db.fileLevelLocked(ce.FileNum)
+	level, meta := db.vs.Current().File(ce.FileNum)
 	db.mu.Unlock()
 	if meta == nil {
 		// The damaged file left the version since the latch (a normal
@@ -204,7 +190,7 @@ func (db *DB) repairCompaction(level int, meta *manifest.FileMeta) error {
 // loss instead of wedging.
 func (db *DB) declareDataLoss(ce *sstable.CorruptionError) error {
 	db.mu.Lock()
-	level, meta := db.fileLevelLocked(ce.FileNum)
+	level, meta := db.vs.Current().File(ce.FileNum)
 	db.mu.Unlock()
 	if meta == nil {
 		return nil

@@ -85,17 +85,7 @@ func (db *DB) runScrubPass() {
 		if sv == nil {
 			return
 		}
-		var meta *manifest.FileMeta
-		var level int
-	find:
-		for l := 0; l < manifest.NumLevels; l++ {
-			for _, f := range sv.ver.Files[l] {
-				if f.Num == num {
-					meta, level = f, l
-					break find
-				}
-			}
-		}
+		level, meta := sv.ver.File(num)
 		if meta == nil {
 			db.releaseSV(sv)
 			continue

@@ -183,7 +183,7 @@ type BGError struct {
 	Op    string `json:"op"`
 	Error string `json:"error"`
 	// Severity is the classified severity the error latched at
-	// (soft, hard, fatal, unrecoverable).
+	// (soft, hard, fatal).
 	Severity string `json:"severity,omitempty"`
 }
 

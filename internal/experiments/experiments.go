@@ -26,26 +26,21 @@ type Scale struct {
 	KeySpace int
 	// MemtableSize is the default memtable / L0 file size.
 	MemtableSize int64
-	// SizeScale is the dataset size reduction factor versus the
-	// paper's testbed (100 GB data, 64 MB memtables). Device
-	// bandwidths are divided by the same factor so background work
-	// (flush/compaction) keeps its real-time cost relative to
-	// foreground traffic — see storage.Profile.Scaled.
-	SizeScale float64
 }
 
 // Quick is the default scale: fast enough for iterating, long enough
 // for the LSM dynamics (stalls, compactions) to appear. Memtable 2 MB
-// stands in for the paper's 64 MB default. SizeScale stays 1: the CPU
-// cost model's compaction ceiling (~160 MB/s/thread), not device
-// bandwidth, is what lets backlogs form, as on the paper's testbed.
+// stands in for the paper's 64 MB default. Device profiles are used
+// as given: the CPU cost model's compaction ceiling (~160 MB/s/thread),
+// not device bandwidth, is what lets backlogs form, as on the paper's
+// testbed.
 func Quick() Scale {
-	return Scale{Duration: 8 * time.Second, KeySpace: 32000, MemtableSize: 2 << 20, SizeScale: 1}
+	return Scale{Duration: 8 * time.Second, KeySpace: 32000, MemtableSize: 2 << 20}
 }
 
 // Full is closer to the paper's configuration (still scaled in bytes).
 func Full() Scale {
-	return Scale{Duration: 60 * time.Second, KeySpace: 128000, MemtableSize: 4 << 20, SizeScale: 1}
+	return Scale{Duration: 60 * time.Second, KeySpace: 128000, MemtableSize: 4 << 20}
 }
 
 // Devices returns the paper's three devices in presentation order.
@@ -62,7 +57,7 @@ type Env struct {
 // NewEnv builds an environment on profile at scale, applying tweak (if
 // non-nil) to the options before use.
 func NewEnv(profile storage.Profile, sc Scale, tweak func(*engine.Options)) *Env {
-	e := &Env{Env: simenv.New(profile.Scaled(sc.SizeScale)), Scale: sc}
+	e := &Env{Env: simenv.New(profile), Scale: sc}
 	e.Options.MemtableSize = sc.MemtableSize
 	e.Options.TargetFileSize = sc.MemtableSize
 	// A shallow base level deepens the tree at the scaled dataset

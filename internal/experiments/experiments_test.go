@@ -13,7 +13,7 @@ import (
 // tinyScale keeps experiment tests fast: the point is plumbing, not
 // calibration.
 func tinyScale() Scale {
-	return Scale{Duration: 1 * time.Second, KeySpace: 4000, MemtableSize: 512 << 10, SizeScale: 1}
+	return Scale{Duration: 1 * time.Second, KeySpace: 4000, MemtableSize: 512 << 10}
 }
 
 func TestEnvRunKV(t *testing.T) {
@@ -143,15 +143,5 @@ func TestReportTableAlignment(t *testing.T) {
 	hdr := lines[1]
 	if !strings.HasPrefix(hdr, "a      ") {
 		t.Fatalf("header misaligned: %q", hdr)
-	}
-}
-
-func TestScaledProfilePlumbing(t *testing.T) {
-	sc := tinyScale()
-	sc.SizeScale = 8
-	env := NewEnv(storage.SATAFlash(), sc, nil)
-	want := storage.SATAFlash().ReadBandwidth / 8
-	if got := env.Device.Profile().ReadBandwidth; got != want {
-		t.Fatalf("bandwidth not scaled: %d want %d", got, want)
 	}
 }

@@ -201,7 +201,7 @@ func (r *Runner) Fig20() *Report {
 			o.SyncWAL = true
 		})
 		if c.nvm {
-			env.WithWALDevice(storage.NVM().Scaled(r.Scale.SizeScale))
+			env.WithWALDevice(storage.NVM())
 		}
 		res, _, err := env.RunKV(func(db *engine.DB) *workload.Result {
 			return env.Mixed(db, 4, 0.5, nil)

@@ -38,7 +38,7 @@ func TestSimGolden(t *testing.T) {
 			fmt.Fprintf(&b, "# %d clients, otherwise as above\n", clients)
 		}
 		for _, p := range []storage.Profile{storage.XPoint(), storage.SATAFlash()} {
-			sc := Scale{Duration: 2 * time.Second, KeySpace: 4000, MemtableSize: 512 << 10, SizeScale: 1}
+			sc := Scale{Duration: 2 * time.Second, KeySpace: 4000, MemtableSize: 512 << 10}
 			env := NewEnv(p, sc, nil)
 			res, m, err := env.RunKV(func(db *engine.DB) *workload.Result {
 				return env.Mixed(db, clients, 0.5, nil)

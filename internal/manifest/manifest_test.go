@@ -268,6 +268,38 @@ func TestSetCreateRecover(t *testing.T) {
 	}
 }
 
+// TestLoadReadsOnly checks that Load returns the state Recover would
+// install while leaving the directory as it found it: no new MANIFEST,
+// no rewritten CURRENT.
+func TestLoadReadsOnly(t *testing.T) {
+	fs := newFS()
+	s, _ := Create(fs)
+	n1 := s.AllocFileNum()
+	s.LogAndApply(&Edit{Added: []AddedFile{{Level: 0, Meta: fm(n1, "a", "b")}}})
+	n2 := s.AllocFileNum()
+	s.LogAndApply(&Edit{Added: []AddedFile{{Level: 1, Meta: fm(n2, "a", "b")}}, Deleted: []DeletedFile{{Level: 0, Num: n1}}})
+	want := fmt.Sprintf("%d %d %d\n%s", s.NextFileNum, s.LastSeq, s.LogNum, s.Current().DebugString())
+	s.Close()
+	names, _ := fs.List()
+	size, _ := fs.Size(ManifestName(1))
+
+	st, err := Load(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%d %d %d\n%s", st.NextFileNum, st.LastSeq, st.LogNum, st.Current().DebugString()); got != want {
+		t.Fatalf("Load = %q, want %q", got, want)
+	}
+	if st.ManifestNum() != 1 {
+		t.Fatalf("Load read MANIFEST %d, want 1", st.ManifestNum())
+	}
+	after, _ := fs.List()
+	afterSize, _ := fs.Size(ManifestName(1))
+	if fmt.Sprint(after) != fmt.Sprint(names) || afterSize != size {
+		t.Fatalf("Load changed the directory: %v (%d B) -> %v (%d B)", names, size, after, afterSize)
+	}
+}
+
 func TestRecoverContinuesAppending(t *testing.T) {
 	fs := newFS()
 	s, _ := Create(fs)

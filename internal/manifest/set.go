@@ -1,10 +1,7 @@
 package manifest
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"strings"
 	"sync"
 
 	"xpointdb/internal/vfs"
@@ -18,11 +15,10 @@ import (
 // they are safe for concurrent use, because readers drop version
 // references from arbitrary goroutines.
 type Set struct {
+	State
+
 	fs vfs.FS
 
-	current *Version
-
-	manifestNum  uint64
 	manifestFile vfs.File
 	manifestLog  *wal.Writer
 
@@ -30,19 +26,12 @@ type Set struct {
 	// by the release of the last version referencing it.
 	zombieMu sync.Mutex
 	zombies  []uint64
-
-	// NextFileNum is the next unallocated file number.
-	NextFileNum uint64
-	// LastSeq is the newest sequence number recorded durably.
-	LastSeq uint64
-	// LogNum is the WAL file number currently in use.
-	LogNum uint64
 }
 
 // Create initializes a brand-new database directory: an empty version,
 // MANIFEST-000001 holding its snapshot edit, and CURRENT.
 func Create(fs vfs.FS) (*Set, error) {
-	s := &Set{fs: fs, NextFileNum: 1}
+	s := &Set{fs: fs, State: State{NextFileNum: 1}}
 	s.installCurrent(&Version{})
 	if err := s.rollManifest(); err != nil {
 		return nil, err
@@ -50,63 +39,24 @@ func Create(fs vfs.FS) (*Set, error) {
 	return s, nil
 }
 
-// Recover opens an existing database directory by replaying the
-// MANIFEST named by CURRENT.
+// Recover opens an existing database directory: it loads the state the
+// MANIFEST named by CURRENT records (Load), then rolls to a fresh
+// MANIFEST instead of appending past the old one's tail (RocksDB
+// behavior). Appending after a torn tail is a correctness trap: replay
+// stops at the first corruption, so edits written beyond it would be
+// silently dropped by the next recovery. A fresh manifest with a full
+// snapshot edit has no tail to trip over, and makes the old file
+// garbage.
 func Recover(fs vfs.FS) (*Set, error) {
-	cf, err := fs.Open(CurrentName)
+	st, err := Load(fs)
 	if err != nil {
-		return nil, fmt.Errorf("manifest: open CURRENT: %w", err)
+		return nil, err
 	}
-	defer cf.Close()
-	buf := make([]byte, 64)
-	n, err := cf.ReadAt(buf, 0)
-	if n == 0 && err != nil && !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("manifest: read CURRENT: %w", err)
-	}
-	name := strings.TrimSpace(string(buf[:n]))
-	typ, num := ParseName(name)
-	if typ != TypeManifest {
-		return nil, fmt.Errorf("manifest: CURRENT names %q, not a manifest", name)
-	}
-
-	s := &Set{fs: fs, NextFileNum: 1, manifestNum: num}
-	s.installCurrent(&Version{})
-	mf, err := fs.Open(name)
-	if err != nil {
-		return nil, fmt.Errorf("manifest: open %s: %w", name, err)
-	}
-	r := wal.NewReader(mf)
-	for {
-		rec, err := r.ReadRecord()
-		if err == io.EOF {
-			break
-		}
-		if err == wal.ErrCorrupt {
-			// Torn tail of the manifest: stop at the last good edit.
-			break
-		}
-		if err != nil {
-			mf.Close()
-			return nil, fmt.Errorf("manifest: replay %s: %w", name, err)
-		}
-		edit, err := DecodeEdit(rec)
-		if err != nil {
-			mf.Close()
-			return nil, err
-		}
-		if err := s.applyMeta(edit); err != nil {
-			mf.Close()
-			return nil, err
-		}
-	}
-	mf.Close()
-
-	// Roll to a fresh manifest instead of appending past the old one's
-	// tail (RocksDB behavior). Appending after a torn tail is a
-	// correctness trap: replay stops at the first corruption, so edits
-	// written beyond it would be silently dropped by the next
-	// recovery. A fresh manifest with a full snapshot edit has no
-	// tail to trip over, and makes the old file garbage.
+	// The loaded version is not yet referenced; installCurrent takes
+	// the Set's references on it and its files.
+	s := &Set{fs: fs, State: *st}
+	s.current = nil
+	s.installCurrent(st.current)
 	if err := s.rollManifest(); err != nil {
 		return nil, err
 	}
@@ -227,26 +177,6 @@ func (s *Set) TakeZombies() []uint64 {
 	return z
 }
 
-// applyMeta applies an edit's allocator fields and file changes to the
-// in-memory state (used during replay and by LogAndApply).
-func (s *Set) applyMeta(edit *Edit) error {
-	nv, err := s.current.Apply(edit)
-	if err != nil {
-		return err
-	}
-	s.installCurrent(nv)
-	if edit.NextFileNum != nil && *edit.NextFileNum > s.NextFileNum {
-		s.NextFileNum = *edit.NextFileNum
-	}
-	if edit.LastSeq != nil && *edit.LastSeq > s.LastSeq {
-		s.LastSeq = *edit.LastSeq
-	}
-	if edit.LogNum != nil && *edit.LogNum > s.LogNum {
-		s.LogNum = *edit.LogNum
-	}
-	return nil
-}
-
 // LogAndApply durably appends edit to the MANIFEST and installs the
 // resulting version as current. The edit is augmented with the current
 // allocator state so that replay restores it.
@@ -289,16 +219,17 @@ func (s *Set) Append(payload []byte) error {
 	return nil
 }
 
-// Install applies a previously appended edit to the in-memory state.
-// Call under the engine mutex.
-func (s *Set) Install(edit *Edit) error { return s.applyMeta(edit) }
-
-// Current returns the live version.
-func (s *Set) Current() *Version { return s.current }
-
-// ManifestNum returns the file number of the live MANIFEST (for the
-// obsolete-file sweep: any other manifest file is garbage).
-func (s *Set) ManifestNum() uint64 { return s.manifestNum }
+// Install applies a previously appended edit's file changes and
+// allocator fields to the in-memory state. Call under the engine mutex.
+func (s *Set) Install(edit *Edit) error {
+	nv, err := s.current.Apply(edit)
+	if err != nil {
+		return err
+	}
+	s.installCurrent(nv)
+	s.advance(edit)
+	return nil
+}
 
 // ManifestSize returns the live MANIFEST's size in bytes, framing
 // included: every manifest starts as a fresh file, so it is what this

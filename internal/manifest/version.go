@@ -127,6 +127,19 @@ func (v *Version) release() {
 	}
 }
 
+// File locates file num, returning its level and metadata, or
+// (-1, nil) when no level holds it.
+func (v *Version) File(num uint64) (int, *FileMeta) {
+	for l := range v.Files {
+		for _, f := range v.Files[l] {
+			if f.Num == num {
+				return l, f
+			}
+		}
+	}
+	return -1, nil
+}
+
 // NumFiles returns the file count at level.
 func (v *Version) NumFiles(level int) int { return len(v.Files[level]) }
 

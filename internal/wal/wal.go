@@ -42,7 +42,7 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt is returned by Reader when a record fails its checksum or
-// framing checks. Recovery treats it as the end of the usable log.
+// framing checks. Replay treats it as the end of the usable log.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // Writer appends logical records to a log file. It is not safe for
@@ -213,6 +213,31 @@ func (r *Reader) ReadRecord() ([]byte, error) {
 			return append(record, payload...), nil
 		default:
 			return nil, ErrCorrupt
+		}
+	}
+}
+
+// Replay calls fn with each logical record of the log in f, in order.
+// This is the one end-of-log rule: the clean end of the log ends the
+// replay with torn false; a record that fails validation (a torn tail
+// write, or corruption past the last synced record) ends it with torn
+// true and no error, because only fully synced records are promised. A
+// read error, or an error from fn, stops the replay and is returned.
+// The record passed to fn is the caller's to keep.
+func Replay(f vfs.File, fn func(rec []byte) error) (torn bool, err error) {
+	r := NewReader(f)
+	for {
+		rec, err := r.ReadRecord()
+		switch {
+		case errors.Is(err, io.EOF):
+			return false, nil
+		case errors.Is(err, ErrCorrupt):
+			return true, nil
+		case err != nil:
+			return false, err
+		}
+		if err := fn(rec); err != nil {
+			return false, err
 		}
 	}
 }

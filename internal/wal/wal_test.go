@@ -212,3 +212,71 @@ func TestReaderOffsetTracksFileEnd(t *testing.T) {
 		t.Fatalf("Offset = %d, file size %d", r.Offset(), size)
 	}
 }
+
+// rewrite replaces name's contents with raw.
+func rewrite(t *testing.T, fs *vfs.MemFS, name string, raw []byte) {
+	t.Helper()
+	fs.Remove(name)
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(raw)
+	f.Sync()
+	f.Close()
+}
+
+// TestReplayEnds pins the end-of-log rule: Replay delivers every good
+// record, then reports a clean end (the log read to EOF, or cut at a
+// record boundary as in TestTornTailDetected), a torn tail (the log
+// ends mid-record) or a corrupt record (as in
+// TestCorruptRecordStopsRead) as torn, with no error.
+func TestReplayEnds(t *testing.T) {
+	recs := [][]byte{[]byte("one"), []byte("two"), bytes.Repeat([]byte("x"), 100)}
+	fs, name := writeRecords(t, recs)
+	f, _ := fs.Open(name)
+	raw := make([]byte, 1024)
+	n, _ := f.ReadAt(raw, 0)
+	f.Close()
+	raw = raw[:n]
+	third := 2*headerSize + len("one") + len("two") // offset of the third record
+
+	corrupt := append([]byte(nil), raw...)
+	corrupt[third+headerSize] ^= 0xFF
+	cases := []struct {
+		name string
+		raw  []byte
+		want int
+		torn bool
+	}{
+		{"clean", raw, 3, false},
+		{"cut_at_boundary", raw[:third], 2, false},
+		{"torn_tail", raw[:n-3], 2, true},
+		{"corrupt_record", corrupt, 2, true},
+	}
+	for _, c := range cases {
+		rewrite(t, fs, name, c.raw)
+		f, _ := fs.Open(name)
+		var got int
+		torn, err := Replay(f, func(rec []byte) error {
+			if !bytes.Equal(rec, recs[got]) {
+				t.Errorf("%s: record %d = %q, want %q", c.name, got, rec, recs[got])
+			}
+			got++
+			return nil
+		})
+		f.Close()
+		if err != nil || torn != c.torn || got != c.want {
+			t.Errorf("%s: Replay = %d records, torn %v, err %v; want %d, torn %v", c.name, got, torn, err, c.want, c.torn)
+		}
+	}
+
+	// An error from fn stops the replay and is returned.
+	rewrite(t, fs, name, raw)
+	f, _ = fs.Open(name)
+	defer f.Close()
+	stop := errors.New("stop")
+	if _, err := Replay(f, func([]byte) error { return stop }); err != stop {
+		t.Fatalf("Replay returned %v, want fn's error", err)
+	}
+}

@@ -6,7 +6,10 @@
 # must stream SSE frames, and the dashboard page must be served. The
 # walk runs twice against the same family list: a bare engine, then a
 # 4-shard store (whose per-shard samples carry the same family names).
-# Exits non-zero on the first failure. (Checks use plain grep
+# On the bare engine's directory xpdump runs while dbbench serves it and
+# again after dbbench exits, where it must print the live version: an
+# inspector that rewrote the MANIFEST under the engine would leave a
+# store whose CURRENT names a deleted file. Exits non-zero on the first failure. (Checks use plain grep
 # >/dev/null rather than grep -q: -q exits at the first match, the
 # feeding echo/curl then dies of SIGPIPE, and pipefail would turn a
 # successful match into a flaky failure.)
@@ -16,8 +19,9 @@ workdir="$(mktemp -d)"
 benchpid=""
 trap 'kill "$benchpid" 2>/dev/null || true; wait "$benchpid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
-echo "== building dbbench =="
+echo "== building dbbench and xpdump =="
 go build -o "$workdir/dbbench" ./cmd/dbbench
+go build -o "$workdir/xpdump" ./cmd/xpdump
 
 # walk NAME [dbbench flags...]: one benchmark run with every endpoint
 # exercised while it is live.
@@ -69,9 +73,21 @@ walk() {
     echo "== / (dashboard) =="
     curl -sf "http://$addr/" | grep -i '<html' >/dev/null || { echo "FAIL: no dashboard page"; exit 1; }
 
+    if [ "$name" = bare ]; then
+        echo "== xpdump on the live store =="
+        "$workdir/xpdump" -db "$workdir/$name" | tail -3 || { echo "FAIL: xpdump on the live store"; exit 1; }
+    fi
+
     echo "== waiting for benchmark to finish =="
     wait "$benchpid"
     tail -3 "$dblog"
+
+    if [ "$name" = bare ]; then
+        echo "== xpdump after dbbench exits =="
+        dump="$("$workdir/xpdump" -db "$workdir/$name")" || { echo "FAIL: xpdump after exit"; echo "$dump"; exit 1; }
+        echo "$dump" | grep '^live version' >/dev/null || { echo "FAIL: no live version"; echo "$dump"; exit 1; }
+        echo "$dump" | sed -n '/^live version/,$p' | head -4
+    fi
 }
 
 walk bare
