@@ -32,12 +32,13 @@ func benchScale() experiments.Scale {
 }
 
 // runFigure executes one figure experiment b.N times (the run itself
-// aggregates many operations; b.N loops re-run it).
+// aggregates many operations; b.N loops re-run it). Each iteration
+// gets a fresh Runner: a Runner keeps every run it made, so a reused
+// one would time a lookup.
 func runFigure(b *testing.B, id string) {
 	b.Helper()
-	r := &experiments.Runner{Scale: benchScale()}
 	for i := 0; i < b.N; i++ {
-		rep, err := r.Run(id)
+		rep, err := (&experiments.Runner{Scale: benchScale()}).Run(id)
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}

@@ -9,7 +9,9 @@
 //	figures -fig 3 -v         # with per-cell progress
 //
 // Output is one text table per figure with the paper's observed shape
-// quoted alongside for comparison.
+// quoted alongside for comparison. Figures that need the same
+// simulated run share it: -v prints one line per cell simulated and one
+// per cell served from an earlier figure's run.
 package main
 
 import (
@@ -29,7 +31,7 @@ func main() {
 		fig     = flag.String("fig", "", "figure to regenerate (e.g. 5 or fig5)")
 		all     = flag.Bool("all", false, "regenerate every figure")
 		full    = flag.Bool("full", false, "paper-scale durations (slower)")
-		verbose = flag.Bool("v", false, "per-cell progress on stderr")
+		verbose = flag.Bool("v", false, "one stderr line per simulated cell and per shared one")
 	)
 	flag.Parse()
 

@@ -3,12 +3,17 @@
 //
 //	xpdump -db /path/to/db                    # directory overview
 //	xpdump -db /path/to/db -file 000007.sst   # dump one SST
+//	xpdump -db /path/to/db -file shard-001/000007.sst  # ...of a sharded store
 //	xpdump -db /path/to/db -file 000003.log   # dump one WAL
 //	xpdump -db /path/to/db -file MANIFEST-000001
 //	xpdump -db /path/to/db -file 000007.sst -keys   # include every key
 //	xpdump -db /path/to/db -file 000007.sst -verify # checksum-verify it
 //	xpdump -events run.events                 # summarize an event log
 //	xpdump -events run.events -keys           # ...printing every event
+//
+// On a sharded store's root (one shard-NNN/ directory per shard) the
+// overview reports each shard in turn, and -file takes a
+// shard-NNN/<name> path.
 //
 // xpdump only reads: it reads CURRENT, MANIFESTs and WALs through the
 // readers of the packages that own those formats (manifest.Load,
@@ -28,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"xpointdb/internal/batch"
@@ -59,8 +65,8 @@ var errUsage = errors.New("xpdump: usage")
 func run(args []string, w io.Writer) error {
 	fl := flag.NewFlagSet("xpdump", flag.ContinueOnError)
 	var (
-		dbDir    = fl.String("db", "", "database directory (required unless -events)")
-		file     = fl.String("file", "", "file to dump; empty = directory overview")
+		dbDir    = fl.String("db", "", "database directory or a sharded store's root (required unless -events)")
+		file     = fl.String("file", "", "file to dump (shard-NNN/<name> in a sharded store); empty = directory overview, per shard")
 		showKeys = fl.Bool("keys", false, "list every key (SSTs and WALs) / every event (-events)")
 		verify   = fl.Bool("verify", false, "checksum-verify -file (SSTs): whole-file CRC vs the MANIFEST plus every block CRC")
 		evFile   = fl.String("events", "", "engine event-log file (JSON lines) to summarize")
@@ -84,23 +90,30 @@ func run(args []string, w io.Writer) error {
 	} else if !fi.IsDir() {
 		return fmt.Errorf("xpdump: %s is not a directory", *dbDir)
 	}
-	fs, err := vfs.NewOS(*dbDir)
+	root, err := vfs.NewOS(*dbDir)
 	if err != nil {
 		return err
 	}
 	if *file == "" {
-		return overview(w, fs)
+		return overviewShards(w, root)
 	}
-	switch typ, _ := manifest.ParseName(*file); typ {
+	// A shard's file is read through the shard's own namespace, where
+	// its CURRENT and MANIFEST live.
+	var fs vfs.FS = root
+	name := *file
+	if dir, base, ok := strings.Cut(name, "/"); ok {
+		fs, name = vfs.NewPrefix(fs, dir+"/"), base
+	}
+	switch typ, _ := manifest.ParseName(name); typ {
 	case manifest.TypeSST:
 		if *verify {
-			return verifySST(w, fs, *file)
+			return verifySST(w, fs, name)
 		}
-		return dumpSST(w, fs, *file, *showKeys)
+		return dumpSST(w, fs, name, *showKeys)
 	case manifest.TypeWAL:
-		return dumpWAL(w, fs, *file, *showKeys)
+		return dumpWAL(w, fs, name, *showKeys)
 	case manifest.TypeManifest:
-		return dumpManifest(w, fs, *file)
+		return dumpManifest(w, fs, name)
 	case manifest.TypeCurrent:
 		name, err := manifest.ReadCurrent(fs)
 		if err != nil {
@@ -110,6 +123,35 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 	return fmt.Errorf("xpdump: don't know how to dump %q", *file)
+}
+
+// overviewShards prints the overview of the store at fs, or of each
+// shard in turn when fs is a sharded store's root.
+func overviewShards(w io.Writer, fs vfs.FS) error {
+	names, err := fs.List()
+	if err != nil {
+		return err
+	}
+	var shards []string // List is sorted, so a shard's names are adjacent
+	for _, n := range names {
+		if dir, _, ok := strings.Cut(n, "/"); ok && strings.HasPrefix(dir, "shard-") &&
+			(len(shards) == 0 || shards[len(shards)-1] != dir) {
+			shards = append(shards, dir)
+		}
+	}
+	if len(shards) == 0 {
+		return overview(w, fs)
+	}
+	for i, dir := range shards {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "== %s/ ==\n", dir)
+		if err := overview(w, vfs.NewPrefix(fs, dir+"/")); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func overview(w io.Writer, fs vfs.FS) error {

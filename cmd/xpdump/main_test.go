@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xpointdb/internal/engine"
+	"xpointdb/internal/kvstore"
 	"xpointdb/internal/manifest"
 	"xpointdb/internal/vfs"
 	"xpointdb/internal/wal"
@@ -225,5 +226,66 @@ func TestMissingDirRefused(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("xpdump created %s (stat: %v)", dir, err)
+	}
+}
+
+// TestShardedRoot runs xpdump on the root of a closed 2-shard store:
+// the overview reports each shard's files, SSTs and live version, and
+// -file reads a shard-NNN/<name> path, -verify included.
+func TestShardedRoot(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := vfs.NewOS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keys below key00100 live on shard 0, the rest on shard 1.
+	st, err := kvstore.Open(engine.DefaultOptions(fs), 2, [][]byte{key(100)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := st.Put(key(i), bytes.Repeat(key(i), 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := xpdump("-db", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"== shard-000/ ==", "== shard-001/ =="} {
+		if !strings.Contains(out, want) {
+			t.Errorf("overview lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "\nlive version"); n != 2 {
+		t.Errorf("overview prints %d live versions, want 2:\n%s", n, out)
+	}
+	if strings.Contains(out, " ? ") || strings.Contains(out, "\n0 SSTs") || strings.Contains(out, "not readable") {
+		t.Errorf("overview does not read the shards:\n%s", out)
+	}
+
+	sst := "shard-001/" + firstOf(t, filepath.Join(dir, "shard-001"), manifest.TypeSST)
+	for _, m := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-db", dir, "-file", sst}, "100 entries"},
+		{[]string{"-db", dir, "-file", sst, "-verify"}, "matches MANIFEST"},
+		{[]string{"-db", dir, "-file", "shard-000/" + manifest.CurrentName}, "CURRENT -> MANIFEST-"},
+	} {
+		out, err := xpdump(m.args...)
+		if err != nil {
+			t.Fatalf("xpdump %v: %v", m.args, err)
+		}
+		if !strings.Contains(out, m.want) {
+			t.Errorf("xpdump %v: output lacks %q:\n%s", m.args, m.want, out)
+		}
 	}
 }

@@ -58,50 +58,42 @@ func (db *DB) runCompactionJob(c *compaction, held *bgHold) (stats compactionSta
 	}
 
 	results := make([]subResult, len(subs))
-	if lanes == 1 {
-		for i := range subs {
-			db.runSubcompaction(c, subs[i], &results[i])
-			if results[i].err != nil {
-				break // later subs never ran; nothing of theirs to clean
-			}
-		}
-	} else {
-		// The caller's goroutine is one lane; the rest are spawned via
-		// the engine clock so the fan-out works under the sim kernel.
-		// Lanes dispense sub-range indices from a shared counter and
-		// stop claiming new ones after the first failure (in-flight
-		// subs finish; their outputs are cleaned up below).
-		m := db.clk.NewMutex()
-		done := db.clk.NewCond(m)
-		next, running, failed := 0, lanes, false
-		lane := func() {
-			m.Lock()
-			for !failed && next < len(subs) {
-				i := next
-				next++
-				m.Unlock()
-				db.runSubcompaction(c, subs[i], &results[i])
-				m.Lock()
-				if results[i].err != nil {
-					failed = true
-				}
-			}
-			running--
-			if running == 0 {
-				done.Broadcast()
-			}
-			m.Unlock()
-		}
-		for i := 1; i < lanes; i++ {
-			db.clk.Go("subcompact", lane)
-		}
-		lane()
+	// The caller's goroutine is one lane; the rest are spawned via the
+	// engine clock so the fan-out works under the sim kernel. Lanes
+	// dispense sub-range indices from a shared counter and stop
+	// claiming new ones after the first failure (in-flight subs finish;
+	// their outputs are cleaned up below). With one lane the caller
+	// runs every sub in order: its uncontended lock never yields.
+	m := db.clk.NewMutex()
+	done := db.clk.NewCond(m)
+	next, running, failed := 0, lanes, false
+	lane := func() {
 		m.Lock()
-		for running > 0 {
-			done.Wait()
+		for !failed && next < len(subs) {
+			i := next
+			next++
+			m.Unlock()
+			db.runSubcompaction(c, subs[i], &results[i])
+			m.Lock()
+			if results[i].err != nil {
+				failed = true
+			}
+		}
+		running--
+		if running == 0 {
+			done.Broadcast()
 		}
 		m.Unlock()
 	}
+	for i := 1; i < lanes; i++ {
+		db.clk.Go("subcompact", lane)
+	}
+	lane()
+	m.Lock()
+	for running > 0 {
+		done.Wait()
+	}
+	m.Unlock()
 
 	var outNums []uint64
 	for i := range results {

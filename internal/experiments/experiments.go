@@ -1,19 +1,23 @@
 // Package experiments defines one reproducible experiment per figure
 // of the paper's evaluation (Figures 1 and 3–20; Figures 2 and 11 are
-// schematic illustrations with no data). Each experiment builds a
-// fresh simulated environment per cell — device model, virtual-time
-// kernel, engine — runs the paper's workload at the scaled parameters
-// from DESIGN.md, and reports the same series the paper plots.
+// schematic illustrations with no data). A figure is data: the cells
+// it needs — each one simulated run in a fresh environment (device
+// model, virtual-time kernel, engine) at the scaled parameters from
+// DESIGN.md — and a rendering of their outcomes into the series the
+// paper plots. A Runner simulates each distinct cell once, so figures
+// that need the same run share it.
 package experiments
 
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"xpointdb/internal/engine"
 	"xpointdb/internal/simenv"
 	"xpointdb/internal/storage"
+	"xpointdb/internal/throttle"
 	"xpointdb/internal/workload"
 )
 
@@ -175,17 +179,196 @@ func kops(v float64) string { return fmt.Sprintf("%.1f", v/1000) }
 // us formats a duration in microseconds.
 func us(d time.Duration) string { return fmt.Sprintf("%.0f", float64(d.Nanoseconds())/1000) }
 
-// Runner executes experiments by figure ID. Sweeps shared by several
-// figures (the L0 size sweep behind Figs 8/12, the parallelism sweep
-// behind Figs 13–16) are memoized per Runner.
+// ---------------------------------------------------------------------
+// Cells
+
+// cell is every input of one simulated run. Two figures that plan
+// equal cells share one run, so a field is here exactly when some
+// figure varies it. The device is named, not held: a storage.Profile
+// carries a pointer and never equals a fresh copy.
+type cell struct {
+	device    string // storage.ProfileByName
+	raw       bool   // drive the bare device (Fig 1's baseline), no engine
+	duration  time.Duration
+	keySpace  int
+	workers   int
+	readRatio float64 // compared exactly: 1-0.9 is not 0.10
+	burst     workload.BurstConfig
+	sampleL0  bool // sample the L0 file count every 100 ms (Fig 8)
+
+	memtable, targetFile, baseLevel  int64
+	l0Compaction, l0Slowdown, l0Stop int
+	bloomBits                        int
+	disableWAL, syncWAL, adaptiveL0  bool
+	throttle                         throttle.Mode
+	walDevice                        string // "" = the WAL on the data device
+}
+
+// kv is the standard cell: the engine on device with the scale's
+// geometry and the engine's defaults for everything else, driven by
+// workers clients at readRatio.
+func kv(sc Scale, device string, workers int, readRatio float64) cell {
+	d := engine.DefaultOptions(nil)
+	return cell{
+		device: device, duration: sc.Duration, keySpace: sc.KeySpace,
+		workers: workers, readRatio: readRatio,
+		// The geometry NewEnv sets.
+		memtable: sc.MemtableSize, targetFile: sc.MemtableSize, baseLevel: 2 * sc.MemtableSize,
+		l0Compaction: d.L0CompactionTrigger, l0Slowdown: d.L0SlowdownTrigger, l0Stop: d.L0StopTrigger,
+		bloomBits: d.BloomBitsPerKey, throttle: d.ThrottleMode,
+	}
+}
+
+// capped limits the run to 8 s: the big-memtable and many-client cells
+// simulate enormous op counts, and a shorter window measures the same
+// shape.
+func capped(sc Scale) Scale {
+	if sc.Duration > 8*time.Second {
+		sc.Duration = 8 * time.Second
+	}
+	return sc
+}
+
+func (c cell) String() string {
+	s := fmt.Sprintf("%s w=%d read=%g %v", c.device, c.workers, c.readRatio, c.duration)
+	if c.raw {
+		return s + " raw"
+	}
+	return s + fmt.Sprintf(" mem=%d/%d/%d L0=%d/%d/%d bloom=%d wal(off=%v sync=%v dev=%q) throttle=%d adaptive=%v burst=%v sampleL0=%v",
+		c.memtable, c.targetFile, c.baseLevel, c.l0Compaction, c.l0Slowdown, c.l0Stop, c.bloomBits,
+		c.disableWAL, c.syncWAL, c.walDevice, c.throttle, c.adaptiveL0, c.burst.Period > 0, c.sampleL0)
+}
+
+// outcome is what one cell's run produced.
+type outcome struct {
+	res *workload.Result
+	// Write-queue depth over the run (Fig 16).
+	waitingMean float64
+	waitingMax  int64
+	meanL0      float64 // mean sampled L0 file count (Fig 8)
+	err         error
+}
+
+// simulate runs c in a fresh environment; Runner.run is its one caller.
+func (c cell) simulate() *outcome {
+	prof, ok := storage.ProfileByName(c.device)
+	wal, walOK := storage.ProfileByName(c.walDevice)
+	if !ok || c.walDevice != "" && !walOK {
+		return &outcome{err: fmt.Errorf("experiments: unknown device in %v", c)}
+	}
+	env := NewEnv(prof, Scale{Duration: c.duration, KeySpace: c.keySpace, MemtableSize: c.memtable}, func(o *engine.Options) {
+		o.TargetFileSize = c.targetFile
+		o.BaseLevelBytes = c.baseLevel
+		o.L0CompactionTrigger = c.l0Compaction
+		o.L0SlowdownTrigger = c.l0Slowdown
+		o.L0StopTrigger = c.l0Stop
+		o.BloomBitsPerKey = c.bloomBits
+		o.DisableWAL = c.disableWAL
+		o.SyncWAL = c.syncWAL
+		o.ThrottleMode = c.throttle
+		o.AdaptiveL0 = c.adaptiveL0
+	})
+	out := &outcome{}
+	if c.raw {
+		env.Kernel.Run(func() {
+			out.res = workload.RunRaw(env.Kernel, env.Device, c.workers, c.readRatio, c.duration, 1)
+		})
+		return out
+	}
+	if c.walDevice != "" {
+		env.WithWALDevice(wal)
+	}
+	var burst *workload.BurstConfig
+	if c.burst.Period > 0 {
+		burst = &c.burst
+	}
+	res, m, err := env.RunKV(func(db *engine.DB) *workload.Result {
+		if !c.sampleL0 {
+			return env.Mixed(db, c.workers, c.readRatio, burst)
+		}
+		var stop atomic.Bool
+		var sum, samples atomic.Int64
+		env.Kernel.Go("l0-sampler", func() {
+			for !stop.Load() {
+				sum.Add(int64(db.NumLevelFiles(0)))
+				samples.Add(1)
+				env.Kernel.Sleep(100 * time.Millisecond)
+			}
+		})
+		res := env.Mixed(db, c.workers, c.readRatio, burst)
+		stop.Store(true)
+		if n := samples.Load(); n > 0 {
+			out.meanL0 = float64(sum.Load()) / float64(n)
+		}
+		return res
+	})
+	if err != nil {
+		return &outcome{err: err}
+	}
+	out.res = res
+	out.waitingMean = m.WaitingWriters.Mean()
+	out.waitingMax = m.WaitingWriters.Max()
+	return out
+}
+
+// ---------------------------------------------------------------------
+// Figures and the Runner
+
+// figure is one entry of the figure table: the cells it needs at a
+// scale, and the report drawn from their outcomes (in plan order).
+type figure struct {
+	id     string
+	plan   func(Scale) []cell
+	render func([]*outcome) *Report
+}
+
+// figures is every experiment, in paper order.
+var figures = []figure{
+	{"fig1", planFig1, renderFig1},
+	{"fig3", planFig3, renderFig3},
+	timeline("fig4", "Throughput over time, 5% writes (4 workers)",
+		"stable rates; 3D XPoint well above both flash SSDs", 0.95),
+	// At 90% writes the throttling mechanism periodically drags 3D
+	// XPoint from ~169 kop/s to a few kop/s.
+	timeline("fig5", "Throughput over time, 90% writes (4 workers)",
+		"periodic throttling pulls 3D XPoint from ~169 kop/s to as low as ~3 kop/s; devices converge", 0.10),
+	latencyFigure("fig6", "READ latency at 90% writes (4 workers)",
+		"p90 read: 839 µs SATA flash vs 251 µs 3D XPoint — reads stay much faster on XPoint",
+		perDevice(4, 0.10), true, true),
+	latencyFigure("fig7", "WRITE latency at 90% writes (4 workers)",
+		"p90 write: 28 µs SATA flash vs 26 µs 3D XPoint — buffered writes mask the device difference",
+		perDevice(4, 0.10), false, true),
+	{"fig8", planL0Size, renderFig8},
+	l0CountFigure("fig9", "Throughput (kop/s) vs number of Level-0 files (1:1, 4 workers)",
+		"throughput falls as L0 files grow — and falls *more* on 3D XPoint (−19.9% from 2→8 files) than on PCIe flash (−12.3%)",
+		func(res *workload.Result) string { return kops(res.Throughput()) }),
+	l0CountFigure("fig10", "READ p90 (µs) vs number of Level-0 files (1:1, 4 workers)",
+		"on 3D XPoint p90 read drops from 134 µs at 8 files to 101 µs at 2 — every extra L0 file is another table to probe",
+		func(res *workload.Result) string { return us(res.ReadLat.Percentile(90)) }),
+	{"fig12", planL0Size, renderFig12},
+	{"fig13", planFig13, renderFig13},
+	latencyFigure("fig14", "READ latency at 32 threads (1:1)",
+		"p90 read 335 µs on 3D XPoint vs 1.4 ms on SATA flash (−76%)", plan32, true, false),
+	latencyFigure("fig15", "WRITE latency at 32 threads (1:1)",
+		"p90 write 440 µs on 3D XPoint vs 47 µs on SATA flash — the fast device loses on write tails under interference",
+		plan32, false, false),
+	{"fig16", plan32, renderFig16},
+	{"fig17", planFig17, renderFig17},
+	{"fig18", planFig18, renderFig18},
+	{"fig19", planFig19, renderFig19},
+	{"fig20", planFig20, renderFig20},
+}
+
+// Runner executes experiments by figure ID. It simulates each distinct
+// cell once and keeps the outcome, so figures that need the same run
+// (DESIGN §3 lists them) share it.
 type Runner struct {
-	Scale   Scale
+	Scale Scale
+	// Verbose, if set, gets one line per simulated cell and one per
+	// cell served from an earlier run.
 	Verbose func(format string, args ...interface{})
 
-	l0Sweep     map[int64]*l0Cell
-	l0Counts    map[string]*workload.Result // key: "<device>/<n>"
-	parallel32C map[string]*parallelCell
-	parallelAll map[string]map[int]*parallelCell
+	memo map[cell]*outcome
 }
 
 func (r *Runner) logf(format string, args ...interface{}) {
@@ -196,52 +379,48 @@ func (r *Runner) logf(format string, args ...interface{}) {
 
 // All returns every experiment ID in paper order.
 func All() []string {
-	return []string{
-		"fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"fig10", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"fig18", "fig19", "fig20",
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
 	}
+	return ids
 }
 
 // Run executes the experiment with the given figure ID.
 func (r *Runner) Run(id string) (*Report, error) {
-	switch id {
-	case "fig1":
-		return r.Fig1(), nil
-	case "fig3":
-		return r.Fig3(), nil
-	case "fig4":
-		return r.Fig4(), nil
-	case "fig5":
-		return r.Fig5(), nil
-	case "fig6":
-		return r.Fig6(), nil
-	case "fig7":
-		return r.Fig7(), nil
-	case "fig8":
-		return r.Fig8(), nil
-	case "fig9":
-		return r.Fig9(), nil
-	case "fig10":
-		return r.Fig10(), nil
-	case "fig12":
-		return r.Fig12(), nil
-	case "fig13":
-		return r.Fig13(), nil
-	case "fig14":
-		return r.Fig14(), nil
-	case "fig15":
-		return r.Fig15(), nil
-	case "fig16":
-		return r.Fig16(), nil
-	case "fig17":
-		return r.Fig17(), nil
-	case "fig18":
-		return r.Fig18(), nil
-	case "fig19":
-		return r.Fig19(), nil
-	case "fig20":
-		return r.Fig20(), nil
+	for _, f := range figures {
+		if f.id != id {
+			continue
+		}
+		outs, err := r.run(f.plan(r.Scale))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
+		}
+		return f.render(outs), nil
 	}
 	return nil, fmt.Errorf("experiments: unknown figure %q (have %v)", id, All())
+}
+
+// run returns the outcome of each cell, in order, simulating the cells
+// no earlier call has run. It fails on the first cell whose run failed.
+func (r *Runner) run(cells []cell) ([]*outcome, error) {
+	if r.memo == nil {
+		r.memo = make(map[cell]*outcome)
+	}
+	outs := make([]*outcome, len(cells))
+	for i, c := range cells {
+		o, ok := r.memo[c]
+		if ok {
+			r.logf("shared %v", c)
+		} else {
+			o = c.simulate()
+			r.memo[c] = o
+			r.logf("ran %v: %v", c, o.res)
+		}
+		if o.err != nil {
+			return nil, fmt.Errorf("%v: %w", c, o.err)
+		}
+		outs[i] = o
+	}
+	return outs, nil
 }

@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
-	"time"
 
-	"xpointdb/internal/engine"
 	"xpointdb/internal/storage"
 	"xpointdb/internal/workload"
 )
@@ -16,212 +13,115 @@ import (
 // aggregate Level-0 volume is held constant while its division into
 // files varies.
 
-// l0SizeSweep returns the scaled memtable/L0-file sizes standing in
-// for the paper's 32–512 MB sweep (scaled 1:32 per DESIGN.md).
-func (r *Runner) l0SizeSweep() []int64 {
-	return []int64{1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20}
-}
+// l0Sizes are the scaled memtable/L0-file sizes standing in for the
+// paper's 32–512 MB sweep (scaled 1:32 per DESIGN.md).
+var l0Sizes = []int64{1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20}
 
 // l0SizeLabel renders a scaled size with its paper-scale equivalent.
 func l0SizeLabel(sz int64) string {
 	return fmt.Sprintf("%dMB(≈%dMB)", sz>>20, (sz>>20)*32)
 }
 
-// l0Cell is one memoized point of the size sweep, shared by Figures 8
-// and 12.
-type l0Cell struct {
-	res    *workload.Result
-	meanL0 float64
+// planL0Size is the size sweep behind Figures 8 and 12: the 1:1
+// workload on 3D XPoint at each memtable/L0 file size, sampling the L0
+// file count.
+func planL0Size(sc Scale) []cell {
+	var cells []cell
+	for _, sz := range l0Sizes {
+		c := kv(capped(sc), storage.XPoint().Name, 4, 0.5)
+		c.memtable, c.targetFile, c.baseLevel = sz, sz, 4*sz
+		c.sampleL0 = true
+		cells = append(cells, c)
+	}
+	return cells
 }
 
-// runL0SizeCell runs (once per Runner) the standard 1:1 workload with
-// a given memtable/L0 file size and returns the result plus the mean
-// observed L0 file count.
-func (r *Runner) runL0SizeCell(sz int64) (*workload.Result, float64, error) {
-	if c, ok := r.l0Sweep[sz]; ok {
-		return c.res, c.meanL0, nil
-	}
-	sc := r.Scale
-	// Big-memtable cells simulate enormous op counts (most ops never
-	// touch the device); a shorter window measures the same shape.
-	if sc.Duration > 8*time.Second {
-		sc.Duration = 8 * time.Second
-	}
-	env := NewEnv(Devices()[2], sc, func(o *engine.Options) {
-		o.MemtableSize = sz
-		o.TargetFileSize = sz
-		o.BaseLevelBytes = 4 * sz
-	})
-	var meanL0 float64
-	res, _, err := env.RunKV(func(db *engine.DB) *workload.Result {
-		// Sample the L0 file count during the run.
-		var stop atomic.Bool
-		var sum, samples atomic.Int64
-		env.Kernel.Go("l0-sampler", func() {
-			for !stop.Load() {
-				sum.Add(int64(db.NumLevelFiles(0)))
-				samples.Add(1)
-				env.Kernel.Sleep(100 * time.Millisecond)
-			}
-		})
-		out := env.Mixed(db, 4, 0.5, nil)
-		stop.Store(true)
-		if n := samples.Load(); n > 0 {
-			meanL0 = float64(sum.Load()) / float64(n)
-		}
-		return out
-	})
-	if err == nil {
-		if r.l0Sweep == nil {
-			r.l0Sweep = make(map[int64]*l0Cell)
-		}
-		r.l0Sweep[sz] = &l0Cell{res: res, meanL0: meanL0}
-	}
-	return res, meanL0, err
-}
-
-// Fig8 establishes the control relationship: number of Level-0 files
+// Fig 8 establishes the control relationship: number of Level-0 files
 // vs Level-0 file size (32→512 MB, scaled) at 1:1 read/write.
-func (r *Runner) Fig8() *Report {
+func renderFig8(outs []*outcome) *Report {
 	rep := &Report{
 		ID:      "fig8",
 		Title:   "Number of Level-0 files vs L0 file size (1:1, 4 workers, 3D XPoint)",
 		Paper:   "larger files ⇒ fewer L0 files: file size is the knob that controls the L0 file count",
 		Columns: []string{"file size", "mean L0 files"},
 	}
-	for _, sz := range r.l0SizeSweep() {
-		_, meanL0, err := r.runL0SizeCell(sz)
-		if err != nil {
-			rep.Notes = "error: " + err.Error()
-			return rep
-		}
-		rep.Rows = append(rep.Rows, []string{l0SizeLabel(sz), fmt.Sprintf("%.1f", meanL0)})
-		r.logf("fig8 size=%s meanL0=%.1f", l0SizeLabel(sz), meanL0)
+	for i, sz := range l0Sizes {
+		rep.Rows = append(rep.Rows, []string{l0SizeLabel(sz), fmt.Sprintf("%.1f", outs[i].meanL0)})
 	}
 	return rep
 }
 
-// l0CountCell pins the steady-state L0 file count near n by setting
-// the compaction trigger to n while holding the aggregate L0 volume
-// constant (file size = aggregate / n). Memoized per Runner: Figures 9
-// and 10 share the sweep. bloom=false reproduces the paper's db_bench
-// configuration (bloom_bits defaults off there), where every covering
-// Level-0 file pays a real search — the regime behind the paper's
-// sharper XPoint sensitivity.
-func (r *Runner) l0CountCell(prof storage.Profile, bloom bool, n int, aggregate int64) (*workload.Result, error) {
-	key := fmt.Sprintf("%s/%v/%d", prof.Name, bloom, n)
-	if res, ok := r.l0Counts[key]; ok {
-		return res, nil
-	}
-	size := aggregate / int64(n)
-	env := NewEnv(prof, r.Scale, func(o *engine.Options) {
-		o.MemtableSize = size
-		o.TargetFileSize = size
-		o.BaseLevelBytes = 4 * size
-		o.L0CompactionTrigger = n
-		o.L0SlowdownTrigger = n * 4
-		o.L0StopTrigger = n * 8
-		if !bloom {
-			o.BloomBitsPerKey = 0
-		}
-	})
-	res, _, err := env.RunKV(func(db *engine.DB) *workload.Result {
-		return env.Mixed(db, 4, 0.5, nil)
-	})
-	if err == nil {
-		if r.l0Counts == nil {
-			r.l0Counts = make(map[string]*workload.Result)
-		}
-		r.l0Counts[key] = res
-	}
-	return res, err
-}
-
-// fig910 runs the L0 file-count sweep once and feeds both Figure 9
-// (throughput) and Figure 10 (read latency). Besides the three devices
-// it includes a bloom-off XPoint column matching the paper's db_bench
-// configuration (see l0CountCell).
-func (r *Runner) fig910(id, title, paper string, render func(*workload.Result) string) *Report {
-	rep := &Report{
-		ID:      id,
-		Title:   title,
-		Paper:   paper,
-		Columns: []string{"L0 files"},
-	}
-	type variant struct {
-		name  string
-		prof  storage.Profile
-		bloom bool
-	}
-	variants := []variant{
-		{"sata-flash", storage.SATAFlash(), true},
-		{"pcie-flash", storage.PCIeFlash(), true},
-		{"3dxpoint", storage.XPoint(), true},
-		{"3dxpoint-nobloom", storage.XPoint(), false},
-	}
-	counts := []int{2, 4, 6, 8}
-	const aggregate = 16 << 20
-	cells := make(map[string][]string)
-	for _, v := range variants {
-		rep.Columns = append(rep.Columns, v.name)
-		for _, n := range counts {
-			res, err := r.l0CountCell(v.prof, v.bloom, n, aggregate)
-			if err != nil {
-				cells[v.name] = append(cells[v.name], "err")
-				continue
-			}
-			cells[v.name] = append(cells[v.name], render(res))
-			r.logf("%s %s n=%d: %s", id, v.name, n, res)
-		}
-	}
-	for i, n := range counts {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, v := range variants {
-			row = append(row, cells[v.name][i])
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	rep.Notes = "3dxpoint-nobloom matches the paper's db_bench setup (bloom filters off): every covering L0 file pays a real search"
-	return rep
-}
-
-// Fig9: throughput vs number of L0 files.
-func (r *Runner) Fig9() *Report {
-	return r.fig910("fig9",
-		"Throughput (kop/s) vs number of Level-0 files (1:1, 4 workers)",
-		"throughput falls as L0 files grow — and falls *more* on 3D XPoint (−19.9% from 2→8 files) than on PCIe flash (−12.3%)",
-		func(res *workload.Result) string { return kops(res.Throughput()) })
-}
-
-// Fig10: read tail latency vs number of L0 files.
-func (r *Runner) Fig10() *Report {
-	return r.fig910("fig10",
-		"READ p90 (µs) vs number of Level-0 files (1:1, 4 workers)",
-		"on 3D XPoint p90 read drops from 134 µs at 8 files to 101 µs at 2 — every extra L0 file is another table to probe",
-		func(res *workload.Result) string { return us(res.ReadLat.Percentile(90)) })
-}
-
-// Fig12 measures write tail latency vs SST/memtable size: a larger
+// Fig 12 measures write tail latency vs SST/memtable size: a larger
 // memtable means a deeper skiplist and costlier inserts.
-func (r *Runner) Fig12() *Report {
+func renderFig12(outs []*outcome) *Report {
 	rep := &Report{
 		ID:      "fig12",
 		Title:   "WRITE p90 (µs) vs memtable/SST file size (1:1, 4 workers)",
 		Paper:   "p90 write rises with file size (25→31 µs for 64→256 MB on SATA flash): insertion cost grows with skiplist depth",
 		Columns: []string{"file size", "write p90(us)", "write p99(us)"},
 	}
-	for _, sz := range r.l0SizeSweep() {
-		res, _, err := r.runL0SizeCell(sz)
-		if err != nil {
-			rep.Notes = "error: " + err.Error()
-			return rep
-		}
-		rep.Rows = append(rep.Rows, []string{
-			l0SizeLabel(sz),
-			us(res.WriteLat.Percentile(90)),
-			us(res.WriteLat.Percentile(99)),
-		})
-		r.logf("fig12 size=%s: %s", l0SizeLabel(sz), res)
+	for i, sz := range l0Sizes {
+		h := outs[i].res.WriteLat
+		rep.Rows = append(rep.Rows, []string{l0SizeLabel(sz), us(h.Percentile(90)), us(h.Percentile(99))})
 	}
 	return rep
+}
+
+// l0Variants are the columns of Figures 9 and 10: the three devices,
+// plus a bloom-off 3D XPoint column matching the paper's db_bench
+// configuration (bloom_bits defaults off there), where every covering
+// Level-0 file pays a real search — the regime behind the paper's
+// sharper XPoint sensitivity.
+var l0Variants = []struct {
+	name, device string
+	bloom        bool
+}{
+	{"sata-flash", storage.SATAFlash().Name, true},
+	{"pcie-flash", storage.PCIeFlash().Name, true},
+	{"3dxpoint", storage.XPoint().Name, true},
+	{"3dxpoint-nobloom", storage.XPoint().Name, false},
+}
+
+// l0Counts are the L0 file-count operating points of Figures 9 and 10.
+var l0Counts = []int{2, 4, 6, 8}
+
+// planL0Count pins the steady-state L0 file count near n by setting
+// the compaction trigger to n while holding the aggregate L0 volume
+// constant (file size = aggregate / n).
+func planL0Count(sc Scale) []cell {
+	const aggregate = 16 << 20
+	var cells []cell
+	for _, v := range l0Variants {
+		for _, n := range l0Counts {
+			size := int64(aggregate / n)
+			c := kv(sc, v.device, 4, 0.5)
+			c.memtable, c.targetFile, c.baseLevel = size, size, 4*size
+			c.l0Compaction, c.l0Slowdown, c.l0Stop = n, n*4, n*8
+			if !v.bloom {
+				c.bloomBits = 0
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cells
+}
+
+// l0CountFigure is Figures 9 and 10: one value per L0 file count and
+// variant, drawn from the same sweep.
+func l0CountFigure(id, title, paper string, value func(*workload.Result) string) figure {
+	return figure{id, planL0Count, func(outs []*outcome) *Report {
+		rep := &Report{ID: id, Title: title, Paper: paper, Columns: []string{"L0 files"}}
+		for _, v := range l0Variants {
+			rep.Columns = append(rep.Columns, v.name)
+		}
+		for i, n := range l0Counts {
+			row := []string{fmt.Sprintf("%d", n)}
+			for vi := range l0Variants {
+				row = append(row, value(outs[vi*len(l0Counts)+i].res))
+			}
+			rep.Rows = append(rep.Rows, row)
+		}
+		rep.Notes = "3dxpoint-nobloom matches the paper's db_bench setup (bloom filters off): every covering L0 file pays a real search"
+		return rep
+	}}
 }

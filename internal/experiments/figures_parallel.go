@@ -1,174 +1,58 @@
 package experiments
 
-import (
-	"fmt"
-	"time"
+import "fmt"
 
-	"xpointdb/internal/engine"
-	"xpointdb/internal/workload"
-)
+// Figures 13–16: parallelism and read/write interference at 1:1. One
+// sweep of client counts per device feeds Figure 13; its 32-client
+// cells are Figures 14, 15 and 16. Fig 15 is the reversal: XPoint's
+// fast reads accumulate more waiting writers, so its write tail is
+// WORSE than SATA flash's.
 
-// Figures 13–16: parallelism and read/write interference. One sweep of
-// worker counts per device feeds Figure 13; the 32-worker cells feed
-// Figures 14, 15 and 16.
+// parallelism is Fig 13's sweep of client counts.
+var parallelism = []int{1, 2, 4, 8, 16, 32}
 
-type parallelCell struct {
-	res            *workload.Result
-	waitingWriters float64
-	maxWaiting     int64
-}
-
-// runParallelCell runs the 1:1 workload at a given worker count.
-func (r *Runner) runParallelCell(profIdx, workers int) (*parallelCell, error) {
-	sc := r.Scale
-	if sc.Duration > 8*time.Second {
-		sc.Duration = 8 * time.Second
-	}
-	env := NewEnv(Devices()[profIdx], sc, nil)
-	cell := &parallelCell{}
-	res, m, err := env.RunKV(func(db *engine.DB) *workload.Result {
-		return env.Mixed(db, workers, 0.5, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	cell.res = res
-	cell.waitingWriters = m.WaitingWriters.Mean()
-	cell.maxWaiting = m.WaitingWriters.Max()
-	return cell, nil
-}
-
-// parallelSweep runs the full worker sweep, memoized per Runner.
-func (r *Runner) parallelSweep() (map[string]map[int]*parallelCell, []int, error) {
-	workers := []int{1, 2, 4, 8, 16, 32}
-	if r.parallelAll != nil {
-		return r.parallelAll, workers, nil
-	}
-	out := make(map[string]map[int]*parallelCell)
-	for pi, p := range Devices() {
-		out[p.Name] = make(map[int]*parallelCell)
-		for _, w := range workers {
-			cell, err := r.runParallelCell(pi, w)
-			if err != nil {
-				return nil, nil, err
-			}
-			out[p.Name][w] = cell
-			r.logf("parallel %s w=%d: %s (waiting mean %.1f)", p.Name, w, cell.res, cell.waitingWriters)
+func planFig13(sc Scale) []cell {
+	var cells []cell
+	for _, d := range deviceNames() {
+		for _, w := range parallelism {
+			cells = append(cells, kv(capped(sc), d, w, 0.5))
 		}
 	}
-	r.parallelAll = out
-	// The 32-worker cells double as the Figure 14–16 inputs.
-	c32 := make(map[string]*parallelCell)
-	for name, cells := range out {
-		c32[name] = cells[32]
-	}
-	r.parallel32C = c32
-	return out, workers, nil
+	return cells
 }
 
-// parallel32 runs only the 32-worker cells (Figures 14–16), memoized.
-func (r *Runner) parallel32() (map[string]*parallelCell, error) {
-	if r.parallel32C != nil {
-		return r.parallel32C, nil
-	}
-	out := make(map[string]*parallelCell)
-	for pi, p := range Devices() {
-		cell, err := r.runParallelCell(pi, 32)
-		if err != nil {
-			return nil, err
-		}
-		out[p.Name] = cell
-		r.logf("parallel32 %s: %s (waiting mean %.1f max %d)", p.Name, cell.res, cell.waitingWriters, cell.maxWaiting)
-	}
-	r.parallel32C = out
-	return out, nil
-}
-
-// Fig13: throughput vs parallelism.
-func (r *Runner) Fig13() *Report {
+// Fig 13: throughput vs parallelism.
+func renderFig13(outs []*outcome) *Report {
 	rep := &Report{
 		ID:      "fig13",
 		Title:   "Throughput (kop/s) vs number of client threads (1:1)",
 		Paper:   "throughput rises with threads on all devices (3D XPoint: 35.4→79.5 kop/s from 1→32)",
-		Columns: []string{"threads"},
+		Columns: append([]string{"threads"}, deviceNames()...),
 	}
-	sweep, workers, err := r.parallelSweep()
-	if err != nil {
-		rep.Notes = "error: " + err.Error()
-		return rep
-	}
-	for _, p := range Devices() {
-		rep.Columns = append(rep.Columns, p.Name)
-	}
-	for _, w := range workers {
+	for i, w := range parallelism {
 		row := []string{fmt.Sprintf("%d", w)}
-		for _, p := range Devices() {
-			row = append(row, kops(sweep[p.Name][w].res.Throughput()))
+		for di := range Devices() {
+			row = append(row, kops(outs[di*len(parallelism)+i].res.Throughput()))
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep
 }
 
-// Fig14: read latency at 32 threads.
-func (r *Runner) Fig14() *Report {
-	rep := &Report{
-		ID:      "fig14",
-		Title:   "READ latency at 32 threads (1:1)",
-		Paper:   "p90 read 335 µs on 3D XPoint vs 1.4 ms on SATA flash (−76%)",
-		Columns: []string{"device", "p50(us)", "p90(us)", "p99(us)"},
-	}
-	cells, err := r.parallel32()
-	if err != nil {
-		rep.Notes = "error: " + err.Error()
-		return rep
-	}
-	for _, p := range Devices() {
-		h := cells[p.Name].res.ReadLat
-		rep.Rows = append(rep.Rows, []string{p.Name, us(h.Percentile(50)), us(h.Percentile(90)), us(h.Percentile(99))})
-	}
-	return rep
-}
+// plan32 is the 32-client cell of each device.
+func plan32(sc Scale) []cell { return perDevice(32, 0.5)(capped(sc)) }
 
-// Fig15: write latency at 32 threads — the reversal: XPoint's fast
-// reads accumulate more waiting writers, so its write tail is WORSE
-// than SATA flash.
-func (r *Runner) Fig15() *Report {
-	rep := &Report{
-		ID:      "fig15",
-		Title:   "WRITE latency at 32 threads (1:1)",
-		Paper:   "p90 write 440 µs on 3D XPoint vs 47 µs on SATA flash — the fast device loses on write tails under interference",
-		Columns: []string{"device", "p50(us)", "p90(us)", "p99(us)"},
-	}
-	cells, err := r.parallel32()
-	if err != nil {
-		rep.Notes = "error: " + err.Error()
-		return rep
-	}
-	for _, p := range Devices() {
-		h := cells[p.Name].res.WriteLat
-		rep.Rows = append(rep.Rows, []string{p.Name, us(h.Percentile(50)), us(h.Percentile(90)), us(h.Percentile(99))})
-	}
-	return rep
-}
-
-// Fig16: mean number of waiting writer threads per device at 32
+// Fig 16: mean number of waiting writer threads per device at 32
 // threads.
-func (r *Runner) Fig16() *Report {
+func renderFig16(outs []*outcome) *Report {
 	rep := &Report{
 		ID:      "fig16",
 		Title:   "Mean waiting writer threads at 32 threads (1:1)",
 		Paper:   "more writers queue on 3D XPoint than on either flash SSD: fast reads → higher write arrival pressure → deeper write queue",
 		Columns: []string{"device", "mean waiting", "max waiting"},
 	}
-	cells, err := r.parallel32()
-	if err != nil {
-		rep.Notes = "error: " + err.Error()
-		return rep
-	}
-	for _, p := range Devices() {
-		c := cells[p.Name]
-		rep.Rows = append(rep.Rows, []string{p.Name, fmt.Sprintf("%.2f", c.waitingWriters), fmt.Sprintf("%d", c.maxWaiting)})
+	for i, d := range deviceNames() {
+		rep.Rows = append(rep.Rows, []string{d, fmt.Sprintf("%.2f", outs[i].waitingMean), fmt.Sprintf("%d", outs[i].waitingMax)})
 	}
 	return rep
 }

@@ -6,10 +6,11 @@
 # must stream SSE frames, and the dashboard page must be served. The
 # walk runs twice against the same family list: a bare engine, then a
 # 4-shard store (whose per-shard samples carry the same family names).
-# On the bare engine's directory xpdump runs while dbbench serves it and
-# again after dbbench exits, where it must print the live version: an
-# inspector that rewrote the MANIFEST under the engine would leave a
-# store whose CURRENT names a deleted file. Exits non-zero on the first failure. (Checks use plain grep
+# On each store's directory xpdump runs while dbbench serves it and
+# again after dbbench exits, where it must print one live version per
+# shard (one for the bare engine): an inspector that rewrote the
+# MANIFEST under the engine would leave a store whose CURRENT names a
+# deleted file, and one that cannot read a sharded root prints none. Exits non-zero on the first failure. (Checks use plain grep
 # >/dev/null rather than grep -q: -q exits at the first match, the
 # feeding echo/curl then dies of SIGPIPE, and pipefail would turn a
 # successful match into a flaky failure.)
@@ -23,10 +24,11 @@ echo "== building dbbench and xpdump =="
 go build -o "$workdir/dbbench" ./cmd/dbbench
 go build -o "$workdir/xpdump" ./cmd/xpdump
 
-# walk NAME [dbbench flags...]: one benchmark run with every endpoint
-# exercised while it is live.
+# walk NAME SHARDS [dbbench flags...]: one benchmark run with every
+# endpoint exercised while it is live; SHARDS is the number of live
+# versions xpdump must print afterwards.
 walk() {
-    name="$1"; shift
+    name="$1"; shards="$2"; shift 2
     dblog="$workdir/$name.log"
     echo "== [$name] starting benchmark with -serve =="
     "$workdir/dbbench" -path "$workdir/$name" -threads 4 -duration 20s \
@@ -73,23 +75,20 @@ walk() {
     echo "== / (dashboard) =="
     curl -sf "http://$addr/" | grep -i '<html' >/dev/null || { echo "FAIL: no dashboard page"; exit 1; }
 
-    if [ "$name" = bare ]; then
-        echo "== xpdump on the live store =="
-        "$workdir/xpdump" -db "$workdir/$name" | tail -3 || { echo "FAIL: xpdump on the live store"; exit 1; }
-    fi
+    echo "== xpdump on the live store =="
+    "$workdir/xpdump" -db "$workdir/$name" | tail -3 || { echo "FAIL: xpdump on the live store"; exit 1; }
 
     echo "== waiting for benchmark to finish =="
     wait "$benchpid"
     tail -3 "$dblog"
 
-    if [ "$name" = bare ]; then
-        echo "== xpdump after dbbench exits =="
-        dump="$("$workdir/xpdump" -db "$workdir/$name")" || { echo "FAIL: xpdump after exit"; echo "$dump"; exit 1; }
-        echo "$dump" | grep '^live version' >/dev/null || { echo "FAIL: no live version"; echo "$dump"; exit 1; }
-        echo "$dump" | sed -n '/^live version/,$p' | head -4
-    fi
+    echo "== xpdump after dbbench exits =="
+    dump="$("$workdir/xpdump" -db "$workdir/$name")" || { echo "FAIL: xpdump after exit"; echo "$dump"; exit 1; }
+    versions="$(echo "$dump" | grep -c '^live version' || true)"
+    [ "$versions" = "$shards" ] || { echo "FAIL: $versions live versions, want $shards"; echo "$dump"; exit 1; }
+    echo "$dump" | sed -n '/^live version/,$p' | head -4
 }
 
-walk bare
-walk sharded -shards 4
+walk bare 1
+walk sharded 4 -shards 4
 echo "OK: ops plane smoke passed on both stores"
