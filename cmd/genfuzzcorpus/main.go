@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log"
 	"os"
@@ -95,6 +96,30 @@ func sstTable(opts sstable.BuilderOptions, n int) []byte {
 	return f.buf
 }
 
+// restartMidEntry returns table with its index block's second restart
+// point moved one byte into the entry it names, and the block's CRC
+// recomputed: a structurally malformed index that passes its checksum,
+// which the reader must refuse at open. The table's index must hold
+// more than 16 entries, so that there is a second restart point.
+func restartMidEntry(table []byte) []byte {
+	t := append([]byte(nil), table...)
+	footer := t[len(t)-48:]
+	off, n := binary.Uvarint(footer[20:]) // the index block's handle
+	length, _ := binary.Uvarint(footer[20+n:])
+	index := t[off : off+length]
+	restarts := int(binary.LittleEndian.Uint32(index[len(index)-4:]))
+	if restarts < 2 {
+		log.Fatalf("index has %d restart points, need 2", restarts)
+	}
+	second := index[len(index)-4-4*restarts+4:]
+	binary.LittleEndian.PutUint32(second, binary.LittleEndian.Uint32(second)+1)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	crc := crc32.Update(0, castagnoli, index) // then the codec byte
+	crc = crc32.Update(crc, castagnoli, t[off+length:off+length+1])
+	binary.LittleEndian.PutUint32(t[off+length+1:], crc)
+	return t
+}
+
 func main() {
 	// WAL record decoding.
 	dir := "internal/wal/testdata/fuzz/FuzzReadRecord"
@@ -124,6 +149,8 @@ func main() {
 		handles[len(handles)-48+i] = 0xff // garbage filter handle, magic intact
 	}
 	writeCorpus(dir, "bad_handles", lit(handles))
+	writeCorpus(dir, "index_restart_mid_entry", lit(restartMidEntry(
+		sstTable(sstable.BuilderOptions{BlockSize: 64}, 64))))
 
 	dir = "internal/sstable/testdata/fuzz/FuzzBlockIter"
 	// A raw block image: decode one out of a table by hand — the first

@@ -59,6 +59,12 @@ func FromHashes(hashes []uint32, bitsPerKey int) Filter {
 // MayContain reports whether key was possibly added to the filter. A
 // false return is definitive.
 func (f Filter) MayContain(key []byte) bool {
+	return f.MayContainHash(Hash(key))
+}
+
+// MayContainHash is MayContain for a key whose Hash is h, so a lookup
+// that probes several filters hashes its key once.
+func (f Filter) MayContainHash(h uint32) bool {
 	if len(f) < 2 {
 		return false
 	}
@@ -68,7 +74,6 @@ func (f Filter) MayContain(key []byte) bool {
 		return true
 	}
 	bits := uint32((len(f) - 1) * 8)
-	h := Hash(key)
 	delta := h>>17 | h<<15
 	for i := uint8(0); i < k; i++ {
 		pos := h % bits

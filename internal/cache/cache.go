@@ -6,20 +6,21 @@
 // regime the block cache size knob lets experiments reproduce).
 package cache
 
-import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 const numShards = 16
 
 // Cache is a fixed-capacity sharded LRU cache of data blocks keyed by
 // (file number, block offset).
+//
+// Each shard keeps exact LRU order: the simulation charges a device
+// read for every miss, so which block a full shard evicts is part of
+// the modelled read path. The order is an intrusive doubly linked
+// list — each entry carries its own links — and a shard counts its
+// own hits and misses under its lock, so a hit touches one lock and
+// no shared counter.
 type Cache struct {
 	shards [numShards]shard
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 type blockKey struct {
@@ -28,16 +29,21 @@ type blockKey struct {
 }
 
 type entry struct {
-	key  blockKey
-	data []byte
+	key        blockKey
+	data       []byte
+	prev, next *entry // LRU neighbours: prev is more recent
 }
 
 type shard struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	m        map[blockKey]*list.Element
-	lru      *list.List // front = most recent
+	m        map[blockKey]*entry
+	// lru is the list's sentinel: lru.next is the most recent entry,
+	// lru.prev the least; an empty list links lru to itself.
+	lru    entry
+	hits   int64
+	misses int64
 }
 
 // New returns a cache holding at most capacity bytes of block data.
@@ -46,11 +52,10 @@ func New(capacity int64) *Cache {
 	c := &Cache{}
 	per := capacity / numShards
 	for i := range c.shards {
-		c.shards[i] = shard{
-			capacity: per,
-			m:        make(map[blockKey]*list.Element),
-			lru:      list.New(),
-		}
+		s := &c.shards[i]
+		s.capacity = per
+		s.m = make(map[blockKey]*entry)
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
 	}
 	return c
 }
@@ -60,26 +65,46 @@ func (c *Cache) shard(k blockKey) *shard {
 	return &c.shards[h%numShards]
 }
 
+// unlink takes e out of the LRU list.
+func (s *shard) unlink(e *entry) {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+}
+
+// pushFront links e in as the most recent entry.
+func (s *shard) pushFront(e *entry) {
+	e.prev = &s.lru
+	e.next = s.lru.next
+	e.next.prev = e
+	s.lru.next = e
+}
+
+// moveToFront makes e the most recent entry.
+func (s *shard) moveToFront(e *entry) {
+	if s.lru.next != e {
+		s.unlink(e)
+		s.pushFront(e)
+	}
+}
+
 // Get returns the cached block, if present.
 func (c *Cache) Get(fileNum, offset uint64) ([]byte, bool) {
 	k := blockKey{fileNum, offset}
 	s := c.shard(k)
 	s.mu.Lock()
-	el, ok := s.m[k]
+	e, ok := s.m[k]
 	var data []byte
 	if ok {
-		s.lru.MoveToFront(el)
+		s.moveToFront(e)
 		// Read under the lock: a concurrent Insert of the same key
 		// reassigns entry.data.
-		data = el.Value.(*entry).data
+		data = e.data
+		s.hits++
+	} else {
+		s.misses++
 	}
 	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return data, true
+	return data, ok
 }
 
 // Insert adds (or replaces) a block, evicting LRU entries to fit. The
@@ -92,24 +117,24 @@ func (c *Cache) Insert(fileNum, offset uint64, data []byte) {
 		return // would never fit
 	}
 	s.mu.Lock()
-	if el, ok := s.m[k]; ok {
-		old := el.Value.(*entry)
-		s.used += size - int64(len(old.data))
-		old.data = data
-		s.lru.MoveToFront(el)
+	if e, ok := s.m[k]; ok {
+		s.used += size - int64(len(e.data))
+		e.data = data
+		s.moveToFront(e)
 	} else {
-		s.m[k] = s.lru.PushFront(&entry{key: k, data: data})
+		e := &entry{key: k, data: data}
+		s.m[k] = e
+		s.pushFront(e)
 		s.used += size
 	}
 	for s.used > s.capacity {
-		back := s.lru.Back()
-		if back == nil {
+		back := s.lru.prev
+		if back == &s.lru {
 			break
 		}
-		e := back.Value.(*entry)
-		s.lru.Remove(back)
-		delete(s.m, e.key)
-		s.used -= int64(len(e.data))
+		s.unlink(back)
+		delete(s.m, back.key)
+		s.used -= int64(len(back.data))
 	}
 	s.mu.Unlock()
 }
@@ -120,10 +145,10 @@ func (c *Cache) EvictFile(fileNum uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for k, el := range s.m {
+		for k, e := range s.m {
 			if k.fileNum == fileNum {
-				s.lru.Remove(el)
-				s.used -= int64(len(el.Value.(*entry).data))
+				s.unlink(e)
+				s.used -= int64(len(e.data))
 				delete(s.m, k)
 			}
 		}
@@ -133,7 +158,14 @@ func (c *Cache) EvictFile(fileNum uint64) {
 
 // Stats returns cumulative hit/miss counts.
 func (c *Cache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		hits += s.hits
+		misses += s.misses
+		s.mu.Unlock()
+	}
+	return hits, misses
 }
 
 // Used returns the bytes currently cached.

@@ -63,7 +63,7 @@ func TestAllocBudgets(t *testing.T) {
 		if _, err := db.Get(key); err != nil { // opens the table, caches the block
 			t.Fatal(err)
 		}
-		checkAllocs(t, 1, testing.AllocsPerRun(runs, func() {
+		checkAllocs(t, 0, testing.AllocsPerRun(runs, func() {
 			if _, err := db.Get(key); err != nil {
 				t.Fatal(err)
 			}

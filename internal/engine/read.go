@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"bytes"
 	"time"
 
+	"xpointdb/internal/bloom"
 	"xpointdb/internal/keys"
 	"xpointdb/internal/manifest"
 	"xpointdb/internal/memtable"
@@ -128,6 +128,7 @@ func (db *DB) getFromMem(mem *memtable.Memtable, key []byte, snap uint64, hitCou
 func (db *DB) getFromVersion(v *manifest.Version, key []byte, snap uint64, pc *PerfContext) ([]byte, error) {
 	var buf [64]byte
 	search := keys.AppendSearchKey(buf[:0], key, snap)
+	hash := bloom.Hash(key) // one hash serves every table's filter
 
 	// Level 0: files may overlap; probe every covering file newest
 	// first (Files[0] is oldest first, so walk it backwards). This loop
@@ -144,7 +145,7 @@ func (db *DB) getFromVersion(v *manifest.Version, key []byte, snap uint64, pc *P
 			pc.L0Probes++
 			t0 = db.clk.Now()
 		}
-		val, ok, err := db.probeTable(f, key, search, &db.metrics.GetHitL0, pc)
+		val, ok, err := db.probeTable(f, hash, search, &db.metrics.GetHitL0, pc)
 		if pc != nil {
 			pc.L0ProbeTime += db.clk.Now().Sub(t0)
 		}
@@ -174,7 +175,7 @@ func (db *DB) getFromVersion(v *manifest.Version, key []byte, snap uint64, pc *P
 			pc.DeepProbes++
 			t0 = db.clk.Now()
 		}
-		val, ok, err := db.probeTable(f, key, search, &db.metrics.GetHitDeep, pc)
+		val, ok, err := db.probeTable(f, hash, search, &db.metrics.GetHitDeep, pc)
 		if pc != nil {
 			pc.DeepProbeTime += db.clk.Now().Sub(t0)
 		}
@@ -192,9 +193,10 @@ func (db *DB) getFromVersion(v *manifest.Version, key []byte, snap uint64, pc *P
 	return nil, ErrNotFound
 }
 
-// probeTable searches one SST. ok=true terminates the search; a nil
-// value with ok=true is a tombstone.
-func (db *DB) probeTable(f *manifest.FileMeta, key, search []byte, hitCounter interface{ Add(int64) int64 }, pc *PerfContext) (val []byte, ok bool, err error) {
+// probeTable searches one SST for search, the lookup's seek key; hash
+// is the bloom.Hash of its user key. ok=true terminates the search; a
+// nil value with ok=true is a tombstone.
+func (db *DB) probeTable(f *manifest.FileMeta, hash uint32, search []byte, hitCounter interface{ Add(int64) int64 }, pc *PerfContext) (val []byte, ok bool, err error) {
 	r, err := db.tables.get(f)
 	if err != nil {
 		// Opening the table may itself hit corruption (footer, index or
@@ -208,7 +210,7 @@ func (db *DB) probeTable(f *manifest.FileMeta, key, search []byte, hitCounter in
 	if pc != nil {
 		pc.BloomChecks++
 	}
-	if !r.MayContain(key) {
+	if !r.MayContainHash(hash) {
 		db.metrics.BloomSkips.Add(1)
 		if pc != nil {
 			pc.BloomSkips++
@@ -223,7 +225,7 @@ func (db *DB) probeTable(f *manifest.FileMeta, key, search []byte, hitCounter in
 	if pc != nil {
 		t0 = db.clk.Now()
 	}
-	ikey, value, found, err := r.GetStats(search, &st)
+	value, kind, found, err := r.Lookup(search, &st)
 	if pc != nil {
 		// Block reads only happen on cache misses, so the probe time
 		// on a miss approximates the device read portion.
@@ -246,11 +248,8 @@ func (db *DB) probeTable(f *manifest.FileMeta, key, search []byte, hitCounter in
 	if !found {
 		return nil, false, nil
 	}
-	if !bytes.Equal(keys.UserKey(ikey), key) {
-		return nil, false, nil
-	}
 	hitCounter.Add(1)
-	if _, kind := keys.Trailer(ikey); kind == keys.KindDelete {
+	if kind == keys.KindDelete {
 		return nil, true, nil // tombstone
 	}
 	return value, true, nil

@@ -84,10 +84,16 @@ func (b *blockBuilder) estimatedSize() int {
 	return len(b.buf) + 4*len(b.restarts) + 4
 }
 
-// blockIter iterates over one decoded block. It is a value: the table
+// blockIter iterates over one data block. It is a value: the table
 // reader keeps its iterators on the stack or inside a tableIter, and
 // init re-points one at another block, so opening a block allocates
 // nothing. The restart array is read in place from the block bytes.
+//
+// A corrupt entry is recorded as its offset, not as an error value:
+// escape analysis does not tell one field from another, so an error
+// stored in the iterator and returned would, to the compiler, return
+// the key buffer too and move a lookup's stack buffer to the heap.
+// Error builds the error when asked.
 type blockIter struct {
 	data     []byte // entry region (restart array stripped)
 	restarts []byte // restart array: little-endian uint32 entry offsets
@@ -96,7 +102,8 @@ type blockIter struct {
 	key      []byte
 	val      []byte
 	valid    bool
-	err      error
+	bad      bool // a corrupt entry was met, at badOff
+	badOff   int
 	// cmps counts key comparisons for the CPU cost model.
 	cmps int
 }
@@ -123,7 +130,7 @@ func (it *blockIter) init(contents []byte) error {
 	it.key = it.key[:0]
 	it.val = nil
 	it.valid = false
-	it.err = nil
+	it.bad = false
 	it.cmps = 0
 	return nil
 }
@@ -200,12 +207,12 @@ func (it *blockIter) decodeAt(off int) bool {
 }
 
 func (it *blockIter) corrupt(off int) {
-	it.err = fmt.Errorf("sstable: corrupt block entry at offset %d", off)
+	it.bad, it.badOff = true, off
 	it.valid = false
 }
 
 // Valid reports whether the iterator is positioned at an entry.
-func (it *blockIter) Valid() bool { return it.valid && it.err == nil }
+func (it *blockIter) Valid() bool { return it.valid && !it.bad }
 
 // Key returns the current internal key.
 func (it *blockIter) Key() []byte { return it.key }
@@ -213,8 +220,20 @@ func (it *blockIter) Key() []byte { return it.key }
 // Value returns the current value.
 func (it *blockIter) Value() []byte { return it.val }
 
+// valueIn returns the current value cut from contents, the block init
+// was given, by offset: the same bytes as Value, but to the compiler
+// not derived from the iterator.
+func (it *blockIter) valueIn(contents []byte) []byte {
+	return contents[it.nextOff-len(it.val) : it.nextOff]
+}
+
 // Error returns any decoding error.
-func (it *blockIter) Error() error { return it.err }
+func (it *blockIter) Error() error {
+	if !it.bad {
+		return nil
+	}
+	return fmt.Errorf("sstable: corrupt block entry at offset %d", it.badOff)
+}
 
 // SeekToFirst positions at the first entry.
 func (it *blockIter) SeekToFirst() {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"xpointdb/internal/bloom"
 	"xpointdb/internal/keys"
 )
 
@@ -131,6 +132,6 @@ func FuzzTableReader(f *testing.F) {
 		it.Close()
 		probe := keys.Make([]byte("key0007"), 1000, keys.KindSet)
 		_, _, _, _, _ = r.Get(probe)
-		r.MayContain([]byte("key0007"))
+		r.MayContainHash(bloom.Hash([]byte("key0007")))
 	})
 }

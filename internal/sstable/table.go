@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -303,14 +304,14 @@ type Reader struct {
 	window    []byte
 	windowOff int64
 
-	index  []byte // decoded index block contents
+	index  index // decoded once, in loadMeta; the raw block is not kept
 	filter bloom.Filter
 }
 
 // NewReader opens a table of the given size, reading footer, index and
-// filter eagerly (they are retained in memory, as RocksDB does with
-// table metadata pinned in the table cache). c may be nil to disable
-// block caching.
+// filter eagerly (they are retained in memory, the index decoded, as
+// RocksDB does with table metadata pinned in the table cache). c may
+// be nil to disable block caching.
 func NewReader(f vfs.File, size int64, fileNum uint64, c *cache.Cache) (*Reader, error) {
 	filterHandle, indexHandle, err := readFooter(f, size, fileNum)
 	if err != nil {
@@ -344,12 +345,15 @@ func NewImageReader(image []byte, fileNum uint64) (*Reader, error) {
 	return r, nil
 }
 
-// loadMeta reads the index and filter blocks.
+// loadMeta reads the filter block and reads and decodes the index
+// block.
 func (r *Reader) loadMeta(filterHandle, indexHandle blockHandle) error {
-	var err error
-	r.index, err = r.readBlock(indexHandle)
+	raw, err := r.readBlock(indexHandle)
 	if err != nil {
 		return fmt.Errorf("sstable: read index of %d: %w", r.fileNum, err)
+	}
+	if r.index, err = r.decodeIndexBlock(raw, indexHandle); err != nil {
+		return err
 	}
 	if filterHandle.length > 0 {
 		fb, err := r.readBlock(filterHandle)
@@ -359,6 +363,20 @@ func (r *Reader) loadMeta(filterHandle, indexHandle blockHandle) error {
 		r.filter = bloom.Filter(fb)
 	}
 	return nil
+}
+
+// decodeIndexBlock decodes the index block read from h, reporting a
+// fault as corruption of this file.
+func (r *Reader) decodeIndexBlock(raw []byte, h blockHandle) (index, error) {
+	x, err := decodeIndex(raw)
+	if err != nil {
+		return index{}, &CorruptionError{
+			FileNum: r.fileNum,
+			Offset:  h.offset,
+			Detail:  fmt.Sprintf("index block: %v", err),
+		}
+	}
+	return x, nil
 }
 
 // footerTooSmall is the corruption of a table shorter than its footer.
@@ -477,13 +495,14 @@ func (r *Reader) getBlock(h blockHandle) (contents []byte, hit bool, err error) 
 	return contents, false, nil
 }
 
-// MayContain consults the Bloom filter for userKey. Without a filter it
-// returns true.
-func (r *Reader) MayContain(userKey []byte) bool {
+// MayContainHash consults the Bloom filter for the user key whose
+// bloom.Hash is h: a Get probing several tables hashes its key once.
+// Without a filter it returns true.
+func (r *Reader) MayContainHash(h uint32) bool {
 	if r.filter == nil {
 		return true
 	}
-	return r.filter.MayContain(userKey)
+	return r.filter.MayContainHash(h)
 }
 
 // ProbeStats reports the per-probe costs of one Get: key comparisons
@@ -507,31 +526,52 @@ func (r *Reader) Get(ikey []byte) (key, value []byte, cmps int, found bool, err 
 // GetStats is Get with full per-probe cost attribution written to st
 // (which must be non-nil; fields are incremented, not reset).
 //
-// Both block iterators live on this frame. Their key buffers share one
-// allocation, the lookup's only one: the data iterator's key is
-// returned, so its buffer outlives the frame, and the index iterator's
-// rides along (its error is returned too, which the compiler cannot
-// tell from its key).
+// The data block iterator and its key buffer live on this frame. The
+// value is a sub-slice of the block, cut by offsets rather than read
+// from the iterator, so nothing returned points into the frame; the
+// key is returned, so it is copied out, the lookup's one allocation.
+// Lookup, which returns no key, makes none.
 func (r *Reader) GetStats(ikey []byte, st *ProbeStats) (key, value []byte, found bool, err error) {
-	const keyCap = 64 // internal keys up to this long decode without growing
-	keyBufs := make([]byte, 2*keyCap)
-	idx := blockIter{key: keyBufs[:0:keyCap]}
-	data := blockIter{key: keyBufs[keyCap:keyCap]}
-	if err := idx.init(r.index); err != nil {
+	var keyBuf [blockKeyCap]byte
+	data := blockIter{key: keyBuf[:0]}
+	contents, found, err := r.seek(ikey, st, &data)
+	if !found {
 		return nil, nil, false, err
 	}
-	idx.SeekGE(ikey)
-	st.Cmps += idx.Cmps()
-	if !idx.Valid() {
-		return nil, nil, false, idx.Error()
+	return append([]byte(nil), data.key...), data.valueIn(contents), true, nil
+}
+
+// Lookup finds the entry a point read of ikey's user key sees in this
+// table: the first entry with internal key ≥ ikey, if it holds the
+// same user key. ok reports whether there is one; value and kind are
+// then its value (a sub-slice of the block) and kind. The lookup
+// allocates nothing: see GetStats.
+func (r *Reader) Lookup(ikey []byte, st *ProbeStats) (value []byte, kind keys.Kind, ok bool, err error) {
+	var keyBuf [blockKeyCap]byte
+	data := blockIter{key: keyBuf[:0]}
+	contents, found, err := r.seek(ikey, st, &data)
+	if !found || !bytes.Equal(keys.UserKey(data.key), keys.UserKey(ikey)) {
+		return nil, 0, false, err
 	}
-	h, _, err := decodeHandle(idx.Value())
+	_, kind = keys.Trailer(data.key)
+	return data.valueIn(contents), kind, true, nil
+}
+
+// blockKeyCap is the key buffer a lookup's data iterator starts with
+// on the stack: internal keys up to this long decode without growing.
+const blockKeyCap = 64
+
+// seek positions data at the first entry ≥ ikey and returns the block
+// it points into; found=false means the table holds no such entry.
+func (r *Reader) seek(ikey []byte, st *ProbeStats, data *blockIter) (contents []byte, found bool, err error) {
+	i, cmps := r.index.seekGE(ikey)
+	st.Cmps += cmps
+	if i == r.index.len() {
+		return nil, false, nil
+	}
+	contents, hit, err := r.getBlock(r.index.handles[i])
 	if err != nil {
-		return nil, nil, false, err
-	}
-	contents, hit, err := r.getBlock(h)
-	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	if hit {
 		st.CacheHits++
@@ -539,14 +579,14 @@ func (r *Reader) GetStats(ikey []byte, st *ProbeStats) (key, value []byte, found
 		st.CacheMisses++
 	}
 	if err := data.init(contents); err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	data.SeekGE(ikey)
 	st.Cmps += data.Cmps()
 	if !data.Valid() {
-		return nil, nil, false, data.Error()
+		return nil, false, data.Error()
 	}
-	return data.Key(), data.Value(), true, nil
+	return contents, true, nil
 }
 
 // Size returns the file size.
@@ -560,47 +600,28 @@ func (r *Reader) Size() int64 { return r.size }
 // there is out of range. n == 0 means no block can hold a key in the
 // range.
 func (r *Reader) DataWindow(start, end []byte) (off, n int64, err error) {
-	var it blockIter
-	if err := it.init(r.index); err != nil {
-		return 0, 0, err
+	i := 0
+	if start != nil {
+		i, _ = r.index.seekGE(start)
 	}
-	if start == nil {
-		it.SeekToFirst()
-	} else {
-		it.SeekGE(start)
+	if i == r.index.len() {
+		return 0, 0, nil
 	}
-	if !it.Valid() {
-		return 0, 0, it.Error()
-	}
-	first, _, err := decodeHandle(it.Value())
-	if err != nil {
-		return 0, 0, err
-	}
+	first := r.index.handles[i]
 	last := first
-	for it.Valid() {
-		h, _, herr := decodeHandle(it.Value())
-		if herr != nil {
-			return 0, 0, herr
-		}
-		if h.offset >= last.offset {
+	for ; i < r.index.len(); i++ {
+		if h := r.index.handles[i]; h.offset >= last.offset {
 			last = h
 		}
-		if end != nil && keys.Compare(it.Key(), end) >= 0 {
+		if end != nil && keys.Compare(r.index.key(i), end) >= 0 {
 			// This block's separator reaches end, so the scan stops
 			// inside it or at the first key of the block after it —
 			// include that one block and stop.
-			it.Next()
-			if it.Valid() {
-				if h2, _, e2 := decodeHandle(it.Value()); e2 == nil && h2.offset >= last.offset {
-					last = h2
-				}
+			if i+1 < r.index.len() && r.index.handles[i+1].offset >= last.offset {
+				last = r.index.handles[i+1]
 			}
 			break
 		}
-		it.Next()
-	}
-	if err := it.Error(); err != nil {
-		return 0, 0, err
 	}
 	off = int64(first.offset)
 	n = int64(last.offset+last.length+blockTrailerLen) - off
@@ -631,37 +652,29 @@ func (r *Reader) Close() error {
 
 // NewIter returns a two-level iterator over the whole table.
 func (r *Reader) NewIter() iterator.Iterator {
-	t := &tableIter{r: r}
-	t.err = t.idx.init(r.index)
-	return t
+	return &tableIter{r: r}
 }
 
-// tableIter is the classic two-level iterator: an index iterator
-// selecting data blocks, and a data iterator within the current block.
-// Both are values re-pointed by init, so stepping into the next block
-// allocates nothing.
+// tableIter is the classic two-level iterator: a position in the
+// decoded index selecting data blocks, and a data iterator within the
+// current block. The data iterator is a value re-pointed by init, so
+// stepping into the next block allocates nothing.
 type tableIter struct {
 	r    *Reader
-	idx  blockIter
+	idx  int       // index entry of the loaded block; out of range: none
 	data blockIter // invalid when no block is loaded
 	err  error
 }
 
 // loadData opens the data block at the current index position,
-// reporting whether one is loaded (false at the end of the index or on
-// error, with data left invalid).
+// reporting whether one is loaded (false at either end of the index or
+// on error, with data left invalid).
 func (t *tableIter) loadData() bool {
 	t.data.valid = false
-	if !t.idx.Valid() {
-		t.err = t.idx.Error()
+	if t.idx < 0 || t.idx >= t.r.index.len() {
 		return false
 	}
-	h, _, err := decodeHandle(t.idx.Value())
-	if err != nil {
-		t.err = err
-		return false
-	}
-	contents, _, err := t.r.getBlock(h)
+	contents, _, err := t.r.getBlock(t.r.index.handles[t.idx])
 	if err != nil {
 		t.err = err
 		return false
@@ -680,7 +693,7 @@ func (t *tableIter) skipEmpty() {
 			t.err = err
 			return
 		}
-		t.idx.Next()
+		t.idx++
 		if !t.loadData() {
 			return
 		}
@@ -695,7 +708,7 @@ func (t *tableIter) skipEmptyBackward() {
 			t.err = err
 			return
 		}
-		t.idx.Prev()
+		t.idx--
 		if !t.loadData() {
 			return
 		}
@@ -711,7 +724,7 @@ func (t *tableIter) SeekGE(target []byte) {
 	if t.err != nil {
 		return
 	}
-	t.idx.SeekGE(target)
+	t.idx, _ = t.r.index.seekGE(target)
 	if t.loadData() {
 		t.data.SeekGE(target)
 		t.skipEmpty()
@@ -722,7 +735,7 @@ func (t *tableIter) SeekToFirst() {
 	if t.err != nil {
 		return
 	}
-	t.idx.SeekToFirst()
+	t.idx = 0
 	if t.loadData() {
 		t.data.SeekToFirst()
 		t.skipEmpty()
@@ -741,7 +754,7 @@ func (t *tableIter) SeekToLast() {
 	if t.err != nil {
 		return
 	}
-	t.idx.SeekToLast()
+	t.idx = t.r.index.len() - 1
 	if t.loadData() {
 		t.data.SeekToLast()
 		t.skipEmptyBackward()
@@ -755,9 +768,8 @@ func (t *tableIter) SeekLT(target []byte) {
 	// The block that may contain entries < target is the one whose
 	// separator is ≥ target (same block SeekGE would search), or the
 	// last block when target is past everything.
-	t.idx.SeekGE(target)
-	if !t.idx.Valid() {
-		t.idx.SeekToLast()
+	if t.idx, _ = t.r.index.seekGE(target); t.idx == t.r.index.len() {
+		t.idx = t.r.index.len() - 1
 	}
 	if t.loadData() {
 		t.data.SeekLT(target)

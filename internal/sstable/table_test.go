@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"xpointdb/internal/bloom"
 	"xpointdb/internal/cache"
 	"xpointdb/internal/clock"
 	"xpointdb/internal/keys"
@@ -134,13 +135,13 @@ func TestIterSeekGE(t *testing.T) {
 func TestBloomFilterSkips(t *testing.T) {
 	r, _ := buildTable(t, 1000, nil, DefaultBuilderOptions())
 	for i := 0; i < 1000; i++ {
-		if !r.MayContain([]byte(fmt.Sprintf("key-%06d", i))) {
+		if !r.MayContainHash(bloom.Hash([]byte(fmt.Sprintf("key-%06d", i)))) {
 			t.Fatal("bloom false negative")
 		}
 	}
 	fp := 0
 	for i := 0; i < 1000; i++ {
-		if r.MayContain([]byte(fmt.Sprintf("nope-%06d", i))) {
+		if r.MayContainHash(bloom.Hash([]byte(fmt.Sprintf("nope-%06d", i)))) {
 			fp++
 		}
 	}
@@ -153,8 +154,8 @@ func TestNoBloomIsPermissive(t *testing.T) {
 	opts := DefaultBuilderOptions()
 	opts.BloomBitsPerKey = 0
 	r, _ := buildTable(t, 10, nil, opts)
-	if !r.MayContain([]byte("anything")) {
-		t.Fatal("without a filter MayContain must be permissive")
+	if !r.MayContainHash(bloom.Hash([]byte("anything"))) {
+		t.Fatal("without a filter MayContainHash must be permissive")
 	}
 }
 

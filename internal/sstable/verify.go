@@ -93,33 +93,18 @@ func (r *Reader) Verify(fileChecksum uint32, pace func(n int) error) (VerifyStat
 			return st, err
 		}
 	}
-	index, err := checkBlock(indexHandle)
+	raw, err := checkBlock(indexHandle)
 	if err != nil {
 		return st, err
 	}
-	var idx blockIter
-	if err := idx.init(index); err != nil {
-		return st, &CorruptionError{
-			FileNum: r.fileNum,
-			Offset:  indexHandle.offset,
-			Detail:  fmt.Sprintf("index block: %v", err),
-		}
+	idx, err := r.decodeIndexBlock(raw, indexHandle)
+	if err != nil {
+		return st, err
 	}
-	for idx.SeekToFirst(); idx.Valid(); idx.Next() {
-		h, _, err := decodeHandle(idx.Value())
-		if err != nil {
-			return st, &CorruptionError{
-				FileNum: r.fileNum,
-				Offset:  indexHandle.offset,
-				Detail:  fmt.Sprintf("index entry handle: %v", err),
-			}
-		}
+	for _, h := range idx.handles {
 		if _, err := checkBlock(h); err != nil {
 			return st, err
 		}
-	}
-	if err := idx.Error(); err != nil {
-		return st, err
 	}
 	return st, nil
 }
