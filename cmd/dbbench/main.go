@@ -49,8 +49,8 @@ func main() {
 // config is every dbbench flag plus what validate resolves from them.
 type config struct {
 	device, path, walDevice, bench, throttle, eventLog, serveAddr string
-	threads, num, valueSize, shards, maxSub                       int
-	memtable, scrubRate, diskQuota, seed                          int64
+	threads, num, shards, maxSub                                  int
+	scrubRate, diskQuota, seed                                    int64
 	duration, faultHeal, slowOp, quotaCycle                       time.Duration
 	writeRatio, faultProb, hotSkew                                float64
 	disableWAL, pipelined, stats, perf, scrub                     bool
@@ -69,9 +69,7 @@ func parse(args []string) (*config, error) {
 	fs.IntVar(&c.threads, "threads", 4, "concurrent client threads")
 	fs.DurationVar(&c.duration, "duration", 10*time.Second, "measured duration")
 	fs.IntVar(&c.num, "num", 24000, "distinct keys")
-	fs.IntVar(&c.valueSize, "value_size", 1024, "value size in bytes")
 	fs.Float64Var(&c.writeRatio, "write_ratio", 0.5, "write fraction for readrandomwriterandom")
-	fs.Int64Var(&c.memtable, "memtable_size", 2<<20, "memtable bytes")
 	fs.BoolVar(&c.disableWAL, "disable_wal", false, "run without the write-ahead log")
 	fs.StringVar(&c.walDevice, "wal_device", "", "place the WAL on a separate simulated device (e.g. nvm; simulated device only)")
 	fs.BoolVar(&c.pipelined, "pipelined", true, "pipelined writes (paper Algorithm 2)")
@@ -144,11 +142,15 @@ func (c *config) validate() error {
 	return nil
 }
 
+// Every run stores 1 KiB values in a 2 MiB memtable, which also sizes
+// SSTs and, four times over, Level 1.
+const valueSize, memtableSize = 1024, 2 << 20
+
 // tune applies the flags to the substrate's default options.
 func (c *config) tune(o *engine.Options, evLog *events.EventLog) {
-	o.MemtableSize = c.memtable
-	o.TargetFileSize = c.memtable
-	o.BaseLevelBytes = 4 * c.memtable
+	o.MemtableSize = memtableSize
+	o.TargetFileSize = memtableSize
+	o.BaseLevelBytes = 4 * memtableSize
 	o.MaxSubcompactions = c.maxSub
 	o.DisableWAL = c.disableWAL
 	o.PipelinedWrites = c.pipelined
@@ -311,7 +313,7 @@ func (c *config) workload(db workload.KV) (workload.Config, error) {
 		Workers:   c.threads,
 		Duration:  c.duration,
 		KeySpace:  c.num,
-		ValueSize: c.valueSize,
+		ValueSize: valueSize,
 		Seed:      c.seed,
 		// Only read together, and validate ties the skew to -shards > 1.
 		Shards:       c.shards,
@@ -332,7 +334,7 @@ func (c *config) workload(db workload.KV) (workload.Config, error) {
 		w.ReadWorkers = (c.threads + 1) / 2
 		w.WriteWorkers = max(c.threads-w.ReadWorkers, 1)
 	}
-	if err := workload.Preload(db, c.num, c.valueSize); err != nil {
+	if err := workload.Preload(db, c.num, valueSize); err != nil {
 		return w, fmt.Errorf("preload: %w", err)
 	}
 	return w, nil

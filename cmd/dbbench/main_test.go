@@ -56,7 +56,7 @@ func TestRunBody(t *testing.T) {
 				t.Errorf("final health = %v", r.health)
 			}
 			labels := []string{"benchmark", "throughput", "write latency", "read misses",
-				"l0 drain", "health", "** Metrics", "xpointdb_write_ops_total", "xpointdb_bgpool_size"}
+				"l0 drain", "health", "** Metrics", "xpointdb_write_latency_seconds n=", "xpointdb_bgpool_size"}
 			if cfg.bench != "fillrandom" {
 				labels = append(labels, "read latency", "xpointdb_get_latency_seconds n=", "xpointdb_get_hits_total{where=")
 			}
@@ -65,20 +65,27 @@ func TestRunBody(t *testing.T) {
 					t.Errorf("report has no %q line:\n%s", label, out.String())
 				}
 			}
-			// A sharded store's counters are store-wide with one
+			// A sharded store's counts are store-wide with one
 			// bracketed value per shard.
-			if cfg.shards > 1 && !regexp.MustCompile(`\nxpointdb_write_ops_total \d+ \[\d+ \d+ \d+ \d+\]\n`).MatchString(out.String()) {
+			if cfg.shards > 1 && !regexp.MustCompile(`\nxpointdb_write_latency_seconds n=\d+ \[\d+ \d+ \d+ \d+\] `).MatchString(out.String()) {
 				t.Errorf("no store-wide write count with %d per-shard values:\n%s", cfg.shards, out.String())
 			}
 			if cfg.hotSkew > 0 {
-				m := regexp.MustCompile(`\nxpointdb_ops_total \d+ \[(\d+) (\d+) (\d+) (\d+)\]\n`).FindStringSubmatch(out.String())
-				if m == nil {
-					t.Fatalf("no per-shard op counts:\n%s", out.String())
+				// Ops per shard: its Gets plus its writes.
+				ops := make([]int, 4)
+				for _, hist := range []string{"get", "write"} {
+					m := regexp.MustCompile(`\nxpointdb_` + hist + `_latency_seconds n=\d+ \[(\d+) (\d+) (\d+) (\d+)\] `).FindStringSubmatch(out.String())
+					if m == nil {
+						t.Fatalf("no per-shard %s counts:\n%s", hist, out.String())
+					}
+					for i, v := range m[1:] {
+						n, _ := strconv.Atoi(v)
+						ops[i] += n
+					}
 				}
-				hot, _ := strconv.Atoi(m[1])
-				for _, cold := range m[2:] {
-					if n, _ := strconv.Atoi(cold); n >= hot {
-						t.Errorf("shard 0 ran %d ops, a cold shard %d: the skew did not land on shard 0", hot, n)
+				for _, cold := range ops[1:] {
+					if cold >= ops[0] {
+						t.Errorf("shard 0 ran %d ops, a cold shard %d: the skew did not land on shard 0", ops[0], cold)
 					}
 				}
 			}

@@ -295,8 +295,8 @@ func observeFlush(t *testing.T, db *DB, buf *events.Buffer) flushOutcome {
 		largest:  string(keys.UserKey(meta.Largest)),
 		begins:   countEvents(buf, events.KindFlushBegin),
 		ends:     countEvents(buf, events.KindFlushEnd),
-		flushes:  db.Metrics().Flushes.Load(),
-		bytes:    db.Metrics().FlushBytes.Load(),
+		flushes:  db.Metrics().FlushLatency.Count(),
+		bytes:    db.LevelStats().Levels[0].BytesWritten,
 		l0Jobs:   db.LevelStats().Levels[0].Compactions,
 	}
 	r, err := db.tables.get(meta)
@@ -308,7 +308,7 @@ func observeFlush(t *testing.T, db *DB, buf *events.Buffer) flushOutcome {
 		out.entries++
 	}
 	if out.bytes != meta.Size {
-		t.Errorf("FlushBytes = %d, the Level-0 file holds %d", out.bytes, meta.Size)
+		t.Errorf("Level-0 BytesWritten = %d, the Level-0 file holds %d", out.bytes, meta.Size)
 	}
 	return out
 }
@@ -379,7 +379,7 @@ func TestFlushCallersAgree(t *testing.T) {
 			want = got
 			if want.entries != n || want.begins != 1 || want.ends != 1 ||
 				want.flushes != 1 || want.l0Jobs != 1 {
-				t.Fatalf("%s: %+v, want %d entries, one begin/end pair, Flushes and Levels[0].Compactions 1", c.name, want, n)
+				t.Fatalf("%s: %+v, want %d entries, one begin/end pair, one FlushLatency sample and Levels[0].Compactions 1", c.name, want, n)
 			}
 		} else if got != want {
 			t.Errorf("%s flushed %+v\n%s flushed %+v", c.name, got, callers[0].name, want)

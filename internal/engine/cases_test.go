@@ -293,7 +293,7 @@ func TestMemtableBudgetChangeTakesEffect(t *testing.T) {
 		}
 	}
 	waitForFlush(t, db)
-	if f := db.Metrics().Flushes.Load(); f < 2 {
+	if f := db.Metrics().FlushLatency.Count(); f < 2 {
 		t.Fatalf("expected several small flushes, got %d", f)
 	}
 }
@@ -305,7 +305,7 @@ func TestManualFlush(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatalf("flush of empty db: %v", err)
 	}
-	if db.Metrics().Flushes.Load() != 0 {
+	if db.Metrics().FlushLatency.Count() != 0 {
 		t.Fatal("empty flush wrote a file")
 	}
 	for i := 0; i < 50; i++ {
@@ -316,8 +316,8 @@ func TestManualFlush(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if db.Metrics().Flushes.Load() != 1 {
-		t.Fatalf("flushes = %d, want 1", db.Metrics().Flushes.Load())
+	if db.Metrics().FlushLatency.Count() != 1 {
+		t.Fatalf("flushes = %d, want 1", db.Metrics().FlushLatency.Count())
 	}
 	if db.NumLevelFiles(0) == 0 {
 		t.Fatal("no L0 file after manual flush")

@@ -84,11 +84,11 @@ func TestCompareCountGolden(t *testing.T) {
 	sst := make([]int, len(probes))
 	mt := make([]int, len(probes))
 	for i, id := range probes {
-		var st sstable.ProbeStats
-		if _, _, _, err := r.GetStats(keys.SearchKey(user(id), keys.MaxSeq), &st); err != nil {
-			t.Fatalf("GetStats %d: %v", id, err)
+		_, _, cmps, _, err := r.Get(keys.SearchKey(user(id), keys.MaxSeq))
+		if err != nil {
+			t.Fatalf("Get %d: %v", id, err)
 		}
-		sst[i] = st.Cmps
+		sst[i] = cmps
 		_, _, _, mt[i] = mem.Get(user(id), keys.MaxSeq)
 	}
 	got := fmt.Sprintf("# %d entries + %d misses, seed 42; see TestCompareCountGolden\n", entries, misses) +

@@ -228,7 +228,6 @@ func (db *DB) executePickedCompaction(c *compaction, held *bgHold) error {
 	c.base.Unref()
 
 	if err == nil {
-		db.metrics.Compactions.Add(1)
 		db.metrics.CompactionLatency.Record(compDur)
 		db.metrics.Levels[c.outputLevel].recordCompaction(
 			upperBytes, stats.read, stats.written, compDur)

@@ -56,7 +56,11 @@ func TestTrivialMoveZeroIO(t *testing.T) {
 	if got := m.TrivialMoves.Load(); got == 0 {
 		t.Fatalf("TrivialMoves = 0 after L0→L1 move:\n%s", db.DebugLayout())
 	}
-	if r, w := m.CompactionBytesRead.Load(), m.CompactionBytesWritten.Load(); r != 0 || w != 0 {
+	var r, w int64
+	for _, l := range db.LevelStats().Levels[1:] {
+		r, w = r+l.BytesRead, w+l.BytesWritten
+	}
+	if r != 0 || w != 0 {
 		t.Fatalf("trivial move did data I/O: read=%d written=%d", r, w)
 	}
 	for i := 0; i < n; i++ {
@@ -374,12 +378,12 @@ func TestCompactionDeferredEvent(t *testing.T) {
 	sm.SetBudget(1 << 30)
 	waitForLevel(t, db, 0, 0)
 	// The job installs its version (emptying L0) before it counts
-	// itself in Metrics.Compactions.
+	// itself in Metrics.CompactionLatency.
 	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && db.Metrics().Compactions.Load() == 0 {
+	for time.Now().Before(deadline) && db.Metrics().CompactionLatency.Count() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if db.Metrics().Compactions.Load() == 0 {
+	if db.Metrics().CompactionLatency.Count() == 0 {
 		t.Fatal("compaction never completed after budget raise")
 	}
 }

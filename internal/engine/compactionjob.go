@@ -134,8 +134,6 @@ func (db *DB) runCompactionJob(c *compaction, held *bgHold) (stats compactionSta
 		db.removeUninstalledOutputs(outNums)
 		return stats, err
 	}
-	db.metrics.CompactionBytesRead.Add(stats.read)
-	db.metrics.CompactionBytesWritten.Add(stats.written)
 	db.metrics.CompactionEntriesMerged.Add(stats.entries)
 	return stats, nil
 }

@@ -340,12 +340,12 @@ func TestCompactionReducesL0(t *testing.T) {
 	// stayed bounded.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if db.Metrics().Compactions.Load() > 0 && db.NumLevelFiles(0) < 8 {
+		if db.Metrics().CompactionLatency.Count() > 0 && db.NumLevelFiles(0) < 8 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := db.Metrics().Compactions.Load(); got == 0 {
+	if got := db.Metrics().CompactionLatency.Count(); got == 0 {
 		t.Fatalf("no compactions ran; layout:\n%s", db.DebugLayout())
 	}
 	if l1 := db.NumLevelFiles(1); l1 == 0 {

@@ -132,12 +132,12 @@ func TestCompactionRetriesAfterTransientFault(t *testing.T) {
 	// The tree must converge: compactions succeed after the fault.
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if db.Metrics().Compactions.Load() > 0 {
+		if db.Metrics().CompactionLatency.Count() > 0 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if db.Metrics().Compactions.Load() == 0 {
+	if db.Metrics().CompactionLatency.Count() == 0 {
 		t.Fatalf("no compaction succeeded after fault cleared; layout:\n%s", db.DebugLayout())
 	}
 	for i := 0; i < 1100; i += 13 {

@@ -163,8 +163,6 @@ func (db *DB) flushImmLocked(fm flushedMem, commit func(*manifest.Edit) error) (
 		db.imms = db.imms[1:]
 		db.installSuperVersionLocked("flush")
 	}
-	db.metrics.Flushes.Add(1)
-	db.metrics.FlushBytes.Add(meta.Size)
 	db.bgCond.Broadcast()
 	db.mu.Unlock()
 	dur := db.clk.Now().Sub(start)

@@ -179,7 +179,7 @@ func TestScrubDetectsPersistentCorruption(t *testing.T) {
 	for db.metrics.DataLossEvents.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("scrub never detected the corruption (passes=%d, detected=%d)",
-				db.metrics.ScrubPasses.Load(), db.metrics.CorruptionsDetected.Load())
+				db.metrics.ScrubPassLatency.Count(), db.metrics.CorruptionsDetected.Load())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -228,7 +228,7 @@ func TestScrubCompletesCleanPass(t *testing.T) {
 	fillAndFlush(t, db, 200)
 
 	deadline := time.Now().Add(30 * time.Second)
-	for db.metrics.ScrubPasses.Load() == 0 {
+	for db.metrics.ScrubPassLatency.Count() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no scrub pass completed")
 		}

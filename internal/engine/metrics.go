@@ -33,12 +33,8 @@ type Metrics struct {
 	StallStopTotal  atomic.Int64 // ns spent blocked on stop conditions
 	StallStops      atomic.Int64 // number of stop episodes
 
-	// Background work.
-	Flushes                 atomic.Int64
-	FlushBytes              atomic.Int64
-	Compactions             atomic.Int64
-	CompactionBytesRead     atomic.Int64
-	CompactionBytesWritten  atomic.Int64
+	// Background work. Job counts are the latency histograms' Count()s
+	// and job bytes the per-level counters (Levels) — one source each.
 	CompactionEntriesMerged atomic.Int64
 	// TrivialMoves counts files relocated to their output level by a
 	// pure manifest edit — zero data read or written.
@@ -66,8 +62,8 @@ type Metrics struct {
 	L0TablesProbed  atomic.Int64
 	BloomSkips      atomic.Int64
 
-	// WAL accounting (mirrors wal.Writer across rotations).
-	WALSyncs     atomic.Int64
+	// WAL accounting (mirrors wal.Writer across rotations); the sync
+	// count is WALSyncLatency.Count().
 	WALSyncBytes atomic.Int64
 
 	// Error-handler accounting (errorhandler.go, recovery.go).
@@ -83,16 +79,16 @@ type Metrics struct {
 
 	// Integrity accounting (scrub.go, integrity.go, repair.go).
 	// ScrubbedBytes counts bytes the background scrubber read and
-	// verified; ScrubPasses counts completed full cycles over the live
-	// file set. CorruptionsDetected counts every checksum failure
-	// observed (read path, scrub, paranoid verify, or explicit
-	// verification — re-detections of the same damage each count).
+	// verified (ScrubPassLatency.Count() counts completed full cycles
+	// over the live file set). CorruptionsDetected counts every
+	// checksum failure observed (read path, scrub, paranoid verify, or
+	// explicit verification — re-detections of the same damage each
+	// count).
 	// FilesQuarantined counts files marked damaged in the manifest;
 	// CorruptionsRepaired counts quarantined files replaced by a repair
 	// compaction with zero loss; DataLossEvents counts files dropped
 	// with a data_loss event after salvage failed.
 	ScrubbedBytes       atomic.Int64
-	ScrubPasses         atomic.Int64
 	CorruptionsDetected atomic.Int64
 	FilesQuarantined    atomic.Int64
 	CorruptionsRepaired atomic.Int64

@@ -364,8 +364,8 @@ func TestMetricsReportContents(t *testing.T) {
 	rep := db.StatsReport()
 	for _, want := range []string{
 		"health         : healthy\n", "lsm            : L0 1 files", "** Metrics **\n",
-		"\nxpointdb_write_ops_total 200\n", "\nxpointdb_get_latency_seconds n=50 mean=",
-		"\nxpointdb_flushes_total 1\n", "\nxpointdb_stage_seconds{path=\"write\",stage=\"wal_sync\"} n=200 ",
+		"\nxpointdb_write_latency_seconds n=200 mean=", "\nxpointdb_get_latency_seconds n=50 mean=",
+		"\nxpointdb_flush_latency_seconds n=1 mean=", "\nxpointdb_stage_seconds{path=\"write\",stage=\"wal_sync\"} n=200 ",
 		"\nstage share    : write ", "; get mem ", "\nxpointdb_bgpool_size ", "\nxpointdb_block_cache_used_bytes ",
 		`xpointdb_write_controller_state{state="clear"} 1`, `xpointdb_space_state{state="clear"} 1`,
 		"** Per-level compaction stats **\n",

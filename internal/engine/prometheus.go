@@ -97,14 +97,12 @@ var engineFamilies = []family[*scrape]{
 			return []point{{labels: fmt.Sprintf(`state="%s"`, h), v: healthy}}
 		}},
 
-	// Operation counts and end-to-end latency distributions.
-	counter("xpointdb_ops_total", "Operations served (gets + write calls).", func(e *scrape) float64 { return float64(e.m.GetLatency.Count() + e.m.WriteLatency.Count()) }),
-	counter("xpointdb_write_ops_total", "Write (Apply) calls committed.", func(e *scrape) float64 { return float64(e.m.WriteLatency.Count()) }),
+	// End-to-end latency distributions; their _count is the operation count.
 	histo("xpointdb_get_latency_seconds", "End-to-end Get latency.", func(m *Metrics) *histogram.Histogram { return &m.GetLatency }),
 	histo("xpointdb_write_latency_seconds", "End-to-end Apply latency, including throttling and stalls.", func(m *Metrics) *histogram.Histogram { return &m.WriteLatency }),
 	histo("xpointdb_wal_group_latency_seconds", "WAL append+sync latency per commit group.", func(m *Metrics) *histogram.Histogram { return &m.WALLatency }),
 
-	// Background-stage latency distributions.
+	// Background-stage latency distributions; their _count is the job count.
 	histo("xpointdb_flush_latency_seconds", "Memtable flush duration (build + install).", func(m *Metrics) *histogram.Histogram { return &m.FlushLatency }),
 	histo("xpointdb_compaction_latency_seconds", "Compaction duration (read, merge, write, install).", func(m *Metrics) *histogram.Histogram { return &m.CompactionLatency }),
 	histo("xpointdb_wal_sync_latency_seconds", "WAL fsync duration.", func(m *Metrics) *histogram.Histogram { return &m.WALSyncLatency }),
@@ -135,11 +133,6 @@ var engineFamilies = []family[*scrape]{
 
 	// Background work.
 	gauge("xpointdb_memtable_budget_bytes", "Memtable size target in force (case study B retunes it).", func(e *scrape) float64 { return float64(e.db.MemtableBudget()) }),
-	counter("xpointdb_flushes_total", "Completed memtable flushes.", func(e *scrape) float64 { return float64(e.m.Flushes.Load()) }),
-	counter("xpointdb_flush_bytes_total", "Bytes written to Level 0 by flushes.", func(e *scrape) float64 { return float64(e.m.FlushBytes.Load()) }),
-	counter("xpointdb_compactions_total", "Completed compactions.", func(e *scrape) float64 { return float64(e.m.Compactions.Load()) }),
-	counter("xpointdb_compaction_read_bytes_total", "Compaction input bytes read.", func(e *scrape) float64 { return float64(e.m.CompactionBytesRead.Load()) }),
-	counter("xpointdb_compaction_written_bytes_total", "Compaction output bytes written.", func(e *scrape) float64 { return float64(e.m.CompactionBytesWritten.Load()) }),
 	counter("xpointdb_compaction_entries_merged_total", "Entries merged by compactions.", func(e *scrape) float64 { return float64(e.m.CompactionEntriesMerged.Load()) }),
 	counter("xpointdb_compaction_trivial_moves_total", "Input files moved down a level without any data I/O.", func(e *scrape) float64 { return float64(e.m.TrivialMoves.Load()) }),
 	counter("xpointdb_compaction_subcompactions_total", "Sub-compaction ranges executed by parallelized jobs.", func(e *scrape) float64 { return float64(e.m.Subcompactions.Load()) }),
@@ -175,7 +168,6 @@ var engineFamilies = []family[*scrape]{
 	counter("xpointdb_bloom_skips_total", "SST probes short-circuited by a Bloom filter.", func(e *scrape) float64 { return float64(e.m.BloomSkips.Load()) }),
 
 	// WAL.
-	counter("xpointdb_wal_syncs_total", "WAL fsyncs.", func(e *scrape) float64 { return float64(e.m.WALSyncs.Load()) }),
 	counter("xpointdb_wal_sync_bytes_total", "Bytes made durable by WAL fsyncs.", func(e *scrape) float64 { return float64(e.m.WALSyncBytes.Load()) }),
 
 	// Errors and recovery.
@@ -192,7 +184,6 @@ var engineFamilies = []family[*scrape]{
 	counter("xpointdb_space_recoveries_total", "Recoveries completed after a disk-full latch.", func(e *scrape) float64 { return float64(e.m.SpaceRecoveries.Load()) }),
 
 	// Integrity.
-	counter("xpointdb_scrub_passes_total", "Completed scrub passes.", func(e *scrape) float64 { return float64(e.m.ScrubPasses.Load()) }),
 	counter("xpointdb_scrubbed_bytes_total", "Bytes read and verified by the scrubber.", func(e *scrape) float64 { return float64(e.m.ScrubbedBytes.Load()) }),
 	counter("xpointdb_corruptions_detected_total", "Checksum failures observed.", func(e *scrape) float64 { return float64(e.m.CorruptionsDetected.Load()) }),
 	counter("xpointdb_files_quarantined_total", "Files marked damaged in the manifest.", func(e *scrape) float64 { return float64(e.m.FilesQuarantined.Load()) }),
@@ -278,7 +269,8 @@ func WriteMetrics(w io.Writer, dbs []*DB, shardLabel bool, shared *Shared) {
 // WriteStats is the /stats sink over the same tables: one line per
 // series under its /metrics name — counters summed over dbs, with each
 // engine's value in brackets when there are several; gauges listing
-// each engine's value; histograms merged to n, mean and p99 — leaving
+// each engine's value; histograms merged to n (each engine's count in
+// brackets when there are several), mean and p99 — leaving
 // out series whose values are all zero and the per-level columns.
 // Shared may be nil: an engine that does not own its set leaves the
 // shared resources to the store that does. The stage-share line closes
@@ -383,13 +375,21 @@ func (s textSink) family(d desc, perSource [][]point) {
 func (s textSink) series(typ, name string, pts []point) {
 	if typ == "histogram" {
 		var h histogram.Histogram
-		for _, pt := range pts {
+		counts := make([]string, len(pts))
+		for i, pt := range pts {
+			var n int64
 			if pt.h != nil {
 				h.Merge(pt.h)
+				n = pt.h.Count()
 			}
+			counts[i] = strconv.FormatInt(n, 10)
 		}
 		if n := h.Count(); n > 0 {
-			fmt.Fprintf(s.w, "%s n=%d mean=%v p99=%v\n", name, n, h.Mean(), h.Percentile(99))
+			count := strconv.FormatInt(n, 10)
+			if len(pts) > 1 {
+				count += " [" + strings.Join(counts, " ") + "]"
+			}
+			fmt.Fprintf(s.w, "%s n=%s mean=%v p99=%v\n", name, count, h.Mean(), h.Percentile(99))
 		}
 		return
 	}

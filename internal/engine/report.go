@@ -34,13 +34,17 @@ type MetricsSnapshot struct {
 // Snapshot captures the current values of the fields above. It is safe
 // to call concurrently with live operations.
 func (m *Metrics) Snapshot() MetricsSnapshot {
+	var compWritten int64 // every job into Level 1 and below is a compaction
+	for l := 1; l < len(m.Levels); l++ {
+		compWritten += m.Levels[l].BytesWritten.Load()
+	}
 	return MetricsSnapshot{
 		Gets:   m.GetLatency.Count(),
 		Writes: m.WriteLatency.Count(),
 
-		Flushes:                 m.Flushes.Load(),
-		Compactions:             m.Compactions.Load(),
-		CompactionBytesWritten:  m.CompactionBytesWritten.Load(),
+		Flushes:                 m.FlushLatency.Count(),
+		Compactions:             m.CompactionLatency.Count(),
+		CompactionBytesWritten:  compWritten,
 		CompactionEntriesMerged: m.CompactionEntriesMerged.Load(),
 		TrivialMoves:            m.TrivialMoves.Load(),
 		SuperVersionInstalls:    m.SuperVersionInstalls.Load(),
@@ -52,7 +56,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 
 		GetHitMemtable:  m.GetHitMemtable.Load(),
 		GetHitImmutable: m.GetHitImmutable.Load(),
-		WALSyncs:        m.WALSyncs.Load(),
+		WALSyncs:        m.WALSyncLatency.Count(),
 	}
 }
 

@@ -63,7 +63,7 @@ func (db *DB) scrubWorker() {
 // aborts at the first corruption: the detection latches the error and
 // recovery repairs the tree, after which the next pass re-verifies.
 func (db *DB) runScrubPass() {
-	pass := int(db.metrics.ScrubPasses.Load()) + 1
+	pass := int(db.metrics.ScrubPassLatency.Count()) + 1
 	sv := db.acquireSV()
 	if sv == nil {
 		return
@@ -111,7 +111,6 @@ func (db *DB) runScrubPass() {
 		break
 	}
 
-	db.metrics.ScrubPasses.Add(1)
 	db.metrics.ScrubPassLatency.Record(db.clk.Now().Sub(passStart))
 	db.emitScrub(events.KindScrubComplete, &events.Scrub{
 		Pass: pass, Files: len(nums), Bytes: scanned, Corruptions: corruptions,

@@ -72,10 +72,10 @@ func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
 	}
 	// Wait for compactions to run.
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && db.Metrics().Compactions.Load() == 0 {
+	for time.Now().Before(deadline) && db.Metrics().CompactionLatency.Count() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if db.Metrics().Compactions.Load() == 0 {
+	if db.Metrics().CompactionLatency.Count() == 0 {
 		t.Fatal("no compaction ran; test needs churn")
 	}
 

@@ -164,7 +164,7 @@ func TestFlushDeferralOverBudget(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("deferred flush did not complete after budget raise")
 	}
-	if db.Metrics().Flushes.Load() == 0 {
+	if db.Metrics().FlushLatency.Count() == 0 {
 		t.Fatal("no flush recorded after budget raise")
 	}
 	for i := 0; i < n; i += 7 {
@@ -260,7 +260,7 @@ func TestFullDiskUnderFullMemtableLatches(t *testing.T) {
 		full = db.mem.ApproximateSize() >= db.memBudget
 		rotated := len(db.imms) > 0
 		db.mu.Unlock()
-		if rotated || db.Metrics().Flushes.Load() > 0 {
+		if rotated || db.Metrics().FlushLatency.Count() > 0 {
 			t.Fatalf("memtable rotated after %d writes, before it was full", acked+1)
 		}
 	}

@@ -320,7 +320,6 @@ func (db *DB) leaderCommit(leader *writer) {
 				pc.WALSync += walEnd.Sub(appendDone)
 			}
 			if walErr == nil {
-				db.metrics.WALSyncs.Add(1)
 				db.metrics.WALSyncBytes.Add(pending)
 				db.metrics.WALSyncLatency.Record(walEnd.Sub(appendDone))
 			}
@@ -532,7 +531,6 @@ func (db *DB) rotateMemtableLocked(reason string) error {
 		serr = oldWAL.Sync()
 		syncDur := db.clk.Now().Sub(t0)
 		if serr == nil {
-			db.metrics.WALSyncs.Add(1)
 			db.metrics.WALSyncBytes.Add(pending)
 			db.metrics.WALSyncLatency.Record(syncDur)
 		}

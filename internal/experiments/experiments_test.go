@@ -32,7 +32,7 @@ func TestEnvRunKV(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("errors: %d", res.Errors)
 	}
-	if m.Flushes.Load() == 0 {
+	if m.FlushLatency.Count() == 0 {
 		t.Fatal("preload produced no flushes")
 	}
 	if env.Kernel.Elapsed() < tinyScale().Duration {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"xpointdb/internal/engine"
+	"xpointdb/internal/sim"
 	"xpointdb/internal/storage"
 	"xpointdb/internal/workload"
 )
@@ -24,43 +25,59 @@ const simGoldenPath = "testdata/sim_golden.txt"
 // device models produce. Every pinned value is exact and
 // host-independent — the kernel runs one process at a time, so eight
 // clients replay as exactly as one — and a change that moves one of
-// them changes the simulated system the figures are drawn from.
+// them changes the simulated system the figures are drawn from. The
+// four runs are independent kernels, so they run concurrently
+// (sim.Each) and their lines are joined in a fixed order.
 // Regenerate with -update only when the modelled system is meant to
 // change, and say why.
 func TestSimGolden(t *testing.T) {
-	var b strings.Builder
+	type cell struct {
+		clients int
+		p       storage.Profile
+	}
+	var cells []cell
 	for _, clients := range []int{1, 8} {
-		prefix := ""
-		if clients == 1 {
-			b.WriteString("# one client, 50% reads, 4000 keys preloaded, 2 s virtual; see TestSimGolden\n")
-		} else {
-			prefix = fmt.Sprintf("clients%d.", clients)
-			fmt.Fprintf(&b, "# %d clients, otherwise as above\n", clients)
-		}
 		for _, p := range []storage.Profile{storage.XPoint(), storage.SATAFlash()} {
-			sc := Scale{Duration: 2 * time.Second, KeySpace: 4000, MemtableSize: 512 << 10}
-			env := NewEnv(p, sc, nil)
-			res, m, err := env.RunKV(func(db *engine.DB) *workload.Result {
-				return env.Mixed(db, clients, 0.5, nil)
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", p.Name, err)
-			}
-			if res.Errors != 0 {
-				t.Fatalf("%s: %d workload errors", p.Name, res.Errors)
-			}
-			line := func(name string, v any) { fmt.Fprintf(&b, "%s%s.%s %v\n", prefix, p.Name, name, v) }
-			line("flushes", m.Flushes.Load())
-			line("compactions", m.Compactions.Load())
-			line("wal_syncs", m.WALSyncs.Load())
-			line("stall", time.Duration(m.StallDelayTotal.Load()+m.StallStopTotal.Load()))
-			line("put_p50", res.WriteLat.Percentile(50))
-			line("put_p99", res.WriteLat.Percentile(99))
-			line("get_p50", res.ReadLat.Percentile(50))
-			line("get_p99", res.ReadLat.Percentile(99))
+			cells = append(cells, cell{clients, p})
 		}
 	}
-	got := b.String()
+	lines := make([]string, len(cells))
+	sim.Each(len(cells), func(i int) {
+		clients, p := cells[i].clients, cells[i].p
+		sc := Scale{Duration: 2 * time.Second, KeySpace: 4000, MemtableSize: 512 << 10}
+		env := NewEnv(p, sc, nil)
+		res, m, err := env.RunKV(func(db *engine.DB) *workload.Result {
+			return env.Mixed(db, clients, 0.5, nil)
+		})
+		if err != nil {
+			t.Errorf("%d clients, %s: %v", clients, p.Name, err)
+			return
+		}
+		if res.Errors != 0 {
+			t.Errorf("%d clients, %s: %d workload errors", clients, p.Name, res.Errors)
+			return
+		}
+		prefix := ""
+		if clients != 1 {
+			prefix = fmt.Sprintf("clients%d.", clients)
+		}
+		var b strings.Builder
+		line := func(name string, v any) { fmt.Fprintf(&b, "%s%s.%s %v\n", prefix, p.Name, name, v) }
+		line("flushes", m.FlushLatency.Count())
+		line("compactions", m.CompactionLatency.Count())
+		line("wal_syncs", m.WALSyncLatency.Count())
+		line("stall", time.Duration(m.StallDelayTotal.Load()+m.StallStopTotal.Load()))
+		line("put_p50", res.WriteLat.Percentile(50))
+		line("put_p99", res.WriteLat.Percentile(99))
+		line("get_p50", res.ReadLat.Percentile(50))
+		line("get_p99", res.ReadLat.Percentile(99))
+		lines[i] = b.String()
+	})
+	if t.Failed() {
+		return
+	}
+	got := "# one client, 50% reads, 4000 keys preloaded, 2 s virtual; see TestSimGolden\n" +
+		lines[0] + lines[1] + "# 8 clients, otherwise as above\n" + lines[2] + lines[3]
 
 	if *update {
 		if err := os.WriteFile(simGoldenPath, []byte(got), 0o644); err != nil {

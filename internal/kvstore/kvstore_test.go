@@ -91,7 +91,7 @@ func TestStoreContract(t *testing.T) {
 			if _, err := st.Get(keys[1]); !errors.Is(err, engine.ErrNotFound) {
 				t.Fatalf("Get(%q) after the batch deleted it = %v, want ErrNotFound", keys[1], err)
 			}
-			if !strings.Contains(st.StatsReport(), "\nxpointdb_write_ops_total ") {
+			if !strings.Contains(st.StatsReport(), "\nxpointdb_write_latency_seconds n=") {
 				t.Error("StatsReport lacks the rendered metrics section")
 			}
 

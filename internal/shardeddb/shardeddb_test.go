@@ -403,19 +403,26 @@ func TestShardedPrometheusParses(t *testing.T) {
 	// Per-shard facts carry the bare store's family name and one sample
 	// per shard; which families exist is pinned by TestMetricsCatalogue
 	// and TestShardedFamiliesMatchBare.
-	ops := byName["xpointdb_ops_total"]
-	if ops == nil || len(ops.Samples) != 3 {
-		t.Fatalf("xpointdb_ops_total = %+v, want one sample per shard", ops)
+	var counts []obs.PromSample
+	if wl := byName["xpointdb_write_latency_seconds"]; wl != nil {
+		for _, s := range wl.Samples {
+			if strings.HasSuffix(s.Name, "_count") {
+				counts = append(counts, s)
+			}
+		}
+	}
+	if len(counts) != 3 {
+		t.Fatalf("xpointdb_write_latency_seconds_count = %+v, want one sample per shard", counts)
 	}
 	var total float64
-	for i, s := range ops.Samples {
+	for i, s := range counts {
 		if s.Labels["shard"] != fmt.Sprint(i) {
 			t.Fatalf("sample %d has labels %v", i, s.Labels)
 		}
 		total += s.Value
 	}
 	if total < 5 {
-		t.Fatalf("ops_total sums to %v across shards, want at least the 5 writes", total)
+		t.Fatalf("write_latency_seconds_count sums to %v across shards, want at least the 5 writes", total)
 	}
 	if v := byName["xpointdb_sharded_txn_committed_total"].Samples[0].Value; v != 1 {
 		t.Fatalf("txn_committed = %v, want 1", v)
@@ -441,7 +448,7 @@ func TestStatsReportPrintsSharedLinesOnce(t *testing.T) {
 	rep := db.StatsReport()
 	for line, want := range map[string]int{
 		"\nxpointdb_write_controller_state{": 1, "\nxpointdb_bgpool_size ": 1, "\nxpointdb_space_budget_bytes ": 1,
-		"\nxpointdb_write_ops_total 3 [1 1 1]\n": 1, "\nxpointdb_wal_syncs_total 3 [1 1 1]\n": 1, "** Metrics": 1,
+		"\nxpointdb_write_latency_seconds n=3 [1 1 1] mean=": 1, "\nxpointdb_wal_sync_latency_seconds n=3 [1 1 1] mean=": 1, "** Metrics": 1,
 		"\nhealth         :": 3, "\nlsm            :": 3, "** Per-level compaction stats **": 3,
 	} {
 		if got := strings.Count(rep, line); got != want {
@@ -450,10 +457,11 @@ func TestStatsReportPrintsSharedLinesOnce(t *testing.T) {
 	}
 }
 
-// TestStatsTotalsMatchShards: every counter of a sharded store's /stats
-// section is a store-wide total that equals the sum of its per-shard
-// brackets, and each bracket is that shard's /metrics sample — and
-// every counter /metrics reports as non-zero for some shard is there.
+// TestStatsTotalsMatchShards: every counter, and every histogram's
+// count, of a sharded store's /stats section is a store-wide total that
+// equals the sum of its per-shard brackets, and each bracket is that
+// shard's /metrics sample (a histogram's _count) — and every counter or
+// histogram /metrics reports as non-zero for some shard is there.
 func TestStatsTotalsMatchShards(t *testing.T) {
 	db, _ := newTestStore(t, 3, func(o *Options) { o.Engine.DisableScrub = true })
 	defer db.Close()
@@ -485,12 +493,12 @@ func TestStatsTotalsMatchShards(t *testing.T) {
 	fromMetrics := func() map[string][]float64 {
 		out := map[string][]float64{}
 		for _, f := range scrape(t, db.WritePrometheus) {
-			if f.Type != "counter" || strings.HasPrefix(f.Name, "xpointdb_level_") {
+			if f.Type != "counter" && f.Type != "histogram" || strings.HasPrefix(f.Name, "xpointdb_level_") {
 				continue
 			}
 			for _, smp := range f.Samples {
 				shard, ok := smp.Labels["shard"]
-				if !ok {
+				if !ok || f.Type == "histogram" && !strings.HasSuffix(smp.Name, "_count") {
 					continue
 				}
 				var labels []string
@@ -500,7 +508,7 @@ func TestStatsTotalsMatchShards(t *testing.T) {
 					}
 				}
 				sortStrings(labels)
-				key := smp.Name
+				key := f.Name // a histogram's _count renders under its family name
 				if len(labels) > 0 {
 					key += "{" + strings.Join(labels, ",") + "}"
 				}
@@ -522,13 +530,15 @@ func TestStatsTotalsMatchShards(t *testing.T) {
 		out := map[string]statLine{}
 		for _, line := range strings.Split(db.StatsReport(), "\n") {
 			name, rest, _ := strings.Cut(line, " ")
+			rest = strings.TrimPrefix(rest, "n=") // a histogram's count
 			total, brackets, ok := strings.Cut(rest, " [")
 			if !strings.HasPrefix(name, "xpointdb_") || !ok {
-				continue // a gauge, a histogram or not a metric line
+				continue // a gauge or not a metric line
 			}
 			var l statLine
 			fmt.Sscan(total, &l.total)
-			for _, v := range strings.Fields(strings.TrimSuffix(brackets, "]")) {
+			brackets, _, _ = strings.Cut(brackets, "]")
+			for _, v := range strings.Fields(brackets) {
 				var f float64
 				fmt.Sscan(v, &f)
 				l.shards = append(l.shards, f)

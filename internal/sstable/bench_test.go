@@ -10,7 +10,7 @@ import (
 
 const benchEntries = 64 << 10
 
-// BenchmarkReaderGetCached times one Reader.GetStats over a 64k-entry
+// BenchmarkReaderGetCached times one Reader.Get over a 64k-entry
 // table whose data blocks are all in the block cache: index seek,
 // cache hit, data block seek — the SST half of a cached Get.
 func BenchmarkReaderGetCached(b *testing.B) {
@@ -25,9 +25,8 @@ func BenchmarkReaderGetCached(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var st ProbeStats
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := r.GetStats(targets[i%benchEntries], &st); err != nil {
+		if _, _, _, _, err := r.Get(targets[i%benchEntries]); err != nil {
 			b.Fatal(err)
 		}
 	}

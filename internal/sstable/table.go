@@ -517,35 +517,28 @@ type ProbeStats struct {
 // Get returns the first entry with internal key ≥ ikey, if it exists in
 // this table. found=false means the table holds no such entry. cmps
 // reports the key comparisons performed (CPU cost accounting).
-func (r *Reader) Get(ikey []byte) (key, value []byte, cmps int, found bool, err error) {
-	var st ProbeStats
-	key, value, found, err = r.GetStats(ikey, &st)
-	return key, value, st.Cmps, found, err
-}
-
-// GetStats is Get with full per-probe cost attribution written to st
-// (which must be non-nil; fields are incremented, not reset).
 //
 // The data block iterator and its key buffer live on this frame. The
 // value is a sub-slice of the block, cut by offsets rather than read
 // from the iterator, so nothing returned points into the frame; the
 // key is returned, so it is copied out, the lookup's one allocation.
 // Lookup, which returns no key, makes none.
-func (r *Reader) GetStats(ikey []byte, st *ProbeStats) (key, value []byte, found bool, err error) {
+func (r *Reader) Get(ikey []byte) (key, value []byte, cmps int, found bool, err error) {
+	var st ProbeStats
 	var keyBuf [blockKeyCap]byte
 	data := blockIter{key: keyBuf[:0]}
-	contents, found, err := r.seek(ikey, st, &data)
+	contents, found, err := r.seek(ikey, &st, &data)
 	if !found {
-		return nil, nil, false, err
+		return nil, nil, st.Cmps, false, err
 	}
-	return append([]byte(nil), data.key...), data.valueIn(contents), true, nil
+	return append([]byte(nil), data.key...), data.valueIn(contents), st.Cmps, true, nil
 }
 
 // Lookup finds the entry a point read of ikey's user key sees in this
 // table: the first entry with internal key ≥ ikey, if it holds the
 // same user key. ok reports whether there is one; value and kind are
 // then its value (a sub-slice of the block) and kind. The lookup
-// allocates nothing: see GetStats.
+// allocates nothing: see Get.
 func (r *Reader) Lookup(ikey []byte, st *ProbeStats) (value []byte, kind keys.Kind, ok bool, err error) {
 	var keyBuf [blockKeyCap]byte
 	data := blockIter{key: keyBuf[:0]}

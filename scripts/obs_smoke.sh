@@ -53,9 +53,9 @@ walk() {
 
     echo "== /metrics =="
     metrics="$(curl -sf "http://$addr/metrics")"
-    for family in xpointdb_ops_total xpointdb_get_latency_seconds_bucket \
-                  xpointdb_level_files xpointdb_flushes_total \
-                  xpointdb_scrub_passes_total xpointdb_events_dropped_total; do
+    for family in xpointdb_write_latency_seconds_count xpointdb_get_latency_seconds_bucket \
+                  xpointdb_level_files xpointdb_flush_latency_seconds_count \
+                  xpointdb_scrub_pass_latency_seconds_count xpointdb_events_dropped_total; do
         echo "$metrics" | grep "^$family" >/dev/null || { echo "FAIL: $family missing"; exit 1; }
     done
     echo "$(echo "$metrics" | grep -c '^xpointdb') xpointdb samples exposed"
@@ -63,8 +63,10 @@ walk() {
     echo "== /stats =="
     stats="$(curl -sf "http://$addr/stats")"
     echo "$stats" | grep 'Per-level compaction stats' >/dev/null || { echo "FAIL: no per-level table"; exit 1; }
-    # The metrics section renders the /metrics tables under the same names.
-    echo "$stats" | grep '^xpointdb_ops_total [1-9]' >/dev/null || { echo "FAIL: no rendered xpointdb_ops_total"; exit 1; }
+    # The metrics section renders the /metrics tables under the same
+    # names; a histogram's line appears once it holds a sample, and the
+    # store has served a Get or a write (the preload's) by now.
+    echo "$stats" | grep -E '^xpointdb_(get|write)_latency_seconds n=[1-9]' >/dev/null || { echo "FAIL: no rendered get or write latency"; exit 1; }
     echo "$stats" | sed -n '/Per-level/,$p' | head -8
 
     echo "== /events (3s of SSE) =="
