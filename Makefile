@@ -33,8 +33,10 @@ bench-check:
 # Layer microbenchmarks (ns/op, B/op, allocs/op) under the write and
 # read paths: skiplist Insert and Get at 4k and 64k entries, MemFS
 # append (1 KiB records and one write, 4 MiB), 4 KiB ReadAt and a small
-# file, an SST Get with every block cached and a full table scan (64k
-# entries), a memtable-hit and a cached-block Get through the engine,
+# file, an SST Get with every block cached, a full table scan (64k
+# entries) and a short cold scan that reads ahead (SeekGE + 25 Next,
+# cache 1/16 of the table, reads/op), a memtable-hit and a cached-block
+# Get through the engine,
 # one L0→L1 compaction (ns and B per compacted entry), and an empty
 # store's Open + Close. These are what a change to one of
 # those layers quotes, parent against change; end-to-end numbers come

@@ -139,6 +139,26 @@ func (c *Cache) Insert(fileNum, offset uint64, data []byte) {
 	s.mu.Unlock()
 }
 
+// Admit caches a copy of data if its shard holds no entry for the
+// block and has room for it without evicting anything, and reports
+// whether it did. A scan's read-ahead admits its blocks this way, so
+// it fills free space but never pushes out what point reads cached.
+func (c *Cache) Admit(fileNum, offset uint64, data []byte) bool {
+	k := blockKey{fileNum, offset}
+	s := c.shard(k)
+	size := int64(len(data))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.m[k]; ok || s.used+size > s.capacity {
+		return false
+	}
+	e := &entry{key: k, data: append([]byte(nil), data...)}
+	s.m[k] = e
+	s.pushFront(e)
+	s.used += size
+	return true
+}
+
 // EvictFile drops every cached block of fileNum (called when an SST is
 // deleted after compaction).
 func (c *Cache) EvictFile(fileNum uint64) {

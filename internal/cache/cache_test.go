@@ -150,3 +150,37 @@ func TestUsedAccounting(t *testing.T) {
 		t.Fatalf("Used after replace = %d, want 250", got)
 	}
 }
+
+// TestAdmitNeverEvicts checks Admit stores a copy while its shard has
+// room and refuses, leaving the shard as it was, once it has none or
+// the block is already cached.
+func TestAdmitNeverEvicts(t *testing.T) {
+	c := New(numShards * 100) // 100 bytes per shard
+	// Offsets that are equal mod numShards share a shard.
+	k1, k2, k3 := uint64(0), uint64(numShards), uint64(2*numShards)
+	data := []byte("0123456789012345678901234567890123456789") // 40 bytes
+	if !c.Admit(7, k1, data) || !c.Admit(7, k2, data) {
+		t.Fatal("Admit refused a block its shard had room for")
+	}
+	data[0] = 'x'
+	if v, ok := c.Get(7, k1); !ok || v[0] != '0' {
+		t.Fatalf("Admit kept the caller's slice, not a copy: %q", v)
+	}
+	if c.Admit(7, k3, data) {
+		t.Fatal("Admit took a block its shard had no room for")
+	}
+	if c.Admit(7, k1, data) {
+		t.Fatal("Admit replaced a cached block")
+	}
+	for _, k := range []uint64{k1, k2} {
+		if _, ok := c.Get(7, k); !ok {
+			t.Fatalf("Admit evicted block %d", k)
+		}
+	}
+	if _, ok := c.Get(7, k3); ok {
+		t.Fatal("refused block is cached")
+	}
+	if used := c.Used(); used != 80 {
+		t.Fatalf("Used = %d, want 80", used)
+	}
+}

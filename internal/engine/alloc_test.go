@@ -70,6 +70,43 @@ func TestAllocBudgets(t *testing.T) {
 		}))
 	})
 
+	// A scan's fixed cost: building the iterator tree and its seek.
+	// Stepping through entries allocates nothing: keys and values are
+	// copied into the Iter's own buffers.
+	t.Run("scan/steady-state", func(t *testing.T) {
+		db := allocTestDB(t)
+		defer db.Close()
+		const n, scanLen = 1000, 25
+		val := make([]byte, 1<<10) // 4 entries a block: a scan crosses 6 or 7
+		for i := 0; i < n; i++ {
+			if err := db.Put(testKey(i), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		start := testKey(n / 2)
+		scan := func() {
+			it, err := db.NewIter()
+			if err != nil {
+				t.Fatal(err)
+			}
+			it.SeekGE(start)
+			for j := 0; j < scanLen; j++ {
+				if !it.Valid() {
+					t.Fatalf("scan ended after %d entries: %v", j, it.Error())
+				}
+				it.Next()
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan() // opens the table, caches the blocks
+		checkAllocs(t, 12, testing.AllocsPerRun(runs, scan))
+	})
+
 	t.Run("put", func(t *testing.T) {
 		db := allocTestDB(t)
 		defer db.Close()

@@ -46,6 +46,7 @@ type Iter struct {
 
 	key     []byte
 	value   []byte
+	skipKey []byte // the deleted user key findNextVisible skips
 	valid   bool
 	forward bool
 	err     error
@@ -138,8 +139,11 @@ func (it *Iter) findNextVisible() {
 			continue
 		}
 		if kind == keys.KindDelete {
-			// Deleted: skip every remaining version of this key.
-			it.skipUserKey(userKey)
+			// Deleted: skip every remaining version of this key. The
+			// user key points into a block the skip moves off, so it
+			// is copied first.
+			it.skipKey = append(it.skipKey[:0], userKey...)
+			it.skipUserKey(it.skipKey)
 			continue
 		}
 		// Newest visible version and it is a Set: emit.
@@ -151,10 +155,11 @@ func (it *Iter) findNextVisible() {
 	it.err = it.merged.Error()
 }
 
-// skipUserKey advances past every remaining entry of userKey.
+// skipUserKey advances past every remaining entry of userKey, which
+// must not point into the merged stream: Next passes it.key, the
+// delete path it.skipKey.
 func (it *Iter) skipUserKey(userKey []byte) {
-	skip := append([]byte(nil), userKey...)
-	for it.merged.Valid() && bytes.Equal(keys.UserKey(it.merged.Key()), skip) {
+	for it.merged.Valid() && bytes.Equal(keys.UserKey(it.merged.Key()), userKey) {
 		it.merged.Next()
 	}
 }

@@ -3,7 +3,11 @@
 // and concatenating combinators the read path is assembled from.
 package iterator
 
-import "xpointdb/internal/keys"
+import (
+	"sort"
+
+	"xpointdb/internal/keys"
+)
 
 // Iterator walks entries in internal-key order, forward and backward.
 //
@@ -217,8 +221,9 @@ type Concat struct {
 
 // NewConcat returns a concatenating iterator over n ordered, disjoint
 // children. open(i) opens child i; boundGE(i, target) must report
-// whether child i's largest key is ≥ target (used to skip children on
-// SeekGE).
+// whether child i's largest key is ≥ target (used to find the child a
+// seek lands in). It must be monotone in i, false and then true, as it
+// is over ordered, disjoint, non-empty children.
 func NewConcat(n int, open func(i int) (Iterator, error), boundGE func(i int, target []byte) bool) *Concat {
 	return &Concat{n: n, open: open, boundGE: boundGE, idx: -1}
 }
@@ -286,14 +291,16 @@ func (c *Concat) skipBackward() {
 // Valid reports whether the iterator is positioned at an entry.
 func (c *Concat) Valid() bool { return c.err == nil && c.cur != nil && c.cur.Valid() }
 
+// first returns the first child whose largest key is ≥ target, or n.
+// boundGE is monotone over ordered, disjoint children, so a binary
+// search finds it in at most ⌈log₂(n+1)⌉ calls.
+func (c *Concat) first(target []byte) int {
+	return sort.Search(c.n, func(i int) bool { return c.boundGE(i, target) })
+}
+
 // SeekGE positions at the first entry ≥ target across all children.
 func (c *Concat) SeekGE(target []byte) {
-	// Find the first child that can contain target.
-	i := 0
-	for i < c.n && !c.boundGE(i, target) {
-		i++
-	}
-	if !c.setChild(i) {
+	if !c.setChild(c.first(target)) {
 		return
 	}
 	c.cur.SeekGE(target)
@@ -335,10 +342,7 @@ func (c *Concat) SeekToLast() {
 func (c *Concat) SeekLT(target []byte) {
 	// Entries < target live in the first child whose bound is ≥
 	// target (the one SeekGE would search) and every child before it.
-	i := 0
-	for i < c.n && !c.boundGE(i, target) {
-		i++
-	}
+	i := c.first(target)
 	if i >= c.n {
 		// All children are entirely < target.
 		c.SeekToLast()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -182,15 +184,19 @@ func TestMergingAgainstReferenceMerge(t *testing.T) {
 // ---------------------------------------------------------------------
 
 func concatOver(children []*fakeIter) *Concat {
+	var boundGE func(i int, target []byte) bool
+	boundGE = func(i int, target []byte) bool {
+		ks := children[i].keys
+		if len(ks) == 0 {
+			// An empty child takes the bound of the one before it,
+			// which keeps boundGE monotone.
+			return i > 0 && boundGE(i-1, target)
+		}
+		return keys.Compare(ks[len(ks)-1], target) >= 0
+	}
 	return NewConcat(len(children),
 		func(i int) (Iterator, error) { return children[i], nil },
-		func(i int, target []byte) bool {
-			ks := children[i].keys
-			if len(ks) == 0 {
-				return false
-			}
-			return keys.Compare(ks[len(ks)-1], target) >= 0
-		})
+		boundGE)
 }
 
 func TestConcatScans(t *testing.T) {
@@ -246,5 +252,80 @@ func TestConcatSeekPastEverything(t *testing.T) {
 	c.SeekGE(keys.SearchKey([]byte("z"), keys.MaxSeq))
 	if c.Valid() {
 		t.Fatal("seek past end valid")
+	}
+}
+
+// TestConcatSeekBinarySearch checks, on randomized levels, that SeekGE
+// and SeekLT land where a linear search over the children puts them,
+// and that finding the child calls boundGE at most ⌈log₂ n⌉+1 times.
+func TestConcatSeekBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		// Disjoint, ordered children: each takes a run of distinct
+		// even numbers, so every odd number falls between entries.
+		var children []*fakeIter
+		var all []string
+		next := 0
+		for i := 0; i < n; i++ {
+			next += 2 * rng.Intn(3)
+			var pairs []string
+			for j := 1 + rng.Intn(4); j > 0; j-- {
+				k := fmt.Sprintf("k%05d", next)
+				pairs = append(pairs, k+":1:"+k)
+				all = append(all, k)
+				next += 2
+			}
+			children = append(children, newFake(pairs...))
+		}
+		calls := 0
+		c := NewConcat(n,
+			func(i int) (Iterator, error) {
+				f := *children[i]
+				return &f, nil
+			},
+			func(i int, target []byte) bool {
+				calls++
+				ks := children[i].keys
+				return keys.Compare(ks[len(ks)-1], target) >= 0
+			})
+		maxCalls := bits.Len(uint(n-1)) + 1 // ⌈log₂ n⌉ + 1
+		for probe := -1; probe <= next+1; probe++ {
+			target := keys.SearchKey([]byte(fmt.Sprintf("k%05d", probe)), keys.MaxSeq)
+			if probe < 0 {
+				target = keys.SearchKey([]byte("a"), keys.MaxSeq)
+			}
+			// The linear search: the first key ≥ target, the last < it.
+			ge := sort.Search(len(all), func(i int) bool {
+				return keys.Compare(keys.Make([]byte(all[i]), 1, keys.KindSet), target) >= 0
+			})
+			for _, dir := range []string{"SeekGE", "SeekLT"} {
+				calls = 0
+				want := ge
+				if dir == "SeekGE" {
+					c.SeekGE(target)
+				} else {
+					c.SeekLT(target)
+					want = ge - 1
+				}
+				if calls > maxCalls {
+					t.Fatalf("trial %d, %d children: %s(%d) called boundGE %d times, more than %d", trial, n, dir, probe, calls, maxCalls)
+				}
+				got := "invalid"
+				if c.Valid() {
+					got = string(keys.UserKey(c.Key()))
+				}
+				wantKey := "invalid"
+				if want >= 0 && want < len(all) {
+					wantKey = all[want]
+				}
+				if got != wantKey {
+					t.Fatalf("trial %d: %s(%d) = %s, want %s", trial, dir, probe, got, wantKey)
+				}
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -430,18 +430,8 @@ func decodeFooter(footer []byte, size int64, fileNum uint64) (filterHandle, inde
 
 // readBlock reads and verifies a block, bypassing the cache.
 func (r *Reader) readBlock(h blockHandle) ([]byte, error) {
-	// Validate the handle against the file size before allocating:
-	// handles come from on-disk bytes (footer, index entries) and a
-	// corrupt one must not trigger a huge allocation or an offset
-	// overflow. Each comparison is individually overflow-safe.
-	sz := uint64(r.size)
-	if h.offset > sz || h.length > sz-h.offset ||
-		blockTrailerLen > sz-h.offset-h.length {
-		return nil, &CorruptionError{
-			FileNum: r.fileNum,
-			Offset:  h.offset,
-			Detail:  fmt.Sprintf("block handle (%d,%d) exceeds file size %d", h.offset, h.length, r.size),
-		}
+	if err := r.checkHandle(h); err != nil {
+		return nil, err
 	}
 	var buf []byte
 	if r.window != nil {
@@ -457,6 +447,30 @@ func (r *Reader) readBlock(h blockHandle) ([]byte, error) {
 			return nil, err
 		}
 	}
+	return r.checkBlock(h, buf)
+}
+
+// checkHandle validates h against the file size before anything is
+// allocated or read for it: handles come from on-disk bytes (footer,
+// index entries) and a corrupt one must not trigger a huge allocation
+// or an offset overflow. Each comparison is individually overflow-safe.
+func (r *Reader) checkHandle(h blockHandle) error {
+	sz := uint64(r.size)
+	if h.offset > sz || h.length > sz-h.offset ||
+		blockTrailerLen > sz-h.offset-h.length {
+		return &CorruptionError{
+			FileNum: r.fileNum,
+			Offset:  h.offset,
+			Detail:  fmt.Sprintf("block handle (%d,%d) exceeds file size %d", h.offset, h.length, r.size),
+		}
+	}
+	return nil
+}
+
+// checkBlock verifies buf, block h's bytes with their trailer, against
+// the trailer's CRC and codec, and returns the block contents, a
+// sub-slice of buf.
+func (r *Reader) checkBlock(h blockHandle, buf []byte) ([]byte, error) {
 	contents, trailer := buf[:h.length], buf[h.length:]
 	crc := crc32.Update(0, crcTable, contents)
 	crc = crc32.Update(crc, crcTable, trailer[:1])
@@ -652,22 +666,37 @@ func (r *Reader) NewIter() iterator.Iterator {
 // decoded index selecting data blocks, and a data iterator within the
 // current block. The data iterator is a value re-pointed by init, so
 // stepping into the next block allocates nothing.
+//
+// A forward scan reads ahead (DESIGN §19). When Next steps into a
+// block the cache misses and the block before it also came from the
+// file, the iterator reads that block and the contiguous data blocks
+// after it with one ReadAt into a pooled buffer it owns: 16 KiB the
+// first time, doubling on each refill up to 256 KiB. Every block is
+// still probed in the cache first; a miss the buffer holds is served
+// from it, in any direction, as a CRC-checked sub-slice, and admitted
+// to the cache as a copy only if that evicts nothing. Seeks, backward
+// steps and window or image readers never read ahead. Key and Value
+// are valid until the next move; Close hands the buffer back to the
+// pool.
 type tableIter struct {
-	r    *Reader
-	idx  int       // index entry of the loaded block; out of range: none
-	data blockIter // invalid when no block is loaded
-	err  error
+	r        *Reader
+	idx      int       // index entry of the loaded block; out of range: none
+	data     blockIter // invalid when no block is loaded
+	fromFile bool      // the loaded block was read from the file, not the cache
+	ra       readahead
+	err      error
 }
 
 // loadData opens the data block at the current index position,
 // reporting whether one is loaded (false at either end of the index or
-// on error, with data left invalid).
-func (t *tableIter) loadData() bool {
+// on error, with data left invalid). step reports a forward step by
+// Next, the one move that may read ahead.
+func (t *tableIter) loadData(step bool) bool {
 	t.data.valid = false
 	if t.idx < 0 || t.idx >= t.r.index.len() {
 		return false
 	}
-	contents, _, err := t.r.getBlock(t.r.index.handles[t.idx])
+	contents, err := t.block(step)
 	if err != nil {
 		t.err = err
 		return false
@@ -679,15 +708,46 @@ func (t *tableIter) loadData() bool {
 	return true
 }
 
-// skipEmpty advances past exhausted data blocks.
-func (t *tableIter) skipEmpty() {
+// block returns the data block at the current index position: from
+// the cache, from the read-ahead buffer (refilled first when step
+// reads ahead), or, like a point read's, from the file and then cached.
+func (t *tableIter) block(step bool) ([]byte, error) {
+	r := t.r
+	h := r.index.handles[t.idx]
+	readAhead := step && t.fromFile && r.window == nil
+	if !readAhead && !t.ra.holds(h) {
+		contents, hit, err := r.getBlock(h)
+		t.fromFile = !hit
+		return contents, err
+	}
+	if r.cache != nil {
+		if v, ok := r.cache.Get(r.fileNum, h.offset); ok {
+			t.fromFile = false
+			return v, nil
+		}
+	}
+	t.fromFile = true
+	if !t.ra.holds(h) {
+		if err := t.ra.refill(r, t.idx); err != nil {
+			return nil, err
+		}
+	}
+	contents, err := t.ra.block(r, h)
+	if err == nil && r.cache != nil {
+		r.cache.Admit(r.fileNum, h.offset, contents)
+	}
+	return contents, err
+}
+
+// skipEmpty advances past exhausted data blocks; step is loadData's.
+func (t *tableIter) skipEmpty(step bool) {
 	for t.err == nil && !t.data.Valid() {
 		if err := t.data.Error(); err != nil {
 			t.err = err
 			return
 		}
 		t.idx++
-		if !t.loadData() {
+		if !t.loadData(step) {
 			return
 		}
 		t.data.SeekToFirst()
@@ -702,7 +762,7 @@ func (t *tableIter) skipEmptyBackward() {
 			return
 		}
 		t.idx--
-		if !t.loadData() {
+		if !t.loadData(false) {
 			return
 		}
 		t.data.SeekToLast()
@@ -718,9 +778,9 @@ func (t *tableIter) SeekGE(target []byte) {
 		return
 	}
 	t.idx, _ = t.r.index.seekGE(target)
-	if t.loadData() {
+	if t.loadData(false) {
 		t.data.SeekGE(target)
-		t.skipEmpty()
+		t.skipEmpty(false)
 	}
 }
 
@@ -729,9 +789,9 @@ func (t *tableIter) SeekToFirst() {
 		return
 	}
 	t.idx = 0
-	if t.loadData() {
+	if t.loadData(false) {
 		t.data.SeekToFirst()
-		t.skipEmpty()
+		t.skipEmpty(false)
 	}
 }
 
@@ -740,7 +800,7 @@ func (t *tableIter) Next() {
 		return
 	}
 	t.data.Next()
-	t.skipEmpty()
+	t.skipEmpty(true)
 }
 
 func (t *tableIter) SeekToLast() {
@@ -748,7 +808,7 @@ func (t *tableIter) SeekToLast() {
 		return
 	}
 	t.idx = t.r.index.len() - 1
-	if t.loadData() {
+	if t.loadData(false) {
 		t.data.SeekToLast()
 		t.skipEmptyBackward()
 	}
@@ -764,7 +824,7 @@ func (t *tableIter) SeekLT(target []byte) {
 	if t.idx, _ = t.r.index.seekGE(target); t.idx == t.r.index.len() {
 		t.idx = t.r.index.len() - 1
 	}
-	if t.loadData() {
+	if t.loadData(false) {
 		t.data.SeekLT(target)
 		t.skipEmptyBackward()
 	}
@@ -782,8 +842,11 @@ func (t *tableIter) Key() []byte   { return t.data.Key() }
 func (t *tableIter) Value() []byte { return t.data.Value() }
 func (t *tableIter) Error() error  { return t.err }
 
-// Close releases the iterator (the table's file stays open; the Reader
-// owns it).
-func (t *tableIter) Close() error { return t.err }
+// Close releases the iterator and hands its read-ahead buffer back to
+// the pool (the table's file stays open; the Reader owns it).
+func (t *tableIter) Close() error {
+	t.ra.release()
+	return t.err
+}
 
 var _ iterator.Iterator = (*tableIter)(nil)
