@@ -36,14 +36,17 @@ bench-check:
 # file, an SST Get with every block cached, a full table scan (64k
 # entries) and a short cold scan that reads ahead (SeekGE + 25 Next,
 # cache 1/16 of the table, reads/op), a memtable-hit and a cached-block
-# Get through the engine,
+# Get through the engine, the cached-block Get from GOMAXPROCS
+# goroutines (BenchmarkGetCachedSSTParallel), a latency histogram's
+# Record from one goroutine and from GOMAXPROCS
+# (BenchmarkHistogramRecord, BenchmarkHistogramRecordParallel),
 # one L0→L1 compaction (ns and B per compacted entry), and an empty
 # store's Open + Close. These are what a change to one of
 # those layers quotes, parent against change; end-to-end numbers come
 # from bench/ (`bash bench/run.sh`).
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime $(MICROBENCHTIME) \
-		./internal/skiplist ./internal/vfs ./internal/sstable ./internal/engine
+		./internal/skiplist ./internal/vfs ./internal/sstable ./internal/histogram ./internal/engine
 
 # Code size per package and in total (non-blank, non-comment lines of
 # non-test and test Go outside bench/), then the engine.Options field

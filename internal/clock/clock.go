@@ -11,6 +11,11 @@
 // so a process that waits on a sync.Mutex whose holder is parked there
 // stalls the whole simulation; a clock Mutex held across a block is
 // visible to it, and fine.
+//
+// Real's Now reads only the monotonic clock: it returns the wall time
+// at process start plus the monotonic time elapsed since. Durations
+// between its readings, and against time.Now, are exact; a step of the
+// system's wall clock while the process runs is not reflected in them.
 package clock
 
 import (
@@ -62,8 +67,14 @@ type Real struct{}
 
 var _ Clock = Real{}
 
-// Now returns time.Now().
-func (Real) Now() time.Time { return time.Now() }
+// epoch is the process's start: the origin of Real's readings.
+var epoch = time.Now()
+
+// Now returns the wall time at process start plus the monotonic time
+// elapsed since: one monotonic clock read, where time.Now reads the
+// wall clock too. The result carries a monotonic reading, so Sub
+// against another Now or a time.Now value measures elapsed time.
+func (Real) Now() time.Time { return epoch.Add(time.Since(epoch)) }
 
 // Sleep sleeps in real time. Durations under spinThreshold are refined
 // with a short busy-wait to improve precision; longer durations use

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +31,51 @@ func TestRealClockBasics(t *testing.T) {
 		cond.Wait()
 	}
 	m.Unlock()
+}
+
+// TestRealNow: Real.Now starts at the wall time, never runs backwards
+// across goroutines, and carries a monotonic reading, so it subtracts
+// exactly against time.Now in both directions.
+func TestRealNow(t *testing.T) {
+	var c Real
+	if d := c.Now().Round(0).Sub(time.Now().Round(0)); d < -time.Second || d > time.Second {
+		t.Fatalf("Now's wall time is %v off time.Now's", d)
+	}
+
+	var mu sync.Mutex
+	var last time.Time
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10000; i++ {
+				mu.Lock()
+				now := c.Now()
+				if now.Before(last) {
+					t.Errorf("Now went back from %v to %v", last, now)
+				}
+				last = now
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	const d = 5 * time.Millisecond
+	std := time.Now()
+	time.Sleep(d)
+	now := c.Now()
+	time.Sleep(d)
+	if got := now.Sub(std); got < d || got > d+time.Second {
+		t.Fatalf("Real.Now - time.Now = %v after sleeping %v", got, d)
+	}
+	if got := time.Now().Sub(now); got < d || got > d+time.Second {
+		t.Fatalf("time.Now - Real.Now = %v after sleeping %v", got, d)
+	}
+	if !strings.Contains(now.String(), " m=+") {
+		t.Fatalf("Real.Now has no monotonic reading: %v", now)
+	}
 }
 
 func TestPreciseSleepAccuracy(t *testing.T) {

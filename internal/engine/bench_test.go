@@ -47,10 +47,37 @@ func BenchmarkGetMemtableHit(b *testing.B) {
 // block cache: table-cache hit, Bloom probe, index and data block
 // seeks — the shape of bench/'s read_hot.
 func BenchmarkGetCachedSST(b *testing.B) {
-	db := allocTestDB(b)
+	db := cachedSSTDB(b)
 	defer db.Close()
-	const n = 4096
-	for i := 0; i < n; i++ {
+	benchGets(b, db, cachedSSTKeys)
+}
+
+// BenchmarkGetCachedSSTParallel is BenchmarkGetCachedSST from
+// GOMAXPROCS goroutines at once: the per-Get fixed cost when Gets on
+// different cores share the engine's accounting, as in read_hot.
+func BenchmarkGetCachedSSTParallel(b *testing.B) {
+	db := cachedSSTDB(b)
+	defer db.Close()
+	ks := benchKeys(cachedSSTKeys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, err := db.Get(ks[i%len(ks)]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+const cachedSSTKeys = 4096
+
+// cachedSSTDB returns a store, scrubber off, whose cachedSSTKeys keys
+// sit in one flushed Level-0 table with every block in the block cache.
+func cachedSSTDB(b *testing.B) *DB {
+	db := allocTestDB(b)
+	for i := 0; i < cachedSSTKeys; i++ {
 		if err := db.Put(testKey(i), testValue(i)); err != nil {
 			b.Fatal(err)
 		}
@@ -58,19 +85,25 @@ func BenchmarkGetCachedSST(b *testing.B) {
 	if err := db.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < n; i++ { // open the table and fill the block cache
+	for i := 0; i < cachedSSTKeys; i++ { // open the table and fill the block cache
 		if _, err := db.Get(testKey(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	benchGets(b, db, n)
+	return db
 }
 
-func benchGets(b *testing.B, db *DB, n int) {
+// benchKeys returns keys 0..n-1 in a scattered order.
+func benchKeys(n int) [][]byte {
 	ks := make([][]byte, n)
 	for i := range ks {
 		ks[i] = testKey((i * 2654435761) % n)
 	}
+	return ks
+}
+
+func benchGets(b *testing.B, db *DB, n int) {
+	ks := benchKeys(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -379,8 +379,12 @@ func (s textSink) series(typ, name string, pts []point) {
 		for i, pt := range pts {
 			var n int64
 			if pt.h != nil {
-				h.Merge(pt.h)
-				n = pt.h.Count()
+				// One snapshot of the source gives both its count and
+				// what is merged, so the bracketed counts sum to n.
+				var one histogram.Histogram
+				one.Merge(pt.h)
+				n = one.Count()
+				h.Merge(&one)
 			}
 			counts[i] = strconv.FormatInt(n, 10)
 		}

@@ -9,15 +9,20 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// numBuckets is the number of buckets: makeLimits's 1 µs × 1.5ⁿ
+// bounds below 20 s, then +Inf.
+const numBuckets = 43
 
 // bucketLimits holds the upper bounds (inclusive) of the histogram
 // buckets in nanoseconds, growing geometrically by ~1.5× from 1 µs to
 // beyond 10 s. The layout follows RocksDB's HistogramImpl.
 var bucketLimits = makeLimits()
 
-func makeLimits() []int64 {
+func makeLimits() [numBuckets]int64 {
 	var limits []int64
 	v := int64(1000) // 1 µs
 	for v < int64(20*time.Second) {
@@ -29,14 +34,45 @@ func makeLimits() []int64 {
 		v = next
 	}
 	limits = append(limits, math.MaxInt64)
-	return limits
+	if len(limits) != numBuckets {
+		panic(fmt.Sprintf("histogram: %d bucket limits, numBuckets is %d", len(limits), numBuckets))
+	}
+	return [numBuckets]int64(limits)
 }
+
+// stripes is the number of stripes a Histogram records into.
+const stripes = 8
+
+// cacheLine is the padding that keeps each stripe's counts off the
+// cache lines of its neighbours.
+const cacheLine = 64
 
 // Histogram accumulates duration samples and reports percentiles. It is
 // safe for concurrent use. The zero value is ready to use.
+//
+// Record writes into one of a fixed set of stripes, each with its own
+// lock and counts on its own cache lines, so concurrent recorders on
+// different Ps do not share a cache line; the readers merge the
+// stripes. A recorder takes the stripe its P used last from pool,
+// which holds only pointers into stripes: when a GC empties the pool,
+// the next Record takes a stripe round-robin from the array, and no
+// sample is lost.
 type Histogram struct {
-	mu      sync.Mutex
-	buckets []int64
+	pool    sync.Pool     // *stripe
+	next    atomic.Uint32 // round-robin stripe for a P the pool has none for
+	_       [cacheLine]byte
+	stripes [stripes]stripe
+}
+
+type stripe struct {
+	mu sync.Mutex
+	counts
+	_ [cacheLine]byte
+}
+
+// counts is one stripe's samples, or a merged snapshot of all of them.
+type counts struct {
+	buckets [numBuckets]int64
 	count   int64
 	sum     int64
 	min     int64
@@ -45,81 +81,72 @@ type Histogram struct {
 
 // Record adds one sample.
 func (h *Histogram) Record(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
+	ns := max(int64(d), 0)
+	idx := sort.Search(numBuckets, func(i int) bool { return bucketLimits[i] >= ns })
+	s, _ := h.pool.Get().(*stripe)
+	if s == nil {
+		s = &h.stripes[h.next.Add(1)%stripes]
 	}
-	idx := sort.Search(len(bucketLimits), func(i int) bool { return bucketLimits[i] >= ns })
-	h.mu.Lock()
-	if h.buckets == nil {
-		h.buckets = make([]int64, len(bucketLimits))
+	s.mu.Lock()
+	s.buckets[idx]++
+	s.count++
+	s.sum += ns
+	if s.count == 1 || ns < s.min {
+		s.min = ns
 	}
-	h.buckets[idx]++
-	h.count++
-	h.sum += ns
-	if h.count == 1 || ns < h.min {
-		h.min = ns
+	if ns > s.max {
+		s.max = ns
 	}
-	if ns > h.max {
-		h.max = ns
-	}
-	h.mu.Unlock()
+	s.mu.Unlock()
+	h.pool.Put(s)
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
+// snapshot merges the stripes, each read under its own lock.
+func (h *Histogram) snapshot() counts {
+	var c counts
+	for i := range h.stripes {
+		s := &h.stripes[i]
+		s.mu.Lock()
+		c.merge(&s.counts)
+		s.mu.Unlock()
+	}
+	return c
 }
 
-// Sum returns the total of all samples, for stage-attribution checks
-// (e.g. comparing per-stage perf totals against end-to-end latency).
-func (h *Histogram) Sum() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return time.Duration(h.sum)
+// merge adds o's samples into c.
+func (c *counts) merge(o *counts) {
+	if o.count == 0 {
+		return
+	}
+	if c.count == 0 || o.min < c.min {
+		c.min = o.min
+	}
+	c.max = max(c.max, o.max)
+	for i, n := range o.buckets {
+		c.buckets[i] += n
+	}
+	c.count += o.count
+	c.sum += o.sum
 }
 
-// Mean returns the mean sample.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+func (c *counts) mean() time.Duration {
+	if c.count == 0 {
 		return 0
 	}
-	return time.Duration(h.sum / h.count)
+	return time.Duration(c.sum / c.count)
 }
 
-// Min and Max return the extreme samples.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return time.Duration(h.min)
-}
-
-// Max returns the largest sample.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return time.Duration(h.max)
-}
-
-// Percentile returns the p-th percentile (0 < p ≤ 100), interpolated
-// within the containing bucket.
-func (h *Histogram) Percentile(p float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+func (c *counts) percentile(p float64) time.Duration {
+	if c.count == 0 {
 		return 0
 	}
-	threshold := float64(h.count) * p / 100
+	threshold := float64(c.count) * p / 100
 	var cum float64
-	for i, c := range h.buckets {
-		if c == 0 {
+	for i, n := range c.buckets {
+		if n == 0 {
 			continue
 		}
-		cum += float64(c)
+		cum += float64(n)
 		if cum >= threshold {
 			lo := int64(0)
 			if i > 0 {
@@ -127,21 +154,47 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 			}
 			hi := bucketLimits[i]
 			if hi == math.MaxInt64 {
-				hi = h.max
+				hi = c.max
 			}
 			// Interpolate position within the bucket.
-			within := 1 - (cum-threshold)/float64(c)
+			within := 1 - (cum-threshold)/float64(n)
 			v := float64(lo) + within*float64(hi-lo)
-			if v < float64(h.min) {
-				v = float64(h.min)
+			if v < float64(c.min) {
+				v = float64(c.min)
 			}
-			if v > float64(h.max) {
-				v = float64(h.max)
+			if v > float64(c.max) {
+				v = float64(c.max)
 			}
 			return time.Duration(v)
 		}
 	}
-	return time.Duration(h.max)
+	return time.Duration(c.max)
+}
+
+// Count returns the number of samples.
+func (h *Histogram) Count() int64 { return h.snapshot().count }
+
+// Sum returns the total of all samples, for stage-attribution checks
+// (e.g. comparing per-stage perf totals against end-to-end latency).
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.snapshot().sum) }
+
+// Mean returns the mean sample.
+func (h *Histogram) Mean() time.Duration {
+	c := h.snapshot()
+	return c.mean()
+}
+
+// Min and Max return the extreme samples.
+func (h *Histogram) Min() time.Duration { return time.Duration(h.snapshot().min) }
+
+// Max returns the largest sample.
+func (h *Histogram) Max() time.Duration { return time.Duration(h.snapshot().max) }
+
+// Percentile returns the p-th percentile (0 < p ≤ 100), interpolated
+// within the containing bucket.
+func (h *Histogram) Percentile(p float64) time.Duration {
+	c := h.snapshot()
+	return c.percentile(p)
 }
 
 // Bucket is one cumulative bucket of a histogram snapshot: Count
@@ -163,66 +216,49 @@ func (h *Histogram) Buckets() []Bucket {
 }
 
 // Export returns the cumulative buckets together with the matching
-// count and sum, captured under one lock — so an exporter racing
-// concurrent Records still renders a consistent histogram (the +Inf
-// bucket always equals count, as the Prometheus format requires).
+// count and sum, taken from one merged snapshot — so an exporter
+// racing concurrent Records still renders a consistent histogram. The
+// count is the +Inf bucket's, as the Prometheus format requires.
 func (h *Histogram) Export() (bs []Bucket, count int64, sum time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	c := h.snapshot()
+	if c.count == 0 {
 		return nil, 0, 0
 	}
 	bs = make([]Bucket, 0, 16)
-	var cum int64
-	for i, c := range h.buckets {
-		cum += c
-		if cum == 0 && bucketLimits[i] != math.MaxInt64 {
+	for i, n := range c.buckets {
+		count += n
+		if count == 0 && bucketLimits[i] != math.MaxInt64 {
 			continue
 		}
-		bs = append(bs, Bucket{UpperBound: bucketLimits[i], Count: cum})
+		bs = append(bs, Bucket{UpperBound: bucketLimits[i], Count: count})
 	}
-	return bs, h.count, time.Duration(h.sum)
+	return bs, count, time.Duration(c.sum)
 }
 
 // Reset discards all samples.
 func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.buckets = nil
-	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
-	h.mu.Unlock()
+	for i := range h.stripes {
+		s := &h.stripes[i]
+		s.mu.Lock()
+		s.counts = counts{}
+		s.mu.Unlock()
+	}
 }
 
 // Merge adds all of other's samples into h.
 func (h *Histogram) Merge(other *Histogram) {
-	other.mu.Lock()
-	ob := append([]int64(nil), other.buckets...)
-	oc, os, omin, omax := other.count, other.sum, other.min, other.max
-	other.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.buckets == nil {
-		h.buckets = make([]int64, len(bucketLimits))
-	}
-	for i, c := range ob {
-		h.buckets[i] += c
-	}
-	if oc > 0 {
-		if h.count == 0 || omin < h.min {
-			h.min = omin
-		}
-		if omax > h.max {
-			h.max = omax
-		}
-	}
-	h.count += oc
-	h.sum += os
+	c := other.snapshot()
+	s := &h.stripes[0]
+	s.mu.Lock()
+	s.merge(&c)
+	s.mu.Unlock()
 }
 
 // String summarizes the distribution.
 func (h *Histogram) String() string {
+	c := h.snapshot()
 	return fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v max=%v",
-		h.Count(), h.Mean(), h.Percentile(50), h.Percentile(90), h.Percentile(99), h.Max())
+		c.count, c.mean(), c.percentile(50), c.percentile(90), c.percentile(99), time.Duration(c.max))
 }
 
 // ---------------------------------------------------------------------

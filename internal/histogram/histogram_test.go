@@ -1,7 +1,10 @@
 package histogram
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -10,8 +13,14 @@ import (
 
 func TestEmptyHistogram(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram not all-zero")
+	}
+	if bs, n, sum := h.Export(); bs != nil || n != 0 || sum != 0 || h.Buckets() != nil {
+		t.Fatalf("empty Export = %v, %d, %v", bs, n, sum)
+	}
+	if got, want := h.String(), "n=0 mean=0s p50=0s p90=0s p99=0s max=0s"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
 	}
 }
 
@@ -105,29 +114,176 @@ func TestMergeIntoEmpty(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	var h Histogram
-	h.Record(time.Second)
+	recordInEveryStripe(t, &h)
 	h.Reset()
 	if h.Count() != 0 || h.Max() != 0 {
 		t.Fatal("Reset incomplete")
 	}
+	for i := range h.stripes {
+		if h.stripes[i].counts != (counts{}) {
+			t.Fatalf("stripe %d not reset", i)
+		}
+	}
 }
 
+// recordInEveryStripe records one sample per stripe, i+1 ms into the
+// i-th taken. Two GCs before each Record empty the pool (the first
+// moves its contents to the victim cache, the second drops them), so
+// each Record takes the next stripe round-robin.
+func recordInEveryStripe(t *testing.T, h *Histogram) {
+	t.Helper()
+	for i := 0; i < stripes; i++ {
+		runtime.GC()
+		runtime.GC()
+		h.Record(time.Duration(i+1) * time.Millisecond)
+	}
+	for i := range h.stripes {
+		if n := h.stripes[i].count; n != 1 {
+			t.Fatalf("stripe %d holds %d samples, want 1", i, n)
+		}
+	}
+}
+
+// TestGCLosesNoSample: a Record after a GC emptied the pool counts,
+// and Merge reads every stripe.
+func TestGCLosesNoSample(t *testing.T) {
+	var h, m Histogram
+	recordInEveryStripe(t, &h)
+	m.Merge(&h)
+	for _, g := range []*Histogram{&h, &m} {
+		if g.Count() != stripes || g.Sum() != 36*time.Millisecond ||
+			g.Min() != time.Millisecond || g.Max() != stripes*time.Millisecond {
+			t.Fatalf("%v, want %d samples of 1–%d ms", g, stripes, stripes)
+		}
+	}
+	assertSame(t, &m, &h)
+}
+
+// assertSame fails unless got and want hold the same samples as far as
+// any reader can tell.
+func assertSame(t *testing.T, got, want *Histogram) {
+	t.Helper()
+	gb, gn, gs := got.Export()
+	wb, wn, ws := want.Export()
+	if gn != wn || gs != ws || got.Min() != want.Min() || got.Max() != want.Max() {
+		t.Fatalf("got n=%d sum=%v min=%v max=%v, want n=%d sum=%v min=%v max=%v",
+			gn, gs, got.Min(), got.Max(), wn, ws, want.Min(), want.Max())
+	}
+	if !reflect.DeepEqual(gb, wb) {
+		t.Fatalf("buckets %v, want %v", gb, wb)
+	}
+	for _, p := range []float64{50, 90, 99} {
+		if g, w := got.Percentile(p), want.Percentile(p); g != w {
+			t.Fatalf("p%v = %v, want %v", p, g, w)
+		}
+	}
+}
+
+// TestConcurrentRecord: samples recorded by GOMAXPROCS×4 goroutines
+// read back exactly as the same samples recorded by one.
 func TestConcurrentRecord(t *testing.T) {
-	var h Histogram
+	workers := runtime.GOMAXPROCS(0) * 4
+	const perWorker = 10000
+	samples := make([]time.Duration, workers*perWorker)
+	rng := rand.New(rand.NewSource(1))
+	for i := range samples {
+		samples[i] = time.Duration(rng.Int63n(int64(50 * time.Millisecond)))
+	}
+	var ref, h Histogram
+	for _, d := range samples {
+		ref.Record(d)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(mine []time.Duration) {
+			defer wg.Done()
+			for _, d := range mine {
+				h.Record(d)
+			}
+		}(samples[w*perWorker : (w+1)*perWorker])
+	}
+	wg.Wait()
+	if h.Count() != int64(len(samples)) {
+		t.Fatalf("Count = %d, want %d", h.Count(), len(samples))
+	}
+	assertSame(t, &h, &ref)
+}
+
+// TestExportWhileRecording: every Export taken while other goroutines
+// record is a consistent histogram: cumulative buckets never fall, and
+// the +Inf bucket equals the count.
+func TestExportWhileRecording(t *testing.T) {
+	var h Histogram
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0)*2; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 10000; i++ {
-				h.Record(time.Duration(i) * time.Nanosecond)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Record(time.Duration(i%100_000) * 100 * time.Nanosecond)
 			}
 		}()
 	}
-	wg.Wait()
-	if h.Count() != 80000 {
-		t.Fatalf("Count = %d", h.Count())
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 2000; i++ {
+		bs, n, _ := h.Export()
+		if n == 0 {
+			continue
+		}
+		last := bs[len(bs)-1]
+		if last.UpperBound != math.MaxInt64 || last.Count != n {
+			t.Fatalf("+Inf bucket %+v, count %d", last, n)
+		}
+		for j := 1; j < len(bs); j++ {
+			if bs[j].Count < bs[j-1].Count {
+				t.Fatalf("cumulative buckets fall: %v", bs)
+			}
+		}
 	}
+}
+
+// TestRecordAllocs: Record allocates nothing, also right after a GC
+// emptied the pool and it falls back to a round-robin stripe. (The
+// pool's per-P array, remade on its first use after a GC, is the one
+// allocation per GC cycle; it falls to AllocsPerRun's warm-up call.)
+func TestRecordAllocs(t *testing.T) {
+	var h Histogram
+	record := func() { h.Record(time.Microsecond) }
+	if n := testing.AllocsPerRun(1000, record); n != 0 {
+		t.Fatalf("Record allocates %v times", n)
+	}
+	runtime.GC()
+	runtime.GC()
+	if n := testing.AllocsPerRun(1000, record); n != 0 {
+		t.Fatalf("Record after a GC allocates %v times", n)
+	}
+}
+
+func BenchmarkHistogramRecord(b *testing.B) {
+	var h Histogram
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Record(time.Duration(1000 + i%50_000))
+	}
+}
+
+// BenchmarkHistogramRecordParallel is Record from GOMAXPROCS
+// goroutines into one histogram, as concurrent Gets record GetLatency.
+func BenchmarkHistogramRecordParallel(b *testing.B) {
+	var h Histogram
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			h.Record(time.Duration(1000 + i%50_000))
+		}
+	})
 }
 
 func TestPercentileBoundsProperty(t *testing.T) {

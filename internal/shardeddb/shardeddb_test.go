@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -454,6 +455,81 @@ func TestStatsReportPrintsSharedLinesOnce(t *testing.T) {
 		if got := strings.Count(rep, line); got != want {
 			t.Errorf("%q appears %d times in a 3-shard report, want %d:\n%s", line, got, want, rep)
 		}
+	}
+}
+
+// TestStatsHistogramCountsUnderLoad: while writers and readers record
+// into every shard's latency histograms, each histogram line of /stats
+// prints an n that its per-shard brackets sum to — each shard's count
+// and what is merged into n come from one snapshot of that shard.
+func TestStatsHistogramCountsUnderLoad(t *testing.T) {
+	const shards = 3
+	db, _ := newTestStore(t, shards, func(o *Options) {
+		o.Engine.DisableScrub = true
+		o.Engine.SyncWAL = false
+	})
+	defer db.Close()
+	line := regexp.MustCompile(`(?m)^(xpointdb_\S+) n=(\d+) \[([\d ]+)\]`)
+	check := func() (lines int) {
+		t.Helper()
+		ms := line.FindAllStringSubmatch(db.StatsReport(), -1)
+		for _, m := range ms {
+			var n, sum int64
+			fmt.Sscan(m[2], &n)
+			for _, f := range strings.Fields(m[3]) {
+				var v int64
+				fmt.Sscan(f, &v)
+				sum += v
+			}
+			if sum != n {
+				t.Fatalf("%s: n=%d, brackets [%s] sum to %d", m[1], n, m[3], sum)
+			}
+		}
+		return len(ms)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
+	val := bytes.Repeat([]byte("x"), 64)
+	for s := 0; s < shards; s++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := db.Put(shardKey(s, db, i%500), val); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := db.Get(shardKey(s, db, i%500)); err != nil && err != engine.ErrNotFound {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200 && !t.Failed(); i++ {
+		check()
+	}
+	halt()
+	if check() == 0 {
+		t.Fatal("no per-shard histogram line in /stats")
 	}
 }
 
