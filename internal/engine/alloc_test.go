@@ -72,7 +72,7 @@ func TestAllocBudgets(t *testing.T) {
 
 	// A scan's fixed cost: building the iterator tree and its seek.
 	// Stepping through entries allocates nothing: keys and values are
-	// copied into the Iter's own buffers.
+	// copied into the iterator's own buffers.
 	t.Run("scan/steady-state", func(t *testing.T) {
 		db := allocTestDB(t)
 		defer db.Close()
@@ -104,7 +104,7 @@ func TestAllocBudgets(t *testing.T) {
 			}
 		}
 		scan() // opens the table, caches the blocks
-		checkAllocs(t, 12, testing.AllocsPerRun(runs, scan))
+		checkAllocs(t, 11, testing.AllocsPerRun(runs, scan))
 	})
 
 	t.Run("put", func(t *testing.T) {

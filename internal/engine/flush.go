@@ -238,7 +238,7 @@ func (db *DB) buildTable(num uint64, mem *memtable.Memtable) (*manifest.FileMeta
 	if err != nil {
 		return nil, err
 	}
-	src := newMemIter(mem)
+	src := mem.NewIter()
 	entries := 0
 	for src.SeekToFirst(); src.Valid(); src.Next() {
 		if err := w.add(src.Key(), src.Value()); err != nil {

@@ -6,38 +6,16 @@ import (
 	"xpointdb/internal/iterator"
 	"xpointdb/internal/keys"
 	"xpointdb/internal/manifest"
-	"xpointdb/internal/memtable"
 	"xpointdb/internal/sstable"
 )
 
-// memIter adapts memtable.Iter to iterator.Iterator.
-type memIter struct {
-	it *memtable.Iter
-}
-
-func newMemIter(m *memtable.Memtable) *memIter { return &memIter{it: m.NewIter()} }
-
-func (m *memIter) Valid() bool          { return m.it.Valid() }
-func (m *memIter) SeekGE(target []byte) { m.it.SeekGE(target) }
-func (m *memIter) SeekLT(target []byte) { m.it.SeekLT(target) }
-func (m *memIter) SeekToFirst()         { m.it.SeekToFirst() }
-func (m *memIter) SeekToLast()          { m.it.SeekToLast() }
-func (m *memIter) Next()                { m.it.Next() }
-func (m *memIter) Prev()                { m.it.Prev() }
-func (m *memIter) Key() []byte          { return m.it.Key() }
-func (m *memIter) Value() []byte        { return m.it.Value() }
-func (m *memIter) Error() error         { return nil }
-func (m *memIter) Close() error         { return nil }
-
-var _ iterator.Iterator = (*memIter)(nil)
-
-// Iter is a bidirectional iterator over the database's user keys at a
+// dbIter is a bidirectional iterator over the database's user keys at a
 // fixed sequence snapshot, merging memtables and all levels and
 // resolving versions and tombstones. It pins the SuperVersion it was
 // built from for its whole lifetime, so a scan can outlive any number
 // of flushes and compactions without losing an SST mid-iteration;
 // Close releases the pin (a leaked iterator is reported by db.Close).
-type Iter struct {
+type dbIter struct {
 	db     *DB
 	sv     *superVersion
 	merged *iterator.Merging
@@ -55,30 +33,31 @@ type Iter struct {
 // NewIter returns an iterator over the current database state. It
 // observes a consistent snapshot: writes committed after creation are
 // invisible.
-func (db *DB) NewIter() (*Iter, error) {
+func (db *DB) NewIter() (iterator.Iterator, error) {
 	return db.newIterAt(db.visibleSeq.Load())
 }
 
 // newIterAt returns an iterator pinned to sequence snapshot snap. The
 // SuperVersion acquired here is held until Close: its version refs
 // every SST the scan may touch, so none can be deleted underneath it.
-func (db *DB) newIterAt(snap uint64) (*Iter, error) {
+// A failure returns a nil interface, never a typed nil *dbIter.
+func (db *DB) newIterAt(snap uint64) (iterator.Iterator, error) {
 	sv := db.acquireSV()
 	if sv == nil {
 		return nil, ErrClosed
 	}
 
 	var children []iterator.Iterator
-	fail := func(err error) (*Iter, error) {
+	fail := func(err error) (iterator.Iterator, error) {
 		for _, c := range children {
 			_ = c.Close()
 		}
 		db.releaseSV(sv)
 		return nil, err
 	}
-	children = append(children, newMemIter(sv.mem))
+	children = append(children, sv.mem.NewIter())
 	for i := len(sv.imms) - 1; i >= 0; i-- {
-		children = append(children, newMemIter(sv.imms[i].mem))
+		children = append(children, sv.imms[i].mem.NewIter())
 	}
 	// L0: one iterator per file, newest first.
 	l0 := sv.ver.Files[0]
@@ -115,7 +94,7 @@ func (db *DB) newIterAt(snap uint64) (*Iter, error) {
 	}
 
 	db.openIters.Add(1)
-	return &Iter{
+	return &dbIter{
 		db:     db,
 		sv:     sv,
 		merged: iterator.NewMerging(children...),
@@ -125,7 +104,7 @@ func (db *DB) newIterAt(snap uint64) (*Iter, error) {
 
 // findNextVisible advances the underlying merged stream to the next
 // visible, live user key at or after the current position.
-func (it *Iter) findNextVisible() {
+func (it *dbIter) findNextVisible() {
 	it.valid = false
 	for it.merged.Valid() {
 		ikey := it.merged.Key()
@@ -158,7 +137,7 @@ func (it *Iter) findNextVisible() {
 // skipUserKey advances past every remaining entry of userKey, which
 // must not point into the merged stream: Next passes it.key, the
 // delete path it.skipKey.
-func (it *Iter) skipUserKey(userKey []byte) {
+func (it *dbIter) skipUserKey(userKey []byte) {
 	for it.merged.Valid() && bytes.Equal(keys.UserKey(it.merged.Key()), userKey) {
 		it.merged.Next()
 	}
@@ -169,7 +148,7 @@ func (it *Iter) skipUserKey(userKey []byte) {
 // key arrive oldest→newest (internal order holds newest first), so the
 // scan keeps overwriting the saved state for the current key group and
 // decides — emit or skip — when the group ends.
-func (it *Iter) findPrevVisible() {
+func (it *dbIter) findPrevVisible() {
 	it.valid = false
 	var (
 		haveGroup bool
@@ -214,17 +193,17 @@ func (it *Iter) findPrevVisible() {
 }
 
 // Valid reports whether the iterator is positioned at an entry.
-func (it *Iter) Valid() bool { return it.valid && it.err == nil }
+func (it *dbIter) Valid() bool { return it.valid && it.err == nil }
 
 // SeekGE positions at the first user key ≥ key.
-func (it *Iter) SeekGE(key []byte) {
+func (it *dbIter) SeekGE(key []byte) {
 	it.merged.SeekGE(keys.SearchKey(key, it.snap))
 	it.forward = true
 	it.findNextVisible()
 }
 
 // SeekLT positions at the last user key < key.
-func (it *Iter) SeekLT(key []byte) {
+func (it *dbIter) SeekLT(key []byte) {
 	// SearchKey(key, MaxSeq) sorts before every entry of key, so
 	// SeekLT on it lands strictly inside the previous user key.
 	it.merged.SeekLT(keys.SearchKey(key, keys.MaxSeq))
@@ -233,21 +212,21 @@ func (it *Iter) SeekLT(key []byte) {
 }
 
 // SeekToFirst positions at the first user key.
-func (it *Iter) SeekToFirst() {
+func (it *dbIter) SeekToFirst() {
 	it.merged.SeekToFirst()
 	it.forward = true
 	it.findNextVisible()
 }
 
 // SeekToLast positions at the last user key.
-func (it *Iter) SeekToLast() {
+func (it *dbIter) SeekToLast() {
 	it.merged.SeekToLast()
 	it.forward = false
 	it.findPrevVisible()
 }
 
 // Next advances to the next user key.
-func (it *Iter) Next() {
+func (it *dbIter) Next() {
 	if !it.Valid() {
 		return
 	}
@@ -262,7 +241,7 @@ func (it *Iter) Next() {
 }
 
 // Prev moves to the previous user key.
-func (it *Iter) Prev() {
+func (it *dbIter) Prev() {
 	if !it.Valid() {
 		return
 	}
@@ -276,18 +255,18 @@ func (it *Iter) Prev() {
 }
 
 // Key returns the current user key (valid until the next move).
-func (it *Iter) Key() []byte { return it.key }
+func (it *dbIter) Key() []byte { return it.key }
 
 // Value returns the current value (valid until the next move).
-func (it *Iter) Value() []byte { return it.value }
+func (it *dbIter) Value() []byte { return it.value }
 
 // Error returns the first error encountered.
-func (it *Iter) Error() error { return it.err }
+func (it *dbIter) Error() error { return it.err }
 
 // Close releases the iterator and its SuperVersion pin. Safe to call
 // more than once. The pin is dropped only after the child iterators
 // are closed — it is what keeps their tables alive.
-func (it *Iter) Close() error {
+func (it *dbIter) Close() error {
 	if it.closed {
 		return nil
 	}

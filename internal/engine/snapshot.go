@@ -1,6 +1,10 @@
 package engine
 
-import "sort"
+import (
+	"sort"
+
+	"xpointdb/internal/iterator"
+)
 
 // Snapshot pins a point-in-time view of the database: reads through it
 // see exactly the writes committed before NewSnapshot returned.
@@ -56,7 +60,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 }
 
 // NewIter returns an iterator over the snapshot's view.
-func (s *Snapshot) NewIter() (*Iter, error) {
+func (s *Snapshot) NewIter() (iterator.Iterator, error) {
 	return s.db.newIterAt(s.seq)
 }
 

@@ -10,6 +10,9 @@ import (
 )
 
 // Iterator walks entries in internal-key order, forward and backward.
+// The store-level iterators (engine.DB.NewIter, shardeddb.DB.NewIter
+// and their snapshots') have the same contract over user keys: Key is
+// a user key and a seek target is one.
 //
 // The Key and Value slices are only valid until the next call that
 // moves the iterator. An iterator starts unpositioned; call one of the
@@ -205,18 +208,19 @@ func (m *Merging) Close() error {
 var _ Iterator = (*Merging)(nil)
 
 // Concat chains iterators whose key ranges are disjoint and ordered
-// (the files of one L1+ level). Children are opened lazily via the
-// open callback so that a scan touching one file does not open them
-// all.
+// (the files of one L1+ level, the shards of a sharded store). Children
+// are opened lazily via the open callback so that a scan touching one
+// file does not open them all, and at most one is open at a time: a
+// child is closed when the iterator moves off it, and kept when a seek
+// lands on it again.
 type Concat struct {
 	n       int
 	open    func(i int) (Iterator, error)
 	boundGE func(i int, target []byte) bool // does child i possibly contain ≥ target?
 
-	idx  int // current child index
-	cur  Iterator
-	err  error
-	done bool
+	idx int // current child index
+	cur Iterator
+	err error
 }
 
 // NewConcat returns a concatenating iterator over n ordered, disjoint
@@ -228,7 +232,12 @@ func NewConcat(n int, open func(i int) (Iterator, error), boundGE func(i int, ta
 	return &Concat{n: n, open: open, boundGE: boundGE, idx: -1}
 }
 
+// setChild makes child i current, for the caller to position. The open
+// child is kept if it is i: every caller seeks it next.
 func (c *Concat) setChild(i int) bool {
+	if c.cur != nil && c.idx == i {
+		return true
+	}
 	if c.cur != nil {
 		if err := c.cur.Close(); err != nil && c.err == nil {
 			c.err = err
@@ -236,14 +245,12 @@ func (c *Concat) setChild(i int) bool {
 		c.cur = nil
 	}
 	if i >= c.n {
-		c.done = true
 		c.idx = c.n
 		return false
 	}
 	it, err := c.open(i)
 	if err != nil {
 		c.err = err
-		c.done = true
 		return false
 	}
 	c.cur, c.idx = it, i
@@ -333,7 +340,6 @@ func (c *Concat) SeekToLast() {
 	if !c.setChild(c.n - 1) {
 		return
 	}
-	c.done = false
 	c.cur.SeekToLast()
 	c.skipBackward()
 }
@@ -351,7 +357,6 @@ func (c *Concat) SeekLT(target []byte) {
 	if !c.setChild(i) {
 		return
 	}
-	c.done = false
 	c.cur.SeekLT(target)
 	c.skipBackward()
 }

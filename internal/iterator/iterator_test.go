@@ -227,6 +227,17 @@ func TestConcatSkipsToRightChild(t *testing.T) {
 	if opened != 1 {
 		t.Fatalf("opened %d children, want 1 (lazy)", opened)
 	}
+	// Seeks that land on the open child reposition it rather than
+	// closing and reopening it; one that lands elsewhere swaps it.
+	c.SeekGE(keys.SearchKey([]byte("e"), keys.MaxSeq))
+	c.SeekLT(keys.SearchKey([]byte("f"), keys.MaxSeq))
+	if !c.Valid() || string(keys.UserKey(c.Key())) != "e" || opened != 1 || children[2].closed {
+		t.Fatalf("re-seek into the open child: key %s, opened %d, closed %v", keys.String(c.Key()), opened, children[2].closed)
+	}
+	c.SeekGE(keys.SearchKey([]byte("a"), keys.MaxSeq))
+	if !c.Valid() || string(keys.UserKey(c.Key())) != "a" || opened != 2 || !children[2].closed {
+		t.Fatalf("seek into another child: key %s, opened %d, old child closed %v", keys.String(c.Key()), opened, children[2].closed)
+	}
 }
 
 func TestConcatEmptyMiddleChild(t *testing.T) {

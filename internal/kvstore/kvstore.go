@@ -4,13 +4,15 @@
 // dbbench and the torture driver program against it, so a run on the
 // bare engine and a run on N shards are the same code.
 //
-// Iterators and snapshots are not part of it: the two stores return
-// different concrete types for them.
+// Scans are part of it: both stores return an iterator.Iterator over
+// user keys. Snapshots are not yet — the two stores return different
+// concrete types for them, and no program drives one through the seam.
 package kvstore
 
 import (
 	"xpointdb/internal/batch"
 	"xpointdb/internal/engine"
+	"xpointdb/internal/iterator"
 	"xpointdb/internal/shardeddb"
 )
 
@@ -21,6 +23,10 @@ type Store interface {
 	Delete(key []byte) error
 	Apply(b *batch.Batch, sync bool) error
 	Flush() error
+	// NewIter returns an iterator over the user keys of the store as
+	// of the call; Close it when done. A closed store returns
+	// (nil, engine.ErrClosed).
+	NewIter() (iterator.Iterator, error)
 
 	// Health is the worst health across engines; BackgroundError the
 	// first latched error; Resume the operator's manual recovery,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"xpointdb/internal/engine"
 	"xpointdb/internal/events"
 	"xpointdb/internal/faultfs"
+	"xpointdb/internal/shardeddb"
 	"xpointdb/internal/storage"
 	"xpointdb/internal/throttle"
 	"xpointdb/internal/vfs"
@@ -91,6 +93,7 @@ func TestStoreContract(t *testing.T) {
 			if _, err := st.Get(keys[1]); !errors.Is(err, engine.ErrNotFound) {
 				t.Fatalf("Get(%q) after the batch deleted it = %v, want ErrNotFound", keys[1], err)
 			}
+			checkScans(t, st)
 			if !strings.Contains(st.StatsReport(), "\nxpointdb_write_latency_seconds n=") {
 				t.Error("StatsReport lacks the rendered metrics section")
 			}
@@ -137,7 +140,73 @@ func TestStoreContract(t *testing.T) {
 			if err := st.Close(); !errors.Is(err, engine.ErrClosed) {
 				t.Fatalf("second Close = %v, want ErrClosed", err)
 			}
+			// A nil interface, not a typed nil: callers test it == nil.
+			if it, err := st.NewIter(); it != nil || !errors.Is(err, engine.ErrClosed) {
+				t.Fatalf("NewIter after Close = (%v, %v), want (nil, ErrClosed)", it, err)
+			}
 		})
+	}
+}
+
+// checkScans scans st through the seam after TestStoreContract's
+// cross-shard batch: both directions, seeks landing on the uniform
+// 3-shard boundaries, and none of the batch's reserved 2PC keys — its
+// commit record stays live in the lowest participant's engine.
+func checkScans(t *testing.T, st Store) {
+	t.Helper()
+	bounds := shardeddb.UniformBoundaries(3)
+	for _, k := range bounds {
+		if err := st.Put(k, []byte("b")); err != nil {
+			t.Fatalf("Put(%q): %v", k, err)
+		}
+	}
+	if len(st.Engines()) > 1 {
+		raw, err := st.Engines()[0].NewIter()
+		if err != nil {
+			t.Fatalf("engine NewIter: %v", err)
+		}
+		if raw.SeekToFirst(); !raw.Valid() || raw.Key()[0] != 0 {
+			t.Fatal("shard 0 holds no reserved key after a cross-shard Apply")
+		}
+		raw.Close()
+	}
+
+	it, err := st.NewIter()
+	if err != nil {
+		t.Fatalf("NewIter: %v", err)
+	}
+	want := []string{"A-low", string(bounds[0]), string(bounds[1]), "\xe0-high"}
+	var fwd, rev []string
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		fwd = append(fwd, string(it.Key()))
+	}
+	for it.SeekToLast(); it.Valid(); it.Prev() {
+		rev = append([]string{string(it.Key())}, rev...)
+	}
+	if !slices.Equal(fwd, want) || !slices.Equal(rev, want) {
+		t.Fatalf("forward scan %q, reverse scan %q (reversed), want %q", fwd, rev, want)
+	}
+	for _, c := range []struct {
+		seekGE bool
+		target []byte
+		want   string
+	}{
+		{true, bounds[0], want[1]},
+		{true, bounds[1], want[2]},
+		{false, bounds[0], want[0]},
+		{false, bounds[1], want[1]},
+	} {
+		if c.seekGE {
+			it.SeekGE(c.target)
+		} else {
+			it.SeekLT(c.target)
+		}
+		if !it.Valid() || string(it.Key()) != c.want {
+			t.Errorf("seekGE=%v %q: valid=%v key=%q, want %q", c.seekGE, c.target, it.Valid(), it.Key(), c.want)
+		}
+	}
+	if err := it.Close(); err != nil {
+		t.Fatalf("iterator Close: %v", err)
 	}
 }
 

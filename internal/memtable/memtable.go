@@ -108,3 +108,9 @@ func (i *Iter) SeekToLast() { i.it.SeekToLast() }
 
 // Prev moves to the previous entry.
 func (i *Iter) Prev() { i.it.Prev() }
+
+// Error is always nil: a memtable is in memory and cannot fail a read.
+func (i *Iter) Error() error { return nil }
+
+// Close is a no-op; the iterator holds nothing to release.
+func (i *Iter) Close() error { return nil }

@@ -1,195 +1,62 @@
 package shardeddb
 
 import (
-	"errors"
+	"bytes"
 
 	"xpointdb/internal/engine"
+	"xpointdb/internal/iterator"
 )
 
-// Iter iterates the whole keyspace in key order. Because shards
-// partition the keyspace by range, global order is simply the
-// concatenation of per-shard orders — no heap merge is needed; the
-// iterator walks one shard at a time and hops to the neighbour when
-// the current one is exhausted. Reserved (0x00-prefixed) bookkeeping
-// keys — 2PC prepare records, sync markers — are skipped so callers
-// only ever see user data.
-//
-// Each per-shard iterator pins that shard's SuperVersion eagerly at
-// NewIter time, so the view is stable per shard; like engine
-// iterators, the vector as a whole is not a single atomic snapshot
-// across concurrently committing cross-shard batches (use NewSnapshot
-// plus application-level fencing when that matters).
-type Iter struct {
-	db    *DB
-	iters []*engine.Iter
-	cur   int
-	valid bool
-	err   error
-}
-
-// NewIter returns an iterator over the live store.
-func (db *DB) NewIter() (*Iter, error) {
-	if db.closed.Load() {
-		return nil, ErrClosed
+// NewIter returns an iterator over the live store: a snapshot of every
+// shard, read through Snapshot.NewIter, that the iterator owns and
+// releases on Close.
+func (db *DB) NewIter() (iterator.Iterator, error) {
+	s, err := db.NewSnapshot()
+	if err != nil {
+		return nil, err
 	}
-	return db.newIter(func(i int) (*engine.Iter, error) { return db.shards[i].NewIter() })
-}
-
-// newIter builds an Iter over the per-shard iterators open returns.
-func (db *DB) newIter(open func(shard int) (*engine.Iter, error)) (*Iter, error) {
-	it := &Iter{db: db, iters: make([]*engine.Iter, len(db.shards))}
-	for i := range db.shards {
-		si, err := open(i)
-		if err != nil {
-			for _, prev := range it.iters[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		it.iters[i] = si
-	}
+	it := s.newIter()
+	it.snap = s
 	return it, nil
 }
 
-// Valid reports whether the iterator is positioned on a user entry.
-func (it *Iter) Valid() bool { return it.valid && it.err == nil }
-
-// Key returns the current key. Only valid while Valid().
-func (it *Iter) Key() []byte { return it.iters[it.cur].Key() }
-
-// Value returns the current value. Only valid while Valid().
-func (it *Iter) Value() []byte { return it.iters[it.cur].Value() }
-
-// Error returns the first error hit by any per-shard iterator.
-func (it *Iter) Error() error { return it.err }
-
-// SeekToFirst positions at the smallest user key in the store.
-func (it *Iter) SeekToFirst() {
-	if it.err != nil {
-		return
-	}
-	it.cur = 0
-	it.iters[0].SeekToFirst()
-	it.skipFwd()
+// userIter hides the reserved 0x00-prefixed bookkeeping keys — 2PC
+// prepare records, sync markers — in both directions, so callers only
+// ever see user data. It embeds the Concat itself, not the interface,
+// so the calls it passes through stay direct.
+type userIter struct {
+	*iterator.Concat
+	snap *Snapshot // released on Close when the iterator owns it
 }
 
-// SeekToLast positions at the largest user key in the store.
-func (it *Iter) SeekToLast() {
-	if it.err != nil {
-		return
-	}
-	it.cur = len(it.iters) - 1
-	it.iters[it.cur].SeekToLast()
-	it.skipBwd()
-}
-
-// SeekGE positions at the smallest key ≥ key.
-func (it *Iter) SeekGE(key []byte) {
-	if it.err != nil {
-		return
-	}
-	it.cur = it.db.ShardForKey(key)
-	it.iters[it.cur].SeekGE(key)
-	it.skipFwd()
-}
-
-// SeekLT positions at the largest key < key.
-func (it *Iter) SeekLT(key []byte) {
-	if it.err != nil {
-		return
-	}
-	it.cur = it.db.ShardForKey(key)
-	it.iters[it.cur].SeekLT(key)
-	it.skipBwd()
-}
-
-// Next advances to the next user key, crossing shard boundaries.
-func (it *Iter) Next() {
-	if !it.Valid() {
-		return
-	}
-	it.iters[it.cur].Next()
-	it.skipFwd()
-}
-
-// Prev steps back to the previous user key, crossing shard boundaries.
-func (it *Iter) Prev() {
-	if !it.Valid() {
-		return
-	}
-	it.iters[it.cur].Prev()
-	it.skipBwd()
-}
-
-// skipFwd establishes the forward invariant: position on the next
-// visible user key at or after the current point, hopping to later
-// shards (from their start) as each one runs out.
-func (it *Iter) skipFwd() {
-	for {
-		si := it.iters[it.cur]
-		for si.Valid() && isInternalKey(si.Key()) {
-			si.Next()
-		}
-		if si.Valid() {
-			it.valid = true
-			return
-		}
-		if err := si.Error(); err != nil {
-			it.fail(err)
-			return
-		}
-		if it.cur == len(it.iters)-1 {
-			it.valid = false
-			return
-		}
-		it.cur++
-		it.iters[it.cur].SeekToFirst()
+func (it *userIter) skipFwd() {
+	for it.Valid() && isInternalKey(it.Key()) {
+		it.Concat.Next()
 	}
 }
 
-// skipBwd is skipFwd's mirror for reverse iteration, hopping to
-// earlier shards (from their end).
-func (it *Iter) skipBwd() {
-	for {
-		si := it.iters[it.cur]
-		for si.Valid() && isInternalKey(si.Key()) {
-			si.Prev()
-		}
-		if si.Valid() {
-			it.valid = true
-			return
-		}
-		if err := si.Error(); err != nil {
-			it.fail(err)
-			return
-		}
-		if it.cur == 0 {
-			it.valid = false
-			return
-		}
-		it.cur--
-		it.iters[it.cur].SeekToLast()
+func (it *userIter) skipBwd() {
+	for it.Valid() && isInternalKey(it.Key()) {
+		it.Concat.Prev()
 	}
 }
 
-func (it *Iter) fail(err error) {
-	it.valid = false
-	if it.err == nil {
-		it.err = err
-	}
-}
+func (it *userIter) SeekGE(key []byte) { it.Concat.SeekGE(key); it.skipFwd() }
+func (it *userIter) SeekToFirst()      { it.Concat.SeekToFirst(); it.skipFwd() }
+func (it *userIter) Next()             { it.Concat.Next(); it.skipFwd() }
+func (it *userIter) SeekLT(key []byte) { it.Concat.SeekLT(key); it.skipBwd() }
+func (it *userIter) SeekToLast()       { it.Concat.SeekToLast(); it.skipBwd() }
+func (it *userIter) Prev()             { it.Concat.Prev(); it.skipBwd() }
 
-// Close releases every per-shard iterator (and its pinned version).
-func (it *Iter) Close() error {
-	it.valid = false
-	errs := []error{it.err}
-	for _, si := range it.iters {
-		if si != nil {
-			errs = append(errs, si.Close())
-		}
+// Close closes the open shard iterator and, if the iterator owns its
+// snapshot, releases it. Safe to call more than once.
+func (it *userIter) Close() error {
+	err := it.Concat.Close()
+	if it.snap != nil {
+		it.snap.Release()
+		it.snap = nil
 	}
-	it.iters = nil
-	return errors.Join(errs...)
+	return err
 }
 
 // Snapshot pins a point-in-time view of every shard. The per-shard
@@ -223,9 +90,25 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	return s.snaps[s.db.ShardForKey(key)].Get(key)
 }
 
-// NewIter returns an iterator over the snapshot's view.
-func (s *Snapshot) NewIter() (*Iter, error) {
-	return s.db.newIter(func(i int) (*engine.Iter, error) { return s.snaps[i].NewIter() })
+// NewIter returns an iterator over the snapshot's view of the whole
+// keyspace in key order. Shards partition the keyspace by range, so
+// that order is the concatenation of the shards' own: one
+// iterator.Concat over the per-shard snapshot iterators, which opens a
+// shard's engine iterator — and pins that shard's SuperVersion — only
+// when a seek or a step reaches the shard, and closes it on leaving.
+func (s *Snapshot) NewIter() (iterator.Iterator, error) {
+	if s.db.closed.Load() {
+		return nil, ErrClosed
+	}
+	return s.newIter(), nil
+}
+
+func (s *Snapshot) newIter() *userIter {
+	bounds, last := s.db.boundaries, len(s.snaps)-1
+	return &userIter{Concat: iterator.NewConcat(len(s.snaps),
+		func(i int) (iterator.Iterator, error) { return s.snaps[i].NewIter() },
+		func(i int, target []byte) bool { return i == last || bytes.Compare(target, bounds[i]) < 0 },
+	)}
 }
 
 // Release unpins all per-shard snapshots. Safe to call more than once.

@@ -263,6 +263,69 @@ func TestShardedIterAcrossShards(t *testing.T) {
 	}
 }
 
+// TestIterPinsOnlyShardsReached checks that a scan holds only the shards
+// it has reached: with an iterator positioned in shard 0, shard 3 can
+// flush and compact, and the table that compaction makes obsolete is
+// deleted while the iterator is still open. A scan's view of shard 3 is
+// fixed by its snapshot sequence, not by a SuperVersion pin taken up
+// front.
+func TestIterPinsOnlyShardsReached(t *testing.T) {
+	db, fs := newTestStore(t, 4, nil)
+	defer db.Close()
+	tables := func() map[string]bool {
+		names, err := fs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]bool{}
+		for _, n := range names {
+			if strings.HasPrefix(n, "shard-003/") && strings.HasSuffix(n, ".sst") {
+				out[n] = true
+			}
+		}
+		return out
+	}
+	for _, s := range []int{0, 3} {
+		if err := db.Put(shardKey(s, db, 1), []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := tables()
+	if len(before) == 0 {
+		t.Fatal("shard 3 has no table after Flush")
+	}
+
+	it, err := db.NewIter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	if it.SeekGE(shardKey(0, db, 0)); !it.Valid() || db.ShardForKey(it.Key()) != 0 {
+		t.Fatalf("SeekGE into shard 0: %q valid=%v", it.Key(), it.Valid())
+	}
+
+	if err := db.Put(shardKey(3, db, 1), []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Engines()[3].CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	after := tables()
+	for n := range before {
+		if after[n] {
+			t.Errorf("%s is still on disk after shard 3 compacted it away under an iterator in shard 0", n)
+		}
+	}
+
+	// The iterator still reads shard 3 as of its creation.
+	if it.Next(); !it.Valid() || string(it.Key()) != string(shardKey(3, db, 1)) || string(it.Value()) != "old" {
+		t.Fatalf("Next into shard 3: %q=%q valid=%v err=%v", it.Key(), it.Value(), it.Valid(), it.Error())
+	}
+}
+
 func TestShardedSnapshot(t *testing.T) {
 	db, _ := newTestStore(t, 4, nil)
 	defer db.Close()

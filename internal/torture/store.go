@@ -8,7 +8,6 @@ import (
 
 	"xpointdb/internal/batch"
 	"xpointdb/internal/engine"
-	"xpointdb/internal/iterator"
 	"xpointdb/internal/kvstore"
 	"xpointdb/internal/shardeddb"
 	"xpointdb/internal/throttle"
@@ -126,16 +125,6 @@ func engineOptions(base engine.Options, fs vfs.FS, g geometry, tune func(*engine
 	return o
 }
 
-// scanAll walks an engine.Iter or a shardeddb.Iter: both have
-// iterator.Iterator's method set (yielding user keys, not internal ones).
-func scanAll(it iterator.Iterator, visit func(key, value []byte)) error {
-	defer it.Close()
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		visit(it.Key(), it.Value())
-	}
-	return it.Error()
-}
-
 // newStore picks the adapter for cfg.Shards and draws its seeded
 // parameters.
 func newStore(cfg Config, rng *rand.Rand, base engine.Options, geo geometry, tune func(*engine.Options)) store {
@@ -152,7 +141,8 @@ func newStore(cfg Config, rng *rand.Rand, base engine.Options, geo geometry, tun
 // handle is what both adapters share: the run's seeded configuration
 // and the open store, held as the store seam so everything that needs
 // only its method set — Apply, Get, Flush, Health, BackgroundError,
-// Resume, Close, and the per-engine walks below — is written once.
+// Resume, Close, the scan and the per-engine walks below — is written
+// once.
 type handle struct {
 	kvstore.Store
 	base engine.Options
@@ -185,6 +175,19 @@ func (h *handle) Close() error {
 	return err
 }
 
+// scan visits every user-visible key in ascending order.
+func (h *handle) scan(visit func(key, value []byte)) error {
+	it, err := h.NewIter()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		visit(it.Key(), it.Value())
+	}
+	return it.Error()
+}
+
 func (h *handle) syncEvents() uint64 { return h.Shared().Plane.Sync() }
 
 func (h *handle) layout() string {
@@ -205,14 +208,6 @@ func (e *engineStore) open(fs vfs.FS) error {
 		e.Store = db // a failed reopen keeps the old, closed handle
 	}
 	return err
-}
-
-func (e *engineStore) scan(visit func(key, value []byte)) error {
-	it, err := e.Store.(*engine.DB).NewIter()
-	if err != nil {
-		return err
-	}
-	return scanAll(it, visit)
 }
 
 func (e *engineStore) shards() int                { return 1 }
@@ -254,14 +249,6 @@ func (s *shardedStore) open(fs vfs.FS) error {
 		s.Store = db
 	}
 	return err
-}
-
-func (s *shardedStore) scan(visit func(key, value []byte)) error {
-	it, err := s.sdb().NewIter()
-	if err != nil {
-		return err
-	}
-	return scanAll(it, visit)
 }
 
 func (s *shardedStore) shards() int            { return s.n }

@@ -21,13 +21,18 @@
 //     reproduces the paper's measurements in fast, deterministic
 //     virtual time. See NewSimulation and the examples/ directory.
 //
-// Quickstart:
+// Quickstart (the package's Example runs a longer one):
 //
 //	db, err := xpointdb.OpenPath("/tmp/mydb")
 //	if err != nil { ... }
 //	defer db.Close()
 //	_ = db.Put([]byte("k"), []byte("v"))
 //	v, err := db.Get([]byte("k"))
+//
+// Scans go through one iterator type, Iter, whichever store they read:
+// DB, Snapshot, ShardedDB and ShardedSnapshot all return it from
+// NewIter. It walks user keys in order, forward and backward, over the
+// view it was opened on, and must be closed.
 package xpointdb
 
 import (
@@ -38,6 +43,7 @@ import (
 	"xpointdb/internal/costmodel"
 	"xpointdb/internal/engine"
 	"xpointdb/internal/events"
+	"xpointdb/internal/iterator"
 	"xpointdb/internal/shardeddb"
 	"xpointdb/internal/sim"
 	"xpointdb/internal/simenv"
@@ -62,8 +68,8 @@ type Options = engine.Options
 // are copied and stay the caller's.
 type Batch = batch.Batch
 
-// Iter is a bidirectional snapshot iterator returned by DB.NewIter.
-type Iter = engine.Iter
+// Iter is the one iterator type (see the package comment).
+type Iter = iterator.Iterator
 
 // Snapshot is a pinned point-in-time view returned by DB.NewSnapshot;
 // release it when done.
@@ -169,9 +175,6 @@ type ShardedDB = shardeddb.DB
 
 // ShardedOptions configures OpenSharded.
 type ShardedOptions = shardeddb.Options
-
-// ShardedIter iterates the whole sharded keyspace in key order.
-type ShardedIter = shardeddb.Iter
 
 // ShardedSnapshot pins a per-shard point-in-time view vector.
 type ShardedSnapshot = shardeddb.Snapshot
